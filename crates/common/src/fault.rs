@@ -24,8 +24,10 @@ use crate::ids::NodeId;
 /// documented on the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InjectionPoint {
-    /// Before the bulk snapshot copy of the migrating shards starts
-    /// (`remus.rs`). `Fail` exercises the engine's unwind path.
+    /// Before the bulk snapshot copy of the migrating shards starts, in the
+    /// copy stage all three push engines share (`pipeline.rs`). `Delay`
+    /// holds the copy back; `Fail` fails the migration and exercises the
+    /// pipeline's teardown.
     SnapshotCopy,
     /// In a snapshot-copy worker, before streaming one key-range chunk
     /// (`snapshot.rs`). `Delay` staggers the pool; `Fail`/`Crash` kill the
@@ -39,8 +41,9 @@ pub enum InjectionPoint {
     /// set (`replay.rs`). `Delay` models a stalled replay worker.
     ReplayApply,
     /// Immediately after sync commit mode is enabled, before waiting for
-    /// unsynchronized timestamps to drain (`remus.rs`). `Delay` widens the
-    /// mode-change window.
+    /// unsynchronized timestamps to drain (Remus's transfer step,
+    /// `remus.rs`). `Delay` widens the mode-change window; `Fail` fails the
+    /// migration with the barrier raised.
     SyncBarrier,
     /// In a destination replay worker, on receipt of a `Validate` message —
     /// i.e. during destination-side MOCC validation of a sync-mode shadow

@@ -3,16 +3,19 @@
 //! Live shard migration engines — the paper's contribution and the
 //! baselines it is evaluated against.
 //!
-//! * [`remus`] — the Remus engine (§3): snapshot copying → asynchronous
-//!   update propagation → sync-mode change (`TS_unsync` / `LSN_unsync`) →
-//!   ordered diversion via the shard-map transaction `T_m` → unidirectional
-//!   dual execution under MOCC, with transaction-level parallel replay.
+//! * `pipeline` — the one data plane the three push engines share
+//!   (`PushPipeline`): slot + pinned snapshot, gated chunk copy overlapped
+//!   with replay, catch-up, drain-to-LSN, `T_m` diversion, cleanup. Its
+//!   `Drop` is the only unwind path, keyed on "did `T_m` commit?". An
+//!   engine below is just its ownership-transfer step on top of it.
+//! * [`remus`] — the Remus engine (§3): sync barrier (`TS_unsync` /
+//!   `LSN_unsync`) → `T_m` → unidirectional dual execution under MOCC.
 //! * [`lock_abort`] — the *lock-and-abort* push baseline (Citus/LibrA
-//!   style, §2.3.3): same copy/catch-up, but ownership transfer locks the
-//!   shards and terminates conflicting transactions.
+//!   style, §2.3.3): close the shards' write gates, terminate conflicting
+//!   transactions, replay the final updates, `T_m`.
 //! * [`remaster`] — the *wait-and-remaster* baseline (DynaMast style):
-//!   suspends routing, drains every in-flight transaction (write sets are
-//!   unknown), then remasters.
+//!   suspend routing, drain every in-flight transaction (write sets are
+//!   unknown), replay the final updates, `T_m`.
 //! * [`squall`] — the *pull* baseline (Squall on H-store partition locks):
 //!   flips ownership immediately, then combines on-demand pulls (blocking,
 //!   chunk-locking) with background pulls; source access to migrated
@@ -38,6 +41,7 @@ pub mod controller;
 pub mod diversion;
 pub mod lock_abort;
 pub mod mocc;
+mod pipeline;
 pub mod propagation;
 pub mod recovery;
 pub mod remaster;

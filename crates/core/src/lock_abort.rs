@@ -20,24 +20,19 @@
 //! exactly the cost the paper attributes to this approach under
 //! long-running transactions.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::unbounded;
-use remus_cluster::Cluster;
-use remus_common::{DbError, DbResult};
+use remus_cluster::{Cluster, Node};
+use remus_common::{DbResult, ShardId};
 use remus_storage::TxnStatus;
 
-use crate::diversion::run_tm;
-use crate::mocc::{RemusHook, ValidationRegistry};
-use crate::propagation::PropagationProcess;
-use crate::replay::ReplayProcess;
+use crate::pipeline::{PushPipeline, DRAIN_TIMEOUT};
 use crate::report::{MigrationEngine, MigrationReport, MigrationTask};
-use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
-use crate::trace::TraceRecorder;
+use crate::ssi_handover::doom_ssi_straddlers;
 
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
+/// Why this engine's victims were terminated, as they see it.
+const REASON: &str = "lock-and-abort ownership transfer";
 
 /// The lock-and-abort engine.
 #[derive(Debug, Default, Clone, Copy)]
@@ -50,15 +45,28 @@ impl LockAndAbort {
     }
 }
 
-fn wait_until(mut cond: impl FnMut() -> bool, what: &'static str) -> DbResult<()> {
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
-    while !cond() {
-        if Instant::now() >= deadline {
-            return Err(DbError::Timeout(what));
+/// The migrating shards' write gates, closed; reopened on drop so no exit
+/// path strands the writers blocked behind them.
+struct ClosedGates<'a> {
+    source: &'a Node,
+    shards: &'a [ShardId],
+}
+
+impl<'a> ClosedGates<'a> {
+    fn close(source: &'a Node, shards: &'a [ShardId]) -> Self {
+        for shard in shards {
+            source.storage.gate.close(*shard);
         }
-        std::thread::sleep(Duration::from_millis(1));
+        ClosedGates { source, shards }
     }
-    Ok(())
+}
+
+impl Drop for ClosedGates<'_> {
+    fn drop(&mut self) {
+        for shard in self.shards {
+            self.source.storage.gate.open(*shard);
+        }
+    }
 }
 
 impl MigrationEngine for LockAndAbort {
@@ -67,117 +75,18 @@ impl MigrationEngine for LockAndAbort {
     }
 
     fn migrate(&self, cluster: &Arc<Cluster>, task: &MigrationTask) -> DbResult<MigrationReport> {
-        let t0 = Instant::now();
-        let rec = TraceRecorder::new(self.name());
-        let mut report = MigrationReport::new(self.name());
-        let source = Arc::clone(cluster.node(task.source));
-        let dest = Arc::clone(cluster.node(task.dest));
-
-        // A hook that never enters sync mode: the shared propagation
-        // machinery then ships everything asynchronously.
-        let registry = Arc::new(ValidationRegistry::new());
-        let hook = Arc::new(RemusHook::new(
-            &[],
-            registry,
-            cluster.config.lock_wait_timeout,
-        ));
-        let (tx, rx) = unbounded();
-
-        let copy_span = rec.start("snapshot_copy");
-        // Slot registered atomically with computing `from`: concurrent WAL
-        // truncation can never pass the reader's start position.
-        let (slot, from) = source.storage.create_slot_at_oldest_active();
-        // Acquired and pinned atomically so the GC watermark never passes
-        // the copy snapshot while the copy is in flight.
-        let (snapshot_ts, snapshot_pin) = cluster.acquire_snapshot(task.source);
-        let prop = PropagationProcess::start(
-            cluster,
-            &source,
-            task.dest,
-            &task.shards,
-            snapshot_ts,
-            slot,
-            from,
-            Arc::clone(&hook),
-            tx,
-        );
-        // Chunked copy with replay started alongside, gated per chunk —
-        // the same overlapped data plane as Remus.
-        let gate =
-            match CopyGate::plan(&task.shards, &source, cluster.config.parallelism.chunk_size) {
-                Ok(g) => Arc::new(g),
-                Err(e) => {
-                    prop.request_stop(remus_wal::Lsn::ZERO);
-                    prop.join();
-                    return Err(e);
-                }
-            };
-        let replay = ReplayProcess::start(
-            cluster,
-            &dest,
-            Arc::new(ValidationRegistry::new()),
-            rx,
-            Some(Arc::clone(&gate)),
-        );
-        let tuples = {
-            let _pin = snapshot_pin;
-            match copy_task_snapshots_gated(
-                cluster,
-                &source,
-                &dest,
-                snapshot_ts,
-                &gate,
-                Some((&rec, copy_span)),
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    gate.poison();
-                    prop.request_stop(remus_wal::Lsn::ZERO);
-                    prop.join();
-                    let _ = replay.join();
-                    for shard in &task.shards {
-                        dest.storage.drop_shard(*shard);
-                    }
-                    return Err(e);
-                }
-            }
-        };
-        report.tuples_copied = tuples;
-        report.snapshot_phase = t0.elapsed();
-        rec.attr(copy_span, "tuples_copied", tuples);
-        rec.end(copy_span);
-
-        // Asynchronous catch-up.
-        let catch0 = Instant::now();
-        let catchup_span = rec.start("catchup");
-        let threshold = cluster.config.catchup_threshold as u64;
-        rec.attr(catchup_span, "lag_threshold", threshold);
-        wait_until(
-            || {
-                prop.lag(
-                    source.storage.wal.flush_lsn(),
-                    replay.stats.done.load(Ordering::SeqCst),
-                ) <= threshold
-            },
-            "async catch-up",
-        )?;
-        report.catchup_phase = catch0.elapsed();
-        rec.end(catchup_span);
+        let mut p = PushPipeline::start(self.name(), cluster, task, false)?;
+        p.catch_up()?;
 
         // Ownership transfer: lock, abort, replay final updates, remap.
         let transfer0 = Instant::now();
-        let lock_span = rec.start("lock_shards");
-        for shard in &task.shards {
-            source.storage.gate.close(*shard);
-        }
+        let source = cluster.node(task.source);
+        let lock_span = p.rec.start("lock_shards");
+        let gates = ClosedGates::close(source, &task.shards);
         for shard in &task.shards {
             for victim in source.storage.writers_of(*shard) {
-                if remus_txn::force_abort(
-                    &source.storage,
-                    victim,
-                    "lock-and-abort ownership transfer",
-                ) {
-                    report.forced_aborts += 1;
+                if remus_txn::force_abort(&source.storage, victim, REASON) {
+                    p.report.forced_aborts += 1;
                 } else {
                     // The victim is mid-2PC: wait for it to resolve.
                     let status = source.storage.clog.wait_resolved(victim, DRAIN_TIMEOUT)?;
@@ -192,55 +101,28 @@ impl MigrationEngine for LockAndAbort {
         // readers hold SIREAD entries that would go stale with the move.
         // Doom them too, and carry the retained entries of committed
         // transactions to the destination.
-        let (ssi_entries, ssi_doomed) = crate::ssi_handover::doom_ssi_straddlers(
-            cluster,
-            task,
-            "lock-and-abort ownership transfer",
-        );
-        report.forced_aborts += ssi_doomed;
-        rec.attr(lock_span, "ssi_entries_transferred", ssi_entries);
-        rec.attr(lock_span, "ssi_straddlers_doomed", ssi_doomed);
-        rec.attr(lock_span, "forced_aborts", report.forced_aborts);
-        rec.end(lock_span);
+        let (ssi_entries, ssi_doomed) = doom_ssi_straddlers(cluster, task, REASON);
+        p.report.forced_aborts += ssi_doomed;
+        p.rec
+            .attr(lock_span, "ssi_entries_transferred", ssi_entries);
+        p.rec.attr(lock_span, "ssi_straddlers_doomed", ssi_doomed);
+        p.rec
+            .attr(lock_span, "forced_aborts", p.report.forced_aborts);
+        p.rec.end(lock_span);
         // Replay all remaining final updates.
-        let replay_span = rec.start("final_replay");
+        let replay_span = p.rec.start("final_replay");
         let final_lsn = source.storage.wal.flush_lsn();
-        rec.attr(replay_span, "final_lsn", final_lsn.0);
-        wait_until(
-            || prop.stats.processed_lsn.load(Ordering::SeqCst) >= final_lsn.0,
-            "final update processing",
-        )?;
-        let sent_final = prop.stats.sent.load(Ordering::SeqCst);
-        rec.attr(replay_span, "sent_final", sent_final);
-        wait_until(
-            || replay.stats.done.load(Ordering::SeqCst) >= sent_final,
-            "final update replay",
-        )?;
-        rec.end(replay_span);
+        p.rec.attr(replay_span, "final_lsn", final_lsn.0);
+        let sent_final = p.drain_to(final_lsn, "final update replay")?;
+        p.rec.attr(replay_span, "sent_final", sent_final);
+        p.rec.end(replay_span);
         // Remap and drop the source copy; waking blocked writers then find
         // the shard gone and abort.
-        let tm_span = rec.start("tm_2pc");
-        run_tm(cluster, task)?;
-        rec.end(tm_span);
-        let cleanup_span = rec.start("cleanup");
-        let stop_lsn = source.storage.wal.flush_lsn();
-        for shard in &task.shards {
-            source.storage.drop_shard(*shard);
-        }
-        for shard in &task.shards {
-            source.storage.gate.open(*shard);
-        }
-        report.transfer_phase = transfer0.elapsed();
-
-        prop.request_stop(stop_lsn);
-        report.records_replayed = replay.stats.records.load(Ordering::SeqCst);
-        prop.join();
-        replay.join()?;
-        rec.attr(cleanup_span, "records_replayed", report.records_replayed);
-        rec.end(cleanup_span);
-        report.total = t0.elapsed();
-        report.traces.push(rec.finish());
-        Ok(report)
+        p.divert(false)?;
+        p.retire_source();
+        drop(gates);
+        p.report.transfer_phase = transfer0.elapsed();
+        p.finish()
     }
 }
 
@@ -253,23 +135,6 @@ mod tests {
 
     fn val(s: &str) -> Value {
         Value::copy_from_slice(s.as_bytes())
-    }
-
-    #[test]
-    fn quiescent_migration_moves_all_data() {
-        let cluster = ClusterBuilder::new(2).build();
-        let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
-        let session = Session::connect(&cluster, NodeId(0));
-        for k in 0..150 {
-            session.run(|t| t.insert(&layout, k, val("v"))).unwrap();
-        }
-        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-        let report = LockAndAbort::new().migrate(&cluster, &task).unwrap();
-        assert_eq!(report.tuples_copied, 150);
-        assert_eq!(report.forced_aborts, 0);
-        assert!(!cluster.node(NodeId(0)).storage.hosts(ShardId(0)));
-        let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
-        assert_eq!(rows.len(), 150);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use remus_cluster::{Cluster, Node};
-use remus_common::{NodeId, ShardId, Timestamp, TxnId};
+use remus_common::{DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
 use remus_wal::{LogOp, Lsn, UpdateCacheQueue, WriteOp};
 
 use crate::mocc::RemusHook;
@@ -113,10 +113,12 @@ impl PropagationProcess {
         self.stop_at.store(upto.0, Ordering::SeqCst);
     }
 
-    /// Waits for the thread to finish.
-    pub fn join(mut self) {
-        if let Some(h) = self.handle.take() {
-            h.join().expect("propagation thread panicked");
+    /// Waits for the thread to finish; a panic on it surfaces as an error
+    /// so teardown paths can join without unwinding twice.
+    pub fn join(mut self) -> DbResult<()> {
+        match self.handle.take().map(|h| h.join()) {
+            Some(Err(_)) => Err(DbError::Internal("propagation thread panicked".into())),
+            _ => Ok(()),
         }
     }
 
@@ -406,7 +408,7 @@ mod tests {
             ApplyMsg::Shutdown => {}
             other => panic!("unexpected message {other:?}"),
         }
-        prop.join();
+        prop.join().unwrap();
     }
 
     #[test]
@@ -422,7 +424,7 @@ mod tests {
             ApplyMsg::Shutdown => {}
             other => panic!("unexpected message {other:?}"),
         }
-        prop.join();
+        prop.join().unwrap();
     }
 
     #[test]
@@ -457,7 +459,7 @@ mod tests {
             other => panic!("unexpected message {other:?}"),
         }
         prop.request_stop(wal.flush_lsn());
-        prop.join();
+        prop.join().unwrap();
     }
 
     #[test]
@@ -482,7 +484,7 @@ mod tests {
             other => panic!("unexpected message {other:?}"),
         }
         prop.request_stop(wal.flush_lsn());
-        prop.join();
+        prop.join().unwrap();
     }
 
     #[test]
@@ -506,7 +508,7 @@ mod tests {
             other => panic!("unexpected message {other:?}"),
         }
         prop.request_stop(wal.flush_lsn());
-        prop.join();
+        prop.join().unwrap();
     }
 
     #[test]
@@ -516,7 +518,7 @@ mod tests {
         // Nothing processed yet against a flush of 10 → lag 10.
         assert_eq!(prop.lag(Lsn(10), 0), 10);
         prop.request_stop(Lsn::ZERO);
-        prop.join();
+        prop.join().unwrap();
     }
 
     #[test]
@@ -535,7 +537,7 @@ mod tests {
                 break;
             }
         }
-        prop.join();
+        prop.join().unwrap();
         // After the process dropped its slot, truncation can clean fully.
         assert_eq!(storage.truncate_wal_safely(), wal.flush_lsn());
     }

@@ -9,23 +9,14 @@
 //! stretches for as long as the longest-running transaction — is the
 //! downtime the paper's Figures 6b/7b show collapsing to zero throughput.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::unbounded;
 use remus_cluster::Cluster;
-use remus_common::{DbError, DbResult};
+use remus_common::DbResult;
 
-use crate::diversion::run_tm;
-use crate::mocc::{RemusHook, ValidationRegistry};
-use crate::propagation::PropagationProcess;
-use crate::replay::ReplayProcess;
+use crate::pipeline::{PushPipeline, DRAIN_TIMEOUT};
 use crate::report::{MigrationEngine, MigrationReport, MigrationTask};
-use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
-use crate::trace::TraceRecorder;
-
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// The wait-and-remaster engine.
 #[derive(Debug, Default, Clone, Copy)]
@@ -38,15 +29,21 @@ impl WaitAndRemaster {
     }
 }
 
-fn wait_until(mut cond: impl FnMut() -> bool, what: &'static str) -> DbResult<()> {
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
-    while !cond() {
-        if Instant::now() >= deadline {
-            return Err(DbError::Timeout(what));
-        }
-        std::thread::sleep(Duration::from_millis(1));
+/// Cluster-wide routing, suspended; resumed on drop so no exit path leaves
+/// new transactions blocked at begin.
+struct SuspendedRouting<'a>(&'a Cluster);
+
+impl<'a> SuspendedRouting<'a> {
+    fn suspend(cluster: &'a Cluster) -> Self {
+        cluster.routing_gate.suspend();
+        SuspendedRouting(cluster)
     }
-    Ok(())
+}
+
+impl Drop for SuspendedRouting<'_> {
+    fn drop(&mut self) {
+        self.0.routing_gate.resume();
+    }
 }
 
 impl MigrationEngine for WaitAndRemaster {
@@ -55,153 +52,32 @@ impl MigrationEngine for WaitAndRemaster {
     }
 
     fn migrate(&self, cluster: &Arc<Cluster>, task: &MigrationTask) -> DbResult<MigrationReport> {
-        let t0 = Instant::now();
-        let rec = TraceRecorder::new(self.name());
-        let mut report = MigrationReport::new(self.name());
-        let source = Arc::clone(cluster.node(task.source));
-        let dest = Arc::clone(cluster.node(task.dest));
-
-        let hook = Arc::new(RemusHook::new(
-            &[],
-            Arc::new(ValidationRegistry::new()),
-            cluster.config.lock_wait_timeout,
-        ));
-        let (tx, rx) = unbounded();
-        let copy_span = rec.start("snapshot_copy");
-        // Slot registered atomically with computing `from`: concurrent WAL
-        // truncation can never pass the reader's start position.
-        let (slot, from) = source.storage.create_slot_at_oldest_active();
-        // Acquired and pinned atomically so the GC watermark never passes
-        // the copy snapshot while the copy is in flight.
-        let (snapshot_ts, snapshot_pin) = cluster.acquire_snapshot(task.source);
-        let prop = PropagationProcess::start(
-            cluster,
-            &source,
-            task.dest,
-            &task.shards,
-            snapshot_ts,
-            slot,
-            from,
-            hook,
-            tx,
-        );
-        // Chunked copy with replay started alongside, gated per chunk —
-        // the same overlapped data plane as Remus.
-        let gate =
-            match CopyGate::plan(&task.shards, &source, cluster.config.parallelism.chunk_size) {
-                Ok(g) => Arc::new(g),
-                Err(e) => {
-                    prop.request_stop(remus_wal::Lsn::ZERO);
-                    prop.join();
-                    return Err(e);
-                }
-            };
-        let replay = ReplayProcess::start(
-            cluster,
-            &dest,
-            Arc::new(ValidationRegistry::new()),
-            rx,
-            Some(Arc::clone(&gate)),
-        );
-        let tuples = {
-            let _pin = snapshot_pin;
-            match copy_task_snapshots_gated(
-                cluster,
-                &source,
-                &dest,
-                snapshot_ts,
-                &gate,
-                Some((&rec, copy_span)),
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    gate.poison();
-                    prop.request_stop(remus_wal::Lsn::ZERO);
-                    prop.join();
-                    let _ = replay.join();
-                    for shard in &task.shards {
-                        dest.storage.drop_shard(*shard);
-                    }
-                    return Err(e);
-                }
-            }
-        };
-        report.tuples_copied = tuples;
-        report.snapshot_phase = t0.elapsed();
-        rec.attr(copy_span, "tuples_copied", tuples);
-        rec.end(copy_span);
-
-        // Asynchronous catch-up.
-        let catch0 = Instant::now();
-        let catchup_span = rec.start("catchup");
-        let threshold = cluster.config.catchup_threshold as u64;
-        rec.attr(catchup_span, "lag_threshold", threshold);
-        wait_until(
-            || {
-                prop.lag(
-                    source.storage.wal.flush_lsn(),
-                    replay.stats.done.load(Ordering::SeqCst),
-                ) <= threshold
-            },
-            "async catch-up",
-        )?;
-        report.catchup_phase = catch0.elapsed();
-        rec.end(catchup_span);
+        let mut p = PushPipeline::start(self.name(), cluster, task, false)?;
+        p.catch_up()?;
 
         // Ownership transfer: suspend, drain, replay final updates, remap.
         let transfer0 = Instant::now();
-        cluster.routing_gate.suspend();
-        let drain_result = (|| -> DbResult<()> {
-            let drain_span = rec.start("drain");
-            cluster.wait_for_drain(DRAIN_TIMEOUT)?;
-            rec.end(drain_span);
-            let replay_span = rec.start("final_replay");
-            let final_lsn = source.storage.wal.flush_lsn();
-            rec.attr(replay_span, "final_lsn", final_lsn.0);
-            wait_until(
-                || prop.stats.processed_lsn.load(Ordering::SeqCst) >= final_lsn.0,
-                "final update processing",
-            )?;
-            // Routing is suspended and the cluster drained, so the send
-            // counter is stable; wait for the replay to finish it.
-            let sent_final = prop.stats.sent.load(Ordering::SeqCst);
-            rec.attr(replay_span, "sent_final", sent_final);
-            wait_until(
-                || replay.stats.done.load(Ordering::SeqCst) >= sent_final,
-                "final update replay",
-            )?;
-            rec.end(replay_span);
-            let tm_span = rec.start("tm_2pc");
-            // Routing is suspended and the cluster drained, so only
-            // retained (committed) SSI entries remain to hand over — the
-            // transfer path with no straddlers by construction.
-            let ssi_entries = crate::ssi_handover::hand_over_ssi_state(cluster, task);
-            rec.attr(tm_span, "ssi_entries_transferred", ssi_entries);
-            run_tm(cluster, task)?;
-            rec.end(tm_span);
-            Ok(())
-        })();
-        let cleanup_span = rec.start("cleanup");
-        if drain_result.is_ok() {
-            for shard in &task.shards {
-                source.storage.drop_shard(*shard);
-            }
-        }
-        cluster.routing_gate.resume();
-        report.downtime = transfer0.elapsed();
-        report.transfer_phase = transfer0.elapsed();
-        drain_result?;
-
-        let stop_lsn = source.storage.wal.flush_lsn();
-        prop.request_stop(stop_lsn);
-        report.records_replayed = replay.stats.records.load(Ordering::SeqCst);
-        prop.join();
-        replay.join()?;
-        rec.attr(cleanup_span, "records_replayed", report.records_replayed);
-        rec.end(cleanup_span);
-        report.total = t0.elapsed();
-        report.traces.push(rec.finish());
-        Ok(report)
+        let routing = SuspendedRouting::suspend(cluster);
+        let drain_span = p.rec.start("drain");
+        cluster.wait_for_drain(DRAIN_TIMEOUT)?;
+        p.rec.end(drain_span);
+        let replay_span = p.rec.start("final_replay");
+        let final_lsn = cluster.node(task.source).storage.wal.flush_lsn();
+        p.rec.attr(replay_span, "final_lsn", final_lsn.0);
+        // Routing is suspended and the cluster drained, so the send
+        // counter is stable; wait for the replay to finish it.
+        let sent_final = p.drain_to(final_lsn, "final update replay")?;
+        p.rec.attr(replay_span, "sent_final", sent_final);
+        p.rec.end(replay_span);
+        // With no transaction in flight only retained (committed) SSI
+        // entries remain to hand over — the transfer path with no
+        // straddlers by construction.
+        p.divert(true)?;
+        p.retire_source();
+        drop(routing);
+        p.report.downtime = transfer0.elapsed();
+        p.report.transfer_phase = p.report.downtime;
+        p.finish()
     }
 }
 
@@ -211,25 +87,10 @@ mod tests {
     use remus_cluster::{ClusterBuilder, Session};
     use remus_common::{NodeId, ShardId, TableId};
     use remus_storage::Value;
+    use std::time::Duration;
 
     fn val(s: &str) -> Value {
         Value::copy_from_slice(s.as_bytes())
-    }
-
-    #[test]
-    fn quiescent_migration_moves_all_data_with_no_aborts() {
-        let cluster = ClusterBuilder::new(2).build();
-        let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
-        let session = Session::connect(&cluster, NodeId(0));
-        for k in 0..100 {
-            session.run(|t| t.insert(&layout, k, val("v"))).unwrap();
-        }
-        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-        let report = WaitAndRemaster::new().migrate(&cluster, &task).unwrap();
-        assert_eq!(report.tuples_copied, 100);
-        assert_eq!(report.forced_aborts, 0);
-        let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
-        assert_eq!(rows.len(), 100);
     }
 
     #[test]

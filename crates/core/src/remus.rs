@@ -16,28 +16,15 @@
 //!    When the last pre-`T_m` transaction finishes, propagation shuts
 //!    down and the source copy is dropped.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::unbounded;
 use remus_cluster::Cluster;
-use remus_common::fault::{FaultAction, InjectionPoint};
-use remus_common::{DbError, DbResult};
-use remus_wal::Lsn;
+use remus_common::fault::InjectionPoint;
+use remus_common::DbResult;
 
-use crate::diversion::run_tm;
-use crate::mocc::{RemusHook, ValidationRegistry};
-use crate::propagation::PropagationProcess;
-use crate::replay::ReplayProcess;
+use crate::pipeline::{wait_until, PushPipeline, DRAIN_TIMEOUT};
 use crate::report::{MigrationEngine, MigrationReport, MigrationTask};
-use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
-use crate::trace::TraceRecorder;
-
-/// How long the engine is willing to wait in each drain loop before
-/// declaring the migration wedged. Generous by design: only genuinely
-/// stuck systems should hit it.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// The Remus engine.
 #[derive(Debug, Default, Clone, Copy)]
@@ -50,219 +37,42 @@ impl RemusEngine {
     }
 }
 
-fn wait_until(mut cond: impl FnMut() -> bool, what: &'static str) -> DbResult<()> {
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
-    while !cond() {
-        if Instant::now() >= deadline {
-            return Err(DbError::Timeout(what));
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    Ok(())
-}
-
 impl MigrationEngine for RemusEngine {
     fn name(&self) -> &'static str {
         "remus"
     }
 
     fn migrate(&self, cluster: &Arc<Cluster>, task: &MigrationTask) -> DbResult<MigrationReport> {
-        let t0 = Instant::now();
-        let rec = TraceRecorder::new(self.name());
-        let mut report = MigrationReport::new(self.name());
-        let source = Arc::clone(cluster.node(task.source));
-        let dest = Arc::clone(cluster.node(task.dest));
-
-        // Machinery: validation registry and source commit hook. The
-        // destination replay process starts alongside the chunked snapshot
-        // copy, gated per key range by the CopyGate — a propagated change
-        // applies as soon as its chunk is installed, never before (it would
-        // be clobbered by the frozen install).
-        let registry = Arc::new(ValidationRegistry::new());
-        let hook = Arc::new(RemusHook::new(
-            &task.shards,
-            Arc::clone(&registry),
-            cluster.config.lock_wait_timeout,
-        ));
-        source
-            .storage
-            .install_hook(Arc::clone(&hook) as Arc<dyn remus_txn::SyncCommitHook>);
-        let (tx, rx) = unbounded();
-
-        // Phase 1: snapshot copying. The propagation reader starts at the
-        // oldest active transaction's begin LSN (it must observe the full
-        // write set of every transaction that may commit after the
-        // snapshot timestamp); the snapshot timestamp is taken after that.
-        let copy_span = rec.start("snapshot_copy");
-        // The slot is registered atomically with computing `from`, so
-        // concurrent WAL truncation (background maintenance) can never
-        // pass the reader's start position.
-        let (slot, from) = source.storage.create_slot_at_oldest_active();
-        // Acquire and pin atomically: from this instant until the copy
-        // finishes, the GC safe-ts watermark cannot pass the copy snapshot,
-        // so no version the copy scan still needs is ever pruned.
-        let (snapshot_ts, snapshot_pin) = cluster.acquire_snapshot(task.source);
-        let prop = PropagationProcess::start(
-            cluster,
-            &source,
-            task.dest,
-            &task.shards,
-            snapshot_ts,
-            slot,
-            from,
-            Arc::clone(&hook),
-            tx,
-        );
-        // Plan the chunk layout, start replay gated on it, then copy with
-        // the worker pool — completed chunks replay while others copy.
-        let gate =
-            match CopyGate::plan(&task.shards, &source, cluster.config.parallelism.chunk_size) {
-                Ok(g) => Arc::new(g),
-                Err(e) => {
-                    source.storage.uninstall_hook();
-                    prop.request_stop(Lsn::ZERO);
-                    prop.join();
-                    return Err(e);
-                }
-            };
-        let replay = ReplayProcess::start(
-            cluster,
-            &dest,
-            Arc::clone(&registry),
-            rx,
-            Some(Arc::clone(&gate)),
-        );
-        let copy_result = {
-            let _pin = snapshot_pin;
-            match cluster.fault_at(InjectionPoint::SnapshotCopy, task.source) {
-                FaultAction::Fail => Err(DbError::NodeUnavailable(task.dest)),
-                fault => {
-                    if let FaultAction::Delay(d) = fault {
-                        std::thread::sleep(d);
-                    }
-                    copy_task_snapshots_gated(
-                        cluster,
-                        &source,
-                        &dest,
-                        snapshot_ts,
-                        &gate,
-                        Some((&rec, copy_span)),
-                    )
-                }
-            }
-        };
-        let tuples = match copy_result {
-            Ok(t) => t,
-            Err(e) => {
-                // Unwind: poison the gate (wakes replay workers parked on
-                // uncopied chunks), stop the processes, and leave the
-                // source intact.
-                gate.poison();
-                source.storage.uninstall_hook();
-                prop.request_stop(Lsn::ZERO);
-                prop.join();
-                let _ = replay.join();
-                for shard in &task.shards {
-                    dest.storage.drop_shard(*shard);
-                }
-                return Err(e);
-            }
-        };
-        report.tuples_copied = tuples;
-        report.snapshot_phase = t0.elapsed();
-        rec.attr(copy_span, "tuples_copied", tuples);
-        rec.attr(copy_span, "snapshot_ts", snapshot_ts.0);
-        rec.end(copy_span);
-
-        // Phase 2: asynchronous catch-up.
-        let catch0 = Instant::now();
-        let catchup_span = rec.start("catchup");
-        let threshold = cluster.config.catchup_threshold as u64;
-        rec.attr(catchup_span, "lag_threshold", threshold);
-        rec.attr(
-            catchup_span,
-            "start_lag",
-            prop.lag(
-                source.storage.wal.flush_lsn(),
-                replay.stats.done.load(Ordering::SeqCst),
-            ),
-        );
-        if let Err(e) = wait_until(
-            || {
-                prop.lag(
-                    source.storage.wal.flush_lsn(),
-                    replay.stats.done.load(Ordering::SeqCst),
-                ) <= threshold
-            },
-            "async catch-up",
-        ) {
-            let flush = source.storage.wal.flush_lsn();
-            let processed = prop.stats.processed_lsn.load(Ordering::SeqCst);
-            let sent = prop.stats.sent.load(Ordering::SeqCst);
-            let done = replay.stats.done.load(Ordering::SeqCst);
-            return Err(DbError::Internal(format!(
-                "{e}: flush={} processed={processed} sent={sent} done={done}",
-                flush.0
-            )));
-        }
-        report.catchup_phase = catch0.elapsed();
-        for (w, jobs) in replay.worker_jobs().iter().enumerate() {
-            let s = rec.child(catchup_span, "replay_worker");
-            rec.attr(s, "worker", w as u64);
-            rec.attr(s, "jobs", *jobs);
-            rec.end(s);
-        }
-        rec.end(catchup_span);
+        let mut p = PushPipeline::start(self.name(), cluster, task, true)?;
+        p.catch_up()?;
 
         // Phase 3: mode change. Raise the sync barrier, drain TS_unsync,
         // record LSN_unsync, and wait until everything up to it is applied.
         let transfer0 = Instant::now();
-        let barrier_span = rec.start("sync_barrier");
-        hook.enable_sync();
-        // Mode-change seam: widen the window between raising the barrier
-        // and draining TS_unsync (only Delay is expressible here).
-        if let FaultAction::Delay(d) = cluster.fault_at(InjectionPoint::SyncBarrier, task.source) {
-            std::thread::sleep(d);
-        }
-        let drain_span = rec.child(barrier_span, "ts_unsync_drain");
-        hook.wait_ts_unsync_drained(DRAIN_TIMEOUT)?;
-        rec.end(drain_span);
-        let apply_span = rec.child(barrier_span, "lsn_unsync_apply");
-        let lsn_unsync = source.storage.wal.flush_lsn();
-        rec.attr(apply_span, "lsn_unsync", lsn_unsync.0);
-        wait_until(
-            || prop.stats.processed_lsn.load(Ordering::SeqCst) >= lsn_unsync.0,
-            "LSN_unsync processing",
-        )?;
-        // Everything shipped up to LSN_unsync must be applied. Snapshot the
-        // send counter once (both counters are monotone; demanding
-        // instantaneous sent == done would starve under sustained load —
-        // later messages are sync-mode traffic that synchronizes itself).
-        let sent_at_unsync = prop.stats.sent.load(Ordering::SeqCst);
-        rec.attr(apply_span, "sent_at_unsync", sent_at_unsync);
-        wait_until(
-            || replay.stats.done.load(Ordering::SeqCst) >= sent_at_unsync,
-            "LSN_unsync application",
-        )?;
-        rec.end(apply_span);
-        rec.end(barrier_span);
+        let barrier_span = p.rec.start("sync_barrier");
+        p.hook.enable_sync();
+        // Mode-change seam: a delay widens the window between raising the
+        // barrier and draining TS_unsync.
+        p.fault_seam(InjectionPoint::SyncBarrier)?;
+        let drain_span = p.rec.child(barrier_span, "ts_unsync_drain");
+        p.hook.wait_ts_unsync_drained(DRAIN_TIMEOUT)?;
+        p.rec.end(drain_span);
+        let apply_span = p.rec.child(barrier_span, "lsn_unsync_apply");
+        let lsn_unsync = cluster.node(task.source).storage.wal.flush_lsn();
+        p.rec.attr(apply_span, "lsn_unsync", lsn_unsync.0);
+        let sent_at_unsync = p.drain_to(lsn_unsync, "LSN_unsync application")?;
+        p.rec.attr(apply_span, "sent_at_unsync", sent_at_unsync);
+        p.rec.end(apply_span);
+        p.rec.end(barrier_span);
 
-        // Phase 4: ordered diversion. Serializable mode hands the shards'
-        // SSI state over first (fence, then copy): from this instant the
-        // rw-antidependency bookkeeping lives on the destination, so a
-        // post-T_m writer there sees every SIREAD owed by source readers.
-        let tm_span = rec.start("tm_2pc");
-        let ssi_entries = crate::ssi_handover::hand_over_ssi_state(cluster, task);
-        rec.attr(tm_span, "ssi_entries_transferred", ssi_entries);
-        let tm_cts = run_tm(cluster, task)?;
-        rec.attr(tm_span, "tm_commit_ts", tm_cts.0);
-        rec.end(tm_span);
-        report.transfer_phase = transfer0.elapsed();
+        // Phase 4: ordered diversion.
+        let tm_cts = p.divert(true)?;
+        p.report.transfer_phase = transfer0.elapsed();
 
         // Dual execution: existing source transactions (start_ts <
         // T_m.commit_ts) run to completion, committing through MOCC.
         let dual0 = Instant::now();
-        let dual_span = rec.start("dual_execution");
+        let dual_span = p.rec.start("dual_execution");
         wait_until(
             || match cluster.snapshots.oldest() {
                 None => true,
@@ -270,32 +80,12 @@ impl MigrationEngine for RemusEngine {
             },
             "dual execution drain",
         )?;
-        rec.end(dual_span);
+        p.rec.end(dual_span);
 
         // No pre-T_m transactions remain: stop the pipeline after the
         // final records and clean up.
-        let cleanup_span = rec.start("cleanup");
-        source.storage.uninstall_hook();
-        let final_lsn = source.storage.wal.flush_lsn();
-        prop.request_stop(final_lsn);
-        report.records_replayed = replay.stats.records.load(Ordering::SeqCst);
-        report.validation_conflicts = replay.stats.conflicts.load(Ordering::SeqCst);
-        prop.join();
-        replay.join()?;
-        for shard in &task.shards {
-            source.storage.drop_shard(*shard);
-        }
-        rec.attr(cleanup_span, "final_lsn", final_lsn.0);
-        rec.attr(cleanup_span, "records_replayed", report.records_replayed);
-        rec.attr(
-            cleanup_span,
-            "validation_conflicts",
-            report.validation_conflicts,
-        );
-        rec.end(cleanup_span);
+        let mut report = p.finish()?;
         report.dual_phase = dual0.elapsed();
-        report.total = t0.elapsed();
-        report.traces.push(rec.finish());
         Ok(report)
     }
 }
@@ -306,43 +96,11 @@ mod tests {
     use remus_cluster::{ClusterBuilder, Session};
     use remus_common::{NodeId, ShardId, TableId, Timestamp};
     use remus_storage::Value;
+    use std::sync::atomic::Ordering;
+    use std::time::Duration;
 
     fn val(s: &str) -> Value {
         Value::copy_from_slice(s.as_bytes())
-    }
-
-    #[test]
-    fn quiescent_migration_moves_all_data() {
-        let cluster = ClusterBuilder::new(2).build();
-        let layout = cluster.create_table(TableId(1), 0, 2, |_| NodeId(0));
-        let session = Session::connect(&cluster, NodeId(0));
-        for k in 0..300 {
-            session.run(|t| t.insert(&layout, k, val("v"))).unwrap();
-        }
-        let task = MigrationTask {
-            shards: vec![ShardId(0), ShardId(1)],
-            source: NodeId(0),
-            dest: NodeId(1),
-        };
-        let report = RemusEngine::new().migrate(&cluster, &task).unwrap();
-        assert_eq!(report.engine, "remus");
-        assert_eq!(report.tuples_copied, 300);
-        assert_eq!(report.validation_conflicts, 0);
-        // Source dropped, destination serves.
-        assert!(!cluster.node(NodeId(0)).storage.hosts(ShardId(0)));
-        assert!(cluster.node(NodeId(1)).storage.hosts(ShardId(0)));
-        let (found, _) = session
-            .run(|t| {
-                let mut found = 0;
-                for k in 0..300 {
-                    if t.read(&layout, k)?.is_some() {
-                        found += 1;
-                    }
-                }
-                Ok(found)
-            })
-            .unwrap();
-        assert_eq!(found, 300);
     }
 
     #[test]
@@ -550,20 +308,6 @@ mod tests {
             "Remus must abort no transactions; first error: {:?}",
             first_error.lock()
         );
-    }
-
-    #[test]
-    fn failed_migration_of_missing_shard_leaves_cluster_clean() {
-        let cluster = ClusterBuilder::new(2).build();
-        cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
-        let task = MigrationTask::single(ShardId(99), NodeId(0), NodeId(1));
-        let err = RemusEngine::new().migrate(&cluster, &task).unwrap_err();
-        assert!(matches!(err, remus_common::DbError::NotOwner { .. }));
-        assert!(!cluster.node(NodeId(1)).storage.hosts(ShardId(99)));
-        // The hook is gone: commits behave normally.
-        let session = Session::connect(&cluster, NodeId(0));
-        let layout = cluster.tables()[0];
-        session.run(|t| t.insert(&layout, 1, val("ok"))).unwrap();
     }
 
     #[test]

@@ -194,11 +194,11 @@ impl TraceRecorder {
         }
     }
 
-    /// Consumes the recorder into the finished trace.
-    pub fn finish(self) -> MigrationTrace {
+    /// Takes the finished trace out of the recorder.
+    pub fn finish(&self) -> MigrationTrace {
         MigrationTrace {
             engine: self.engine,
-            spans: self.spans.into_inner().unwrap(),
+            spans: std::mem::take(&mut *self.spans.lock().unwrap()),
         }
     }
 }

@@ -9,6 +9,11 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use parking_lot::Mutex;
+use remus_common::TxnId;
+
+use crate::clog::Clog;
+
 /// When set, [`crate::visibility::resolve_visible_versioned`] *skips*
 /// prepared versions instead of waiting on them — violating the paper's
 /// prepare-wait rule. A reader can then miss a write that commits with a
@@ -39,4 +44,25 @@ pub fn arm_kill_replay_worker() {
 /// Consumes the kill switch: true exactly once per arming.
 pub fn take_kill_replay_worker() -> bool {
     KILL_REPLAY_WORKER.swap(false, Ordering::SeqCst)
+}
+
+/// One-shot race seam: the transaction to abort right after
+/// [`crate::visibility::check_write`] has read its status. This is not a
+/// mutation of the system but a schedule — a writer aborting while another
+/// transaction is mid write-check — pinned so a test can replay it.
+static ABORT_AFTER_WRITE_CHECK_READ: Mutex<Option<TxnId>> = Mutex::new(None);
+
+/// Arms the seam for `xid`.
+pub fn arm_abort_after_write_check_read(xid: TxnId) {
+    *ABORT_AFTER_WRITE_CHECK_READ.lock() = Some(xid);
+}
+
+/// Called by the write check after it read `xid`'s status: aborts `xid` if
+/// the seam is armed for it, exactly once.
+pub(crate) fn fire_abort_after_write_check_read(clog: &Clog, xid: TxnId) {
+    let mut armed = ABORT_AFTER_WRITE_CHECK_READ.lock();
+    if *armed == Some(xid) {
+        *armed = None;
+        clog.set_aborted(xid);
+    }
 }

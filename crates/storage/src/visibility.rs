@@ -155,15 +155,25 @@ pub fn check_write(
     self_xid: TxnId,
     kind: WriteKind,
 ) -> WriteCheck {
-    // Find the newest non-aborted version: it alone arbitrates writes.
+    // Find the newest non-aborted version: it alone arbitrates writes. Its
+    // writer's status is read once and carried into the decision below — a
+    // second lookup could see the writer abort in between and contradict
+    // the filter here.
     let mut newest = None;
     for v in chain.iter() {
-        if v.xmin == self_xid || clog.status(v.xmin) != TxnStatus::Aborted {
-            newest = Some(v);
+        let status = if v.xmin == self_xid {
+            TxnStatus::InProgress
+        } else {
+            clog.status(v.xmin)
+        };
+        #[cfg(feature = "mutation-hooks")]
+        crate::mutation::fire_abort_after_write_check_read(clog, v.xmin);
+        if status != TxnStatus::Aborted {
+            newest = Some((v, status));
             break;
         }
     }
-    let Some(v) = newest else {
+    let Some((v, status)) = newest else {
         return match kind {
             WriteKind::Insert => WriteCheck::Ok,
             _ => WriteCheck::NotFound,
@@ -179,7 +189,7 @@ pub fn check_write(
         };
     }
 
-    match clog.status(v.xmin) {
+    match status {
         TxnStatus::InProgress | TxnStatus::Prepared => WriteCheck::WaitFor(v.xmin),
         TxnStatus::Aborted => unreachable!("filtered above"),
         TxnStatus::Committed(cts) => {

@@ -225,6 +225,33 @@ fn killed_replay_worker_fails_join_instead_of_hanging() {
 }
 
 #[test]
+fn writer_aborting_mid_write_check_is_waited_out_not_a_panic() {
+    use remus::storage::mutation::arm_abort_after_write_check_read;
+
+    let cluster = ClusterBuilder::new(1).build();
+    let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+    let session = Session::connect(&cluster, NodeId(0));
+    session.run(|t| t.insert(&layout, 1, val("base"))).unwrap();
+
+    // The victim holds the newest, uncommitted version of key 1.
+    let mut victim = session.begin();
+    victim.update(&layout, 1, val("victim")).unwrap();
+    // The schedule: the victim aborts after the second writer's write check
+    // read it as in progress, before the check decides. The check used to
+    // read the status a second time there and hit `unreachable!`; it must
+    // report a wait on the victim, which resolves at once, and on retry
+    // skip the aborted version.
+    arm_abort_after_write_check_read(victim.xid());
+    session
+        .run(|t| t.update(&layout, 1, val("winner")))
+        .unwrap();
+    victim.abort();
+
+    let (v, _) = session.run(|t| t.read(&layout, 1)).unwrap();
+    assert_eq!(v, Some(val("winner")));
+}
+
+#[test]
 fn skipping_prepare_wait_is_caught_and_minimized() {
     // Control: with the engine intact, the reader prepare-waits, sees the
     // committed write, and the checker passes.
