@@ -659,10 +659,10 @@ pub fn run_high_contention(scale: &Scale) -> HighContentionResult {
                 cluster.node(NodeId(1)).clone(),
             );
             let mut samples = Vec::new();
-            let (mut last_src, mut last_dst) = (src.work.total(), dst.work.total());
+            let (mut last_src, mut last_dst) = (src.work.get(), dst.work.get());
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_secs(1));
-                let (s, d) = (src.work.total(), dst.work.total());
+                let (s, d) = (src.work.get(), dst.work.get());
                 let chain = src
                     .storage
                     .table(shard)

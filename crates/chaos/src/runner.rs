@@ -6,8 +6,7 @@
 //! a table, runs seeded client threads concurrently with a live migration
 //! (or, for the `CrashTm` profile, crashes the handover transaction `T_m`
 //! mid-2PC and recovers), records every attempted transaction into a
-//! [`HistoryLog`](crate::history::HistoryLog), and hands the history to the
-//! SI checker.
+//! [`HistoryLog`], and hands the history to the SI checker.
 //!
 //! Determinism contract: the fault *schedule* (plan + network partitions)
 //! and the *verdict* are reproducible from the seed. Thread interleavings

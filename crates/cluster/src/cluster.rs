@@ -1062,6 +1062,35 @@ mod tests {
     }
 
     #[test]
+    fn every_snapshot_name_is_layer_dot_noun_verb() {
+        // GTS + Serializable emits the widest set of series.
+        let c = ClusterBuilder::new(2)
+            .oracle(OracleKind::Gts)
+            .isolation(remus_common::IsolationLevel::Serializable)
+            .build();
+        c.create_table(TableId(1), 100, 1, |_| NodeId(0));
+        commit_write(&c, ShardId(100), 1, "a");
+        commit_write(&c, ShardId(100), 1, "b");
+        assert_eq!(c.gc_tick(usize::MAX), 1);
+        let snap = c.metrics_snapshot();
+        for emitted in ["clock.gts_rpcs", "storage.gc_pruned", "txn.rw_edges"] {
+            assert!(snap.iter().any(|s| s.name == emitted), "{emitted} missing");
+        }
+        // ^[a-z]+\.[a-z0-9_]+$
+        for s in &snap {
+            let well_formed = s.name.split_once('.').is_some_and(|(layer, rest)| {
+                !layer.is_empty()
+                    && layer.bytes().all(|b| b.is_ascii_lowercase())
+                    && !rest.is_empty()
+                    && rest
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+            });
+            assert!(well_formed, "series name {:?}", s.name);
+        }
+    }
+
+    #[test]
     fn gc_tick_respects_pinned_snapshot_watermark() {
         let c = ClusterBuilder::new(1).oracle(OracleKind::Gts).build();
         c.create_table(TableId(1), 100, 1, |_| NodeId(0));

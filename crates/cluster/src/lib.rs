@@ -10,7 +10,7 @@
 //! private ordered shard-map cache and the cache-read-through protocol.
 //!
 //! * [`node::Node`] — storage context + shard map replica + read-through
-//!   state + work meter (the "CPU usage" stand-in for Figure 10).
+//!   state + work counter (the "CPU usage" stand-in for Figure 10).
 //! * [`cluster::Cluster`] — the node set, oracle, network model, routing
 //!   gate (wait-and-remaster's suspension), snapshot registry and vacuum.
 //! * [`session::Session`] / [`session::SessionTxn`] — the client API.

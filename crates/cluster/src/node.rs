@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use remus_common::metrics::{MetricsRegistry, WorkMeter};
+use remus_common::metrics::{Counter, MetricsRegistry};
 use remus_common::{NodeId, ShardId, SimConfig};
 use remus_shard::{ReadThroughState, SHARD_MAP_SHARD};
 use remus_storage::VersionedTable;
@@ -12,7 +12,7 @@ use remus_txn::NodeStorage;
 ///
 /// Wraps the storage context with the shard map replica (hosted in the
 /// reserved shard), the cache-read-through state coordinators consult when
-/// routing, and a work meter that stands in for CPU accounting.
+/// routing, and a work counter that stands in for CPU accounting.
 pub struct Node {
     /// Storage context (CLOG, WAL, tables, registries, hooks).
     pub storage: Arc<NodeStorage>,
@@ -20,8 +20,11 @@ pub struct Node {
     pub map_replica: Arc<VersionedTable>,
     /// Cache-read-through marks + map epoch for this node's coordinators.
     pub read_through: ReadThroughState,
-    /// Work-unit accounting (Figure 10's "CPU usage").
-    pub work: WorkMeter,
+    /// Work units standing in for OS CPU sampling (Figure 10's "CPU
+    /// usage"): the node is charged for statement, replay, propagation and
+    /// snapshot-copy work, and the harness samples per-second deltas. Not
+    /// a registry series.
+    pub work: Counter,
 }
 
 impl std::fmt::Debug for Node {
@@ -46,7 +49,7 @@ impl Node {
             storage,
             map_replica,
             read_through: ReadThroughState::new(),
-            work: WorkMeter::new(),
+            work: Counter::new(),
         }
     }
 

@@ -345,7 +345,7 @@ impl ReplicaTxn<'_> {
         let Some(table) = storage.table(shard) else {
             return Ok(None);
         };
-        self.session.node.work.charge(1);
+        self.session.node.work.add(1);
         table.read(
             key,
             self.snap,
@@ -369,7 +369,7 @@ impl ReplicaTxn<'_> {
                 &storage.clog,
                 storage.config.lock_wait_timeout,
             )?;
-            self.session.node.work.charge(rows.len() as u64);
+            self.session.node.work.add(rows.len() as u64);
             out.extend(rows);
         }
         Ok(out)

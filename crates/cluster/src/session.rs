@@ -266,7 +266,7 @@ impl<'s> SessionTxn<'s> {
                 if let Some(hook) = self.session.cluster.access_hook() {
                     hook.before_access(replica.id(), shard, key, false, self.txn.xid)?;
                 }
-                replica.work.charge(1);
+                replica.work.add(1);
                 self.touched.entry(shard).or_default().2 += 1;
                 return table.read(
                     key,
@@ -281,7 +281,7 @@ impl<'s> SessionTxn<'s> {
         if let Some(hook) = self.session.cluster.access_hook() {
             hook.before_access(node.id(), shard, key, false, self.txn.xid)?;
         }
-        node.work.charge(1);
+        node.work.add(1);
         self.touched.entry(shard).or_default().0 += 1;
         self.txn.read(&node.storage, shard, key)
     }
@@ -390,7 +390,7 @@ impl<'s> SessionTxn<'s> {
         if let Some(hook) = self.session.cluster.access_hook() {
             hook.before_access(node.id(), shard, key, true, self.txn.xid)?;
         }
-        node.work.charge(1);
+        node.work.add(1);
         self.touched.entry(shard).or_default().1 += 1;
         op(&mut self.txn, &node.storage, shard)
     }
@@ -419,7 +419,7 @@ impl<'s> SessionTxn<'s> {
                 &node.storage.clog,
                 node.storage.config.lock_wait_timeout,
             )?;
-            node.work.charge(rows.len() as u64);
+            node.work.add(rows.len() as u64);
             self.touched.entry(shard).or_default().0 += rows.len() as u64;
             out.extend(rows);
         }

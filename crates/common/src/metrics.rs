@@ -1,20 +1,74 @@
-//! Lightweight metrics used by the workload driver and figure harnesses.
+//! Metrics for the workload driver, the figure harnesses and the registry.
 //!
-//! The paper's figures are per-second throughput timelines with migration
-//! events overlaid; its tables report abort ratios and average latency
-//! deltas. [`Timeline`] produces the former, [`LatencyStat`] and
-//! [`AbortCounters`] the latter. [`MetricsRegistry`] unifies the
-//! primitives behind named, labeled series with per-node / per-migration
-//! scopes, so the bench pipeline can snapshot everything into one
-//! machine-readable report. Everything here is thread-safe and cheap
-//! enough to call on every transaction from hundreds of client threads.
+//! The paper's evaluation is three kinds of number: per-second throughput
+//! timelines with migration events overlaid (Figs. 6–9, [`Timeline`] +
+//! [`EventMarks`]), abort ratios (Table 2, [`AbortCounters`]) and average
+//! latency deltas (Table 3, [`LatencyStat`]). There is one recorder per
+//! kind, and each is striped inside: a write lands on the calling thread's
+//! cache-line-padded cell and reads merge the cells exactly (counts, sums
+//! and buckets add; max is the max of maxima), so hundreds of client
+//! threads can record on every transaction without sharing a line.
+//! [`MetricsRegistry`] puts [`Counter`], [`Gauge`] and [`LatencyStat`]
+//! behind named, labeled series with per-node / per-migration scopes, so
+//! the bench pipeline can snapshot everything into one machine-readable
+//! report; [`MetricsDelta`] and [`HistogramWindow`] read those lifetime
+//! totals as per-window increments.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
+
+/// Cells per recorder. Sized for "a worker pool, not a thread per client":
+/// more cells than recording threads is harmless (idle cells), fewer just
+/// means some sharing.
+const STRIPES: usize = 16;
+
+/// Cache-line-sized cell so adjacent stripes never share a line.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct CacheLine<T>(T);
+
+/// The write side of every recorder: one `T` per stripe.
+///
+/// With hundreds of logical clients multiplexed over a worker pool, every
+/// commit hitting one mutex or one set of atomics serializes the
+/// recorders. Each thread instead sticks to one cell and readers merge all
+/// of them, so they see exactly the totals a single cell would hold; only
+/// the write-side contention changes.
+#[derive(Debug)]
+struct Striped<T>(Box<[CacheLine<T>]>);
+
+impl<T: Default> Default for Striped<T> {
+    fn default() -> Self {
+        Striped((0..STRIPES).map(|_| CacheLine::default()).collect())
+    }
+}
+
+impl<T> Striped<T> {
+    /// The calling thread's cell. Threads take slots round-robin on first
+    /// use (process-wide counter, cached in a thread-local), so a fixed
+    /// worker pool spreads evenly over the cells.
+    fn local(&self) -> &T {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
+        }
+        &self.0[SLOT.with(|s| *s) % self.0.len()].0
+    }
+
+    /// Every cell, for merge-at-read.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().map(|cell| &cell.0)
+    }
+
+    /// Sum of one relaxed atomic across the cells.
+    fn sum(&self, field: impl Fn(&T) -> &AtomicU64) -> u64 {
+        self.iter().map(|c| field(c).load(Ordering::Relaxed)).sum()
+    }
+}
 
 /// A per-bucket throughput timeline anchored at a start instant.
 ///
@@ -25,7 +79,7 @@ use parking_lot::{Mutex, RwLock};
 pub struct Timeline {
     start: Instant,
     bucket: Duration,
-    counts: Mutex<Vec<u64>>,
+    counts: Striped<Mutex<Vec<u64>>>,
 }
 
 impl Timeline {
@@ -36,7 +90,7 @@ impl Timeline {
         Timeline {
             start: Instant::now(),
             bucket,
-            counts: Mutex::new(Vec::new()),
+            counts: Striped::default(),
         }
     }
 
@@ -48,7 +102,7 @@ impl Timeline {
     /// Records `n` events at the current instant.
     pub fn record_n(&self, n: u64) {
         let idx = (self.start.elapsed().as_nanos() / self.bucket.as_nanos()) as usize;
-        let mut counts = self.counts.lock();
+        let mut counts = self.counts.local().lock();
         if counts.len() <= idx {
             counts.resize(idx + 1, 0);
         }
@@ -72,33 +126,23 @@ impl Timeline {
 
     /// Snapshot of the per-bucket counts.
     pub fn buckets(&self) -> Vec<u64> {
-        self.counts.lock().clone()
+        let mut merged: Vec<u64> = Vec::new();
+        for cell in self.counts.iter() {
+            let counts = cell.lock();
+            if counts.len() > merged.len() {
+                merged.resize(counts.len(), 0);
+            }
+            for (m, &c) in merged.iter_mut().zip(counts.iter()) {
+                *m += c;
+            }
+        }
+        merged
     }
 
     /// Events per second for each bucket (counts scaled by bucket width).
     pub fn rates_per_sec(&self) -> Vec<f64> {
         let scale = 1.0 / self.bucket.as_secs_f64();
         self.buckets().iter().map(|&c| c as f64 * scale).collect()
-    }
-}
-
-/// A run clock: elapsed time since the recorder was anchored. Lets
-/// [`EventMarks`] (and other overlay consumers) accept either the plain
-/// [`Timeline`] or the striped one.
-pub trait TimelineClock {
-    /// Elapsed time since the clock started.
-    fn elapsed(&self) -> Duration;
-}
-
-impl TimelineClock for Timeline {
-    fn elapsed(&self) -> Duration {
-        Timeline::elapsed(self)
-    }
-}
-
-impl TimelineClock for StripedTimeline {
-    fn elapsed(&self) -> Duration {
-        StripedTimeline::elapsed(self)
     }
 }
 
@@ -121,9 +165,7 @@ impl EventMarks {
     }
 
     /// Records a named mark at the timeline's current elapsed time.
-    /// Accepts anything with a run clock ([`Timeline`] or
-    /// [`StripedTimeline`]).
-    pub fn mark(&self, label: impl Into<String>, timeline: &impl TimelineClock) {
+    pub fn mark(&self, label: impl Into<String>, timeline: &Timeline) {
         self.mark_at(label, timeline.elapsed());
     }
 
@@ -188,67 +230,65 @@ impl Histogram {
     /// at power-of-two-microsecond resolution, reported as the upper
     /// boundary of the bucket holding the target sample. Zero when empty.
     pub fn percentile(&self, p: f64) -> Duration {
-        let total = self.count();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        // Clamp and never target fewer than one sample: p = 0.0 means
-        // "the smallest recorded sample", not "before any sample".
-        let target = ((total as f64) * p.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= target {
-                return Duration::from_micros(1u64 << (i + 1));
-            }
-        }
-        // Unreachable (seen == total >= target by then), but stay safe.
-        Duration::from_micros(1u64 << 32)
+        percentile_of(&self.bucket_counts(), p).unwrap_or(Duration::ZERO)
     }
+}
+
+/// The one percentile walk: the upper boundary of the bucket (boundaries
+/// as in [`Histogram`]) holding the `p`-th sample of `counts`, `p` clamped
+/// to `0.0..=1.0`. `None` when `counts` holds no samples.
+fn percentile_of(counts: &[u64], p: f64) -> Option<Duration> {
+    let total: u64 = counts.iter().sum();
+    // Never target fewer than one sample: p = 0.0 means "the smallest
+    // recorded sample", not "before any sample".
+    let target = ((total as f64) * p.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+    let mut seen = 0;
+    for (i, &n) in counts.iter().enumerate() {
+        seen += n;
+        if seen >= target {
+            return Some(Duration::from_micros(1u64 << (i + 1)));
+        }
+    }
+    None
 }
 
 /// Streaming latency statistics (count / mean / max, plus a fixed-boundary
 /// [`Histogram`] for percentiles).
 ///
 /// Lock-free on the hot path: everything is atomics.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LatencyStat {
+    cells: Striped<LatencyCell>,
+}
+
+#[derive(Debug, Default)]
+struct LatencyCell {
     count: AtomicU64,
     total_nanos: AtomicU64,
     max_nanos: AtomicU64,
     hist: Histogram,
 }
 
-impl Default for LatencyStat {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LatencyStat {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        LatencyStat {
-            count: AtomicU64::new(0),
-            total_nanos: AtomicU64::new(0),
-            max_nanos: AtomicU64::new(0),
-            hist: Histogram::new(),
-        }
+        Self::default()
     }
 
     /// Records one sample.
     pub fn record(&self, latency: Duration) {
         let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-        self.hist
+        let cell = self.cells.local();
+        cell.count.fetch_add(1, Ordering::Relaxed);
+        cell.total_nanos.fetch_add(nanos, Ordering::Relaxed);
+        cell.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        cell.hist
             .record_micros(latency.as_micros().min(u64::MAX as u128) as u64);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.cells.sum(|c| &c.count)
     }
 
     /// Mean latency, or zero when no samples were recorded.
@@ -257,39 +297,46 @@ impl LatencyStat {
         if n == 0 {
             return Duration::ZERO;
         }
-        Duration::from_nanos(self.total_nanos.load(Ordering::Relaxed) / n)
+        Duration::from_nanos(self.cells.sum(|c| &c.total_nanos) / n)
     }
 
     /// Largest recorded sample.
     pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_nanos.load(Ordering::Relaxed))
+        let maxima = self
+            .cells
+            .iter()
+            .map(|c| c.max_nanos.load(Ordering::Relaxed));
+        Duration::from_nanos(maxima.max().unwrap_or(0))
     }
 
-    /// Sum of all recorded samples in nanoseconds (exact-mean merging for
-    /// the striped recorder).
-    pub fn total_nanos(&self) -> u64 {
-        self.total_nanos.load(Ordering::Relaxed)
+    /// Per-bucket histogram counts (same boundaries as [`Histogram`]).
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        let mut merged = vec![0u64; 32];
+        for cell in self.cells.iter() {
+            for (m, c) in merged.iter_mut().zip(cell.hist.bucket_counts()) {
+                *m += c;
+            }
+        }
+        merged
     }
 
     /// Approximate percentile (0.0..=1.0) from the exponential histogram;
     /// resolution is one power of two in microseconds, capped by the true
     /// maximum so single-sample percentiles never exceed the real sample.
+    /// Zero when empty.
     pub fn percentile(&self, p: f64) -> Duration {
-        if self.count() == 0 {
-            return Duration::ZERO;
-        }
-        self.hist.percentile(p).min(self.max())
-    }
-
-    /// The underlying histogram (bucket counts for reports).
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
+        percentile_of(&self.bucket_counts(), p).map_or(Duration::ZERO, |d| d.min(self.max()))
     }
 }
 
 /// Commit/abort accounting broken down the way the paper reports it.
 #[derive(Debug, Default)]
 pub struct AbortCounters {
+    cells: Striped<AbortCell>,
+}
+
+#[derive(Debug, Default)]
+struct AbortCell {
     commits: AtomicU64,
     ww_aborts: AtomicU64,
     migration_aborts: AtomicU64,
@@ -302,44 +349,48 @@ impl AbortCounters {
         Self::default()
     }
 
+    fn bump(&self, class: impl Fn(&AbortCell) -> &AtomicU64) {
+        class(self.cells.local()).fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts one committed transaction.
     pub fn commit(&self) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.commits);
     }
 
     /// Counts one write-write-conflict abort.
     pub fn ww_abort(&self) {
-        self.ww_aborts.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.ww_aborts);
     }
 
     /// Counts one migration-induced abort.
     pub fn migration_abort(&self) {
-        self.migration_aborts.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.migration_aborts);
     }
 
     /// Counts one abort of any other kind.
     pub fn other_abort(&self) {
-        self.other_aborts.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.other_aborts);
     }
 
     /// Committed transactions so far.
     pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
+        self.cells.sum(|c| &c.commits)
     }
 
     /// WW-conflict aborts so far.
     pub fn ww_aborts(&self) -> u64 {
-        self.ww_aborts.load(Ordering::Relaxed)
+        self.cells.sum(|c| &c.ww_aborts)
     }
 
     /// Migration-induced aborts so far.
     pub fn migration_aborts(&self) -> u64 {
-        self.migration_aborts.load(Ordering::Relaxed)
+        self.cells.sum(|c| &c.migration_aborts)
     }
 
     /// Other aborts so far.
     pub fn other_aborts(&self) -> u64 {
-        self.other_aborts.load(Ordering::Relaxed)
+        self.cells.sum(|c| &c.other_aborts)
     }
 
     /// Fraction of attempts that aborted for migration reasons
@@ -352,323 +403,6 @@ impl AbortCounters {
         } else {
             aborts / attempts
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Striped hot-path recorders
-//
-// With hundreds of logical clients multiplexed over a worker pool, every
-// commit hitting one `Mutex<Vec<u64>>` (Timeline) or one set of contended
-// atomics (LatencyStat / AbortCounters) serializes the recorders. The
-// striped variants spread recording over cache-line-padded cells — each
-// thread sticks to one stripe — and merge at snapshot time. Readers see
-// exactly the same totals; only the write-side contention changes.
-// ---------------------------------------------------------------------------
-
-/// Default stripe count for the striped recorders. Sized for "a worker pool,
-/// not a thread per client": more stripes than workers is harmless (idle
-/// cells), fewer just means some sharing.
-pub const DEFAULT_STRIPES: usize = 16;
-
-/// Cache-line-sized cell so adjacent stripes never share a line.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct CacheLine<T>(T);
-
-/// The calling thread's stripe slot in `0..stripes`.
-///
-/// Threads are assigned slots round-robin on first use (process-wide
-/// counter, cached in a thread-local), so a fixed worker pool spreads
-/// evenly over the stripes regardless of the stripe count.
-pub fn thread_stripe(stripes: usize) -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static SLOT: Cell<u64> = const { Cell::new(u64::MAX) };
-    }
-    let slot = SLOT.with(|s| {
-        if s.get() == u64::MAX {
-            s.set(NEXT.fetch_add(1, Ordering::Relaxed));
-        }
-        s.get()
-    });
-    (slot as usize) % stripes.max(1)
-}
-
-/// A [`Timeline`] sharded into striped cells merged at snapshot time.
-///
-/// Same read API (`buckets`, `rates_per_sec`, `elapsed`); `record` takes
-/// the calling thread's stripe lock instead of the global one.
-#[derive(Debug)]
-pub struct StripedTimeline {
-    start: Instant,
-    bucket: Duration,
-    stripes: Box<[CacheLine<Mutex<Vec<u64>>>]>,
-}
-
-impl StripedTimeline {
-    /// A striped timeline anchored now with the given bucket width.
-    pub fn new(bucket: Duration, stripes: usize) -> Self {
-        assert!(!bucket.is_zero(), "bucket width must be positive");
-        StripedTimeline {
-            start: Instant::now(),
-            bucket,
-            stripes: (0..stripes.max(1))
-                .map(|_| CacheLine(Mutex::new(Vec::new())))
-                .collect(),
-        }
-    }
-
-    /// Seconds-per-bucket convenience constructor with default striping.
-    pub fn per_second() -> Self {
-        Self::new(Duration::from_secs(1), DEFAULT_STRIPES)
-    }
-
-    /// Records `n` events at the current instant on this thread's stripe.
-    pub fn record_n(&self, n: u64) {
-        let idx = (self.start.elapsed().as_nanos() / self.bucket.as_nanos()) as usize;
-        let mut counts = self.stripes[thread_stripe(self.stripes.len())].0.lock();
-        if counts.len() <= idx {
-            counts.resize(idx + 1, 0);
-        }
-        counts[idx] += n;
-    }
-
-    /// Records one event at the current instant.
-    pub fn record(&self) {
-        self.record_n(1);
-    }
-
-    /// Elapsed time since the timeline started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// The instant the timeline was anchored at.
-    pub fn start_instant(&self) -> Instant {
-        self.start
-    }
-
-    /// Merged snapshot of the per-bucket counts across all stripes.
-    pub fn buckets(&self) -> Vec<u64> {
-        let mut merged: Vec<u64> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let counts = stripe.0.lock();
-            if counts.len() > merged.len() {
-                merged.resize(counts.len(), 0);
-            }
-            for (m, &c) in merged.iter_mut().zip(counts.iter()) {
-                *m += c;
-            }
-        }
-        merged
-    }
-
-    /// Events per second for each bucket (counts scaled by bucket width).
-    pub fn rates_per_sec(&self) -> Vec<f64> {
-        let scale = 1.0 / self.bucket.as_secs_f64();
-        self.buckets().iter().map(|&c| c as f64 * scale).collect()
-    }
-}
-
-/// A [`LatencyStat`] sharded into striped cells merged at read time.
-///
-/// Counts, sums, and histogram buckets add across stripes exactly; `max`
-/// is the max of stripe maxima; percentiles run over the merged histogram
-/// capped at the true merged max — identical answers to the flat recorder.
-#[derive(Debug)]
-pub struct StripedLatencyStat {
-    stripes: Box<[CacheLine<LatencyStat>]>,
-}
-
-impl Default for StripedLatencyStat {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StripedLatencyStat {
-    /// An empty recorder with default striping.
-    pub fn new() -> Self {
-        Self::with_stripes(DEFAULT_STRIPES)
-    }
-
-    /// An empty recorder with `stripes` cells.
-    pub fn with_stripes(stripes: usize) -> Self {
-        StripedLatencyStat {
-            stripes: (0..stripes.max(1))
-                .map(|_| CacheLine(LatencyStat::new()))
-                .collect(),
-        }
-    }
-
-    /// Records one sample on the calling thread's stripe.
-    pub fn record(&self, latency: Duration) {
-        self.stripes[thread_stripe(self.stripes.len())]
-            .0
-            .record(latency);
-    }
-
-    /// Total samples across all stripes.
-    pub fn count(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.count()).sum()
-    }
-
-    /// Exact merged mean, or zero when empty.
-    pub fn mean(&self) -> Duration {
-        let n = self.count();
-        if n == 0 {
-            return Duration::ZERO;
-        }
-        let total: u64 = self.stripes.iter().map(|s| s.0.total_nanos()).sum();
-        Duration::from_nanos(total / n)
-    }
-
-    /// Largest sample across all stripes.
-    pub fn max(&self) -> Duration {
-        self.stripes
-            .iter()
-            .map(|s| s.0.max())
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Merged per-bucket histogram counts (same boundaries as
-    /// [`Histogram`]).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        let mut merged = vec![0u64; 32];
-        for stripe in self.stripes.iter() {
-            for (m, c) in merged.iter_mut().zip(stripe.0.histogram().bucket_counts()) {
-                *m += c;
-            }
-        }
-        merged
-    }
-
-    /// Approximate percentile over the merged histogram, capped at the
-    /// true merged maximum. Zero when empty.
-    pub fn percentile(&self, p: f64) -> Duration {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((total as f64) * p.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &n) in counts.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Duration::from_micros(1u64 << (i + 1)).min(self.max());
-            }
-        }
-        self.max()
-    }
-}
-
-/// [`AbortCounters`] sharded into striped cells summed at read time.
-#[derive(Debug)]
-pub struct StripedAbortCounters {
-    stripes: Box<[CacheLine<AbortCounters>]>,
-}
-
-impl Default for StripedAbortCounters {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StripedAbortCounters {
-    /// Zeroed counters with default striping.
-    pub fn new() -> Self {
-        StripedAbortCounters {
-            stripes: (0..DEFAULT_STRIPES)
-                .map(|_| CacheLine(AbortCounters::new()))
-                .collect(),
-        }
-    }
-
-    fn stripe(&self) -> &AbortCounters {
-        &self.stripes[thread_stripe(self.stripes.len())].0
-    }
-
-    /// Counts one committed transaction.
-    pub fn commit(&self) {
-        self.stripe().commit();
-    }
-
-    /// Counts one write-write-conflict abort.
-    pub fn ww_abort(&self) {
-        self.stripe().ww_abort();
-    }
-
-    /// Counts one migration-induced abort.
-    pub fn migration_abort(&self) {
-        self.stripe().migration_abort();
-    }
-
-    /// Counts one abort of any other kind.
-    pub fn other_abort(&self) {
-        self.stripe().other_abort();
-    }
-
-    /// Committed transactions so far (all stripes).
-    pub fn commits(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.commits()).sum()
-    }
-
-    /// WW-conflict aborts so far (all stripes).
-    pub fn ww_aborts(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.ww_aborts()).sum()
-    }
-
-    /// Migration-induced aborts so far (all stripes).
-    pub fn migration_aborts(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.migration_aborts()).sum()
-    }
-
-    /// Other aborts so far (all stripes).
-    pub fn other_aborts(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.other_aborts()).sum()
-    }
-
-    /// Fraction of attempts that aborted for migration reasons
-    /// (Table 2's "Abort Ratio During Consolidation").
-    pub fn migration_abort_ratio(&self) -> f64 {
-        let aborts = self.migration_aborts() as f64;
-        let attempts = aborts + self.commits() as f64;
-        if attempts == 0.0 {
-            0.0
-        } else {
-            aborts / attempts
-        }
-    }
-}
-
-/// Work-unit accounting standing in for OS CPU sampling (Figure 10).
-///
-/// Nodes charge themselves units for replay, propagation, and snapshot-copy
-/// work; the harness samples per-second deltas to draw the "CPU usage"
-/// series.
-#[derive(Debug, Default)]
-pub struct WorkMeter {
-    units: AtomicU64,
-}
-
-impl WorkMeter {
-    /// Creates a zeroed meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charges `n` units of work.
-    pub fn charge(&self, n: u64) {
-        self.units.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total units charged so far.
-    pub fn total(&self) -> u64 {
-        self.units.load(Ordering::Relaxed)
     }
 }
 
@@ -738,7 +472,7 @@ type SeriesKey = (String, Vec<(String, String)>);
 /// One exported sample of a registry snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSample {
-    /// Metric name (e.g. `txn_2pc_hops`).
+    /// Metric name, `layer.noun_verb` (e.g. `txn.2pc_hops`).
     pub name: String,
     /// Label pairs, sorted by key (e.g. `[("node", "2")]`).
     pub labels: Vec<(String, String)>,
@@ -934,7 +668,8 @@ impl MetricsDelta {
     }
 }
 
-/// Windowed percentile reader over a [`Histogram`].
+/// Windowed percentile reader over histogram bucket counts
+/// ([`Histogram::bucket_counts`] or [`LatencyStat::bucket_counts`]).
 ///
 /// Remembers the previous bucket counts and answers percentiles over only
 /// the samples recorded since the last advance — the foreground-p99 signal
@@ -951,11 +686,11 @@ impl HistogramWindow {
         Self::default()
     }
 
-    /// Per-bucket increments since the previous call; advances the window.
-    /// A shrinking bucket (source reset) contributes its new count whole.
-    pub fn advance(&mut self, hist: &Histogram) -> Vec<u64> {
-        let now = hist.bucket_counts();
-        let deltas = now
+    /// Per-bucket increments of `counts` since the previous call; advances
+    /// the window. A shrinking bucket (source reset) contributes its new
+    /// count whole.
+    pub fn advance(&mut self, counts: &[u64]) -> Vec<u64> {
+        let deltas = counts
             .iter()
             .enumerate()
             .map(|(i, &n)| {
@@ -967,7 +702,7 @@ impl HistogramWindow {
                 }
             })
             .collect();
-        self.last = now;
+        self.last = counts.to_vec();
         deltas
     }
 
@@ -975,21 +710,8 @@ impl HistogramWindow {
     /// power-of-two resolution, reported as the holding bucket's upper
     /// bound; advances the window. `None` when no samples landed since the
     /// previous call.
-    pub fn percentile_since(&mut self, hist: &Histogram, p: f64) -> Option<Duration> {
-        let deltas = self.advance(hist);
-        let total: u64 = deltas.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let target = ((total as f64) * p.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &n) in deltas.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Some(Duration::from_micros(1u64 << (i + 1)));
-            }
-        }
-        None
+    pub fn percentile_since(&mut self, counts: &[u64], p: f64) -> Option<Duration> {
+        percentile_of(&self.advance(counts), p)
     }
 }
 
@@ -1032,7 +754,9 @@ mod tests {
     #[test]
     fn latency_stat_empty_is_zero() {
         let s = LatencyStat::new();
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), Duration::ZERO);
+        assert_eq!(s.max(), Duration::ZERO);
         assert_eq!(s.percentile(0.99), Duration::ZERO);
     }
 
@@ -1070,17 +794,12 @@ mod tests {
         let marks = EventMarks::new();
         marks.mark_at("a", Duration::from_secs(1));
         marks.mark_at("b", Duration::from_secs(2));
+        marks.mark("now", &Timeline::per_second());
         let all = marks.all();
         assert_eq!(all[0].0, "a");
         assert_eq!(all[1].0, "b");
-    }
-
-    #[test]
-    fn work_meter_accumulates() {
-        let m = WorkMeter::new();
-        m.charge(3);
-        m.charge(4);
-        assert_eq!(m.total(), 7);
+        assert_eq!(all[2].0, "now");
+        assert!(all[2].1 < Duration::from_secs(1));
     }
 
     #[test]
@@ -1292,11 +1011,11 @@ mod tests {
     fn histogram_window_empty_window_is_none() {
         let h = Histogram::new();
         let mut w = HistogramWindow::new();
-        assert_eq!(w.percentile_since(&h, 0.99), None);
+        assert_eq!(w.percentile_since(&h.bucket_counts(), 0.99), None);
         h.record_micros(100);
-        assert!(w.percentile_since(&h, 0.99).is_some());
+        assert!(w.percentile_since(&h.bucket_counts(), 0.99).is_some());
         // No new samples: None again, not the previous window's answer.
-        assert_eq!(w.percentile_since(&h, 0.99), None);
+        assert_eq!(w.percentile_since(&h.bucket_counts(), 0.99), None);
     }
 
     #[test]
@@ -1307,14 +1026,14 @@ mod tests {
         for _ in 0..1000 {
             h.record_micros(10);
         }
-        let p99 = w.percentile_since(&h, 0.99).unwrap();
+        let p99 = w.percentile_since(&h.bucket_counts(), 0.99).unwrap();
         assert!(p99 <= Duration::from_micros(16), "fast window, got {p99:?}");
         // Second window: only slow samples. A lifetime percentile would
         // still answer ~16 µs; the window must see the spike.
         for _ in 0..10 {
             h.record_micros(50_000);
         }
-        let p99 = w.percentile_since(&h, 0.99).unwrap();
+        let p99 = w.percentile_since(&h.bucket_counts(), 0.99).unwrap();
         assert!(
             p99 >= Duration::from_micros(32_768),
             "slow window, got {p99:?}"
@@ -1328,134 +1047,156 @@ mod tests {
             h1.record_micros(8);
         }
         let mut w = HistogramWindow::new();
-        w.advance(&h1);
+        w.advance(&h1.bucket_counts());
         // Same window object pointed at a fresh histogram (reset source).
         let h2 = Histogram::new();
         h2.record_micros(8);
-        let deltas = w.advance(&h2);
+        let deltas = w.advance(&h2.bucket_counts());
         assert_eq!(deltas[Histogram::bucket_of(8)], 1);
         assert!(deltas.iter().all(|&d| d <= 1));
     }
 
     #[test]
-    fn striped_cells_are_cache_line_aligned() {
+    fn stripe_cells_are_cache_line_aligned() {
         assert!(std::mem::align_of::<CacheLine<AtomicU64>>() >= 64);
         assert!(std::mem::size_of::<CacheLine<AtomicU64>>() >= 64);
     }
 
     #[test]
-    fn thread_stripe_is_stable_and_in_range() {
-        let a = thread_stripe(16);
-        assert_eq!(a, thread_stripe(16), "same thread, same slot");
-        assert!(a < 16);
-        assert_eq!(thread_stripe(1), 0);
-        // Degenerate stripe count must not divide by zero.
-        assert_eq!(thread_stripe(0), 0);
+    fn a_thread_sticks_to_one_cell_in_every_recorder() {
+        let (a, b) = (
+            Striped::<AtomicU64>::default(),
+            Striped::<AtomicU64>::default(),
+        );
+        assert!(std::ptr::eq(a.local(), a.local()), "same thread, same cell");
+        let slot = |s: &Striped<AtomicU64>| s.iter().position(|c| std::ptr::eq(c, s.local()));
+        assert_eq!(slot(&a), slot(&b));
+        assert_eq!(a.iter().count(), STRIPES);
+    }
+
+    /// More recording threads than cells, so cells are shared and every
+    /// read has to merge.
+    const THREADS: u64 = 24;
+    const _: () = assert!(THREADS as usize > STRIPES);
+
+    fn on_every_thread(f: impl Fn(u64) + Sync) {
+        std::thread::scope(|s| {
+            for i in 0..THREADS {
+                let f = &f;
+                s.spawn(move || f(i));
+            }
+        });
+    }
+
+    /// Thread `i`'s `k`-th latency sample, in nanoseconds: spreads over
+    /// many buckets, sub-microsecond remainders included.
+    fn sample_nanos(i: u64, k: u64) -> u64 {
+        (i + 1) * 7_919 * (k + 1) + k
     }
 
     #[test]
-    fn striped_timeline_merges_across_threads() {
-        let t = Arc::new(StripedTimeline::new(Duration::from_secs(3600), 4));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        t.record();
-                    }
-                    t.record_n(5);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn timeline_merge_is_exact_across_threads() {
+        // One bucket for everything, and buckets narrow enough that the
+        // cells' vectors differ in length.
+        for width in [Duration::from_secs(3600), Duration::from_micros(20)] {
+            let t = Timeline::new(width);
+            on_every_thread(|i| {
+                for _ in 0..100 {
+                    t.record();
+                }
+                t.record_n(i);
+            });
+            let model: u64 = (0..THREADS).map(|i| 100 + i).sum();
+            assert_eq!(t.buckets().iter().sum::<u64>(), model);
+            assert_eq!(t.rates_per_sec().len(), t.buckets().len());
+            if width > Duration::from_secs(1) {
+                assert_eq!(t.buckets(), vec![model]);
+            }
         }
-        // Everything lands in bucket 0; merged counts add exactly.
-        assert_eq!(t.buckets().iter().sum::<u64>(), 4 * 105);
-        assert_eq!(t.rates_per_sec().len(), t.buckets().len());
     }
 
     #[test]
-    fn striped_timeline_empty_has_no_buckets() {
-        let t = StripedTimeline::per_second();
-        assert!(t.buckets().is_empty());
-        assert!(t.rates_per_sec().is_empty());
-    }
-
-    #[test]
-    fn striped_latency_merges_exactly() {
-        let s = Arc::new(StripedLatencyStat::with_stripes(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for k in 0..50u64 {
-                        s.record(Duration::from_micros(10 + i * 100 + k));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn latency_merge_is_exact_across_threads() {
+        const PER_THREAD: u64 = 50;
+        let s = LatencyStat::new();
+        on_every_thread(|i| {
+            for k in 0..PER_THREAD {
+                s.record(Duration::from_nanos(sample_nanos(i, k)));
+            }
+        });
+        // The model: the same samples through one flat histogram.
+        let flat = Histogram::new();
+        let (mut sum, mut max) = (0u64, 0u64);
+        for i in 0..THREADS {
+            for k in 0..PER_THREAD {
+                let nanos = sample_nanos(i, k);
+                flat.record_micros(nanos / 1_000);
+                sum += nanos;
+                max = max.max(nanos);
+            }
         }
-        assert_eq!(s.count(), 200);
-        assert_eq!(s.bucket_counts().iter().sum::<u64>(), 200);
-        assert!(s.max() >= Duration::from_micros(349));
-        assert!(s.mean() > Duration::ZERO);
+        let n = THREADS * PER_THREAD;
+        assert_eq!(s.count(), n);
+        assert_eq!(s.bucket_counts(), flat.bucket_counts());
+        assert_eq!(s.mean(), Duration::from_nanos(sum / n));
+        assert_eq!(s.max(), Duration::from_nanos(max));
+        for p in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert!(s.percentile(p) <= s.max(), "p{p}");
+            assert_eq!(s.percentile(p), flat.percentile(p).min(s.max()), "p{p}");
+        }
         assert!(s.percentile(0.5) <= s.percentile(0.99));
-        assert!(s.percentile(1.0) <= s.max());
     }
 
     #[test]
-    fn striped_latency_single_sample_does_not_overshoot_max() {
-        let s = StripedLatencyStat::new();
-        s.record(Duration::from_micros(10));
-        assert_eq!(s.percentile(0.99), Duration::from_micros(10));
-        assert_eq!(s.mean(), Duration::from_micros(10));
+    fn abort_counters_merge_is_exact_across_threads() {
+        let c = AbortCounters::new();
+        on_every_thread(|i| {
+            for _ in 0..25 + i {
+                c.commit();
+            }
+            for _ in 0..i % 3 {
+                c.ww_abort();
+            }
+            for _ in 0..i % 5 {
+                c.migration_abort();
+            }
+            c.other_abort();
+        });
+        let commits: u64 = (0..THREADS).map(|i| 25 + i).sum();
+        let migration: u64 = (0..THREADS).map(|i| i % 5).sum();
+        assert_eq!(c.commits(), commits);
+        assert_eq!(c.ww_aborts(), (0..THREADS).map(|i| i % 3).sum::<u64>());
+        assert_eq!(c.migration_aborts(), migration);
+        assert_eq!(c.other_aborts(), THREADS);
+        let table2 = migration as f64 / (migration + commits) as f64;
+        assert!((c.migration_abort_ratio() - table2).abs() < 1e-12);
     }
 
     #[test]
-    fn striped_latency_empty_is_zero() {
-        let s = StripedLatencyStat::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), Duration::ZERO);
-        assert_eq!(s.percentile(0.99), Duration::ZERO);
-        assert_eq!(s.max(), Duration::ZERO);
-    }
-
-    #[test]
-    fn striped_abort_counters_sum_across_threads() {
-        let c = Arc::new(StripedAbortCounters::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..25 {
-                        c.commit();
-                    }
-                    c.ww_abort();
-                    c.migration_abort();
-                    c.other_abort();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.commits(), 100);
-        assert_eq!(c.ww_aborts(), 4);
-        assert_eq!(c.migration_aborts(), 4);
-        assert_eq!(c.other_aborts(), 4);
-        let expected = 4.0 / 104.0;
-        assert!((c.migration_abort_ratio() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn event_marks_accept_striped_timeline() {
-        let marks = EventMarks::new();
-        let t = StripedTimeline::per_second();
-        marks.mark("striped", &t);
-        assert_eq!(marks.all().len(), 1);
+    fn histogram_window_over_counts_merged_from_two_threads() {
+        let s = LatencyStat::new();
+        let mut w = HistogramWindow::new();
+        let both_record = |micros: u64, each: u64| {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        for _ in 0..each {
+                            s.record(Duration::from_micros(micros));
+                        }
+                    });
+                }
+            });
+        };
+        both_record(10, 500);
+        let p99 = w.percentile_since(&s.bucket_counts(), 0.99).unwrap();
+        assert!(p99 <= Duration::from_micros(16), "fast window, got {p99:?}");
+        // The lifetime p99 stays ~16 µs; the window sees only the spike,
+        // and all of it, whichever cells the two threads landed on.
+        both_record(50_000, 5);
+        let deltas = w.advance(&s.bucket_counts());
+        assert_eq!(deltas.iter().sum::<u64>(), 10);
+        assert_eq!(deltas[Histogram::bucket_of(50_000)], 10);
+        assert_eq!(w.percentile_since(&s.bucket_counts(), 0.99), None);
     }
 
     #[test]

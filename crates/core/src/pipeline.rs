@@ -292,8 +292,15 @@ impl Drop for PushPipeline<'_> {
         let _ = prop.join();
         let _ = replay.join();
         if !self.tm_committed {
+            // The source still owns the shards: drop the half-migrated
+            // copy, and lift the SSI fence a hand-over before the failed
+            // `T_m` left on the source (entries already imported on the
+            // destination age out at the safe-ts watermark).
             for shard in &self.task.shards {
                 self.cluster.node(self.task.dest).storage.drop_shard(*shard);
+                if let Some(ssi) = &self.source.storage.ssi {
+                    ssi.reclaim_shard(*shard);
+                }
             }
         }
     }

@@ -229,7 +229,7 @@ fn propagate_loop(
                     LogOp::Write(op) if shards.contains(&op.shard) => {
                         if pending.contains_key(&xid) {
                             staged.entry(xid).or_default().push(op.clone());
-                            source.work.charge(1);
+                            source.work.add(1);
                             stats.extracted.fetch_add(1, Ordering::Relaxed);
                         }
                     }

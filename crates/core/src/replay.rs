@@ -195,7 +195,7 @@ impl ReplayShared {
                 WriteKind::Lock => shadow.lock_row(storage, op.shard, op.key),
             };
             r?;
-            self.dest.work.charge(1);
+            self.dest.work.add(1);
             self.stats.records.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())

@@ -712,7 +712,7 @@ fn apply_commit(
         redo_write(storage, xid, w, timeout)?;
     }
     storage.clog.set_committed(xid, cts)?;
-    replica.work.charge(data.len() as u64);
+    replica.work.add(data.len() as u64);
     Ok(())
 }
 

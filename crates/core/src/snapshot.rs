@@ -23,6 +23,8 @@
 //! safe for the same reason: re-installing a tuple from the snapshot is
 //! idempotent as long as no replayed update has been applied, and none has,
 //! because the gate only opens when the chunk *successfully* completes.
+//!
+//! [`ParallelismConfig::chunk_size`]: remus_common::ParallelismConfig::chunk_size
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -271,8 +273,8 @@ fn copy_chunk(
             // to keep the simulated copy bandwidth realistic without a
             // syscall per tuple.
             if batch_cost == 256 {
-                source.work.charge(256);
-                dest.work.charge(256);
+                source.work.add(256);
+                dest.work.add(256);
                 if !per_tuple.is_zero() {
                     std::thread::sleep(per_tuple * 256);
                 }
@@ -280,8 +282,8 @@ fn copy_chunk(
             }
         },
     )?;
-    source.work.charge(batch_cost as u64);
-    dest.work.charge(batch_cost as u64);
+    source.work.add(batch_cost as u64);
+    dest.work.add(batch_cost as u64);
     if !per_tuple.is_zero() && batch_cost > 0 {
         std::thread::sleep(per_tuple * batch_cost);
     }
@@ -298,6 +300,8 @@ fn copy_chunk(
 /// an early-finished chunk never races shard creation. Per-chunk child
 /// spans are recorded under `parent` when a recorder is given. Returns
 /// total tuples copied; on failure the gate is poisoned.
+///
+/// [`ParallelismConfig::copy_workers`]: remus_common::ParallelismConfig::copy_workers
 pub fn copy_task_snapshots_gated(
     cluster: &Arc<Cluster>,
     source: &Arc<Node>,
@@ -420,8 +424,8 @@ pub fn copy_shard_snapshot(
             batch_cost += 1;
             // Same batched cost model as the chunked path.
             if batch_cost == 256 {
-                source.work.charge(256);
-                dest.work.charge(256);
+                source.work.add(256);
+                dest.work.add(256);
                 if !per_tuple.is_zero() {
                     std::thread::sleep(per_tuple * 256);
                 }
@@ -429,8 +433,8 @@ pub fn copy_shard_snapshot(
             }
         },
     )?;
-    source.work.charge(batch_cost as u64);
-    dest.work.charge(batch_cost as u64);
+    source.work.add(batch_cost as u64);
+    dest.work.add(batch_cost as u64);
     if !per_tuple.is_zero() && batch_cost > 0 {
         std::thread::sleep(per_tuple * batch_cost);
     }

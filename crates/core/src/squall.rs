@@ -136,8 +136,8 @@ impl SquallState {
         for (k, v) in rows {
             dst_table.install_frozen(k, v);
         }
-        self.source.work.charge(n);
-        self.dest.work.charge(n);
+        self.source.work.add(n);
+        self.dest.work.add(n);
         self.pulled_tuples.fetch_add(n, Ordering::Relaxed);
         self.pulls.fetch_add(1, Ordering::Relaxed);
         let mut pulled = set.pulled.lock();

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use remus_cluster::{Cluster, ClusterBuilder, Session};
 use remus_common::fault::{FaultAction, FaultInjector, InjectionPoint};
+use remus_common::IsolationLevel::{self, Serializable, SnapshotIsolation};
 use remus_common::{DbError, NodeId, ShardId, SimConfig, TableId};
 use remus_core::{LockAndAbort, MigrationEngine, MigrationTask, RemusEngine, WaitAndRemaster};
 use remus_shard::{encode_owner, TableLayout, SHARD_MAP_SHARD};
@@ -55,12 +56,15 @@ impl FaultInjector for FailAt {
     }
 }
 
-fn populated_cluster() -> (Arc<Cluster>, TableLayout) {
+fn populated_cluster(isolation: IsolationLevel) -> (Arc<Cluster>, TableLayout) {
     let config = SimConfig {
         lock_wait_timeout: LOCK_WAIT,
         ..SimConfig::instant()
     };
-    let cluster = ClusterBuilder::new(3).config(config).build();
+    let cluster = ClusterBuilder::new(3)
+        .config(config)
+        .isolation(isolation)
+        .build();
     let layout = cluster.create_table(TableId(1), 0, 2, |_| SOURCE);
     let session = Session::connect(&cluster, SOURCE);
     for k in 0..KEYS {
@@ -84,9 +88,9 @@ fn bounded_write(cluster: &Arc<Cluster>, layout: TableLayout, key: u64, value: &
         .expect("write failed");
 }
 
-fn check_teardown(engine: &dyn MigrationEngine, failure: Failure) {
-    let ctx = format!("{} / {failure:?}", engine.name());
-    let (cluster, layout) = populated_cluster();
+fn check_teardown(engine: &dyn MigrationEngine, failure: Failure, isolation: IsolationLevel) {
+    let ctx = format!("{} / {failure:?} / {isolation:?}", engine.name());
+    let (cluster, layout) = populated_cluster(isolation);
     let (source, dest) = (cluster.node(SOURCE), cluster.node(DEST));
     let task = MigrationTask {
         shards: layout.shard_ids().collect(),
@@ -167,25 +171,37 @@ fn check_teardown(engine: &dyn MigrationEngine, failure: Failure) {
 #[test]
 fn missing_shard_at_plan_leaves_cluster_clean() {
     for engine in engines() {
-        check_teardown(engine, Failure::MissingShardAtPlan);
+        check_teardown(engine, Failure::MissingShardAtPlan, SnapshotIsolation);
     }
 }
 
 #[test]
 fn failed_snapshot_copy_leaves_cluster_clean() {
     for engine in engines() {
-        check_teardown(engine, Failure::Seam(InjectionPoint::SnapshotCopy));
+        check_teardown(
+            engine,
+            Failure::Seam(InjectionPoint::SnapshotCopy),
+            SnapshotIsolation,
+        );
     }
 }
 
 #[test]
 fn failed_sync_barrier_leaves_cluster_clean() {
-    check_teardown(&RemusEngine, Failure::Seam(InjectionPoint::SyncBarrier));
+    check_teardown(
+        &RemusEngine,
+        Failure::Seam(InjectionPoint::SyncBarrier),
+        SnapshotIsolation,
+    );
 }
 
 #[test]
 fn failed_tm_leaves_cluster_clean() {
-    for engine in engines() {
-        check_teardown(engine, Failure::Tm);
+    // Under `Serializable` the SSI hand-over fences the source before
+    // `T_m` runs; the unwind has to lift that fence too.
+    for isolation in [SnapshotIsolation, Serializable] {
+        for engine in engines() {
+            check_teardown(engine, Failure::Tm, isolation);
+        }
     }
 }

@@ -39,7 +39,7 @@ impl LatencyThrottle {
         if !self.enabled() {
             return false;
         }
-        match self.window.percentile_since(stat.histogram(), 0.99) {
+        match self.window.percentile_since(&stat.bucket_counts(), 0.99) {
             Some(p99) => p99 > self.budget,
             None => false,
         }

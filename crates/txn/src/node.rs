@@ -302,7 +302,7 @@ impl NodeStorage {
     }
 
     /// Registers a replication slot at the oldest active transaction's
-    /// begin LSN, atomically with respect to [`truncate_wal_safely`]: the
+    /// begin LSN, atomically with respect to [`Self::truncate_wal_safely`]: the
     /// slot is visible to any later truncation, so a reader starting at
     /// the returned LSN never observes a truncated record. Computing the
     /// position and registering the slot separately would leave a window
@@ -319,7 +319,7 @@ impl NodeStorage {
     /// transaction's `begin_lsn` and every replication slot position.
     /// Returns the position truncated to. The slot table stays locked for
     /// the whole computation so it serializes with
-    /// [`create_slot_at_oldest_active`].
+    /// [`Self::create_slot_at_oldest_active`].
     pub fn truncate_wal_safely(&self) -> Lsn {
         let slots = self.slots.lock();
         let mut upto = self.oldest_active_begin_lsn();

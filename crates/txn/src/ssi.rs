@@ -458,6 +458,14 @@ impl SsiNode {
         self.departed.lock().insert(shard);
     }
 
+    /// Lifts a [`SsiNode::mark_departed`] fence the ownership transfer did
+    /// not follow (its `T_m` failed): the node still owns `shard`, and its
+    /// entries are complete because none could be added while fenced. A
+    /// no-op for a shard that was never fenced.
+    pub fn reclaim_shard(&self, shard: ShardId) {
+        self.departed.lock().remove(&shard);
+    }
+
     /// Merges an export from the migration source (idempotent; entries
     /// already present for a transaction are not duplicated). Also clears
     /// any departed marking for the shard — the node is its owner now
@@ -768,6 +776,11 @@ mod tests {
         // A back-migration imports the shard again and access resumes.
         ssi.import_shard(&export);
         ssi.on_read(&r, S, 7).unwrap();
+        // So does a handover whose ownership transfer failed.
+        ssi.mark_departed(S);
+        assert!(ssi.on_read(&r, S, 7).is_err());
+        ssi.reclaim_shard(S);
+        ssi.on_write(&r, S, 8).unwrap();
     }
 
     #[test]

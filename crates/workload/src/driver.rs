@@ -2,7 +2,7 @@
 //!
 //! [`Driver`] keeps the old thread-per-client API (`start`,
 //! `start_with_think`, `run_for`, `stop`) but is now a thin wrapper over
-//! [`crate::engine::OpenLoopEngine`]. Two behavioral fixes ride along:
+//! [`crate::engine::OpenLoopEngine`]. One behavioral fix rides along:
 //!
 //! * **Coordinated omission**: with a think time, clients used to sleep
 //!   `think` *after* each completion and measure service time from the
@@ -11,9 +11,6 @@
 //!   fixed-rate *open-loop* schedule of period `think`, with latency
 //!   recorded from the intended arrival, so a stall inflates every sample
 //!   that was due while it lasted.
-//! * **Striped recording**: [`RunMetrics`] shards its timeline, latency,
-//!   and abort counters into cache-padded stripes merged at read time, so
-//!   hundreds of recorders don't serialize on one mutex.
 //!
 //! `think == 0` keeps true closed-loop semantics (latency = service time):
 //! with no schedule there is no intended arrival to measure against.
@@ -24,9 +21,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use remus_cluster::{Cluster, SessionTxn};
-use remus_common::metrics::{
-    EventMarks, StripedAbortCounters, StripedLatencyStat, StripedTimeline,
-};
+use remus_common::metrics::{AbortCounters, EventMarks, LatencyStat, Timeline};
 use remus_common::{ClientId, DbError, DbResult};
 
 use crate::engine::{EngineConfig, EngineReport, OpenLoopEngine, Pacing};
@@ -59,21 +54,18 @@ where
 }
 
 /// Metrics shared between the engine's workers and the harness.
-///
-/// All hot recorders are striped: writes land on the calling thread's
-/// cache-padded stripe, reads merge.
 #[derive(Debug)]
 pub struct RunMetrics {
     /// Committed transactions per second.
-    pub timeline: StripedTimeline,
+    pub timeline: Timeline,
     /// Named event overlays (migration start/end etc.).
     pub marks: EventMarks,
     /// Commit/abort classification.
-    pub counters: StripedAbortCounters,
+    pub counters: AbortCounters,
     /// Commit latency outside migrations.
-    pub latency_normal: StripedLatencyStat,
+    pub latency_normal: LatencyStat,
     /// Commit latency while a migration is marked active.
-    pub latency_migration: StripedLatencyStat,
+    pub latency_migration: LatencyStat,
     migration_active: AtomicBool,
 }
 
@@ -81,11 +73,11 @@ impl RunMetrics {
     /// Fresh metrics anchored now.
     pub fn new() -> Self {
         RunMetrics {
-            timeline: StripedTimeline::per_second(),
+            timeline: Timeline::per_second(),
             marks: EventMarks::new(),
-            counters: StripedAbortCounters::new(),
-            latency_normal: StripedLatencyStat::new(),
-            latency_migration: StripedLatencyStat::new(),
+            counters: AbortCounters::new(),
+            latency_normal: LatencyStat::new(),
+            latency_migration: LatencyStat::new(),
             migration_active: AtomicBool::new(false),
         }
     }
