@@ -11,11 +11,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use remus_bench::{json_path_arg, print_table, sim_config, BenchReport, Scale, TableSection};
+use remus_bench::{
+    fixed_rate_clients, json_path_arg, print_table, sim_config, BenchReport, Scale, TableSection,
+};
 use remus_cluster::ClusterBuilder;
 use remus_common::NodeId;
 use remus_core::{MigrationController, MigrationPlan, RemusEngine};
-use remus_workload::driver::Driver;
+use remus_workload::engine::OpenLoopEngine;
 use remus_workload::ycsb::{Ycsb, YcsbConfig};
 
 fn run_with_group(group: usize, scale: &Scale) -> Vec<String> {
@@ -31,8 +33,9 @@ fn run_with_group(group: usize, scale: &Scale) -> Vec<String> {
             ..YcsbConfig::default()
         },
     ));
-    let driver = Driver::start_with_think(&cluster, 4, Duration::from_micros(500), ycsb as _);
-    driver.run_for(Duration::from_millis(300));
+    let config = fixed_rate_clients(4, Duration::from_micros(500));
+    let clients = OpenLoopEngine::start(&cluster, config, ycsb as _);
+    clients.run_for(Duration::from_millis(300));
 
     let plan = MigrationPlan::consolidate(&cluster, NodeId(0), group);
     let migrations = plan.len();
@@ -42,7 +45,7 @@ fn run_with_group(group: usize, scale: &Scale) -> Vec<String> {
         .run_plan_aggregate(&plan)
         .expect("consolidation failed");
     let wall = t0.elapsed();
-    driver.stop();
+    clients.stop();
     vec![
         group.to_string(),
         migrations.to_string(),
@@ -59,25 +62,21 @@ fn main() {
         .iter()
         .map(|&g| run_with_group(g, &scale))
         .collect();
-    let headers = [
-        "group",
-        "migrations",
-        "plan_wall_ms",
-        "per_migration_ms",
-        "sum_transfer_ms",
-    ];
-    print_table(
+    let table = TableSection::new(
         "group size vs consolidation cost (8 shards leave node 0)",
-        &headers,
-        &rows,
+        &[
+            "group",
+            "migrations",
+            "plan_wall_ms",
+            "per_migration_ms",
+            "sum_transfer_ms",
+        ],
+        rows,
     );
+    print_table(&table);
     if let Some(path) = json_path_arg() {
         let mut report = BenchReport::new("ablation_group", &format!("{scale:?}"));
-        report.tables.push(TableSection {
-            title: "group size vs consolidation cost (8 shards leave node 0)".to_string(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows,
-        });
+        report.tables.push(table);
         report.write(&path).expect("writing JSON report failed");
     }
 }

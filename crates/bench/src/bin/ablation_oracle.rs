@@ -11,11 +11,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use remus_bench::{json_path_arg, print_table, BenchReport, TableSection};
+use remus_bench::{fixed_rate_clients, json_path_arg, print_table, BenchReport, TableSection};
 use remus_clock::{Gts, OracleKind, TimestampOracle};
 use remus_cluster::ClusterBuilder;
 use remus_common::{NodeId, SimConfig, Timestamp};
-use remus_workload::driver::Driver;
+use remus_workload::engine::OpenLoopEngine;
 use remus_workload::ycsb::{Ycsb, YcsbConfig};
 
 /// A GTS whose every request pays a control-plane round trip.
@@ -56,9 +56,10 @@ fn run(label: &str, oracle: Option<Arc<dyn TimestampOracle>>) -> Vec<String> {
             ..YcsbConfig::default()
         },
     ));
-    let driver = Driver::start_with_think(&cluster, 8, Duration::from_micros(200), ycsb as _);
-    driver.run_for(Duration::from_secs(4));
-    let metrics = driver.stop();
+    let config = fixed_rate_clients(8, Duration::from_micros(200));
+    let clients = OpenLoopEngine::start(&cluster, config, ycsb as _);
+    clients.run_for(Duration::from_secs(4));
+    let metrics = clients.stop().metrics;
     let secs = metrics.timeline.elapsed().as_secs_f64();
     vec![
         label.to_string(),
@@ -84,16 +85,16 @@ fn main() {
             })),
         ),
     ];
-    let headers = ["oracle", "tps", "mean_latency_ms", "p99_latency_ms"];
-    print_table("timestamp scheme vs YCSB performance", &headers, &rows);
+    let table = TableSection::new(
+        "timestamp scheme vs YCSB performance",
+        &["oracle", "tps", "mean_latency_ms", "p99_latency_ms"],
+        rows,
+    );
+    print_table(&table);
     println!("note: the paper uses DTS for all experiments for the same reason.");
     if let Some(path) = json_path_arg() {
         let mut report = BenchReport::new("ablation_oracle", "fixed");
-        report.tables.push(TableSection {
-            title: "timestamp scheme vs YCSB performance".to_string(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows,
-        });
+        report.tables.push(table);
         report.write(&path).expect("writing JSON report failed");
     }
 }

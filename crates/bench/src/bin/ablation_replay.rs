@@ -13,14 +13,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use remus_bench::{
-    json_path_arg, print_table, sim_config, spawn_fleet, BenchReport, FleetSpec, Scale,
-    TableSection,
+    json_path_arg, print_table, sim_config, BenchReport, Scale, TableSection, CLIENT_SEED,
 };
 use remus_cluster::ClusterBuilder;
 use remus_common::{NodeId, ShardId};
 use remus_core::{MigrationEngine, MigrationTask, RemusEngine};
 use remus_workload::ycsb::{KeyDistribution, Ycsb, YcsbConfig};
-use remus_workload::Workload;
+use remus_workload::{EngineConfig, OpenLoopEngine, Workload};
 
 fn run_with_workers(workers: usize, scale: &Scale) -> Vec<String> {
     let mut config = sim_config(scale);
@@ -39,10 +38,10 @@ fn run_with_workers(workers: usize, scale: &Scale) -> Vec<String> {
         },
     ));
     // Writers hammer updates while the shard moves 0 → 1: three closed-loop
-    // fleet clients running the YCSB mix with a 500 µs think time.
-    let writers = spawn_fleet(
+    // clients running the YCSB mix with a 500 µs think time.
+    let writers = OpenLoopEngine::start(
         &cluster,
-        FleetSpec::closed_loop(3, Duration::from_micros(500)),
+        EngineConfig::closed_loop(3, Duration::from_micros(500), CLIENT_SEED),
         Arc::clone(&ycsb) as Arc<dyn Workload>,
     );
     std::thread::sleep(Duration::from_millis(200));
@@ -70,21 +69,21 @@ fn main() {
         .iter()
         .map(|&w| run_with_workers(w, &scale))
         .collect();
-    let headers = [
-        "workers",
-        "catchup_ms",
-        "transfer_ms",
-        "total_ms",
-        "records_replayed",
-    ];
-    print_table("replay parallelism vs migration phases", &headers, &rows);
+    let table = TableSection::new(
+        "replay parallelism vs migration phases",
+        &[
+            "workers",
+            "catchup_ms",
+            "transfer_ms",
+            "total_ms",
+            "records_replayed",
+        ],
+        rows,
+    );
+    print_table(&table);
     if let Some(path) = json_path_arg() {
         let mut report = BenchReport::new("ablation_replay", &format!("{scale:?}"));
-        report.tables.push(TableSection {
-            title: "replay parallelism vs migration phases".to_string(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows,
-        });
+        report.tables.push(table);
         report.write(&path).expect("writing JSON report failed");
     }
 }

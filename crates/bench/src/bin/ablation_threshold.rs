@@ -14,13 +14,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use remus_bench::{
-    json_path_arg, print_table, sim_config, spawn_fleet, BenchReport, FleetSpec, Scale,
-    TableSection,
+    json_path_arg, print_table, sim_config, BenchReport, Scale, TableSection, CLIENT_SEED,
 };
 use remus_cluster::{ClusterBuilder, Session};
 use remus_common::{NodeId, ShardId};
 use remus_core::{MigrationEngine, MigrationTask, RemusEngine};
 use remus_storage::Value;
+use remus_workload::{EngineConfig, OpenLoopEngine};
 
 fn run_with_threshold(threshold: usize, scale: &Scale) -> Vec<String> {
     let mut config = sim_config(scale);
@@ -35,13 +35,13 @@ fn run_with_threshold(threshold: usize, scale: &Scale) -> Vec<String> {
             .run(|t| t.insert(&layout, k, Value::from(vec![1u8; 32])))
             .unwrap();
     }
-    // One closed-loop fleet client sweeping the keys in order with a 300 µs
+    // One closed-loop client sweeping the keys in order with a 300 µs
     // think time: steady update pressure on the shard while it moves.
     let writer = {
         let next = AtomicU64::new(0);
-        spawn_fleet(
+        OpenLoopEngine::start(
             &cluster,
-            FleetSpec::closed_loop(1, Duration::from_micros(300)),
+            EngineConfig::closed_loop(1, Duration::from_micros(300), CLIENT_SEED),
             Arc::new(
                 move |_c: remus_common::ClientId,
                       t: &mut remus_cluster::SessionTxn<'_>,
@@ -76,15 +76,15 @@ fn main() {
         .iter()
         .map(|&t| run_with_threshold(t, &scale))
         .collect();
-    let headers = ["threshold", "catchup_ms", "transfer_ms", "total_ms"];
-    print_table("catch-up threshold vs phase durations", &headers, &rows);
+    let table = TableSection::new(
+        "catch-up threshold vs phase durations",
+        &["threshold", "catchup_ms", "transfer_ms", "total_ms"],
+        rows,
+    );
+    print_table(&table);
     if let Some(path) = json_path_arg() {
         let mut report = BenchReport::new("ablation_threshold", &format!("{scale:?}"));
-        report.tables.push(TableSection {
-            title: "catch-up threshold vs phase durations".to_string(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows,
-        });
+        report.tables.push(table);
         report.write(&path).expect("writing JSON report failed");
     }
 }

@@ -1,6 +1,6 @@
 //! Compares two bench JSON reports for CI.
 //!
-//! Gates, all deliberately loose enough for noisy shared runners:
+//! Pairwise checks, deliberately loose enough for noisy shared runners:
 //!
 //! 1. **Determinism**: both reports must contain the same scenarios (name
 //!    and engine) and every migration's root phase sequence must match —
@@ -10,94 +10,21 @@
 //!    regress by more than 10x between the baseline (first file) and the
 //!    candidate (second file). Only order-of-magnitude blowups fail;
 //!    ordinary jitter passes.
-//! 3. **Foreground speedup**: a report carrying a `foreground throughput`
-//!    table (from `bench_foreground`) should show the optimized hot path at
-//!    least 1.5x over the sequential baseline — the measured invariant of
-//!    the striped-index + GC + lease optimization, checked in both files.
-//! 4. **Planner recovery**: a report carrying a `planner recovery` table
-//!    (from `bench_planner`) should show the autopilot leg recovering at
-//!    least [`MIN_RECOVERY`] of its pre-shift throughput after the hotspot
-//!    jumps, and must beat the no-migration leg's steady throughput by
-//!    [`ADVANTAGE_FLOOR`].
-//! 5. **Replica read scaling**: a report carrying a `replica read
-//!    scaling` table (from `bench_replica`) should show the best replica
-//!    leg serving reads at least [`MIN_READ_SCALING`] as fast as the
-//!    no-replica leg.
-//! 6. **Replicate-or-migrate edge**: a report carrying a `replicate
-//!    recovery` table (from `bench_planner --scenario read-skew`) should
-//!    show the replicate leg recovering at least [`MIN_RS_RECOVERY`] of
-//!    its pre-hotspot read throughput, and its recovery must beat the
-//!    forced-migrate leg's by [`MIN_RS_EDGE`] — replication offloads the
-//!    read-hot shard while migration can only move it, so losing the edge
-//!    means the replica read path (or the planner pricing it) regressed.
-//! 7. **Open-loop delivered load**: a report carrying an `open-loop
-//!    scale` table (from `bench_scale`) should show the engine delivering
-//!    at least [`MIN_DELIVERED`] of the seeded offered load through the
-//!    live consolidation, with a hard floor at [`DELIVERED_FLOOR`] —
-//!    shedding half the offered arrivals means the migration interrupted
-//!    service, the property the paper claims to preserve.
-//! 8. **SSI tax**: a report carrying an `ssi tax` table (from
-//!    `bench_ssi`) should show each serializable leg retaining at least
-//!    [`MIN_SSI_RETENTION`] of the matching snapshot-isolation leg's
-//!    delivered throughput, with a hard floor at [`SSI_RETENTION_FLOOR`]
-//!    — serializable mode collapsing to a fraction of SI throughput
-//!    means the SIREAD/commit-check hot path regressed, not the runner.
 //!
-//! Every ratio gate is two-tier (see [`remus_bench::gate`]): below the
-//! expected threshold warns — shared CI runners compress real ratios —
-//! and below the hard floor fails, because the compared legs run in the
-//! same process on the same runner, so noise alone cannot erase the
-//! ratio.
+//! Each file on its own is then held to the gate table
+//! ([`remus_bench::gate::GATES`]) — the same `evaluate` every producing
+//! bin ran on it when it was written.
 //!
 //! Usage: `bench_check <baseline.json> <candidate.json>`. Exits non-zero
 //! with one line per violation.
 
 use std::process::exit;
 
-use remus_bench::{parse_ratio_cell, two_tier, BenchReport, GateTier, ScenarioReport};
+use remus_bench::gate::{evaluate, GateTier};
+use remus_bench::{BenchReport, ScenarioReport};
 
 /// Maximum tolerated candidate/baseline wall-clock ratio.
 const MAX_SLOWDOWN: f64 = 10.0;
-/// Expected optimized/baseline foreground throughput ratio (the tentpole
-/// claim of the hot-path optimization).
-const MIN_FOREGROUND_SPEEDUP: f64 = 1.5;
-/// Hard floor for the foreground speedup: below this the optimized leg is
-/// effectively no faster than the baseline.
-const FOREGROUND_SPEEDUP_FLOOR: f64 = 1.1;
-/// Expected autopilot recovery ratio (steady/pre-shift throughput) in a
-/// `planner recovery` table; below is a warning.
-const MIN_RECOVERY: f64 = 0.70;
-/// Hard floor for the autopilot recovery ratio.
-const RECOVERY_FLOOR: f64 = 0.40;
-/// Hard floor for autopilot-over-no-migration steady throughput.
-const ADVANTAGE_FLOOR: f64 = 1.1;
-/// Expected best-replica-leg read scaling over the no-replica leg in a
-/// `replica read scaling` table; below is a warning.
-const MIN_READ_SCALING: f64 = 1.0;
-/// Hard floor for the replica read-scaling ratio.
-const READ_SCALING_FLOOR: f64 = 0.4;
-/// Expected replicate-leg read recovery (steady/pre) in a `replicate
-/// recovery` table: offloading the read-hot shard should leave steady
-/// reads no slower than the degraded pre window.
-const MIN_RS_RECOVERY: f64 = 1.0;
-/// Hard floor for the replicate-leg read recovery.
-const RS_RECOVERY_FLOOR: f64 = 0.6;
-/// Expected replicate-over-migrate recovery edge; below is a warning.
-const MIN_RS_EDGE: f64 = 1.2;
-/// Hard floor for the replicate-over-migrate edge: a replica that cannot
-/// out-recover a forced migration at all makes Replicate dead weight in
-/// the decision core.
-const RS_EDGE_FLOOR: f64 = 1.02;
-/// Expected delivered/offered ratio in an `open-loop scale` table; below
-/// is a warning.
-const MIN_DELIVERED: f64 = 0.90;
-/// Hard floor for the delivered/offered ratio.
-const DELIVERED_FLOOR: f64 = 0.50;
-/// Expected serializable-over-SI throughput retention in an `ssi tax`
-/// table; below is a warning.
-const MIN_SSI_RETENTION: f64 = 0.60;
-/// Hard floor for the SSI retention ratio.
-const SSI_RETENTION_FLOOR: f64 = 0.25;
 
 fn load(path: &str) -> BenchReport {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
@@ -114,234 +41,6 @@ fn phase_sequences(s: &ScenarioReport) -> Vec<Vec<String>> {
         .iter()
         .map(|t| t.root_phases().iter().map(|p| p.to_string()).collect())
         .collect()
-}
-
-/// Applies the shared two-tier policy to one named ratio: `Warn` prints
-/// the canonical runner-noise warning, `Fail` pushes a violation ending
-/// with `consequence`, and an unparseable ratio (`None`) is always a
-/// violation.
-fn gate_ratio(
-    which: &str,
-    what: &str,
-    ratio: Option<f64>,
-    expected: f64,
-    floor: f64,
-    consequence: &str,
-    violations: &mut Vec<String>,
-) {
-    let Some(r) = ratio else {
-        violations.push(format!("{which}: cannot parse the {what} ratio"));
-        return;
-    };
-    match two_tier(r, expected, floor) {
-        GateTier::Pass => {}
-        GateTier::Warn => eprintln!(
-            "bench_check WARN: {which}: {what} {r:.2}x below the expected \
-             {expected}x (tolerated as runner noise; hard floor {floor}x)"
-        ),
-        GateTier::Fail => violations.push(format!(
-            "{which}: {what} {r:.2}x below the hard floor {floor}x — {consequence}"
-        )),
-    }
-}
-
-/// The trailing ratio cell (`"1.59x"`) of the row whose first cell is
-/// `label`, if the table has such a row and the cell parses.
-fn row_ratio(table: &remus_bench::TableSection, label: &str) -> Option<f64> {
-    table
-        .rows
-        .iter()
-        .find(|r| r.first().map(String::as_str) == Some(label))
-        .and_then(|r| r.last())
-        .and_then(|cell| parse_ratio_cell(cell))
-}
-
-/// Checks the `foreground throughput` table when present: the `optimized`
-/// row's trailing speedup cell should reach [`MIN_FOREGROUND_SPEEDUP`]
-/// (warning below) and must stay above [`FOREGROUND_SPEEDUP_FLOOR`]. The
-/// `walfile-optimized` row — the tuned-vs-sequential ratio of the
-/// file-backed group-commit pair — is gated with the same two tiers when
-/// present (older reports without the durable legs pass). Reports without
-/// the table pass (they come from other bench binaries).
-fn check_foreground(which: &str, report: &BenchReport, violations: &mut Vec<String>) {
-    let Some(table) = report
-        .tables
-        .iter()
-        .find(|t| t.title == "foreground throughput")
-    else {
-        return;
-    };
-    for (row_label, required) in [("optimized", true), ("walfile-optimized", false)] {
-        let ratio = row_ratio(table, row_label);
-        if ratio.is_none() && !required {
-            continue;
-        }
-        gate_ratio(
-            which,
-            &format!("foreground speedup ({row_label})"),
-            ratio,
-            MIN_FOREGROUND_SPEEDUP,
-            FOREGROUND_SPEEDUP_FLOOR,
-            "the optimized leg is no faster than the baseline",
-            violations,
-        );
-    }
-}
-
-/// Checks the `planner recovery` table when present (see `bench_planner`):
-/// the `autopilot` row's trailing recovery cell should reach
-/// [`MIN_RECOVERY`] (warning below) and must stay above
-/// [`RECOVERY_FLOOR`]; its `steady_tps` must beat the `no-migration`
-/// row's by [`ADVANTAGE_FLOOR`]. Reports without the table pass.
-fn check_planner(which: &str, report: &BenchReport, violations: &mut Vec<String>) {
-    let Some(table) = report.tables.iter().find(|t| t.title == "planner recovery") else {
-        return;
-    };
-    gate_ratio(
-        which,
-        "autopilot recovery",
-        row_ratio(table, "autopilot"),
-        MIN_RECOVERY,
-        RECOVERY_FLOOR,
-        "the hotspot shift was never repaired",
-        violations,
-    );
-    let steady = |label: &str| {
-        table
-            .rows
-            .iter()
-            .find(|r| r.first().map(String::as_str) == Some(label))
-            .and_then(|r| r.get(3))
-            .and_then(|c| c.parse::<f64>().ok())
-    };
-    match (steady("autopilot"), steady("no-migration")) {
-        (Some(a), Some(n)) if a >= ADVANTAGE_FLOOR * n.max(1e-9) => {}
-        (Some(a), Some(n)) => violations.push(format!(
-            "{which}: autopilot steady throughput {a:.0} txn/s does not beat \
-             the no-migration leg's {n:.0} txn/s (floor {ADVANTAGE_FLOOR}x)"
-        )),
-        _ => violations.push(format!(
-            "{which}: planner recovery table is missing a parseable \
-             steady_tps for 'autopilot' or 'no-migration'"
-        )),
-    }
-}
-
-/// Checks the `replica read scaling` table when present (see
-/// `bench_replica`): the best replica row's trailing scaling cell should
-/// reach [`MIN_READ_SCALING`] (warning below) and must stay above
-/// [`READ_SCALING_FLOOR`]. Reports without the table pass.
-fn check_replica(which: &str, report: &BenchReport, violations: &mut Vec<String>) {
-    let Some(table) = report
-        .tables
-        .iter()
-        .find(|t| t.title == "replica read scaling")
-    else {
-        return;
-    };
-    let mut best: Option<f64> = None;
-    for label in ["1-replica", "2-replica"] {
-        match row_ratio(table, label) {
-            Some(r) => best = Some(best.map_or(r, |b: f64| b.max(r))),
-            None => violations.push(format!(
-                "{which}: replica read scaling table has no parseable '{label}' row"
-            )),
-        }
-    }
-    if best.is_some() {
-        gate_ratio(
-            which,
-            "replica read scaling",
-            best,
-            MIN_READ_SCALING,
-            READ_SCALING_FLOOR,
-            "replica reads collapsed against the no-replica baseline",
-            violations,
-        );
-    }
-}
-
-/// Checks the `replicate recovery` table when present (see `bench_planner
-/// --scenario read-skew`): the `replicate` row's recovery cell should
-/// reach [`MIN_RS_RECOVERY`] (warning below) and must stay above
-/// [`RS_RECOVERY_FLOOR`]; the replicate/migrate recovery edge should
-/// reach [`MIN_RS_EDGE`] and must stay above [`RS_EDGE_FLOOR`]. Reports
-/// without the table pass.
-fn check_readskew(which: &str, report: &BenchReport, violations: &mut Vec<String>) {
-    let Some(table) = report
-        .tables
-        .iter()
-        .find(|t| t.title == "replicate recovery")
-    else {
-        return;
-    };
-    let replicate = row_ratio(table, "replicate");
-    let migrate = row_ratio(table, "forced-migrate");
-    gate_ratio(
-        which,
-        "replicate-leg read recovery",
-        replicate,
-        MIN_RS_RECOVERY,
-        RS_RECOVERY_FLOOR,
-        "offloaded reads are slower than the degraded pre-hotspot window",
-        violations,
-    );
-    match (replicate, migrate) {
-        (Some(r), Some(m)) => gate_ratio(
-            which,
-            "replicate-over-migrate recovery edge",
-            Some(r / m.max(1e-9)),
-            MIN_RS_EDGE,
-            RS_EDGE_FLOOR,
-            "replication no longer beats a forced migration on the \
-             read-skewed hotspot",
-            violations,
-        ),
-        _ => violations.push(format!(
-            "{which}: replicate recovery table is missing a parseable \
-             'replicate' or 'forced-migrate' recovery"
-        )),
-    }
-}
-
-/// Checks the `open-loop scale` table when present (see `bench_scale`):
-/// the `open-loop` row's trailing delivered/offered cell should reach
-/// [`MIN_DELIVERED`] (warning below) and must stay above
-/// [`DELIVERED_FLOOR`]. Reports without the table pass.
-fn check_scale(which: &str, report: &BenchReport, violations: &mut Vec<String>) {
-    let Some(table) = report.tables.iter().find(|t| t.title == "open-loop scale") else {
-        return;
-    };
-    gate_ratio(
-        which,
-        "open-loop delivered/offered load",
-        row_ratio(table, "open-loop"),
-        MIN_DELIVERED,
-        DELIVERED_FLOOR,
-        "the live migration interrupted service at scale",
-        violations,
-    );
-}
-
-/// Checks the `ssi tax` table when present (see `bench_ssi`): both
-/// serializable rows' trailing retention cells should reach
-/// [`MIN_SSI_RETENTION`] (warning below) and must stay above
-/// [`SSI_RETENTION_FLOOR`]. Reports without the table pass.
-fn check_ssi(which: &str, report: &BenchReport, violations: &mut Vec<String>) {
-    let Some(table) = report.tables.iter().find(|t| t.title == "ssi tax") else {
-        return;
-    };
-    for label in ["ssi-steady", "ssi-live"] {
-        gate_ratio(
-            which,
-            &format!("ssi throughput retention ({label})"),
-            row_ratio(table, label),
-            MIN_SSI_RETENTION,
-            SSI_RETENTION_FLOOR,
-            "serializable mode collapsed against the SI baseline",
-            violations,
-        );
-    }
 }
 
 fn main() {
@@ -382,12 +81,13 @@ fn main() {
     }
 
     for (which, report) in [("baseline", &baseline), ("candidate", &candidate)] {
-        check_foreground(which, report, &mut violations);
-        check_planner(which, report, &mut violations);
-        check_replica(which, report, &mut violations);
-        check_readskew(which, report, &mut violations);
-        check_scale(which, report, &mut violations);
-        check_ssi(which, report, &mut violations);
+        for finding in evaluate(report) {
+            if finding.tier == GateTier::Fail {
+                violations.push(format!("{which}: {}", finding.message));
+            } else {
+                eprintln!("bench_check WARN: {which}: {}", finding.message);
+            }
+        }
     }
 
     if violations.is_empty() {

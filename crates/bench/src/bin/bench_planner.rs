@@ -21,12 +21,9 @@
 //! until the pair is co-resident again, capped), and `steady` (fixed
 //! commits after reaction). The headline numbers are **recovery** —
 //! steady/pre throughput within the autopilot leg, expected back near
-//! 1.0x — and the autopilot's steady-state advantage over no-migration.
-//! Below [`MIN_RECOVERY`] the binary warns (shared runners compress
-//! ratios); below [`RECOVERY_FLOOR`], or if the autopilot fails to beat
-//! the do-nothing leg by [`ADVANTAGE_FLOOR`], it fails: the closed loop
-//! itself is broken, not the runner. `bench_check` applies the same
-//! two-tier policy to the emitted `remus-bench/v1` report.
+//! 1.0x — and the autopilot's steady-state advantage over no-migration;
+//! the emitted `remus-bench/v1` report is held to the `planner recovery`
+//! rows of [`remus_bench::gate::GATES`], as `bench_check` does.
 //!
 //! A second scenario, `--scenario read-skew`, benchmarks the other half
 //! of the replicate-or-migrate decision core: a read-hot shard under a
@@ -36,8 +33,8 @@
 //! forced-migrate leg — the same planner with replication disabled — can
 //! only shuffle the shard between primaries. The headline number is the
 //! **edge**: the replicate leg's read recovery (steady/pre read
-//! throughput) over the forced-migrate leg's, expected above
-//! [`MIN_RS_EDGE`] with a hard floor at [`RS_EDGE_FLOOR`].
+//! throughput) over the forced-migrate leg's, gated by the `replicate
+//! recovery` rows of the same table.
 //!
 //! Usage: `cargo run --release -p remus-bench --bin bench_planner --
 //! [--scenario hotspot|read-skew] --json BENCH_planner.json`
@@ -50,17 +47,19 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use remus_bench::{
-    json_path_arg, spawn_fleet, BenchReport, EngineKind, FleetSpec, ScenarioReport, TableSection,
+    finish, gate, json_path_arg, BenchReport, EngineKind, ScenarioReport, ScenarioResult,
+    TableSection, CLIENT_SEED,
 };
 use remus_clock::OracleKind;
 use remus_cluster::{Cluster, ClusterBuilder, ReadRouter, Session};
-use remus_common::metrics::{LatencyStat, Timeline};
 use remus_common::{ClientId, HotPathConfig, NodeId, PlannerConfig, ShardId, SimConfig, TableId};
-use remus_core::MigrationTask;
+use remus_core::{MigrationReport, MigrationTask};
 use remus_planner::{Autopilot, AutopilotOptions};
 use remus_shard::TableLayout;
 use remus_storage::Value;
-use remus_workload::{HotspotShift, Workload, Ycsb, YcsbConfig};
+use remus_workload::{
+    EngineConfig, HotspotShift, OpenLoopEngine, RunMetrics, Workload, Ycsb, YcsbConfig,
+};
 
 /// Keys in the YCSB table (4 shards, ~256 keys each).
 const KEYS: u64 = 1024;
@@ -92,17 +91,6 @@ const PAIR0: (ShardId, ShardId) = (ShardId(0), ShardId(1));
 /// Phase-1 hot pair, split across the nodes at setup.
 const PAIR1: (ShardId, ShardId) = (ShardId(2), ShardId(3));
 
-/// Expected autopilot recovery (steady/pre throughput); warn below.
-const MIN_RECOVERY: f64 = 0.70;
-/// Hard floor for recovery: below this the reunited pair is still paying
-/// remote commits — the autopilot moved the wrong thing or nothing.
-const RECOVERY_FLOOR: f64 = 0.40;
-/// Expected autopilot-over-no-migration steady throughput; warn below.
-const MIN_ADVANTAGE: f64 = 1.5;
-/// Hard floor: the autopilot must strictly beat leaving the cluster
-/// alone, or the closed loop is pointless.
-const ADVANTAGE_FLOOR: f64 = 1.1;
-
 /// Nodes in the read-skew scenario: one loaded primary plus two spares
 /// the planner can either replicate onto or migrate to.
 const RS_NODES: usize = 3;
@@ -131,20 +119,6 @@ const RS_STEADY_TXNS: u64 = 5_000;
 /// certified, or the primaries rebalanced) before measuring anyway.
 const RS_REACT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Expected replicate-leg read recovery (steady/pre); warn below. The
-/// offloaded steady window sheds the oracle round-trip and the
-/// writer-contended primary storage, so it should be no slower than the
-/// degraded pre window.
-const MIN_RS_RECOVERY: f64 = 1.0;
-/// Hard floor for the replicate-leg read recovery.
-const RS_RECOVERY_FLOOR: f64 = 0.6;
-/// Expected replicate-over-migrate recovery edge; warn below.
-const MIN_RS_EDGE: f64 = 1.2;
-/// Hard floor for the edge: replication must strictly beat shuffling the
-/// read-hot shard between primaries, or Replicate is dead weight in the
-/// decision core.
-const RS_EDGE_FLOOR: f64 = 1.02;
-
 /// Which policy a leg runs.
 enum Policy {
     Autopilot,
@@ -168,7 +142,7 @@ struct LegResult {
     steady_tps: f64,
     moves: u64,
     aborts: u64,
-    scenario: remus_bench::ScenarioResult,
+    scenario: ScenarioResult,
 }
 
 /// Whether some node hosts both shards of the phase-1 pair.
@@ -233,23 +207,21 @@ fn run_leg(policy: Policy) -> LegResult {
 
     let session = Session::connect(&cluster, NodeId(0));
     let mut rng = SmallRng::seed_from_u64(SEED);
-    let latency = Arc::new(LatencyStat::new());
-    let timeline = Timeline::per_second();
-    let mut aborts = 0u64;
-    let mut commits = 0u64;
-    let mut commit_one = |rng: &mut SmallRng| {
+    let metrics = RunMetrics::new();
+    let commit_one = |rng: &mut SmallRng| {
         let started = Instant::now();
         // Aborts (the hot pair mid-migration, write-write conflicts) are
-        // retried like a real client; only commits count.
-        while session
-            .run(|t| shift.run_once(ClientId(0), t, rng))
-            .is_err()
-        {
-            aborts += 1;
+        // retried like a real client; only the commit records a latency,
+        // measured across its retries.
+        loop {
+            let outcome = session
+                .run(|t| shift.run_once(ClientId(0), t, rng))
+                .map(|_| ());
+            metrics.record_outcome(started, &outcome);
+            if outcome.is_ok() {
+                break;
+            }
         }
-        commits += 1;
-        latency.record(started.elapsed());
-        timeline.record();
     };
 
     // Warm-up, unmeasured (phase 0 traffic like the pre window's).
@@ -265,6 +237,7 @@ fn run_leg(policy: Policy) -> LegResult {
         pre_commits += 1;
     }
     let pre_elapsed = t0.elapsed();
+    metrics.marks.mark("shift", &metrics.timeline);
 
     // The stale plan fires exactly at the shift: migrate what *was* hot.
     if matches!(policy, Policy::StaticPlan) {
@@ -305,21 +278,18 @@ fn run_leg(policy: Policy) -> LegResult {
     let pre_tps = pre_commits as f64 / pre_elapsed.as_secs_f64();
     let react_tps = react_commits as f64 / react_elapsed.as_secs_f64().max(1e-9);
     let steady_tps = STEADY_TXNS as f64 / steady_elapsed.as_secs_f64();
+    let scenario = finish(
+        EngineKind::Remus,
+        &metrics,
+        MigrationReport::default(),
+        &cluster,
+    );
+    let aborts = scenario.migration_aborts + scenario.ww_aborts + scenario.other_aborts;
     println!(
         "{:<12}\tpre={pre_tps:.0}\treact={react_tps:.0}\tsteady={steady_tps:.0}\t\
          moves={moves}\taborts={aborts}",
         policy.label(),
     );
-    let scenario = remus_bench::ScenarioResult {
-        engine: EngineKind::Remus.name(),
-        tps: timeline.rates_per_sec(),
-        events: vec![("shift".to_string(), pre_elapsed.as_secs_f64())],
-        commits,
-        ww_aborts: aborts,
-        base_latency: latency.mean(),
-        counters: cluster.metrics_snapshot(),
-        ..Default::default()
-    };
     LegResult {
         pre_tps,
         react_tps,
@@ -348,7 +318,7 @@ struct SkewLegResult {
     steady_tps: f64,
     replica_share: f64,
     actions: u64,
-    scenario: remus_bench::ScenarioResult,
+    scenario: ScenarioResult,
 }
 
 impl SkewLegResult {
@@ -376,7 +346,6 @@ fn skew_config(replication: bool) -> PlannerConfig {
 /// window, parked while the planner reacts, then timed over the steady
 /// window. Returns the two window durations and how many steady
 /// transactions a replica served.
-#[allow(clippy::too_many_arguments)]
 fn skew_reader(
     cluster: &Arc<Cluster>,
     layout: TableLayout,
@@ -384,8 +353,7 @@ fn skew_reader(
     idx: usize,
     phase: &Barrier,
     acted: &AtomicBool,
-    latency: &LatencyStat,
-    timeline: &Timeline,
+    metrics: &RunMetrics,
 ) -> (Duration, Duration, u64) {
     let mut rng = SmallRng::seed_from_u64(SEED.wrapping_mul(0x9e37_79b9).wrapping_add(idx as u64));
     let mut router = ReadRouter::new(cluster, NodeId(0), idx);
@@ -404,8 +372,7 @@ fn skew_reader(
             txn.read(&layout, key).expect("read");
         }
         txn.finish().expect("read finish");
-        latency.record(started.elapsed());
-        timeline.record();
+        metrics.record_outcome(started, &Ok(()));
         replica
     };
     for _ in 0..RS_WARMUP_TXNS {
@@ -474,14 +441,14 @@ fn run_skew_leg(replicate: bool) -> SkewLegResult {
 
     // Continuous writer on the hot shard for the whole leg: whatever the
     // planner does, the write stream follows the shard. One closed-loop
-    // fleet client; migration-induced aborts are absorbed by the engine's
-    // abort accounting and the next arrival retries.
+    // client; migration-induced aborts are absorbed by the engine's abort
+    // accounting and the next arrival retries.
     let writer = {
         let hot_keys = hot_keys.clone();
         let rounds = AtomicU64::new(0);
-        spawn_fleet(
+        OpenLoopEngine::start(
             &cluster,
-            FleetSpec::closed_loop(1, Duration::ZERO),
+            EngineConfig::closed_loop(1, Duration::ZERO, CLIENT_SEED),
             Arc::new(
                 move |_c: remus_common::ClientId,
                       t: &mut remus_cluster::SessionTxn<'_>,
@@ -499,27 +466,18 @@ fn run_skew_leg(replicate: bool) -> SkewLegResult {
         )
     };
 
-    let latency = LatencyStat::new();
-    let timeline = Timeline::per_second();
+    let metrics = RunMetrics::new();
     let acted = AtomicBool::new(false);
     let replica_txns = AtomicU64::new(0);
     let phase = Barrier::new(RS_READERS + 1);
     let (pre_window, steady_window, pilot_report) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..RS_READERS)
             .map(|idx| {
-                let (cluster, hot_keys, latency, timeline, phase, acted, replica_txns) = (
-                    &cluster,
-                    &hot_keys,
-                    &latency,
-                    &timeline,
-                    &phase,
-                    &acted,
-                    &replica_txns,
-                );
+                let (cluster, hot_keys, metrics, phase, acted, replica_txns) =
+                    (&cluster, &hot_keys, &metrics, &phase, &acted, &replica_txns);
                 scope.spawn(move || {
-                    let (pre, steady, from_replica) = skew_reader(
-                        cluster, layout, hot_keys, idx, phase, acted, latency, timeline,
-                    );
+                    let (pre, steady, from_replica) =
+                        skew_reader(cluster, layout, hot_keys, idx, phase, acted, metrics);
                     replica_txns.fetch_add(from_replica, Ordering::Relaxed);
                     (pre, steady)
                 })
@@ -566,7 +524,17 @@ fn run_skew_leg(replicate: bool) -> SkewLegResult {
         (pre, steady, pilot.stop())
     });
     let commits = writer.stop().metrics.counters.commits();
-    let counters = cluster.metrics_snapshot();
+    // `commits` is the two measured windows; the recorders also saw the
+    // warm-up, react and drain transactions.
+    let scenario = ScenarioResult {
+        commits: RS_READERS as u64 * (RS_PRE_TXNS + RS_STEADY_TXNS),
+        ..finish(
+            EngineKind::Remus,
+            &metrics,
+            MigrationReport::default(),
+            &cluster,
+        )
+    };
     cluster.stop_maintenance();
 
     let reads_per_window = |txns: u64| (RS_READERS as u64 * txns * RS_READS_PER_TXN as u64) as f64;
@@ -605,14 +573,6 @@ fn run_skew_leg(replicate: bool) -> SkewLegResult {
             "the forced-migrate leg provisioned a replica"
         );
     }
-    let scenario = remus_bench::ScenarioResult {
-        engine: EngineKind::Remus.name(),
-        tps: timeline.rates_per_sec(),
-        commits: RS_READERS as u64 * (RS_PRE_TXNS + RS_STEADY_TXNS),
-        base_latency: latency.mean(),
-        counters,
-        ..Default::default()
-    };
     SkewLegResult {
         pre_tps,
         steady_tps,
@@ -642,12 +602,10 @@ fn run_read_skew(path: &Path) {
     );
     let replicate = run_skew_leg(true);
     let migrate = run_skew_leg(false);
-    let edge = replicate.recovery() / migrate.recovery().max(1e-9);
     println!(
-        "replicate recovery: {:.2}x (expected >= {MIN_RS_RECOVERY}x, floor \
-         {RS_RECOVERY_FLOOR}x); edge over forced-migrate: {edge:.2}x \
-         (expected >= {MIN_RS_EDGE}x, floor {RS_EDGE_FLOOR}x)",
+        "replicate recovery: {:.2}x; edge over forced-migrate: {:.2}x",
         replicate.recovery(),
+        replicate.recovery() / migrate.recovery().max(1e-9),
     );
 
     let mut report = BenchReport::new("bench_planner", "read-skew");
@@ -659,56 +617,23 @@ fn run_read_skew(path: &Path) {
             .scenarios
             .push(ScenarioReport::from_result(name, &leg.scenario));
     }
-    report.tables.push(TableSection {
-        title: "replicate recovery".to_string(),
-        headers: [
+    report.tables.push(TableSection::new(
+        "replicate recovery",
+        &[
             "policy",
             "pre_read_tps",
             "steady_read_tps",
             "replica_share",
             "actions",
             "recovery",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows: vec![
+        ],
+        vec![
             skew_row(&replicate, "replicate"),
             skew_row(&migrate, "forced-migrate"),
         ],
-    });
+    ));
     report.write(path).expect("writing JSON report failed");
-
-    if replicate.recovery() < MIN_RS_RECOVERY {
-        eprintln!(
-            "WARN: replicate recovery {:.2}x below the expected \
-             {MIN_RS_RECOVERY}x (tolerated as runner noise; hard floor \
-             {RS_RECOVERY_FLOOR}x)",
-            replicate.recovery(),
-        );
-    }
-    assert!(
-        replicate.recovery() >= RS_RECOVERY_FLOOR,
-        "replicate steady read throughput {:.0}/s is only {:.2}x the pre \
-         window's {:.0}/s (hard floor {RS_RECOVERY_FLOOR}x)",
-        replicate.steady_tps,
-        replicate.recovery(),
-        replicate.pre_tps,
-    );
-    if edge < MIN_RS_EDGE {
-        eprintln!(
-            "WARN: replicate-over-migrate edge {edge:.2}x below the expected \
-             {MIN_RS_EDGE}x (tolerated as runner noise; hard floor \
-             {RS_EDGE_FLOOR}x)"
-        );
-    }
-    assert!(
-        edge >= RS_EDGE_FLOOR,
-        "replicate recovery {:.2}x does not beat the forced-migrate leg's \
-         {:.2}x (edge {edge:.2}x, hard floor {RS_EDGE_FLOOR}x)",
-        replicate.recovery(),
-        migrate.recovery(),
-    );
+    gate::enforce(&report);
 }
 
 /// Scans the process arguments for `--scenario <name>` (default
@@ -747,12 +672,10 @@ fn run_hotspot(path: &Path) {
     let stat = run_leg(Policy::StaticPlan);
     let none = run_leg(Policy::NoMigration);
 
-    let recovery = auto.steady_tps / auto.pre_tps.max(1e-9);
-    let advantage = auto.steady_tps / none.steady_tps.max(1e-9);
     println!(
-        "autopilot recovery: {recovery:.2}x of pre-shift (expected >= \
-         {MIN_RECOVERY}x, floor {RECOVERY_FLOOR}x); advantage over \
-         no-migration: {advantage:.2}x (floor {ADVANTAGE_FLOOR}x)"
+        "autopilot recovery: {:.2}x of pre-shift; advantage over no-migration: {:.2}x",
+        auto.steady_tps / auto.pre_tps.max(1e-9),
+        auto.steady_tps / none.steady_tps.max(1e-9),
     );
 
     let mut report = BenchReport::new("bench_planner", "hotspot-shift");
@@ -765,9 +688,9 @@ fn run_hotspot(path: &Path) {
             .scenarios
             .push(ScenarioReport::from_result(name, &leg.scenario));
     }
-    report.tables.push(TableSection {
-        title: "planner recovery".to_string(),
-        headers: [
+    report.tables.push(TableSection::new(
+        "planner recovery",
+        &[
             "policy",
             "pre_tps",
             "react_tps",
@@ -775,45 +698,15 @@ fn run_hotspot(path: &Path) {
             "moves",
             "aborts",
             "recovery",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows: vec![
+        ],
+        vec![
             recovery_row(&auto, "autopilot"),
             recovery_row(&stat, "static-plan"),
             recovery_row(&none, "no-migration"),
         ],
-    });
+    ));
     report.write(path).expect("writing JSON report failed");
 
     assert!(auto.moves >= 1, "the autopilot never migrated anything");
-    if recovery < MIN_RECOVERY {
-        eprintln!(
-            "WARN: autopilot recovery {recovery:.2}x below the expected \
-             {MIN_RECOVERY}x (tolerated as runner noise; hard floor \
-             {RECOVERY_FLOOR}x)"
-        );
-    }
-    assert!(
-        recovery >= RECOVERY_FLOOR,
-        "autopilot steady throughput {:.0} txn/s is only {recovery:.2}x the \
-         pre-shift {:.0} txn/s (hard floor {RECOVERY_FLOOR}x)",
-        auto.steady_tps,
-        auto.pre_tps,
-    );
-    if advantage < MIN_ADVANTAGE {
-        eprintln!(
-            "WARN: autopilot advantage {advantage:.2}x over no-migration \
-             below the expected {MIN_ADVANTAGE}x (hard floor \
-             {ADVANTAGE_FLOOR}x)"
-        );
-    }
-    assert!(
-        advantage >= ADVANTAGE_FLOOR,
-        "autopilot steady throughput {:.0} txn/s does not beat the \
-         no-migration leg's {:.0} txn/s (hard floor {ADVANTAGE_FLOOR}x)",
-        auto.steady_tps,
-        none.steady_tps,
-    );
+    gate::enforce(&report);
 }

@@ -20,12 +20,9 @@
 //!    stalls during the migration inflate the tail instead of hiding in
 //!    an unmeasured queue).
 //!
-//! The headline ratio is delivered/offered. It warns below
-//! [`MIN_DELIVERED`] (shared runners compress it) and fails below
-//! [`DELIVERED_FLOOR`]: an engine that sheds half the offered load while
-//! migrating has lost the paper's "migration without service
-//! interruption" property. `bench_check` applies the same two-tier
-//! policy to the emitted `remus-bench/v1` report.
+//! The headline ratio is delivered/offered; the emitted `remus-bench/v1`
+//! report is held to the `open-loop scale` row of
+//! [`remus_bench::gate::GATES`], as `bench_check` does.
 //!
 //! Usage: `cargo run --release -p remus-bench --bin bench_scale --
 //! --scale paper --json BENCH_scale.json`
@@ -35,24 +32,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use remus_bench::{
-    json_path_arg, sim_config, two_tier, BenchReport, EngineKind, GateTier, Scale, ScenarioReport,
+    finish, gate, json_path_arg, sim_config, BenchReport, EngineKind, Scale, ScenarioReport,
     TableSection,
 };
 use remus_clock::OracleKind;
 use remus_cluster::ClusterBuilder;
 use remus_common::NodeId;
-use remus_core::{MigrationController, MigrationPlan, MigrationReport};
+use remus_core::{MigrationController, MigrationPlan};
 use remus_workload::ycsb::{KeyDistribution, Ycsb, YcsbConfig};
 use remus_workload::{EngineConfig, OpenLoopEngine, Pacing, Workload};
 
 /// Seed of the run: the offered load is a pure function of this.
 const SEED: u64 = 0x5CA1E;
-/// Expected delivered/offered ratio; warn below.
-const MIN_DELIVERED: f64 = 0.90;
-/// Hard floor: shedding half the offered load during a live migration
-/// means the migration interrupts service, which is the property under
-/// test — never runner noise.
-const DELIVERED_FLOOR: f64 = 0.50;
 
 fn main() {
     let scale = Scale::from_args_or_env();
@@ -110,14 +101,10 @@ fn main() {
     let plan = MigrationPlan::consolidate(&cluster, NodeId(0), scale.consolidation_group);
     assert!(!plan.is_empty(), "node 0 owns shards to consolidate");
     let controller = MigrationController::new(Arc::clone(&cluster), EngineKind::Remus.engine());
-    let mut migration = MigrationReport::new(EngineKind::Remus.name());
     let mig_t0 = Instant::now();
-    for report in controller
-        .run_plan(&plan, |_, _| {})
-        .expect("consolidation failed")
-    {
-        migration.absorb(&report);
-    }
+    let mut migration = controller
+        .run_plan_aggregate(&plan)
+        .expect("consolidation failed");
     let mig_elapsed = mig_t0.elapsed();
     metrics.set_migration_active(false);
     // At this scale each trace carries thousands of per-chunk copy spans
@@ -171,27 +158,15 @@ fn main() {
         "no commits landed during the migration window — the gate measured nothing"
     );
 
-    let scenario = remus_bench::ScenarioResult {
-        engine: EngineKind::Remus.name(),
-        tps: metrics.timeline.rates_per_sec(),
-        commits: metrics.counters.commits(),
-        migration_aborts: metrics.counters.migration_aborts(),
-        ww_aborts: metrics.counters.ww_aborts(),
-        other_aborts: metrics.counters.other_aborts(),
-        base_latency: metrics.latency_normal.mean(),
-        latency_increase: metrics.latency_increase(),
-        migration,
-        counters: cluster.metrics_snapshot(),
-        ..Default::default()
-    };
+    let scenario = finish(EngineKind::Remus, &metrics, migration, &cluster);
     let mut bench = BenchReport::new("bench_scale", "open-loop-scale");
     bench.scenarios.push(ScenarioReport::from_result(
         "scale-consolidation",
         &scenario,
     ));
-    bench.tables.push(TableSection {
-        title: "open-loop scale".to_string(),
-        headers: [
+    bench.tables.push(TableSection::new(
+        "open-loop scale",
+        &[
             "run",
             "keys",
             "clients",
@@ -202,11 +177,8 @@ fn main() {
             "co_p50_us",
             "co_p99_us",
             "delivered",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows: vec![vec![
+        ],
+        vec![vec![
             "open-loop".to_string(),
             scale.ycsb_keys.to_string(),
             scale.clients.to_string(),
@@ -218,20 +190,7 @@ fn main() {
             format!("{}", p99_m.as_micros()),
             format!("{ratio:.2}x"),
         ]],
-    });
+    ));
     bench.write(&path).expect("writing JSON report failed");
-
-    match two_tier(ratio, MIN_DELIVERED, DELIVERED_FLOOR) {
-        GateTier::Pass => {}
-        GateTier::Warn => eprintln!(
-            "WARN: delivered/offered {ratio:.2} below the expected \
-             {MIN_DELIVERED} (tolerated as runner noise; hard floor \
-             {DELIVERED_FLOOR})"
-        ),
-        GateTier::Fail => panic!(
-            "delivered {delivered_tps:.0}/s is only {ratio:.2} of the offered \
-             {offered_tps:.0}/s (hard floor {DELIVERED_FLOOR}) — the \
-             migration interrupted service"
-        ),
-    }
+    gate::enforce(&bench);
 }

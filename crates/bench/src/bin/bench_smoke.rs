@@ -25,13 +25,14 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use remus_bench::{json_path_arg, BenchReport, EngineKind, ScenarioReport};
+use remus_bench::{
+    checked_trace, finish, json_path_arg, BenchReport, EngineKind, ScenarioReport, ScenarioResult,
+};
 use remus_cluster::{ClusterBuilder, Session};
-use remus_common::metrics::MetricSample;
 use remus_common::{NodeId, ParallelismConfig, ShardId, SimConfig, TableId};
-use remus_core::trace::expected_phases;
 use remus_core::MigrationTask;
 use remus_storage::Value;
+use remus_workload::RunMetrics;
 
 /// Keys loaded into the migrated shard for the plain smoke scenario.
 const KEYS: u64 = 256;
@@ -42,11 +43,9 @@ const PAR_KEYS: u64 = 2048;
 /// 256-tuple batch): 2048 keys -> ~102 ms of sequential copy sleep.
 const PAR_COPY_PER_TUPLE: Duration = Duration::from_micros(50);
 
-fn run_engine(
-    kind: EngineKind,
-    keys: u64,
-    config: SimConfig,
-) -> (remus_core::MigrationReport, Vec<MetricSample>) {
+/// One quiescent migration of a freshly loaded `keys`-key shard; the
+/// result's `commits` is the load, there being no client fleet.
+fn run_engine(kind: EngineKind, keys: u64, config: SimConfig) -> ScenarioResult {
     let cluster = ClusterBuilder::new(2)
         .cc_mode(kind.cc_mode())
         .config(config)
@@ -63,7 +62,10 @@ fn run_engine(
         .engine()
         .migrate(&cluster, &task)
         .unwrap_or_else(|e| panic!("{} smoke migration failed: {e:?}", kind.name()));
-    (report, cluster.metrics_snapshot())
+    ScenarioResult {
+        commits: keys,
+        ..finish(kind, &RunMetrics::new(), report, &cluster)
+    }
 }
 
 /// Validates the trace and appends the scenario to the report. Returns the
@@ -73,24 +75,10 @@ fn push_scenario(
     report: &mut BenchReport,
     name: &'static str,
     kind: EngineKind,
-    keys: u64,
-    migration: remus_core::MigrationReport,
-    counters: Vec<MetricSample>,
+    result: ScenarioResult,
 ) -> Duration {
-    let trace = migration
-        .traces
-        .first()
-        .unwrap_or_else(|| panic!("{}: migration recorded no trace", kind.name()));
-    trace
-        .check_well_formed()
-        .unwrap_or_else(|e| panic!("{}: malformed trace: {e}", kind.name()));
-    let expected = expected_phases(kind.name()).expect("every engine has a canonical sequence");
-    assert_eq!(
-        trace.root_phases(),
-        expected,
-        "{}: unexpected phase sequence",
-        kind.name()
-    );
+    let migration = &result.migration;
+    let trace = checked_trace(kind.name(), kind, migration);
     let copy_plus_catchup = ["snapshot_copy", "catchup"]
         .iter()
         .filter_map(|p| trace.span(p))
@@ -110,17 +98,9 @@ fn push_scenario(
             .collect::<Vec<_>>()
             .join(","),
     );
-    let mut scenario = ScenarioReport::from_result(
-        name,
-        &remus_bench::ScenarioResult {
-            engine: kind.name(),
-            migration,
-            counters,
-            ..Default::default()
-        },
-    );
-    scenario.commits = keys;
-    report.scenarios.push(scenario);
+    report
+        .scenarios
+        .push(ScenarioReport::from_result(name, &result));
     copy_plus_catchup
 }
 
@@ -129,8 +109,8 @@ fn main() {
     println!("# bench_smoke — one quiescent {KEYS}-key migration per engine");
     let mut report = BenchReport::new("bench_smoke", "smoke");
     for kind in EngineKind::all() {
-        let (migration, counters) = run_engine(kind, KEYS, SimConfig::instant());
-        push_scenario(&mut report, "smoke", kind, KEYS, migration, counters);
+        let result = run_engine(kind, KEYS, SimConfig::instant());
+        push_scenario(&mut report, "smoke", kind, result);
     }
 
     println!("# bench_smoke — sequential vs parallel data plane ({PAR_KEYS} keys)");
@@ -145,32 +125,12 @@ fn main() {
             chunk_size: 256,
             drain_batch: 32,
         };
-        let (seq_migration, seq_counters) = run_engine(kind, PAR_KEYS, seq_config);
-        let (par_migration, par_counters) = run_engine(kind, PAR_KEYS, par_config);
-        let seq_phases: Vec<_> = seq_migration.traces[0].root_phases();
-        let par_phases: Vec<_> = par_migration.traces[0].root_phases();
-        assert_eq!(
-            seq_phases,
-            par_phases,
-            "{}: parallelism changed the phase sequence",
-            kind.name()
-        );
-        let seq_copy = push_scenario(
-            &mut report,
-            "smoke-seq",
-            kind,
-            PAR_KEYS,
-            seq_migration,
-            seq_counters,
-        );
-        let par_copy = push_scenario(
-            &mut report,
-            "smoke-par",
-            kind,
-            PAR_KEYS,
-            par_migration,
-            par_counters,
-        );
+        let seq = run_engine(kind, PAR_KEYS, seq_config);
+        let par = run_engine(kind, PAR_KEYS, par_config);
+        // Both legs are held to the engine's canonical sequence below, so
+        // parallelism cannot have changed it.
+        let seq_copy = push_scenario(&mut report, "smoke-seq", kind, seq);
+        let par_copy = push_scenario(&mut report, "smoke-par", kind, par);
         // Squall pulls after the ownership flip instead of streaming a
         // snapshot copy, so the copy+catchup criterion only applies to the
         // push engines.

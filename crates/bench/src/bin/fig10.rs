@@ -48,13 +48,10 @@ fn main() {
             migration: MigrationSummary::from_report(&result.migration),
             ..Default::default()
         });
-        report.tables.push(TableSection {
-            title: "node work and version chains".to_string(),
-            headers: ["t_s", "src_work", "dst_work", "max_chain"]
-                .iter()
-                .map(|h| h.to_string())
-                .collect(),
-            rows: result
+        report.tables.push(TableSection::new(
+            "node work and version chains",
+            &["t_s", "src_work", "dst_work", "max_chain"],
+            result
                 .samples
                 .iter()
                 .map(|s| {
@@ -66,7 +63,7 @@ fn main() {
                     ]
                 })
                 .collect(),
-        });
+        ));
         report.write(&path).expect("writing JSON report failed");
     }
 }

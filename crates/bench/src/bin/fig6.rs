@@ -10,29 +10,14 @@
 //! Usage: `cargo run --release -p remus-bench --bin fig6 [engine] [--json <path>]`
 //! with `REMUS_SCALE=quick|default|full`.
 
-use remus_bench::{
-    json_path_arg, print_scenario_for, run_hybrid_a, BenchReport, EngineKind, Scale, ScenarioReport,
-};
+use remus_bench::{figure_main, run_hybrid_a, EngineKind};
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    let only = std::env::args().nth(1).and_then(|s| EngineKind::parse(&s));
-    println!("# Figure 6 — YCSB throughput, hybrid workload A, consolidation");
-    println!("# scale: {scale:?}");
-    let mut report = BenchReport::new("fig6", &format!("{scale:?}"));
-    for kind in EngineKind::all() {
-        if let Some(o) = only {
-            if o != kind {
-                continue;
-            }
-        }
-        let result = run_hybrid_a(kind, &scale);
-        print_scenario_for(&result);
-        report
-            .scenarios
-            .push(ScenarioReport::from_result("hybrid A", &result));
-    }
-    if let Some(path) = json_path_arg() {
-        report.write(&path).expect("writing JSON report failed");
-    }
+    figure_main(
+        "fig6",
+        "Figure 6 — YCSB throughput, hybrid workload A, consolidation",
+        "hybrid A",
+        &EngineKind::all(),
+        run_hybrid_a,
+    );
 }

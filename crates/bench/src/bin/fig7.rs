@@ -8,29 +8,14 @@
 //!
 //! Usage: `cargo run --release -p remus-bench --bin fig7 [engine] [--json <path>]`.
 
-use remus_bench::{
-    json_path_arg, print_scenario_for, run_hybrid_b, BenchReport, EngineKind, Scale, ScenarioReport,
-};
+use remus_bench::{figure_main, run_hybrid_b, EngineKind};
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    let only = std::env::args().nth(1).and_then(|s| EngineKind::parse(&s));
-    println!("# Figure 7 — YCSB throughput, hybrid workload B, consolidation");
-    println!("# scale: {scale:?}");
-    let mut report = BenchReport::new("fig7", &format!("{scale:?}"));
-    for kind in EngineKind::all() {
-        if let Some(o) = only {
-            if o != kind {
-                continue;
-            }
-        }
-        let result = run_hybrid_b(kind, &scale);
-        print_scenario_for(&result);
-        report
-            .scenarios
-            .push(ScenarioReport::from_result("hybrid B", &result));
-    }
-    if let Some(path) = json_path_arg() {
-        report.write(&path).expect("writing JSON report failed");
-    }
+    figure_main(
+        "fig7",
+        "Figure 7 — YCSB throughput, hybrid workload B, consolidation",
+        "hybrid B",
+        &EngineKind::all(),
+        run_hybrid_b,
+    );
 }

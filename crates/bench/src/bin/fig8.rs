@@ -7,30 +7,14 @@
 //!
 //! Usage: `cargo run --release -p remus-bench --bin fig8 [engine] [--json <path>]`.
 
-use remus_bench::{
-    json_path_arg, print_scenario_for, run_load_balance, BenchReport, EngineKind, Scale,
-    ScenarioReport,
-};
+use remus_bench::{figure_main, run_load_balance, EngineKind};
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    let only = std::env::args().nth(1).and_then(|s| EngineKind::parse(&s));
-    println!("# Figure 8 — YCSB throughput during load balancing (skewed)");
-    println!("# scale: {scale:?}");
-    let mut report = BenchReport::new("fig8", &format!("{scale:?}"));
-    for kind in EngineKind::all() {
-        if let Some(o) = only {
-            if o != kind {
-                continue;
-            }
-        }
-        let result = run_load_balance(kind, &scale);
-        print_scenario_for(&result);
-        report
-            .scenarios
-            .push(ScenarioReport::from_result("load balancing", &result));
-    }
-    if let Some(path) = json_path_arg() {
-        report.write(&path).expect("writing JSON report failed");
-    }
+    figure_main(
+        "fig8",
+        "Figure 8 — YCSB throughput during load balancing (skewed)",
+        "load balancing",
+        &EngineKind::all(),
+        run_load_balance,
+    );
 }

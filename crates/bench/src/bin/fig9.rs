@@ -9,30 +9,14 @@
 //!
 //! Usage: `cargo run --release -p remus-bench --bin fig9 [engine] [--json <path>]`.
 
-use remus_bench::{
-    json_path_arg, print_scenario_for, run_scale_out, BenchReport, EngineKind, Scale,
-    ScenarioReport,
-};
+use remus_bench::{figure_main, run_scale_out, EngineKind};
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    let only = std::env::args().nth(1).and_then(|s| EngineKind::parse(&s));
-    println!("# Figure 9 — TPC-C throughput during scale-out");
-    println!("# scale: {scale:?}");
-    let mut report = BenchReport::new("fig9", &format!("{scale:?}"));
-    for kind in EngineKind::push_engines() {
-        if let Some(o) = only {
-            if o != kind {
-                continue;
-            }
-        }
-        let result = run_scale_out(kind, &scale);
-        print_scenario_for(&result);
-        report
-            .scenarios
-            .push(ScenarioReport::from_result("scale-out", &result));
-    }
-    if let Some(path) = json_path_arg() {
-        report.write(&path).expect("writing JSON report failed");
-    }
+    figure_main(
+        "fig9",
+        "Figure 9 — TPC-C throughput during scale-out",
+        "scale-out",
+        &EngineKind::push_engines(),
+        run_scale_out,
+    );
 }

@@ -35,18 +35,18 @@ fn main() {
             .scenarios
             .push(ScenarioReport::from_result("hybrid A", &result));
     }
-    let headers = [
-        "engine",
-        "abort_ratio",
-        "tuples_per_s during/before",
-        "ingestion_s",
-    ];
-    print_table("batch ingestion during consolidation", &headers, &rows);
-    report.tables.push(TableSection {
-        title: "batch ingestion during consolidation".to_string(),
-        headers: headers.iter().map(|h| h.to_string()).collect(),
+    let table = TableSection::new(
+        "batch ingestion during consolidation",
+        &[
+            "engine",
+            "abort_ratio",
+            "tuples_per_s during/before",
+            "ingestion_s",
+        ],
         rows,
-    });
+    );
+    print_table(&table);
+    report.tables.push(table);
     if let Some(path) = json_path_arg() {
         report.write(&path).expect("writing JSON report failed");
     }

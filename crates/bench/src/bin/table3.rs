@@ -42,18 +42,18 @@ fn main() {
             .scenarios
             .push(ScenarioReport::from_result(name, &lock));
     }
-    let headers = [
-        "workload",
-        "remus_ms",
-        "lock_and_abort_ms",
-        "txn_latency_ms",
-    ];
-    print_table("average latency increase", &headers, &rows);
-    report.tables.push(TableSection {
-        title: "average latency increase".to_string(),
-        headers: headers.iter().map(|h| h.to_string()).collect(),
-        rows: rows.clone(),
-    });
+    let table = TableSection::new(
+        "average latency increase",
+        &[
+            "workload",
+            "remus_ms",
+            "lock_and_abort_ms",
+            "txn_latency_ms",
+        ],
+        rows,
+    );
+    print_table(&table);
+    report.tables.push(table);
     if let Some(path) = json_path_arg() {
         report.write(&path).expect("writing JSON report failed");
     }

@@ -1,7 +1,7 @@
 //! Shared scenario runners behind the figure/table binaries.
 //!
 //! Each runner builds a fresh six-node cluster, loads the workload, starts
-//! the closed-loop clients, executes the scenario's migration plan with
+//! the client fleet, executes the scenario's migration plan with
 //! the requested engine, and returns the per-second series plus the
 //! counters the paper's artifacts report.
 
@@ -9,94 +9,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use remus_cluster::{CcMode, Cluster, ClusterBuilder, Session};
+use remus_cluster::{Cluster, ClusterBuilder, Session};
 use remus_common::metrics::{MetricSample, Timeline};
 use remus_common::{NodeId, ParallelismConfig, ShardId, SimConfig};
+use remus_core::trace::{expected_phases, MigrationTrace};
+pub use remus_core::EngineKind;
 use remus_core::{
-    LockAndAbort, MigrationController, MigrationEngine, MigrationPlan, MigrationReport,
-    MigrationTask, RemusEngine, SquallEngine, WaitAndRemaster,
+    MigrationController, MigrationEngine, MigrationPlan, MigrationReport, MigrationTask,
+    RemusEngine,
 };
-use remus_workload::driver::{Driver, RunMetrics, Workload};
-use remus_workload::engine::{EngineConfig, EngineReport, OpenLoopEngine, Pacing};
+use remus_workload::driver::RunMetrics;
+use remus_workload::engine::{EngineConfig, OpenLoopEngine, Pacing};
 use remus_workload::hybrid::{AnalyticalClient, BatchIngest, BatchIngestReport};
 use remus_workload::tpcc::{Tpcc, TpccConfig};
 use remus_workload::ycsb::{HotSpot, KeyDistribution, Ycsb, YcsbConfig};
 
+use crate::print::print_scenario;
+use crate::report::{json_path_arg, BenchReport, ScenarioReport};
 use crate::scale::Scale;
-
-/// The migration approaches under comparison (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The paper's contribution.
-    Remus,
-    /// Lock-and-abort push baseline.
-    LockAbort,
-    /// Wait-and-remaster push baseline.
-    Remaster,
-    /// Squall pull baseline (runs under shard-lock concurrency control).
-    Squall,
-}
-
-impl EngineKind {
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Remus => "remus",
-            EngineKind::LockAbort => "lock-and-abort",
-            EngineKind::Remaster => "wait-and-remaster",
-            EngineKind::Squall => "squall",
-        }
-    }
-
-    /// The concurrency-control regime this engine is evaluated under.
-    pub fn cc_mode(self) -> CcMode {
-        match self {
-            EngineKind::Squall => CcMode::ShardLock,
-            _ => CcMode::Mvcc,
-        }
-    }
-
-    /// Instantiates the engine.
-    pub fn engine(self) -> Arc<dyn MigrationEngine> {
-        match self {
-            EngineKind::Remus => Arc::new(RemusEngine::new()),
-            EngineKind::LockAbort => Arc::new(LockAndAbort::new()),
-            EngineKind::Remaster => Arc::new(WaitAndRemaster::new()),
-            EngineKind::Squall => Arc::new(SquallEngine::new()),
-        }
-    }
-
-    /// All four approaches (figures 6–8).
-    pub fn all() -> [EngineKind; 4] {
-        [
-            EngineKind::Remus,
-            EngineKind::LockAbort,
-            EngineKind::Remaster,
-            EngineKind::Squall,
-        ]
-    }
-
-    /// The push approaches (figure 9 — the Squall implementation does not
-    /// support TPC-C's multi-key range partitioning, §4.6).
-    pub fn push_engines() -> [EngineKind; 3] {
-        [
-            EngineKind::Remus,
-            EngineKind::LockAbort,
-            EngineKind::Remaster,
-        ]
-    }
-
-    /// Parses a `--engine` style argument.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "remus" => Some(EngineKind::Remus),
-            "lock-and-abort" | "lock" => Some(EngineKind::LockAbort),
-            "wait-and-remaster" | "remaster" => Some(EngineKind::Remaster),
-            "squall" => Some(EngineKind::Squall),
-            _ => None,
-        }
-    }
-}
 
 /// The simulation config used by the harnesses (relative costs per
 /// DESIGN.md; zero network latency because the host is single-core and
@@ -128,91 +58,14 @@ pub fn sim_config(scale: &Scale) -> SimConfig {
     }
 }
 
-/// How a bench [`ClientFleet`] runs its clients.
-///
-/// One spec replaces the copy-pasted `std::thread::spawn` session loops
-/// the bins used to carry (foreground sessions, replica writers, planner
-/// writers, ablation writers): pick a pacing, optionally a fixed per-client
-/// workload, and let the open-loop engine own threads, sessions, seeding,
-/// and recording.
-#[derive(Debug, Clone)]
-pub struct FleetSpec {
-    /// Logical clients (routed to coordinator `client % nodes`).
-    pub clients: usize,
-    /// Worker threads multiplexing them (defaults to one per client).
-    pub workers: usize,
-    /// Arrival pacing.
-    pub pacing: Pacing,
-    /// Stop after this many transactions per client (`None`: run until
-    /// stopped).
-    pub max_txns_per_client: Option<u64>,
-    /// Run seed for client rngs and open-loop schedules.
-    pub seed: u64,
-}
+/// Run seed of every bench client fleet that does not name its own.
+pub const CLIENT_SEED: u64 = 0x5EED;
 
-impl FleetSpec {
-    /// Closed-loop clients pausing `think` between transactions — the
-    /// shape of every background-writer loop in the bins.
-    pub fn closed_loop(clients: usize, think: Duration) -> FleetSpec {
-        FleetSpec {
-            clients,
-            workers: clients,
-            pacing: Pacing::ClosedLoop { think },
-            max_txns_per_client: None,
-            seed: 0x5EED,
-        }
-    }
-
-    /// Closed-loop clients that each run exactly `txns` transactions
-    /// back-to-back (fixed-work bench legs).
-    pub fn fixed_work(clients: usize, txns: u64) -> FleetSpec {
-        FleetSpec {
-            max_txns_per_client: Some(txns),
-            ..FleetSpec::closed_loop(clients, Duration::ZERO)
-        }
-    }
-}
-
-/// A running background client fleet over the open-loop engine.
-pub struct ClientFleet {
-    engine: OpenLoopEngine,
-}
-
-/// Starts `spec.clients` clients driving `workload`.
-pub fn spawn_fleet(
-    cluster: &Arc<Cluster>,
-    spec: FleetSpec,
-    workload: Arc<dyn Workload>,
-) -> ClientFleet {
-    let config = EngineConfig {
-        clients: spec.clients,
-        workers: spec.workers.max(1),
-        pacing: spec.pacing,
-        seed: spec.seed,
-        queue_bound: 64,
-        horizon: None,
-        max_txns_per_client: spec.max_txns_per_client,
-    };
-    ClientFleet {
-        engine: OpenLoopEngine::start(cluster, config, workload),
-    }
-}
-
-impl ClientFleet {
-    /// The live shared metrics (latency buckets, timeline, aborts).
-    pub fn metrics(&self) -> &Arc<RunMetrics> {
-        &self.engine.metrics
-    }
-
-    /// Signals the fleet to stop and collects the report.
-    pub fn stop(self) -> EngineReport {
-        self.engine.stop()
-    }
-
-    /// Waits for a fixed-work fleet to finish its budget.
-    pub fn join(self) -> EngineReport {
-        self.engine.join()
-    }
+/// One worker per client, each client on a fixed-rate open-loop schedule
+/// of `period` under [`CLIENT_SEED`] — the figure runners' fleet (their
+/// period is `Scale::think`) and the paced ablation writers.
+pub fn fixed_rate_clients(clients: usize, period: Duration) -> EngineConfig {
+    EngineConfig::open_loop(clients, clients, Pacing::FixedRate { period }, CLIENT_SEED)
 }
 
 /// What a scenario run produced.
@@ -268,7 +121,9 @@ fn event_time(events: &[(String, f64)], name: &str) -> Option<f64> {
     events.iter().find(|(n, _)| n == name).map(|(_, t)| *t)
 }
 
-fn finish(
+/// Collects what one scenario run produced: the client fleet's recorders,
+/// the (aggregate) migration report, and the cluster's counter snapshot.
+pub fn finish(
     engine: EngineKind,
     metrics: &RunMetrics,
     migration: MigrationReport,
@@ -322,12 +177,15 @@ pub fn run_hybrid_a(kind: EngineKind, scale: &Scale) -> ScenarioResult {
         ycsb_config(scale, KeyDistribution::Uniform),
     ));
     let layout = ycsb.layout;
-    let driver =
-        Driver::start_with_think(&cluster, scale.clients, scale.think, Arc::clone(&ycsb) as _);
-    let metrics = Arc::clone(&driver.metrics);
+    let clients = OpenLoopEngine::start(
+        &cluster,
+        fixed_rate_clients(scale.clients, scale.think),
+        Arc::clone(&ycsb) as _,
+    );
+    let metrics = Arc::clone(&clients.metrics);
     let batch_tl = Arc::new(Timeline::per_second());
 
-    driver.run_for(scale.warmup);
+    clients.run_for(scale.warmup);
 
     // The ingestion client starts, runs through the consolidation, and is
     // retried on migration-induced aborts.
@@ -355,20 +213,15 @@ pub fn run_hybrid_a(kind: EngineKind, scale: &Scale) -> ScenarioResult {
     metrics.marks.mark("consolidation start", &metrics.timeline);
     metrics.set_migration_active(true);
     let plan = MigrationPlan::consolidate(&cluster, NodeId(0), scale.consolidation_group);
-    let controller = MigrationController::new(Arc::clone(&cluster), kind.engine());
-    let mut migration = MigrationReport::new(kind.name());
-    for report in controller
-        .run_plan(&plan, |_, _| {})
-        .expect("consolidation failed")
-    {
-        migration.absorb(&report);
-    }
+    let migration = MigrationController::new(Arc::clone(&cluster), kind.engine())
+        .run_plan_aggregate(&plan)
+        .expect("consolidation failed");
     metrics.set_migration_active(false);
     metrics.marks.mark("consolidation end", &metrics.timeline);
 
     let batch_report = batch_handle.join().expect("batch client panicked");
-    driver.run_for(scale.cooldown);
-    let metrics = driver.stop();
+    clients.run_for(scale.cooldown);
+    clients.stop();
 
     let mut result = finish(kind, &metrics, migration, &cluster);
     let buckets = batch_tl.buckets();
@@ -389,11 +242,14 @@ pub fn run_hybrid_b(kind: EngineKind, scale: &Scale) -> ScenarioResult {
         ycsb_config(scale, KeyDistribution::Uniform),
     ));
     let layout = ycsb.layout;
-    let driver =
-        Driver::start_with_think(&cluster, scale.clients, scale.think, Arc::clone(&ycsb) as _);
-    let metrics = Arc::clone(&driver.metrics);
+    let clients = OpenLoopEngine::start(
+        &cluster,
+        fixed_rate_clients(scale.clients, scale.think),
+        Arc::clone(&ycsb) as _,
+    );
+    let metrics = Arc::clone(&clients.metrics);
 
-    driver.run_for(scale.warmup);
+    clients.run_for(scale.warmup);
 
     // The long-lived analytical transaction: one snapshot, repeated full
     // scans with the duplicate-primary-key consistency check.
@@ -438,20 +294,15 @@ pub fn run_hybrid_b(kind: EngineKind, scale: &Scale) -> ScenarioResult {
     metrics.set_migration_active(true);
     // Figure 7: four shards per migration.
     let plan = MigrationPlan::consolidate(&cluster, NodeId(0), scale.consolidation_group * 2);
-    let controller = MigrationController::new(Arc::clone(&cluster), kind.engine());
-    let mut migration = MigrationReport::new(kind.name());
-    for report in controller
-        .run_plan(&plan, |_, _| {})
-        .expect("consolidation failed")
-    {
-        migration.absorb(&report);
-    }
+    let migration = MigrationController::new(Arc::clone(&cluster), kind.engine())
+        .run_plan_aggregate(&plan)
+        .expect("consolidation failed");
     metrics.set_migration_active(false);
     metrics.marks.mark("consolidation end", &metrics.timeline);
 
     analytic_handle.join().expect("analytic client panicked");
-    driver.run_for(scale.cooldown);
-    let metrics = driver.stop();
+    clients.run_for(scale.cooldown);
+    clients.stop();
 
     // Post-consolidation consistency probe from a fresh snapshot.
     let analytical = AnalyticalClient { layout };
@@ -494,10 +345,13 @@ pub fn run_load_balance(kind: EngineKind, scale: &Scale) -> ScenarioResult {
         }
     }));
 
-    let driver =
-        Driver::start_with_think(&cluster, scale.clients, scale.think, Arc::clone(&ycsb) as _);
-    let metrics = Arc::clone(&driver.metrics);
-    driver.run_for(scale.warmup);
+    let clients = OpenLoopEngine::start(
+        &cluster,
+        fixed_rate_clients(scale.clients, scale.think),
+        Arc::clone(&ycsb) as _,
+    );
+    let metrics = Arc::clone(&clients.metrics);
+    clients.run_for(scale.warmup);
 
     // Migrate 4/5 of the hot shards to the other nodes, four at a time.
     let migrate_n = hot_count * 4 / 5;
@@ -509,19 +363,14 @@ pub fn run_load_balance(kind: EngineKind, scale: &Scale) -> ScenarioResult {
     metrics.marks.mark("balancing start", &metrics.timeline);
     metrics.set_migration_active(true);
     let plan = MigrationPlan::move_shards(&shards, NodeId(0), &dests, 4);
-    let controller = MigrationController::new(Arc::clone(&cluster), kind.engine());
-    let mut migration = MigrationReport::new(kind.name());
-    for report in controller
-        .run_plan(&plan, |_, _| {})
-        .expect("load balancing failed")
-    {
-        migration.absorb(&report);
-    }
+    let migration = MigrationController::new(Arc::clone(&cluster), kind.engine())
+        .run_plan_aggregate(&plan)
+        .expect("load balancing failed");
     metrics.set_migration_active(false);
     metrics.marks.mark("balancing end", &metrics.timeline);
 
-    driver.run_for(scale.cooldown);
-    let metrics = driver.stop();
+    clients.run_for(scale.cooldown);
+    clients.stop();
     finish(kind, &metrics, migration, &cluster)
 }
 
@@ -557,37 +406,35 @@ pub fn run_scale_out(kind: EngineKind, scale: &Scale) -> ScenarioResult {
             }
         },
     ));
-    let driver = Driver::start_with_think(
+    let clients = OpenLoopEngine::start(
         &cluster,
-        scale.tpcc_clients,
-        scale.think,
+        fixed_rate_clients(scale.tpcc_clients, scale.think),
         Arc::clone(&tpcc) as _,
     );
-    let metrics = Arc::clone(&driver.metrics);
-    driver.run_for(scale.warmup);
+    let metrics = Arc::clone(&clients.metrics);
+    clients.run_for(scale.warmup);
 
     // Move half of node 0's warehouses (all 8 collocated shards each) to
     // the new node, one warehouse per migration.
     metrics.marks.mark("scale-out start", &metrics.timeline);
     metrics.set_migration_active(true);
-    let controller = MigrationController::new(Arc::clone(&cluster), kind.engine());
-    let mut migration = MigrationReport::new(kind.name());
-    for wh in 0..share {
-        let task = MigrationTask {
-            shards: tpcc.warehouse_shards(wh),
-            source: NodeId(0),
-            dest: NodeId(nodes - 1),
-        };
-        let report = controller
-            .run_task(&task)
-            .expect("scale-out migration failed");
-        migration.absorb(&report);
-    }
+    let plan = MigrationPlan {
+        tasks: (0..share)
+            .map(|wh| MigrationTask {
+                shards: tpcc.warehouse_shards(wh),
+                source: NodeId(0),
+                dest: NodeId(nodes - 1),
+            })
+            .collect(),
+    };
+    let migration = MigrationController::new(Arc::clone(&cluster), kind.engine())
+        .run_plan_aggregate(&plan)
+        .expect("scale-out migration failed");
     metrics.set_migration_active(false);
     metrics.marks.mark("scale-out end", &metrics.timeline);
 
-    driver.run_for(scale.cooldown);
-    let metrics = driver.stop();
+    clients.run_for(scale.cooldown);
+    clients.stop();
     finish(kind, &metrics, migration, &cluster)
 }
 
@@ -644,8 +491,12 @@ pub fn run_high_contention(scale: &Scale) -> HighContentionResult {
         keys: Arc::clone(&hot_keys),
         value_len: scale.value_len,
     });
-    let driver = Driver::start_with_think(&cluster, scale.clients * 2, scale.think, workload as _);
-    let metrics = Arc::clone(&driver.metrics);
+    let clients = OpenLoopEngine::start(
+        &cluster,
+        fixed_rate_clients(scale.clients * 2, scale.think),
+        workload as _,
+    );
+    let metrics = Arc::clone(&clients.metrics);
 
     // Sampler: per-second node work deltas and chain length.
     let stop_sampler = Arc::new(AtomicBool::new(false));
@@ -682,7 +533,7 @@ pub fn run_high_contention(scale: &Scale) -> HighContentionResult {
         })
     };
 
-    driver.run_for(scale.warmup);
+    clients.run_for(scale.warmup);
     metrics.marks.mark("migration start", &metrics.timeline);
     metrics.set_migration_active(true);
     let task = MigrationTask::single(shard, NodeId(0), NodeId(1));
@@ -691,11 +542,11 @@ pub fn run_high_contention(scale: &Scale) -> HighContentionResult {
         .expect("migration failed");
     metrics.set_migration_active(false);
     metrics.marks.mark("migration end", &metrics.timeline);
-    driver.run_for(scale.cooldown);
+    clients.run_for(scale.cooldown);
 
     stop_sampler.store(true, Ordering::Relaxed);
     let samples = sampler.join().expect("sampler panicked");
-    let metrics = driver.stop();
+    clients.stop();
     HighContentionResult {
         tps: metrics.timeline.rates_per_sec(),
         samples,
@@ -711,27 +562,59 @@ pub fn run_high_contention(scale: &Scale) -> HighContentionResult {
     }
 }
 
+/// The first trace of `migration`, asserted well-formed and in `kind`'s
+/// canonical root-phase order.
+pub fn checked_trace<'a>(
+    label: &str,
+    kind: EngineKind,
+    migration: &'a MigrationReport,
+) -> &'a MigrationTrace {
+    let trace = migration
+        .traces
+        .first()
+        .unwrap_or_else(|| panic!("{label}: migration recorded no trace"));
+    trace
+        .check_well_formed()
+        .unwrap_or_else(|e| panic!("{label}: malformed migration trace: {e}"));
+    assert_eq!(
+        trace.root_phases(),
+        expected_phases(kind.name()).expect("every engine has a canonical sequence"),
+        "{label}: unexpected phase sequence"
+    );
+    trace
+}
+
+/// The `main` of the per-engine figure bins (`fig6`–`fig9`): runs `runner`
+/// for each of `engines` (or only the one named by the first process
+/// argument), prints every run's block, and writes the `--json` report
+/// when asked.
+pub fn figure_main(
+    fig: &str,
+    caption: &str,
+    scenario: &str,
+    engines: &[EngineKind],
+    runner: fn(EngineKind, &Scale) -> ScenarioResult,
+) {
+    let scale = Scale::from_args_or_env();
+    let only = std::env::args().nth(1).and_then(|s| EngineKind::parse(&s));
+    println!("# {caption}");
+    println!("# scale: {scale:?}");
+    let mut report = BenchReport::new(fig, &format!("{scale:?}"));
+    for &kind in engines.iter().filter(|&&k| only.is_none_or(|o| o == k)) {
+        let result = runner(kind, &scale);
+        print_scenario(&result);
+        report
+            .scenarios
+            .push(ScenarioReport::from_result(scenario, &result));
+    }
+    if let Some(path) = json_path_arg() {
+        report.write(&path).expect("writing JSON report failed");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_kinds_roundtrip_names() {
-        for kind in EngineKind::all() {
-            assert_eq!(EngineKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.engine().name(), kind.name());
-        }
-        assert_eq!(EngineKind::parse("lock"), Some(EngineKind::LockAbort));
-        assert_eq!(EngineKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn squall_runs_under_shard_locks_only() {
-        assert_eq!(EngineKind::Squall.cc_mode(), CcMode::ShardLock);
-        for kind in EngineKind::push_engines() {
-            assert_eq!(kind.cc_mode(), CcMode::Mvcc);
-        }
-    }
 
     #[test]
     fn mean_rate_windows() {

@@ -19,6 +19,13 @@
 //! the machine-readable [`report::BenchReport`] document (phase span
 //! trees, cluster counters, captured tables) that `bench_check` diffs in
 //! CI.
+//!
+//! What a report is held to is written once, in [`gate`]: a table of
+//! expectations as data (`gate::GATES`) and one evaluator, called by the
+//! `bench_*` bins on the report they just wrote and by `bench_check` on
+//! both of its inputs. The pieces the bins share live in [`harness`]: the
+//! scenario runners, the one [`ScenarioResult`] collector ([`finish`]),
+//! the migration-trace check, and the `main` of `fig6`–`fig9`.
 
 pub mod gate;
 pub mod harness;
@@ -26,14 +33,11 @@ pub mod print;
 pub mod report;
 pub mod scale;
 
-pub use gate::{parse_ratio_cell, two_tier, GateTier};
 pub use harness::{
-    run_high_contention, run_hybrid_a, run_hybrid_b, run_load_balance, run_scale_out, sim_config,
-    spawn_fleet, ClientFleet, EngineKind, FleetSpec, HighContentionResult, ScenarioResult,
+    checked_trace, figure_main, finish, fixed_rate_clients, run_high_contention, run_hybrid_a,
+    run_hybrid_b, run_load_balance, run_scale_out, sim_config, EngineKind, HighContentionResult,
+    ScenarioResult, CLIENT_SEED,
 };
 pub use print::{print_events, print_scenario, print_series, print_table};
 pub use report::{json_path_arg, BenchReport, ScenarioReport, TableSection};
-
-/// Alias kept for the binaries' readability.
-pub use print::print_scenario as print_scenario_for;
 pub use scale::Scale;

@@ -2,6 +2,7 @@
 //! paper's figures and tables report.
 
 use crate::harness::ScenarioResult;
+use crate::report::TableSection;
 
 /// Prints a per-second series as `t <tab> value` rows.
 pub fn print_series(label: &str, values: &[f64]) {
@@ -20,11 +21,11 @@ pub fn print_events(events: &[(String, f64)]) {
     }
 }
 
-/// Prints a simple aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("# {title}");
-    println!("{}", headers.join("\t"));
-    for row in rows {
+/// Prints a captured table as tab-separated rows under its title.
+pub fn print_table(table: &TableSection) {
+    println!("# {}", table.title);
+    println!("{}", table.headers.join("\t"));
+    for row in &table.rows {
         println!("{}", row.join("\t"));
     }
 }
@@ -78,7 +79,11 @@ mod tests {
     fn printing_does_not_panic() {
         print_series("x", &[1.0, 2.0]);
         print_events(&[("a".into(), 1.5)]);
-        print_table("t", &["a", "b"], &[vec!["1".into(), "2".into()]]);
+        print_table(&TableSection::new(
+            "t",
+            &["a", "b"],
+            vec![vec!["1".into(), "2".into()]],
+        ));
         print_scenario(&ScenarioResult::default());
     }
 }

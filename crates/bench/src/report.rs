@@ -223,6 +223,17 @@ pub struct TableSection {
     pub rows: Vec<Vec<String>>,
 }
 
+impl TableSection {
+    /// A table of already-formatted `rows` under `title` and `headers`.
+    pub fn new(title: &str, headers: &[&str], rows: Vec<Vec<String>>) -> TableSection {
+        TableSection {
+            title: title.to_string(),
+            headers: headers.iter().map(|h| h.to_string()).collect(),
+            rows,
+        }
+    }
+}
+
 /// The top-level bench artifact.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchReport {
@@ -658,11 +669,11 @@ mod tests {
                     value: 42,
                 }],
             }],
-            tables: vec![TableSection {
-                title: "latency".to_string(),
-                headers: vec!["workload".to_string(), "remus_ms".to_string()],
-                rows: vec![vec!["hybrid A".to_string(), "0.12".to_string()]],
-            }],
+            tables: vec![TableSection::new(
+                "latency",
+                &["workload", "remus_ms"],
+                vec![vec!["hybrid A".to_string(), "0.12".to_string()]],
+            )],
         }
     }
 

@@ -19,10 +19,11 @@ pub struct Scale {
     pub ycsb_keys: u64,
     /// YCSB value bytes (paper: ~1 KB).
     pub value_len: usize,
-    /// Closed-loop YCSB clients (paper: 400).
+    /// YCSB clients (paper: 400).
     pub clients: usize,
-    /// Client think time (stands in for the paper's client-server round
-    /// trips; see `Driver::start_with_think`).
+    /// Period of each figure-runner client's fixed-rate open-loop arrival
+    /// schedule (stands in for the paper's client-server round trips).
+    /// Non-zero: a zero period would be an infinitely dense schedule.
     pub think: Duration,
     /// Shards migrated together during consolidation (paper fig. 6: 2).
     pub consolidation_group: usize,
@@ -231,6 +232,7 @@ mod tests {
             );
             assert!(scale.shards_per_node() >= 2 * scale.consolidation_group as u32);
             assert!(scale.batches > 0 && scale.batch_size > 0);
+            assert!(!scale.think.is_zero(), "think is a schedule period");
         }
     }
 

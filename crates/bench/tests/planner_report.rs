@@ -6,7 +6,9 @@
 //! change or regenerate the fixture with `cargo run --release -p
 //! remus-bench --bin bench_planner -- --json
 //! crates/bench/tests/fixtures/bench_planner_golden.json` and update
-//! `bench_check`'s planner gate if the columns moved.
+//! the `planner recovery` rows of the gate table (`src/gate.rs`) if the
+//! columns moved. That the fixture passes the table is `gate_table.rs`'s
+//! job.
 
 use remus_bench::report::{BenchReport, SCHEMA_NAME, SCHEMA_VERSION};
 use remus_common::Json;
@@ -36,7 +38,7 @@ fn golden_fixture_round_trips_losslessly() {
     );
 }
 
-/// The recovery table is what `bench_check` gates on: every row must keep
+/// The recovery table is what the gate table reads: every row must keep
 /// its policy label, a parseable trailing `N.NNx` recovery cell, and a
 /// parseable steady-throughput column.
 #[test]
@@ -76,11 +78,10 @@ fn golden_recovery_table_stays_machine_readable() {
     }
 }
 
-/// The committed run must itself satisfy the gates `bench_check` applies:
-/// the autopilot migrated at least once and its steady throughput beats
-/// the no-migration leg.
+/// No gate covers this one: the committed autopilot leg migrated at least
+/// once.
 #[test]
-fn golden_autopilot_run_passes_its_own_gates() {
+fn golden_autopilot_run_recorded_a_move() {
     let report = BenchReport::parse(GOLDEN).unwrap();
     let auto = &report.scenarios[0];
     let moves: u64 = auto
@@ -90,15 +91,4 @@ fn golden_autopilot_run_passes_its_own_gates() {
         .map(|c| c.value)
         .sum();
     assert!(moves >= 1, "golden autopilot run recorded no move");
-    let table = &report.tables[0];
-    let steady = |label: &str| -> f64 {
-        table
-            .rows
-            .iter()
-            .find(|r| r[0] == label)
-            .unwrap_or_else(|| panic!("row {label}"))[3]
-            .parse()
-            .unwrap()
-    };
-    assert!(steady("autopilot") > 1.1 * steady("no-migration"));
 }

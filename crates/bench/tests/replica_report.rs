@@ -6,7 +6,9 @@
 //! change or regenerate the fixture with `cargo run --release -p
 //! remus-bench --bin bench_replica -- --json
 //! crates/bench/tests/fixtures/bench_replica_golden.json` and update
-//! `bench_check`'s replica gate if the columns moved.
+//! the `replica read scaling` rows of the gate table (`src/gate.rs`) if
+//! the columns moved. That the fixture passes the table is
+//! `gate_table.rs`'s job.
 
 use remus_bench::report::{BenchReport, SCHEMA_NAME, SCHEMA_VERSION};
 use remus_common::Json;
@@ -42,7 +44,7 @@ fn golden_fixture_round_trips_losslessly() {
     );
 }
 
-/// The scaling table is what `bench_check` gates on: every row must keep
+/// The scaling table is what the gate table reads: every row must keep
 /// its leg label, a parseable read-throughput column, and a trailing
 /// `N.NNx` scaling cell.
 #[test]
@@ -79,30 +81,4 @@ fn golden_scaling_table_stays_machine_readable() {
             .parse::<f64>()
             .expect("scaling ratio parses");
     }
-}
-
-/// The committed run must itself satisfy the gate `bench_check` applies:
-/// the best replica leg's scaling stays above the hard floor.
-#[test]
-fn golden_replica_run_passes_its_own_gates() {
-    let report = BenchReport::parse(GOLDEN).unwrap();
-    let table = &report.tables[0];
-    let scaling = |label: &str| -> f64 {
-        table
-            .rows
-            .iter()
-            .find(|r| r[0] == label)
-            .unwrap_or_else(|| panic!("row {label}"))
-            .last()
-            .unwrap()
-            .strip_suffix('x')
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
-    let best = scaling("1-replica").max(scaling("2-replica"));
-    assert!(
-        best >= 0.4,
-        "golden replica scaling {best:.2}x under the bench_check floor"
-    );
 }

@@ -5,7 +5,7 @@
 //! schema change breaks these tests, either the change is accidental
 //! (fix the code) or intentional (bump `SCHEMA_VERSION`, regenerate the
 //! fixture with `cargo run -p remus-bench --bin bench_smoke`, and update
-//! `bench_check` if the gates moved).
+//! the gate table in `src/gate.rs` if the gated cells moved).
 
 use remus_bench::report::{BenchReport, SCHEMA_NAME, SCHEMA_VERSION};
 use remus_bench::EngineKind;

@@ -93,8 +93,8 @@ impl PlannerScenarioConfig {
     pub fn from_seed(seed: u64) -> PlannerScenarioConfig {
         let push = [
             EngineKind::Remus,
-            EngineKind::LockAndAbort,
-            EngineKind::WaitAndRemaster,
+            EngineKind::LockAbort,
+            EngineKind::Remaster,
         ];
         let oracle = if (seed / 3).is_multiple_of(2) {
             OracleKind::Gts
@@ -131,8 +131,8 @@ impl PlannerScenarioConfig {
     pub fn replica_from_seed(seed: u64, oracle: OracleKind) -> PlannerScenarioConfig {
         let push = [
             EngineKind::Remus,
-            EngineKind::LockAndAbort,
-            EngineKind::WaitAndRemaster,
+            EngineKind::LockAbort,
+            EngineKind::Remaster,
         ];
         PlannerScenarioConfig {
             seed,
@@ -350,7 +350,7 @@ pub fn run_planner_scenario(config: &PlannerScenarioConfig) -> PlannerScenarioOu
                         })
                         .collect();
                     std::thread::sleep(std::time::Duration::from_millis(5));
-                    let result = config.engine.build().migrate(&cluster, &task);
+                    let result = config.engine.engine().migrate(&cluster, &task);
                     for w in workers {
                         w.join().expect("writer thread");
                     }

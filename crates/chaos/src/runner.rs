@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use remus_clock::{
     Dts, Gts, OracleKind, PhysicalClock, SkewedPhysicalClock, TimestampOracle, WallClock,
 };
-use remus_cluster::{CcMode, Cluster, ClusterBuilder, ReplicaSession, Session};
+use remus_cluster::{Cluster, ClusterBuilder, ReplicaSession, Session};
 use remus_common::{
     IsolationLevel, NodeId, ParallelismConfig, ShardId, SimConfig, TableId, Timestamp, TxnId,
     WalConfig,
@@ -33,10 +33,8 @@ use remus_core::diversion::{run_tm_chaos, TmOutcome};
 use remus_core::recovery::{recover_migration, RecoveryDecision};
 use remus_core::snapshot::copy_task_snapshots;
 use remus_core::trace::expected_phases;
-use remus_core::{
-    LockAndAbort, MigrationEngine, MigrationReport, MigrationTask, RemusEngine, SquallEngine,
-    WaitAndRemaster,
-};
+pub use remus_core::EngineKind;
+use remus_core::{MigrationReport, MigrationTask};
 use remus_shard::TableLayout;
 use remus_storage::Value;
 use remus_txn::ReplaySummary;
@@ -47,57 +45,6 @@ use crate::checker::{
 use crate::history::{HistoryLog, MutKind, OpRead, OpWrite, TxnRecord};
 use crate::net::FaultyNetwork;
 use crate::plan::{FaultPlan, FaultProfile, FaultSpec, PlanInjector, REPLICA_NODE};
-
-/// Which migration engine a scenario exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The paper's engine (asynchronous propagation + MOCC dual execution).
-    Remus,
-    /// The lock-and-abort push baseline.
-    LockAndAbort,
-    /// The wait-and-remaster (drain) baseline.
-    WaitAndRemaster,
-    /// The Squall-style pull baseline (H-store shard locks).
-    Squall,
-}
-
-impl EngineKind {
-    /// All four engines, in seed-residue order.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Remus,
-        EngineKind::LockAndAbort,
-        EngineKind::WaitAndRemaster,
-        EngineKind::Squall,
-    ];
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Remus => "remus",
-            EngineKind::LockAndAbort => "lock-and-abort",
-            EngineKind::WaitAndRemaster => "wait-and-remaster",
-            EngineKind::Squall => "squall",
-        }
-    }
-
-    /// Builds the engine.
-    pub fn build(self) -> Box<dyn MigrationEngine> {
-        match self {
-            EngineKind::Remus => Box::new(RemusEngine::new()),
-            EngineKind::LockAndAbort => Box::new(LockAndAbort::new()),
-            EngineKind::WaitAndRemaster => Box::new(WaitAndRemaster::new()),
-            EngineKind::Squall => Box::new(SquallEngine::new()),
-        }
-    }
-
-    /// The concurrency-control mode the engine requires.
-    pub fn cc_mode(self) -> CcMode {
-        match self {
-            EngineKind::Squall => CcMode::ShardLock,
-            _ => CcMode::Mvcc,
-        }
-    }
-}
 
 /// Full description of one chaos scenario.
 #[derive(Debug, Clone)]
@@ -142,7 +89,7 @@ impl ScenarioConfig {
     /// oracle alternates GTS/DTS, and every second Remus seed crashes
     /// `T_m` instead of running the tolerated-fault profile.
     pub fn from_seed(seed: u64) -> ScenarioConfig {
-        let engine = EngineKind::ALL[(seed % 4) as usize];
+        let engine = EngineKind::all()[(seed % 4) as usize];
         let profile = if engine == EngineKind::Remus && seed % 8 == 4 {
             FaultProfile::CrashTm
         } else {
@@ -246,8 +193,8 @@ impl ScenarioConfig {
     pub fn serializable(seed: u64, oracle: OracleKind) -> ScenarioConfig {
         let push = [
             EngineKind::Remus,
-            EngineKind::LockAndAbort,
-            EngineKind::WaitAndRemaster,
+            EngineKind::LockAbort,
+            EngineKind::Remaster,
         ];
         ScenarioConfig {
             seed,
@@ -464,7 +411,7 @@ pub fn run_scenario_with_specs(
                 .collect();
             // Let the workload get going before the migration starts.
             std::thread::sleep(std::time::Duration::from_millis(10));
-            match config.engine.build().migrate(&cluster, &task) {
+            match config.engine.engine().migrate(&cluster, &task) {
                 Ok(report) => {
                     migration_committed = true;
                     trace_violations = check_migration_traces(&report);
@@ -530,7 +477,7 @@ pub fn run_scenario_with_specs(
                 })
                 .collect();
             std::thread::sleep(std::time::Duration::from_millis(10));
-            match config.engine.build().migrate(&cluster, &task) {
+            match config.engine.engine().migrate(&cluster, &task) {
                 Ok(report) => {
                     migration_committed = true;
                     trace_violations = check_migration_traces(&report);
@@ -696,7 +643,7 @@ pub fn run_scenario_with_specs(
             }
             let summary = cluster.restart_node(victim).expect("restart_node");
             restart = Some((victim, summary));
-            match config.engine.build().migrate(&cluster, &task) {
+            match config.engine.engine().migrate(&cluster, &task) {
                 Ok(report) => {
                     migration_committed = true;
                     trace_violations = check_migration_traces(&report);
@@ -1057,20 +1004,6 @@ fn record_replica_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_kinds_cover_all_seed_residues() {
-        for seed in 0..8u64 {
-            let cfg = ScenarioConfig::from_seed(seed);
-            assert_eq!(cfg.engine, EngineKind::ALL[(seed % 4) as usize]);
-        }
-        // Seed 4 is the canonical crash drill.
-        assert_eq!(ScenarioConfig::from_seed(4).profile, FaultProfile::CrashTm);
-        assert_eq!(
-            ScenarioConfig::from_seed(0).profile,
-            FaultProfile::Tolerated
-        );
-    }
 
     #[test]
     fn smoke_scenario_passes_and_is_deterministic() {

@@ -15,8 +15,8 @@ use remus_common::NodeId;
 /// H-store partition locks client-side and is out of scope for the drill.
 const ENGINES: [EngineKind; 3] = [
     EngineKind::Remus,
-    EngineKind::LockAndAbort,
-    EngineKind::WaitAndRemaster,
+    EngineKind::LockAbort,
+    EngineKind::Remaster,
 ];
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -108,7 +108,7 @@ fn restart_scenario_is_deterministic_in_verdict() {
 #[test]
 fn restart_scenario_cleans_up_wal_segments() {
     let dir = tempdir("hygiene");
-    let config = ScenarioConfig::crash_restart(1, EngineKind::LockAndAbort, OracleKind::Dts, &dir);
+    let config = ScenarioConfig::crash_restart(1, EngineKind::LockAbort, OracleKind::Dts, &dir);
     let outcome = run_scenario(&config);
     assert!(outcome.passed(), "violations: {:?}", outcome.violations);
     // The scenario wrote real segments for every node...

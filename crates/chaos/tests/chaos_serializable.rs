@@ -73,8 +73,8 @@ fn serializable_seeds_cover_every_push_engine() {
         .collect();
     for kind in [
         EngineKind::Remus,
-        EngineKind::LockAndAbort,
-        EngineKind::WaitAndRemaster,
+        EngineKind::LockAbort,
+        EngineKind::Remaster,
     ] {
         assert!(engines.contains(&kind), "{kind:?} never runs");
     }

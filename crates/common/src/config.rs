@@ -38,8 +38,6 @@ pub struct WalConfig {
     /// Rotate to a new segment file once the current one holds at least this
     /// many payload bytes. Small values exercise rotation in tests.
     pub segment_bytes: u64,
-    /// Maximum records the group-commit flusher writes per fsync batch.
-    pub group_commit_batch: usize,
 }
 
 impl WalConfig {
@@ -48,7 +46,6 @@ impl WalConfig {
         WalConfig {
             backend: WalBackendKind::Memory,
             segment_bytes: 4 * 1024 * 1024,
-            group_commit_batch: 256,
         }
     }
 
@@ -393,35 +390,6 @@ impl SimConfig {
             isolation: IsolationLevel::SnapshotIsolation,
         }
     }
-
-    /// The default "paper-shaped" configuration used by the figure
-    /// harnesses: relative costs mirror the testbed in §4.1.
-    pub fn paper_shaped() -> Self {
-        SimConfig {
-            network_latency: Duration::from_micros(100),
-            squall_pull_latency: Duration::from_millis(25),
-            squall_chunk_keys: 512,
-            parallelism: ParallelismConfig {
-                copy_workers: 8,
-                replay_workers: 18,
-                chunk_size: 1024,
-                drain_batch: 64,
-            },
-            hot_path: HotPathConfig {
-                index_stripes: 8,
-                gc_interval: Duration::ZERO,
-                gts_lease: 1,
-            },
-            catchup_threshold: 64,
-            spill_threshold: 4096,
-            spill_reload_latency: Duration::from_micros(200),
-            max_clock_skew: Duration::from_millis(1),
-            snapshot_copy_per_tuple: Duration::from_nanos(800),
-            lock_wait_timeout: Duration::from_secs(30),
-            wal: WalConfig::memory(),
-            isolation: IsolationLevel::SnapshotIsolation,
-        }
-    }
 }
 
 impl Default for SimConfig {
@@ -439,16 +407,6 @@ mod tests {
         let c = SimConfig::instant();
         assert_eq!(c.network_latency, Duration::ZERO);
         assert_eq!(c.squall_pull_latency, Duration::ZERO);
-    }
-
-    #[test]
-    fn paper_shaped_orders_costs_like_the_testbed() {
-        let c = SimConfig::paper_shaped();
-        // A chunk pull must dwarf a network hop, which must dwarf a tuple
-        // copy — this ordering is what produces the paper's Squall collapse.
-        assert!(c.squall_pull_latency > 10 * c.network_latency);
-        assert!(c.network_latency > c.snapshot_copy_per_tuple);
-        assert_eq!(c.parallelism.replay_workers, 18);
     }
 
     #[test]
@@ -509,25 +467,22 @@ mod tests {
         // the real-time recency model (leases), so every preset keeps them
         // off; only the striping — semantically invisible — is on by
         // default.
-        for c in [SimConfig::instant(), SimConfig::paper_shaped()] {
-            assert_eq!(c.hot_path.gc_interval, Duration::ZERO);
-            assert_eq!(c.hot_path.gts_lease, 1);
-            assert!(c.hot_path.index_stripes >= 1);
-        }
+        let c = SimConfig::instant();
+        assert_eq!(c.hot_path.gc_interval, Duration::ZERO);
+        assert_eq!(c.hot_path.gts_lease, 1);
+        assert!(c.hot_path.index_stripes >= 1);
     }
 
     #[test]
     fn wal_defaults_to_memory_in_every_preset() {
         // Durability is opt-in: existing tests and benches keep the exact
         // in-memory timing unless a config points the WAL at a directory.
-        for c in [SimConfig::instant(), SimConfig::paper_shaped()] {
-            assert_eq!(c.wal.backend, WalBackendKind::Memory);
-            assert!(!c.wal.is_durable());
-        }
+        let c = SimConfig::instant();
+        assert_eq!(c.wal.backend, WalBackendKind::Memory);
+        assert!(!c.wal.is_durable());
         let file = WalConfig::file("/tmp/wal");
         assert!(file.is_durable());
         assert!(file.segment_bytes > 0);
-        assert!(file.group_commit_batch >= 1);
     }
 
     #[test]
@@ -536,8 +491,9 @@ mod tests {
         // dangerous-structure aborts change both memory use and which
         // transactions survive, so no preset may turn it on.
         assert_eq!(IsolationLevel::default(), IsolationLevel::SnapshotIsolation);
-        for c in [SimConfig::instant(), SimConfig::paper_shaped()] {
-            assert_eq!(c.isolation, IsolationLevel::SnapshotIsolation);
-        }
+        assert_eq!(
+            SimConfig::instant().isolation,
+            IsolationLevel::SnapshotIsolation
+        );
     }
 }

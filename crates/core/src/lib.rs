@@ -59,7 +59,7 @@ pub use lock_abort::LockAndAbort;
 pub use remaster::WaitAndRemaster;
 pub use remus::RemusEngine;
 pub use replication::{start_replica, ReplicaProcess, StreamApplier};
-pub use report::{MigrationEngine, MigrationReport, MigrationTask};
+pub use report::{EngineKind, MigrationEngine, MigrationReport, MigrationTask};
 pub use squall::SquallEngine;
 pub use ssi_handover::{doom_ssi_straddlers, hand_over_ssi_state};
 pub use trace::{MigrationTrace, Span, SpanId, TraceRecorder};

@@ -392,8 +392,10 @@ mod tests {
             },
         );
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        // Pure read pressure until the pilot provisions a replica.
-        while cluster.replica_ids().is_empty() {
+        // Pure read pressure until the pilot publishes a certified replica:
+        // `replica_ids()` turns non-empty at registration, before
+        // certification, so the offload flag is the state to poll.
+        while !cluster.read_offload_enabled() {
             for k in 0..64u64 {
                 session.run(|t| t.read(&layout, k)).unwrap();
             }
@@ -402,7 +404,7 @@ mod tests {
                 "autopilot never provisioned a replica for a read-only hotspot"
             );
         }
-        assert!(cluster.read_offload_enabled());
+        assert!(!cluster.replica_ids().is_empty());
         // Demand stops; the load window decays below the read floor and
         // the pilot retires the replica.
         while !cluster.replica_ids().is_empty() {

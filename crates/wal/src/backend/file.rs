@@ -61,6 +61,8 @@ pub const SEGMENT_HEADER_LEN: usize = 8 + 4 + 8;
 pub const FRAME_PREFIX_LEN: usize = 4 + 4;
 /// Sanity ceiling on a single frame payload; anything larger is damage.
 const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
+/// Maximum records the group-commit flusher writes per fsync batch.
+const GROUP_COMMIT_BATCH: usize = 256;
 
 /// How a sync is performed — the seam the group-commit fault tests mock.
 ///
@@ -194,7 +196,6 @@ impl FileBackend {
         let io = FlusherIo {
             dir: dir.to_path_buf(),
             segment_bytes: config.segment_bytes.max(SEGMENT_HEADER_LEN as u64 + 1),
-            batch: config.group_commit_batch.max(1),
             sync,
             cur: None,
             cur_bytes: 0,
@@ -326,7 +327,6 @@ fn encode_frame(lsn: u64, record: &LogRecord) -> Vec<u8> {
 struct FlusherIo {
     dir: PathBuf,
     segment_bytes: u64,
-    batch: usize,
     sync: Arc<dyn SyncPolicy>,
     cur: Option<File>,
     cur_bytes: u64,
@@ -392,7 +392,7 @@ fn run_flusher(shared: Arc<Shared>, mut io: FlusherIo) {
             if st.frames.is_empty() {
                 break; // drain complete
             }
-            let take = st.frames.len().min(io.batch);
+            let take = st.frames.len().min(GROUP_COMMIT_BATCH);
             st.frames.drain(..take).collect::<Vec<_>>()
         };
         let last = batch.last().expect("non-empty batch").0;

@@ -18,7 +18,7 @@
 //! * latency is recorded **against the intended arrival time**, so
 //!   queueing delay under migration shows up in p99 instead of vanishing.
 //!
-//! [`Pacing::ClosedLoop`] keeps the legacy semantics (next arrival =
+//! [`Pacing::ClosedLoop`] keeps the closed-loop semantics (next arrival =
 //! completion + think, latency = service time) for workloads that really
 //! are closed-loop, e.g. fixed-work bench legs.
 
@@ -38,7 +38,7 @@ use crate::driver::{RunMetrics, Workload};
 /// How a logical client paces its transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pacing {
-    /// Legacy closed loop: the next transaction becomes due `think` after
+    /// Closed loop: the next transaction becomes due `think` after
     /// the previous one *completes*; latency is service time. Use only for
     /// genuinely closed workloads (fixed-work bench legs) — a stalled
     /// server silently stops the load (coordinated omission).
@@ -258,8 +258,8 @@ impl EngineConfig {
         }
     }
 
-    /// A closed-loop config (legacy driver semantics): one worker per
-    /// client unless overridden, latency = service time.
+    /// A closed-loop config: one worker per client unless overridden,
+    /// latency = service time.
     pub fn closed_loop(clients: usize, think: Duration, seed: u64) -> Self {
         EngineConfig {
             clients,
@@ -346,7 +346,7 @@ struct WorkerOut {
     last_commit_ts: Timestamp,
 }
 
-/// A running open-loop (or legacy closed-loop) client fleet.
+/// A running open-loop (or closed-loop) client fleet.
 pub struct OpenLoopEngine {
     /// Shared transaction metrics, available mid-run for migration marks.
     pub metrics: Arc<RunMetrics>,
@@ -407,7 +407,7 @@ impl OpenLoopEngine {
         }
     }
 
-    /// Lets the fleet run for `d` (convenience mirror of the old driver).
+    /// Lets the fleet run for `d`.
     pub fn run_for(&self, d: Duration) {
         std::thread::sleep(d);
     }
@@ -606,6 +606,92 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remus_cluster::{ClusterBuilder, Session, SessionTxn};
+    use remus_common::{NodeId, TableId};
+    use remus_storage::Value;
+
+    /// The one engine path the integration suites (all open-loop) do not
+    /// drive: closed-loop clients execute, commit, and record service time.
+    #[test]
+    fn closed_loop_fleet_runs_and_counts_commits() {
+        let cluster = ClusterBuilder::new(2).build();
+        let layout = cluster.create_table(TableId(1), 0, 4, |i| NodeId(i % 2));
+        let session = Session::connect(&cluster, NodeId(0));
+        for k in 0..50 {
+            session
+                .run(|t| t.insert(&layout, k, Value::copy_from_slice(b"v")))
+                .unwrap();
+        }
+        let workload = move |_c: ClientId, txn: &mut SessionTxn<'_>, rng: &mut SmallRng| {
+            txn.read(&layout, rng.gen_range(0..50u64))?;
+            Ok(())
+        };
+        let engine = OpenLoopEngine::start(
+            &cluster,
+            EngineConfig::closed_loop(4, Duration::ZERO, 0x5EED),
+            Arc::new(workload),
+        );
+        engine.run_for(Duration::from_millis(200));
+        let metrics = engine.stop().metrics;
+        assert!(metrics.counters.commits() > 0);
+        assert_eq!(metrics.counters.migration_aborts(), 0);
+        assert!(!metrics.timeline.buckets().is_empty());
+        assert!(metrics.latency_normal.count() > 0);
+    }
+
+    /// The coordinated-omission regression: a single long stall must
+    /// inflate the tail of the *recorded* distribution, because every
+    /// arrival that was due during the stall is measured from its intended
+    /// time. A service-time recorder takes exactly one slow sample here
+    /// and the tail stays flat.
+    #[test]
+    fn stalled_server_inflates_co_safe_p99() {
+        use std::sync::atomic::AtomicU64;
+
+        let cluster = ClusterBuilder::new(1).build();
+        let layout = cluster.create_table(TableId(1), 0, 2, |_| NodeId(0));
+        let session = Session::connect(&cluster, NodeId(0));
+        session
+            .run(|t| t.insert(&layout, 1, Value::copy_from_slice(b"v")))
+            .unwrap();
+        let calls = Arc::new(AtomicU64::new(0));
+        let calls2 = Arc::clone(&calls);
+        let workload = move |_c: ClientId, txn: &mut SessionTxn<'_>, _r: &mut SmallRng| {
+            // One 200 ms stall early in the run, then fast.
+            if calls2.fetch_add(1, Ordering::Relaxed) == 5 {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            txn.read(&layout, 1)?;
+            Ok(())
+        };
+        // Open-loop 2 ms schedule: ~100 arrivals fall due during the stall.
+        let pacing = Pacing::FixedRate {
+            period: Duration::from_millis(2),
+        };
+        let engine = OpenLoopEngine::start(
+            &cluster,
+            EngineConfig::open_loop(1, 1, pacing, 0x5EED),
+            Arc::new(workload),
+        );
+        engine.run_for(Duration::from_millis(700));
+        let report = engine.stop();
+        let lat = &report.metrics.latency_normal;
+        assert!(
+            lat.percentile(0.99) >= Duration::from_millis(50),
+            "stall must surface in p99, got {:?}",
+            lat.percentile(0.99)
+        );
+        // The distinguishing signal vs service-time recording: *many*
+        // samples carry the stall, not just the one stalled transaction.
+        let slow: u64 = lat
+            .bucket_counts()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i >= 14) // buckets >= ~16.4 ms
+            .map(|(_, &n)| n)
+            .sum();
+        assert!(slow >= 8, "expected many inflated samples, got {slow}");
+    }
 
     #[test]
     fn fixed_rate_schedule_is_periodic_after_phase() {

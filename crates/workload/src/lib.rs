@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Benchmark workloads and the closed-loop driver (paper §4.3).
+//! Benchmark workloads and the client engine that offers them (paper §4.3).
 //!
 //! * [`ycsb`] — YCSB: 50% reads / 50% updates over a keyspace with uniform
 //!   or Zipfian access, multi-statement interactive transactions (the
@@ -18,9 +18,9 @@
 //!   multiplexing hundreds of logical clients over seeded arrival
 //!   schedules (fixed-rate / Poisson), bounded per-worker queues with
 //!   drop/park accounting, and coordinated-omission-safe latency.
-//! * [`driver`] — the legacy driver API as a facade over the engine, with
-//!   per-second throughput timelines, abort classification, and
-//!   before/during-migration latency buckets (Table 3).
+//! * [`driver`] — the [`Workload`] trait and the [`RunMetrics`] the engine
+//!   records into: per-second throughput timelines, abort classification,
+//!   and before/during-migration latency buckets (Table 3).
 
 pub mod driver;
 pub mod engine;
@@ -28,7 +28,7 @@ pub mod hybrid;
 pub mod tpcc;
 pub mod ycsb;
 
-pub use driver::{Driver, RunMetrics, Workload};
+pub use driver::{RunMetrics, Workload};
 pub use engine::{
     arrival_schedule, Admission, ArrivalGen, BoundedQueue, EngineConfig, EngineReport,
     OpenLoopEngine, Pacing,

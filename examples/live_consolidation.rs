@@ -12,7 +12,7 @@ use remus::common::{NodeId, SimConfig};
 use remus::migration::{
     LockAndAbort, MigrationController, MigrationEngine, MigrationPlan, RemusEngine,
 };
-use remus::workload::driver::Driver;
+use remus::workload::engine::{EngineConfig, OpenLoopEngine, Pacing};
 use remus::workload::ycsb::{Ycsb, YcsbConfig};
 
 fn consolidate(engine: Arc<dyn MigrationEngine>) {
@@ -27,27 +27,29 @@ fn consolidate(engine: Arc<dyn MigrationEngine>) {
         },
     ));
 
-    let driver = Driver::start_with_think(
+    let pacing = Pacing::FixedRate {
+        period: Duration::from_micros(500),
+    };
+    let clients = OpenLoopEngine::start(
         &cluster,
-        6,
-        Duration::from_micros(500),
+        EngineConfig::open_loop(6, 6, pacing, 0x5EED),
         Arc::clone(&ycsb) as _,
     );
-    driver.run_for(Duration::from_secs(1));
+    clients.run_for(Duration::from_secs(1));
 
     // Remove node 0: move all of its shards to the other five nodes.
     let name = engine.name();
     let plan = MigrationPlan::consolidate(&cluster, NodeId(0), 2);
     let migrations = plan.len();
     let controller = MigrationController::new(Arc::clone(&cluster), engine);
-    driver.metrics.set_migration_active(true);
+    clients.metrics.set_migration_active(true);
     controller
         .run_plan(&plan, |_, _| {})
         .expect("consolidation failed");
-    driver.metrics.set_migration_active(false);
+    clients.metrics.set_migration_active(false);
 
-    driver.run_for(Duration::from_secs(1));
-    let metrics = driver.stop();
+    clients.run_for(Duration::from_secs(1));
+    let metrics = clients.stop().metrics;
     println!(
         "{name:>18}: {migrations} migrations | commits={} | migration-induced aborts={} | \
          ww aborts={} | latency increase={:.2} ms",

@@ -12,7 +12,7 @@ use remus::cluster::ClusterBuilder;
 use remus::common::{NodeId, ShardId, SimConfig};
 use remus::migration::{MigrationController, MigrationPlan, RemusEngine};
 use remus::shard::key_hash;
-use remus::workload::driver::Driver;
+use remus::workload::engine::{EngineConfig, OpenLoopEngine, Pacing};
 use remus::workload::ycsb::{KeyDistribution, Ycsb, YcsbConfig, Zipfian};
 
 fn main() {
@@ -48,28 +48,30 @@ fn main() {
         }
     }));
 
-    let driver = Driver::start_with_think(
+    let pacing = Pacing::FixedRate {
+        period: Duration::from_micros(400),
+    };
+    let clients = OpenLoopEngine::start(
         &cluster,
-        8,
-        Duration::from_micros(400),
+        EngineConfig::open_loop(8, 8, pacing, 0x5EED),
         Arc::clone(&ycsb) as _,
     );
-    driver.run_for(Duration::from_secs(2));
-    let before = driver.metrics.counters.commits();
+    clients.run_for(Duration::from_secs(2));
+    let before = clients.metrics.counters.commits();
 
     // Spread four of the six hot shards over the other nodes.
     let shards: Vec<ShardId> = hot[..4].iter().map(|&i| ShardId(i as u64)).collect();
     let plan =
         MigrationPlan::move_shards(&shards, NodeId(0), &[NodeId(1), NodeId(2), NodeId(3)], 2);
     let controller = MigrationController::new(Arc::clone(&cluster), Arc::new(RemusEngine::new()));
-    driver.metrics.set_migration_active(true);
+    clients.metrics.set_migration_active(true);
     controller
         .run_plan(&plan, |_, _| {})
         .expect("load balancing failed");
-    driver.metrics.set_migration_active(false);
+    clients.metrics.set_migration_active(false);
 
-    driver.run_for(Duration::from_secs(2));
-    let metrics = driver.stop();
+    clients.run_for(Duration::from_secs(2));
+    let metrics = clients.stop().metrics;
     let after = metrics.counters.commits() - before;
     println!(
         "commits: {before} in the 2s before balancing, {after} in the ~2s after \

@@ -39,12 +39,12 @@ fn chaos_seeds_remus() {
 
 #[test]
 fn chaos_seeds_lock_and_abort() {
-    run_residue(1, EngineKind::LockAndAbort);
+    run_residue(1, EngineKind::LockAbort);
 }
 
 #[test]
 fn chaos_seeds_wait_and_remaster() {
-    run_residue(2, EngineKind::WaitAndRemaster);
+    run_residue(2, EngineKind::Remaster);
 }
 
 #[test]
@@ -66,8 +66,8 @@ fn parallel_copy_worker_crashes_preserve_si() {
 
     let push = [
         EngineKind::Remus,
-        EngineKind::LockAndAbort,
-        EngineKind::WaitAndRemaster,
+        EngineKind::LockAbort,
+        EngineKind::Remaster,
     ];
     let mut ran = 0;
     for seed in 0..16u64 {

@@ -55,12 +55,12 @@ fn planner_chaos_seeds_remus() {
 
 #[test]
 fn planner_chaos_seeds_lock_and_abort() {
-    run_residue(1, EngineKind::LockAndAbort);
+    run_residue(1, EngineKind::LockAbort);
 }
 
 #[test]
 fn planner_chaos_seeds_wait_and_remaster() {
-    run_residue(2, EngineKind::WaitAndRemaster);
+    run_residue(2, EngineKind::Remaster);
 }
 
 /// The determinism contract: same seed, same decisions — byte-for-byte.
