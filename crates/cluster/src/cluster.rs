@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use remus_clock::{Dts, Gts, OracleKind, TimestampOracle};
@@ -17,10 +17,13 @@ use crate::load::{ShardLoadSnapshot, ShardLoadTracker};
 use crate::node::Node;
 use crate::replica::{ReplicaHandle, ReplicaRegistry};
 
-/// Chains visited per shard by each background [`Cluster::gc_tick`]: enough
-/// to sweep a hot shard within a few ticks without stalling foreground
-/// traffic behind stripe write locks.
+/// Pending chains visited per shard by each background
+/// [`Cluster::gc_tick`]: far above what writers enqueue between two ticks,
+/// and a bound on one tick after a long-pinned snapshot is released.
 const GC_CHAINS_PER_TICK: usize = 4096;
+
+/// WAL-truncation cadence of the maintenance thread.
+const WAL_TRUNCATE_PERIOD: Duration = Duration::from_millis(50);
 
 /// Which concurrency-control regime sessions run under.
 ///
@@ -72,6 +75,48 @@ impl SnapshotRegistry {
     /// The oldest active snapshot, if any.
     pub fn oldest(&self) -> Option<Timestamp> {
         self.active.lock().keys().next().map(|&t| Timestamp(t))
+    }
+
+    /// The oldest active snapshot, or — with none active — `fallback()`
+    /// read in the same critical section, symmetric with how
+    /// [`Cluster::acquire_snapshot`] registers: a snapshot is either
+    /// registered before this call (and returned) or acquired after the
+    /// fallback was read. Reading the fallback after releasing the lock
+    /// would let a begin *and* a later commit slip in between, and the
+    /// result would pass a snapshot that is already active.
+    pub fn oldest_or(&self, fallback: impl FnOnce() -> Timestamp) -> Timestamp {
+        let active = self.active.lock();
+        match active.keys().next() {
+            Some(&t) => Timestamp(t),
+            None => fallback(),
+        }
+    }
+}
+
+/// One periodic duty of the maintenance thread, on an absolute deadline: a
+/// duty that overruns delays the others once, it does not stretch their
+/// period the way counting sleeps does.
+struct Periodic {
+    period: Duration,
+    next: Instant,
+}
+
+impl Periodic {
+    fn new(period: Duration, now: Instant) -> Self {
+        Periodic {
+            period,
+            next: now + period,
+        }
+    }
+
+    /// True when the duty is due at `now`; its next run is then one period
+    /// from `now`, so a stall is not followed by a burst of catch-up runs.
+    fn due(&mut self, now: Instant) -> bool {
+        let due = now >= self.next;
+        if due {
+            self.next = now + self.period;
+        }
+        due
     }
 }
 
@@ -690,38 +735,33 @@ impl Cluster {
     /// the watermark must not pass the lowest timestamp the oracle can still
     /// hand out. Version-chain GC may discard any version shadowed as of
     /// this watermark.
+    ///
+    /// Order matters. The floor is read first: a snapshot acquired after
+    /// that read is at or above it, and one acquired before it is already
+    /// registered when the registry is read. The clock fallback is read
+    /// inside the registry's critical section
+    /// ([`SnapshotRegistry::oldest_or`]) for the same reason.
     pub fn safe_ts_watermark(&self) -> Timestamp {
+        let floor = self.oracle.min_unissued();
         let base = self
             .snapshots
-            .oldest()
-            .unwrap_or_else(|| self.oracle.start_ts(self.nodes[0].storage.id));
-        match self.oracle.min_unissued() {
-            Some(floor) => base.min(floor),
-            None => base,
-        }
+            .oldest_or(|| self.oracle.start_ts(self.nodes[0].storage.id));
+        floor.map_or(base, |floor| base.min(floor))
     }
 
-    /// One vacuum pass over every data shard: horizon is the oldest pinned
-    /// snapshot, or the current clock when nothing is pinned.
+    /// One vacuum pass over every data shard: [`Cluster::gc_tick`] without
+    /// a budget. Returns versions freed.
     pub fn vacuum_tick(&self) -> usize {
-        let horizon = self.safe_ts_watermark();
-        let mut freed = 0;
-        for node in &self.nodes {
-            for shard in node.data_shards() {
-                if let Some(table) = node.storage.table(shard) {
-                    freed += table.vacuum(horizon, &node.storage.clog);
-                }
-            }
-        }
-        freed
+        self.gc_tick(usize::MAX) as usize
     }
 
-    /// One incremental version-chain GC pass: visits at most
-    /// `max_chains_per_shard` chains per data shard (resuming each shard's
-    /// cursor where the last pass left off), pruning versions shadowed as
-    /// of [`Cluster::safe_ts_watermark`]. Emits `storage.gc_pruned`
-    /// (counter) and `storage.chain_len` (high-water gauge of the longest
-    /// chain seen) per node. Returns versions pruned this pass.
+    /// One version-chain GC pass: visits at most `max_chains_per_shard` of
+    /// each data shard's pending chains — the ones a writer left with
+    /// something to prune — and prunes versions shadowed as of
+    /// [`Cluster::safe_ts_watermark`]; a shard nobody wrote costs a lock
+    /// per index stripe. Emits `storage.gc_pruned` (counter) and
+    /// `storage.chain_len` (high-water gauge of the longest chain met,
+    /// before pruning it) per node. Returns versions pruned this pass.
     pub fn gc_tick(&self, max_chains_per_shard: usize) -> u64 {
         let watermark = self.safe_ts_watermark();
         let mut total = 0;
@@ -769,11 +809,11 @@ impl Cluster {
         retained
     }
 
-    /// Starts a background maintenance thread: WAL truncation every ~50 ms
+    /// Starts a background maintenance thread: WAL truncation every 50 ms
     /// (cheap, keeps the in-memory log bounded), a vacuum pass every
     /// `vacuum_period`, and — when `config.hot_path.gc_interval` is nonzero
-    /// — an incremental [`Cluster::gc_tick`] at that cadence (clamped up to
-    /// the sleep granularity). Runs until the cluster is dropped or
+    /// — a budgeted [`Cluster::gc_tick`] at that cadence, each on its own
+    /// wall-clock deadline. Runs until the cluster is dropped or
     /// [`Cluster::stop_maintenance`] is called.
     pub fn start_maintenance(
         self: &Arc<Self>,
@@ -783,35 +823,27 @@ impl Cluster {
         let stop = Arc::clone(&self.maintenance_stop);
         let gc_interval = self.config.hot_path.gc_interval;
         std::thread::spawn(move || {
-            // GC wants a finer cadence than WAL truncation; sleep at the
-            // smaller of the two and tick each duty on its own schedule.
-            let wal_tick = Duration::from_millis(50);
-            let sleep = match gc_interval.is_zero() {
-                true => wal_tick,
-                false => gc_interval.min(wal_tick),
-            };
-            let mut since_vacuum = Duration::ZERO;
-            let mut since_wal = Duration::ZERO;
-            let mut since_gc = Duration::ZERO;
+            let start = Instant::now();
+            let mut wal = Periodic::new(WAL_TRUNCATE_PERIOD, start);
+            let mut gc = (!gc_interval.is_zero()).then(|| Periodic::new(gc_interval, start));
+            let mut vacuum = Periodic::new(vacuum_period, start);
             while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(sleep);
-                since_wal += sleep;
-                if since_wal >= wal_tick {
-                    since_wal = Duration::ZERO;
+                let now = Instant::now();
+                if wal.due(now) {
                     cluster.wal_truncate_tick();
                 }
-                if !gc_interval.is_zero() {
-                    since_gc += sleep;
-                    if since_gc >= gc_interval {
-                        since_gc = Duration::ZERO;
-                        cluster.gc_tick(GC_CHAINS_PER_TICK);
-                    }
+                if gc.as_mut().is_some_and(|gc| gc.due(now)) {
+                    cluster.gc_tick(GC_CHAINS_PER_TICK);
                 }
-                since_vacuum += sleep;
-                if since_vacuum >= vacuum_period {
-                    since_vacuum = Duration::ZERO;
+                if vacuum.due(now) {
                     cluster.vacuum_tick();
                 }
+                // To the earliest deadline — at most one WAL period away, so
+                // a stop request is seen as promptly.
+                let wake = gc
+                    .iter()
+                    .fold(wal.next.min(vacuum.next), |w, gc| w.min(gc.next));
+                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
             }
         })
     }
@@ -1061,6 +1093,46 @@ mod tests {
         assert_eq!(c.gc_tick(usize::MAX), 0);
     }
 
+    /// The guard against GC cost creeping back to O(keys): a loaded table
+    /// nobody wrote has no pending chain, so a tick visits none — a count,
+    /// not a timing.
+    #[test]
+    fn idle_gc_tick_visits_no_chain_of_a_loaded_table() {
+        let c = ClusterBuilder::new(2)
+            .oracle(OracleKind::Gts)
+            .hot_path(remus_common::HotPathConfig::tuned())
+            .build();
+        let layout = c.create_table(TableId(1), 100, 4, |i| NodeId(i % 2));
+        let value = remus_storage::Value::copy_from_slice(b"loaded");
+        for key in 0..100_000u64 {
+            let shard = layout.shard_for(key);
+            let owner = c.node(NodeId(((shard.0 - layout.base) % 2) as u32));
+            owner
+                .storage
+                .table(shard)
+                .unwrap()
+                .install_frozen(key, value.clone());
+        }
+        assert_eq!(c.gc_tick(usize::MAX), 0);
+        assert_eq!(c.vacuum_tick(), 0);
+        let watermark = c.safe_ts_watermark();
+        let mut keys = 0;
+        for node in c.nodes() {
+            for shard in node.data_shards() {
+                let table = node.storage.table(shard).unwrap();
+                let step = table.gc_step(watermark, &node.storage.clog, usize::MAX);
+                assert_eq!(step, remus_storage::GcStepStats::default());
+                keys += table.stats().keys;
+            }
+        }
+        assert_eq!(keys, 100_000);
+        // `storage.chain_len` is raised only by a tick that visited a chain.
+        assert!(c
+            .metrics_snapshot()
+            .iter()
+            .all(|s| s.name != "storage.chain_len" || s.value == 0));
+    }
+
     #[test]
     fn every_snapshot_name_is_layer_dot_noun_verb() {
         // GTS + Serializable emits the widest set of series.
@@ -1120,6 +1192,163 @@ mod tests {
         drop(pin);
         // Unpinned, the two shadowed versions go.
         assert_eq!(c.gc_tick(usize::MAX), 2);
+    }
+
+    /// A GTS whose `start_ts` can be made slow, or made to run a one-shot
+    /// hook before it answers — what a control-plane round trip gives the
+    /// rest of the system time to do.
+    #[derive(Default)]
+    struct HookedGts {
+        inner: Gts,
+        delay: Mutex<Duration>,
+        hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl TimestampOracle for HookedGts {
+        fn start_ts(&self, node: NodeId) -> Timestamp {
+            let hook = self.hook.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            std::thread::sleep(*self.delay.lock());
+            self.inner.start_ts(node)
+        }
+        fn commit_ts(&self, node: NodeId) -> Timestamp {
+            self.inner.commit_ts(node)
+        }
+        fn observe(&self, node: NodeId, ts: Timestamp) {
+            self.inner.observe(node, ts)
+        }
+        fn kind(&self) -> OracleKind {
+            OracleKind::Gts
+        }
+    }
+
+    /// Red on the parent: `safe_ts_watermark` read the registry, released
+    /// its lock, and only then read the clock. A begin and a conflicting
+    /// commit inside that clock read gave a watermark above a registered
+    /// snapshot, and GC pruned the version it reads.
+    #[test]
+    fn watermark_clock_read_cannot_be_overtaken_by_a_begin_and_a_commit() {
+        let oracle = Arc::new(HookedGts::default());
+        let c = ClusterBuilder::new(1)
+            .oracle_instance(Arc::clone(&oracle) as Arc<dyn TimestampOracle>)
+            .build();
+        c.create_table(TableId(1), 100, 1, |_| NodeId(0));
+        commit_write(&c, ShardId(100), 7, "v0");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let racer = Arc::clone(&c);
+        *oracle.hook.lock() = Some(Box::new(move || {
+            let racing = std::thread::spawn(move || {
+                let snapshot = racer.acquire_snapshot(NodeId(0));
+                commit_write(&racer, ShardId(100), 7, "v1");
+                snapshot
+            });
+            // With the clock read inside the registry's critical section
+            // the begin blocks until the watermark is out: wait for the
+            // racer only as long as it could need if nothing held it.
+            let deadline = Instant::now() + Duration::from_millis(200);
+            while !racing.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            tx.send(racing).unwrap();
+        }));
+        c.gc_tick(usize::MAX);
+        let (ts, _pin) = rx.recv().unwrap().join().unwrap();
+        let node = c.node(NodeId(0));
+        let read = node
+            .storage
+            .table(ShardId(100))
+            .unwrap()
+            .read(
+                7,
+                ts,
+                node.storage.alloc_xid(),
+                &node.storage.clog,
+                Duration::from_secs(1),
+            )
+            .unwrap();
+        assert_eq!(
+            read,
+            Some(remus_storage::Value::from("v0".to_string().into_bytes())),
+            "GC pruned the version a registered snapshot reads"
+        );
+    }
+
+    #[test]
+    fn oldest_or_reads_its_fallback_only_when_nothing_is_pinned() {
+        let c = cluster(1);
+        assert_eq!(c.snapshots.oldest_or(|| Timestamp(99)), Timestamp(99));
+        let _pin = c.pin_snapshot(Timestamp(5));
+        assert_eq!(
+            c.snapshots
+                .oldest_or(|| unreachable!("a snapshot is pinned")),
+            Timestamp(5)
+        );
+    }
+
+    /// The maintenance duties on a simulated clock: a 2 ms GC tick that
+    /// takes 96 ms (the parent's sweep) must not stretch the 50 ms and
+    /// 500 ms duties. Counting sleeps instead, as the parent did, runs the
+    /// 50 ms duty every 25 x 98 ms: 4 times in these 10 s, not 100.
+    #[test]
+    fn periodic_duties_keep_their_period_when_one_overruns() {
+        let ms = Duration::from_millis;
+        let start = Instant::now();
+        let mut wal = Periodic::new(ms(50), start);
+        let mut gc = Periodic::new(ms(2), start);
+        let mut vacuum = Periodic::new(ms(500), start);
+        let (mut now, mut runs) = (start, [0u32; 3]);
+        while now < start + ms(10_000) {
+            let tick = now;
+            runs[0] += wal.due(tick) as u32;
+            if gc.due(tick) {
+                runs[1] += 1;
+                now += ms(96);
+            }
+            runs[2] += vacuum.due(tick) as u32;
+            now = now.max(wal.next.min(gc.next).min(vacuum.next));
+        }
+        assert!((95..=105).contains(&runs[0]), "wal ran {} times", runs[0]);
+        assert!((95..=105).contains(&runs[1]), "gc ran {} times", runs[1]);
+        assert!((15..=20).contains(&runs[2]), "vacuum ran {} times", runs[2]);
+        // A stall is followed by one run, not by a burst of catch-up runs.
+        let mut p = Periodic::new(ms(50), start);
+        assert!(!p.due(start + ms(49)));
+        assert!(p.due(start + ms(5_000)));
+        assert!(!p.due(start + ms(5_001)));
+        assert!(p.due(start + ms(5_050)));
+    }
+
+    /// Red on the parent: with a GC tick slowed to 30 ms by its clock
+    /// read, the sleep-counting loop reached its first "50 ms" WAL
+    /// truncation after 25 x 32 ms.
+    #[test]
+    fn maintenance_truncates_the_wal_on_time_beside_a_slow_gc_tick() {
+        let oracle = Arc::new(HookedGts::default());
+        let c = ClusterBuilder::new(1)
+            .oracle_instance(Arc::clone(&oracle) as Arc<dyn TimestampOracle>)
+            .hot_path(remus_common::HotPathConfig::tuned())
+            .build();
+        let layout = c.create_table(TableId(1), 100, 1, |_| NodeId(0));
+        let session = crate::Session::connect(&c, NodeId(0));
+        for key in 0..8 {
+            session
+                .run(|t| t.insert(&layout, key, remus_storage::Value::copy_from_slice(b"x")))
+                .unwrap();
+        }
+        let wal = &c.node(NodeId(0)).storage.wal;
+        assert!(wal.retained() > 0);
+        *oracle.delay.lock() = Duration::from_millis(30);
+        let started = Instant::now();
+        let handle = c.start_maintenance(Duration::from_secs(3600));
+        while wal.retained() > 0 && started.elapsed() < Duration::from_millis(400) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let retained = wal.retained();
+        c.stop_maintenance();
+        handle.join().unwrap();
+        assert_eq!(retained, 0, "no WAL truncation within 400 ms");
     }
 
     /// The REVIEW scenario: under `gts_lease > 1`, node 1 holds a stale

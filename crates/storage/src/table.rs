@@ -10,8 +10,9 @@
 //! [`crate::visibility`] under the latch, and on `WaitFor` release it, block
 //! on the CLOG, and retry.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Bound, RangeBounds};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,95 +45,108 @@ pub struct TableStats {
     pub max_chain: usize,
 }
 
-/// Outcome of one incremental GC step (see [`VersionedTable::gc_step`]).
+/// Outcome of one GC step (see [`VersionedTable::gc_step`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStepStats {
-    /// Chains examined this step.
+    /// Pending chains visited this step.
     pub scanned: usize,
     /// Versions freed this step.
     pub pruned: usize,
-    /// Longest chain among the scanned ones, *after* pruning.
+    /// Longest chain among the visited ones, *before* pruning.
     pub max_chain: usize,
 }
 
-/// Persistent position of the incremental GC sweep: it resumes where the
-/// previous step left off and wraps around the stripes.
-#[derive(Default)]
-struct GcCursor {
-    stripe: usize,
-    last: Option<Key>,
+/// `not_before` of a pending key a writer just enqueued: due at any watermark.
+const READY: Timestamp = Timestamp::INVALID;
+
+/// True unless the chain is exactly one live version: nothing to collect.
+fn needs_gc(chain: &VersionChain) -> bool {
+    chain.len() != 1 || chain.newest().is_some_and(|v| v.deleted)
 }
 
-/// Shared pruning rule of [`VersionedTable::vacuum`] and
-/// [`VersionedTable::gc_step`]: drops aborted versions and everything older
-/// than the newest version committed at or before `horizon` (the *anchor*,
-/// which some snapshot >= horizon may still read). Returns the number of
-/// versions freed and whether the whole key is dead — empty, or a lone
-/// tombstone at/below the horizon that no future snapshot can see.
-fn prune_chain(guard: &mut VersionChain, horizon: Timestamp, clog: &Clog) -> (usize, bool) {
-    use crate::clog::TxnStatus;
-    let before = guard.len();
-    let mut seen_anchor = false;
-    guard.retain(|v| match clog.status(v.xmin) {
-        TxnStatus::Aborted => false,
-        TxnStatus::Committed(cts) if cts <= horizon => {
-            if seen_anchor {
-                false
-            } else {
-                seen_anchor = true;
-                true
-            }
-        }
-        _ => true,
-    });
-    let mut freed = before - guard.len();
-    let mut dead = guard.is_empty();
-    if guard.len() == 1 {
-        let v = guard.newest().expect("len 1");
-        if v.deleted && clog.commit_ts(v.xmin).is_some_and(|c| c <= horizon) {
-            freed += 1;
-            dead = true;
-        }
-    }
-    (freed, dead)
-}
-
-/// Removes keys flagged dead by [`prune_chain`], re-checking under the
-/// stripe's write lock to avoid racing a concurrent insert.
-///
-/// Emptiness alone is not enough: a writer may already hold a `ChainRef`
-/// obtained from `chain_or_create` (the stripe lock is released on return,
-/// and the writer can block in prepare-wait before appending), so removing
-/// an empty chain here would orphan the Arc it is about to populate and make
-/// its committed write permanently invisible. Holding the stripe write lock
-/// blocks new clones out of the map, so `Arc::strong_count == 1` proves the
-/// map's reference is the only one left and no such writer exists.
-fn remove_dead_keys(
-    stripe: &RwLock<BTreeMap<Key, ChainRef>>,
-    dead_keys: &[Key],
+/// The one pruning rule: drops aborted versions and everything older than
+/// the newest version committed at or before `horizon` (the *anchor*, which
+/// some snapshot >= horizon may still read), and the anchor too when it is a
+/// tombstone — under newer versions it reads the same as nothing. Returns
+/// the versions freed and, if versions above the horizon remain, the lowest
+/// horizon at which another prune frees something: the lowest commit
+/// timestamp above this one, or the next horizon while a writer is unresolved.
+fn prune_chain(
+    guard: &mut VersionChain,
     horizon: Timestamp,
     clog: &Clog,
-) {
-    if dead_keys.is_empty() {
-        return;
-    }
-    let mut map = stripe.write();
-    for key in dead_keys {
-        if let Some(chain) = map.get(key) {
-            if Arc::strong_count(chain) != 1 {
-                continue; // someone still holds the chain; vacuum retries later
+) -> (usize, Option<Timestamp>) {
+    use crate::clog::TxnStatus;
+    let before = guard.len();
+    let (mut seen_anchor, mut retry_at) = (false, None::<Timestamp>);
+    guard.retain(|v| {
+        let blocked_until = match clog.status(v.xmin) {
+            TxnStatus::Aborted => return false,
+            TxnStatus::Committed(cts) if cts <= horizon => {
+                return !std::mem::replace(&mut seen_anchor, true) && !v.deleted;
             }
-            let guard = chain.lock();
-            let dead = guard.is_empty()
-                || (guard.len() == 1
-                    && guard.newest().is_some_and(|v| {
-                        v.deleted && clog.commit_ts(v.xmin).is_some_and(|c| c <= horizon)
-                    }));
-            drop(guard);
-            if dead {
-                map.remove(key);
-            }
+            TxnStatus::Committed(cts) => cts,
+            TxnStatus::InProgress | TxnStatus::Prepared => Timestamp(horizon.0.saturating_add(1)),
+        };
+        retry_at = Some(retry_at.map_or(blocked_until, |r| r.min(blocked_until)));
+        true
+    });
+    (before - guard.len(), retry_at)
+}
+
+/// One lock stripe of the key index, and the keys in it GC has work on.
+/// Invariant, kept under the chain latch: a chain that is not exactly one
+/// live version has its key in `pending`. Not the converse: an abort or a
+/// frozen install leaves a clean chain's key behind, which costs one visit.
+#[derive(Default)]
+struct Stripe {
+    index: RwLock<BTreeMap<Key, ChainRef>>,
+    /// `(not_before, key)`: nothing more can be pruned from the key's chain
+    /// until the watermark reaches `not_before`, so a pinned watermark never
+    /// re-visits what it already blocked.
+    pending: Mutex<BTreeSet<(Timestamp, Key)>>,
+}
+
+impl Stripe {
+    /// Removes and returns up to `budget` pending keys due at `watermark`.
+    fn take_due(&self, watermark: Timestamp, budget: usize) -> Vec<Key> {
+        let mut pending = self.pending.lock();
+        let mut due = Vec::new();
+        while due.len() < budget && pending.first().is_some_and(|(ts, _)| *ts <= watermark) {
+            due.extend(pending.pop_first().map(|(_, key)| key));
         }
+        due
+    }
+
+    /// Unmaps keys whose chain a prune emptied; returns those that stay
+    /// pending. Emptiness alone is not enough: a writer may hold a `ChainRef`
+    /// from `chain_or_create` (the index lock is released on return, and it
+    /// can block in prepare-wait before appending), and unmapping the chain
+    /// would orphan its committed write. Under the index write lock no new
+    /// clone can leave the map, so `Arc::strong_count == 1` proves there is
+    /// no such writer.
+    fn remove_dead_keys(&self, dead_keys: Vec<Key>) -> Vec<Key> {
+        if dead_keys.is_empty() {
+            return dead_keys;
+        }
+        let mut map = self.index.write();
+        dead_keys
+            .into_iter()
+            .filter(|key| {
+                let Some(chain) = map.get(key) else {
+                    return false;
+                };
+                let guard = chain.lock();
+                if guard.is_empty() && Arc::strong_count(chain) == 1 {
+                    drop(guard);
+                    map.remove(key);
+                    return false;
+                }
+                // Held, or written since the prune by a writer that found it
+                // already needing GC and so did not enqueue it.
+                needs_gc(&guard)
+            })
+            .collect()
     }
 }
 
@@ -143,8 +157,9 @@ fn remove_dead_keys(
 /// `RwLock`. Each stripe is an ordered map; the ordered scans that snapshot
 /// copying and chunking need merge the per-stripe ranges.
 pub struct VersionedTable {
-    stripes: Box<[RwLock<BTreeMap<Key, ChainRef>>]>,
-    gc_cursor: Mutex<GcCursor>,
+    stripes: Box<[Stripe]>,
+    /// Where the next [`Self::gc_step`] starts: a small budget goes round.
+    gc_next_stripe: AtomicUsize,
 }
 
 impl Default for VersionedTable {
@@ -155,12 +170,10 @@ impl Default for VersionedTable {
 
 impl std::fmt::Debug for VersionedTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let keys: usize = self.stripes.iter().map(|s| s.index.read().len()).sum();
         f.debug_struct("VersionedTable")
             .field("stripes", &self.stripes.len())
-            .field(
-                "keys",
-                &self.stripes.iter().map(|s| s.read().len()).sum::<usize>(),
-            )
+            .field("keys", &keys)
             .finish()
     }
 }
@@ -174,10 +187,9 @@ impl VersionedTable {
 
     /// An empty table with `n` index stripes (`n` is clamped to >= 1).
     pub fn with_stripes(n: usize) -> Self {
-        let n = n.max(1);
         VersionedTable {
-            stripes: (0..n).map(|_| RwLock::new(BTreeMap::new())).collect(),
-            gc_cursor: Mutex::new(GcCursor::default()),
+            stripes: (0..n.max(1)).map(|_| Stripe::default()).collect(),
+            gc_next_stripe: AtomicUsize::new(0),
         }
     }
 
@@ -186,7 +198,7 @@ impl VersionedTable {
         self.stripes.len()
     }
 
-    fn stripe_of(&self, key: Key) -> &RwLock<BTreeMap<Key, ChainRef>> {
+    fn stripe_of(&self, key: Key) -> &Stripe {
         let n = self.stripes.len();
         if n == 1 {
             return &self.stripes[0];
@@ -197,11 +209,27 @@ impl VersionedTable {
     }
 
     fn chain(&self, key: Key) -> Option<ChainRef> {
-        self.stripe_of(key).read().get(&key).cloned()
+        self.stripe_of(key).index.read().get(&key).cloned()
+    }
+
+    /// Runs `f` on a latched chain and keeps the [`Stripe`] invariant: a
+    /// chain `f` takes from one live version to anything else becomes pending.
+    fn mutate<R>(
+        &self,
+        key: Key,
+        chain: &mut VersionChain,
+        f: impl FnOnce(&mut VersionChain) -> R,
+    ) -> R {
+        let was_clean = !needs_gc(chain);
+        let out = f(chain);
+        if was_clean && needs_gc(chain) {
+            self.stripe_of(key).pending.lock().insert((READY, key));
+        }
+        out
     }
 
     fn chain_or_create(&self, key: Key) -> ChainRef {
-        let stripe = self.stripe_of(key);
+        let stripe = &self.stripe_of(key).index;
         if let Some(c) = stripe.read().get(&key).cloned() {
             return c;
         }
@@ -222,7 +250,7 @@ impl VersionedTable {
         limit: usize,
     ) -> Vec<(Key, ChainRef)> {
         if self.stripes.len() == 1 {
-            let map = self.stripes[0].read();
+            let map = self.stripes[0].index.read();
             return map
                 .range((from, end))
                 .take(limit)
@@ -231,7 +259,7 @@ impl VersionedTable {
         }
         let mut all: Vec<(Key, ChainRef)> = Vec::new();
         for stripe in self.stripes.iter() {
-            let map = stripe.read();
+            let map = stripe.index.read();
             all.extend(
                 map.range((from, end))
                     .take(limit)
@@ -315,7 +343,7 @@ impl VersionedTable {
                 let mut guard = chain.lock();
                 match check_write(&guard, clog, start_ts, xid, kind) {
                     ok @ (WriteCheck::Ok | WriteCheck::OwnNewest) => {
-                        return Ok(apply(&mut guard, ok));
+                        return Ok(self.mutate(key, &mut guard, |chain| apply(chain, ok)));
                     }
                     WriteCheck::WaitFor(w) => w,
                     WriteCheck::Conflict(other) => {
@@ -453,7 +481,7 @@ impl VersionedTable {
     pub fn purge_txn(&self, keys: impl IntoIterator<Item = Key>, xid: TxnId) {
         for key in keys {
             if let Some(chain) = self.chain(key) {
-                chain.lock().purge_txn(xid);
+                self.mutate(key, &mut chain.lock(), |chain| chain.purge_txn(xid));
             }
         }
     }
@@ -464,7 +492,7 @@ impl VersionedTable {
     /// Replaces any existing chain for the key: installs target empty shards
     /// and retried Squall pulls.
     pub fn install_frozen(&self, key: Key, value: Value) {
-        let mut map = self.stripe_of(key).write();
+        let mut map = self.stripe_of(key).index.write();
         map.insert(
             key,
             Arc::new(Mutex::new(VersionChain::with(TupleVersion::data(
@@ -491,7 +519,7 @@ impl VersionedTable {
     /// discipline; a full range reproduces the whole-table scan exactly.
     pub fn for_each_visible_range(
         &self,
-        range: impl std::ops::RangeBounds<Key>,
+        range: impl RangeBounds<Key>,
         snapshot_ts: Timestamp,
         clog: &Clog,
         timeout: Duration,
@@ -529,7 +557,7 @@ impl VersionedTable {
     /// (Squall chunk extraction).
     pub fn scan_visible_range(
         &self,
-        range: impl std::ops::RangeBounds<Key>,
+        range: impl RangeBounds<Key>,
         snapshot_ts: Timestamp,
         clog: &Clog,
         timeout: Duration,
@@ -569,7 +597,7 @@ impl VersionedTable {
         let chunk = chunk_size.max(1) as usize;
         let mut keys: Vec<Key> = Vec::new();
         for stripe in self.stripes.iter() {
-            keys.extend(stripe.read().keys().copied());
+            keys.extend(stripe.index.read().keys().copied());
         }
         keys.sort_unstable();
         keys.into_iter()
@@ -591,101 +619,72 @@ impl VersionedTable {
         Ok(n)
     }
 
-    /// Vacuum: drops versions no snapshot at or after `horizon` can see, and
-    /// aborted versions. Keys whose only surviving version is a tombstone
-    /// older than the horizon are removed entirely. Returns versions freed.
+    /// Vacuum: [`Self::gc_step`] without a budget. Returns versions freed.
     pub fn vacuum(&self, horizon: Timestamp, clog: &Clog) -> usize {
-        let mut freed = 0;
-        for stripe in self.stripes.iter() {
-            let chains: Vec<(Key, ChainRef)> = {
-                let map = stripe.read();
-                map.iter().map(|(k, c)| (*k, Arc::clone(c))).collect()
-            };
-            let mut dead_keys = Vec::new();
-            for (key, chain) in chains {
-                let mut guard = chain.lock();
-                let (f, dead) = prune_chain(&mut guard, horizon, clog);
-                drop(guard);
-                freed += f;
-                if dead {
-                    dead_keys.push(key);
-                }
-            }
-            remove_dead_keys(stripe, &dead_keys, horizon, clog);
-        }
-        freed
+        self.gc_step(horizon, clog, usize::MAX).pruned
     }
 
-    /// One bounded step of the incremental version-chain GC: scans at most
-    /// `max_chains` chains starting where the previous step left off
-    /// (wrapping around the stripes) and applies the same pruning rule as
-    /// [`Self::vacuum`] with `watermark` as the horizon. Callers must pass a
-    /// watermark no newer than the oldest active snapshot — in this codebase
-    /// that is the cluster's `safe_ts_watermark`, which sessions *and*
-    /// in-flight migrations pin.
-    ///
-    /// Unlike the stop-the-world-ish `vacuum` full sweep, a step touches a
-    /// bounded number of chains, so it can run at a high cadence without
-    /// stalling foreground transactions behind the stripe read locks.
+    /// One step of version-chain GC: visits at most `max_chains` pending
+    /// chains due at `watermark`, round-robin across the stripes, dropping
+    /// aborted versions, versions no snapshot at or after the watermark can
+    /// see, and keys left with none. A chain with more to free stays pending
+    /// until the watermark reaches the commit timestamp blocking it. Callers
+    /// pass a watermark no newer than the oldest active snapshot (the
+    /// cluster's `safe_ts_watermark`, which sessions and migrations pin).
+    /// Costs what writers made prunable plus a lock per stripe.
     pub fn gc_step(&self, watermark: Timestamp, clog: &Clog, max_chains: usize) -> GcStepStats {
         let mut stats = GcStepStats::default();
-        let nstripes = self.stripes.len();
-        let mut cursor = self.gc_cursor.lock();
-        // A step ends when the chain budget is spent or every stripe has
-        // been swept to its end once — never more than one pass over the
-        // table per step, however large the budget.
-        let mut exhausted_stripes = 0;
-        while stats.scanned < max_chains && exhausted_stripes < nstripes {
-            let stripe = &self.stripes[cursor.stripe % nstripes];
-            let from = match cursor.last {
-                Some(k) => Bound::Excluded(k),
-                None => Bound::Unbounded,
-            };
-            let budget = max_chains - stats.scanned;
-            let batch: Vec<(Key, ChainRef)> = {
-                let map = stripe.read();
-                map.range((from, Bound::Unbounded))
-                    .take(budget)
-                    .map(|(k, c)| (*k, Arc::clone(c)))
+        let first = self.gc_next_stripe.fetch_add(1, Ordering::Relaxed);
+        for i in 0..self.stripes.len() {
+            if stats.scanned >= max_chains {
+                break;
+            }
+            let stripe = &self.stripes[first.wrapping_add(i) % self.stripes.len()];
+            let (mut retry, mut dead_keys) = (Vec::new(), Vec::new());
+            let due = stripe.take_due(watermark, max_chains - stats.scanned);
+            stats.scanned += due.len();
+            // A missing key was dropped with its range since it was enqueued.
+            let chains: Vec<(Key, ChainRef)> = {
+                let map = stripe.index.read();
+                due.into_iter()
+                    .filter_map(|key| Some((key, Arc::clone(map.get(&key)?))))
                     .collect()
             };
-            if batch.is_empty() {
-                cursor.stripe = (cursor.stripe + 1) % nstripes;
-                cursor.last = None;
-                exhausted_stripes += 1;
-                continue;
-            }
-            cursor.last = Some(batch.last().expect("non-empty").0);
-            let mut dead_keys = Vec::new();
-            for (key, chain) in batch {
+            for (key, chain) in chains {
                 let mut guard = chain.lock();
                 // Chain length is sampled before pruning: the gauge tracks
                 // the growth GC walked into, not the post-prune steady state.
                 stats.max_chain = stats.max_chain.max(guard.len());
-                let (f, dead) = prune_chain(&mut guard, watermark, clog);
-                stats.scanned += 1;
-                stats.pruned += f;
-                drop(guard);
-                if dead {
-                    dead_keys.push(key);
+                let (freed, retry_at) = prune_chain(&mut guard, watermark, clog);
+                stats.pruned += freed;
+                // Empty: unmap. One live version: forget. Else: come back.
+                match retry_at {
+                    _ if guard.is_empty() => dead_keys.push(key),
+                    Some(ts) if needs_gc(&guard) => retry.push((ts, key)),
+                    _ => {}
                 }
             }
-            remove_dead_keys(stripe, &dead_keys, watermark, clog);
+            let held = stripe.remove_dead_keys(dead_keys);
+            retry.extend(held.into_iter().map(|key| (READY, key)));
+            if !retry.is_empty() {
+                stripe.pending.lock().extend(retry);
+            }
         }
         stats
     }
 
     /// Drops every key in the range (cleanup of migrated-away data).
-    pub fn clear_range(&self, range: impl std::ops::RangeBounds<Key>) -> usize {
+    pub fn clear_range(&self, range: impl RangeBounds<Key>) -> usize {
         let bounds = (range.start_bound().cloned(), range.end_bound().cloned());
         let mut dropped = 0;
         for stripe in self.stripes.iter() {
-            let mut map = stripe.write();
+            let mut map = stripe.index.write();
             let keys: Vec<Key> = map.range(bounds).map(|(k, _)| *k).collect();
             for k in &keys {
                 map.remove(k);
             }
             dropped += keys.len();
+            stripe.pending.lock().retain(|(_, k)| !bounds.contains(k));
         }
         dropped
     }
@@ -693,7 +692,8 @@ impl VersionedTable {
     /// Drops everything.
     pub fn clear(&self) {
         for stripe in self.stripes.iter() {
-            stripe.write().clear();
+            stripe.index.write().clear();
+            stripe.pending.lock().clear();
         }
     }
 
@@ -717,7 +717,7 @@ impl VersionedTable {
         // (key, cts, deleted, value) of every committed version, sorted.
         let mut rows: Vec<(Key, Timestamp, bool, Value)> = Vec::new();
         for stripe in self.stripes.iter() {
-            let map = stripe.read();
+            let map = stripe.index.read();
             for (key, chain) in map.iter() {
                 for v in chain.lock().iter() {
                     if let TxnStatus::Committed(cts) = clog.status(v.xmin) {
@@ -748,7 +748,7 @@ impl VersionedTable {
     pub fn stats(&self) -> TableStats {
         let mut stats = TableStats::default();
         for stripe in self.stripes.iter() {
-            let map = stripe.read();
+            let map = stripe.index.read();
             stats.keys += map.len();
             for chain in map.values() {
                 let len = chain.lock().len();
@@ -1227,35 +1227,59 @@ mod tests {
         assert_eq!(splits, vec![100, 200, 300, 400, 500]);
     }
 
+    /// Every pending key, for asserting the [`Stripe`] invariant directly.
+    fn pending_keys(t: &VersionedTable) -> Vec<Key> {
+        let mut keys: Vec<Key> = t
+            .stripes
+            .iter()
+            .flat_map(|s| s.pending.lock().iter().map(|(_, k)| *k).collect::<Vec<_>>())
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// `n` keys in the same stripe as `like` (or, with `same == false`, in
+    /// any other stripe), drawn from `from..`.
+    fn keys_by_stripe(t: &VersionedTable, like: Key, same: bool, from: Key, n: usize) -> Vec<Key> {
+        (from..)
+            .filter(|k| std::ptr::eq(t.stripe_of(*k), t.stripe_of(like)) == same)
+            .take(n)
+            .collect()
+    }
+
     #[test]
     fn gc_step_prunes_incrementally_and_keeps_watermark_anchor() {
         let (t, clog) = (VersionedTable::with_stripes(4), Clog::new());
         let mut n = 0u64;
         for k in 0..32u64 {
             n += 1;
-            let nn = n;
-            committed(&clog, nn, 10, |x| {
+            committed(&clog, n, 10, |x| {
                 t.insert(k, val("a"), x, Timestamp(5), &clog, T).unwrap();
             });
-            for (i, ts) in [(1u64, 20u64), (2, 30), (3, 40)] {
+            for ts in [20u64, 30, 40] {
                 n += 1;
-                let nn = n;
-                let _ = i;
-                committed(&clog, nn, ts, |x| {
+                committed(&clog, n, ts, |x| {
                     t.update(k, val("u"), x, Timestamp(ts - 5), &clog, T)
                         .unwrap();
                 });
             }
         }
         assert_eq!(t.stats().versions, 32 * 4);
-        // Bounded steps: each scans at most 8 chains; drive to completion.
-        let mut pruned = 0;
-        for _ in 0..16 {
-            pruned += t.gc_step(Timestamp(30), &clog, 8).pruned;
+        assert_eq!(pending_keys(&t), (0..32).collect::<Vec<_>>());
+        // Bounded steps: each visits exactly its budget of pending chains
+        // until all 32 have been seen once.
+        for _ in 0..4 {
+            let step = t.gc_step(Timestamp(30), &clog, 8);
+            assert_eq!((step.scanned, step.pruned, step.max_chain), (8, 16, 4));
         }
-        // Per key: versions at 10 and 20 unreachable for snapshots >= 30.
-        assert_eq!(pruned, 32 * 2);
+        // Per key: versions at 10 and 20 are unreachable for snapshots >=
+        // 30; the one at 40 keeps every chain pending, but not due.
         assert_eq!(t.stats().versions, 32 * 2);
+        assert_eq!(
+            t.gc_step(Timestamp(30), &clog, 1024),
+            GcStepStats::default()
+        );
+        assert_eq!(pending_keys(&t).len(), 32);
         for k in 0..32u64 {
             // The watermark snapshot itself still reads the anchor.
             assert_eq!(
@@ -1267,8 +1291,12 @@ mod tests {
                 Some(val("u"))
             );
         }
-        // Nothing left to prune: further steps are no-ops.
-        assert_eq!(t.gc_step(Timestamp(30), &clog, 1024).pruned, 0);
+        // The watermark reaches what blocked them: one visit each, then
+        // every chain is one live version and nothing is pending.
+        let last = t.gc_step(Timestamp(40), &clog, 1024);
+        assert_eq!((last.scanned, last.pruned), (32, 32));
+        assert_eq!(t.stats().versions, 32);
+        assert!(pending_keys(&t).is_empty());
     }
 
     #[test]
@@ -1283,9 +1311,17 @@ mod tests {
         committed(&clog, 3, 10, |x| {
             t.insert(2, val("b"), x, Timestamp(5), &clog, T).unwrap();
         });
+        // Only the deleted key is pending; the insert-only one is never
+        // visited.
         let stats = t.gc_step(Timestamp(25), &clog, 1024);
-        assert_eq!(stats.scanned, 2);
-        assert!(stats.max_chain >= 1);
+        assert_eq!(
+            stats,
+            GcStepStats {
+                scanned: 1,
+                pruned: 2,
+                max_chain: 2
+            }
+        );
         assert_eq!(t.stats().keys, 1, "dead tombstoned key removed");
         assert_eq!(
             t.read(2, Timestamp(25), xid(9), &clog, T).unwrap(),
@@ -1293,16 +1329,178 @@ mod tests {
         );
     }
 
+    #[test]
+    fn pinned_watermark_visits_each_pending_chain_once() {
+        let (t, clog) = (VersionedTable::with_stripes(4), Clog::new());
+        for k in 0..16u64 {
+            committed(&clog, k + 1, 10, |x| {
+                t.insert(k, val("v0"), x, Timestamp(5), &clog, T).unwrap();
+            });
+            committed(&clog, 100 + k, 30, |x| {
+                t.update(k, val("v1"), x, Timestamp(25), &clog, T).unwrap();
+            });
+        }
+        // A snapshot pinned at 20 needs v0 everywhere: the first step
+        // visits all 16 chains and frees nothing, later ones visit none.
+        let pin = Timestamp(20);
+        assert_eq!(t.gc_step(pin, &clog, usize::MAX).scanned, 16);
+        for _ in 0..5 {
+            assert_eq!(t.gc_step(pin, &clog, usize::MAX), GcStepStats::default());
+        }
+        // More writes on blocked chains neither re-enqueue them nor make
+        // them due.
+        for k in 0..16u64 {
+            committed(&clog, 200 + k, 40, |x| {
+                t.update(k, val("v2"), x, Timestamp(35), &clog, T).unwrap();
+            });
+        }
+        assert_eq!(pending_keys(&t).len(), 16);
+        assert_eq!(t.gc_step(pin, &clog, usize::MAX), GcStepStats::default());
+        assert_eq!(
+            t.read(3, pin, xid(999), &clog, T).unwrap(),
+            Some(val("v0")),
+            "the pinned snapshot keeps its version"
+        );
+        // Pin released: everything goes on the first step.
+        let step = t.gc_step(Timestamp(50), &clog, usize::MAX);
+        assert_eq!((step.scanned, step.pruned, step.max_chain), (16, 32, 3));
+        assert_eq!(t.stats().versions, 16);
+        assert!(pending_keys(&t).is_empty());
+    }
+
+    #[test]
+    fn a_stripe_of_blocked_keys_cannot_starve_the_others() {
+        let (t, clog) = (VersionedTable::with_stripes(4), Clog::new());
+        // One stripe holds 64 chains whose writer stays open, so each is due
+        // again at every higher watermark; one key elsewhere is prunable.
+        let crowd = keys_by_stripe(&t, 0, true, 0, 64);
+        let lone = keys_by_stripe(&t, 0, false, 0, 1)[0];
+        let open = xid(9_000);
+        clog.begin(open);
+        for (i, &k) in crowd.iter().chain([&lone]).enumerate() {
+            committed(&clog, i as u64 + 1, 10, |x| {
+                t.insert(k, val("v0"), x, Timestamp(5), &clog, T).unwrap();
+            });
+        }
+        for &k in &crowd {
+            t.update(k, val("open"), open, Timestamp(15), &clog, T)
+                .unwrap();
+        }
+        committed(&clog, 500, 20, |x| {
+            t.update(lone, val("v1"), x, Timestamp(15), &clog, T)
+                .unwrap();
+        });
+        // A budget far below the crowd, an advancing watermark: the lone
+        // key is reached within one round of the stripes.
+        let mut pruned = 0;
+        for step in 0..t.stripe_count() as u64 {
+            pruned += t.gc_step(Timestamp(30 + step), &clog, 4).pruned;
+        }
+        assert_eq!(pruned, 1, "only the lone key had anything to free");
+        assert_eq!(t.chain_snapshot(lone).len(), 1);
+        assert_eq!(pending_keys(&t), crowd, "the crowd stays pending");
+    }
+
+    #[test]
+    fn aborts_and_own_tombstones_become_pending() {
+        let (t, clog) = (VersionedTable::with_stripes(2), Clog::new());
+        // An aborted insert leaves an empty chain behind: GC unmaps it.
+        let loser = xid(1);
+        clog.begin(loser);
+        t.insert(1, val("junk"), loser, Timestamp(5), &clog, T)
+            .unwrap();
+        assert!(pending_keys(&t).is_empty(), "one live version: clean");
+        clog.set_aborted(loser);
+        t.purge_txn([1], loser);
+        assert_eq!(pending_keys(&t), vec![1]);
+        // Insert and delete in one transaction: a lone tombstone, made
+        // without ever pushing a second version.
+        committed(&clog, 2, 10, |x| {
+            t.insert(2, val("brief"), x, Timestamp(5), &clog, T)
+                .unwrap();
+            t.delete(2, x, Timestamp(5), &clog, T).unwrap();
+        });
+        assert_eq!(pending_keys(&t), vec![1, 2]);
+        // An aborted update takes its chain back to clean; the entry it
+        // left costs one visit.
+        committed(&clog, 3, 10, |x| {
+            t.insert(3, val("keep"), x, Timestamp(5), &clog, T).unwrap();
+        });
+        let loser = xid(4);
+        clog.begin(loser);
+        t.update(3, val("junk"), loser, Timestamp(15), &clog, T)
+            .unwrap();
+        clog.set_aborted(loser);
+        t.purge_txn([3], loser);
+        let step = t.gc_step(Timestamp(20), &clog, usize::MAX);
+        assert_eq!((step.scanned, step.pruned), (3, 1));
+        assert_eq!(t.stats().keys, 1);
+        assert!(pending_keys(&t).is_empty());
+    }
+
+    #[test]
+    fn clear_clear_range_and_install_frozen_keep_pending_exact() {
+        let (t, clog) = (VersionedTable::with_stripes(4), Clog::new());
+        let dirty = |t: &VersionedTable, base: u64| {
+            for k in 0..20u64 {
+                committed(&clog, base + 2 * k, 10, |x| {
+                    t.insert(k, val("v0"), x, Timestamp(5), &clog, T).unwrap();
+                });
+                committed(&clog, base + 2 * k + 1, 20, |x| {
+                    t.update(k, val("v1"), x, Timestamp(15), &clog, T).unwrap();
+                });
+            }
+        };
+        dirty(&t, 1);
+        assert_eq!(pending_keys(&t), (0..20).collect::<Vec<_>>());
+        // Dropping a range drops its pending keys with it, and only those.
+        assert_eq!(t.clear_range(5..15), 10);
+        let outside: Vec<Key> = (0..5).chain(15..20).collect();
+        assert_eq!(pending_keys(&t), outside);
+        // A frozen install replaces the chain by one live version; what is
+        // left of its old entry is dropped at its one visit.
+        t.install_frozen(0, val("frozen"));
+        let step = t.gc_step(Timestamp(25), &clog, usize::MAX);
+        assert_eq!((step.scanned, step.pruned), (10, 9));
+        assert!(pending_keys(&t).is_empty());
+        assert_eq!(t.chain_snapshot(0).len(), 1);
+        // ... and writing over it enqueues the key again.
+        committed(&clog, 900, 30, |x| {
+            t.update(0, val("v2"), x, Timestamp(25), &clog, T).unwrap();
+        });
+        assert_eq!(pending_keys(&t), vec![0]);
+        // Clearing the table clears what was pending; a reload starts over.
+        t.clear();
+        assert!(pending_keys(&t).is_empty());
+        assert_eq!(
+            t.gc_step(Timestamp(99), &clog, usize::MAX),
+            GcStepStats::default()
+        );
+        dirty(&t, 1_000);
+        assert_eq!(pending_keys(&t), (0..20).collect::<Vec<_>>());
+        assert_eq!(t.vacuum(Timestamp(25), &clog), 20);
+        assert_eq!(t.stats().versions, 20);
+    }
+
     /// REVIEW scenario: a writer gets its `ChainRef` from `chain_or_create`
     /// (stripe lock released on return) and stalls — e.g. in prepare-wait —
-    /// before appending. GC sweeps past, sees the empty chain, and must NOT
-    /// unmap it: the writer's later append has to stay reachable.
+    /// before appending. GC visits the empty chain an abort left pending and
+    /// must NOT unmap it: the writer's later append has to stay reachable.
     #[test]
     fn gc_never_orphans_a_chain_a_writer_still_holds() {
         let (t, clog) = (VersionedTable::with_stripes(1), Clog::new());
-        // The stalled writer's handle to a not-yet-populated chain.
+        let empty_pending_chain = |key: Key, n: u64| {
+            let loser = xid(n);
+            clog.begin(loser);
+            t.insert(key, val("junk"), loser, Timestamp(5), &clog, T)
+                .unwrap();
+            clog.set_aborted(loser);
+            t.purge_txn([key], loser);
+        };
+        empty_pending_chain(42, 100);
+        // The stalled writer's handle to the not-yet-populated chain.
         let held = t.chain_or_create(42);
-        // A genuinely dead key, so the sweep has something to remove.
+        // A genuinely dead key, so the step has something to remove.
         committed(&clog, 1, 10, |x| {
             t.insert(7, val("a"), x, Timestamp(5), &clog, T).unwrap();
         });
@@ -1315,6 +1513,7 @@ mod tests {
             1,
             "dead tombstone removed, held empty chain kept"
         );
+        assert_eq!(pending_keys(&t), vec![42], "and kept pending");
         // The writer wakes up, appends through its held ref, and commits —
         // the version must be visible through the table's index.
         committed(&clog, 3, 30, |x| {
@@ -1326,11 +1525,16 @@ mod tests {
             Some(val("late")),
             "append through the held ChainRef was orphaned by GC"
         );
-        // Vacuum takes the same path and must also leave held chains alone.
+        // Vacuum takes the same path and must also leave held chains alone,
+        // and unmap them once released.
+        empty_pending_chain(99, 101);
         let held2 = t.chain_or_create(99);
         t.vacuum(Timestamp(25), &clog);
         assert_eq!(t.stats().keys, 2, "vacuum must not unmap a held chain");
         drop(held2);
+        t.vacuum(Timestamp(25), &clog);
+        assert_eq!(t.stats().keys, 1);
+        assert!(pending_keys(&t).is_empty());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property tests: the MVCC table agrees with a naive model at every
-//! snapshot, and vacuum never changes what live snapshots can see.
+//! snapshot, vacuum never changes what live snapshots can see, and
+//! write-driven GC leaves exactly what a sweep of every chain would.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use remus_common::{NodeId, Timestamp, TxnId};
-use remus_storage::{Clog, Value, VersionedTable};
+use remus_storage::{Clog, TupleVersion, TxnStatus, Value, VersionedTable};
 
 const T: Duration = Duration::from_secs(1);
 
@@ -110,6 +111,197 @@ fn check_history(ops: Vec<ModelOp>) {
     }
 }
 
+/// One step of a GC history: a write transaction (optionally with a GC step
+/// while it is still open), a snapshot pinned or released, or a GC step.
+#[derive(Debug, Clone)]
+enum GcOp {
+    Txn { op: ModelOp, gc_while_open: bool },
+    Pin,
+    Unpin(u8),
+    Step(u8),
+}
+
+fn gc_op_strategy() -> impl Strategy<Value = GcOp> {
+    prop_oneof![
+        6 => (op_strategy(), any::<u8>())
+            .prop_map(|(op, g)| GcOp::Txn { op, gc_while_open: g % 4 == 0 }),
+        1 => any::<u8>().prop_map(|_| GcOp::Pin),
+        1 => any::<u8>().prop_map(GcOp::Unpin),
+        2 => any::<u8>().prop_map(|b| GcOp::Step(b % 8)),
+    ]
+}
+
+/// The pruning rule, restated over a chain read through the public API
+/// (newest first): what a sweep at `horizon` leaves of it. Empty = key gone.
+fn sweep_reference(chain: Vec<TupleVersion>, horizon: Timestamp, clog: &Clog) -> Vec<TupleVersion> {
+    let mut below_anchor = false;
+    chain
+        .into_iter()
+        .filter(|v| match clog.status(v.xmin) {
+            TxnStatus::Aborted => false,
+            // The newest of these is the anchor: kept unless a tombstone.
+            TxnStatus::Committed(cts) if cts <= horizon => {
+                !std::mem::replace(&mut below_anchor, true) && !v.deleted
+            }
+            _ => true,
+        })
+        .collect()
+}
+
+/// Builds a table holding exactly `chains` (each newest first), through
+/// writes under the versions' own, already resolved, xids.
+fn table_of(chains: &BTreeMap<u64, Vec<TupleVersion>>, clog: &Clog) -> VersionedTable {
+    let table = VersionedTable::new();
+    for (&key, chain) in chains {
+        let mut below_live = false;
+        for v in chain.iter().rev() {
+            let (x, at) = (v.xmin, Timestamp::MAX);
+            if !v.deleted {
+                let write = if below_live {
+                    VersionedTable::update
+                } else {
+                    VersionedTable::insert
+                };
+                write(&table, key, v.value.clone(), x, at, clog, T).unwrap();
+            } else {
+                if !below_live {
+                    // A tombstone at the bottom of a chain: the insert it
+                    // deletes is its own.
+                    table.insert(key, Value::new(), x, at, clog, T).unwrap();
+                }
+                table.delete(key, x, at, clog, T).unwrap();
+            }
+            below_live = !v.deleted;
+        }
+    }
+    table
+}
+
+fn shape(v: &TupleVersion) -> (TxnId, bool, Value) {
+    (v.xmin, v.deleted, v.value.clone())
+}
+
+/// Drains `table` at `watermark` in small steps, then checks it against a
+/// sweep of every chain of `unpruned` (the same history, never collected).
+fn assert_drained_equals_sweep(
+    table: &VersionedTable,
+    unpruned: &VersionedTable,
+    watermark: Timestamp,
+    clog: &Clog,
+) {
+    let mut steps = 0;
+    while table.gc_step(watermark, clog, 5).scanned > 0 {
+        steps += 1;
+        assert!(steps < 1_000, "GC never reaches quiescence");
+    }
+    let expected: BTreeMap<u64, Vec<TupleVersion>> = (0..24u64)
+        .map(|k| {
+            (
+                k,
+                sweep_reference(unpruned.chain_snapshot(k), watermark, clog),
+            )
+        })
+        .filter(|(_, chain)| !chain.is_empty())
+        .collect();
+    for k in 0..24u64 {
+        let got: Vec<_> = table.chain_snapshot(k).iter().map(shape).collect();
+        let want: Vec<_> = expected.get(&k).into_iter().flatten().map(shape).collect();
+        assert_eq!(got, want, "key {k} at watermark {watermark:?}");
+    }
+    let reference = table_of(&expected, clog);
+    assert_eq!(table.stats(), reference.stats());
+    assert_eq!(
+        table.committed_state_digest(clog),
+        reference.committed_state_digest(clog)
+    );
+}
+
+/// Write-driven GC ≡ full sweep: on a random history of writes, aborts,
+/// pins and budgeted GC steps, every pinned snapshot keeps reading its
+/// model state, and draining to quiescence leaves exactly the versions a
+/// sweep over every chain leaves — under the pins, and after their release.
+fn check_gc_history(ops: Vec<GcOp>) {
+    let (collected, unpruned) = (VersionedTable::with_stripes(3), VersionedTable::new());
+    let clog = Clog::new();
+    let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+    let mut pins: Vec<(u64, BTreeMap<u64, u8>)> = Vec::new();
+    let mut ts = 10u64;
+    let watermark = |pins: &[(u64, BTreeMap<u64, u8>)], now: u64| {
+        Timestamp(pins.iter().map(|(t, _)| *t).min().unwrap_or(now))
+    };
+    let reader = TxnId::new(NodeId(1), 1);
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            GcOp::Pin => pins.push((ts, model.clone())),
+            GcOp::Unpin(n) if !pins.is_empty() => {
+                pins.remove(*n as usize % pins.len());
+            }
+            GcOp::Unpin(_) => {}
+            GcOp::Step(budget) => {
+                collected.gc_step(watermark(&pins, ts), &clog, *budget as usize);
+            }
+            GcOp::Txn { op, gc_while_open } => {
+                let xid = TxnId::new(NodeId(0), i as u64 + 1);
+                clog.begin(xid);
+                let start = Timestamp(ts);
+                let value = |v: u8| Value::from(vec![v]);
+                // The same statement against both tables; GC must not
+                // change its outcome.
+                let both = |f: &dyn Fn(&VersionedTable) -> bool| {
+                    let (a, b) = (f(&collected), f(&unpruned));
+                    assert_eq!(a, b, "GC changed the outcome of {op:?}");
+                    a
+                };
+                let (key, commit) = match *op {
+                    ModelOp::Insert(k, v) => (
+                        k,
+                        both(&|t| t.insert(k as u64, value(v), xid, start, &clog, T).is_ok())
+                            .then(|| model.insert(k as u64, v)),
+                    ),
+                    ModelOp::Update(k, v) => (
+                        k,
+                        both(&|t| t.update(k as u64, value(v), xid, start, &clog, T).is_ok())
+                            .then(|| model.insert(k as u64, v)),
+                    ),
+                    ModelOp::Delete(k) => (
+                        k,
+                        both(&|t| t.delete(k as u64, xid, start, &clog, T).is_ok())
+                            .then(|| model.remove(&(k as u64))),
+                    ),
+                    ModelOp::Abort(k, v) => {
+                        both(&|t| t.insert(k as u64, value(v), xid, start, &clog, T).is_ok());
+                        both(&|t| t.update(k as u64, value(v), xid, start, &clog, T).is_ok());
+                        (k, None)
+                    }
+                };
+                if *gc_while_open {
+                    collected.gc_step(watermark(&pins, ts), &clog, 4);
+                }
+                ts += 10;
+                if commit.is_some() {
+                    clog.set_committed(xid, Timestamp(ts)).unwrap();
+                } else {
+                    clog.set_aborted(xid);
+                    collected.purge_txn([key as u64], xid);
+                    unpruned.purge_txn([key as u64], xid);
+                }
+                ts += 10;
+            }
+        }
+        for (pin_ts, state) in &pins {
+            for k in 0..24u64 {
+                let got = collected
+                    .read(k, Timestamp(*pin_ts), reader, &clog, T)
+                    .unwrap()
+                    .map(|v| v[0]);
+                assert_eq!(got, state.get(&k).copied(), "key {k} pinned at {pin_ts}");
+            }
+        }
+    }
+    assert_drained_equals_sweep(&collected, &unpruned, watermark(&pins, ts), &clog);
+    assert_drained_equals_sweep(&collected, &unpruned, Timestamp(ts), &clog);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -118,6 +310,13 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..80)
     ) {
         check_history(ops);
+    }
+
+    #[test]
+    fn write_driven_gc_leaves_what_a_full_sweep_leaves(
+        ops in proptest::collection::vec(gc_op_strategy(), 1..120)
+    ) {
+        check_gc_history(ops);
     }
 }
 

@@ -232,6 +232,17 @@ impl NodeStorage {
         self.active.lock().remove(&xid)
     }
 
+    /// The distinct shards `xid` has written on this node: a lookup of its
+    /// own registry entry, so a commit costs its own writes and not a copy
+    /// of every live transaction's.
+    pub fn written_shards(&self, xid: TxnId) -> Vec<ShardId> {
+        self.active
+            .lock()
+            .get(&xid)
+            .map(ActiveTxn::shards)
+            .unwrap_or_default()
+    }
+
     /// Snapshot of the active transactions and their write sets.
     pub fn active_txns(&self) -> Vec<(TxnId, ActiveTxn)> {
         self.active
@@ -473,6 +484,20 @@ mod tests {
         n.deregister(x);
         // With nothing active the safe point is the tail.
         assert_eq!(n.oldest_active_begin_lsn(), n.wal.flush_lsn());
+    }
+
+    #[test]
+    fn written_shards_reads_only_the_transactions_own_entry() {
+        let n = node();
+        let (mine, other) = (n.alloc_xid(), n.alloc_xid());
+        for (xid, shard, key) in [(mine, 7, 1), (other, 3, 1), (mine, 2, 5), (mine, 7, 9)] {
+            n.register_active(xid);
+            n.record_write(xid, ShardId(shard), key);
+        }
+        assert_eq!(n.written_shards(mine), vec![ShardId(2), ShardId(7)]);
+        assert_eq!(n.written_shards(other), vec![ShardId(3)]);
+        n.deregister(mine);
+        assert!(n.written_shards(mine).is_empty());
     }
 
     #[test]

@@ -365,10 +365,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn crash_reset_keeps_kept_tables_by_identity_and_file_wal_replays() {
+    /// A node over a file-backed WAL in a fresh temporary directory.
+    fn file_backed_node(tag: &str) -> (NodeStorage, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
-            "remus-recovery-{}-{}",
+            "remus-recovery-{tag}-{}-{}",
             std::process::id(),
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -382,6 +382,12 @@ mod tests {
             config,
             &remus_common::metrics::MetricsRegistry::new(),
         );
+        (node, dir)
+    }
+
+    #[test]
+    fn crash_reset_keeps_kept_tables_by_identity_and_file_wal_replays() {
+        let (node, dir) = file_backed_node("replay");
         let kept = ShardId(u64::MAX);
         let kept_table = node.create_shard(kept);
         node.create_shard(ShardId(9));
@@ -403,6 +409,69 @@ mod tests {
             read_at(&node, ShardId(9), 42, Timestamp(3)),
             Some(bytes("d"))
         );
+        drop(node);
+        std::fs::remove_dir_all(&dir).expect("tmpdir hygiene");
+    }
+
+    /// Write-driven GC across a crash: `crash_reset` leaves nothing pending
+    /// in a table it keeps, and replay — which writes through the same
+    /// table API as transactions — enqueues exactly the chains it leaves
+    /// with something to prune.
+    #[test]
+    fn crash_reset_and_replay_rebuild_the_gc_pending_sets() {
+        let (node, dir) = file_backed_node("gc");
+        let kept = ShardId(u64::MAX);
+        let kept_table = node.create_shard(kept);
+        node.create_shard(ShardId(9));
+        // key 1: three versions; key 2: inserted then deleted; key 3: one.
+        let history = [
+            (1, WriteKind::Insert, "a0", 3),
+            (2, WriteKind::Insert, "b0", 3),
+            (3, WriteKind::Insert, "c0", 3),
+            (1, WriteKind::Update, "a1", 5),
+            (2, WriteKind::Delete, "", 6),
+            (1, WriteKind::Update, "a2", 7),
+        ];
+        for (key, kind, val, cts) in history {
+            let xid = node.alloc_xid();
+            node.wal
+                .append(LogRecord::new(xid, write(9, key, kind, val)));
+            node.wal
+                .append_durable(LogRecord::new(xid, LogOp::Commit(Timestamp(cts))))
+                .unwrap();
+            // The same history, unlogged, in the table that is kept.
+            node.clog.begin(xid);
+            redo_write(
+                &node,
+                xid,
+                &WriteOp {
+                    shard: kept,
+                    key,
+                    kind,
+                    value: bytes(val),
+                },
+                REPLAY_TIMEOUT,
+            )
+            .unwrap();
+            node.clog.set_committed(xid, Timestamp(cts)).unwrap();
+        }
+
+        node.crash_reset(&[kept]).unwrap();
+        let idle = kept_table.gc_step(Timestamp::MAX, &node.clog, usize::MAX);
+        assert_eq!(idle.scanned, 0, "a cleared table has nothing pending");
+
+        replay_node_wal(&node).unwrap();
+        let table = node.table(ShardId(9)).unwrap();
+        let step = table.gc_step(Timestamp(100), &node.clog, usize::MAX);
+        assert_eq!((step.scanned, step.pruned), (2, 4), "keys 1 and 2");
+        let stats = table.stats();
+        assert_eq!((stats.keys, stats.versions), (2, 2));
+        assert_eq!(
+            read_at(&node, ShardId(9), 1, Timestamp(100)),
+            Some(bytes("a2"))
+        );
+        let again = table.gc_step(Timestamp(100), &node.clog, usize::MAX);
+        assert_eq!(again.scanned, 0);
         drop(node);
         std::fs::remove_dir_all(&dir).expect("tmpdir hygiene");
     }

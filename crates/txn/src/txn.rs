@@ -108,11 +108,7 @@ impl Txn {
 
     /// The distinct shards written on `node`.
     pub fn written_shards_on(&self, node: &NodeStorage) -> Vec<ShardId> {
-        node.active_txns()
-            .into_iter()
-            .find(|(x, _)| *x == self.xid)
-            .map(|(_, a)| a.shards())
-            .unwrap_or_default()
+        node.written_shards(self.xid)
     }
 
     fn assert_active(&self) -> DbResult<()> {

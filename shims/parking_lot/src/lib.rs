@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Mutual exclusion primitive. `lock()` returns the guard directly, with no
@@ -164,23 +165,41 @@ impl WaitTimeoutResult {
 
 /// Condition variable taking `&mut MutexGuard` like parking_lot, rather than
 /// consuming the guard like `std::sync::Condvar`.
-pub struct Condvar(std::sync::Condvar);
+///
+/// Like parking_lot — and unlike std, which makes a futex syscall per
+/// notification — notifying is a load when nobody waits. A waiter counts
+/// itself *while it still holds the caller's mutex*, before parking. A
+/// notifier that changed the waited-for state under that mutex therefore
+/// either took the mutex after the waiter released it in `wait` (and sees
+/// the count), or before the waiter took it (and the waiter sees the new
+/// state and does not wait). The mutex orders the two; `SeqCst` is for the
+/// notifier that notifies after unlocking.
+pub struct Condvar {
+    inner: std::sync::Condvar,
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     #[allow(clippy::new_without_default)]
     pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
+        Condvar {
+            inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+        }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         // std's wait consumes the guard; move it out and back in place.
         // std::sync::Condvar::wait does not unwind, so the brief window
-        // where `guard.0` is logically moved-out cannot double-drop.
+        // where `guard.0` is logically moved-out cannot double-drop (nor
+        // leave this thread counted as a waiter).
         unsafe {
             let inner = std::ptr::read(&guard.0);
-            let next = self.0.wait(inner).unwrap_or_else(|p| p.into_inner());
+            let next = self.inner.wait(inner).unwrap_or_else(|p| p.into_inner());
             std::ptr::write(&mut guard.0, next);
         }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     pub fn wait_for<T>(
@@ -188,9 +207,10 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
-        unsafe {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let timed_out = unsafe {
             let inner = std::ptr::read(&guard.0);
-            let (next, res) = match self.0.wait_timeout(inner, timeout) {
+            let (next, res) = match self.inner.wait_timeout(inner, timeout) {
                 Ok((g, r)) => (g, r),
                 Err(p) => {
                     let (g, r) = p.into_inner();
@@ -198,16 +218,22 @@ impl Condvar {
                 }
             };
             std::ptr::write(&mut guard.0, next);
-            WaitTimeoutResult(res.timed_out())
-        }
+            res.timed_out()
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        WaitTimeoutResult(timed_out)
     }
 
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -277,6 +303,45 @@ mod tests {
         let r = cv.wait_for(&mut g, Duration::from_millis(10));
         assert!(r.timed_out());
         assert!(start.elapsed() >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn notify_without_a_waiter_is_a_no_op_and_not_remembered() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        // Nothing was banked: a later wait still runs out its timeout.
+        let mut g = m.lock();
+        let start = Instant::now();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(10)).timed_out());
+        assert!(start.elapsed() >= Duration::from_millis(5));
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0, "deregistered");
+    }
+
+    /// A waiter that registered before the state change is always woken:
+    /// it holds the mutex from its check to its park, so the notifier —
+    /// which changes the state under the same mutex — cannot miss it. A
+    /// lost wake-up would hang this test on the untimed `wait`.
+    #[test]
+    fn a_registered_waiter_is_always_woken() {
+        for _ in 0..1_000 {
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let p2 = Arc::clone(&pair);
+            let waiter = std::thread::spawn(move || {
+                let (m, cv) = &*p2;
+                let mut ready = m.lock();
+                while !*ready {
+                    cv.wait(&mut ready);
+                }
+            });
+            let (m, cv) = &*pair;
+            *m.lock() = true;
+            cv.notify_one();
+            waiter.join().unwrap();
+            assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        }
     }
 
     #[test]
