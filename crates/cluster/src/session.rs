@@ -413,15 +413,19 @@ impl<'s> SessionTxn<'s> {
             if let (Some(ssi), Some(handle)) = (&node.storage.ssi, self.txn.ssi_handle()) {
                 ssi.on_scan(handle, shard)?;
             }
-            let rows = table.scan_visible_range(
+            // With the transaction's own xid: a scan sees its own writes.
+            let before = out.len();
+            table.scan(
                 ..,
                 self.txn.start_ts,
+                self.txn.xid,
                 &node.storage.clog,
                 node.storage.config.lock_wait_timeout,
+                |key, value| out.push((key, value)),
             )?;
-            node.work.add(rows.len() as u64);
-            self.touched.entry(shard).or_default().0 += rows.len() as u64;
-            out.extend(rows);
+            let rows = (out.len() - before) as u64;
+            node.work.add(rows);
+            self.touched.entry(shard).or_default().0 += rows;
         }
         Ok(out)
     }

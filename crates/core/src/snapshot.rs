@@ -35,7 +35,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use remus_cluster::{Cluster, Node};
 use remus_common::fault::{FaultAction, InjectionPoint};
-use remus_common::{DbError, DbResult, ShardId, Timestamp};
+use remus_common::{DbError, DbResult, ShardId, Timestamp, TxnId};
 use remus_storage::Key;
 
 use crate::trace::{SpanId, TraceRecorder};
@@ -48,39 +48,44 @@ const MAX_CHUNK_ATTEMPTS: usize = 4;
 /// partially-copied-chunk path.
 const CRASH_AFTER_TUPLES: u64 = 16;
 
-/// One shard's chunk layout inside a [`CopyGate`].
+/// A shard's key space cut into chunks at sorted split keys
+/// (`VersionedTable::chunk_splits`): chunk `i` covers
+/// `[splits[i-1], splits[i])` with unbounded first/last ends. `n` splits make
+/// `n + 1` chunks.
 #[derive(Debug)]
-struct ShardPlan {
-    /// Sorted split keys; chunk `i` covers `[splits[i-1], splits[i])` with
-    /// unbounded first/last ends. `n` splits make `n + 1` chunks.
-    splits: Vec<Key>,
-    /// Offset of this shard's chunk 0 in the gate's flat state vectors.
-    base: usize,
-}
+pub(crate) struct ChunkSplits(pub(crate) Vec<Key>);
 
-impl ShardPlan {
-    fn chunk_count(&self) -> usize {
-        self.splits.len() + 1
+impl ChunkSplits {
+    pub(crate) fn chunk_count(&self) -> usize {
+        self.0.len() + 1
     }
 
     /// The chunk covering `key`: the number of splits at or below it.
-    fn chunk_of(&self, key: Key) -> usize {
-        self.splits.partition_point(|s| *s <= key)
+    pub(crate) fn chunk_of(&self, key: Key) -> usize {
+        self.0.partition_point(|s| *s <= key)
     }
 
     /// Half-open key range of chunk `idx`.
-    fn range_of(&self, idx: usize) -> (Bound<Key>, Bound<Key>) {
+    pub(crate) fn range_of(&self, idx: usize) -> (Bound<Key>, Bound<Key>) {
         let lo = if idx == 0 {
             Bound::Unbounded
         } else {
-            Bound::Included(self.splits[idx - 1])
+            Bound::Included(self.0[idx - 1])
         };
-        let hi = match self.splits.get(idx) {
+        let hi = match self.0.get(idx) {
             Some(s) => Bound::Excluded(*s),
             None => Bound::Unbounded,
         };
         (lo, hi)
     }
+}
+
+/// One shard's chunk layout inside a [`CopyGate`].
+#[derive(Debug)]
+struct ShardPlan {
+    splits: ChunkSplits,
+    /// Offset of this shard's chunk 0 in the gate's flat state vectors.
+    base: usize,
 }
 
 #[derive(Debug)]
@@ -126,8 +131,8 @@ impl CopyGate {
         let mut base = 0usize;
         for &shard in shards {
             let table = source.storage.table_or_err(shard)?;
-            let splits = table.chunk_splits(chunk_size);
-            let n = splits.len() + 1;
+            let splits = ChunkSplits(table.chunk_splits(chunk_size));
+            let n = splits.chunk_count();
             plans.insert(shard, ShardPlan { splits, base });
             base += n;
         }
@@ -157,7 +162,7 @@ impl CopyGate {
 
     /// Total chunks across all shards.
     pub fn chunk_count(&self) -> usize {
-        self.plans.values().map(|p| p.chunk_count()).sum()
+        self.plans.values().map(|p| p.splits.chunk_count()).sum()
     }
 
     /// Every chunk as a work item, shard by shard in chunk order.
@@ -166,8 +171,8 @@ impl CopyGate {
         let mut shards: Vec<_> = self.plans.iter().collect();
         shards.sort_by_key(|(s, _)| **s);
         for (&shard, plan) in shards {
-            for idx in 0..plan.chunk_count() {
-                let (lo, hi) = plan.range_of(idx);
+            for idx in 0..plan.splits.chunk_count() {
+                let (lo, hi) = plan.splits.range_of(idx);
                 jobs.push(ChunkJob {
                     shard,
                     idx,
@@ -187,7 +192,7 @@ impl CopyGate {
         let Some(plan) = self.plans.get(&shard) else {
             return Ok(());
         };
-        let flat = plan.base + plan.chunk_of(key);
+        let flat = plan.base + plan.splits.chunk_of(key);
         let mut state = self.state.lock();
         loop {
             if state.poisoned {
@@ -257,9 +262,10 @@ fn copy_chunk(
     let per_tuple = cluster.config.snapshot_copy_per_tuple;
     let mut copied = 0u64;
     let mut batch_cost = 0u32;
-    src_table.for_each_visible_range(
+    src_table.scan(
         (job.lo, job.hi),
         snapshot_ts,
+        TxnId::INVALID,
         &source.storage.clog,
         cluster.config.lock_wait_timeout,
         |key, value| {
@@ -401,7 +407,9 @@ pub fn copy_task_snapshots_gated(
 }
 
 /// Copies the snapshot of `shard` (visible at `snapshot_ts`) from `source`
-/// to `dest`, creating the destination shard table. Returns tuples copied.
+/// to `dest`, creating the destination shard table: the whole shard as one
+/// chunk — the sequential reference the chunked copy is tested against.
+/// Returns tuples copied.
 pub fn copy_shard_snapshot(
     cluster: &Arc<Cluster>,
     source: &Node,
@@ -409,36 +417,16 @@ pub fn copy_shard_snapshot(
     shard: ShardId,
     snapshot_ts: Timestamp,
 ) -> DbResult<u64> {
-    let src_table = source.storage.table_or_err(shard)?;
-    let dst_table = dest.storage.create_shard(shard);
-    let per_tuple = cluster.config.snapshot_copy_per_tuple;
-    let mut copied = 0u64;
-    let mut batch_cost = 0u32;
-    src_table.for_each_visible(
-        snapshot_ts,
-        &source.storage.clog,
-        cluster.config.lock_wait_timeout,
-        |key, value| {
-            dst_table.install_frozen(key, value);
-            copied += 1;
-            batch_cost += 1;
-            // Same batched cost model as the chunked path.
-            if batch_cost == 256 {
-                source.work.add(256);
-                dest.work.add(256);
-                if !per_tuple.is_zero() {
-                    std::thread::sleep(per_tuple * 256);
-                }
-                batch_cost = 0;
-            }
-        },
-    )?;
-    source.work.add(batch_cost as u64);
-    dest.work.add(batch_cost as u64);
-    if !per_tuple.is_zero() && batch_cost > 0 {
-        std::thread::sleep(per_tuple * batch_cost);
-    }
-    Ok(copied)
+    source.storage.table_or_err(shard)?;
+    dest.storage.create_shard(shard);
+    let whole = ChunkJob {
+        shard,
+        idx: 0,
+        flat: 0,
+        lo: Bound::Unbounded,
+        hi: Bound::Unbounded,
+    };
+    copy_chunk(cluster, source, dest, &whole, snapshot_ts)
 }
 
 /// Copies all of a task's shards with the configured chunked worker pool
@@ -496,19 +484,13 @@ mod tests {
         // Installed tuples are visible to the earliest snapshots.
         assert_eq!(
             table
-                .read(
-                    5,
-                    Timestamp::SNAPSHOT_MIN,
-                    remus_common::TxnId::INVALID,
-                    clog,
-                    t
-                )
+                .read(5, Timestamp::SNAPSHOT_MIN, TxnId::INVALID, clog, t)
                 .unwrap(),
             Some(val("v0"))
         );
         assert_eq!(
             table
-                .read(999, Timestamp::MAX, remus_common::TxnId::INVALID, clog, t)
+                .read(999, Timestamp::MAX, TxnId::INVALID, clog, t)
                 .unwrap(),
             None
         );
@@ -566,16 +548,9 @@ mod tests {
     ) -> Vec<(u64, Value)> {
         let n = cluster.node(node);
         let table = n.storage.table(shard).unwrap();
-        let mut out = Vec::new();
         table
-            .for_each_visible(
-                ts,
-                &n.storage.clog,
-                std::time::Duration::from_secs(1),
-                |k, v| out.push((k, v)),
-            )
-            .unwrap();
-        out
+            .scan_visible_range(.., ts, &n.storage.clog, Duration::from_secs(1))
+            .unwrap()
     }
 
     #[test]
@@ -656,8 +631,8 @@ mod tests {
         let gate = CopyGate::plan(&[ShardId(0)], src, 8).unwrap();
         assert_eq!(gate.chunk_count(), 2);
         // The split key starts the second chunk.
-        assert_eq!(gate.plans[&ShardId(0)].chunk_of(7), 0);
-        assert_eq!(gate.plans[&ShardId(0)].chunk_of(8), 1);
+        assert_eq!(gate.plans[&ShardId(0)].splits.chunk_of(7), 0);
+        assert_eq!(gate.plans[&ShardId(0)].splits.chunk_of(8), 1);
         let (copied, _) = gated_copy(&cluster, &[ShardId(0)], 8, snapshot_ts);
         assert_eq!(copied, 16);
         let rows = dump(&cluster, NodeId(1), ShardId(0), Timestamp::SNAPSHOT_MIN);

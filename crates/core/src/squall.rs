@@ -22,38 +22,25 @@ use remus_storage::Key;
 
 use crate::diversion::run_tm;
 use crate::report::{MigrationEngine, MigrationReport, MigrationTask};
+use crate::snapshot::ChunkSplits;
 use crate::trace::TraceRecorder;
 
-/// Per-shard chunk map: sorted chunk start keys plus pulled flags.
+/// Per-shard chunk map: the chunks plus their pulled flags.
 #[derive(Debug)]
 struct ChunkSet {
-    /// `starts[i]` is the first key of chunk `i`; chunk `i` covers
-    /// `[starts[i], starts[i+1])`, the last chunk is unbounded above.
-    starts: Vec<Key>,
+    splits: ChunkSplits,
     pulled: Mutex<Vec<bool>>,
     remaining: AtomicUsize,
 }
 
 impl ChunkSet {
-    fn build(keys: &[Key], chunk_keys: u64) -> ChunkSet {
-        let mut starts = vec![0u64];
-        for window in keys.chunks(chunk_keys.max(1) as usize).skip(1) {
-            starts.push(window[0]);
-        }
-        let n = starts.len();
+    fn new(splits: ChunkSplits) -> ChunkSet {
+        let n = splits.chunk_count();
         ChunkSet {
-            starts,
+            splits,
             pulled: Mutex::new(vec![false; n]),
             remaining: AtomicUsize::new(n),
         }
-    }
-
-    fn chunk_of(&self, key: Key) -> usize {
-        self.starts.partition_point(|&s| s <= key).saturating_sub(1)
-    }
-
-    fn range_of(&self, idx: usize) -> (Key, Option<Key>) {
-        (self.starts[idx], self.starts.get(idx + 1).copied())
     }
 
     fn is_pulled(&self, idx: usize) -> bool {
@@ -61,7 +48,7 @@ impl ChunkSet {
     }
 
     fn len(&self) -> usize {
-        self.starts.len()
+        self.splits.chunk_count()
     }
 }
 
@@ -115,22 +102,13 @@ impl SquallState {
             std::thread::sleep(latency);
         }
         self.cluster.net.hop(self.dest.id(), self.source.id());
-        let (lo, hi) = set.range_of(idx);
         let src_table = self.source.storage.table_or_err(shard)?;
-        let rows = match hi {
-            Some(hi) => src_table.scan_visible_range(
-                lo..hi,
-                Timestamp::MAX,
-                &self.source.storage.clog,
-                self.cluster.config.lock_wait_timeout,
-            )?,
-            None => src_table.scan_visible_range(
-                lo..,
-                Timestamp::MAX,
-                &self.source.storage.clog,
-                self.cluster.config.lock_wait_timeout,
-            )?,
-        };
+        let rows = src_table.scan_visible_range(
+            set.splits.range_of(idx),
+            Timestamp::MAX,
+            &self.source.storage.clog,
+            self.cluster.config.lock_wait_timeout,
+        )?;
         let dst_table = self.dest.storage.table_or_err(shard)?;
         let n = rows.len() as u64;
         for (k, v) in rows {
@@ -171,7 +149,7 @@ impl AccessHook for SquallHook {
         let Some(set) = self.state.chunks.get(&shard) else {
             return Ok(());
         };
-        let idx = set.chunk_of(key);
+        let idx = set.splits.chunk_of(key);
         if node == self.state.dest.id() {
             // On-demand (reactive) pull under the session's shard lock.
             self.state.pull_chunk(shard, idx, xid, false)
@@ -237,25 +215,14 @@ impl MigrationEngine for SquallEngine {
         let dest = Arc::clone(cluster.node(task.dest));
 
         // Build the chunk map from the source's current keys and create
-        // empty destination shards.
+        // empty destination shards. A key with no visible version only
+        // shifts a boundary: pulls scan by range.
         let chunk_span = rec.start("chunk_map");
         let mut chunks = HashMap::new();
         for &shard in &task.shards {
             let table = source.storage.table_or_err(shard)?;
-            let keys: Vec<Key> = table
-                .scan_visible_range(
-                    ..,
-                    Timestamp::MAX,
-                    &source.storage.clog,
-                    cluster.config.lock_wait_timeout,
-                )?
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
-            chunks.insert(
-                shard,
-                ChunkSet::build(&keys, cluster.config.squall_chunk_keys),
-            );
+            let splits = ChunkSplits(table.chunk_splits(cluster.config.squall_chunk_keys));
+            chunks.insert(shard, ChunkSet::new(splits));
             dest.storage.create_shard(shard);
         }
         let state = Arc::new(SquallState {
@@ -378,6 +345,7 @@ mod tests {
     use remus_cluster::{ClusterBuilder, Session};
     use remus_common::{SimConfig, TableId};
     use remus_storage::Value;
+    use std::ops::Bound;
 
     fn val(s: &str) -> Value {
         Value::copy_from_slice(s.as_bytes())
@@ -421,25 +389,32 @@ mod tests {
 
     #[test]
     fn chunk_map_boundaries() {
-        let set = ChunkSet::build(&[10, 20, 30, 40, 50], 2);
+        // Keys 10, 20, 30, 40, 50 in chunks of two split at 30 and 50.
+        let set = ChunkSet::new(ChunkSplits(vec![30, 50]));
         // Chunks: [0,30), [30,50), [50,∞).
         assert_eq!(set.len(), 3);
-        assert_eq!(set.chunk_of(0), 0);
-        assert_eq!(set.chunk_of(29), 0);
-        assert_eq!(set.chunk_of(30), 1);
-        assert_eq!(set.chunk_of(49), 1);
-        assert_eq!(set.chunk_of(50), 2);
-        assert_eq!(set.chunk_of(u64::MAX), 2);
-        assert_eq!(set.range_of(0), (0, Some(30)));
-        assert_eq!(set.range_of(2), (50, None));
+        assert_eq!(set.splits.chunk_of(0), 0);
+        assert_eq!(set.splits.chunk_of(29), 0);
+        assert_eq!(set.splits.chunk_of(30), 1);
+        assert_eq!(set.splits.chunk_of(49), 1);
+        assert_eq!(set.splits.chunk_of(50), 2);
+        assert_eq!(set.splits.chunk_of(u64::MAX), 2);
+        assert_eq!(
+            set.splits.range_of(0),
+            (Bound::Unbounded, Bound::Excluded(30))
+        );
+        assert_eq!(
+            set.splits.range_of(2),
+            (Bound::Included(50), Bound::Unbounded)
+        );
     }
 
     #[test]
     fn empty_shard_is_one_chunk() {
-        let set = ChunkSet::build(&[], 8);
+        let set = ChunkSet::new(ChunkSplits(Vec::new()));
         assert_eq!(set.len(), 1);
-        assert_eq!(set.chunk_of(123), 0);
-        assert_eq!(set.range_of(0), (0, None));
+        assert_eq!(set.splits.chunk_of(123), 0);
+        assert_eq!(set.splits.range_of(0), (Bound::Unbounded, Bound::Unbounded));
     }
 
     #[test]

@@ -10,21 +10,35 @@
 //!
 //! * [`clog::Clog`] — transaction status + commit timestamps, with blocking
 //!   waits for resolution.
-//! * [`mod@tuple`] — tuple versions and version chains (newest first).
 //! * [`table::VersionedTable`] — one shard's primary-keyed multi-version
 //!   heap: SI reads, first-committer-wins writes, deletes, explicit row
-//!   locks, streaming snapshot scans, snapshot installation, vacuum.
-//! * [`visibility`] — the pure visibility decision procedure, factored out
-//!   so it can be tested exhaustively.
+//!   locks, streaming snapshot scans, snapshot installation, GC.
+//!
+//! How a table lays out its version chains, and the pure visibility and
+//! write-check procedures that walk them, are private to this crate. What
+//! is public is the table API below: each operation has one body and every
+//! other entry point projects it (the [`table`] module doc has the callers).
+//!
+//! | operation | body | projections |
+//! |---|---|---|
+//! | point read | the private `visible_at` | [`VersionedTable::read_versioned`], [`VersionedTable::read`] (value only) |
+//! | scan | [`VersionedTable::scan`] | [`VersionedTable::scan_visible_range`], [`VersionedTable::count_visible`] |
+//! | write | [`VersionedTable::write`] taking a [`WriteKind`] | [`VersionedTable::insert`], [`update`](VersionedTable::update), [`delete`](VersionedTable::delete), [`lock_row`](VersionedTable::lock_row) |
+//! | GC | [`VersionedTable::gc_step`] | [`VersionedTable::vacuum`] |
+//! | bulk | [`VersionedTable::install_frozen`], [`purge_txn`](VersionedTable::purge_txn), [`chunk_splits`](VersionedTable::chunk_splits), [`clear`](VersionedTable::clear) | — |
+//!
+//! [`TupleVersion`] is the element type of
+//! [`VersionedTable::chain_snapshot`], the one window onto stored versions
+//! that reference tests and forensic dumps keep.
 
 pub mod clog;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
 pub mod table;
-pub mod tuple;
-pub mod visibility;
+mod tuple;
+mod visibility;
 
 pub use clog::{Clog, TxnStatus};
-pub use table::{GcStepStats, TableStats, VersionedTable, WriteOutcome};
-pub use tuple::{Key, TupleVersion, Value, VersionChain};
-pub use visibility::{resolve_visible, resolve_visible_versioned, VersionedOutcome};
+pub use table::{GcStepStats, TableStats, VersionedTable};
+pub use tuple::{Key, TupleVersion, Value};
+pub use visibility::WriteKind;

@@ -14,7 +14,7 @@ use remus_common::TxnId;
 
 use crate::clog::Clog;
 
-/// When set, [`crate::visibility::resolve_visible_versioned`] *skips*
+/// When set, visibility resolution (every table read and scan) *skips*
 /// prepared versions instead of waiting on them — violating the paper's
 /// prepare-wait rule. A reader can then miss a write that commits with a
 /// timestamp at or below the reader's snapshot: a stale read the SI checker
@@ -46,8 +46,8 @@ pub fn take_kill_replay_worker() -> bool {
     KILL_REPLAY_WORKER.swap(false, Ordering::SeqCst)
 }
 
-/// One-shot race seam: the transaction to abort right after
-/// [`crate::visibility::check_write`] has read its status. This is not a
+/// One-shot race seam: the transaction to abort right after a table write's
+/// conflict check has read its status. This is not a
 /// mutation of the system but a schedule — a writer aborting while another
 /// transaction is mid write-check — pinned so a test can replay it.
 static ABORT_AFTER_WRITE_CHECK_READ: Mutex<Option<TxnId>> = Mutex::new(None);

@@ -7,8 +7,30 @@
 //!
 //! All blocking (prepare-wait, waiting for a conflicting writer to resolve)
 //! happens *outside* chain latches: operations run the pure checks from
-//! [`crate::visibility`] under the latch, and on `WaitFor` release it, block
+//! `crate::visibility` under the latch, and on `WaitFor` release it, block
 //! on the CLOG, and retry.
+//!
+//! Each operation has one *body* that touches a version chain; every other
+//! entry point is a projection of it. A new chain layout re-implements the
+//! five bodies marked ✱ and nothing else.
+//!
+//! | entry point | what it is | called by |
+//! |---|---|---|
+//! | `visible_at` ✱ (private) | the read-side prepare-wait loop | `read_versioned`, `scan` |
+//! | [`read_versioned`](VersionedTable::read_versioned) | `visible_at` on the key's chain | `shard::read_owner_at` (routing reads) |
+//! | [`read`](VersionedTable::read) | the same, value only | `Txn::read`, replica snapshot reads, recovery checks, the benchmark's point-read probes |
+//! | [`scan`](VersionedTable::scan) | the one streaming scan: `collect_batch` ✱ merges the stripes, `visible_at` resolves each chain | snapshot copy chunks (≈ 128-key ranges), `SessionTxn::scan_table` (whole shards, own writes visible) |
+//! | [`scan_visible_range`](VersionedTable::scan_visible_range) | `scan` collected into a `Vec`, no own writes | Squall pulls, replica `scan_table`, the benchmark's scan probe (40 000-key ranges) |
+//! | [`count_visible`](VersionedTable::count_visible) | `scan` counted | the benchmark's consistency checks |
+//! | [`write`](VersionedTable::write) | the write-side wait loop; `apply_write` ✱ is the one step that edits a chain | `Txn::write_common`, `recovery::redo_write` |
+//! | [`insert`](VersionedTable::insert) / [`update`](VersionedTable::update) / [`delete`](VersionedTable::delete) / [`lock_row`](VersionedTable::lock_row) | one-line forwards to `write` | storage tests, the benchmark's write probes |
+//! | [`purge_txn`](VersionedTable::purge_txn) | abort cleanup | `remus-txn` abort path |
+//! | [`install_frozen`](VersionedTable::install_frozen) ✱ | replaces a chain by one frozen version | snapshot copy, Squall pulls, bulk loaders, `shard::install_owner` |
+//! | [`chunk_splits`](VersionedTable::chunk_splits) | every n-th key of the index | `CopyGate::plan`, Squall's chunk map |
+//! | [`gc_step`](VersionedTable::gc_step) | budgeted GC over pending chains; `prune_chain` ✱ is the pruning rule | `Cluster::gc_tick`, the benchmark's GC probe |
+//! | [`vacuum`](VersionedTable::vacuum) | `gc_step` without a budget | storage tests |
+//! | [`clear`](VersionedTable::clear) | drops everything | `NodeStorage::crash_reset` |
+//! | [`chain_snapshot`](VersionedTable::chain_snapshot), [`committed_state_digest`](VersionedTable::committed_state_digest), [`stats`](VersionedTable::stats) | read-only windows for tests, forensic dumps and gauges | the sweep-reference property test, `remus-core` forensics and replica tests, planner / bench gauges |
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Bound, RangeBounds};
@@ -21,18 +43,9 @@ use remus_common::{DbError, DbResult, Timestamp, TxnId};
 
 use crate::clog::{Clog, FROZEN_TXN};
 use crate::tuple::{Key, TupleVersion, Value, VersionChain};
-use crate::visibility::{check_write, resolve_visible, VisibleOutcome, WriteCheck, WriteKind};
+use crate::visibility::{check_write, resolve_visible, ReadOutcome, WriteCheck, WriteKind};
 
 type ChainRef = Arc<Mutex<VersionChain>>;
-
-/// What a successful write did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteOutcome {
-    /// A new version was appended to the chain.
-    NewVersion,
-    /// The writer's own newest version was modified in place.
-    UpdatedOwn,
-}
 
 /// Aggregate statistics for monitoring and the Figure-10 harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,6 +105,61 @@ fn prune_chain(
         true
     });
     (before - guard.len(), retry_at)
+}
+
+/// Chains a scan collects, then resolves, per acquisition of the stripe locks.
+const SCAN_BATCH: usize = 256;
+
+/// What `self_xid` sees of `chain` at `start_ts`, and the commit timestamp of
+/// the version seen. The one read-side prepare-wait loop; inlined into its
+/// three callers so that projecting the pair costs nothing — as a call, the
+/// value-only `read` pays ≈ 10 ns of an 80 ns hot read to pass it through
+/// memory.
+#[inline(always)]
+fn visible_at(
+    chain: &ChainRef,
+    start_ts: Timestamp,
+    self_xid: TxnId,
+    clog: &Clog,
+    timeout: Duration,
+) -> DbResult<Option<(Value, Timestamp)>> {
+    loop {
+        // The latch is dropped at the end of this statement.
+        let wait_on = match resolve_visible(&chain.lock(), clog, start_ts, self_xid) {
+            ReadOutcome::Value { value, cts } => return Ok(Some((value, cts))),
+            ReadOutcome::NotFound => return Ok(None),
+            ReadOutcome::WaitFor(xid) => xid,
+        };
+        clog.wait_resolved(wait_on, timeout)?;
+    }
+}
+
+/// The one apply step: edits a latched chain as [`check_write`] allowed.
+fn apply_write(
+    chain: &mut VersionChain,
+    check: WriteCheck,
+    kind: WriteKind,
+    value: Value,
+    xid: TxnId,
+) {
+    if check == WriteCheck::Ok && kind != WriteKind::Lock {
+        return chain.push(match kind {
+            WriteKind::Delete => TupleVersion::tombstone(xid),
+            _ => TupleVersion::data(xid, value),
+        });
+    }
+    // A lock marks the live version; anything else edits the writer's own
+    // newest version in place.
+    let newest = chain.newest_mut().expect("a checked write has a target");
+    match kind {
+        WriteKind::Lock => newest.locker = Some(xid),
+        WriteKind::Delete => newest.deleted = true,
+        // An insert here is a re-insert over the writer's own tombstone.
+        WriteKind::Insert | WriteKind::Update => {
+            newest.deleted = false;
+            newest.value = value;
+        }
+    }
 }
 
 /// One lock stripe of the key index, and the keys in it GC has work on.
@@ -193,19 +261,10 @@ impl VersionedTable {
         }
     }
 
-    /// Number of index stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
     fn stripe_of(&self, key: Key) -> &Stripe {
-        let n = self.stripes.len();
-        if n == 1 {
-            return &self.stripes[0];
-        }
         // Fibonacci hashing: adjacent keys land on different stripes.
         let h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-        &self.stripes[h % n]
+        &self.stripes[h % self.stripes.len()]
     }
 
     fn chain(&self, key: Key) -> Option<ChainRef> {
@@ -237,42 +296,33 @@ impl VersionedTable {
         Arc::clone(map.entry(key).or_default())
     }
 
-    /// The first `limit` in-range `(key, chain)` pairs in global key order.
-    ///
-    /// Sound under striping because each stripe is itself ordered: every key
-    /// among the global first `limit` is among the first `limit` in-range
-    /// keys of its own stripe, so taking `limit` per stripe before the merge
-    /// never drops one.
-    fn collect_range(
-        &self,
-        from: Bound<Key>,
-        end: Bound<Key>,
-        limit: usize,
-    ) -> Vec<(Key, ChainRef)> {
-        if self.stripes.len() == 1 {
-            let map = self.stripes[0].index.read();
-            return map
-                .range((from, end))
-                .take(limit)
-                .map(|(k, c)| (*k, Arc::clone(c)))
-                .collect();
+    /// The first [`SCAN_BATCH`] in-range `(key, chain)` pairs in global key
+    /// order: a merge of the per-stripe ranges (each stripe is itself
+    /// ordered) under the stripe read locks, which are taken in index order
+    /// and dropped on return. Clones exactly the chains it returns.
+    fn collect_batch(&self, from: Bound<Key>, end: Bound<Key>) -> Vec<(Key, ChainRef)> {
+        let maps: Vec<_> = self.stripes.iter().map(|s| s.index.read()).collect();
+        let mut ranges: Vec<_> = maps.iter().map(|m| m.range((from, end))).collect();
+        let mut heads: Vec<_> = ranges.iter_mut().map(Iterator::next).collect();
+        let mut batch = Vec::with_capacity(SCAN_BATCH);
+        while batch.len() < SCAN_BATCH {
+            let lowest = heads
+                .iter()
+                .enumerate()
+                .filter_map(|(i, head)| head.map(|(key, chain)| (*key, i, chain)))
+                .min_by_key(|(key, ..)| *key);
+            let Some((key, i, chain)) = lowest else {
+                break;
+            };
+            batch.push((key, Arc::clone(chain)));
+            heads[i] = ranges[i].next();
         }
-        let mut all: Vec<(Key, ChainRef)> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let map = stripe.index.read();
-            all.extend(
-                map.range((from, end))
-                    .take(limit)
-                    .map(|(k, c)| (*k, Arc::clone(c))),
-            );
-        }
-        all.sort_unstable_by_key(|(k, _)| *k);
-        all.truncate(limit);
-        all
+        batch
     }
 
-    /// SI point read that also reports the commit timestamp of the version
-    /// read (see [`crate::visibility::resolve_visible_versioned`]).
+    /// SI point read at `start_ts`, with prepare-wait, that also reports the
+    /// commit timestamp of the version read ([`Timestamp::INVALID`] for the
+    /// reader's own uncommitted version).
     pub fn read_versioned(
         &self,
         key: Key,
@@ -281,20 +331,9 @@ impl VersionedTable {
         clog: &Clog,
         timeout: Duration,
     ) -> DbResult<Option<(Value, Timestamp)>> {
-        use crate::visibility::{resolve_visible_versioned, VersionedOutcome};
-        let Some(chain) = self.chain(key) else {
-            return Ok(None);
-        };
-        loop {
-            let wait_on = {
-                let chain = chain.lock();
-                match resolve_visible_versioned(&chain, clog, start_ts, self_xid) {
-                    VersionedOutcome::Value { value, cts } => return Ok(Some((value, cts))),
-                    VersionedOutcome::NotFound => return Ok(None),
-                    VersionedOutcome::WaitFor(xid) => xid,
-                }
-            };
-            clog.wait_resolved(wait_on, timeout)?;
+        match self.chain(key) {
+            Some(chain) => visible_at(&chain, start_ts, self_xid, clog, timeout),
+            None => Ok(None),
         }
     }
 
@@ -310,30 +349,24 @@ impl VersionedTable {
         let Some(chain) = self.chain(key) else {
             return Ok(None);
         };
-        loop {
-            let wait_on = {
-                let chain = chain.lock();
-                match resolve_visible(&chain, clog, start_ts, self_xid) {
-                    VisibleOutcome::Value(v) => return Ok(Some(v)),
-                    VisibleOutcome::NotFound => return Ok(None),
-                    VisibleOutcome::WaitFor(xid) => xid,
-                }
-            };
-            clog.wait_resolved(wait_on, timeout)?;
-        }
+        Ok(visible_at(&chain, start_ts, self_xid, clog, timeout)?.map(|(value, _)| value))
     }
 
+    /// Applies one row-level write of `xid` (snapshot `start_ts`): inserts
+    /// have unique-key semantics, updates and deletes are first-committer-
+    /// wins, a lock marks the live tuple; `value` is ignored by the last two.
+    /// Waits for an unresolved conflicting writer, then re-checks.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's op signature: who, what, when, how long
-    fn write_loop(
+    pub fn write(
         &self,
         key: Key,
+        kind: WriteKind,
+        value: Value,
         xid: TxnId,
         start_ts: Timestamp,
         clog: &Clog,
         timeout: Duration,
-        kind: WriteKind,
-        mut apply: impl FnMut(&mut VersionChain, WriteCheck) -> WriteOutcome,
-    ) -> DbResult<WriteOutcome> {
+    ) -> DbResult<()> {
         let chain = match kind {
             WriteKind::Insert => self.chain_or_create(key),
             _ => self.chain(key).ok_or(DbError::KeyNotFound)?,
@@ -343,7 +376,8 @@ impl VersionedTable {
                 let mut guard = chain.lock();
                 match check_write(&guard, clog, start_ts, xid, kind) {
                     ok @ (WriteCheck::Ok | WriteCheck::OwnNewest) => {
-                        return Ok(self.mutate(key, &mut guard, |chain| apply(chain, ok)));
+                        self.mutate(key, &mut guard, |c| apply_write(c, ok, kind, value, xid));
+                        return Ok(());
                     }
                     WriteCheck::WaitFor(w) => w,
                     WriteCheck::Conflict(other) => {
@@ -366,27 +400,8 @@ impl VersionedTable {
         start_ts: Timestamp,
         clog: &Clog,
         timeout: Duration,
-    ) -> DbResult<WriteOutcome> {
-        self.write_loop(
-            key,
-            xid,
-            start_ts,
-            clog,
-            timeout,
-            WriteKind::Insert,
-            |chain, ck| {
-                if ck == WriteCheck::OwnNewest {
-                    // Re-insert over our own tombstone.
-                    let v = chain.newest_mut().expect("OwnNewest implies a version");
-                    v.deleted = false;
-                    v.value = value.clone();
-                    WriteOutcome::UpdatedOwn
-                } else {
-                    chain.push(TupleVersion::data(xid, value.clone()));
-                    WriteOutcome::NewVersion
-                }
-            },
-        )
+    ) -> DbResult<()> {
+        self.write(key, WriteKind::Insert, value, xid, start_ts, clog, timeout)
     }
 
     /// Updates the live tuple (first-committer-wins on conflict).
@@ -398,27 +413,8 @@ impl VersionedTable {
         start_ts: Timestamp,
         clog: &Clog,
         timeout: Duration,
-    ) -> DbResult<WriteOutcome> {
-        self.write_loop(
-            key,
-            xid,
-            start_ts,
-            clog,
-            timeout,
-            WriteKind::Update,
-            |chain, ck| {
-                if ck == WriteCheck::OwnNewest {
-                    chain
-                        .newest_mut()
-                        .expect("OwnNewest implies a version")
-                        .value = value.clone();
-                    WriteOutcome::UpdatedOwn
-                } else {
-                    chain.push(TupleVersion::data(xid, value.clone()));
-                    WriteOutcome::NewVersion
-                }
-            },
-        )
+    ) -> DbResult<()> {
+        self.write(key, WriteKind::Update, value, xid, start_ts, clog, timeout)
     }
 
     /// Deletes the live tuple by pushing a tombstone.
@@ -429,26 +425,15 @@ impl VersionedTable {
         start_ts: Timestamp,
         clog: &Clog,
         timeout: Duration,
-    ) -> DbResult<WriteOutcome> {
-        self.write_loop(
+    ) -> DbResult<()> {
+        self.write(
             key,
+            WriteKind::Delete,
+            Value::new(),
             xid,
             start_ts,
             clog,
             timeout,
-            WriteKind::Delete,
-            |chain, ck| {
-                if ck == WriteCheck::OwnNewest {
-                    chain
-                        .newest_mut()
-                        .expect("OwnNewest implies a version")
-                        .deleted = true;
-                    WriteOutcome::UpdatedOwn
-                } else {
-                    chain.push(TupleVersion::tombstone(xid));
-                    WriteOutcome::NewVersion
-                }
-            },
         )
     }
 
@@ -460,18 +445,15 @@ impl VersionedTable {
         start_ts: Timestamp,
         clog: &Clog,
         timeout: Duration,
-    ) -> DbResult<WriteOutcome> {
-        self.write_loop(
+    ) -> DbResult<()> {
+        self.write(
             key,
+            WriteKind::Lock,
+            Value::new(),
             xid,
             start_ts,
             clog,
             timeout,
-            WriteKind::Lock,
-            |chain, _| {
-                chain.newest_mut().expect("lock target exists").locker = Some(xid);
-                WriteOutcome::UpdatedOwn
-            },
         )
     }
 
@@ -501,60 +483,41 @@ impl VersionedTable {
         );
     }
 
-    /// Streams every tuple visible at `snapshot_ts` to `f`, in key order, in
-    /// batches — the latch is released between batches so normal transaction
-    /// processing is not blocked (streaming snapshot scan, §3.2).
-    pub fn for_each_visible(
-        &self,
-        snapshot_ts: Timestamp,
-        clog: &Clog,
-        timeout: Duration,
-        f: impl FnMut(Key, Value),
-    ) -> DbResult<()> {
-        self.for_each_visible_range(.., snapshot_ts, clog, timeout, f)
-    }
-
-    /// [`Self::for_each_visible`] restricted to a key range — the streaming
-    /// unit of one parallel snapshot-copy chunk. Same batched-latch
-    /// discipline; a full range reproduces the whole-table scan exactly.
-    pub fn for_each_visible_range(
+    /// Streams every tuple of `range` that `self_xid` sees at `snapshot_ts`
+    /// to `f`, in key order, in batches — the latches are released between
+    /// batches so normal transaction processing is not blocked (streaming
+    /// snapshot scan, §3.2). Pass [`TxnId::INVALID`] to see committed data
+    /// only.
+    pub fn scan(
         &self,
         range: impl RangeBounds<Key>,
         snapshot_ts: Timestamp,
+        self_xid: TxnId,
         clog: &Clog,
         timeout: Duration,
         mut f: impl FnMut(Key, Value),
     ) -> DbResult<()> {
-        const BATCH: usize = 256;
         let end: Bound<Key> = range.end_bound().cloned();
         let mut from: Bound<Key> = range.start_bound().cloned();
         loop {
-            let batch = self.collect_range(from, end, BATCH);
-            if batch.is_empty() {
-                return Ok(());
-            }
-            from = Bound::Excluded(batch.last().expect("non-empty").0);
+            let batch = self.collect_batch(from, end);
+            let (full, last) = (batch.len() == SCAN_BATCH, batch.last().map(|b| b.0));
             for (key, chain) in batch {
-                loop {
-                    let wait_on = {
-                        let chain = chain.lock();
-                        match resolve_visible(&chain, clog, snapshot_ts, TxnId::INVALID) {
-                            VisibleOutcome::Value(v) => {
-                                f(key, v);
-                                break;
-                            }
-                            VisibleOutcome::NotFound => break,
-                            VisibleOutcome::WaitFor(xid) => xid,
-                        }
-                    };
-                    clog.wait_resolved(wait_on, timeout)?;
+                if let Some((value, _)) = visible_at(&chain, snapshot_ts, self_xid, clog, timeout)?
+                {
+                    f(key, value);
                 }
+            }
+            // A short batch reached the end of the range.
+            match last {
+                Some(key) if full => from = Bound::Excluded(key),
+                _ => return Ok(()),
             }
         }
     }
 
-    /// Collects the tuples visible at `snapshot_ts` within a key range
-    /// (Squall chunk extraction).
+    /// Collects the committed tuples visible at `snapshot_ts` within a key
+    /// range (Squall chunk extraction, replica scans).
     pub fn scan_visible_range(
         &self,
         range: impl RangeBounds<Key>,
@@ -562,28 +525,9 @@ impl VersionedTable {
         clog: &Clog,
         timeout: Duration,
     ) -> DbResult<Vec<(Key, Value)>> {
-        let chains = self.collect_range(
-            range.start_bound().cloned(),
-            range.end_bound().cloned(),
-            usize::MAX,
-        );
-        let mut out = Vec::with_capacity(chains.len());
-        for (key, chain) in chains {
-            loop {
-                let wait_on = {
-                    let chain = chain.lock();
-                    match resolve_visible(&chain, clog, snapshot_ts, TxnId::INVALID) {
-                        VisibleOutcome::Value(v) => {
-                            out.push((key, v));
-                            break;
-                        }
-                        VisibleOutcome::NotFound => break,
-                        VisibleOutcome::WaitFor(xid) => xid,
-                    }
-                };
-                clog.wait_resolved(wait_on, timeout)?;
-            }
-        }
+        let mut out = Vec::new();
+        let push = |key, value| out.push((key, value));
+        self.scan(range, snapshot_ts, TxnId::INVALID, clog, timeout, push)?;
         Ok(out)
     }
 
@@ -607,7 +551,8 @@ impl VersionedTable {
             .collect()
     }
 
-    /// Number of tuples visible at `snapshot_ts` (consistency checks).
+    /// Number of committed tuples visible at `snapshot_ts` (consistency
+    /// checks).
     pub fn count_visible(
         &self,
         snapshot_ts: Timestamp,
@@ -615,7 +560,9 @@ impl VersionedTable {
         timeout: Duration,
     ) -> DbResult<usize> {
         let mut n = 0;
-        self.for_each_visible(snapshot_ts, clog, timeout, |_, _| n += 1)?;
+        self.scan(.., snapshot_ts, TxnId::INVALID, clog, timeout, |_, _| {
+            n += 1
+        })?;
         Ok(n)
     }
 
@@ -671,22 +618,6 @@ impl VersionedTable {
             }
         }
         stats
-    }
-
-    /// Drops every key in the range (cleanup of migrated-away data).
-    pub fn clear_range(&self, range: impl RangeBounds<Key>) -> usize {
-        let bounds = (range.start_bound().cloned(), range.end_bound().cloned());
-        let mut dropped = 0;
-        for stripe in self.stripes.iter() {
-            let mut map = stripe.index.write();
-            let keys: Vec<Key> = map.range(bounds).map(|(k, _)| *k).collect();
-            for k in &keys {
-                map.remove(k);
-            }
-            dropped += keys.len();
-            stripe.pending.lock().retain(|(_, k)| !bounds.contains(k));
-        }
-        dropped
     }
 
     /// Drops everything.
@@ -1014,9 +945,7 @@ mod tests {
         committed(&clog, 200, 20, |x| {
             t.update(7, val("v1"), x, Timestamp(12), &clog, T).unwrap();
         });
-        let mut seen = Vec::new();
-        t.for_each_visible(Timestamp(10), &clog, T, |k, v| seen.push((k, v)))
-            .unwrap();
+        let seen = t.scan_visible_range(.., Timestamp(10), &clog, T).unwrap();
         assert_eq!(seen.len(), 100);
         assert!(
             seen.windows(2).all(|w| w[0].0 < w[1].0),
@@ -1026,7 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_and_clear_range() {
+    fn scan_range_and_count() {
         let (t, clog) = (VersionedTable::new(), Clog::new());
         for k in 0..20u64 {
             committed(&clog, k + 1, 10, |x| {
@@ -1037,8 +966,8 @@ mod tests {
             .scan_visible_range(5..10, Timestamp(15), &clog, T)
             .unwrap();
         assert_eq!(chunk.len(), 5);
-        assert_eq!(t.clear_range(5..10), 5);
-        assert_eq!(t.count_visible(Timestamp(15), &clog, T).unwrap(), 15);
+        assert_eq!(t.count_visible(Timestamp(15), &clog, T).unwrap(), 20);
+        assert_eq!(t.count_visible(Timestamp(9), &clog, T).unwrap(), 0);
     }
 
     #[test]
@@ -1149,8 +1078,7 @@ mod tests {
         let x = xid(1);
         clog.begin(x);
         t.insert(1, val("a"), x, Timestamp(5), &clog, T).unwrap();
-        let out = t.update(1, val("b"), x, Timestamp(5), &clog, T).unwrap();
-        assert_eq!(out, WriteOutcome::UpdatedOwn);
+        t.update(1, val("b"), x, Timestamp(5), &clog, T).unwrap();
         assert_eq!(t.stats().versions, 1);
         clog.set_committed(x, Timestamp(10)).unwrap();
         assert_eq!(
@@ -1176,7 +1104,6 @@ mod tests {
         let clog8 = Clog::new();
         let t1 = VersionedTable::with_stripes(1);
         let t8 = VersionedTable::with_stripes(8);
-        assert_eq!(t8.stripe_count(), 8);
         for (t, clog) in [(&t1, &clog1), (&t8, &clog8)] {
             for k in 0..64u64 {
                 committed(clog, k + 1, 10, |x| {
@@ -1190,10 +1117,7 @@ mod tests {
             });
         }
         let collect = |t: &VersionedTable, clog: &Clog, ts: u64| {
-            let mut seen = Vec::new();
-            t.for_each_visible(Timestamp(ts), clog, T, |k, v| seen.push((k, v)))
-                .unwrap();
-            seen
+            t.scan_visible_range(.., Timestamp(ts), clog, T).unwrap()
         };
         assert_eq!(collect(&t1, &clog1, 10), collect(&t8, &clog8, 10));
         assert_eq!(collect(&t1, &clog1, 25), collect(&t8, &clog8, 25));
@@ -1204,8 +1128,6 @@ mod tests {
                 .unwrap()
         );
         assert_eq!(t1.chunk_splits(10), t8.chunk_splits(10));
-        assert_eq!(t1.stats(), t8.stats());
-        assert_eq!(t1.clear_range(30..60), t8.clear_range(30..60));
         assert_eq!(t1.stats(), t8.stats());
     }
 
@@ -1219,10 +1141,17 @@ mod tests {
             });
         }
         let mut seen = Vec::new();
-        t.for_each_visible(Timestamp(10), &clog, T, |k, _| seen.push(k))
-            .unwrap();
+        t.scan(.., Timestamp(10), TxnId::INVALID, &clog, T, |k, _| {
+            seen.push(k)
+        })
+        .unwrap();
         assert_eq!(seen.len(), 600);
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "merged scan ordered");
+        // Ranges that end exactly on a batch boundary, and inside one.
+        for (range, want) in [(0..256, 256), (0..512, 512), (100..101, 1), (599..700, 1)] {
+            let rows = t.scan_visible_range(range, Timestamp(10), &clog, T);
+            assert_eq!(rows.unwrap().len(), want);
+        }
         let splits = t.chunk_splits(100);
         assert_eq!(splits, vec![100, 200, 300, 400, 500]);
     }
@@ -1393,7 +1322,7 @@ mod tests {
         // A budget far below the crowd, an advancing watermark: the lone
         // key is reached within one round of the stripes.
         let mut pruned = 0;
-        for step in 0..t.stripe_count() as u64 {
+        for step in 0..t.stripes.len() as u64 {
             pruned += t.gc_step(Timestamp(30 + step), &clog, 4).pruned;
         }
         assert_eq!(pruned, 1, "only the lone key had anything to free");
@@ -1439,7 +1368,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_clear_range_and_install_frozen_keep_pending_exact() {
+    fn clear_and_install_frozen_keep_pending_exact() {
         let (t, clog) = (VersionedTable::with_stripes(4), Clog::new());
         let dirty = |t: &VersionedTable, base: u64| {
             for k in 0..20u64 {
@@ -1453,15 +1382,11 @@ mod tests {
         };
         dirty(&t, 1);
         assert_eq!(pending_keys(&t), (0..20).collect::<Vec<_>>());
-        // Dropping a range drops its pending keys with it, and only those.
-        assert_eq!(t.clear_range(5..15), 10);
-        let outside: Vec<Key> = (0..5).chain(15..20).collect();
-        assert_eq!(pending_keys(&t), outside);
         // A frozen install replaces the chain by one live version; what is
         // left of its old entry is dropped at its one visit.
         t.install_frozen(0, val("frozen"));
         let step = t.gc_step(Timestamp(25), &clog, usize::MAX);
-        assert_eq!((step.scanned, step.pruned), (10, 9));
+        assert_eq!((step.scanned, step.pruned), (20, 19));
         assert!(pending_keys(&t).is_empty());
         assert_eq!(t.chain_snapshot(0).len(), 1);
         // ... and writing over it enqueues the key again.

@@ -63,11 +63,6 @@ pub struct VersionChain {
 }
 
 impl VersionChain {
-    /// An empty chain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A chain seeded with one version.
     pub fn with(version: TupleVersion) -> Self {
         VersionChain {
@@ -93,16 +88,6 @@ impl VersionChain {
     /// Iterates newest-to-oldest.
     pub fn iter(&self) -> impl Iterator<Item = &TupleVersion> {
         self.versions.iter()
-    }
-
-    /// Removes the newest version (used when rolling back an aborted
-    /// writer's version during cleanup).
-    pub fn pop_newest(&mut self) -> Option<TupleVersion> {
-        if self.versions.is_empty() {
-            None
-        } else {
-            Some(self.versions.remove(0))
-        }
     }
 
     /// Drops every version created by `xid` (abort cleanup) and any lock it
@@ -145,7 +130,7 @@ mod tests {
 
     #[test]
     fn push_orders_newest_first() {
-        let mut chain = VersionChain::new();
+        let mut chain = VersionChain::default();
         chain.push(TupleVersion::data(xid(1), Bytes::from_static(b"a")));
         chain.push(TupleVersion::data(xid(2), Bytes::from_static(b"b")));
         assert_eq!(chain.newest().unwrap().xmin, xid(2));
@@ -155,7 +140,7 @@ mod tests {
 
     #[test]
     fn purge_removes_versions_and_locks() {
-        let mut chain = VersionChain::new();
+        let mut chain = VersionChain::default();
         chain.push(TupleVersion::data(xid(1), Bytes::from_static(b"a")));
         chain.newest_mut().unwrap().locker = Some(xid(9));
         chain.push(TupleVersion::data(xid(9), Bytes::from_static(b"b")));
@@ -170,12 +155,5 @@ mod tests {
         let t = TupleVersion::tombstone(xid(3));
         assert!(t.deleted);
         assert!(t.value.is_empty());
-    }
-
-    #[test]
-    fn pop_newest_on_empty_is_none() {
-        let mut chain = VersionChain::new();
-        assert!(chain.pop_newest().is_none());
-        assert!(chain.is_empty());
     }
 }

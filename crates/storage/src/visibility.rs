@@ -23,9 +23,17 @@ use crate::tuple::{Value, VersionChain};
 
 /// Outcome of a non-blocking visibility resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VisibleOutcome {
-    /// A visible, live version with this payload.
-    Value(Value),
+pub enum ReadOutcome {
+    /// A visible, live version.
+    Value {
+        /// The payload.
+        value: Value,
+        /// Commit timestamp of the version's creator (the shard-map cache
+        /// must know how fresh each cached routing entry is — paper
+        /// §3.5.1); the reader's own uncommitted version reports
+        /// [`Timestamp::INVALID`].
+        cts: Timestamp,
+    },
     /// No version is visible at the snapshot (missing or deleted).
     NotFound,
     /// Resolution blocked on this prepared transaction (prepare-wait).
@@ -38,48 +46,14 @@ pub fn resolve_visible(
     clog: &Clog,
     start_ts: Timestamp,
     self_xid: TxnId,
-) -> VisibleOutcome {
-    match resolve_visible_versioned(chain, clog, start_ts, self_xid) {
-        VersionedOutcome::Value { value, .. } => VisibleOutcome::Value(value),
-        VersionedOutcome::NotFound => VisibleOutcome::NotFound,
-        VersionedOutcome::WaitFor(xid) => VisibleOutcome::WaitFor(xid),
-    }
-}
-
-/// Like [`VisibleOutcome`], but a hit also reports the commit timestamp of
-/// the version read (used by the shard-map cache, which must know how fresh
-/// each cached routing entry is — paper §3.5.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VersionedOutcome {
-    /// A visible, live version.
-    Value {
-        /// The payload.
-        value: Value,
-        /// Commit timestamp of the version's creator; the writer's own
-        /// uncommitted version reports [`Timestamp::INVALID`].
-        cts: Timestamp,
-    },
-    /// Nothing visible.
-    NotFound,
-    /// Blocked on this prepared transaction.
-    WaitFor(TxnId),
-}
-
-/// Visibility resolution that also reports the winning version's commit
-/// timestamp.
-pub fn resolve_visible_versioned(
-    chain: &VersionChain,
-    clog: &Clog,
-    start_ts: Timestamp,
-    self_xid: TxnId,
-) -> VersionedOutcome {
+) -> ReadOutcome {
     for v in chain.iter() {
         if v.xmin == self_xid {
             // Read-your-writes: the newest own version decides.
             return if v.deleted {
-                VersionedOutcome::NotFound
+                ReadOutcome::NotFound
             } else {
-                VersionedOutcome::Value {
+                ReadOutcome::Value {
                     value: v.value.clone(),
                     cts: Timestamp::INVALID,
                 }
@@ -96,14 +70,14 @@ pub fn resolve_visible_versioned(
                 }
                 // The creator may commit with a timestamp <= start_ts, so we
                 // cannot skip it: wait (paper's prepare-wait).
-                return VersionedOutcome::WaitFor(v.xmin);
+                return ReadOutcome::WaitFor(v.xmin);
             }
             TxnStatus::Committed(cts) => {
                 if cts <= start_ts {
                     return if v.deleted {
-                        VersionedOutcome::NotFound
+                        ReadOutcome::NotFound
                     } else {
-                        VersionedOutcome::Value {
+                        ReadOutcome::Value {
                             value: v.value.clone(),
                             cts,
                         }
@@ -113,19 +87,21 @@ pub fn resolve_visible_versioned(
             }
         }
     }
-    VersionedOutcome::NotFound
+    ReadOutcome::NotFound
 }
 
-/// What kind of write is being checked.
+/// The kind of a row-level write: what a table write applies, and what a
+/// WAL change record carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteKind {
     /// Insert a new tuple (unique-constraint semantics).
     Insert,
-    /// Update the existing live tuple.
+    /// Update the existing live tuple (the payload is the full new image).
     Update,
     /// Delete the existing live tuple.
     Delete,
-    /// Take an explicit row lock (`SELECT ... FOR UPDATE`).
+    /// Take an explicit row lock (`SELECT ... FOR UPDATE`); logged so the
+    /// destination of a migration re-acquires it during replay (§3.5.2).
     Lock,
 }
 
@@ -245,6 +221,14 @@ mod tests {
         Bytes::from_static(s.as_bytes())
     }
 
+    /// A hit on payload `s` whose creator committed at `cts`.
+    fn seen(s: &'static str, cts: u64) -> ReadOutcome {
+        ReadOutcome::Value {
+            value: val(s),
+            cts: Timestamp(cts),
+        }
+    }
+
     /// Builds a clog + chain where txn 1 committed "v1" at ts 10 and txn 2
     /// committed "v2" at ts 20.
     fn two_version_chain() -> (Clog, VersionChain) {
@@ -253,7 +237,7 @@ mod tests {
             clog.begin(xid(n));
             clog.set_committed(xid(n), Timestamp(ts)).unwrap();
         }
-        let mut chain = VersionChain::new();
+        let mut chain = VersionChain::default();
         chain.push(TupleVersion::data(xid(1), val("v1")));
         chain.push(TupleVersion::data(xid(2), val("v2")));
         (clog, chain)
@@ -265,15 +249,15 @@ mod tests {
         let reader = xid(99);
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(15), reader),
-            VisibleOutcome::Value(val("v1"))
+            seen("v1", 10)
         );
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(20), reader),
-            VisibleOutcome::Value(val("v2"))
+            seen("v2", 20)
         );
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(5), reader),
-            VisibleOutcome::NotFound
+            ReadOutcome::NotFound
         );
     }
 
@@ -285,7 +269,7 @@ mod tests {
         chain.push(TupleVersion::data(xid(3), val("v3")));
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
-            VisibleOutcome::WaitFor(xid(3))
+            ReadOutcome::WaitFor(xid(3))
         );
     }
 
@@ -296,7 +280,7 @@ mod tests {
         chain.push(TupleVersion::data(xid(3), val("v3")));
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
-            VisibleOutcome::Value(val("v2"))
+            seen("v2", 20)
         );
     }
 
@@ -308,7 +292,7 @@ mod tests {
         chain.push(TupleVersion::data(xid(3), val("v3")));
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
-            VisibleOutcome::Value(val("v2"))
+            seen("v2", 20)
         );
     }
 
@@ -320,13 +304,13 @@ mod tests {
         chain.push(TupleVersion::data(me, val("mine")));
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(5), me),
-            VisibleOutcome::Value(val("mine"))
+            seen("mine", Timestamp::INVALID.0)
         );
         let mut chain2 = chain.clone();
         chain2.push(TupleVersion::tombstone(me));
         assert_eq!(
             resolve_visible(&chain2, &clog, Timestamp(25), me),
-            VisibleOutcome::NotFound
+            ReadOutcome::NotFound
         );
     }
 
@@ -338,12 +322,12 @@ mod tests {
         chain.push(TupleVersion::tombstone(xid(3)));
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(35), xid(99)),
-            VisibleOutcome::NotFound
+            ReadOutcome::NotFound
         );
         // Older snapshots still see through the tombstone.
         assert_eq!(
             resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
-            VisibleOutcome::Value(val("v2"))
+            seen("v2", 20)
         );
     }
 
@@ -351,8 +335,8 @@ mod tests {
     fn empty_chain_is_not_found() {
         let clog = Clog::new();
         assert_eq!(
-            resolve_visible(&VersionChain::new(), &clog, Timestamp(10), xid(1)),
-            VisibleOutcome::NotFound
+            resolve_visible(&VersionChain::default(), &clog, Timestamp(10), xid(1)),
+            ReadOutcome::NotFound
         );
     }
 
@@ -449,7 +433,7 @@ mod tests {
     #[test]
     fn insert_into_empty_chain_is_ok_but_update_is_not_found() {
         let clog = Clog::new();
-        let chain = VersionChain::new();
+        let chain = VersionChain::default();
         assert_eq!(
             check_write(&chain, &clog, Timestamp(5), xid(1), WriteKind::Insert),
             WriteCheck::Ok

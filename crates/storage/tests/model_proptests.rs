@@ -1,8 +1,12 @@
 //! Property tests: the MVCC table agrees with a naive model at every
-//! snapshot, vacuum never changes what live snapshots can see, and
-//! write-driven GC leaves exactly what a sweep of every chain would.
+//! snapshot — by point read and by scan, for any stripe count — vacuum never
+//! changes what live snapshots can see, and write-driven GC leaves exactly
+//! what a sweep of every chain would. They name nothing of `remus_storage`
+//! but `VersionedTable`'s public methods, `Clog` and plain data types, so a
+//! new chain layout runs them unedited.
 
 use std::collections::BTreeMap;
+use std::ops::{Range, RangeBounds};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -28,86 +32,120 @@ fn op_strategy() -> impl Strategy<Value = ModelOp> {
     ]
 }
 
-/// Applies a serial committed history and records the model state after
-/// each commit timestamp; then checks reads at *every* historical snapshot.
-fn check_history(ops: Vec<ModelOp>) {
-    let table = VersionedTable::new();
+/// Key → (value, commit timestamp of the version holding it).
+type Model = BTreeMap<u64, (u8, u64)>;
+
+fn expected(state: &Model, range: impl RangeBounds<u64>) -> Vec<(u64, u8, Timestamp)> {
+    let rows = state.range(range);
+    rows.map(|(k, (v, cts))| (*k, *v, Timestamp(*cts)))
+        .collect()
+}
+
+/// What `xid` sees of `range` at `ts` by point reads, with the commit
+/// timestamp of each version read — after checking that one scan of the
+/// same range sees the same.
+fn view(
+    table: &VersionedTable,
+    clog: &Clog,
+    range: impl RangeBounds<u64> + Clone,
+    ts: Timestamp,
+    xid: TxnId,
+) -> Vec<(u64, u8, Timestamp)> {
+    let mut rows = Vec::new();
+    for k in (0..24u64).filter(|k| range.contains(k)) {
+        let hit = table.read_versioned(k, ts, xid, clog, T).unwrap();
+        let value = table.read(k, ts, xid, clog, T).unwrap();
+        assert_eq!(hit.as_ref().map(|(v, _)| v), value.as_ref(), "key {k}");
+        rows.extend(hit.map(|(v, cts)| (k, v[0], cts)));
+    }
+    let mut scanned = Vec::new();
+    table
+        .scan(range, ts, xid, clog, T, |k, v| scanned.push((k, v[0])))
+        .unwrap();
+    let read: Vec<_> = rows.iter().map(|&(k, v, _)| (k, v)).collect();
+    assert_eq!(scanned, read, "scan ≢ point reads at {ts:?} as {xid:?}");
+    rows
+}
+
+/// Applies a serial history to a table of `stripes` stripes, checking inside
+/// every open writer that it sees its own write and nobody else does, and
+/// records the model state after each commit timestamp; then checks point
+/// reads and scans — of everything and of `sub` — at *every* historical
+/// snapshot.
+fn check_history(ops: Vec<ModelOp>, stripes: usize, sub: Range<u64>) {
+    let table = VersionedTable::with_stripes(stripes);
     let clog = Clog::new();
-    let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+    let mut model = Model::new();
     // (snapshot_ts, model state at that snapshot)
-    let mut snapshots: Vec<(u64, BTreeMap<u64, u8>)> = vec![(1, model.clone())];
+    let mut snapshots: Vec<(u64, Model)> = vec![(1, model.clone())];
+    let reader = TxnId::new(NodeId(1), 1);
     let mut ts = 10u64;
     for (i, op) in ops.iter().enumerate() {
         let xid = TxnId::new(NodeId(0), i as u64 + 1);
         clog.begin(xid);
         let start = Timestamp(ts);
         ts += 10;
-        let cts = Timestamp(ts);
-        let applied = match *op {
-            ModelOp::Insert(k, v) => table
-                .insert(k as u64, Value::from(vec![v]), xid, start, &clog, T)
-                .is_ok()
-                .then(|| {
-                    model.insert(k as u64, v);
-                }),
-            ModelOp::Update(k, v) => table
-                .update(k as u64, Value::from(vec![v]), xid, start, &clog, T)
-                .is_ok()
-                .then(|| {
-                    model.insert(k as u64, v);
-                }),
-            ModelOp::Delete(k) => table
-                .delete(k as u64, xid, start, &clog, T)
-                .is_ok()
-                .then(|| {
-                    model.remove(&(k as u64));
-                }),
+        let value = |v: u8| Value::from(vec![v]);
+        // The key and the image the open writer left on it, if it wrote.
+        let (key, wrote) = match *op {
+            ModelOp::Insert(k, v) => {
+                let done = table.insert(k as u64, value(v), xid, start, &clog, T);
+                (k as u64, done.is_ok().then_some(Some(v)))
+            }
+            ModelOp::Update(k, v) => {
+                let done = table.update(k as u64, value(v), xid, start, &clog, T);
+                (k as u64, done.is_ok().then_some(Some(v)))
+            }
+            ModelOp::Delete(k) => {
+                let done = table.delete(k as u64, xid, start, &clog, T);
+                (k as u64, done.is_ok().then_some(None))
+            }
             ModelOp::Abort(k, v) => {
-                // Write then roll back: must leave no trace.
-                let _ = table.insert(k as u64, Value::from(vec![v]), xid, start, &clog, T);
-                let _ = table.update(k as u64, Value::from(vec![v]), xid, start, &clog, T);
-                clog.set_aborted(xid);
-                table.purge_txn([k as u64], xid);
-                None
+                // Write then roll back: must leave no trace. One of the two
+                // statements always succeeds.
+                let _ = table.insert(k as u64, value(v), xid, start, &clog, T);
+                let _ = table.update(k as u64, value(v), xid, start, &clog, T);
+                (k as u64, Some(Some(v)))
             }
         };
-        if applied.is_some() {
-            clog.set_committed(xid, cts).unwrap();
-        } else if clog.status(xid) == remus_storage::TxnStatus::InProgress {
-            clog.set_aborted(xid);
-            if let ModelOp::Insert(k, _) | ModelOp::Update(k, _) | ModelOp::Delete(k) = *op {
-                table.purge_txn([k as u64], xid);
+        // Inside the open writer: it sees the committed state under its own
+        // write (an uncommitted version reports no commit timestamp), and
+        // any other transaction sees the committed state alone.
+        let mut own = model.clone();
+        if let Some(image) = wrote {
+            own.remove(&key);
+            own.extend(image.map(|v| (key, (v, Timestamp::INVALID.0))));
+        }
+        assert_eq!(view(&table, &clog, .., start, xid), expected(&own, ..));
+        assert_eq!(view(&table, &clog, .., start, reader), expected(&model, ..));
+        if wrote.is_some() && !matches!(op, ModelOp::Abort(..)) {
+            clog.set_committed(xid, Timestamp(ts)).unwrap();
+            if let Some(row) = own.get_mut(&key) {
+                row.1 = ts;
             }
+            model = own;
+        } else {
+            clog.set_aborted(xid);
+            table.purge_txn([key], xid);
         }
         snapshots.push((ts, model.clone()));
         ts += 10;
     }
     // Every historical snapshot must read exactly its model state.
-    let reader = TxnId::new(NodeId(1), 1);
     for (snap_ts, state) in &snapshots {
-        for k in 0..24u64 {
-            let got = table
-                .read(k, Timestamp(*snap_ts), reader, &clog, T)
-                .unwrap()
-                .map(|v| v[0]);
-            assert_eq!(got, state.get(&k).copied(), "key {k} at ts {snap_ts}");
-        }
+        let at = Timestamp(*snap_ts);
+        assert_eq!(view(&table, &clog, .., at, reader), expected(state, ..));
+        assert_eq!(
+            view(&table, &clog, sub.clone(), at, reader),
+            expected(state, sub.clone())
+        );
     }
     // Vacuum to a mid-history horizon: snapshots at or after it unchanged.
     let mid = snapshots[snapshots.len() / 2].0;
     table.vacuum(Timestamp(mid), &clog);
     for (snap_ts, state) in snapshots.iter().filter(|(t, _)| *t >= mid) {
-        for k in 0..24u64 {
-            let got = table
-                .read(k, Timestamp(*snap_ts), reader, &clog, T)
-                .unwrap()
-                .map(|v| v[0]);
-            assert_eq!(
-                got,
-                state.get(&k).copied(),
-                "post-vacuum key {k} at ts {snap_ts}"
-            );
-        }
+        let at = Timestamp(*snap_ts);
+        assert_eq!(view(&table, &clog, .., at, reader), expected(state, ..));
     }
 }
 
@@ -307,9 +345,11 @@ proptest! {
 
     #[test]
     fn serial_history_matches_model_at_every_snapshot(
-        ops in proptest::collection::vec(op_strategy(), 1..80)
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+        stripes in prop_oneof![Just(1usize), Just(3), Just(8)],
+        sub in (0..=24u64, 0..=24u64),
     ) {
-        check_history(ops);
+        check_history(ops, stripes, sub.0.min(sub.1)..sub.0.max(sub.1));
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn writers_scans_and_point_reads_race_across_stripes() {
                     let snap = Timestamp(ts.load(Ordering::SeqCst));
                     let mut last = None;
                     table
-                        .for_each_visible_range(.., snap, &clog, T, |k, v| {
+                        .scan(.., snap, TxnId::INVALID, &clog, T, |k, v| {
                             assert!(last < Some(k), "scan must be key-ordered across stripes");
                             last = Some(k);
                             assert_eq!(v, Value::from(format!("k{k}").into_bytes()));

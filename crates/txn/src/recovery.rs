@@ -176,30 +176,19 @@ pub fn redo_write(
         return Ok(false);
     }
     let table = node.create_shard(w.shard);
-    let ts = Timestamp::MAX;
-    let clog = &node.clog;
-    let outcome = match w.kind {
-        WriteKind::Insert => match table.insert(w.key, w.value.clone(), xid, ts, clog, timeout) {
-            // Base image predates the retained WAL (insert was
-            // truncated away but the row re-appeared): redo as update.
-            Err(DbError::DuplicateKey) => {
-                table.update(w.key, w.value.clone(), xid, ts, clog, timeout)
-            }
-            other => other,
-        },
-        WriteKind::Update => match table.update(w.key, w.value.clone(), xid, ts, clog, timeout) {
-            // Base image lost to WAL truncation: redo as insert.
-            Err(DbError::KeyNotFound) => {
-                table.insert(w.key, w.value.clone(), xid, ts, clog, timeout)
-            }
-            other => other,
-        },
-        WriteKind::Delete => match table.delete(w.key, xid, ts, clog, timeout) {
-            // Deleting a row that never made it to disk: already gone.
-            Err(DbError::KeyNotFound) => return Ok(false),
-            other => other,
-        },
-        WriteKind::Lock => unreachable!("filtered above"),
+    let redo = |kind| {
+        let value = w.value.clone();
+        table.write(w.key, kind, value, xid, Timestamp::MAX, &node.clog, timeout)
+    };
+    let outcome = match (w.kind, redo(w.kind)) {
+        // Base image predates the retained WAL (insert was truncated away
+        // but the row re-appeared): redo as update.
+        (WriteKind::Insert, Err(DbError::DuplicateKey)) => redo(WriteKind::Update),
+        // Base image lost to WAL truncation: redo as insert.
+        (WriteKind::Update, Err(DbError::KeyNotFound)) => redo(WriteKind::Insert),
+        // Deleting a row that never made it to disk: already gone.
+        (WriteKind::Delete, Err(DbError::KeyNotFound)) => return Ok(false),
+        (_, other) => other,
     };
     outcome?;
     Ok(true)

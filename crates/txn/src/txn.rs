@@ -197,17 +197,8 @@ impl Txn {
                 value: value.clone(),
             }),
         ));
-        let timeout = node.config.lock_wait_timeout;
-        let result = match kind {
-            WriteKind::Insert => {
-                table.insert(key, value, self.xid, self.start_ts, &node.clog, timeout)
-            }
-            WriteKind::Update => {
-                table.update(key, value, self.xid, self.start_ts, &node.clog, timeout)
-            }
-            WriteKind::Delete => table.delete(key, self.xid, self.start_ts, &node.clog, timeout),
-            WriteKind::Lock => table.lock_row(key, self.xid, self.start_ts, &node.clog, timeout),
-        };
+        let (clog, timeout) = (&node.clog, node.config.lock_wait_timeout);
+        let result = table.write(key, kind, value, self.xid, self.start_ts, clog, timeout);
         if let Err(e) = result {
             if matches!(e, DbError::WwConflict { .. }) {
                 node.counters.ww_aborts.inc();

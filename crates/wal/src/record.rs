@@ -8,21 +8,8 @@
 //! that went through a prepare.
 
 use remus_common::{ShardId, Timestamp, TxnId};
+pub use remus_storage::WriteKind;
 use remus_storage::{Key, Value};
-
-/// The kind of row-level change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteKind {
-    /// Insert a new tuple.
-    Insert,
-    /// Update an existing tuple (payload carries the full new image).
-    Update,
-    /// Delete a tuple.
-    Delete,
-    /// Explicit row-level lock (`SELECT ... FOR UPDATE`); propagated so the
-    /// destination re-acquires it during replay (§3.5.2).
-    Lock,
-}
 
 /// One row-level change, identified by primary key (§3.3: every propagated
 /// record includes the primary key of the modified tuple).

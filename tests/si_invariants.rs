@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use remus::cluster::{CcMode, Cluster, ClusterBuilder, Session};
+use remus::cluster::{CcMode, Cluster, ClusterBuilder, Session, SessionTxn};
 use remus::common::{NodeId, ShardId, SimConfig, TableId};
 use remus::migration::{
     LockAndAbort, MigrationEngine, MigrationTask, RemusEngine, SquallEngine, WaitAndRemaster,
@@ -203,6 +203,47 @@ fn snapshot_stability_across_migration() {
     migration.join().unwrap().unwrap();
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
+}
+
+/// Internal consistency: a transaction's scan sees what its point reads see
+/// — its own insert, update and delete included — while a concurrent
+/// session's scan sees none of it, and after an abort nobody does.
+#[test]
+fn scan_agrees_with_point_reads_on_own_writes() {
+    let (cluster, layout) = setup(CcMode::Mvcc);
+    // Both sessions on the node `setup` committed through: no DTS skew.
+    let mine = Session::connect(&cluster, NodeId(0));
+    let theirs = Session::connect(&cluster, NodeId(0));
+    let scan = |t: &mut SessionTxn| {
+        let rows = t.scan_table(&layout).unwrap();
+        let mut rows: Vec<(u64, u64)> = rows.iter().map(|(k, v)| (*k, tag_of(v))).collect();
+        rows.sort();
+        rows
+    };
+    let committed: Vec<(u64, u64)> = (0..120).map(|k| (k, 0)).collect();
+
+    let mut writer = mine.begin();
+    writer.insert(&layout, 500, val(7)).unwrap();
+    writer.update(&layout, 1, val(9)).unwrap();
+    writer.delete(&layout, 2).unwrap();
+    let by_point_reads: Vec<(u64, u64)> = (0..=500)
+        .filter_map(|k| Some((k, tag_of(&writer.read(&layout, k).unwrap()?))))
+        .collect();
+    assert_eq!(by_point_reads[..2], [(0, 0), (1, 9)]);
+    assert_eq!(by_point_reads[2..4], [(3, 0), (4, 0)], "own delete");
+    assert_eq!(by_point_reads.last(), Some(&(500, 7)), "own insert");
+    assert_eq!(scan(&mut writer), by_point_reads);
+
+    let mut concurrent = theirs.begin();
+    assert_eq!(scan(&mut concurrent), committed);
+    concurrent.commit().unwrap();
+
+    writer.abort();
+    for session in [&mine, &theirs] {
+        let mut after = session.begin();
+        assert_eq!(scan(&mut after), committed);
+        after.commit().unwrap();
+    }
 }
 
 /// The migration itself preserves the committed data exactly: the multiset
