@@ -161,7 +161,6 @@ fn pilot_config() -> PlannerConfig {
     config.imbalance_ratio = f64::INFINITY;
     config.cost_weight_versions = 0.0;
     config.cost_weight_wal = 0.0;
-    config.colocation_min_cross = 4;
     config.seed = SEED;
     config
 }

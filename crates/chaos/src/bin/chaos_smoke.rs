@@ -2,16 +2,16 @@
 //! assert the seed → (fault schedule, verdict) mapping is deterministic.
 //! Exits nonzero on any SI violation or determinism break.
 
-use remus_chaos::{run_scenario, ScenarioConfig};
+use remus_chaos::{run, Scenario};
 
 fn main() {
     let seeds = [1u64, 2, 3];
     let mut failed = false;
     for seed in seeds {
-        let config = ScenarioConfig::remus_smoke(seed);
-        let first = run_scenario(&config);
-        let second = run_scenario(&config);
-        if first.plan != second.plan {
+        let scenario = Scenario::remus_smoke(seed);
+        let first = run(&scenario);
+        let second = run(&scenario);
+        if first.plans != second.plans {
             println!("seed {seed}: FAIL (fault plan not deterministic)");
             failed = true;
             continue;
@@ -25,7 +25,7 @@ fn main() {
             // Stdout carries only seed-deterministic facts (CI diffs two
             // runs); commit/abort counts depend on thread interleaving and
             // go to stderr.
-            println!("seed {seed}: ok ({} faults)", first.plan.specs.len());
+            println!("seed {seed}: ok ({} faults)", first.plans[0].specs.len());
             eprintln!(
                 "seed {seed}: {} committed, {} aborted",
                 first.committed, first.aborted

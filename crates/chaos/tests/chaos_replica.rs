@@ -11,7 +11,7 @@
 //!   sees every commit with `cts <= W` (strict forcing, even under DTS),
 //!   and no replica session's snapshot ever regresses.
 
-use remus_chaos::{run_scenario, ScenarioConfig};
+use remus_chaos::{run, Scenario};
 use remus_clock::OracleKind;
 
 /// 12 seeds, each run under both GTS and DTS. The seeded fault plan
@@ -23,15 +23,11 @@ fn replica_matrix_keeps_si_and_staleness_green_across_seeds() {
     let mut restarts = 0usize;
     for seed in 0..12u64 {
         for oracle in [OracleKind::Gts, OracleKind::Dts] {
-            let config = ScenarioConfig::replica(seed, oracle);
-            let outcome = run_scenario(&config);
+            let scenario = Scenario::replica(seed, oracle);
+            let outcome = run(&scenario);
+            outcome.expect_green(&scenario);
             assert!(
-                outcome.passed(),
-                "seed {seed} ({oracle:?}): {:#?}",
-                outcome.violations
-            );
-            assert!(
-                outcome.migration_committed,
+                outcome.migration_committed(),
                 "seed {seed} ({oracle:?}): migration did not commit"
             );
             assert!(
@@ -39,7 +35,7 @@ fn replica_matrix_keeps_si_and_staleness_green_across_seeds() {
                 "seed {seed} ({oracle:?}): no writer committed"
             );
             assert!(
-                outcome.replica_reads > 0,
+                outcome.replica_reads() > 0,
                 "seed {seed} ({oracle:?}): no replica reads recorded"
             );
             if outcome.restart.is_some() {
@@ -58,9 +54,10 @@ fn replica_matrix_keeps_si_and_staleness_green_across_seeds() {
 /// The verdict and the fault plan are pure functions of the seed.
 #[test]
 fn replica_scenario_is_deterministic_in_verdict() {
-    let a = run_scenario(&ScenarioConfig::replica(5, OracleKind::Dts));
-    let b = run_scenario(&ScenarioConfig::replica(5, OracleKind::Dts));
-    assert_eq!(a.plan, b.plan);
+    let scenario = Scenario::replica(5, OracleKind::Dts);
+    let a = run(&scenario);
+    let b = run(&scenario);
+    assert_eq!(a.plans, b.plans);
     assert_eq!(a.passed(), b.passed());
-    assert!(a.passed(), "violations: {:?}", a.violations);
+    a.expect_green(&scenario);
 }

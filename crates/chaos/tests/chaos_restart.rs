@@ -6,7 +6,7 @@
 //! first-committer-wins, monotone shard-map routing across `T_m`, and
 //! committed-data preservation in the final scan.
 
-use remus_chaos::{run_scenario, EngineKind, ScenarioConfig};
+use remus_chaos::{run, EngineKind, Scenario};
 use remus_clock::OracleKind;
 use remus_common::NodeId;
 
@@ -42,16 +42,12 @@ fn restart_matrix_keeps_si_green_across_seeds() {
             OracleKind::Dts
         };
         let dir = tempdir(&format!("matrix-{seed}"));
-        let config = ScenarioConfig::crash_restart(seed, engine, oracle, &dir);
-        let outcome = run_scenario(&config);
+        let scenario = Scenario::crash_restart(seed, engine, oracle, &dir);
+        let outcome = run(&scenario);
         std::fs::remove_dir_all(&dir).expect("tmpdir hygiene");
+        outcome.expect_green(&scenario);
         assert!(
-            outcome.passed(),
-            "seed {seed} ({engine:?}/{oracle:?}): {:#?}",
-            outcome.violations
-        );
-        assert!(
-            outcome.migration_committed,
+            outcome.migration_committed(),
             "seed {seed}: migration did not commit after restart"
         );
         assert!(outcome.committed > 0, "seed {seed} committed nothing");
@@ -60,7 +56,7 @@ fn restart_matrix_keeps_si_green_across_seeds() {
             summary.committed > 0,
             "seed {seed}: replay rebuilt no committed transactions: {summary:?}"
         );
-        let (_, stage) = outcome.plan.crash_restart_spec().expect("restart spec");
+        let (_, stage) = outcome.plans[0].crash_restart_spec().expect("restart spec");
         combos.insert((engine.name(), oracle == OracleKind::Gts));
         victims.insert(victim);
         stages.insert(stage);
@@ -83,24 +79,20 @@ fn restart_matrix_keeps_si_green_across_seeds() {
 #[test]
 fn restart_scenario_is_deterministic_in_verdict() {
     let dir_a = tempdir("det-a");
-    let a = run_scenario(&ScenarioConfig::crash_restart(
-        3,
-        EngineKind::Remus,
-        OracleKind::Gts,
-        &dir_a,
-    ));
+    let scenario_a = Scenario::crash_restart(3, EngineKind::Remus, OracleKind::Gts, &dir_a);
+    let a = run(&scenario_a);
     std::fs::remove_dir_all(&dir_a).expect("tmpdir hygiene");
     let dir_b = tempdir("det-b");
-    let b = run_scenario(&ScenarioConfig::crash_restart(
+    let b = run(&Scenario::crash_restart(
         3,
         EngineKind::Remus,
         OracleKind::Gts,
         &dir_b,
     ));
     std::fs::remove_dir_all(&dir_b).expect("tmpdir hygiene");
-    assert_eq!(a.plan, b.plan);
+    assert_eq!(a.plans, b.plans);
     assert_eq!(a.passed(), b.passed());
-    assert!(a.passed(), "violations: {:?}", a.violations);
+    a.expect_green(&scenario_a);
 }
 
 /// A restarted node leaves no WAL segments behind once its tempdir is
@@ -108,13 +100,30 @@ fn restart_scenario_is_deterministic_in_verdict() {
 #[test]
 fn restart_scenario_cleans_up_wal_segments() {
     let dir = tempdir("hygiene");
-    let config = ScenarioConfig::crash_restart(1, EngineKind::LockAbort, OracleKind::Dts, &dir);
-    let outcome = run_scenario(&config);
-    assert!(outcome.passed(), "violations: {:?}", outcome.violations);
+    let scenario = Scenario::crash_restart(1, EngineKind::LockAbort, OracleKind::Dts, &dir);
+    let outcome = run(&scenario);
     // The scenario wrote real segments for every node...
     let node_dirs = std::fs::read_dir(&dir).expect("wal dir exists").count();
     assert_eq!(node_dirs, 3, "one node-<id> subdirectory per node");
     // ...and removing the root reclaims everything.
     std::fs::remove_dir_all(&dir).expect("cleanup");
     assert!(!dir.exists());
+    outcome.expect_green(&scenario);
+}
+
+/// The planner drive on the file-backed WAL: every planner-chosen migration
+/// propagates from, and commits onto, durable segments with group commit on
+/// (no node is restarted — that drill needs the fixed move's script).
+#[test]
+fn planner_drive_runs_on_the_file_backed_wal() {
+    let dir = tempdir("planner");
+    let mut scenario = Scenario::planner(2);
+    scenario.wal_dir = Some(dir.clone());
+    let outcome = run(&scenario);
+    let node_dirs = std::fs::read_dir(&dir).expect("wal dir exists").count();
+    std::fs::remove_dir_all(&dir).expect("tmpdir hygiene");
+    outcome.expect_green(&scenario);
+    assert_eq!(node_dirs, 3, "one node-<id> subdirectory per node");
+    assert!(outcome.migration_committed(), "{:?}", outcome.migrations);
+    assert_eq!(outcome.decisions, run(&Scenario::planner(2)).decisions);
 }

@@ -11,7 +11,7 @@
 //! version order — must be acyclic on every seed, with the shard moving
 //! mid-workload through each push engine.
 
-use remus_chaos::{run_scenario, EngineKind, OracleId, ScenarioConfig};
+use remus_chaos::{run, EngineKind, OracleId, Scenario};
 use remus_clock::OracleKind;
 
 /// Seeds 0..12 cover every push engine (seed % 3) and a spread of
@@ -21,15 +21,9 @@ const SEEDS: std::ops::Range<u64> = 0..12;
 fn run_matrix(oracle: OracleKind) {
     let mut pruned = 0u64;
     for seed in SEEDS {
-        let config = ScenarioConfig::serializable(seed, oracle);
-        let outcome = run_scenario(&config);
-        assert!(
-            outcome.passed(),
-            "seed {seed} ({} / {oracle:?} / serializable): {}\n{:#?}",
-            config.engine.name(),
-            outcome.violations.summary(),
-            outcome.violations
-        );
+        let scenario = Scenario::serializable(seed, oracle);
+        let outcome = run(&scenario);
+        outcome.expect_green(&scenario);
         assert!(
             !outcome
                 .violations
@@ -38,7 +32,10 @@ fn run_matrix(oracle: OracleKind) {
             "seed {seed}: serialization graph has a cycle"
         );
         assert!(outcome.committed > 0, "seed {seed} committed nothing");
-        assert!(outcome.migration_committed, "seed {seed}: migration failed");
+        assert!(
+            outcome.migration_committed(),
+            "seed {seed}: migration failed"
+        );
         pruned += outcome.gc_pruned.expect("the serializable matrix runs GC");
     }
     // The GC thread must have actually retired history across the matrix,
@@ -58,18 +55,36 @@ fn serializable_matrix_dts() {
 
 #[test]
 fn serializable_scenario_is_deterministic_in_verdict() {
-    let config = ScenarioConfig::serializable(5, OracleKind::Dts);
-    let a = run_scenario(&config);
-    let b = run_scenario(&config);
-    assert_eq!(a.plan, b.plan);
+    let scenario = Scenario::serializable(5, OracleKind::Dts);
+    let a = run(&scenario);
+    let b = run(&scenario);
+    assert_eq!(a.plans, b.plans);
     assert_eq!(a.passed(), b.passed());
-    assert!(a.passed(), "{}", a.violations);
+    a.expect_green(&scenario);
+}
+
+/// The planner drive at `Serializable`: SIREAD state is handed over by every
+/// planner-chosen migration while the measured sweeps (read-only and
+/// write-only transactions) and the racing writers run under SSI, and the
+/// serialization graph of the whole multi-migration history stays acyclic.
+#[test]
+fn planner_drive_is_serializable_under_ssi() {
+    let base = Scenario::serializable(1, OracleKind::Gts);
+    let scenario = Scenario {
+        isolation: base.isolation,
+        gc_interval: base.gc_interval,
+        ..Scenario::planner(1)
+    };
+    let outcome = run(&scenario);
+    outcome.expect_green(&scenario);
+    assert!(outcome.committed > 0, "no writer committed");
+    assert!(!outcome.decisions.is_empty(), "the planner never tripped");
 }
 
 #[test]
 fn serializable_seeds_cover_every_push_engine() {
     let engines: Vec<EngineKind> = SEEDS
-        .map(|s| ScenarioConfig::serializable(s, OracleKind::Gts).engine)
+        .map(|s| Scenario::serializable(s, OracleKind::Gts).engine)
         .collect();
     for kind in [
         EngineKind::Remus,

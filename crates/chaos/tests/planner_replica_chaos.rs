@@ -1,4 +1,4 @@
-//! Planner-mode replica chaos matrix: the replicate-or-migrate autopilot
+//! Planner-drive replica chaos matrix: the replicate-or-migrate autopilot
 //! core drives replica provisioning and decommissioning from measured
 //! load, under seeded ship/apply faults and racing writers.
 //!
@@ -19,7 +19,7 @@
 //! * the decision list replays verbatim — provisioning and retirement
 //!   are pure functions of the seed.
 
-use remus_chaos::{run_planner_scenario, PlannerScenarioConfig};
+use remus_chaos::{run, Scenario};
 use remus_clock::OracleKind;
 
 /// 12 seeds × {GTS, DTS}. Engines cycle with the seed for the migrations
@@ -30,13 +30,9 @@ use remus_clock::OracleKind;
 fn planner_replica_matrix_keeps_si_and_staleness_green() {
     for seed in 0..12u64 {
         for oracle in [OracleKind::Gts, OracleKind::Dts] {
-            let config = PlannerScenarioConfig::replica_from_seed(seed, oracle);
-            let outcome = run_planner_scenario(&config);
-            assert!(
-                outcome.passed(),
-                "seed {seed} ({oracle:?}): {:#?}",
-                outcome.violations
-            );
+            let scenario = Scenario::planner_replica(seed, oracle);
+            let outcome = run(&scenario);
+            outcome.expect_green(&scenario);
             assert!(
                 outcome
                     .decisions
@@ -74,14 +70,14 @@ fn planner_replica_decisions_replay_verbatim() {
         (7, OracleKind::Dts),
         (11, OracleKind::Gts),
     ] {
-        let config = PlannerScenarioConfig::replica_from_seed(seed, oracle);
-        let a = run_planner_scenario(&config);
-        let b = run_planner_scenario(&config);
+        let scenario = Scenario::planner_replica(seed, oracle);
+        let a = run(&scenario);
+        let b = run(&scenario);
         assert_eq!(
             a.decisions, b.decisions,
             "seed {seed} ({oracle:?}): decision replay diverged"
         );
-        assert!(a.passed(), "seed {seed}: {:#?}", a.violations);
-        assert!(b.passed(), "seed {seed}: {:#?}", b.violations);
+        a.expect_green(&scenario);
+        b.expect_green(&scenario);
     }
 }

@@ -5,90 +5,55 @@
 //! planner drive — the decision strings of one run. The committed fixture
 //! was generated at the commit *before* the two harnesses were merged, so a
 //! port of the runner has to reproduce it byte for byte; only the
-//! constructor spelling in [`fixed`] and [`planner`] may differ.
+//! constructor spelling in [`row`] and [`generate`] may differ.
 
 use std::time::Duration;
 
-use remus_chaos::{
-    run_planner_scenario, EngineKind, FaultPlan, PlannerScenarioConfig, ScenarioConfig,
-};
+use remus_chaos::{run, Drive, EngineKind, FaultPlan, FaultProfile, Scenario};
 use remus_clock::OracleKind;
-use remus_common::{NodeId, ParallelismConfig, SimConfig};
+use remus_common::{NodeId, ParallelismConfig};
 
 const ORACLES: [OracleKind; 2] = [OracleKind::Gts, OracleKind::Dts];
 
-/// The fields every row shares, in the fixture's column order.
-#[allow(clippy::too_many_arguments)]
-fn head(
-    matrix: &str,
-    ctor: &str,
-    seed: u64,
-    engine: EngineKind,
-    oracle: OracleKind,
-    drive: &str,
-    isolation: remus_common::IsolationLevel,
-    p: ParallelismConfig,
-    gc: Option<Duration>,
-    wal_file: bool,
-) -> String {
+/// One row: the scenario's fields plus, for a fixed move, the plan its seed
+/// generates, or, for the planner drive, the decisions of one run.
+fn row(matrix: &str, ctor: &str, c: &Scenario) -> String {
+    let (drive, tail) = match c.drive {
+        Drive::Fixed(profile) => {
+            let plan = FaultPlan::generate(c.seed, profile, NodeId(0), NodeId(1));
+            let specs: Vec<String> = plan.specs.iter().map(ToString::to_string).collect();
+            let spike = plan.clock_spike_ms;
+            let tail = format!("spike={spike:?} specs=[{}]", specs.join("; "));
+            (format!("{profile:?}"), tail)
+        }
+        Drive::Planner { replicas } => {
+            let drive = if replicas {
+                "planner+replicas"
+            } else {
+                "planner"
+            };
+            let tail = format!("decisions=[{}]", run(c).decisions.join("; "));
+            (drive.to_string(), tail)
+        }
+    };
+    let p = c.parallelism;
     format!(
-        "{matrix} {ctor} seed={seed} engine={} oracle={oracle:?} drive={drive} \
-         isolation={isolation:?} parallelism={}/{}/{}/{} gc={gc:?} wal={}",
-        engine.name(),
+        "{matrix} {ctor} seed={} engine={} oracle={:?} drive={drive} isolation={:?} \
+         parallelism={}/{}/{}/{} gc={:?} wal={} {tail}\n",
+        c.seed,
+        c.engine.name(),
+        c.oracle,
+        c.isolation,
         p.copy_workers,
         p.replay_workers,
         p.chunk_size,
         p.drain_batch,
-        if wal_file { "file" } else { "memory" },
-    )
-}
-
-/// One fixed-move row: the scenario's fields plus the plan its seed generates.
-fn fixed(matrix: &str, ctor: &str, c: &ScenarioConfig) -> String {
-    let plan = FaultPlan::generate(c.seed, c.profile, NodeId(0), NodeId(1));
-    let specs: Vec<String> = plan.specs.iter().map(ToString::to_string).collect();
-    format!(
-        "{} spike={:?} specs=[{}]\n",
-        head(
-            matrix,
-            ctor,
-            c.seed,
-            c.engine,
-            c.oracle,
-            &format!("{:?}", c.profile),
-            c.isolation,
-            c.parallelism,
-            c.gc_interval,
-            c.wal_dir.is_some(),
-        ),
-        plan.clock_spike_ms,
-        specs.join("; "),
-    )
-}
-
-/// One planner row: the scenario's fields plus the decisions of one run.
-fn planner(matrix: &str, ctor: &str, c: &PlannerScenarioConfig) -> String {
-    let sim = SimConfig::instant();
-    let outcome = run_planner_scenario(c);
-    format!(
-        "{} decisions=[{}]\n",
-        head(
-            matrix,
-            ctor,
-            c.seed,
-            c.engine,
-            c.oracle,
-            if c.replicas {
-                "planner+replicas"
-            } else {
-                "planner"
-            },
-            sim.isolation,
-            sim.parallelism,
-            None,
-            false,
-        ),
-        outcome.decisions.join("; "),
+        c.gc_interval,
+        if c.wal_dir.is_some() {
+            "file"
+        } else {
+            "memory"
+        },
     )
 }
 
@@ -97,15 +62,11 @@ fn generate() -> String {
     // tests/chaos_scenarios.rs: 24 seeds, then the copy-worker-crash sweep
     // (push engines' tolerated seeds below 16, 4-wide pools).
     for seed in 0..24 {
-        out += &fixed(
-            "chaos_scenarios",
-            "from_seed",
-            &ScenarioConfig::from_seed(seed),
-        );
+        out += &row("chaos_scenarios", "from_seed", &Scenario::from_seed(seed));
     }
     for seed in 0..16 {
-        let mut c = ScenarioConfig::from_seed(seed);
-        if c.profile != remus_chaos::FaultProfile::Tolerated || c.engine == EngineKind::Squall {
+        let mut c = Scenario::from_seed(seed);
+        if c.drive != Drive::Fixed(FaultProfile::Tolerated) || c.engine == EngineKind::Squall {
             continue;
         }
         c.parallelism = ParallelismConfig {
@@ -114,34 +75,26 @@ fn generate() -> String {
             chunk_size: 8,
             drain_batch: 4,
         };
-        out += &fixed("chaos_scenarios", "from_seed+parallel", &c);
+        out += &row("chaos_scenarios", "from_seed+parallel", &c);
     }
     // tests/planner_chaos.rs: 12 seeds.
     for seed in 0..12 {
-        out += &planner(
-            "planner_chaos",
-            "planner",
-            &PlannerScenarioConfig::from_seed(seed),
-        );
+        out += &row("planner_chaos", "planner", &Scenario::planner(seed));
     }
     // chaos_gc.rs: 12 seeds and the smoke scenario, GC every millisecond.
     let gc = Some(Duration::from_millis(1));
     for seed in 0..12 {
-        let mut c = ScenarioConfig::from_seed(seed);
+        let mut c = Scenario::from_seed(seed);
         c.gc_interval = gc;
-        out += &fixed("chaos_gc", "from_seed+gc", &c);
+        out += &row("chaos_gc", "from_seed+gc", &c);
     }
-    let mut c = ScenarioConfig::remus_smoke(3);
+    let mut c = Scenario::remus_smoke(3);
     c.gc_interval = gc;
-    out += &fixed("chaos_gc", "remus_smoke+gc", &c);
+    out += &row("chaos_gc", "remus_smoke+gc", &c);
     // chaos_replica.rs: 12 seeds x both oracles.
     for seed in 0..12 {
         for oracle in ORACLES {
-            out += &fixed(
-                "chaos_replica",
-                "replica",
-                &ScenarioConfig::replica(seed, oracle),
-            );
+            out += &row("chaos_replica", "replica", &Scenario::replica(seed, oracle));
         }
     }
     // chaos_restart.rs: 12 seeds, then the determinism and hygiene cells.
@@ -158,36 +111,32 @@ fn generate() -> String {
         (1, EngineKind::LockAbort, OracleKind::Dts),
     ];
     for (seed, engine, oracle) in (0..12).map(restart).chain(extra) {
-        let c = ScenarioConfig::crash_restart(seed, engine, oracle, "unused");
-        out += &fixed("chaos_restart", "crash_restart", &c);
+        let c = Scenario::crash_restart(seed, engine, oracle, "unused");
+        out += &row("chaos_restart", "crash_restart", &c);
     }
     // chaos_serializable.rs: 12 seeds x both oracles.
     for seed in 0..12 {
         for oracle in ORACLES {
-            out += &fixed(
+            out += &row(
                 "chaos_serializable",
                 "serializable",
-                &ScenarioConfig::serializable(seed, oracle),
+                &Scenario::serializable(seed, oracle),
             );
         }
     }
     // planner_replica_chaos.rs: 12 seeds x both oracles.
     for seed in 0..12 {
         for oracle in ORACLES {
-            out += &planner(
+            out += &row(
                 "planner_replica_chaos",
                 "planner_replica",
-                &PlannerScenarioConfig::replica_from_seed(seed, oracle),
+                &Scenario::planner_replica(seed, oracle),
             );
         }
     }
     // src/bin/chaos_smoke.rs: three seeds.
     for seed in [1, 2, 3] {
-        out += &fixed(
-            "chaos_smoke",
-            "remus_smoke",
-            &ScenarioConfig::remus_smoke(seed),
-        );
+        out += &row("chaos_smoke", "remus_smoke", &Scenario::remus_smoke(seed));
     }
     out
 }

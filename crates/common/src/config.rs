@@ -208,9 +208,6 @@ pub struct PlannerConfig {
     /// Lion-style co-location: consider moves that reunite shard pairs
     /// frequently written by the same transaction, cutting `txn.2pc_hops`.
     pub colocation: bool,
-    /// Minimum cross-shard commits between a pair in the last window
-    /// before a co-location move is considered.
-    pub colocation_min_cross: u64,
     /// Foreground p99 budget: while the windowed commit p99 exceeds this,
     /// the autopilot pauses between migrations. `Duration::ZERO` disables
     /// the throttle.
@@ -232,12 +229,6 @@ pub struct PlannerConfig {
     /// window (the replica applies *every* primary's stream, so this
     /// prices total write traffic). Zero ignores ship bandwidth.
     pub cost_weight_ship: f64,
-    /// Maximum replicas the planner will keep provisioned at once.
-    pub max_replicas: usize,
-    /// Decommission floor: when the cluster-wide windowed read demand
-    /// (primary-served + replica-served) falls below this, a provisioned
-    /// replica is no longer earning its ship bandwidth and is torn down.
-    pub replica_min_reads: f64,
 }
 
 impl PlannerConfig {
@@ -253,15 +244,12 @@ impl PlannerConfig {
             cost_weight_versions: 1.0,
             cost_weight_wal: 1.0,
             colocation: true,
-            colocation_min_cross: 4,
             latency_budget: Duration::ZERO,
             max_retries: 3,
             seed: 0,
             replication: false,
             replica_read_ratio: 0.8,
             cost_weight_ship: 1.0,
-            max_replicas: 1,
-            replica_min_reads: 1.0,
         }
     }
 
@@ -272,44 +260,6 @@ impl PlannerConfig {
         PlannerConfig {
             replication: true,
             ..Self::balanced()
-        }
-    }
-
-    /// Chaos-replay defaults: imbalance trigger only, cost weights zeroed
-    /// (version counts and WAL rates vary with fault timing and would
-    /// break decision replay), no throttle, generous cooldown so each
-    /// shard moves at most once per scenario.
-    pub fn chaos_mode(seed: u64) -> Self {
-        PlannerConfig {
-            imbalance_ratio: 1.2,
-            cooldown_ticks: u64::MAX,
-            max_moves_per_tick: 2,
-            node_concurrency: 1,
-            ewma_alpha: 1.0,
-            cost_weight_versions: 0.0,
-            cost_weight_wal: 0.0,
-            colocation: false,
-            colocation_min_cross: u64::MAX,
-            latency_budget: Duration::ZERO,
-            max_retries: 0,
-            seed,
-            replication: false,
-            replica_read_ratio: 0.8,
-            cost_weight_ship: 0.0,
-            max_replicas: 1,
-            replica_min_reads: 1.0,
-        }
-    }
-
-    /// `chaos_mode()` with replica actions on: ship cost stays zeroed
-    /// (write counts race fault timing), so replicate-vs-migrate and
-    /// decommission decisions reduce to the read-fraction trigger and the
-    /// absolute read floor — both pure functions of the measured batch.
-    pub fn chaos_replica_mode(seed: u64) -> Self {
-        PlannerConfig {
-            replication: true,
-            replica_read_ratio: 0.75,
-            ..Self::chaos_mode(seed)
         }
     }
 }
@@ -435,30 +385,12 @@ mod tests {
         assert!(b.ewma_alpha > 0.0 && b.ewma_alpha <= 1.0);
         assert!(b.colocation);
 
-        let c = PlannerConfig::chaos_mode(42);
-        assert_eq!(c.seed, 42);
-        // Decision replay: no timing-polluted signals, no wall-clock throttle.
-        assert_eq!(c.cost_weight_versions, 0.0);
-        assert_eq!(c.cost_weight_wal, 0.0);
-        assert_eq!(c.latency_budget, Duration::ZERO);
-        assert!(!c.colocation);
-        // Replication is opt-in everywhere: balanced() and chaos_mode()
-        // users keep migrate-only planning unchanged.
+        // Replication is opt-in: balanced() users keep migrate-only planning.
         assert!(!b.replication);
-        assert!(!c.replication);
 
         let a = PlannerConfig::adaptive();
         assert!(a.replication);
         assert!(a.replica_read_ratio > 0.5 && a.replica_read_ratio <= 1.0);
-        assert!(a.max_replicas >= 1);
-
-        let r = PlannerConfig::chaos_replica_mode(42);
-        assert!(r.replication);
-        // Replay safety: replica decisions must not price timing-polluted
-        // signals either.
-        assert_eq!(r.cost_weight_ship, 0.0);
-        assert_eq!(r.cost_weight_versions, 0.0);
-        assert_eq!(r.cooldown_ticks, u64::MAX);
     }
 
     #[test]

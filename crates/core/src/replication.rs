@@ -33,11 +33,25 @@
 //!
 //! Transactions whose `Begin` predates the slot are *not* replayed: they
 //! resolved before the slot existed, so their effects (if committed) are
-//! wholly inside the cut snapshot. Everything else is applied on
-//! resolution via [`remus_txn::redo_write`], which is value-convergent —
-//! re-applying a write the snapshot (or another stream) already delivered
-//! updates the transaction's own version in place, so double-apply is
-//! harmless and no commit-timestamp filtering is needed.
+//! wholly inside the cut snapshot. Everything else is applied at its commit
+//! record, see below.
+//!
+//! ## Cross-stream apply order
+//!
+//! One stream is in commit order; two are not. A migrated shard's history
+//! reaches the replica over the source's stream up to `T_m` and over the
+//! destination's after it (which also re-delivers the source's transactions
+//! as their shadows), and either stream may lag the other — so a commit can
+//! arrive after a newer one on the same key. The applier therefore never
+//! pushes "on top": it resolves the transaction in the replica's CLOG first
+//! and then installs each write with
+//! [`install_committed`](remus_storage::VersionedTable::install_committed),
+//! which places the version by commit timestamp and edits the transaction's
+//! own version in place when a second delivery finds one — this is the
+//! replay-order condition a certified cut needs for a snapshot-equivalent
+//! replay. Resolving before installing is invisible to readers: they read at
+//! the watermark, and by the watermark's definition (next section) every
+//! transaction still being applied commits above it.
 //!
 //! ## The applied watermark
 //!
@@ -68,7 +82,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use remus_cluster::{Cluster, Node, ReplicaHandle};
 use remus_common::{DbError, DbResult, FaultAction, InjectionPoint, NodeId, Timestamp, TxnId};
 use remus_shard::SHARD_MAP_SHARD;
-use remus_txn::redo_write;
 use remus_wal::{ApplyLsnGate, LogOp, Lsn, ShipBatch, WriteOp};
 
 use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
@@ -481,7 +494,6 @@ pub struct StreamApplier {
     /// Commit resolutions not yet at or below the frontier: lsn -> cts.
     resolved: BTreeMap<u64, Timestamp>,
     wmax: Timestamp,
-    redo_timeout: Duration,
 }
 
 impl StreamApplier {
@@ -501,7 +513,6 @@ impl StreamApplier {
         from: Lsn,
         gate: Arc<CopyGate>,
     ) -> StreamApplier {
-        let redo_timeout = replica.storage.config.lock_wait_timeout;
         StreamApplier {
             replica: Arc::clone(replica),
             gate,
@@ -510,7 +521,6 @@ impl StreamApplier {
             begins: BTreeSet::new(),
             resolved: BTreeMap::new(),
             wmax: cut_ts,
-            redo_timeout,
         }
     }
 
@@ -569,14 +579,7 @@ impl StreamApplier {
                 LogOp::Commit(ts) | LogOp::CommitPrepared(ts) => {
                     if let Some(t) = self.open.remove(&xid) {
                         self.begins.remove(&t.begin_lsn);
-                        apply_commit(
-                            &self.replica,
-                            &self.gate,
-                            xid,
-                            *ts,
-                            &t.writes,
-                            self.redo_timeout,
-                        )?;
+                        apply_commit(&self.replica, &self.gate, xid, *ts, &t.writes)?;
                         committed += 1;
                         self.resolved.insert(lsn.0, *ts);
                     }
@@ -674,20 +677,22 @@ fn apply_loop(
     }
 }
 
-/// Applies one committed transaction's buffered writes to the replica.
+/// Applies one committed transaction's buffered writes to the replica, in
+/// commit order whatever the arrival order (see the module docs): the
+/// transaction is resolved first, then each version is installed at its
+/// commit timestamp's place in its chain.
 ///
-/// Value-convergent by construction: [`redo_write`] updates the
-/// transaction's own newest version in place, so a write the cut snapshot
-/// (or a migration shadow stream) already delivered converges instead of
-/// conflicting, and [`remus_storage::Clog::set_committed`] is idempotent
-/// for an equal timestamp.
+/// Convergent by construction: a write the cut snapshot predates is installed
+/// above the frozen copy, one another stream (a 2PC participant's, a migration
+/// shadow's) or a retransmit already delivered edits that version in place,
+/// and [`remus_storage::Clog::set_committed`] is idempotent for an equal
+/// timestamp.
 fn apply_commit(
     replica: &Node,
     gate: &CopyGate,
     xid: TxnId,
     cts: Timestamp,
     writes: &[WriteOp],
-    timeout: Duration,
 ) -> DbResult<()> {
     // Shard-map rows are excluded: the replica is itself a participant of
     // every map transaction (T_m updates all nodes' map replicas), so its
@@ -706,12 +711,13 @@ fn apply_commit(
     }
     let storage = &replica.storage;
     // Err means another stream already resolved this xid (a 2PC txn spans
-    // streams); redo still converges, so proceed.
+    // streams); `set_committed` then only checks the timestamps agree.
     let _ = storage.clog.try_begin(xid);
-    for w in &data {
-        redo_write(storage, xid, w, timeout)?;
-    }
     storage.clog.set_committed(xid, cts)?;
+    for w in &data {
+        let table = storage.create_shard(w.shard);
+        table.install_committed(w.key, w.kind, w.value.clone(), xid, cts, &storage.clog);
+    }
     replica.work.add(data.len() as u64);
     Ok(())
 }

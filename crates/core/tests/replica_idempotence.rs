@@ -3,17 +3,19 @@
 //! same committed state as a replica fed the same WAL in order — and both
 //! equal the primary itself ([`remus_storage::Table::committed_state_digest`]
 //! compares committed `(key, cts, deleted, value)` sets, independent of
-//! version-chain layout).
+//! version-chain layout). The same property with a second stream: a replica
+//! applies one stream per primary, so a migrated shard's commits reach it
+//! over two, and the state must not depend on which stream runs ahead.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use remus_cluster::{Cluster, ClusterBuilder, Session};
-use remus_common::{NodeId, SimConfig, TableId, Timestamp};
+use remus_common::{NodeId, ShardId, SimConfig, TableId, Timestamp, TxnId};
 use remus_core::StreamApplier;
 use remus_shard::TableLayout;
-use remus_storage::Value;
-use remus_wal::{Lsn, ShipBatch};
+use remus_storage::{Value, WriteKind};
+use remus_wal::{LogOp, LogRecord, Lsn, ShipBatch, WriteOp};
 
 const PRIMARY: NodeId = NodeId(0);
 const IN_ORDER: NodeId = NodeId(1);
@@ -226,4 +228,83 @@ proptest! {
         }
         prop_assert_eq!(digest_of(&cluster, IN_ORDER, &layout), want);
     }
+}
+
+/// One single-write transaction as the three WAL frames a primary logs for
+/// it, starting at LSN `first` of its stream.
+fn txn_frames(first: u64, xid: u64, kind: WriteKind, value: &str, cts: u64) -> ShipBatch {
+    let xid = TxnId::new(PRIMARY, xid);
+    let write = WriteOp {
+        shard: ShardId(0),
+        key: 20,
+        kind,
+        value: Value::copy_from_slice(value.as_bytes()),
+    };
+    let frames = [
+        LogOp::Begin(Timestamp(cts - 1)),
+        LogOp::Write(write),
+        LogOp::Commit(Timestamp(cts)),
+    ];
+    let records = frames.map(|op| Arc::new(LogRecord::new(xid, op)));
+    ShipBatch::new(Lsn(first), records.to_vec())
+}
+
+/// A migrated shard's history reaches the replica over two streams: `init`
+/// and `X` committed on the source (stream 0) before `T_m`, `Y` on the
+/// destination (stream 1) after it. Whichever stream runs ahead, and however
+/// often the destination's stream re-delivers `X` (its shadow of the source
+/// transaction), the replica must order the versions by commit timestamp:
+/// a read above 84 sees `Y`, one in 77..84 sees `X`.
+#[test]
+fn two_streams_of_one_shard_converge_in_commit_order() {
+    let init = |first| txn_frames(first, 1, WriteKind::Insert, "init", 5);
+    let x = |first| txn_frames(first, 2, WriteKind::Update, "X", 77);
+    let y = |first| txn_frames(first, 3, WriteKind::Update, "Y", 84);
+    // (stream, frames) in arrival order.
+    let arrivals: [(&str, Vec<(usize, ShipBatch)>); 3] = [
+        (
+            "the source's stream lags",
+            vec![(0, init(1)), (1, y(1)), (0, x(4))],
+        ),
+        ("commit order", vec![(0, init(1)), (0, x(4)), (1, y(1))]),
+        (
+            "X re-delivered after Y",
+            vec![(0, init(1)), (0, x(4)), (1, y(1)), (1, x(4))],
+        ),
+    ];
+    let mut digests = Vec::new();
+    for (case, batches) in arrivals {
+        let cluster = ClusterBuilder::new(2).config(SimConfig::instant()).build();
+        let replica = cluster.node(IN_ORDER);
+        let mut streams = [
+            StreamApplier::new(replica, Timestamp(1), Lsn::ZERO),
+            StreamApplier::new(replica, Timestamp(1), Lsn::ZERO),
+        ];
+        for (stream, batch) in batches {
+            streams[stream].apply(batch).unwrap();
+        }
+        let storage = &replica.storage;
+        let table = storage.table(ShardId(0)).expect("applied shard");
+        let timeout = std::time::Duration::from_secs(1);
+        for (snapshot, want) in [(90, "Y"), (84, "Y"), (80, "X"), (77, "X"), (10, "init")] {
+            let served = table
+                .read(
+                    20,
+                    Timestamp(snapshot),
+                    TxnId::INVALID,
+                    &storage.clog,
+                    timeout,
+                )
+                .unwrap();
+            let served = served.map(|v| String::from_utf8_lossy(&v).into_owned());
+            assert_eq!(served.as_deref(), Some(want), "{case}: read at {snapshot}");
+        }
+        assert_eq!(
+            table.chain_snapshot(20).len(),
+            3,
+            "{case}: one version per commit"
+        );
+        digests.push(table.committed_state_digest(&storage.clog));
+    }
+    assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
 }

@@ -35,6 +35,18 @@ const VERSIONS_PER_COST_UNIT: f64 = 64.0;
 /// (catch-up replay volume normalization).
 const WAL_PER_COST_UNIT: f64 = 16.0;
 
+/// Minimum cross-shard commits between a pair in the last window before a
+/// co-location move is considered.
+const COLOCATION_MIN_CROSS: u64 = 4;
+
+/// Replicas the planner keeps provisioned at once.
+const MAX_REPLICAS: usize = 1;
+
+/// Decommission floor: when the cluster-wide windowed read demand
+/// (primary-served + replica-served) falls below this, a provisioned replica
+/// is no longer earning its ship bandwidth and is torn down.
+const REPLICA_MIN_READS: f64 = 1.0;
+
 /// Why the planner chose a move.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MoveReason {
@@ -328,7 +340,7 @@ impl Planner {
             .affinity
             .iter()
             .copied()
-            .filter(|&(_, _, n)| n >= self.config.colocation_min_cross)
+            .filter(|&(_, _, n)| n >= COLOCATION_MIN_CROSS)
             .collect();
         // Hottest pair first; shard-id order breaks count ties.
         pairs.sort_by(|x, y| (y.2, x.0, x.1).cmp(&(x.2, y.0, y.1)));
@@ -468,7 +480,7 @@ impl Planner {
         node_uses: &BTreeMap<NodeId, usize>,
     ) -> bool {
         if tick.decisions.len() >= self.config.max_moves_per_tick
-            || obs.replicas.len() >= self.config.max_replicas
+            || obs.replicas.len() >= MAX_REPLICAS
         {
             return false;
         }
@@ -591,7 +603,7 @@ impl Planner {
         let reads: f64 = obs.shards.values().map(|s| s.load.read_demand()).sum();
         let writes: f64 = obs.shards.values().map(|s| s.load.writes).sum();
         let ship = self.config.cost_weight_ship * writes / WAL_PER_COST_UNIT;
-        if reads >= self.config.replica_min_reads.max(ship) {
+        if reads >= REPLICA_MIN_READS.max(ship) {
             return;
         }
         tick.decisions.push(Decision {
@@ -805,7 +817,6 @@ mod tests {
     fn colocation_reunites_a_split_hot_pair() {
         let mut c = config();
         c.colocation = true;
-        c.colocation_min_cross = 4;
         c.imbalance_ratio = f64::INFINITY; // isolate the co-location path
         let mut p = Planner::new(c);
         let mut o = obs(2, &[(1, shard(0, 5.0, 2.0)), (2, shard(1, 3.0, 1.0))]);
@@ -835,7 +846,6 @@ mod tests {
     fn colocation_ignores_cold_pairs() {
         let mut c = config();
         c.colocation = true;
-        c.colocation_min_cross = 4;
         c.imbalance_ratio = f64::INFINITY;
         let mut p = Planner::new(c);
         let mut o = obs(2, &[(1, shard(0, 5.0, 2.0)), (2, shard(1, 3.0, 1.0))]);
@@ -874,8 +884,6 @@ mod tests {
         c.replication = true;
         c.replica_read_ratio = 0.8;
         c.cost_weight_ship = 0.0;
-        c.max_replicas = 1;
-        c.replica_min_reads = 1.0;
         c
     }
 

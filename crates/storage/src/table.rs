@@ -12,7 +12,7 @@
 //!
 //! Each operation has one *body* that touches a version chain; every other
 //! entry point is a projection of it. A new chain layout re-implements the
-//! five bodies marked ✱ and nothing else.
+//! six bodies marked ✱ and nothing else.
 //!
 //! | entry point | what it is | called by |
 //! |---|---|---|
@@ -26,6 +26,7 @@
 //! | [`insert`](VersionedTable::insert) / [`update`](VersionedTable::update) / [`delete`](VersionedTable::delete) / [`lock_row`](VersionedTable::lock_row) | one-line forwards to `write` | storage tests, the benchmark's write probes |
 //! | [`purge_txn`](VersionedTable::purge_txn) | abort cleanup | `remus-txn` abort path |
 //! | [`install_frozen`](VersionedTable::install_frozen) ✱ | replaces a chain by one frozen version | snapshot copy, Squall pulls, bulk loaders, `shard::install_owner` |
+//! | [`install_committed`](VersionedTable::install_committed) ✱ | places a resolved transaction's version by commit timestamp | the replica applier (`replication::apply_commit`) |
 //! | [`chunk_splits`](VersionedTable::chunk_splits) | every n-th key of the index | `CopyGate::plan`, Squall's chunk map |
 //! | [`gc_step`](VersionedTable::gc_step) | budgeted GC over pending chains; `prune_chain` ✱ is the pruning rule | `Cluster::gc_tick`, the benchmark's GC probe |
 //! | [`vacuum`](VersionedTable::vacuum) | `gc_step` without a budget | storage tests |
@@ -481,6 +482,53 @@ impl VersionedTable {
                 FROZEN_TXN, value,
             )))),
         );
+    }
+
+    /// Installs what `xid`, already committed at `cts` in `clog`, wrote to
+    /// `key` at its place in commit order: below every version committed after
+    /// `cts`, above the rest. [`write`](Self::write) pushes on top, which is
+    /// commit order only where writers are serialised by the chain itself; a
+    /// replica applies one WAL stream per primary, and the two streams that
+    /// carry a migrated shard's history (the source's up to `T_m`, the
+    /// destination's after it) arrive in either order. A version `xid` already
+    /// has in the chain — the same transaction delivered again, by a retransmit
+    /// or as the destination's shadow of it — is edited where it stands, like
+    /// a writer's second statement on its own version. Never waits: every
+    /// version in a chain filled this way belongs to a resolved transaction.
+    pub fn install_committed(
+        &self,
+        key: Key,
+        kind: WriteKind,
+        value: Value,
+        xid: TxnId,
+        cts: Timestamp,
+        clog: &Clog,
+    ) {
+        use crate::clog::TxnStatus;
+        if kind == WriteKind::Lock {
+            return;
+        }
+        let deleted = kind == WriteKind::Delete;
+        let chain = self.chain_or_create(key);
+        let mut guard = chain.lock();
+        self.mutate(key, &mut guard, |chain| match chain.version_of_mut(xid) {
+            Some(own) => {
+                own.deleted = deleted;
+                if !deleted {
+                    own.value = value;
+                }
+            }
+            None => {
+                let version = match deleted {
+                    true => TupleVersion::tombstone(xid),
+                    false => TupleVersion::data(xid, value),
+                };
+                chain.insert_below(
+                    version,
+                    |v| matches!(clog.status(v.xmin), TxnStatus::Committed(c) if c > cts),
+                );
+            }
+        });
     }
 
     /// Streams every tuple of `range` that `self_xid` sees at `snapshot_ts`

@@ -85,6 +85,17 @@ impl VersionChain {
         self.versions.first_mut()
     }
 
+    /// Mutable access to the version `xid` created, wherever it stands.
+    pub fn version_of_mut(&mut self, xid: TxnId) -> Option<&mut TupleVersion> {
+        self.versions.iter_mut().find(|v| v.xmin == xid)
+    }
+
+    /// Inserts `version` below the leading run of versions `newer` holds for.
+    pub fn insert_below(&mut self, version: TupleVersion, newer: impl Fn(&TupleVersion) -> bool) {
+        let at = self.versions.iter().take_while(|v| newer(v)).count();
+        self.versions.insert(at, version);
+    }
+
     /// Iterates newest-to-oldest.
     pub fn iter(&self) -> impl Iterator<Item = &TupleVersion> {
         self.versions.iter()

@@ -7,24 +7,17 @@
 //! preservation for every seed. Split by engine residue so the four suites
 //! run in parallel.
 
-use remus::chaos::{run_scenario, EngineKind, FaultProfile, ScenarioConfig};
+use remus::chaos::{run, Drive, EngineKind, FaultProfile, Scenario};
 
 const SEEDS_PER_ENGINE: u64 = 6;
 
 fn run_residue(residue: u64, engine: EngineKind) {
     for i in 0..SEEDS_PER_ENGINE {
         let seed = i * 4 + residue;
-        let config = ScenarioConfig::from_seed(seed);
-        assert_eq!(config.engine, engine);
-        let outcome = run_scenario(&config);
-        assert!(
-            outcome.passed(),
-            "seed {seed} ({} / {:?} / {:?}): {:#?}",
-            engine.name(),
-            config.oracle,
-            config.profile,
-            outcome.violations
-        );
+        let scenario = Scenario::from_seed(seed);
+        assert_eq!(scenario.engine, engine);
+        let outcome = run(&scenario);
+        outcome.expect_green(&scenario);
         assert!(
             outcome.committed > 0,
             "seed {seed}: no transaction committed"
@@ -60,7 +53,7 @@ fn chaos_seeds_squall() {
 /// commit, and the history must still satisfy SI.
 #[test]
 fn parallel_copy_worker_crashes_preserve_si() {
-    use remus::chaos::{run_scenario_with_specs, FaultPlan, FaultSpec};
+    use remus::chaos::{run_with_specs, FaultPlan, FaultSpec};
     use remus::common::fault::{FaultAction, InjectionPoint};
     use remus::common::{NodeId, ParallelismConfig};
 
@@ -71,17 +64,18 @@ fn parallel_copy_worker_crashes_preserve_si() {
     ];
     let mut ran = 0;
     for seed in 0..16u64 {
-        let mut config = ScenarioConfig::from_seed(seed);
-        if config.profile != FaultProfile::Tolerated || !push.contains(&config.engine) {
+        let mut scenario = Scenario::from_seed(seed);
+        let profile = FaultProfile::Tolerated;
+        if scenario.drive != Drive::Fixed(profile) || !push.contains(&scenario.engine) {
             continue;
         }
-        config.parallelism = ParallelismConfig {
+        scenario.parallelism = ParallelismConfig {
             copy_workers: 4,
             replay_workers: 4,
             chunk_size: 8,
             drain_batch: 4,
         };
-        let plan = FaultPlan::generate(seed, config.profile, NodeId(0), NodeId(1));
+        let plan = FaultPlan::generate(seed, profile, NodeId(0), NodeId(1));
         // Replace any seeded copy-chunk kills with exactly two worker
         // crashes, so every seed exercises the mid-chunk retry and the
         // total stays inside the 4-attempt-per-chunk budget.
@@ -102,15 +96,10 @@ fn parallel_copy_worker_crashes_preserve_si() {
                 action: FaultAction::Crash,
             });
         }
-        let outcome = run_scenario_with_specs(&config, &plan, &specs);
+        let outcome = run_with_specs(&scenario, &specs);
+        outcome.expect_green(&scenario);
         assert!(
-            outcome.passed(),
-            "seed {seed} ({} / parallel, crashed copy workers): {:#?}",
-            config.engine.name(),
-            outcome.violations
-        );
-        assert!(
-            outcome.migration_committed,
+            outcome.migration_committed(),
             "seed {seed}: migration did not commit under copy-worker crashes"
         );
         ran += 1;
@@ -118,29 +107,43 @@ fn parallel_copy_worker_crashes_preserve_si() {
     assert!(ran >= 8, "only {ran} parallel crash seeds ran");
 }
 
+/// The planner drive on a seed-derived data plane (its own constructor pins
+/// the cluster default): every planner-chosen migration copies in 8-key
+/// chunks over a 4-wide copy pool and a 3-wide replay pool, and the decision
+/// list does not notice.
+#[test]
+fn planner_moves_run_on_a_seeded_data_plane() {
+    let mut scenario = Scenario::planner(6);
+    scenario.parallelism = Scenario::from_seed(6).parallelism;
+    assert_eq!(scenario.parallelism.copy_workers, 4);
+    let outcome = run(&scenario);
+    outcome.expect_green(&scenario);
+    assert!(outcome.migration_committed(), "{:?}", outcome.migrations);
+    assert_eq!(outcome.decisions, run(&Scenario::planner(6)).decisions);
+}
+
 /// Same seed, run twice: identical fault schedule, identical verdict. One
 /// tolerated-profile seed and one `T_m`-crash seed.
 #[test]
 fn same_seed_reproduces_schedule_and_verdict() {
     for seed in [3u64, 4] {
-        let config = ScenarioConfig::from_seed(seed);
-        let first = run_scenario(&config);
-        let second = run_scenario(&config);
-        assert_eq!(first.plan, second.plan, "seed {seed}: schedule diverged");
+        let scenario = Scenario::from_seed(seed);
+        let first = run(&scenario);
+        let second = run(&scenario);
+        assert_eq!(first.plans, second.plans, "seed {seed}: schedule diverged");
         assert_eq!(
             first.passed(),
             second.passed(),
             "seed {seed}: verdict diverged"
         );
         assert_eq!(
-            first.migration_committed, second.migration_committed,
+            first.migration_committed(),
+            second.migration_committed(),
             "seed {seed}: migration fate diverged"
         );
     }
     // The pair covers both profiles.
-    assert_eq!(
-        ScenarioConfig::from_seed(3).profile,
-        FaultProfile::Tolerated
-    );
-    assert_eq!(ScenarioConfig::from_seed(4).profile, FaultProfile::CrashTm);
+    let profile = |seed| Scenario::from_seed(seed).drive;
+    assert_eq!(profile(3), Drive::Fixed(FaultProfile::Tolerated));
+    assert_eq!(profile(4), Drive::Fixed(FaultProfile::CrashTm));
 }

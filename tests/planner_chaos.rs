@@ -1,4 +1,4 @@
-//! Seeded chaos over the elasticity autopilot (planner mode).
+//! Seeded chaos over the elasticity autopilot (the planner drive).
 //!
 //! Unlike `chaos_scenarios.rs`, where the migration is fixed by the
 //! harness, here the *planner chooses every migration* from load it
@@ -13,8 +13,7 @@
 //! so the three suites run in parallel; the oracle alternates GTS/DTS
 //! across engine cycles (`seed / 3`).
 
-use remus::chaos::planner_mode::{run_planner_scenario, PlannerScenarioConfig};
-use remus::chaos::runner::EngineKind;
+use remus::chaos::{run, EngineKind, Scenario};
 
 /// Seeds per engine residue; 3 residues × 4 = 12 scenarios total.
 const SEEDS_PER_ENGINE: u64 = 4;
@@ -22,16 +21,10 @@ const SEEDS_PER_ENGINE: u64 = 4;
 fn run_residue(residue: u64, engine: EngineKind) {
     for i in 0..SEEDS_PER_ENGINE {
         let seed = i * 3 + residue;
-        let config = PlannerScenarioConfig::from_seed(seed);
-        assert_eq!(config.engine, engine);
-        let outcome = run_planner_scenario(&config);
-        assert!(
-            outcome.passed(),
-            "seed {seed} ({} / {:?}): {:#?}",
-            engine.name(),
-            config.oracle,
-            outcome.violations
-        );
+        let scenario = Scenario::planner(seed);
+        assert_eq!(scenario.engine, engine);
+        let outcome = run(&scenario);
+        outcome.expect_green(&scenario);
         assert!(
             !outcome.decisions.is_empty(),
             "seed {seed}: the planner never tripped on the hot node"
@@ -70,13 +63,14 @@ fn planner_chaos_seeds_wait_and_remaster() {
 #[test]
 fn planner_decisions_replay_identically() {
     for seed in [0u64, 1, 2] {
-        let config = PlannerScenarioConfig::from_seed(seed);
-        let a = run_planner_scenario(&config);
-        let b = run_planner_scenario(&config);
+        let scenario = Scenario::planner(seed);
+        let a = run(&scenario);
+        let b = run(&scenario);
         assert_eq!(
             a.decisions, b.decisions,
             "seed {seed}: decision replay diverged"
         );
-        assert!(a.passed() && b.passed());
+        a.expect_green(&scenario);
+        b.expect_green(&scenario);
     }
 }
