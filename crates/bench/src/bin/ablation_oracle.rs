@@ -11,9 +11,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use remus_bench::{fixed_rate_clients, json_path_arg, print_table, BenchReport, TableSection};
+use remus_bench::{fixed_rate_clients, Args, Bench, Leg, LegOutcome, Maintenance, Oracle, Rig};
 use remus_clock::{Gts, OracleKind, TimestampOracle};
-use remus_cluster::ClusterBuilder;
 use remus_common::{NodeId, SimConfig, Timestamp};
 use remus_workload::engine::OpenLoopEngine;
 use remus_workload::ycsb::{Ycsb, YcsbConfig};
@@ -41,15 +40,16 @@ impl TimestampOracle for RemoteGts {
     }
 }
 
-fn run(label: &str, oracle: Option<Arc<dyn TimestampOracle>>) -> Vec<String> {
-    let mut builder = ClusterBuilder::new(6).config(SimConfig::instant());
-    builder = match oracle {
-        Some(o) => builder.oracle_instance(o),
-        None => builder.oracle(OracleKind::Dts),
-    };
-    let cluster = builder.build();
+/// One leg: DTS, or (its parameter) a GTS behind a control-plane round trip.
+fn run(leg: &Leg<Option<Duration>>) -> LegOutcome {
+    let oracle = leg.params.map_or(Oracle::Dts, |rtt| {
+        let inner = Gts::new();
+        Oracle::Instance(Arc::new(RemoteGts { inner, rtt }))
+    });
+    let config = SimConfig::instant();
+    let rig = Rig::build(6, leg.engine, oracle, config, Maintenance::Off);
     let ycsb = Arc::new(Ycsb::setup(
-        &cluster,
+        &rig.cluster,
         YcsbConfig {
             shards: 24,
             keys: 12_000,
@@ -57,44 +57,37 @@ fn run(label: &str, oracle: Option<Arc<dyn TimestampOracle>>) -> Vec<String> {
         },
     ));
     let config = fixed_rate_clients(8, Duration::from_micros(200));
-    let clients = OpenLoopEngine::start(&cluster, config, ycsb as _);
+    let clients = OpenLoopEngine::start(&rig.cluster, config, ycsb as _);
     clients.run_for(Duration::from_secs(4));
     let metrics = clients.stop().metrics;
     let secs = metrics.timeline.elapsed().as_secs_f64();
-    vec![
-        label.to_string(),
-        format!("{:.0}", metrics.counters.commits() as f64 / secs),
-        format!("{:.3}", metrics.latency_normal.mean().as_secs_f64() * 1e3),
-        format!(
-            "{:.3}",
-            metrics.latency_normal.percentile(0.99).as_secs_f64() * 1e3
-        ),
-    ]
+    let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
+    LegOutcome {
+        rows: vec![vec![
+            format!("{:.0}", metrics.counters.commits() as f64 / secs),
+            ms(metrics.latency_normal.mean()),
+            ms(metrics.latency_normal.percentile(0.99)),
+        ]],
+        ..LegOutcome::default()
+    }
 }
 
 fn main() {
-    println!("# Ablation — GTS vs DTS timestamp schemes (§2.2)");
-    let rows = vec![
-        run("dts", None),
-        run("gts (ideal, zero RTT)", Some(Arc::new(Gts::new()))),
-        run(
-            "gts (100µs control-plane RTT)",
-            Some(Arc::new(RemoteGts {
-                inner: Gts::new(),
-                rtt: Duration::from_micros(100),
-            })),
-        ),
-    ];
-    let table = TableSection::new(
-        "timestamp scheme vs YCSB performance",
-        &["oracle", "tps", "mean_latency_ms", "p99_latency_ms"],
-        rows,
-    );
-    print_table(&table);
+    let rtt = Duration::from_micros(100);
+    let bench = Bench {
+        scale_label: Some("fixed"),
+        table: "timestamp scheme vs YCSB performance",
+        headers: &["oracle", "tps", "mean_latency_ms", "p99_latency_ms"],
+        legs: vec![
+            Leg::new("", "dts", None),
+            Leg::new("", "gts (ideal, zero RTT)", Some(Duration::ZERO)),
+            Leg::new("", "gts (100µs control-plane RTT)", Some(rtt)),
+        ],
+        ..Bench::new(
+            "ablation_oracle",
+            "Ablation — GTS vs DTS timestamp schemes (§2.2)",
+        )
+    };
+    Args::from_process(&[]).run(bench, |leg, _| run(leg));
     println!("note: the paper uses DTS for all experiments for the same reason.");
-    if let Some(path) = json_path_arg() {
-        let mut report = BenchReport::new("ablation_oracle", "fixed");
-        report.tables.push(table);
-        report.write(&path).expect("writing JSON report failed");
-    }
 }

@@ -7,28 +7,28 @@
 //! workers and the destination cannot catch up, stretching (or, at
 //! pathological settings, preventing) the mode change.
 //!
-//! Usage: `cargo run --release -p remus-bench --bin ablation_replay [--json <path>]`.
+//! Usage: `cargo run --release -p remus-bench --bin ablation_replay [--scale <preset>] [--json <path>]`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use remus_bench::{
-    json_path_arg, print_table, sim_config, BenchReport, Scale, TableSection, CLIENT_SEED,
+    sim_config, Args, Bench, Leg, LegOutcome, Maintenance, Oracle, Rig, Scale, CLIENT_SEED,
 };
-use remus_cluster::ClusterBuilder;
-use remus_common::{NodeId, ShardId};
-use remus_core::{MigrationEngine, MigrationTask, RemusEngine};
+use remus_common::{NodeId, ShardId, SimConfig};
+use remus_core::MigrationTask;
 use remus_workload::ycsb::{KeyDistribution, Ycsb, YcsbConfig};
-use remus_workload::{EngineConfig, OpenLoopEngine, Workload};
+use remus_workload::{EngineConfig, OpenLoopEngine};
 
-fn run_with_workers(workers: usize, scale: &Scale) -> Vec<String> {
-    let mut config = sim_config(scale);
-    config.parallelism.replay_workers = workers;
-    config.snapshot_copy_per_tuple = Duration::from_micros(200);
-    let cluster = ClusterBuilder::new(2).config(config).build();
-    cluster.start_maintenance(Duration::from_millis(300));
+fn run_with_workers(leg: &Leg<usize>, scale: &Scale) -> LegOutcome {
+    let mut config = SimConfig {
+        snapshot_copy_per_tuple: Duration::from_micros(200),
+        ..sim_config(scale)
+    };
+    config.parallelism.replay_workers = leg.params;
+    let rig = Rig::build(2, leg.engine, Oracle::Dts, config, Maintenance::Vacuum);
     let ycsb = Arc::new(Ycsb::setup(
-        &cluster,
+        &rig.cluster,
         YcsbConfig {
             shards: 4,
             keys: 4_000,
@@ -39,51 +39,42 @@ fn run_with_workers(workers: usize, scale: &Scale) -> Vec<String> {
     ));
     // Writers hammer updates while the shard moves 0 → 1: three closed-loop
     // clients running the YCSB mix with a 500 µs think time.
-    let writers = OpenLoopEngine::start(
-        &cluster,
-        EngineConfig::closed_loop(3, Duration::from_micros(500), CLIENT_SEED),
-        Arc::clone(&ycsb) as Arc<dyn Workload>,
-    );
+    let config = EngineConfig::closed_loop(3, Duration::from_micros(500), CLIENT_SEED);
+    let writers = OpenLoopEngine::start(&rig.cluster, config, ycsb as _);
     std::thread::sleep(Duration::from_millis(200));
 
-    let report = RemusEngine::new()
-        .migrate(
-            &cluster,
-            &MigrationTask::single(ShardId(0), NodeId(0), NodeId(1)),
-        )
-        .expect("migration failed");
+    let report = rig.migrate(&[MigrationTask::single(ShardId(0), NodeId(0), NodeId(1))]);
     writers.stop();
-    vec![
-        workers.to_string(),
-        format!("{:.1}", report.catchup_phase.as_secs_f64() * 1e3),
-        format!("{:.1}", report.transfer_phase.as_secs_f64() * 1e3),
-        format!("{:.1}", report.total.as_secs_f64() * 1e3),
-        report.records_replayed.to_string(),
-    ]
+    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
+    LegOutcome {
+        rows: vec![vec![
+            ms(report.catchup_phase),
+            ms(report.transfer_phase),
+            ms(report.total),
+            report.records_replayed.to_string(),
+        ]],
+        ..LegOutcome::default()
+    }
 }
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    println!("# Ablation — transaction-level parallel replay (§3.6)");
-    let rows: Vec<Vec<String>> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| run_with_workers(w, &scale))
-        .collect();
-    let table = TableSection::new(
-        "replay parallelism vs migration phases",
-        &[
+    let leg = |(row, workers)| Leg::new("", row, workers);
+    let bench = Bench {
+        table: "replay parallelism vs migration phases",
+        headers: &[
             "workers",
             "catchup_ms",
             "transfer_ms",
             "total_ms",
             "records_replayed",
         ],
-        rows,
-    );
-    print_table(&table);
-    if let Some(path) = json_path_arg() {
-        let mut report = BenchReport::new("ablation_replay", &format!("{scale:?}"));
-        report.tables.push(table);
-        report.write(&path).expect("writing JSON report failed");
-    }
+        legs: [("1", 1usize), ("2", 2), ("4", 4), ("8", 8)]
+            .map(leg)
+            .into(),
+        ..Bench::new(
+            "ablation_replay",
+            "Ablation — transaction-level parallel replay (§3.6)",
+        )
+    };
+    Args::from_process(&[]).run(bench, run_with_workers);
 }

@@ -7,84 +7,59 @@
 //! commits wait behind it. This ablation migrates a shard under write load
 //! with different thresholds and reports where the time goes.
 //!
-//! Usage: `cargo run --release -p remus-bench --bin ablation_threshold [--json <path>]`.
+//! Usage: `cargo run --release -p remus-bench --bin ablation_threshold [--scale <preset>] [--json <path>]`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use remus_bench::{
-    json_path_arg, print_table, sim_config, BenchReport, Scale, TableSection, CLIENT_SEED,
-};
-use remus_cluster::{ClusterBuilder, Session};
-use remus_common::{NodeId, ShardId};
-use remus_core::{MigrationEngine, MigrationTask, RemusEngine};
-use remus_storage::Value;
-use remus_workload::{EngineConfig, OpenLoopEngine};
+use remus_bench::{sim_config, Args, Bench, Leg, LegOutcome, Maintenance, Oracle, Rig, Scale};
+use remus_common::{NodeId, ShardId, SimConfig};
+use remus_core::MigrationTask;
 
-fn run_with_threshold(threshold: usize, scale: &Scale) -> Vec<String> {
-    let mut config = sim_config(scale);
-    config.catchup_threshold = threshold;
-    config.snapshot_copy_per_tuple = Duration::from_micros(300);
-    let cluster = ClusterBuilder::new(2).config(config).build();
-    cluster.start_maintenance(Duration::from_millis(300));
-    let layout = cluster.create_table(remus_common::TableId(1), 0, 2, |i| NodeId(i % 2));
-    let session = Session::connect(&cluster, NodeId(0));
-    for k in 0..2_000u64 {
-        session
-            .run(|t| t.insert(&layout, k, Value::from(vec![1u8; 32])))
-            .unwrap();
-    }
-    // One closed-loop client sweeping the keys in order with a 300 µs
-    // think time: steady update pressure on the shard while it moves.
-    let writer = {
-        let next = AtomicU64::new(0);
-        OpenLoopEngine::start(
-            &cluster,
-            EngineConfig::closed_loop(1, Duration::from_micros(300), CLIENT_SEED),
-            Arc::new(
-                move |_c: remus_common::ClientId,
-                      t: &mut remus_cluster::SessionTxn<'_>,
-                      _r: &mut rand::rngs::SmallRng| {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    t.update(&layout, i % 2_000, Value::from(vec![2u8; 32]))?;
-                    Ok(())
-                },
-            ),
-        )
+/// Keys in the two-shard table.
+const KEYS: u64 = 2_000;
+
+fn run_with_threshold(leg: &Leg<usize>, scale: &Scale) -> LegOutcome {
+    let config = SimConfig {
+        catchup_threshold: leg.params,
+        snapshot_copy_per_tuple: Duration::from_micros(300),
+        ..sim_config(scale)
     };
+    let rig = Rig::build(2, leg.engine, Oracle::Dts, config, Maintenance::Vacuum);
+    let layout = rig.seed_table(2, |i| NodeId(i % 2), |_| 0..KEYS);
+    // One closed-loop client with a 300 µs think time: steady update
+    // pressure on the shard while it moves.
+    let writer = rig.hot_writer(layout, (0..KEYS).collect(), Duration::from_micros(300));
     std::thread::sleep(Duration::from_millis(100));
-    let report = RemusEngine::new()
-        .migrate(
-            &cluster,
-            &MigrationTask::single(ShardId(0), NodeId(0), NodeId(1)),
-        )
-        .expect("migration failed");
+    let report = rig.migrate(&[MigrationTask::single(ShardId(0), NodeId(0), NodeId(1))]);
     writer.stop();
-    vec![
-        threshold.to_string(),
-        format!("{:.1}", report.catchup_phase.as_secs_f64() * 1e3),
-        format!("{:.1}", report.transfer_phase.as_secs_f64() * 1e3),
-        format!("{:.1}", report.total.as_secs_f64() * 1e3),
-    ]
+    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
+    LegOutcome {
+        rows: vec![vec![
+            ms(report.catchup_phase),
+            ms(report.transfer_phase),
+            ms(report.total),
+        ]],
+        ..LegOutcome::default()
+    }
 }
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    println!("# Ablation — catch-up threshold before the mode change (§3.4)");
-    let rows: Vec<Vec<String>> = [1usize, 16, 64, 1024, 16384]
-        .iter()
-        .map(|&t| run_with_threshold(t, &scale))
-        .collect();
-    let table = TableSection::new(
-        "catch-up threshold vs phase durations",
-        &["threshold", "catchup_ms", "transfer_ms", "total_ms"],
-        rows,
-    );
-    print_table(&table);
-    if let Some(path) = json_path_arg() {
-        let mut report = BenchReport::new("ablation_threshold", &format!("{scale:?}"));
-        report.tables.push(table);
-        report.write(&path).expect("writing JSON report failed");
-    }
+    let leg = |(row, threshold)| Leg::new("", row, threshold);
+    let thresholds = [
+        ("1", 1usize),
+        ("16", 16),
+        ("64", 64),
+        ("1024", 1024),
+        ("16384", 16384),
+    ];
+    let bench = Bench {
+        table: "catch-up threshold vs phase durations",
+        headers: &["threshold", "catchup_ms", "transfer_ms", "total_ms"],
+        legs: thresholds.map(leg).into(),
+        ..Bench::new(
+            "ablation_threshold",
+            "Ablation — catch-up threshold before the mode change (§3.4)",
+        )
+    };
+    Args::from_process(&[]).run(bench, run_with_threshold);
 }

@@ -32,24 +32,21 @@
 //! It emits a `remus-bench/v1` JSON report with a `foreground throughput`
 //! table (txn/s, p50/p99 latency, speedup) and holds it to the
 //! `foreground throughput` rows of [`remus_bench::gate::GATES`], as
-//! `bench_check` does.
+//! `bench_check` does: the in-memory pair by its speedup, the file-backed
+//! pair by its appends per fsync — that group commit coalesces is a count
+//! this host's disk cannot move, where the pair's wall-clock ratio is
+//! mostly the disk.
 //!
 //! Usage: `cargo run --release -p remus-bench --bin bench_foreground --
 //! --json BENCH_foreground.json`
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use remus_bench::{
-    checked_trace, finish, gate, json_path_arg, BenchReport, EngineKind, ScenarioReport,
-    TableSection, CLIENT_SEED,
-};
-use remus_clock::OracleKind;
-use remus_cluster::{Cluster, ClusterBuilder, Session};
-use remus_common::{HotPathConfig, NodeId, ShardId, SimConfig, TableId, WalConfig};
-use remus_core::{MigrationReport, MigrationTask};
+use remus_bench::{Args, Bench, Leg, LegOutcome, Maintenance, Oracle, Rig, CLIENT_SEED};
+use remus_common::{HotPathConfig, NodeId, ShardId, SimConfig, WalConfig};
+use remus_core::MigrationTask;
 use remus_shard::TableLayout;
 use remus_storage::Value;
 use remus_workload::{EngineConfig, OpenLoopEngine};
@@ -73,247 +70,18 @@ const BULK_SHARD: ShardId = ShardId(0);
 /// The shard the sessions hammer (never migrates).
 const HOT_SHARD: ShardId = ShardId(1);
 
-struct LegResult {
-    tps: f64,
-    p50: Duration,
-    p99: Duration,
-    migrations: u64,
-    scenario: remus_bench::ScenarioResult,
-}
-
-fn foreground_config(hot_path: HotPathConfig, wal_dir: Option<&Path>) -> SimConfig {
-    let mut config = SimConfig::instant();
-    config.snapshot_copy_per_tuple = COPY_PER_TUPLE;
-    config.hot_path = hot_path;
-    if let Some(dir) = wal_dir {
-        config.wal = WalConfig::file(dir);
-    }
-    config
-}
-
-/// Splits the key space by shard: the first `BULK_KEYS` keys hashing to
-/// the bulk shard, and `SESSIONS * HOT_KEYS_PER_SESSION` keys hashing to
-/// the hot shard.
-fn pick_keys(layout: &TableLayout) -> (Vec<u64>, Vec<u64>) {
-    let mut bulk = Vec::with_capacity(BULK_KEYS);
-    let mut hot = Vec::with_capacity(SESSIONS * HOT_KEYS_PER_SESSION);
-    let mut k = 0u64;
-    while bulk.len() < BULK_KEYS || hot.len() < SESSIONS * HOT_KEYS_PER_SESSION {
-        let shard = layout.shard_for(k);
-        if shard == BULK_SHARD {
-            if bulk.len() < BULK_KEYS {
-                bulk.push(k);
-            }
-        } else if shard == HOT_SHARD && hot.len() < SESSIONS * HOT_KEYS_PER_SESSION {
-            hot.push(k);
-        }
-        k += 1;
-    }
-    (bulk, hot)
-}
-
-/// Migrates the bulk shard back and forth until `stop` is raised,
-/// completing at least one round. Returns the first report and the count.
-fn migration_loop(
-    cluster: Arc<Cluster>,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<(MigrationReport, u64)> {
-    std::thread::spawn(move || {
-        let engine = EngineKind::Remus.engine();
-        let mut first: Option<MigrationReport> = None;
-        let mut count = 0u64;
-        let (mut src, mut dst) = (NodeId(0), NodeId(1));
-        while count == 0 || !stop.load(Ordering::SeqCst) {
-            let task = MigrationTask::single(BULK_SHARD, src, dst);
-            let report = engine
-                .migrate(&cluster, &task)
-                .unwrap_or_else(|e| panic!("bulk migration {src:?}->{dst:?} failed: {e:?}"));
-            if first.is_none() {
-                first = Some(report);
-            }
-            count += 1;
-            std::mem::swap(&mut src, &mut dst);
-        }
-        (first.expect("at least one migration ran"), count)
-    })
-}
-
-fn run_leg(label: &str, hot_path: HotPathConfig, wal_dir: Option<&Path>) -> LegResult {
-    let cluster = ClusterBuilder::new(2)
-        .cc_mode(EngineKind::Remus.cc_mode())
-        .oracle(OracleKind::Gts)
-        .config(foreground_config(hot_path, wal_dir))
-        .build();
-    // Background maintenance: WAL truncation plus the hot path's GC
-    // cadence. The huge vacuum period keeps full-sweep vacuum out of the
-    // measurement; GC is governed by `hot_path.gc_interval` alone.
-    cluster.start_maintenance(Duration::from_secs(3600));
-    let layout = cluster.create_table(TableId(1), 0, 2, |_| NodeId(0));
-    let (bulk_keys, hot_keys) = pick_keys(&layout);
-
-    let seed = Session::connect(&cluster, NodeId(0));
-    for &k in bulk_keys.iter() {
-        seed.run(|t| t.insert(&layout, k, Value::from(vec![7u8; 64])))
-            .expect("bulk seed insert failed");
-    }
-    for &k in hot_keys.iter() {
-        seed.run(|t| t.insert(&layout, k, Value::from(vec![1u8; 16])))
-            .expect("hot seed insert failed");
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let migrator = migration_loop(Arc::clone(&cluster), Arc::clone(&stop));
-
-    // Fixed work on the shared client fleet: each client owns a private key
-    // pair, so no write-write conflicts are possible, and the fleet routes
-    // clients round-robin across both nodes so each carries foreground
-    // traffic. The per-client round counters reproduce the old loops'
-    // round-varying values.
-    let rounds: Arc<Vec<AtomicU64>> = Arc::new((0..SESSIONS).map(|_| AtomicU64::new(0)).collect());
-    let fleet_rounds = Arc::clone(&rounds);
-    let fleet = OpenLoopEngine::start(
-        &cluster,
-        EngineConfig {
-            max_txns_per_client: Some(TXNS_PER_SESSION),
-            ..EngineConfig::closed_loop(SESSIONS, Duration::ZERO, CLIENT_SEED)
-        },
-        Arc::new(
-            move |c: remus_common::ClientId,
-                  t: &mut remus_cluster::SessionTxn<'_>,
-                  _r: &mut rand::rngs::SmallRng| {
-                let s = c.0 as usize % SESSIONS;
-                let keys = &hot_keys[s * HOT_KEYS_PER_SESSION..(s + 1) * HOT_KEYS_PER_SESSION];
-                let round = fleet_rounds[s].fetch_add(1, Ordering::Relaxed);
-                let value = Value::from(vec![(round % 251) as u8; 16]);
-                for &k in keys {
-                    t.update(&layout, k, value.clone())?;
-                }
-                for &k in keys {
-                    t.read(&layout, k)?;
-                }
-                Ok(())
-            },
-        ),
-    );
-    let engine_report = fleet.join();
-    let elapsed = engine_report.elapsed;
-    stop.store(true, Ordering::SeqCst);
-    let (first_migration, migrations) = migrator.join().unwrap();
-    cluster.stop_maintenance();
-
-    // The scenario carries exactly one trace (the first round trip's
-    // outbound leg) so the phase sequence bench_check compares is stable
-    // across runs even though the loop count varies.
-    checked_trace(label, EngineKind::Remus, &first_migration);
-
-    let metrics = &engine_report.metrics;
-    let commits = metrics.counters.commits();
-    assert_eq!(
-        commits,
-        SESSIONS as u64 * TXNS_PER_SESSION,
-        "{label}: a foreground txn aborted (keys are private, none should)"
-    );
-    let tps = commits as f64 / elapsed.as_secs_f64();
-    let latency = &metrics.latency_normal;
-    let (p50, p99) = (latency.percentile(0.50), latency.percentile(0.99));
-    println!(
-        "{label}\ttxn/s={tps:.0}\tp50={:.1}us\tp99={:.1}us\tmigrations={migrations}\telapsed={:.2}s",
-        p50.as_secs_f64() * 1e6,
-        p99.as_secs_f64() * 1e6,
-        elapsed.as_secs_f64(),
-    );
-    let scenario = finish(EngineKind::Remus, metrics, first_migration, &cluster);
-    if wal_dir.is_some() {
-        // Group commit must actually group: every commit waited on a
-        // flusher batch, yet concurrent sessions share fsyncs.
-        let sum = |name: &str| -> u64 {
-            scenario
-                .counters
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.value)
-                .sum()
-        };
-        let (appends, fsyncs) = (sum("wal.appends"), sum("wal.fsyncs"));
-        println!("{label}\twal.appends={appends}\twal.fsyncs={fsyncs}");
-        assert!(fsyncs >= 1, "{label}: file-backed leg never synced");
-        assert!(
-            fsyncs * 2 < appends,
-            "{label}: group commit is not coalescing \
-             ({fsyncs} fsyncs for {appends} appends)"
-        );
-    }
-    LegResult {
-        tps,
-        p50,
-        p99,
-        migrations,
-        scenario,
-    }
-}
-
-fn throughput_row(config: &str, leg: &LegResult, speedup: f64) -> Vec<String> {
-    vec![
-        config.to_string(),
-        format!("{:.0}", leg.tps),
-        format!("{}", leg.p50.as_micros()),
-        format!("{}", leg.p99.as_micros()),
-        format!("{}", leg.migrations),
-        format!("{speedup:.2}x"),
-    ]
-}
-
-fn main() {
-    let path = json_path_arg().unwrap_or_else(|| PathBuf::from("BENCH_foreground.json"));
-    println!(
-        "# bench_foreground — {SESSIONS} sessions x {TXNS_PER_SESSION} txns \
-         against a migrating cluster"
-    );
-    let base = run_leg("baseline ", HotPathConfig::sequential(), None);
-    let opt = run_leg("optimized", HotPathConfig::tuned(), None);
-    let speedup = opt.tps / base.tps.max(1e-9);
-    println!("foreground speedup: {speedup:.2}x");
-
-    // The durable pair: same fixed work, every commit priced through the
-    // group-commit flusher. One WAL root per leg, removed afterwards —
-    // leaking segments would trip the CI tmpdir-hygiene check.
-    let wal_root = std::env::temp_dir().join(format!("remus-bench-fgwal-{}", std::process::id()));
-    let base_wal_dir = wal_root.join("baseline");
-    let opt_wal_dir = wal_root.join("optimized");
-    let base_wal = run_leg(
-        "walfile-baseline ",
-        HotPathConfig::sequential(),
-        Some(&base_wal_dir),
-    );
-    let opt_wal = run_leg(
-        "walfile-optimized",
-        HotPathConfig::tuned(),
-        Some(&opt_wal_dir),
-    );
-    std::fs::remove_dir_all(&wal_root).expect("removing bench WAL segments failed");
-    let speedup_wal = opt_wal.tps / base_wal.tps.max(1e-9);
-    println!("foreground speedup (file-backed WAL): {speedup_wal:.2}x");
-
-    let mut report = BenchReport::new("bench_foreground", "foreground");
-    report.scenarios.push(ScenarioReport::from_result(
-        "foreground-baseline",
-        &base.scenario,
-    ));
-    report.scenarios.push(ScenarioReport::from_result(
-        "foreground-optimized",
-        &opt.scenario,
-    ));
-    report.scenarios.push(ScenarioReport::from_result(
-        "foreground-walfile-baseline",
-        &base_wal.scenario,
-    ));
-    report.scenarios.push(ScenarioReport::from_result(
-        "foreground-walfile-optimized",
-        &opt_wal.scenario,
-    ));
-    report.tables.push(TableSection::new(
-        "foreground throughput",
-        &[
+/// What `bench_foreground` reports. A leg's parameters are its hot path
+/// and whether its WAL is file-backed; the speedup is taken within each
+/// durability pair.
+pub(crate) fn bench() -> Bench<(HotPathConfig, bool)> {
+    let (sequential, tuned) = (HotPathConfig::sequential(), HotPathConfig::tuned());
+    let leg = |scenario, row, params, baseline| Leg::new(scenario, row, params).versus(baseline);
+    let (memory, walfile) = ("baseline", "walfile-baseline");
+    Bench {
+        scale_label: Some("foreground"),
+        default_json: Some("BENCH_foreground.json"),
+        table: "foreground throughput",
+        headers: &[
             "config",
             "txn/s",
             "p50_us",
@@ -321,13 +89,137 @@ fn main() {
             "migrations",
             "speedup",
         ],
-        vec![
-            throughput_row("baseline", &base, 1.0),
-            throughput_row("optimized", &opt, speedup),
-            throughput_row("walfile-baseline", &base_wal, 1.0),
-            throughput_row("walfile-optimized", &opt_wal, speedup_wal),
+        legs: vec![
+            leg("foreground-baseline", memory, (sequential, false), memory),
+            leg("foreground-optimized", "optimized", (tuned, false), memory),
+            leg(
+                "foreground-walfile-baseline",
+                walfile,
+                (sequential, true),
+                walfile,
+            ),
+            leg(
+                "foreground-walfile-optimized",
+                "walfile-optimized",
+                (tuned, true),
+                walfile,
+            ),
         ],
-    ));
-    report.write(&path).expect("writing JSON report failed");
-    gate::enforce(&report);
+        ..Bench::new(
+            "bench_foreground",
+            "bench_foreground — concurrent sessions of fixed work against a migrating cluster",
+        )
+    }
+}
+
+/// The first `n` keys hashing to `shard`.
+fn keys_on(layout: &TableLayout, shard: ShardId, n: usize) -> Vec<u64> {
+    let on_shard = (0u64..).filter(|k| layout.shard_for(*k) == shard);
+    on_shard.take(n).collect()
+}
+
+fn run_leg(leg: &Leg<(HotPathConfig, bool)>) -> LegOutcome {
+    let (hot_path, durable) = leg.params;
+    // One WAL root per durable leg, removed afterwards — leaking segments
+    // would trip the CI tmpdir-hygiene check.
+    let wal_root = format!("remus-bench-fgwal-{}-{}", std::process::id(), leg.row);
+    let wal_root = durable.then(|| std::env::temp_dir().join(wal_root));
+    let config = SimConfig {
+        snapshot_copy_per_tuple: COPY_PER_TUPLE,
+        hot_path,
+        wal: wal_root
+            .as_ref()
+            .map_or_else(WalConfig::memory, WalConfig::file),
+        ..SimConfig::instant()
+    };
+    let rig = Rig::build(2, leg.engine, Oracle::Gts, config, Maintenance::GcOnly);
+    let hot_len = SESSIONS * HOT_KEYS_PER_SESSION;
+    let layout = rig.seed_table(
+        2,
+        |_| NodeId(0),
+        |layout| {
+            [
+                keys_on(layout, BULK_SHARD, BULK_KEYS),
+                keys_on(layout, HOT_SHARD, hot_len),
+            ]
+            .concat()
+        },
+    );
+    let hot_keys = keys_on(&layout, HOT_SHARD, hot_len);
+
+    // Fixed work on the shared client fleet: each client owns a private key
+    // pair, so no write-write conflicts are possible, and the fleet routes
+    // clients round-robin across both nodes so each carries foreground
+    // traffic.
+    let workload = move |c: remus_common::ClientId,
+                         t: &mut remus_cluster::SessionTxn<'_>,
+                         _r: &mut rand::rngs::SmallRng| {
+        let s = c.0 as usize % SESSIONS;
+        let keys = &hot_keys[s * HOT_KEYS_PER_SESSION..(s + 1) * HOT_KEYS_PER_SESSION];
+        let value = Value::from(vec![1u8; 16]);
+        for &k in keys {
+            t.update(&layout, k, value.clone())?;
+        }
+        for &k in keys {
+            t.read(&layout, k)?;
+        }
+        Ok(())
+    };
+    let fleet_config = EngineConfig {
+        max_txns_per_client: Some(TXNS_PER_SESSION),
+        ..EngineConfig::closed_loop(SESSIONS, Duration::ZERO, CLIENT_SEED)
+    };
+
+    // The disturbance: the bulk shard migrates back and forth between the
+    // nodes until the fleet is done, completing at least one round.
+    let done = AtomicBool::new(false);
+    let (fleet, first_migration, migrations) = std::thread::scope(|scope| {
+        let migrator = scope.spawn(|| {
+            let (mut first, mut count) = (None, 0u64);
+            let (mut src, mut dst) = (NodeId(0), NodeId(1));
+            while count == 0 || !done.load(Ordering::SeqCst) {
+                let report = rig.migrate(&[MigrationTask::single(BULK_SHARD, src, dst)]);
+                first.get_or_insert(report);
+                count += 1;
+                std::mem::swap(&mut src, &mut dst);
+            }
+            (first.expect("at least one migration ran"), count)
+        });
+        let fleet = OpenLoopEngine::start(&rig.cluster, fleet_config, Arc::new(workload)).join();
+        done.store(true, Ordering::SeqCst);
+        let (first, count) = migrator.join().expect("migrator panicked");
+        (fleet, first, count)
+    });
+
+    // The scenario carries exactly one trace (the first round trip's
+    // outbound leg) so the phase sequence bench_check compares is stable
+    // across runs even though the loop count varies.
+    let commits = fleet.metrics.counters.commits();
+    assert_eq!(
+        commits,
+        SESSIONS as u64 * TXNS_PER_SESSION,
+        "{}: a foreground txn aborted (keys are private, none should)",
+        leg.row
+    );
+    let tps = commits as f64 / fleet.elapsed.as_secs_f64();
+    let latency = &fleet.metrics.latency_normal;
+    let scenario = rig.finish(leg.scenario, &fleet.metrics, &first_migration);
+    drop(rig);
+    if let Some(root) = wal_root {
+        std::fs::remove_dir_all(root).expect("removing bench WAL segments failed");
+    }
+    LegOutcome {
+        scenarios: vec![scenario],
+        rows: vec![vec![
+            format!("{tps:.0}"),
+            latency.percentile(0.50).as_micros().to_string(),
+            latency.percentile(0.99).as_micros().to_string(),
+            migrations.to_string(),
+        ]],
+        measure: Some(tps),
+    }
+}
+
+fn main() {
+    Args::from_process(&[]).run(bench(), |leg, _| run_leg(leg));
 }

@@ -39,27 +39,19 @@
 //! Usage: `cargo run --release -p remus-bench --bin bench_planner --
 //! [--scenario hotspot|read-skew] --json BENCH_planner.json`
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use remus_bench::{
-    finish, gate, json_path_arg, BenchReport, EngineKind, ScenarioReport, ScenarioResult,
-    TableSection, CLIENT_SEED,
+    Args, Bench, Leg, LegOutcome, Maintenance, Oracle, ReaderPool, Rig, ScenarioReport,
 };
-use remus_clock::OracleKind;
-use remus_cluster::{Cluster, ClusterBuilder, ReadRouter, Session};
+use remus_cluster::{Cluster, ReadRouter, Session};
 use remus_common::{ClientId, HotPathConfig, NodeId, PlannerConfig, ShardId, SimConfig, TableId};
 use remus_core::{MigrationReport, MigrationTask};
 use remus_planner::{Autopilot, AutopilotOptions};
-use remus_shard::TableLayout;
-use remus_storage::Value;
-use remus_workload::{
-    EngineConfig, HotspotShift, OpenLoopEngine, RunMetrics, Workload, Ycsb, YcsbConfig,
-};
+use remus_workload::{HotspotShift, RunMetrics, Workload, Ycsb, YcsbConfig};
 
 /// Keys in the YCSB table (4 shards, ~256 keys each).
 const KEYS: u64 = 1024;
@@ -98,51 +90,87 @@ const RS_NODES: usize = 3;
 const RS_SHARDS: u32 = 4;
 /// Keys in the read-skew table.
 const RS_KEYS: u64 = 1024;
-/// Closed-loop read-only router clients in the read-skew scenario.
-const RS_READERS: usize = 4;
 /// Point reads per read-only transaction.
 const RS_READS_PER_TXN: usize = 8;
 /// The read-hot (and write-hot) shard: wherever a migration puts it, the
 /// writer's updates follow, so only a replica separates the readers from
 /// the writer.
 const RS_HOT_SHARD: ShardId = ShardId(0);
-/// Unmeasured transactions per reader before the pre window.
-const RS_WARMUP_TXNS: u64 = 500;
-/// Measured transactions per reader in the degraded pre window.
-const RS_PRE_TXNS: u64 = 3_000;
-/// Unmeasured transactions per reader after the planner has acted:
-/// refills router endpoints and drains migration/backfill residue.
-const RS_DRAIN_TXNS: u64 = 500;
-/// Measured transactions per reader in the steady window.
-const RS_STEADY_TXNS: u64 = 5_000;
+/// The closed-loop read-only router clients of the read-skew scenario:
+/// the degraded pre window, then — once the planner has acted and the
+/// drain has refilled router endpoints and flushed migration/backfill
+/// residue — the steady window.
+const RS_READERS: ReaderPool = ReaderPool {
+    readers: 4,
+    warmup_txns: 500,
+    txns: 3_000,
+    after: Some((500, 5_000)),
+};
 /// How long the main thread waits for the planner's answer (replica
 /// certified, or the primaries rebalanced) before measuring anyway.
 const RS_REACT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Which policy a leg runs.
-enum Policy {
+/// Which policy a hotspot leg runs.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Policy {
     Autopilot,
     StaticPlan,
     NoMigration,
 }
 
-impl Policy {
-    fn label(&self) -> &'static str {
-        match self {
-            Policy::Autopilot => "autopilot",
-            Policy::StaticPlan => "static-plan",
-            Policy::NoMigration => "no-migration",
-        }
+/// What the hotspot-shift scenario reports: autopilot vs static plan vs
+/// doing nothing, each leg's recovery its own steady/pre throughput.
+pub(crate) fn hotspot() -> Bench<Policy> {
+    Bench {
+        scale_label: Some("hotspot-shift"),
+        default_json: Some("BENCH_planner.json"),
+        table: "planner recovery",
+        headers: &[
+            "policy",
+            "pre_tps",
+            "react_tps",
+            "steady_tps",
+            "moves",
+            "aborts",
+            "recovery",
+        ],
+        legs: vec![
+            Leg::new("planner-autopilot", "autopilot", Policy::Autopilot),
+            Leg::new("planner-static", "static-plan", Policy::StaticPlan),
+            Leg::new("planner-none", "no-migration", Policy::NoMigration),
+        ],
+        ..Bench::new(
+            "bench_planner",
+            "bench_planner — hotspot shift: autopilot vs static plan vs no migration",
+        )
     }
 }
 
-struct LegResult {
-    pre_tps: f64,
-    react_tps: f64,
-    steady_tps: f64,
-    moves: u64,
-    aborts: u64,
-    scenario: ScenarioResult,
+/// What the read-skew scenario reports: the replicate leg vs the
+/// forced-migrate leg (the parameter: whether the planner may answer with
+/// a replica), each leg's recovery its own steady/pre read throughput.
+pub(crate) fn read_skew() -> Bench<bool> {
+    Bench {
+        scale_label: Some("read-skew"),
+        default_json: Some("BENCH_planner_readskew.json"),
+        table: "replicate recovery",
+        headers: &[
+            "policy",
+            "pre_read_tps",
+            "steady_read_tps",
+            "replica_share",
+            "actions",
+            "recovery",
+        ],
+        legs: vec![
+            Leg::new("readskew-replicate", "replicate", true),
+            Leg::new("readskew-migrate", "forced-migrate", false),
+        ],
+        ..Bench::new(
+            "bench_planner",
+            "bench_planner — read-skewed hotspot under a continuous writer: replicate vs migrate",
+        )
+    }
 }
 
 /// Whether some node hosts both shards of the phase-1 pair.
@@ -153,559 +181,248 @@ fn pair1_colocated(cluster: &Cluster) -> bool {
     })
 }
 
-/// Planner tuned for the scenario: pure co-location (the balancer is
-/// disabled and cost weights are zero so the decision replays exactly),
-/// reacting within a few 5 ms windows of the shift.
-fn pilot_config() -> PlannerConfig {
-    let mut config = PlannerConfig::balanced();
-    config.imbalance_ratio = f64::INFINITY;
-    config.cost_weight_versions = 0.0;
-    config.cost_weight_wal = 0.0;
-    config.seed = SEED;
-    config
+/// Both scenarios' planner: cost weights zeroed so the decision reduces to
+/// the measured signal and replays across runs, seeded, reacting within a
+/// few 5 ms ticks.
+fn start_pilot(cluster: &Arc<Cluster>, policy: PlannerConfig) -> Autopilot {
+    let config = PlannerConfig {
+        cost_weight_versions: 0.0,
+        cost_weight_wal: 0.0,
+        cost_weight_ship: 0.0,
+        seed: SEED,
+        ..policy
+    };
+    let options = AutopilotOptions {
+        tick_interval: Duration::from_millis(5),
+        latency: None,
+    };
+    Autopilot::start(Arc::clone(cluster), config, options)
 }
 
-fn run_leg(policy: Policy) -> LegResult {
-    let mut config = SimConfig::instant();
-    config.network_latency = NET_LATENCY;
-    config.hot_path = HotPathConfig::tuned();
-    let cluster = ClusterBuilder::new(2)
-        .cc_mode(EngineKind::Remus.cc_mode())
-        .oracle(OracleKind::Gts)
-        .config(config)
-        .build();
-    // Version-chain GC (the tuned hot path's cadence) keeps the Zipfian
-    // hot keys' chains short, so the pre and steady windows measure
-    // routing cost, not accumulated history.
-    cluster.start_maintenance(Duration::from_secs(3600));
+fn run_hotspot_leg(leg: &Leg<Policy>) -> LegOutcome {
+    let policy = leg.params;
+    let config = SimConfig {
+        network_latency: NET_LATENCY,
+        // Version-chain GC at the tuned cadence keeps the Zipfian hot keys'
+        // chains short, so the pre and steady windows measure routing
+        // cost, not accumulated history.
+        hot_path: HotPathConfig::tuned(),
+        ..SimConfig::instant()
+    };
+    let rig = Rig::build(2, leg.engine, Oracle::Gts, config, Maintenance::GcOnly);
+    let cluster = &rig.cluster;
     // Shards 0-2 on node 0, shard 3 on node 1: PAIR0 co-located with the
     // client, PAIR1 split across the wire.
-    let ycsb = Ycsb::setup_with_placement(
-        &cluster,
-        YcsbConfig {
-            keys: KEYS,
-            shards: 4,
-            table: TableId(1),
-            ..YcsbConfig::default()
-        },
-        |i| NodeId(u32::from(i == 3)),
-    );
+    let table = YcsbConfig {
+        keys: KEYS,
+        shards: 4,
+        table: TableId(1),
+        ..YcsbConfig::default()
+    };
+    let ycsb = Ycsb::setup_with_placement(cluster, table, |i| NodeId(u32::from(i == 3)));
     let shift = HotspotShift::new(&ycsb, PAIR0, PAIR1, HOT_KEYS, THETA, SHIFT_AFTER);
 
-    let pilot = match policy {
-        Policy::Autopilot => Some(Autopilot::start(
-            Arc::clone(&cluster),
-            pilot_config(),
-            AutopilotOptions {
-                tick_interval: Duration::from_millis(5),
-                latency: None,
-            },
-        )),
-        _ => None,
-    };
+    // Pure co-location: the balancer is disabled.
+    let pilot = (policy == Policy::Autopilot).then(|| {
+        let colocate = PlannerConfig {
+            imbalance_ratio: f64::INFINITY,
+            ..PlannerConfig::balanced()
+        };
+        start_pilot(cluster, colocate)
+    });
 
-    let session = Session::connect(&cluster, NodeId(0));
+    let session = Session::connect(cluster, NodeId(0));
     let mut rng = SmallRng::seed_from_u64(SEED);
     let metrics = RunMetrics::new();
-    let commit_one = |rng: &mut SmallRng| {
-        let started = Instant::now();
-        // Aborts (the hot pair mid-migration, write-write conflicts) are
-        // retried like a real client; only the commit records a latency,
-        // measured across its retries.
-        loop {
-            let outcome = session
-                .run(|t| shift.run_once(ClientId(0), t, rng))
-                .map(|_| ());
-            metrics.record_outcome(started, &outcome);
-            if outcome.is_ok() {
-                break;
+    // One window of the single client: commits until `done` says so (it
+    // is told how many the window has seen); returns commits per second.
+    // Aborts (the hot pair mid-migration, write-write conflicts) are
+    // retried like a real client; only the commit records a latency,
+    // measured across its retries.
+    let mut window = |done: &dyn Fn(u64) -> bool| {
+        let (opened, mut commits) = (Instant::now(), 0u64);
+        while !done(commits) {
+            let started = Instant::now();
+            loop {
+                let outcome = session.run(|t| shift.run_once(ClientId(0), t, &mut rng));
+                let outcome = outcome.map(|_| ());
+                metrics.record_outcome(started, &outcome);
+                if outcome.is_ok() {
+                    break;
+                }
             }
+            commits += 1;
         }
+        commits as f64 / opened.elapsed().as_secs_f64().max(1e-9)
     };
 
-    // Warm-up, unmeasured (phase 0 traffic like the pre window's).
-    while shift.executed() < WARMUP_TXNS {
-        commit_one(&mut rng);
-    }
-
-    // Window 1: phase 0, hot pair local to the client.
-    let t0 = Instant::now();
-    let mut pre_commits = 0u64;
-    while shift.phase() == 0 {
-        commit_one(&mut rng);
-        pre_commits += 1;
-    }
-    let pre_elapsed = t0.elapsed();
+    // Warm-up, unmeasured (phase 0 traffic like the pre window's); then
+    // window 1: phase 0, hot pair local to the client.
+    window(&|_| shift.executed() >= WARMUP_TXNS);
+    let pre_tps = window(&|_| shift.phase() != 0);
     metrics.marks.mark("shift", &metrics.timeline);
-
     // The stale plan fires exactly at the shift: migrate what *was* hot.
-    if matches!(policy, Policy::StaticPlan) {
-        let task = MigrationTask::single(PAIR0.0, NodeId(0), NodeId(1));
-        EngineKind::Remus
-            .engine()
-            .migrate(&cluster, &task)
-            .expect("static plan migration failed");
+    if policy == Policy::StaticPlan {
+        rig.migrate(&[MigrationTask::single(PAIR0.0, NodeId(0), NodeId(1))]);
     }
-
     // Window 2: post-shift reaction — until the new pair is co-resident
     // again (autopilot) or the cap (the other legs never co-locate it).
-    let t1 = Instant::now();
-    let mut react_commits = 0u64;
-    while react_commits < REACT_MAX && !pair1_colocated(&cluster) {
-        commit_one(&mut rng);
-        react_commits += 1;
-    }
-    let react_elapsed = t1.elapsed();
+    let react_tps = window(&|n| n >= REACT_MAX || pair1_colocated(cluster));
+    // Post-transition drain, unmeasured; then window 3: steady state,
+    // what the gates compare.
+    window(&|n| n >= DRAIN_TXNS);
+    let steady_tps = window(&|n| n >= STEADY_TXNS);
 
-    // Post-transition drain, unmeasured.
-    for _ in 0..DRAIN_TXNS {
-        commit_one(&mut rng);
+    let static_moves = u64::from(policy == Policy::StaticPlan);
+    let moves = pilot.map_or(static_moves, |pilot| pilot.stop().moves);
+    if policy == Policy::Autopilot {
+        assert!(moves >= 1, "the autopilot never migrated anything");
     }
-
-    // Window 3: steady state, what the gates compare.
-    let t2 = Instant::now();
-    for _ in 0..STEADY_TXNS {
-        commit_one(&mut rng);
-    }
-    let steady_elapsed = t2.elapsed();
-
-    let moves = match pilot {
-        Some(pilot) => pilot.stop().moves,
-        None => u64::from(matches!(policy, Policy::StaticPlan)),
-    };
-    cluster.stop_maintenance();
-    let pre_tps = pre_commits as f64 / pre_elapsed.as_secs_f64();
-    let react_tps = react_commits as f64 / react_elapsed.as_secs_f64().max(1e-9);
-    let steady_tps = STEADY_TXNS as f64 / steady_elapsed.as_secs_f64();
-    let scenario = finish(
-        EngineKind::Remus,
-        &metrics,
-        MigrationReport::default(),
-        &cluster,
-    );
+    let scenario = rig.finish(leg.scenario, &metrics, &MigrationReport::default());
     let aborts = scenario.migration_aborts + scenario.ww_aborts + scenario.other_aborts;
-    println!(
-        "{:<12}\tpre={pre_tps:.0}\treact={react_tps:.0}\tsteady={steady_tps:.0}\t\
-         moves={moves}\taborts={aborts}",
-        policy.label(),
-    );
-    LegResult {
-        pre_tps,
-        react_tps,
-        steady_tps,
-        moves,
-        aborts,
-        scenario,
+    LegOutcome {
+        scenarios: vec![scenario],
+        rows: vec![vec![
+            format!("{pre_tps:.0}"),
+            format!("{react_tps:.0}"),
+            format!("{steady_tps:.0}"),
+            moves.to_string(),
+            aborts.to_string(),
+        ]],
+        measure: Some(steady_tps / pre_tps.max(1e-9)),
     }
 }
 
-fn recovery_row(leg: &LegResult, label: &str) -> Vec<String> {
-    vec![
-        label.to_string(),
-        format!("{:.0}", leg.pre_tps),
-        format!("{:.0}", leg.react_tps),
-        format!("{:.0}", leg.steady_tps),
-        format!("{}", leg.moves),
-        format!("{}", leg.aborts),
-        format!("{:.2}x", leg.steady_tps / leg.pre_tps.max(1e-9)),
-    ]
-}
-
-/// One read-skew leg.
-struct SkewLegResult {
-    pre_tps: f64,
-    steady_tps: f64,
-    replica_share: f64,
-    actions: u64,
-    scenario: ScenarioResult,
-}
-
-impl SkewLegResult {
-    fn recovery(&self) -> f64 {
-        self.steady_tps / self.pre_tps.max(1e-9)
-    }
-}
-
-/// Planner for the read-skew legs: the adaptive replicate-or-migrate
-/// core with cost weights zeroed (so the replicate-vs-balance pricing
-/// reduces to the measured read benefit and replays across runs) and
-/// co-location off (the workload has no cross-shard writes).
-fn skew_config(replication: bool) -> PlannerConfig {
-    let mut config = PlannerConfig::adaptive();
-    config.replication = replication;
-    config.cost_weight_versions = 0.0;
-    config.cost_weight_wal = 0.0;
-    config.cost_weight_ship = 0.0;
-    config.colocation = false;
-    config.seed = SEED;
-    config
-}
-
-/// One closed-loop router reader: warmed up, then timed over the pre
-/// window, parked while the planner reacts, then timed over the steady
-/// window. Returns the two window durations and how many steady
-/// transactions a replica served.
-fn skew_reader(
-    cluster: &Arc<Cluster>,
-    layout: TableLayout,
-    hot_keys: &[u64],
-    idx: usize,
-    phase: &Barrier,
-    acted: &AtomicBool,
-    metrics: &RunMetrics,
-) -> (Duration, Duration, u64) {
-    let mut rng = SmallRng::seed_from_u64(SEED.wrapping_mul(0x9e37_79b9).wrapping_add(idx as u64));
-    let mut router = ReadRouter::new(cluster, NodeId(0), idx);
-    let mut run_txn = |rng: &mut SmallRng| -> bool {
-        let started = Instant::now();
-        let mut txn = router.begin().expect("read begin");
-        let replica = txn.is_replica();
-        for _ in 0..RS_READS_PER_TXN {
-            // 3 of 4 reads hit the hot shard's keys; the rest keep the
-            // cold shards warm so the balancer sees their load too.
-            let key = if rng.gen_range(0..4u32) != 0 {
-                hot_keys[rng.gen_range(0..hot_keys.len())]
-            } else {
-                rng.gen_range(0..RS_KEYS)
-            };
-            txn.read(&layout, key).expect("read");
-        }
-        txn.finish().expect("read finish");
-        metrics.record_outcome(started, &Ok(()));
-        replica
-    };
-    for _ in 0..RS_WARMUP_TXNS {
-        run_txn(&mut rng);
-    }
-    phase.wait();
-    let t0 = Instant::now();
-    for _ in 0..RS_PRE_TXNS {
-        run_txn(&mut rng);
-    }
-    let pre = t0.elapsed();
-    phase.wait();
-    // React: keep the load signal flowing while the planner decides and
-    // executes; nothing here is measured.
-    while !acted.load(Ordering::Relaxed) {
-        run_txn(&mut rng);
-    }
-    for _ in 0..RS_DRAIN_TXNS {
-        run_txn(&mut rng);
-    }
-    let mut replica_txns = 0u64;
-    let t1 = Instant::now();
-    for _ in 0..RS_STEADY_TXNS {
-        if run_txn(&mut rng) {
-            replica_txns += 1;
-        }
-    }
-    (pre, t1.elapsed(), replica_txns)
-}
-
-/// Runs one read-skew leg: same cluster, workload, and windows; the two
-/// legs differ only in whether the planner may answer with a replica.
-fn run_skew_leg(replicate: bool) -> SkewLegResult {
-    let mut config = SimConfig::instant();
+/// One read-skew leg: same cluster, workload, and windows; the two legs
+/// differ only in whether the planner may answer with a replica.
+fn run_skew_leg(leg: &Leg<bool>) -> LegOutcome {
+    let replicate = leg.params;
     // Frequent version-chain GC keeps the hot keys' chains short;
     // `gts_lease` stays at the strict default of 1 so primary-side reads
     // pay the oracle round-trip the replica path gets to skip.
+    let mut config = SimConfig::instant();
     config.hot_path.gc_interval = Duration::from_millis(5);
-    let cluster = ClusterBuilder::new(RS_NODES)
-        .cc_mode(EngineKind::Remus.cc_mode())
-        .oracle(OracleKind::Gts)
-        .config(config)
-        .build();
-    cluster.start_maintenance(Duration::from_secs(3600));
+    let rig = Rig::build(
+        RS_NODES,
+        leg.engine,
+        Oracle::Gts,
+        config,
+        Maintenance::GcOnly,
+    );
+    let cluster = &rig.cluster;
     // Every shard starts on node 0; nodes 1 and 2 are empty spares the
     // planner can replicate onto or migrate to.
-    let layout = cluster.create_table(TableId(1), 0, RS_SHARDS, |_| NodeId(0));
-    let seeder = Session::connect(&cluster, NodeId(0));
-    for chunk in (0..RS_KEYS).collect::<Vec<_>>().chunks(64) {
-        seeder
-            .run(|t| {
-                for &k in chunk {
-                    t.insert(
-                        &layout,
-                        k,
-                        Value::copy_from_slice(format!("v{k}").as_bytes()),
-                    )?;
-                }
-                Ok(())
-            })
-            .expect("seeding failed");
-    }
-    let hot_keys: Vec<u64> = (0..RS_KEYS)
-        .filter(|k| layout.shard_for(*k) == RS_HOT_SHARD)
-        .collect();
-
+    let layout = rig.seed_table(RS_SHARDS, |_| NodeId(0), |_| 0..RS_KEYS);
+    let on_hot_shard = |k: &u64| layout.shard_for(*k) == RS_HOT_SHARD;
+    let hot_keys: Vec<u64> = (0..RS_KEYS).filter(on_hot_shard).collect();
     // Continuous writer on the hot shard for the whole leg: whatever the
-    // planner does, the write stream follows the shard. One closed-loop
-    // client; migration-induced aborts are absorbed by the engine's abort
-    // accounting and the next arrival retries.
-    let writer = {
-        let hot_keys = hot_keys.clone();
-        let rounds = AtomicU64::new(0);
-        OpenLoopEngine::start(
-            &cluster,
-            EngineConfig::closed_loop(1, Duration::ZERO, CLIENT_SEED),
-            Arc::new(
-                move |_c: remus_common::ClientId,
-                      t: &mut remus_cluster::SessionTxn<'_>,
-                      rng: &mut SmallRng| {
-                    let key = hot_keys[rng.gen_range(0..hot_keys.len())];
-                    let round = rounds.fetch_add(1, Ordering::Relaxed);
-                    t.update(
-                        &layout,
-                        key,
-                        Value::copy_from_slice(format!("w{round}").as_bytes()),
-                    )?;
-                    Ok(())
-                },
-            ),
-        )
-    };
+    // planner does, the write stream follows the shard.
+    let writer = rig.hot_writer(layout, hot_keys.clone(), Duration::ZERO);
 
     let metrics = RunMetrics::new();
-    let acted = AtomicBool::new(false);
-    let replica_txns = AtomicU64::new(0);
-    let phase = Barrier::new(RS_READERS + 1);
-    let (pre_window, steady_window, pilot_report) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..RS_READERS)
-            .map(|idx| {
-                let (cluster, hot_keys, metrics, phase, acted, replica_txns) =
-                    (&cluster, &hot_keys, &metrics, &phase, &acted, &replica_txns);
-                scope.spawn(move || {
-                    let (pre, steady, from_replica) =
-                        skew_reader(cluster, layout, hot_keys, idx, phase, acted, metrics);
-                    replica_txns.fetch_add(from_replica, Ordering::Relaxed);
-                    (pre, steady)
-                })
-            })
-            .collect();
-        phase.wait(); // warm-up done, pre window starts
-        phase.wait(); // pre window done on every reader
-        let pilot = Autopilot::start(
-            Arc::clone(&cluster),
-            skew_config(replicate),
-            AutopilotOptions {
-                tick_interval: Duration::from_millis(5),
-                latency: None,
-            },
-        );
-        // Wait for the leg's answer: a certified replica serving offloaded
-        // reads, or the hot shard migrated off the loaded primary (the
-        // balancer moves the highest-demand shard first, then typically
-        // finds no further strictly-improving move). On timeout the steady
-        // window measures whatever state the cluster is in and the gates
-        // fail.
-        let deadline = Instant::now() + RS_REACT_TIMEOUT;
-        while Instant::now() < deadline {
-            let done = if replicate {
-                cluster.read_offload_enabled() && !cluster.replica_ids().is_empty()
-            } else {
-                !cluster
-                    .node(NodeId(0))
-                    .data_shards()
-                    .contains(&RS_HOT_SHARD)
-            };
-            if done {
-                break;
+    let reader = |idx: usize, mut rng: SmallRng| {
+        let mut router = ReadRouter::new(cluster, NodeId(0), idx);
+        let hot_keys = &hot_keys;
+        move || {
+            let mut txn = router.begin().expect("read begin");
+            let replica = txn.is_replica();
+            for _ in 0..RS_READS_PER_TXN {
+                // 3 of 4 reads hit the hot shard's keys; the rest keep the
+                // cold shards warm so the balancer sees their load too.
+                let key = if rng.gen_range(0..4u32) != 0 {
+                    hot_keys[rng.gen_range(0..hot_keys.len())]
+                } else {
+                    rng.gen_range(0..RS_KEYS)
+                };
+                txn.read(&layout, key).expect("read");
             }
+            txn.finish().expect("read finish");
+            replica
+        }
+    };
+    // The disturbance: the adaptive replicate-or-migrate planner with
+    // co-location off (the workload has no cross-shard writes), and the
+    // wait for the leg's answer — a certified replica serving offloaded
+    // reads, or the hot shard migrated off the loaded primary (the
+    // balancer moves the highest-demand shard first, then typically finds
+    // no further strictly-improving move). On timeout the steady window
+    // measures whatever state the cluster is in and the gates fail.
+    let disturbance = || {
+        let policy = PlannerConfig {
+            replication: replicate,
+            colocation: false,
+            ..PlannerConfig::adaptive()
+        };
+        let pilot = start_pilot(cluster, policy);
+        let deadline = Instant::now() + RS_REACT_TIMEOUT;
+        let answered = || match replicate {
+            true => cluster.read_offload_enabled() && !cluster.replica_ids().is_empty(),
+            false => !cluster
+                .node(NodeId(0))
+                .data_shards()
+                .contains(&RS_HOT_SHARD),
+        };
+        while Instant::now() < deadline && !answered() {
             std::thread::sleep(Duration::from_millis(2));
         }
-        acted.store(true, Ordering::Relaxed);
-        let windows: Vec<(Duration, Duration)> = handles
-            .into_iter()
-            .map(|h| h.join().expect("reader panicked"))
-            .collect();
-        let pre = windows.iter().map(|(p, _)| *p).max().unwrap_or_default();
-        let steady = windows.iter().map(|(_, s)| *s).max().unwrap_or_default();
-        (pre, steady, pilot.stop())
-    });
-    let commits = writer.stop().metrics.counters.commits();
+        pilot
+    };
+    let (windows, pilot) = RS_READERS.run(&metrics, reader, disturbance);
+    let pilot = pilot.stop();
+    writer.stop();
+
+    let readers = RS_READERS.readers as u64;
+    let (pre_txns, steady_txns) = (RS_READERS.txns, RS_READERS.after.map_or(0, |a| a.1));
     // `commits` is the two measured windows; the recorders also saw the
     // warm-up, react and drain transactions.
-    let scenario = ScenarioResult {
-        commits: RS_READERS as u64 * (RS_PRE_TXNS + RS_STEADY_TXNS),
-        ..finish(
-            EngineKind::Remus,
-            &metrics,
-            MigrationReport::default(),
-            &cluster,
-        )
+    let scenario = ScenarioReport {
+        commits: readers * (pre_txns + steady_txns),
+        ..rig.finish(leg.scenario, &metrics, &MigrationReport::default())
     };
-    cluster.stop_maintenance();
-
-    let reads_per_window = |txns: u64| (RS_READERS as u64 * txns * RS_READS_PER_TXN as u64) as f64;
-    let pre_tps = reads_per_window(RS_PRE_TXNS) / pre_window.as_secs_f64().max(1e-9);
-    let steady_tps = reads_per_window(RS_STEADY_TXNS) / steady_window.as_secs_f64().max(1e-9);
-    let replica_share =
-        replica_txns.load(Ordering::Relaxed) as f64 / (RS_READERS as u64 * RS_STEADY_TXNS) as f64;
-    let actions = pilot_report.moves
-        + pilot_report.replicas_provisioned
-        + pilot_report.replicas_decommissioned;
-    let label = if replicate {
-        "replicate"
-    } else {
-        "forced-migrate"
+    let reads_per_s = |txns: u64, window: Duration| {
+        (readers * txns * RS_READS_PER_TXN as u64) as f64 / window.as_secs_f64().max(1e-9)
     };
-    println!(
-        "{label:<14}\tpre_reads/s={pre_tps:.0}\tsteady_reads/s={steady_tps:.0}\t\
-         replica_share={replica_share:.2}\tactions={actions}\twriter_commits={commits}",
-    );
+    let pre_tps = reads_per_s(pre_txns, windows[0].elapsed);
+    let steady_tps = reads_per_s(steady_txns, windows[1].elapsed);
+    let replica_share = windows[1].flagged as f64 / (readers * steady_txns) as f64;
+    // Armed-checks: the leg's answer is the one it is named after.
+    let (provisioned, moves) = (pilot.replicas_provisioned, pilot.moves);
     if replicate {
         assert!(
-            pilot_report.replicas_provisioned >= 1,
+            provisioned >= 1,
             "the adaptive planner never provisioned a replica"
         );
         assert!(
             replica_share > 0.5,
-            "steady reads were not replica-served (share {replica_share:.2})"
+            "steady reads not replica-served ({replica_share:.2})"
         );
     } else {
         assert!(
-            pilot_report.moves >= 1,
+            moves >= 1,
             "the forced-migrate planner never migrated anything"
         );
         assert_eq!(
-            pilot_report.replicas_provisioned, 0,
+            provisioned, 0,
             "the forced-migrate leg provisioned a replica"
         );
     }
-    SkewLegResult {
-        pre_tps,
-        steady_tps,
-        replica_share,
-        actions,
-        scenario,
+    let actions = moves + provisioned + pilot.replicas_decommissioned;
+    LegOutcome {
+        scenarios: vec![scenario],
+        rows: vec![vec![
+            format!("{pre_tps:.0}"),
+            format!("{steady_tps:.0}"),
+            format!("{replica_share:.2}"),
+            actions.to_string(),
+        ]],
+        measure: Some(steady_tps / pre_tps.max(1e-9)),
     }
-}
-
-fn skew_row(leg: &SkewLegResult, label: &str) -> Vec<String> {
-    vec![
-        label.to_string(),
-        format!("{:.0}", leg.pre_tps),
-        format!("{:.0}", leg.steady_tps),
-        format!("{:.2}", leg.replica_share),
-        format!("{}", leg.actions),
-        format!("{:.2}x", leg.recovery()),
-    ]
-}
-
-/// The read-skew scenario: replicate leg vs forced-migrate leg, gated on
-/// the replicate leg's absolute recovery and on the edge between them.
-fn run_read_skew(path: &Path) {
-    println!(
-        "# bench_planner — read-skewed hotspot, {RS_READERS} router readers \
-         x {RS_READS_PER_TXN} reads, continuous hot-shard writer"
-    );
-    let replicate = run_skew_leg(true);
-    let migrate = run_skew_leg(false);
-    println!(
-        "replicate recovery: {:.2}x; edge over forced-migrate: {:.2}x",
-        replicate.recovery(),
-        replicate.recovery() / migrate.recovery().max(1e-9),
-    );
-
-    let mut report = BenchReport::new("bench_planner", "read-skew");
-    for (name, leg) in [
-        ("readskew-replicate", &replicate),
-        ("readskew-migrate", &migrate),
-    ] {
-        report
-            .scenarios
-            .push(ScenarioReport::from_result(name, &leg.scenario));
-    }
-    report.tables.push(TableSection::new(
-        "replicate recovery",
-        &[
-            "policy",
-            "pre_read_tps",
-            "steady_read_tps",
-            "replica_share",
-            "actions",
-            "recovery",
-        ],
-        vec![
-            skew_row(&replicate, "replicate"),
-            skew_row(&migrate, "forced-migrate"),
-        ],
-    ));
-    report.write(path).expect("writing JSON report failed");
-    gate::enforce(&report);
-}
-
-/// Scans the process arguments for `--scenario <name>` (default
-/// `hotspot`).
-fn scenario_arg() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--scenario")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "hotspot".to_string())
 }
 
 fn main() {
-    let scenario = scenario_arg();
-    let default_path = match scenario.as_str() {
-        "read-skew" => "BENCH_planner_readskew.json",
-        _ => "BENCH_planner.json",
-    };
-    let path = json_path_arg().unwrap_or_else(|| PathBuf::from(default_path));
-    match scenario.as_str() {
-        "hotspot" => run_hotspot(&path),
-        "read-skew" => run_read_skew(&path),
-        other => panic!("unknown --scenario {other:?} (expected hotspot or read-skew)"),
+    let args = Args::from_process(&["hotspot", "read-skew"]);
+    match args.scenario.as_deref() {
+        Some("read-skew") => args.run(read_skew(), |leg, _| run_skew_leg(leg)),
+        _ => args.run(hotspot(), |leg, _| run_hotspot_leg(leg)),
     }
-}
-
-/// The original hotspot-shift scenario: autopilot vs static plan vs
-/// doing nothing, gated on recovery and advantage.
-fn run_hotspot(path: &Path) {
-    println!(
-        "# bench_planner — hotspot shift after {SHIFT_AFTER} txns, \
-         {NET_LATENCY:?} one-way network latency"
-    );
-    let auto = run_leg(Policy::Autopilot);
-    let stat = run_leg(Policy::StaticPlan);
-    let none = run_leg(Policy::NoMigration);
-
-    println!(
-        "autopilot recovery: {:.2}x of pre-shift; advantage over no-migration: {:.2}x",
-        auto.steady_tps / auto.pre_tps.max(1e-9),
-        auto.steady_tps / none.steady_tps.max(1e-9),
-    );
-
-    let mut report = BenchReport::new("bench_planner", "hotspot-shift");
-    for (name, leg) in [
-        ("planner-autopilot", &auto),
-        ("planner-static", &stat),
-        ("planner-none", &none),
-    ] {
-        report
-            .scenarios
-            .push(ScenarioReport::from_result(name, &leg.scenario));
-    }
-    report.tables.push(TableSection::new(
-        "planner recovery",
-        &[
-            "policy",
-            "pre_tps",
-            "react_tps",
-            "steady_tps",
-            "moves",
-            "aborts",
-            "recovery",
-        ],
-        vec![
-            recovery_row(&auto, "autopilot"),
-            recovery_row(&stat, "static-plan"),
-            recovery_row(&none, "no-migration"),
-        ],
-    ));
-    report.write(path).expect("writing JSON report failed");
-
-    assert!(auto.moves >= 1, "the autopilot never migrated anything");
-    gate::enforce(&report);
 }

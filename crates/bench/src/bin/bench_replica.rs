@@ -29,24 +29,16 @@
 //! Usage: `cargo run --release -p remus-bench --bin bench_replica --
 //! --json BENCH_replica.json`
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use remus_bench::{
-    finish, gate, json_path_arg, BenchReport, EngineKind, ScenarioReport, ScenarioResult,
-    TableSection, CLIENT_SEED,
+    Args, Bench, Leg, LegOutcome, Maintenance, Oracle, ReaderPool, Rig, ScenarioReport,
 };
-use remus_clock::OracleKind;
-use remus_cluster::{ClusterBuilder, ReplicaSession, Session};
-use remus_common::{NodeId, ShardId, SimConfig, TableId};
+use remus_cluster::{ReplicaSession, Session};
+use remus_common::{NodeId, ShardId, SimConfig};
 use remus_core::{start_replica, MigrationTask};
-use remus_shard::TableLayout;
-use remus_storage::Value;
-use remus_workload::{EngineConfig, OpenLoopEngine, RunMetrics};
+use remus_workload::RunMetrics;
 
 /// Primary nodes; shard `i` lives on primary `i % PRIMARIES`.
 const PRIMARIES: u32 = 2;
@@ -54,257 +46,138 @@ const PRIMARIES: u32 = 2;
 const KEYS: u64 = 1024;
 /// Shards in the table.
 const SHARDS: u32 = 4;
-/// Closed-loop read-only client threads, identical in every leg.
-const READERS: usize = 4;
 /// Point reads per read-only transaction.
 const READS_PER_TXN: usize = 8;
-/// Unmeasured transactions per reader before the clock starts.
-const WARMUP_TXNS: u64 = 1_000;
-/// Measured transactions per reader (sized so each leg's window spans a
-/// few hundred milliseconds — enough to straddle the migration and to
-/// drown scheduler jitter).
-const READ_TXNS: u64 = 15_000;
-/// RNG seed shared by all legs.
-const SEED: u64 = 11;
+/// The closed-loop read-only clients, identical in every leg: one timed
+/// window, the migration inside it.
+const READERS: ReaderPool = ReaderPool {
+    readers: 4,
+    warmup_txns: 1_000,
+    // Sized so each leg's window spans a few hundred milliseconds — enough
+    // to straddle the migration and to drown scheduler jitter.
+    txns: 15_000,
+    after: None,
+};
 
-struct LegResult {
-    replicas: usize,
-    read_tps: f64,
-    writer_tps: f64,
-    read_p50_us: u64,
-    scenario: ScenarioResult,
+/// What `bench_replica` reports; a leg's parameter is its replica count.
+pub(crate) fn bench() -> Bench<usize> {
+    let leg = |scenario, row, replicas| Leg::new(scenario, row, replicas).versus("no-replica");
+    Bench {
+        scale_label: Some("read-scaling"),
+        default_json: Some("BENCH_replica.json"),
+        table: "replica read scaling",
+        headers: &[
+                "leg",
+                "replicas",
+                "read_tps",
+                "writer_tps",
+                "mean_read_txn_us",
+                "scaling",
+            ],
+        legs: vec![
+            leg("replica-0", "no-replica", 0),
+            leg("replica-1", "1-replica", 1),
+            leg("replica-2", "2-replica", 2),
+        ],
+        ..Bench::new(
+            "bench_replica",
+            "bench_replica — closed-loop readers at 0/1/2 replicas, live shard-0 migration in every leg",
+        )
+    }
 }
 
-fn val(n: u64) -> Value {
-    Value::copy_from_slice(format!("v{n}").as_bytes())
-}
+fn run_leg(leg: &Leg<usize>) -> LegOutcome {
+    let replicas = leg.params;
+    // The version-chain GC cadence of the tuned hot path keeps chains
+    // short on the primaries; `gts_lease` stays at the strict default of 1
+    // so primary-side begins pay the oracle round-trip they pay under the
+    // chaos checker's strict GTS mode.
+    let mut config = SimConfig::instant();
+    config.hot_path.gc_interval = Duration::from_millis(5);
+    let nodes = PRIMARIES as usize + replicas;
+    let rig = Rig::build(nodes, leg.engine, Oracle::Gts, config, Maintenance::GcOnly);
+    let cluster = &rig.cluster;
+    let layout = rig.seed_table(SHARDS, |i| NodeId(i % PRIMARIES), |_| 0..KEYS);
 
-/// One reader thread: closed-loop read-only transactions against either a
-/// primary session or a replica session, warmed up, then timed.
-fn reader_loop(
-    cluster: &Arc<remus_cluster::Cluster>,
-    layout: TableLayout,
-    replicas: usize,
-    idx: usize,
-    start: &Barrier,
-    metrics: &RunMetrics,
-) -> Duration {
-    let mut rng = SmallRng::seed_from_u64(SEED.wrapping_mul(0x9e37_79b9).wrapping_add(idx as u64));
-    let replica_session = if replicas > 0 {
-        let node = NodeId(PRIMARIES + (idx % replicas) as u32);
-        Some(ReplicaSession::connect(cluster, node).expect("replica connect"))
-    } else {
-        None
+    // Replicas bootstrap via virtual-cut backfill; the clock starts only
+    // after every one is certified, like a real read pool going live.
+    let certified = |r| {
+        let proc = start_replica(cluster, NodeId(PRIMARIES + r as u32)).expect("replica");
+        let certification = proc.wait_certified(Duration::from_secs(30));
+        certification.expect("certification");
+        proc
     };
-    let primary_session = if replicas == 0 {
-        Some(Session::connect(cluster, NodeId(idx as u32 % PRIMARIES)))
-    } else {
-        None
-    };
-    let run_txn = |rng: &mut SmallRng| {
-        let started = Instant::now();
-        match (&replica_session, &primary_session) {
-            (Some(session), _) => {
+    let procs: Vec<_> = (0..replicas).map(certified).collect();
+
+    // Continuous writer on the primaries for the whole leg: the replicas
+    // must keep applying while they serve reads.
+    let writer = rig.hot_writer(layout, (0..KEYS).collect(), Duration::ZERO);
+
+    // Where the readers run is what the legs differ in: against the
+    // replicas when there are any, else in regular sessions on the
+    // primaries.
+    let metrics = RunMetrics::new();
+    let reader = |idx: usize, mut rng: rand::rngs::SmallRng| {
+        let replica = (replicas > 0).then(|| {
+            let node = NodeId(PRIMARIES + (idx % replicas) as u32);
+            ReplicaSession::connect(cluster, node).expect("replica connect")
+        });
+        let primary = Session::connect(cluster, NodeId(idx as u32 % PRIMARIES));
+        move || {
+            if let Some(session) = &replica {
                 let txn = session.begin().expect("replica begin");
                 for _ in 0..READS_PER_TXN {
                     txn.read(&layout, rng.gen_range(0..KEYS)).expect("read");
                 }
-            }
-            (None, Some(session)) => {
-                let mut txn = session.begin();
+            } else {
+                let mut txn = primary.begin();
                 for _ in 0..READS_PER_TXN {
                     txn.read(&layout, rng.gen_range(0..KEYS)).expect("read");
                 }
                 txn.commit().expect("read-only commit");
             }
-            _ => unreachable!(),
+            false
         }
-        metrics.record_outcome(started, &Ok(()));
     };
-    for _ in 0..WARMUP_TXNS {
-        run_txn(&mut rng);
-    }
-    start.wait();
-    let t0 = Instant::now();
-    for _ in 0..READ_TXNS {
-        run_txn(&mut rng);
-    }
-    t0.elapsed()
-}
+    // The live migration the readers ride through: shard 0 moves between
+    // the primaries while every leg's clock is running.
+    let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
+    let (windows, migration) = READERS.run(&metrics, reader, || rig.migrate(&[task]));
 
-fn run_leg(replicas: usize) -> LegResult {
-    let mut config = SimConfig::instant();
-    // The version-chain GC cadence of the tuned hot path keeps chains
-    // short on the primaries; `gts_lease` stays at the strict default of 1
-    // so primary-side begins pay the oracle round-trip they pay under the
-    // chaos checker's strict GTS mode.
-    config.hot_path.gc_interval = Duration::from_millis(5);
-    let cluster = ClusterBuilder::new(PRIMARIES as usize + replicas)
-        .cc_mode(EngineKind::Remus.cc_mode())
-        .oracle(OracleKind::Gts)
-        .config(config)
-        .build();
-    cluster.start_maintenance(Duration::from_secs(3600));
-    let layout = cluster.create_table(TableId(1), 0, SHARDS, |i| NodeId(i % PRIMARIES));
-    let seeder = Session::connect(&cluster, NodeId(0));
-    for chunk in (0..KEYS).collect::<Vec<_>>().chunks(64) {
-        seeder
-            .run(|t| {
-                for &k in chunk {
-                    t.insert(&layout, k, val(k))?;
-                }
-                Ok(())
-            })
-            .expect("seeding failed");
-    }
-
-    // Replicas bootstrap via virtual-cut backfill; the clock starts only
-    // after every one is certified, like a real read pool going live.
-    let procs: Vec<_> = (0..replicas)
-        .map(|r| {
-            let proc = start_replica(&cluster, NodeId(PRIMARIES + r as u32)).expect("replica");
-            proc.wait_certified(Duration::from_secs(30))
-                .expect("certification");
-            proc
-        })
-        .collect();
-
-    // Continuous writer on the primaries for the whole leg: the replicas
-    // must keep applying while they serve reads. One closed-loop client;
-    // migration-induced aborts are absorbed by the engine's abort
-    // accounting and the next arrival retries.
-    let writer_rounds = Arc::new(AtomicU64::new(0));
-    let writer = {
-        let rounds = Arc::clone(&writer_rounds);
-        OpenLoopEngine::start(
-            &cluster,
-            EngineConfig::closed_loop(1, Duration::ZERO, CLIENT_SEED),
-            Arc::new(
-                move |_c: remus_common::ClientId,
-                      t: &mut remus_cluster::SessionTxn<'_>,
-                      rng: &mut SmallRng| {
-                    let key = rng.gen_range(0..KEYS);
-                    let round = rounds.fetch_add(1, Ordering::Relaxed);
-                    t.update(&layout, key, val(key.wrapping_add(round)))?;
-                    Ok(())
-                },
-            ),
-        )
-    };
-
-    let metrics = RunMetrics::new();
-    let start = Barrier::new(READERS + 1);
-    let (window, migration) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..READERS)
-            .map(|idx| {
-                let (cluster, metrics, start) = (&cluster, &metrics, &start);
-                scope.spawn(move || reader_loop(cluster, layout, replicas, idx, start, metrics))
-            })
-            .collect();
-        start.wait();
-        let t0 = Instant::now();
-        // The live migration the readers ride through: shard 0 moves
-        // between the primaries while every leg's clock is running.
-        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-        let report = EngineKind::Remus
-            .engine()
-            .migrate(&cluster, &task)
-            .expect("migration failed");
-        let slowest = handles
-            .into_iter()
-            .map(|h| h.join().expect("reader panicked"))
-            .max()
-            .unwrap_or_default();
-        (slowest.max(t0.elapsed().min(slowest)), report)
-    });
-
-    let writer_report = writer.stop();
-    let writer_tps = writer_report.metrics.counters.commits() as f64
-        / writer_report.elapsed.as_secs_f64().max(1e-9);
-    let last_cts = writer_report.last_commit_ts;
+    let writer = writer.stop();
+    let writer_tps = writer.metrics.counters.commits() as f64 / writer.elapsed.as_secs_f64();
     // The replicas that served the measured reads must still be live and
     // able to catch up to the writer's final commit.
     for proc in &procs {
-        if last_cts.is_valid() {
-            proc.handle()
-                .wait_watermark(last_cts, Duration::from_secs(30))
-                .expect("replica never caught up to the writer");
+        if writer.last_commit_ts.is_valid() {
+            let caught_up = proc
+                .handle()
+                .wait_watermark(writer.last_commit_ts, Duration::from_secs(30));
+            caught_up.expect("replica never caught up to the writer");
         }
         assert!(!proc.is_failed(), "replica failed during the leg");
     }
     // `commits` is the measured window; the recorders also saw the warm-up.
-    let scenario = ScenarioResult {
-        commits: READERS as u64 * READ_TXNS,
-        ..finish(EngineKind::Remus, &metrics, migration, &cluster)
+    let scenario = ScenarioReport {
+        commits: READERS.readers as u64 * READERS.txns,
+        ..rig.finish(leg.scenario, &metrics, &migration)
     };
-    for proc in procs {
-        proc.stop();
-    }
-    cluster.stop_maintenance();
+    procs.into_iter().for_each(|proc| proc.stop());
 
-    let total_reads = scenario.commits * READS_PER_TXN as u64;
-    let read_tps = total_reads as f64 / window.as_secs_f64().max(1e-9);
-    let read_p50_us = scenario.base_latency.as_micros() as u64;
-    println!(
-        "{replicas}-replica\treads/s={read_tps:.0}\twriter/s={writer_tps:.0}\tmean_read_txn_us={read_p50_us}",
-    );
-    LegResult {
-        replicas,
-        read_tps,
-        writer_tps,
-        read_p50_us,
-        scenario,
+    let reads = (scenario.commits * READS_PER_TXN as u64) as f64;
+    let read_tps = reads / windows[0].elapsed.as_secs_f64().max(1e-9);
+    LegOutcome {
+        rows: vec![vec![
+            replicas.to_string(),
+            format!("{read_tps:.0}"),
+            format!("{writer_tps:.0}"),
+            scenario.base_latency_us.to_string(),
+        ]],
+        scenarios: vec![scenario],
+        measure: Some(read_tps),
     }
-}
-
-fn scaling_row(leg: &LegResult, baseline: f64) -> Vec<String> {
-    vec![
-        match leg.replicas {
-            0 => "no-replica".to_string(),
-            n => format!("{n}-replica"),
-        },
-        format!("{}", leg.replicas),
-        format!("{:.0}", leg.read_tps),
-        format!("{:.0}", leg.writer_tps),
-        format!("{}", leg.read_p50_us),
-        format!("{:.2}x", leg.read_tps / baseline.max(1e-9)),
-    ]
 }
 
 fn main() {
-    let path = json_path_arg().unwrap_or_else(|| PathBuf::from("BENCH_replica.json"));
-    println!(
-        "# bench_replica — {READERS} readers x {READ_TXNS} txns x \
-         {READS_PER_TXN} reads, live shard-0 migration in every leg"
-    );
-    let legs: Vec<LegResult> = [0usize, 1, 2].into_iter().map(run_leg).collect();
-    let baseline = legs[0].read_tps;
-    let best = legs[1..]
-        .iter()
-        .map(|l| l.read_tps)
-        .fold(f64::MIN, f64::max);
-    let scaling = best / baseline.max(1e-9);
-    println!("replica read scaling: {scaling:.2}x of the no-replica leg");
-
-    let mut report = BenchReport::new("bench_replica", "read-scaling");
-    for leg in &legs {
-        let name = format!("replica-{}", leg.replicas);
-        report
-            .scenarios
-            .push(ScenarioReport::from_result(&name, &leg.scenario));
-    }
-    report.tables.push(TableSection::new(
-        "replica read scaling",
-        &[
-            "leg",
-            "replicas",
-            "read_tps",
-            "writer_tps",
-            "mean_read_txn_us",
-            "scaling",
-        ],
-        legs.iter().map(|leg| scaling_row(leg, baseline)).collect(),
-    ));
-    report.write(&path).expect("writing JSON report failed");
-    gate::enforce(&report);
+    Args::from_process(&[]).run(bench(), |leg, _| run_leg(leg));
 }

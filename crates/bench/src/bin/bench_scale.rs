@@ -27,146 +27,26 @@
 //! Usage: `cargo run --release -p remus-bench --bin bench_scale --
 //! --scale paper --json BENCH_scale.json`
 
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use remus_bench::{
-    finish, gate, json_path_arg, sim_config, BenchReport, EngineKind, Scale, ScenarioReport,
-    TableSection,
+    sim_config, ycsb_config, Args, Bench, Leg, LegOutcome, Maintenance, Oracle, Rig, Scale, NODES,
 };
-use remus_clock::OracleKind;
-use remus_cluster::ClusterBuilder;
 use remus_common::NodeId;
-use remus_core::{MigrationController, MigrationPlan};
-use remus_workload::ycsb::{KeyDistribution, Ycsb, YcsbConfig};
-use remus_workload::{EngineConfig, OpenLoopEngine, Pacing, Workload};
+use remus_core::MigrationPlan;
+use remus_workload::ycsb::{KeyDistribution, Ycsb};
+use remus_workload::{EngineConfig, OpenLoopEngine, Pacing};
 
 /// Seed of the run: the offered load is a pure function of this.
 const SEED: u64 = 0x5CA1E;
 
-fn main() {
-    let scale = Scale::from_args_or_env();
-    let path = json_path_arg().unwrap_or_else(|| PathBuf::from("BENCH_scale.json"));
-    println!(
-        "# bench_scale — open-loop engine: {} keys, {} clients on {} workers, \
-         Poisson mean {:?}/client",
-        scale.ycsb_keys, scale.clients, scale.workers, scale.arrival_mean
-    );
-
-    let cluster = ClusterBuilder::new(scale.nodes)
-        .cc_mode(EngineKind::Remus.cc_mode())
-        .oracle(OracleKind::Gts)
-        .config(sim_config(&scale))
-        .build();
-    cluster.start_maintenance(std::time::Duration::from_millis(500));
-
-    let load_t0 = Instant::now();
-    let ycsb = Arc::new(Ycsb::setup(
-        &cluster,
-        YcsbConfig {
-            shards: scale.ycsb_shards,
-            keys: scale.ycsb_keys,
-            value_len: scale.value_len,
-            distribution: KeyDistribution::Uniform,
-            ..YcsbConfig::default()
-        },
-    ));
-    println!(
-        "loaded {} tuples in {:.1}s",
-        scale.ycsb_keys,
-        load_t0.elapsed().as_secs_f64()
-    );
-
-    let engine = OpenLoopEngine::start(
-        &cluster,
-        EngineConfig {
-            clients: scale.clients,
-            workers: scale.workers,
-            pacing: Pacing::Poisson {
-                mean: scale.arrival_mean,
-            },
-            seed: SEED,
-            queue_bound: scale.queue_bound,
-            horizon: None,
-            max_txns_per_client: None,
-        },
-        Arc::clone(&ycsb) as Arc<dyn Workload>,
-    );
-    let metrics = Arc::clone(&engine.metrics);
-    std::thread::sleep(scale.warmup);
-
-    // The live migration: consolidate node 0 away while the load runs.
-    metrics.set_migration_active(true);
-    let plan = MigrationPlan::consolidate(&cluster, NodeId(0), scale.consolidation_group);
-    assert!(!plan.is_empty(), "node 0 owns shards to consolidate");
-    let controller = MigrationController::new(Arc::clone(&cluster), EngineKind::Remus.engine());
-    let mig_t0 = Instant::now();
-    let mut migration = controller
-        .run_plan_aggregate(&plan)
-        .expect("consolidation failed");
-    let mig_elapsed = mig_t0.elapsed();
-    metrics.set_migration_active(false);
-    // At this scale each trace carries thousands of per-chunk copy spans
-    // (multi-MB of JSON); the trajectory gate compares root phase
-    // sequences, so keep the protocol phases and drop the chunk bulk.
-    for trace in &mut migration.traces {
-        trace.spans.retain(|s| s.parent.is_none());
-    }
-    assert!(
-        cluster.node(NodeId(0)).data_shards().is_empty(),
-        "consolidation left shards on node 0"
-    );
-
-    std::thread::sleep(scale.cooldown);
-    let report = engine.stop();
-    cluster.stop_maintenance();
-
-    let offered_tps = report.offered_rate();
-    let delivered_tps = report.delivered_rate();
-    let ratio = report.delivered_ratio();
-    let (p50_n, p99_n) = (
-        metrics.latency_normal.percentile(0.50),
-        metrics.latency_normal.percentile(0.99),
-    );
-    let (p50_m, p99_m) = (
-        metrics.latency_migration.percentile(0.50),
-        metrics.latency_migration.percentile(0.99),
-    );
-    println!(
-        "offered={offered_tps:.0}/s delivered={delivered_tps:.0}/s \
-         ratio={ratio:.2} dropped={} parks={} queue_high_water={}",
-        report.dropped, report.parks, report.queue_high_water
-    );
-    println!(
-        "CO-safe latency: normal p50={}us p99={}us | during migration \
-         p50={}us p99={}us",
-        p50_n.as_micros(),
-        p99_n.as_micros(),
-        p50_m.as_micros(),
-        p99_m.as_micros()
-    );
-    println!(
-        "migration: {} shards off node 0 in {:.1}s ({} tuples copied, {} replayed)",
-        plan.len(),
-        mig_elapsed.as_secs_f64(),
-        migration.tuples_copied,
-        migration.records_replayed
-    );
-    assert!(
-        metrics.latency_migration.count() > 0,
-        "no commits landed during the migration window — the gate measured nothing"
-    );
-
-    let scenario = finish(EngineKind::Remus, &metrics, migration, &cluster);
-    let mut bench = BenchReport::new("bench_scale", "open-loop-scale");
-    bench.scenarios.push(ScenarioReport::from_result(
-        "scale-consolidation",
-        &scenario,
-    ));
-    bench.tables.push(TableSection::new(
-        "open-loop scale",
-        &[
+/// What `bench_scale` reports: one leg, sized by the scale preset.
+pub(crate) fn bench() -> Bench<()> {
+    Bench {
+        scale_label: Some("open-loop-scale"),
+        default_json: Some("BENCH_scale.json"),
+        table: "open-loop scale",
+        headers: &[
             "run",
             "keys",
             "clients",
@@ -178,19 +58,78 @@ fn main() {
             "co_p99_us",
             "delivered",
         ],
-        vec![vec![
-            "open-loop".to_string(),
+        legs: vec![Leg::new("scale-consolidation", "open-loop", ())],
+        ..Bench::new(
+            "bench_scale",
+            "bench_scale — a live consolidation under the open-loop engine",
+        )
+    }
+}
+
+fn run_leg(leg: &Leg<()>, scale: &Scale) -> LegOutcome {
+    println!(
+        "{} keys, {} clients on {} workers, Poisson mean {:?}/client",
+        scale.ycsb_keys, scale.clients, scale.workers, scale.arrival_mean
+    );
+    let config = sim_config(scale);
+    let rig = Rig::build(NODES, leg.engine, Oracle::Gts, config, Maintenance::Vacuum);
+    let cluster = &rig.cluster;
+
+    let table = ycsb_config(scale, KeyDistribution::Uniform);
+    let ycsb = Arc::new(Ycsb::setup(cluster, table));
+
+    let pacing = Pacing::Poisson {
+        mean: scale.arrival_mean,
+    };
+    let config = EngineConfig::open_loop(scale.clients, scale.workers, pacing, SEED);
+    let engine = OpenLoopEngine::start(cluster, config, ycsb as _);
+    std::thread::sleep(scale.warmup);
+
+    // The live migration: consolidate node 0 away while the load runs.
+    let plan = MigrationPlan::consolidate(cluster, NodeId(0), scale.consolidation_group);
+    assert!(!plan.is_empty(), "node 0 owns shards to consolidate");
+    let mut migration = rig.migrate_marked(&engine.metrics, "consolidation", &plan.tasks);
+    // At this scale each trace carries thousands of per-chunk copy spans
+    // (multi-MB of JSON); the trajectory gate compares root phase
+    // sequences, so keep the protocol phases and drop the chunk bulk.
+    for trace in &mut migration.traces {
+        trace.spans.retain(|s| s.parent.is_none());
+    }
+    assert!(
+        cluster.node(NodeId(0)).data_shards().is_empty(),
+        "consolidation left shards on node 0"
+    );
+    std::thread::sleep(scale.cooldown);
+    let report = engine.stop();
+
+    println!(
+        "parks={} queue_high_water={}; {} plan steps off node 0",
+        report.parks,
+        report.queue_high_water,
+        plan.len()
+    );
+    // CO-safe latency of the commits that landed during the migration.
+    let during = &report.metrics.latency_migration;
+    assert!(
+        during.count() > 0,
+        "no commits landed during the migration window — the gate measured nothing"
+    );
+    LegOutcome {
+        scenarios: vec![rig.finish(leg.scenario, &report.metrics, &migration)],
+        rows: vec![vec![
             scale.ycsb_keys.to_string(),
             scale.clients.to_string(),
             scale.workers.to_string(),
-            format!("{offered_tps:.0}"),
-            format!("{delivered_tps:.0}"),
+            format!("{:.0}", report.offered_rate()),
+            format!("{:.0}", report.delivered_rate()),
             report.dropped.to_string(),
-            format!("{}", p50_m.as_micros()),
-            format!("{}", p99_m.as_micros()),
-            format!("{ratio:.2}x"),
+            during.percentile(0.50).as_micros().to_string(),
+            during.percentile(0.99).as_micros().to_string(),
         ]],
-    ));
-    bench.write(&path).expect("writing JSON report failed");
-    gate::enforce(&bench);
+        measure: Some(report.delivered_ratio()),
+    }
+}
+
+fn main() {
+    Args::from_process(&[]).run(bench(), run_leg);
 }

@@ -22,16 +22,13 @@
 //! (without `--json` the report goes to `BENCH_smoke.json` in the current
 //! directory).
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use remus_bench::{
-    checked_trace, finish, json_path_arg, BenchReport, EngineKind, ScenarioReport, ScenarioResult,
+    Args, Bench, EngineKind, Leg, LegOutcome, Maintenance, Oracle, Rig, ScenarioReport,
 };
-use remus_cluster::{ClusterBuilder, Session};
-use remus_common::{NodeId, ParallelismConfig, ShardId, SimConfig, TableId};
+use remus_common::{NodeId, ParallelismConfig, ShardId, SimConfig};
 use remus_core::MigrationTask;
-use remus_storage::Value;
 use remus_workload::RunMetrics;
 
 /// Keys loaded into the migrated shard for the plain smoke scenario.
@@ -43,112 +40,97 @@ const PAR_KEYS: u64 = 2048;
 /// 256-tuple batch): 2048 keys -> ~102 ms of sequential copy sleep.
 const PAR_COPY_PER_TUPLE: Duration = Duration::from_micros(50);
 
-/// One quiescent migration of a freshly loaded `keys`-key shard; the
-/// result's `commits` is the load, there being no client fleet.
-fn run_engine(kind: EngineKind, keys: u64, config: SimConfig) -> ScenarioResult {
-    let cluster = ClusterBuilder::new(2)
-        .cc_mode(kind.cc_mode())
-        .config(config)
-        .build();
-    let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
-    let session = Session::connect(&cluster, NodeId(0));
-    for k in 0..keys {
-        session
-            .run(|t| t.insert(&layout, k, Value::from(vec![7u8; 64])))
-            .expect("insert failed");
+/// What `bench_smoke` reports: a `smoke` leg per engine under
+/// `SimConfig::instant()`, then per engine a `smoke-seq` / `smoke-par` pair
+/// over `PAR_KEYS` keys at `PAR_COPY_PER_TUPLE` with the data plane each
+/// leg's parameter names.
+pub(crate) fn bench() -> Bench<Option<ParallelismConfig>> {
+    let parallel = ParallelismConfig {
+        chunk_size: 256,
+        ..SimConfig::instant().parallelism
+    };
+    let planes = [
+        ("smoke-seq", ParallelismConfig::sequential()),
+        ("smoke-par", parallel),
+    ];
+    let plain = |kind| Leg::new("smoke", "", None).engine(kind);
+    let mut legs = Vec::from(EngineKind::all().map(plain));
+    for kind in EngineKind::all() {
+        legs.extend(planes.map(|(name, plane)| Leg::new(name, "", Some(plane)).engine(kind)));
     }
-    let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-    let report = kind
-        .engine()
-        .migrate(&cluster, &task)
-        .unwrap_or_else(|e| panic!("{} smoke migration failed: {e:?}", kind.name()));
-    ScenarioResult {
-        commits: keys,
-        ..finish(kind, &RunMetrics::new(), report, &cluster)
+    Bench {
+        scale_label: Some("smoke"),
+        default_json: Some("BENCH_smoke.json"),
+        legs,
+        ..Bench::new(
+            "bench_smoke",
+            "bench_smoke — one quiescent migration per engine, then sequential vs parallel",
+        )
     }
 }
 
-/// Validates the trace and appends the scenario to the report. Returns the
-/// migration's snapshot-copy + catch-up span time (zero for engines whose
-/// trace has neither phase).
-fn push_scenario(
-    report: &mut BenchReport,
-    name: &'static str,
-    kind: EngineKind,
-    result: ScenarioResult,
-) -> Duration {
-    let migration = &result.migration;
-    let trace = checked_trace(kind.name(), kind, migration);
+/// One quiescent migration of a freshly loaded shard. Returns the record
+/// and the migration's snapshot-copy + catch-up span time (zero for
+/// engines whose trace has neither phase).
+fn run_leg(leg: &Leg<Option<ParallelismConfig>>) -> (ScenarioReport, Duration) {
+    let (keys, config) = match leg.params {
+        None => (KEYS, SimConfig::instant()),
+        Some(parallelism) => {
+            let config = SimConfig {
+                snapshot_copy_per_tuple: PAR_COPY_PER_TUPLE,
+                parallelism,
+                ..SimConfig::instant()
+            };
+            (PAR_KEYS, config)
+        }
+    };
+    let kind = leg.engine;
+    let rig = Rig::build(2, kind, Oracle::Dts, config, Maintenance::Off);
+    rig.seed_table(1, |_| NodeId(0), |_| 0..keys);
+    let migration = rig.migrate(&[MigrationTask::single(ShardId(0), NodeId(0), NodeId(1))]);
+    // `migrate` held the trace to its engine's canonical sequence, so
+    // parallelism cannot have changed it.
+    let trace = &migration.traces[0];
+    let span_of = |p: &&str| trace.span(p).map(|s| s.duration());
     let copy_plus_catchup = ["snapshot_copy", "catchup"]
         .iter()
-        .filter_map(|p| trace.span(p))
-        .map(|s| s.duration())
+        .filter_map(span_of)
         .sum();
-    println!(
-        "{name}\t{}\ttotal={:.1}ms\tphases={}",
-        kind.name(),
-        migration.total.as_secs_f64() * 1e3,
-        trace
-            .root_phases()
-            .iter()
-            .map(|p| {
-                let s = trace.span(p).expect("root phase exists");
-                format!("{p}={:.1}ms", s.duration().as_secs_f64() * 1e3)
-            })
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    report
-        .scenarios
-        .push(ScenarioReport::from_result(name, &result));
-    copy_plus_catchup
+    let (scenario, total) = (leg.scenario, migration.total);
+    println!("{scenario}\t{}\ttotal={total:.1?}", kind.name());
+    // `commits` is the load, there being no client fleet.
+    let record = ScenarioReport {
+        commits: keys,
+        ..rig.finish(leg.scenario, &RunMetrics::new(), &migration)
+    };
+    (record, copy_plus_catchup)
 }
 
 fn main() {
-    let path = json_path_arg().unwrap_or_else(|| PathBuf::from("BENCH_smoke.json"));
-    println!("# bench_smoke — one quiescent {KEYS}-key migration per engine");
-    let mut report = BenchReport::new("bench_smoke", "smoke");
-    for kind in EngineKind::all() {
-        let result = run_engine(kind, KEYS, SimConfig::instant());
-        push_scenario(&mut report, "smoke", kind, result);
-    }
-
-    println!("# bench_smoke — sequential vs parallel data plane ({PAR_KEYS} keys)");
-    for kind in EngineKind::all() {
-        let mut seq_config = SimConfig::instant();
-        seq_config.snapshot_copy_per_tuple = PAR_COPY_PER_TUPLE;
-        seq_config.parallelism = ParallelismConfig::sequential();
-        let mut par_config = seq_config.clone();
-        par_config.parallelism = ParallelismConfig {
-            copy_workers: 4,
-            replay_workers: 4,
-            chunk_size: 256,
-            drain_batch: 32,
-        };
-        let seq = run_engine(kind, PAR_KEYS, seq_config);
-        let par = run_engine(kind, PAR_KEYS, par_config);
-        // Both legs are held to the engine's canonical sequence below, so
-        // parallelism cannot have changed it.
-        let seq_copy = push_scenario(&mut report, "smoke-seq", kind, seq);
-        let par_copy = push_scenario(&mut report, "smoke-par", kind, par);
-        // Squall pulls after the ownership flip instead of streaming a
-        // snapshot copy, so the copy+catchup criterion only applies to the
-        // push engines.
-        if kind.name() != "squall" {
-            let ratio = seq_copy.as_secs_f64() / par_copy.as_secs_f64().max(1e-9);
-            println!(
-                "{}\tcopy+catchup seq={:.1}ms par={:.1}ms speedup={ratio:.1}x",
-                kind.name(),
-                seq_copy.as_secs_f64() * 1e3,
-                par_copy.as_secs_f64() * 1e3,
-            );
-            assert!(
-                ratio >= 2.0,
-                "{}: parallel copy+catchup speedup {ratio:.2}x < 2x \
-                 (seq {seq_copy:?}, par {par_copy:?})",
-                kind.name()
-            );
+    let mut seq_copy = Duration::ZERO;
+    Args::from_process(&[]).run(bench(), |leg, _| {
+        let (record, copy) = run_leg(leg);
+        match leg.scenario {
+            "smoke-seq" => seq_copy = copy,
+            // Squall pulls after the ownership flip instead of streaming a
+            // snapshot copy, so the copy+catchup criterion only applies to
+            // the push engines. Their chunked copy's speedup is
+            // sleep-dominated and therefore deterministic: asserted, not
+            // just reported.
+            "smoke-par" if leg.engine != EngineKind::Squall => {
+                let ratio = seq_copy.as_secs_f64() / copy.as_secs_f64().max(1e-9);
+                let name = leg.engine.name();
+                println!("{name}\tcopy+catchup seq={seq_copy:.1?} par={copy:.1?} {ratio:.1}x");
+                assert!(
+                    ratio >= 2.0,
+                    "{name}: parallel copy+catchup {ratio:.2}x < 2x"
+                );
+            }
+            _ => {}
         }
-    }
-    report.write(&path).expect("writing JSON report failed");
+        LegOutcome {
+            scenarios: vec![record],
+            ..LegOutcome::default()
+        }
+    });
 }

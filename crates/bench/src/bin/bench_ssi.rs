@@ -28,22 +28,17 @@
 //! Usage: `cargo run --release -p remus-bench --bin bench_ssi --
 //! --json BENCH_ssi.json`
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use remus_bench::{
-    finish, gate, json_path_arg, BenchReport, EngineKind, ScenarioReport, TableSection,
-};
-use remus_clock::OracleKind;
-use remus_cluster::{ClusterBuilder, Session};
-use remus_common::metrics::MetricSample;
-use remus_common::{IsolationLevel, NodeId, ShardId, SimConfig, TableId};
-use remus_core::MigrationTask;
+use remus_bench::{Args, Bench, Leg, LegOutcome, Maintenance, Oracle, Rig};
+use remus_common::{IsolationLevel, NodeId, ShardId, SimConfig};
+use remus_core::{MigrationReport, MigrationTask};
 use remus_storage::Value;
 use remus_workload::{EngineConfig, OpenLoopEngine, Pacing};
+use IsolationLevel::{Serializable, SnapshotIsolation};
 
 /// Primary nodes; shard `i` lives on primary `i % PRIMARIES`.
 const PRIMARIES: u32 = 2;
@@ -71,214 +66,16 @@ const COOLDOWN: Duration = Duration::from_millis(150);
 /// RNG seed shared by all legs: identical offered schedules.
 const SEED: u64 = 0x551;
 
-struct LegResult {
-    name: &'static str,
-    isolation: IsolationLevel,
-    live: bool,
-    tps: f64,
-    p99_us: u64,
-    ssi_aborts: u64,
-    rw_edges: u64,
-    scenario: remus_bench::ScenarioResult,
-}
-
-fn val(n: u64) -> Value {
-    Value::copy_from_slice(format!("v{n}").as_bytes())
-}
-
-fn counter_sum(counters: &[MetricSample], name: &str) -> u64 {
-    counters
-        .iter()
-        .filter(|s| s.name == name)
-        .map(|s| s.value)
-        .sum()
-}
-
-fn run_leg(name: &'static str, isolation: IsolationLevel, live: bool) -> LegResult {
-    let mut config = SimConfig::instant();
-    // Version-chain GC cadence keeps chains short and — under SSI — is
-    // the tick that retires committed SIREAD entries at the safe-ts
-    // watermark, so retention bookkeeping runs *during* the window.
-    config.hot_path.gc_interval = Duration::from_millis(5);
-    // Stretch the copy enough that the live legs' migration spans a
-    // measurable slice of the window (shard 0 holds ~512 keys).
-    config.snapshot_copy_per_tuple = Duration::from_micros(50);
-    let cluster = ClusterBuilder::new(PRIMARIES as usize)
-        .cc_mode(EngineKind::Remus.cc_mode())
-        .oracle(OracleKind::Gts)
-        .config(config)
-        .isolation(isolation)
-        .build();
-    cluster.start_maintenance(Duration::from_millis(20));
-    let layout = cluster.create_table(TableId(1), 0, SHARDS, |i| NodeId(i % PRIMARIES));
-    let seeder = Session::connect(&cluster, NodeId(0));
-    for chunk in (0..KEYS).collect::<Vec<_>>().chunks(64) {
-        seeder
-            .run(|t| {
-                for &k in chunk {
-                    t.insert(&layout, k, val(k))?;
-                }
-                Ok(())
-            })
-            .expect("seeding failed");
-    }
-
-    // The workload: read a handful of hot keys, then update one of them.
-    // Overlapping read/write sets across 8 concurrent clients form rw
-    // antidependencies constantly; under SSI some commits complete a
-    // dangerous structure and pay the tax as `DbError::SsiAbort`.
-    let fleet = OpenLoopEngine::start(
-        &cluster,
-        EngineConfig::open_loop(
-            CLIENTS,
-            WORKERS,
-            Pacing::Poisson { mean: ARRIVAL_MEAN },
-            SEED,
-        ),
-        Arc::new(
-            move |_c: remus_common::ClientId,
-                  t: &mut remus_cluster::SessionTxn<'_>,
-                  rng: &mut SmallRng| {
-                let base = rng.gen_range(0..HOT_KEYS);
-                for i in 0..READS_PER_TXN as u64 {
-                    t.read(&layout, (base + i * 17) % HOT_KEYS)?;
-                }
-                let k = (base + 1) % HOT_KEYS;
-                t.update(&layout, k, val(k))?;
-                Ok(())
-            },
-        ),
-    );
-    let metrics = Arc::clone(&fleet.metrics);
-    std::thread::sleep(WARMUP);
-
-    // The live legs migrate shard 0 between the primaries mid-window;
-    // the steady legs idle for a comparable slice so every leg's clock
-    // covers the same schedule.
-    let mut migration = remus_core::MigrationReport::new(EngineKind::Remus.name());
-    if live {
-        metrics.set_migration_active(true);
-        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-        migration = EngineKind::Remus
-            .engine()
-            .migrate(&cluster, &task)
-            .expect("migration failed");
-        metrics.set_migration_active(false);
-    } else {
-        std::thread::sleep(COOLDOWN);
-    }
-    std::thread::sleep(COOLDOWN);
-
-    let report = fleet.stop();
-    let scenario = finish(EngineKind::Remus, &metrics, migration, &cluster);
-    let counters = &scenario.counters;
-    cluster.stop_maintenance();
-
-    let tps = report.delivered_rate();
-    // CO-safe tail: the migration-window buckets for the live legs, the
-    // normal buckets otherwise (steady legs never enter the window).
-    let p99 = if live {
-        report.metrics.latency_migration.percentile(0.99)
-    } else {
-        report.metrics.latency_normal.percentile(0.99)
-    };
-    let ssi_aborts = counter_sum(counters, "txn.ssi_aborts");
-    let rw_edges = counter_sum(counters, "txn.rw_edges");
-    if live {
-        assert!(
-            report.metrics.latency_migration.count() > 0,
-            "{name}: no commits landed during the migration window"
-        );
-    }
-    match isolation {
-        IsolationLevel::Serializable => assert!(
-            rw_edges > 0,
-            "{name}: serializable leg raised no rw edges — SSI never armed"
-        ),
-        IsolationLevel::SnapshotIsolation => assert_eq!(
-            rw_edges, 0,
-            "{name}: SI leg raised rw edges — isolation knob leaked"
-        ),
-    }
-    println!(
-        "{name}\tdelivered/s={tps:.0}\tco_p99_us={}\tssi_aborts={ssi_aborts}\trw_edges={rw_edges}",
-        p99.as_micros()
-    );
-
-    LegResult {
-        name,
-        isolation,
-        live,
-        tps,
-        p99_us: p99.as_micros() as u64,
-        ssi_aborts,
-        rw_edges,
-        scenario,
-    }
-}
-
-fn tax_row(leg: &LegResult, baseline: f64) -> Vec<String> {
-    let s = &leg.scenario;
-    let attempts = s.commits + s.migration_aborts + s.ww_aborts + s.other_aborts;
-    vec![
-        leg.name.to_string(),
-        match leg.isolation {
-            IsolationLevel::SnapshotIsolation => "si".to_string(),
-            IsolationLevel::Serializable => "ssi".to_string(),
-        },
-        if leg.live { "live" } else { "steady" }.to_string(),
-        format!("{:.0}", leg.tps),
-        format!("{}", leg.p99_us),
-        format!("{}", leg.ssi_aborts),
-        format!("{}", leg.rw_edges),
-        format!("{:.4}", leg.ssi_aborts as f64 / (attempts as f64).max(1.0)),
-        format!("{:.2}x", leg.tps / baseline.max(1e-9)),
-    ]
-}
-
-fn main() {
-    let path = json_path_arg().unwrap_or_else(|| PathBuf::from("BENCH_ssi.json"));
-    println!(
-        "# bench_ssi — {CLIENTS} open-loop clients on {WORKERS} workers, \
-         {READS_PER_TXN} reads + 1 update over {HOT_KEYS} hot keys, \
-         Poisson mean {ARRIVAL_MEAN:?}/client"
-    );
-    let legs = [
-        run_leg("si-steady", IsolationLevel::SnapshotIsolation, false),
-        run_leg("ssi-steady", IsolationLevel::Serializable, false),
-        run_leg("si-live", IsolationLevel::SnapshotIsolation, true),
-        run_leg("ssi-live", IsolationLevel::Serializable, true),
-    ];
-    let si_steady = legs[0].tps;
-    let si_live = legs[2].tps;
-    println!(
-        "ssi tax: steady retention {:.2}x, live retention {:.2}x",
-        legs[1].tps / si_steady.max(1e-9),
-        legs[3].tps / si_live.max(1e-9),
-    );
-
-    let mut report = BenchReport::new("bench_ssi", "ssi-tax");
-    for leg in &legs {
-        report
-            .scenarios
-            .push(ScenarioReport::from_result(leg.name, &leg.scenario));
-    }
-    // Every ssi leg's counters must surface the SSI series in the JSON
-    // artifact — the archived evidence the tax numbers are drawn from.
-    for scenario in &report.scenarios {
-        if scenario.name.starts_with("ssi") {
-            for series in ["txn.ssi_aborts", "txn.rw_edges", "txn.siread_entries"] {
-                assert!(
-                    scenario.counters.iter().any(|c| c.name == series),
-                    "{}: report carries no {series} sample",
-                    scenario.name
-                );
-            }
-        }
-    }
-    report.tables.push(TableSection::new(
-        "ssi tax",
-        &[
+/// What `bench_ssi` reports. A leg's parameters are its isolation level
+/// and whether a live migration crosses its window; retention is taken
+/// against the si leg of the same kind.
+pub(crate) fn bench() -> Bench<(IsolationLevel, bool)> {
+    let leg = |name, params, baseline| Leg::new(name, name, params).versus(baseline);
+    Bench {
+        scale_label: Some("ssi-tax"),
+        default_json: Some("BENCH_ssi.json"),
+        table: "ssi tax",
+        headers: &[
             "leg",
             "isolation",
             "migration",
@@ -289,13 +86,116 @@ fn main() {
             "ssi_abort_rate",
             "retention",
         ],
-        legs.iter()
-            .map(|leg| {
-                let baseline = if leg.live { si_live } else { si_steady };
-                tax_row(leg, baseline)
-            })
-            .collect(),
-    ));
-    report.write(&path).expect("writing JSON report failed");
-    gate::enforce(&report);
+        legs: vec![
+            leg("si-steady", (SnapshotIsolation, false), "si-steady"),
+            leg("ssi-steady", (Serializable, false), "si-steady"),
+            leg("si-live", (SnapshotIsolation, true), "si-live"),
+            leg("ssi-live", (Serializable, true), "si-live"),
+        ],
+        ..Bench::new(
+            "bench_ssi",
+            "bench_ssi — open-loop read-modify-write over hot keys, SI vs serializable",
+        )
+    }
+}
+
+fn run_leg(leg: &Leg<(IsolationLevel, bool)>) -> LegOutcome {
+    let (isolation, live) = leg.params;
+    let name = leg.scenario;
+    let mut config = SimConfig {
+        // Stretch the copy enough that the live legs' migration spans a
+        // measurable slice of the window (shard 0 holds ~512 keys).
+        snapshot_copy_per_tuple: Duration::from_micros(50),
+        isolation,
+        ..SimConfig::instant()
+    };
+    // Version-chain GC cadence keeps chains short and — under SSI — is
+    // the tick that retires committed SIREAD entries at the safe-ts
+    // watermark, so retention bookkeeping runs *during* the window.
+    config.hot_path.gc_interval = Duration::from_millis(5);
+    let nodes = PRIMARIES as usize;
+    let rig = Rig::build(nodes, leg.engine, Oracle::Gts, config, Maintenance::GcOnly);
+    let value = |k: u64| Value::copy_from_slice(format!("v{k}").as_bytes());
+    let layout = rig.seed_table(SHARDS, |i| NodeId(i % PRIMARIES), |_| 0..KEYS);
+
+    // The workload: read a handful of hot keys, then update one of them.
+    // Overlapping read/write sets across 8 concurrent clients form rw
+    // antidependencies constantly; under SSI some commits complete a
+    // dangerous structure and pay the tax as `DbError::SsiAbort`.
+    let workload = move |_c: remus_common::ClientId,
+                         t: &mut remus_cluster::SessionTxn<'_>,
+                         rng: &mut SmallRng| {
+        let base = rng.gen_range(0..HOT_KEYS);
+        for i in 0..READS_PER_TXN as u64 {
+            t.read(&layout, (base + i * 17) % HOT_KEYS)?;
+        }
+        let k = (base + 1) % HOT_KEYS;
+        t.update(&layout, k, value(k))
+    };
+    let pacing = Pacing::Poisson { mean: ARRIVAL_MEAN };
+    let config = EngineConfig::open_loop(CLIENTS, WORKERS, pacing, SEED);
+    let fleet = OpenLoopEngine::start(&rig.cluster, config, Arc::new(workload));
+    std::thread::sleep(WARMUP);
+
+    // The live legs migrate shard 0 between the primaries mid-window;
+    // the steady legs idle for a comparable slice so every leg's clock
+    // covers the same schedule.
+    let migration = if live {
+        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
+        rig.migrate_marked(&fleet.metrics, "handover", &[task])
+    } else {
+        std::thread::sleep(COOLDOWN);
+        MigrationReport::new(leg.engine.name())
+    };
+    std::thread::sleep(COOLDOWN);
+
+    let report = fleet.stop();
+    let scenario = rig.finish(name, &report.metrics, &migration);
+    let tps = report.delivered_rate();
+    // CO-safe tail: the migration-window buckets for the live legs, the
+    // normal buckets otherwise (steady legs never enter the window).
+    let latency = if live {
+        &report.metrics.latency_migration
+    } else {
+        &report.metrics.latency_normal
+    };
+    assert!(
+        latency.count() > 0,
+        "{name}: no commits landed in the measured window"
+    );
+    let ssi_aborts = scenario.counter_sum("txn.ssi_aborts");
+    let rw_edges = scenario.counter_sum("txn.rw_edges");
+    // Armed-checks: the subsystem demonstrably ran (or stayed off), and an
+    // ssi leg's record surfaces the SSI series in the JSON artifact — the
+    // archived evidence the tax numbers are drawn from.
+    if isolation == Serializable {
+        assert!(rw_edges > 0, "{name}: no rw edges — SSI never armed");
+        for series in ["txn.ssi_aborts", "txn.rw_edges", "txn.siread_entries"] {
+            let carried = scenario.counters.iter().any(|c| c.name == series);
+            assert!(carried, "{name}: report carries no {series} sample");
+        }
+    } else {
+        assert_eq!(rw_edges, 0, "{name}: SI leg raised rw edges — knob leaked");
+    }
+    let s = &scenario;
+    let attempts = s.commits + s.migration_aborts + s.ww_aborts + s.other_aborts;
+    // A leg is named after its two axes: `<isolation>-<migration>`.
+    let (isolation, migration_window) = leg.row.split_once('-').expect("leg name");
+    LegOutcome {
+        rows: vec![vec![
+            isolation.to_string(),
+            migration_window.to_string(),
+            format!("{tps:.0}"),
+            latency.percentile(0.99).as_micros().to_string(),
+            ssi_aborts.to_string(),
+            rw_edges.to_string(),
+            format!("{:.4}", ssi_aborts as f64 / (attempts as f64).max(1.0)),
+        ]],
+        scenarios: vec![scenario],
+        measure: Some(tps),
+    }
+}
+
+fn main() {
+    Args::from_process(&[]).run(bench(), |leg, _| run_leg(leg));
 }

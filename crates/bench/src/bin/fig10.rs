@@ -7,63 +7,37 @@
 //! work during replay, and only a handful of WW conflicts between shadow
 //! and destination transactions during dual execution.
 //!
-//! Usage: `cargo run --release -p remus-bench --bin fig10 [--json <path>]`.
+//! Usage: `cargo run --release -p remus-bench --bin fig10 [--scale <preset>] [--json <path>]`.
 
-use remus_bench::report::MigrationSummary;
-use remus_bench::{
-    json_path_arg, print_events, print_series, run_high_contention, BenchReport, Scale,
-    ScenarioReport, TableSection,
-};
+use remus_bench::{print_events, print_series, run_high_contention, Args, Bench, Leg, LegOutcome};
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    println!("# Figure 10 — high-contention YCSB, Remus migrating the hot shard");
-    println!("# scale: {scale:?}");
-    let result = run_high_contention(&scale);
-    print_series("tps", &result.tps);
-    print_events(&result.events);
-    println!("# per-second node work (CPU stand-in) and max version chain");
-    println!("t_s\tsrc_work\tdst_work\tmax_chain");
-    for s in &result.samples {
+    let bench = Bench {
+        // Per-second node work (the CPU stand-in) and the hot shard's
+        // longest version chain: a time series, one row per sample.
+        table: "node work and version chains",
+        headers: &["t_s", "src_work", "dst_work", "max_chain"],
+        legs: vec![Leg::new("high contention", "", ())],
+        ..Bench::new(
+            "fig10",
+            "Figure 10 — high-contention YCSB, Remus migrating the hot shard",
+        )
+    };
+    Args::from_process(&[]).run(bench, |leg, scale| {
+        let (record, samples) = run_high_contention(leg.scenario, scale);
+        print_series("tps", &record.tps);
+        print_events(&record.events);
         println!(
-            "{:.0}\t{}\t{}\t{}",
-            s.t, s.src_work, s.dst_work, s.max_chain
+            "summary\tww_aborts={}\tshadow_vs_dest_ww_conflicts={}\tcopy_s={:.2}\ttotal_s={:.2}",
+            record.ww_aborts,
+            record.migration.validation_conflicts,
+            record.migration.snapshot_us as f64 / 1e6,
+            record.migration.total_us as f64 / 1e6,
         );
-    }
-    println!(
-        "summary\tww_aborts={}\tshadow_vs_dest_ww_conflicts={}\tcopy_s={:.2}\ttotal_s={:.2}",
-        result.ww_aborts,
-        result.shadow_conflicts,
-        result.migration.snapshot_phase.as_secs_f64(),
-        result.migration.total.as_secs_f64(),
-    );
-    if let Some(path) = json_path_arg() {
-        let mut report = BenchReport::new("fig10", &format!("{scale:?}"));
-        report.scenarios.push(ScenarioReport {
-            name: "high contention".to_string(),
-            engine: result.migration.engine.to_string(),
-            ww_aborts: result.ww_aborts,
-            tps: result.tps.clone(),
-            events: result.events.clone(),
-            migration: MigrationSummary::from_report(&result.migration),
-            ..Default::default()
-        });
-        report.tables.push(TableSection::new(
-            "node work and version chains",
-            &["t_s", "src_work", "dst_work", "max_chain"],
-            result
-                .samples
-                .iter()
-                .map(|s| {
-                    vec![
-                        format!("{:.0}", s.t),
-                        s.src_work.to_string(),
-                        s.dst_work.to_string(),
-                        s.max_chain.to_string(),
-                    ]
-                })
-                .collect(),
-        ));
-        report.write(&path).expect("writing JSON report failed");
-    }
+        LegOutcome {
+            scenarios: vec![record],
+            rows: samples,
+            measure: None,
+        }
+    });
 }

@@ -7,17 +7,16 @@
 //! flight; Squall collapses during batches (partition locks) and keeps
 //! fluctuating afterwards (pull blocking).
 //!
-//! Usage: `cargo run --release -p remus-bench --bin fig6 [engine] [--json <path>]`
-//! with `REMUS_SCALE=quick|default|full`.
+//! Usage: `cargo run --release -p remus-bench --bin fig6 [engine] [--scale <preset>] [--json <path>]`
+//! (or `REMUS_SCALE=quick|default|full|paper`).
 
-use remus_bench::{figure_main, run_hybrid_a, EngineKind};
+use remus_bench::{figure_main, EngineKind, Figure};
 
 fn main() {
     figure_main(
         "fig6",
         "Figure 6 — YCSB throughput, hybrid workload A, consolidation",
-        "hybrid A",
+        Figure::HybridA,
         &EngineKind::all(),
-        run_hybrid_a,
     );
 }

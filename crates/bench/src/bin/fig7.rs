@@ -8,14 +8,13 @@
 //!
 //! Usage: `cargo run --release -p remus-bench --bin fig7 [engine] [--json <path>]`.
 
-use remus_bench::{figure_main, run_hybrid_b, EngineKind};
+use remus_bench::{figure_main, EngineKind, Figure};
 
 fn main() {
     figure_main(
         "fig7",
         "Figure 7 — YCSB throughput, hybrid workload B, consolidation",
-        "hybrid B",
+        Figure::HybridB,
         &EngineKind::all(),
-        run_hybrid_b,
     );
 }

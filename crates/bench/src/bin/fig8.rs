@@ -7,14 +7,13 @@
 //!
 //! Usage: `cargo run --release -p remus-bench --bin fig8 [engine] [--json <path>]`.
 
-use remus_bench::{figure_main, run_load_balance, EngineKind};
+use remus_bench::{figure_main, EngineKind, Figure};
 
 fn main() {
     figure_main(
         "fig8",
         "Figure 8 — YCSB throughput during load balancing (skewed)",
-        "load balancing",
+        Figure::LoadBalance,
         &EngineKind::all(),
-        run_load_balance,
     );
 }

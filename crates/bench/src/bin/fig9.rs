@@ -9,14 +9,13 @@
 //!
 //! Usage: `cargo run --release -p remus-bench --bin fig9 [engine] [--json <path>]`.
 
-use remus_bench::{figure_main, run_scale_out, EngineKind};
+use remus_bench::{figure_main, EngineKind, Figure};
 
 fn main() {
     figure_main(
         "fig9",
         "Figure 9 — TPC-C throughput during scale-out",
-        "scale-out",
+        Figure::ScaleOut,
         &EngineKind::push_engines(),
-        run_scale_out,
     );
 }

@@ -6,48 +6,40 @@
 //! migrated ranges on the source; Remus and wait-and-remaster abort none
 //! and keep ingestion throughput steady.
 //!
-//! Usage: `cargo run --release -p remus-bench --bin table2 [--json <path>]`.
+//! Usage: `cargo run --release -p remus-bench --bin table2 [engine] [--scale <preset>] [--json <path>]`.
 
-use remus_bench::{
-    json_path_arg, print_table, run_hybrid_a, BenchReport, EngineKind, Scale, ScenarioReport,
-    TableSection,
-};
+use remus_bench::{run_figure, Args, Bench, EngineKind, Figure, Leg, LegOutcome, Side};
 
 fn main() {
-    let scale = Scale::from_args_or_env();
-    println!("# Table 2 — batch insert throughput (tuples/s) under hybrid workload A");
-    println!("# scale: {scale:?}");
-    let mut report = BenchReport::new("table2", &format!("{scale:?}"));
-    let mut rows = Vec::new();
-    for kind in EngineKind::all() {
-        let result = run_hybrid_a(kind, &scale);
-        let batch = result.batch.as_ref().expect("hybrid A has a batch report");
-        rows.push(vec![
-            result.engine.to_string(),
-            format!("{:.0}%", batch.abort_ratio * 100.0),
-            format!(
-                "{:.0}/{:.0}",
-                result.batch_tps_during, result.batch_tps_before
-            ),
-            format!("{:.1}", batch.elapsed.as_secs_f64()),
-        ]);
-        report
-            .scenarios
-            .push(ScenarioReport::from_result("hybrid A", &result));
-    }
-    let table = TableSection::new(
-        "batch ingestion during consolidation",
-        &[
+    let scenario = Figure::HybridA.scenario();
+    let leg = |engine: EngineKind| Leg::new(scenario, engine.name(), ()).engine(engine);
+    let bench = Bench {
+        table: "batch ingestion during consolidation",
+        headers: &[
             "engine",
             "abort_ratio",
             "tuples_per_s during/before",
             "ingestion_s",
         ],
-        rows,
-    );
-    print_table(&table);
-    report.tables.push(table);
-    if let Some(path) = json_path_arg() {
-        report.write(&path).expect("writing JSON report failed");
-    }
+        legs: EngineKind::all().map(leg).into(),
+        ..Bench::new(
+            "table2",
+            "Table 2 — batch insert throughput (tuples/s) under hybrid workload A",
+        )
+    };
+    Args::from_process(&[]).run(bench, |leg, scale| {
+        let (record, side) = run_figure(Figure::HybridA, leg.engine, scale);
+        let Side::Batch { report, tps } = side else {
+            panic!("hybrid A has a batch report, got {side:?}");
+        };
+        LegOutcome {
+            scenarios: vec![record],
+            rows: vec![vec![
+                format!("{:.0}%", report.abort_ratio * 100.0),
+                format!("{:.0}/{:.0}", tps.1, tps.0),
+                format!("{:.1}", report.elapsed.as_secs_f64()),
+            ]],
+            measure: None,
+        }
+    });
 }

@@ -8,15 +8,12 @@
 //! [`remus_common::Json`], so CI can archive the artifact, diff two runs,
 //! and gate on regressions without scraping stdout.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use remus_common::metrics::MetricSample;
 use remus_common::Json;
 use remus_core::trace::MigrationTrace;
 use remus_core::MigrationReport;
-
-use crate::harness::ScenarioResult;
 
 /// Version of the JSON layout. Bump on breaking changes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -159,7 +156,8 @@ impl CounterReport {
     }
 }
 
-/// One scenario run (one engine through one workload).
+/// One scenario run (one engine through one workload) — what
+/// [`crate::harness::Rig::finish`] collects and the document serialises.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioReport {
     /// Scenario label, e.g. `"hybrid A"` or `"smoke"`.
@@ -189,26 +187,11 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Converts a harness result.
-    pub fn from_result(name: &str, result: &ScenarioResult) -> ScenarioReport {
-        ScenarioReport {
-            name: name.to_string(),
-            engine: result.engine.to_string(),
-            commits: result.commits,
-            migration_aborts: result.migration_aborts,
-            ww_aborts: result.ww_aborts,
-            other_aborts: result.other_aborts,
-            base_latency_us: result.base_latency.as_micros() as u64,
-            latency_increase_us: result.latency_increase.as_micros() as u64,
-            tps: result.tps.clone(),
-            events: result.events.clone(),
-            migration: MigrationSummary::from_report(&result.migration),
-            counters: result
-                .counters
-                .iter()
-                .map(CounterReport::from_sample)
-                .collect(),
-        }
+    /// The sum of the samples named `name` over all their label sets
+    /// (zero when the run recorded none).
+    pub fn counter_sum(&self, name: &str) -> u64 {
+        let named = self.counters.iter().filter(|c| c.name == name);
+        named.map(|c| c.value).sum()
     }
 }
 
@@ -309,15 +292,6 @@ impl BenchReport {
         eprintln!("wrote {}", path.display());
         Ok(())
     }
-}
-
-/// Scans the process arguments for `--json <path>`.
-pub fn json_path_arg() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
 }
 
 fn labels_to_json(labels: &[(String, String)]) -> Json {
@@ -710,21 +684,5 @@ mod tests {
         let report = sample_report();
         let trace = &report.scenarios[0].migration.traces[0];
         assert_eq!(trace.root_phases(), vec!["snapshot_copy"]);
-    }
-
-    #[test]
-    fn scenario_report_converts_a_harness_result() {
-        let mut result = ScenarioResult {
-            engine: "remus",
-            commits: 10,
-            ..Default::default()
-        };
-        result.migration.engine = "remus";
-        result.tps = vec![5.0];
-        let scenario = ScenarioReport::from_result("smoke", &result);
-        assert_eq!(scenario.name, "smoke");
-        assert_eq!(scenario.engine, "remus");
-        assert_eq!(scenario.commits, 10);
-        assert_eq!(scenario.migration.engine, "remus");
     }
 }

@@ -1,19 +1,20 @@
 //! Benchmark scale presets.
 //!
 //! The paper runs on six 64-vCPU servers with 100 M tuples and 400–480
-//! clients; the simulation runs wherever `cargo` does. Three presets trade
+//! clients; the simulation runs wherever `cargo` does. Four presets trade
 //! fidelity for wall time; all keep the paper's *structure* (six nodes,
 //! shards per node, migrations per scenario, transaction mixes) and shrink
 //! only the constants.
 
 use std::time::Duration;
 
+/// Nodes in the cluster of every preset-scaled run (paper: 6).
+pub const NODES: usize = 6;
+
 /// Dimensions for the scenario runners.
 #[derive(Debug, Clone)]
 pub struct Scale {
-    /// Nodes in the cluster (paper: 6).
-    pub nodes: usize,
-    /// YCSB shards in total (paper: 360; must be divisible by `nodes`).
+    /// YCSB shards in total (paper: 360; must be divisible by [`NODES`]).
     pub ycsb_shards: u32,
     /// YCSB tuples (paper: 100 M).
     pub ycsb_keys: u64,
@@ -55,21 +56,18 @@ pub struct Scale {
     /// open-loop engine (Poisson pacing): offered load ≈ `clients /
     /// arrival_mean`.
     pub arrival_mean: Duration,
-    /// Bound of each engine worker's arrival queue.
-    pub queue_bound: usize,
 }
 
 impl Scale {
-    /// Smoke-test scale: seconds per scenario.
+    /// Smoke-test scale: seconds per scenario; the default scale's engine
+    /// pool and consolidation group.
     pub fn quick() -> Scale {
         Scale {
-            nodes: 6,
             ycsb_shards: 36,
             ycsb_keys: 6_000,
             value_len: 32,
             clients: 6,
             think: Duration::from_micros(800),
-            consolidation_group: 2,
             batch_size: 15_000,
             batches: 4,
             batch_pause: Duration::from_millis(150),
@@ -79,16 +77,13 @@ impl Scale {
             warehouses: 12,
             tpcc_clients: 6,
             copy_per_tuple: Duration::from_micros(400),
-            workers: 4,
-            arrival_mean: Duration::from_millis(5),
-            queue_bound: 64,
+            ..Scale::default_scale()
         }
     }
 
     /// Default scale: tens of seconds per engine per scenario.
     pub fn default_scale() -> Scale {
         Scale {
-            nodes: 6,
             ycsb_shards: 120,
             ycsb_keys: 24_000,
             value_len: 64,
@@ -106,14 +101,12 @@ impl Scale {
             copy_per_tuple: Duration::from_micros(800),
             workers: 4,
             arrival_mean: Duration::from_millis(5),
-            queue_bound: 64,
         }
     }
 
     /// Closest to the paper's dimensions that a laptop tolerates.
     pub fn full() -> Scale {
         Scale {
-            nodes: 6,
             ycsb_shards: 360,
             ycsb_keys: 100_000,
             value_len: 128,
@@ -131,7 +124,6 @@ impl Scale {
             copy_per_tuple: Duration::from_micros(1000),
             workers: 6,
             arrival_mean: Duration::from_millis(4),
-            queue_bound: 64,
         }
     }
 
@@ -143,27 +135,22 @@ impl Scale {
     /// single-core host sustains while a live migration runs.
     pub fn paper() -> Scale {
         Scale {
-            nodes: 6,
             ycsb_shards: 600,
             ycsb_keys: 10_000_000,
             value_len: 16,
             clients: 240,
-            think: Duration::from_micros(600),
             consolidation_group: 24,
             batch_size: 200_000,
-            batches: 10,
-            batch_pause: Duration::from_millis(500),
-            analytic_hold: Duration::from_secs(8),
             warmup: Duration::from_secs(2),
             cooldown: Duration::from_secs(2),
-            warehouses: 48,
-            tpcc_clients: 16,
             // Copy pacing off: at this size the real copy work *is* the
             // pacing.
             copy_per_tuple: Duration::ZERO,
             workers: 8,
             arrival_mean: Duration::from_millis(120),
-            queue_bound: 64,
+            // The TPC-C side, the ingestion and the analytical hold are
+            // the full preset's.
+            ..Scale::full()
         }
     }
 
@@ -176,39 +163,6 @@ impl Scale {
             "paper" => Some(Scale::paper()),
             _ => None,
         }
-    }
-
-    /// Reads `REMUS_SCALE` (`quick` / `default` / `full` / `paper`).
-    pub fn from_env() -> Scale {
-        std::env::var("REMUS_SCALE")
-            .ok()
-            .and_then(|n| Scale::by_name(&n))
-            .unwrap_or_else(Scale::default_scale)
-    }
-
-    /// The preset from the `--scale <name>` process argument, falling back
-    /// to `REMUS_SCALE`, then to the default. An unknown `--scale` name
-    /// aborts with the list of valid presets rather than silently running
-    /// the wrong size.
-    pub fn from_args_or_env() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        let named = args.iter().position(|a| a == "--scale").map(|i| {
-            args.get(i + 1)
-                .cloned()
-                .unwrap_or_else(|| "<missing>".to_string())
-        });
-        match named {
-            Some(name) => Scale::by_name(&name).unwrap_or_else(|| {
-                eprintln!("unknown --scale '{name}' (quick / default / full / paper)");
-                std::process::exit(2);
-            }),
-            None => Scale::from_env(),
-        }
-    }
-
-    /// YCSB shards initially owned by each node.
-    pub fn shards_per_node(&self) -> u32 {
-        self.ycsb_shards / self.nodes as u32
     }
 }
 
@@ -224,13 +178,12 @@ mod tests {
             Scale::full(),
             Scale::paper(),
         ] {
-            assert_eq!(scale.nodes, 6, "the paper's cluster has six nodes");
             assert_eq!(
-                scale.ycsb_shards % scale.nodes as u32,
+                scale.ycsb_shards % NODES as u32,
                 0,
                 "shards divide evenly across nodes"
             );
-            assert!(scale.shards_per_node() >= 2 * scale.consolidation_group as u32);
+            assert!(scale.ycsb_shards / NODES as u32 >= 2 * scale.consolidation_group as u32);
             assert!(scale.batches > 0 && scale.batch_size > 0);
             assert!(!scale.think.is_zero(), "think is a schedule period");
         }
@@ -256,7 +209,6 @@ mod tests {
             p.workers < p.clients,
             "paper scale multiplexes clients over a bounded pool"
         );
-        assert!(p.queue_bound > 0);
         assert!(!p.arrival_mean.is_zero());
     }
 
@@ -267,13 +219,5 @@ mod tests {
         assert_eq!(Scale::by_name("full").unwrap().ycsb_shards, 360);
         assert_eq!(Scale::by_name("paper").unwrap().ycsb_keys, 10_000_000);
         assert!(Scale::by_name("warp").is_none());
-    }
-
-    #[test]
-    fn env_fallback_is_default() {
-        // (No REMUS_SCALE manipulation here — tests run in parallel; just
-        // exercise the constructor paths.)
-        let s = Scale::default_scale();
-        assert_eq!(s.ycsb_shards, 120);
     }
 }

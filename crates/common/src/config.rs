@@ -285,11 +285,8 @@ pub struct SimConfig {
     /// propagated-but-unapplied changes drops below this threshold
     /// (paper §3.4 "drops below a threshold").
     pub catchup_threshold: usize,
-    /// Per-transaction update cache queues spill to disk above this many
-    /// records (paper §3.3 "allows their change records being spilled to
-    /// disk"). We model the spill with batched reload latency.
-    pub spill_threshold: usize,
-    /// Latency charged when reloading one spilled batch.
+    /// Latency charged when reloading one batch of a per-transaction update
+    /// cache queue that spilled to disk (paper §3.3).
     pub spill_reload_latency: Duration,
     /// Maximum simulated physical clock skew between nodes under DTS
     /// (paper §2.2: NTP/PTP-synchronized clocks; DTS tolerates skew).
@@ -331,7 +328,6 @@ impl SimConfig {
                 gts_lease: 1,
             },
             catchup_threshold: 64,
-            spill_threshold: 4096,
             spill_reload_latency: Duration::ZERO,
             max_clock_skew: Duration::ZERO,
             snapshot_copy_per_tuple: Duration::ZERO,

@@ -13,7 +13,7 @@
 //!
 //! Aborted transactions and transactions committed at or before the
 //! snapshot timestamp have their queues dropped. Queues that spilled past
-//! `SimConfig::spill_threshold` charge the configured reload latency per
+//! `SPILL_THRESHOLD` records charge the configured reload latency per
 //! batch when shipped.
 
 use std::collections::{HashMap, HashSet};
@@ -28,6 +28,12 @@ use remus_wal::{LogOp, Lsn, UpdateCacheQueue, WriteOp};
 
 use crate::mocc::RemusHook;
 use crate::replay::ApplyMsg;
+
+/// Per-transaction update cache queues spill to disk above this many
+/// records (paper §3.3 "allows their change records being spilled to
+/// disk"); the spill is modelled by `SimConfig::spill_reload_latency` per
+/// reloaded batch.
+const SPILL_THRESHOLD: usize = 4096;
 
 /// Counters exposed by the propagation process.
 #[derive(Debug, Default)]
@@ -152,7 +158,6 @@ fn propagate_loop(
 ) {
     let mut reader = source.storage.wal.reader_from(from);
     let mut pending: HashMap<TxnId, PendingTxn> = HashMap::new();
-    let spill_threshold = cluster.config.spill_threshold;
     let spill_latency = cluster.config.spill_reload_latency;
     let drain_batch = cluster.config.parallelism.drain_batch.max(1);
     let batch_len = cluster.metrics.counter("replay.batch_len");
@@ -221,7 +226,7 @@ fn propagate_loop(
                             xid,
                             PendingTxn {
                                 start_ts: *start_ts,
-                                queue: UpdateCacheQueue::new(spill_threshold),
+                                queue: UpdateCacheQueue::new(SPILL_THRESHOLD),
                                 validated: false,
                             },
                         );
@@ -240,7 +245,7 @@ fn propagate_loop(
                             if !p.queue.is_empty() && hook.is_sync_txn(xid) {
                                 let queue = std::mem::replace(
                                     &mut p.queue,
-                                    UpdateCacheQueue::new(spill_threshold),
+                                    UpdateCacheQueue::new(SPILL_THRESHOLD),
                                 );
                                 let batches = queue.spill_batches(256);
                                 p.validated = true;
