@@ -42,9 +42,10 @@ use remus_clock::{
 };
 use remus_cluster::{Cluster, ClusterBuilder, ReplicaSession, Session};
 use remus_common::{
-    IsolationLevel, NodeId, PlannerConfig, ShardId, SimConfig, TableId, Timestamp, TxnId, WalConfig,
+    DbError, IsolationLevel, NodeId, PlannerConfig, ShardId, SimConfig, TableId, Timestamp, TxnId,
+    WalConfig,
 };
-use remus_core::diversion::{run_tm_chaos, TmOutcome};
+use remus_core::diversion::run_tm;
 use remus_core::recovery::{recover_migration, RecoveryDecision};
 use remus_core::snapshot::copy_task_snapshots;
 use remus_core::trace::expected_phases;
@@ -285,11 +286,7 @@ impl Rig {
                 observed,
             })
         };
-        let Ok(reads) = keys
-            .into_iter()
-            .map(read)
-            .collect::<Result<_, remus_common::DbError>>()
-        else {
+        let Ok(reads) = keys.into_iter().map(read).collect::<Result<_, DbError>>() else {
             return false;
         };
         drop(txn);
@@ -586,16 +583,15 @@ impl<'a> Lab<'a> {
                 // recover, then run traffic against the recovered cluster.
                 phase(1);
                 copy_snapshot();
-                let injector = rig.cluster.fault_injector().expect("armed");
-                let tm_cts = match run_tm_chaos(&rig.cluster, &task, &*injector).expect("tm chaos")
-                {
-                    TmOutcome::Committed(ts) => Some(ts),
-                    TmOutcome::Crashed(xid) => {
+                let tm_cts = match run_tm(&rig.cluster, &task, true) {
+                    Ok(ts) => Some(ts),
+                    Err(DbError::InDoubt(xid)) => {
                         match recover_migration(&rig.cluster, &task, xid).expect("recovery") {
                             RecoveryDecision::RolledForward(ts) => Some(ts),
                             RecoveryDecision::RolledBack => None,
                         }
                     }
+                    Err(e) => panic!("T_m of the crash drill failed: {e:?}"),
                 };
                 self.note_migration(&task, tm_cts.is_some(), tm_cts);
                 phase(100);

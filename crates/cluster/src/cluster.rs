@@ -619,12 +619,24 @@ impl Cluster {
         self.fault_injector.read().clone()
     }
 
-    /// Decides the fault action for one visit of `point` on `node`:
-    /// [`FaultAction::Continue`] when no injector is installed.
+    /// The one seam helper: decides the fault action for one visit of
+    /// `point` on `node` and serves a `Delay` where it is decided. What
+    /// comes back is [`FaultAction::Continue`] (no injector, no fault, or
+    /// the delay already slept), `Fail` or `Crash` — and what those two
+    /// mean is the seam's business (see [`InjectionPoint`]).
     pub fn fault_at(&self, point: InjectionPoint, node: NodeId) -> FaultAction {
-        match &*self.fault_injector.read() {
+        // Decided in a statement of its own: the sleep must not hold the
+        // injector lock against `install_fault_injector`.
+        let action = match &*self.fault_injector.read() {
             Some(injector) => injector.decide(point, node),
             None => FaultAction::Continue,
+        };
+        match action {
+            FaultAction::Delay(d) => {
+                std::thread::sleep(d);
+                FaultAction::Continue
+            }
+            decided => decided,
         }
     }
 
@@ -940,10 +952,15 @@ mod tests {
 
     #[test]
     fn fault_at_defaults_to_continue_and_respects_installed_injector() {
-        struct AlwaysFail;
-        impl FaultInjector for AlwaysFail {
-            fn decide(&self, _p: InjectionPoint, _n: NodeId) -> FaultAction {
-                FaultAction::Fail
+        /// Fails the copy and delays everything else.
+        struct FailCopy;
+        impl FaultInjector for FailCopy {
+            fn decide(&self, p: InjectionPoint, _n: NodeId) -> FaultAction {
+                if p == InjectionPoint::SnapshotCopy {
+                    FaultAction::Fail
+                } else {
+                    FaultAction::Delay(Duration::from_millis(5))
+                }
             }
         }
         let c = cluster(1);
@@ -951,12 +968,19 @@ mod tests {
             c.fault_at(InjectionPoint::SnapshotCopy, NodeId(0)),
             FaultAction::Continue
         );
-        c.install_fault_injector(Arc::new(AlwaysFail));
+        c.install_fault_injector(Arc::new(FailCopy));
         assert!(c.fault_injector().is_some());
         assert_eq!(
             c.fault_at(InjectionPoint::SnapshotCopy, NodeId(0)),
             FaultAction::Fail
         );
+        // A delay is slept here and comes back as `Continue`.
+        let t0 = std::time::Instant::now();
+        assert_eq!(
+            c.fault_at(InjectionPoint::SyncBarrier, NodeId(0)),
+            FaultAction::Continue
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(5));
         c.uninstall_fault_injector();
         assert_eq!(
             c.fault_at(InjectionPoint::SnapshotCopy, NodeId(0)),

@@ -216,8 +216,7 @@ impl<'s> SessionTxn<'s> {
         Ok(node)
     }
 
-    fn lock_shard(&mut self, shard: ShardId, mode: LockMode) -> DbResult<()> {
-        let _ = mode;
+    fn lock_shard(&mut self, shard: ShardId) -> DbResult<()> {
         if self.session.cluster.cc_mode == CcMode::ShardLock {
             // H-store partitions execute single-threaded: every statement
             // takes the partition (shard) lock exclusively, reads included.
@@ -256,7 +255,7 @@ impl<'s> SessionTxn<'s> {
         key: Key,
     ) -> DbResult<Option<Value>> {
         let shard = layout.shard_for(sharding_key);
-        self.lock_shard(shard, LockMode::Shared)?;
+        self.lock_shard(shard)?;
         if let Some(replica) = self.offload_target(shard) {
             // Watermark-safe replica offload: every commit at or below our
             // snapshot is applied on the replica, and this transaction has
@@ -385,7 +384,7 @@ impl<'s> SessionTxn<'s> {
         op: impl FnOnce(&mut Txn, &Arc<remus_txn::NodeStorage>, ShardId) -> DbResult<()>,
     ) -> DbResult<()> {
         let shard = layout.shard_for(sharding_key);
-        self.lock_shard(shard, LockMode::Exclusive)?;
+        self.lock_shard(shard)?;
         let node = self.route_for(shard)?;
         if let Some(hook) = self.session.cluster.access_hook() {
             hook.before_access(node.id(), shard, key, true, self.txn.xid)?;
@@ -401,7 +400,7 @@ impl<'s> SessionTxn<'s> {
     pub fn scan_table(&mut self, layout: &TableLayout) -> DbResult<Vec<(Key, Value)>> {
         let mut out = Vec::new();
         for shard in layout.shard_ids() {
-            self.lock_shard(shard, LockMode::Shared)?;
+            self.lock_shard(shard)?;
             let node = self.route_for(shard)?;
             if let Some(hook) = self.session.cluster.access_hook() {
                 hook.before_scan(node.id(), shard, self.txn.xid)?;

@@ -56,6 +56,11 @@ pub enum DbError {
     Migration(String),
     /// A node is unreachable / crashed in the failure-injection harness.
     NodeUnavailable(NodeId),
+    /// The coordinator "crashed" (an injected [`crate::FaultAction::Crash`])
+    /// between two steps of this transaction's two-phase commit and cleaned
+    /// nothing up: the transaction is in doubt until recovery decides it by
+    /// the 2PC rule — committed iff some participant entered phase two.
+    InDoubt(TxnId),
     /// Waited too long (lock wait or prepare-wait in tests with injected
     /// failures).
     Timeout(&'static str),
@@ -110,6 +115,7 @@ impl fmt::Display for DbError {
             DbError::DuplicateKey => write!(f, "duplicate key violates unique constraint"),
             DbError::Migration(msg) => write!(f, "migration error: {msg}"),
             DbError::NodeUnavailable(n) => write!(f, "{n} unavailable"),
+            DbError::InDoubt(txn) => write!(f, "coordinator crashed mid-2PC: {txn} is in doubt"),
             DbError::Timeout(what) => write!(f, "timed out waiting for {what}"),
             DbError::WalCorrupt(msg) => write!(f, "WAL corrupt: {msg}"),
             DbError::Internal(msg) => write!(f, "internal error: {msg}"),

@@ -5,7 +5,19 @@
 //! destination-side MOCC validation, replay apply, propagation shipping, the
 //! sync-mode barrier, snapshot copy). With no injector installed every call
 //! resolves to [`FaultAction::Continue`] and the hot path costs one relaxed
-//! read-lock acquisition.
+//! read-lock acquisition. The `T_m` points are seams of the one two-phase
+//! commit there is (`remus_txn::commit_txn`), visited only by a transaction
+//! that carries a fault decision — the handover transaction every migration
+//! engine, the chaos crash drill and the recovery tests run
+//! (`remus_core::diversion::run_tm`); a session's commit visits none. Each
+//! `Tm*` variant carries its row of the action table.
+//!
+//! `Crash` makes the commit return `DbError::InDoubt` with the xid and clean
+//! nothing up (the read-through windows stay open too): recovery decides. It
+//! is honoured for the drill only — a live engine proceeds past it. `Delay`
+//! sleeps and proceeds, here as at every point: it is slept where it is
+//! decided (`Cluster::fault_at`), so a seam only ever sees continue, fail or
+//! crash.
 //!
 //! The chaos harness (`remus-chaos`) installs a seeded, deterministic
 //! injector; unit tests install hand-built ones. Injectors must not consult
@@ -20,8 +32,8 @@ use crate::ids::NodeId;
 /// A named seam in the migration/commit pipeline where a fault can fire.
 ///
 /// The set is deliberately small and stable: each variant corresponds to one
-/// call site in `remus-core` (or `remus-txn` by way of the chaos T_m driver),
-/// documented on the variant.
+/// call site in `remus-core` (or, for the `Tm*` points, in `remus-txn`'s
+/// `commit_txn`), documented on the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InjectionPoint {
     /// Before the bulk snapshot copy of the migrating shards starts, in the
@@ -51,16 +63,20 @@ pub enum InjectionPoint {
     /// shadow prepared but before the ack reaches the source; `Fail` forces
     /// a validation failure.
     MoccValidation,
-    /// In the chaos T_m driver, before any participant prepared.
+    /// In `T_m`'s two-phase commit, before any participant prepared. `Fail`
+    /// aborts `T_m`; `Crash` leaves it in progress everywhere.
     TmBeforePrepare,
-    /// In the chaos T_m driver, after every participant prepared but before
-    /// a commit timestamp was chosen.
+    /// In `T_m`'s two-phase commit, after every participant prepared but
+    /// before a commit timestamp was chosen. `Fail` rolls every participant
+    /// back; `Crash` leaves them prepared with no decision persisted.
     TmAfterPrepare,
-    /// In the chaos T_m driver, after the commit timestamp was chosen but
-    /// before any participant committed.
+    /// In `T_m`'s two-phase commit, after the commit timestamp was chosen
+    /// but before any participant committed: past the point of no return,
+    /// so only `Delay` and `Crash` (still rolled back) are expressible.
     TmBeforeCommit,
-    /// In the chaos T_m driver, after exactly one (non-coordinator)
-    /// participant committed. `Crash` here must roll forward on recovery.
+    /// In `T_m`'s two-phase commit, after exactly one participant (the
+    /// first the transaction wrote on) committed. `Crash` here must roll
+    /// forward on recovery.
     TmAfterFirstCommit,
     /// In the chaos restart driver: a node's process-level state is dropped
     /// at a seeded stage of the migration and the node is rebuilt from its
@@ -122,6 +138,8 @@ impl fmt::Display for InjectionPoint {
 /// Not every point honors every action; the per-variant docs on
 /// [`InjectionPoint`] say which are meaningful. Points ignore actions they
 /// cannot express (e.g. `Crash` at a pure-delay seam degrades to `Continue`).
+/// A seam never sees `Delay`: the cluster's seam helper sleeps it on the
+/// spot and hands back `Continue`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// No fault: proceed normally.

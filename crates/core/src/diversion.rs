@@ -2,285 +2,148 @@
 //!
 //! `T_m` is an ordinary distributed transaction that updates the migrating
 //! shards' rows in the shard map table *on every node* and commits through
-//! 2PC. Its commit timestamp becomes the ordering barrier of Theorem 3.1:
-//! transactions with `start_ts < T_m.commit_ts` keep routing to the source,
-//! later ones to the destination. The cache-read-through window is opened
-//! on every node before `T_m` executes and closed (with an epoch bump)
-//! after it commits, so no coordinator can route a post-`T_m` transaction
-//! from a stale cache entry.
+//! the database's own 2PC — [`remus_txn::commit_txn`], the same function a
+//! session commits through. Its commit timestamp becomes the ordering
+//! barrier of Theorem 3.1: transactions with `start_ts < T_m.commit_ts` keep
+//! routing to the source, later ones to the destination. The
+//! cache-read-through window is opened on every node before `T_m` executes
+//! and closed (with an epoch bump) after it resolves, so no coordinator can
+//! route a post-`T_m` transaction from a stale cache entry.
+//!
+//! [`run_tm`] is the only `T_m` there is: every engine's handover, the chaos
+//! lab's `CrashTm` drill and the recovery tests run it, and it hands the
+//! cluster's fault injector to the commit protocol, so what is failed,
+//! delayed or crashed at the four `Tm*` seams is the 2PC a migration runs
+//! (the action table is on [`remus_txn::commit`]).
 
 use std::sync::Arc;
 
 use remus_cluster::Cluster;
-use remus_common::fault::{FaultAction, FaultInjector, InjectionPoint};
-use remus_common::{DbError, DbResult, Timestamp, TxnId};
+use remus_common::fault::FaultAction;
+use remus_common::{DbError, DbResult, ShardId, Timestamp};
 use remus_shard::{encode_owner, SHARD_MAP_SHARD};
-use remus_txn::{
-    abort_txn, commit_prepared, commit_txn, prepare_participant, rollback_prepared, Txn,
-};
+use remus_txn::{abort_txn, commit_txn, Txn};
 
 use crate::report::MigrationTask;
 
+/// The read-through windows of the migrating shards, open on every node.
+/// Dropping the guard closes them (and bumps the map epoch) whether `T_m`
+/// committed or not — coordinators refresh their caches either way. The
+/// one outcome that leaves them open is an in-doubt `T_m`: nothing of a
+/// crashed coordinator ran to close them, and routing must keep reading
+/// through (and blocking on the prepared rows) until
+/// [`crate::recovery::recover_migration`] has decided and closes them.
+struct ReadThroughWindows<'a> {
+    cluster: &'a Cluster,
+    shards: &'a [ShardId],
+    in_doubt: bool,
+}
+
+impl<'a> ReadThroughWindows<'a> {
+    fn open(cluster: &'a Cluster, shards: &'a [ShardId]) -> Self {
+        for node in cluster.nodes() {
+            node.read_through.mark(shards);
+        }
+        ReadThroughWindows {
+            cluster,
+            shards,
+            in_doubt: false,
+        }
+    }
+}
+
+impl Drop for ReadThroughWindows<'_> {
+    fn drop(&mut self) {
+        if !self.in_doubt {
+            for node in self.cluster.nodes() {
+                node.read_through.clear(self.shards);
+            }
+        }
+    }
+}
+
 /// Executes the ordered-diversion handover for `task`, returning
 /// `T_m.commit_ts`.
-pub fn run_tm(cluster: &Arc<Cluster>, task: &MigrationTask) -> DbResult<Timestamp> {
-    // Open the read-through window on every node before T_m starts.
-    for node in cluster.nodes() {
-        node.read_through.mark(&task.shards);
-    }
-
-    let result = run_tm_inner(cluster, task);
-
-    // Close the window (and bump the map epoch) whether T_m committed or
-    // not: coordinators refresh their caches either way.
-    for node in cluster.nodes() {
-        node.read_through.clear(&task.shards);
+///
+/// The cluster's fault injector decides at the four `Tm*` seams of the
+/// commit, asked as `task.source`. `Delay` and `Fail` are always honoured
+/// (a failed `T_m` is aborted everywhere and the windows are closed). A
+/// scripted `Crash` is honoured only with `crash_drill` set — the chaos
+/// drill and the recovery tests, which follow up with `recover_migration`:
+/// the call then returns [`DbError::InDoubt`] carrying `T_m`'s xid, with
+/// the transaction unresolved and the windows open. A live engine passes
+/// `false` and proceeds past a `Crash`, as `PushPipeline::fault_seam` does:
+/// it owns threads and copies that only its own unwind can release.
+pub fn run_tm(
+    cluster: &Arc<Cluster>,
+    task: &MigrationTask,
+    crash_drill: bool,
+) -> DbResult<Timestamp> {
+    let mut windows = ReadThroughWindows::open(cluster, &task.shards);
+    let coord = &cluster.node(task.source).storage;
+    let mut tm = Txn::begin(coord, cluster.oracle.start_ts(task.source));
+    let (faults, source) = (Arc::clone(cluster), task.source);
+    tm.seams = Some(Box::new(move |point| {
+        match faults.fault_at(point, source) {
+            FaultAction::Crash if !crash_drill => FaultAction::Continue,
+            decided => decided,
+        }
+    }));
+    let mut rows = cluster
+        .nodes()
+        .iter()
+        .flat_map(|node| task.shards.iter().map(move |shard| (node, shard)));
+    let result = rows
+        .try_for_each(|(node, shard)| {
+            let owner = encode_owner(task.dest);
+            tm.update(&node.storage, SHARD_MAP_SHARD, shard.0, owner)
+        })
+        .and_then(|()| commit_txn(&mut tm, &*cluster.oracle, &*cluster.net));
+    match result {
+        Ok(_) => {}
+        Err(DbError::InDoubt(_)) => windows.in_doubt = true,
+        // A failed row update leaves `T_m` open; a failed commit already
+        // aborted it.
+        Err(_) => abort_txn(&mut tm),
     }
     result
-}
-
-fn run_tm_inner(cluster: &Arc<Cluster>, task: &MigrationTask) -> DbResult<Timestamp> {
-    let coord = cluster.node(task.source);
-    let start_ts = cluster.oracle.start_ts(task.source);
-    let mut tm = Txn::begin(&coord.storage, start_ts);
-    for node in cluster.nodes() {
-        for &shard in &task.shards {
-            if let Err(e) = tm.update(
-                &node.storage,
-                SHARD_MAP_SHARD,
-                shard.0,
-                encode_owner(task.dest),
-            ) {
-                abort_txn(&mut tm);
-                return Err(e);
-            }
-        }
-    }
-    match commit_txn(&mut tm, &*cluster.oracle, &*cluster.net) {
-        Ok(ts) => Ok(ts),
-        Err(e) => {
-            abort_txn(&mut tm);
-            Err(e)
-        }
-    }
-}
-
-/// Outcome of a chaos-driven `T_m` execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TmOutcome {
-    /// `T_m` committed everywhere at this timestamp.
-    Committed(Timestamp),
-    /// The coordinator "crashed" mid-2PC, leaving the given in-doubt
-    /// transaction for `recovery::recover_migration` to resolve. The
-    /// read-through windows stay open, exactly as a real crash leaves them.
-    Crashed(TxnId),
-}
-
-/// Executes the handover transaction with the 2PC steps spelled out and a
-/// fault decision taken between each pair of steps, mirroring the
-/// distributed path of `commit_txn`.
-///
-/// Crash semantics per injection point:
-/// * [`InjectionPoint::TmBeforePrepare`] — all writes in progress, nothing
-///   prepared: recovery must roll back.
-/// * [`InjectionPoint::TmAfterPrepare`] — prepared everywhere, no commit
-///   timestamp chosen: recovery must roll back (the decision was never
-///   persisted).
-/// * [`InjectionPoint::TmBeforeCommit`] — timestamp chosen but no
-///   participant committed: still rolls back.
-/// * [`InjectionPoint::TmAfterFirstCommit`] — one non-coordinator
-///   participant committed: recovery must roll the rest forward.
-///
-/// `Fail` at any of the first three points aborts `T_m` cleanly (windows
-/// are closed, `Err` returned); `Delay` sleeps and proceeds.
-pub fn run_tm_chaos(
-    cluster: &Arc<Cluster>,
-    task: &MigrationTask,
-    injector: &dyn FaultInjector,
-) -> DbResult<TmOutcome> {
-    for node in cluster.nodes() {
-        node.read_through.mark(&task.shards);
-    }
-    let result = run_tm_chaos_inner(cluster, task, injector);
-    // On a simulated crash the windows stay open: nothing ran to close
-    // them, and recovery is responsible for doing so. Clean outcomes close
-    // them as run_tm does.
-    if !matches!(result, Ok(TmOutcome::Crashed(_))) {
-        for node in cluster.nodes() {
-            node.read_through.clear(&task.shards);
-        }
-    }
-    result
-}
-
-fn run_tm_chaos_inner(
-    cluster: &Arc<Cluster>,
-    task: &MigrationTask,
-    injector: &dyn FaultInjector,
-) -> DbResult<TmOutcome> {
-    let coord = cluster.node(task.source);
-    let start_ts = cluster.oracle.start_ts(task.source);
-    let mut tm = Txn::begin(&coord.storage, start_ts);
-    let xid = tm.xid;
-    for node in cluster.nodes() {
-        for &shard in &task.shards {
-            if let Err(e) = tm.update(
-                &node.storage,
-                SHARD_MAP_SHARD,
-                shard.0,
-                encode_owner(task.dest),
-            ) {
-                abort_txn(&mut tm);
-                return Err(e);
-            }
-        }
-    }
-
-    match injector.decide(InjectionPoint::TmBeforePrepare, task.source) {
-        FaultAction::Continue => {}
-        FaultAction::Delay(d) => std::thread::sleep(d),
-        FaultAction::Crash => {
-            std::mem::forget(tm);
-            return Ok(TmOutcome::Crashed(xid));
-        }
-        FaultAction::Fail => {
-            abort_txn(&mut tm);
-            return Err(DbError::MigrationAbort {
-                txn: xid,
-                reason: "injected T_m failure before prepare",
-            });
-        }
-    }
-
-    // Prepare phase, as commit_txn runs it for a distributed transaction.
-    for node in cluster.nodes() {
-        cluster.net.hop(task.source, node.id());
-        prepare_participant(&node.storage, xid)?;
-    }
-
-    match injector.decide(InjectionPoint::TmAfterPrepare, task.source) {
-        FaultAction::Continue => {}
-        FaultAction::Delay(d) => std::thread::sleep(d),
-        FaultAction::Crash => {
-            std::mem::forget(tm);
-            return Ok(TmOutcome::Crashed(xid));
-        }
-        FaultAction::Fail => {
-            for node in cluster.nodes() {
-                rollback_prepared(&node.storage, xid);
-            }
-            std::mem::forget(tm);
-            return Err(DbError::MigrationAbort {
-                txn: xid,
-                reason: "injected T_m failure after prepare",
-            });
-        }
-    }
-
-    // Gather participant clocks, then pick the commit timestamp on the
-    // coordinator (causally after every participant).
-    for node in cluster.nodes() {
-        if node.id() == task.source {
-            continue;
-        }
-        let participant_now = cluster.oracle.commit_ts(node.id());
-        cluster.net.hop(node.id(), task.source);
-        cluster.oracle.observe(task.source, participant_now);
-    }
-    let ts = cluster.oracle.commit_ts(task.source);
-
-    match injector.decide(InjectionPoint::TmBeforeCommit, task.source) {
-        FaultAction::Crash => {
-            std::mem::forget(tm);
-            return Ok(TmOutcome::Crashed(xid));
-        }
-        FaultAction::Delay(d) => std::thread::sleep(d),
-        // `Fail` is not meaningful once the timestamp is chosen: 2PC has
-        // passed its point of no return, so treat it as Continue.
-        FaultAction::Fail | FaultAction::Continue => {}
-    }
-
-    // Phase two. If a crash is scheduled after the first commit, commit
-    // exactly one non-coordinator participant, then crash: the commit
-    // record on that node is the evidence recovery rolls forward from.
-    let crash_after_first = matches!(
-        injector.decide(InjectionPoint::TmAfterFirstCommit, task.source),
-        FaultAction::Crash
-    );
-    if crash_after_first {
-        let first = cluster
-            .nodes()
-            .iter()
-            .find(|n| n.id() != task.source)
-            .expect("cluster has a non-coordinator node");
-        cluster.net.hop(task.source, first.id());
-        cluster.oracle.observe(first.id(), ts);
-        commit_prepared(&first.storage, xid, ts)?;
-        std::mem::forget(tm);
-        return Ok(TmOutcome::Crashed(xid));
-    }
-    for node in cluster.nodes() {
-        cluster.net.hop(task.source, node.id());
-        cluster.oracle.observe(node.id(), ts);
-        commit_prepared(&node.storage, xid, ts)?;
-    }
-    // The Txn handle was driven manually; drop it without the usual
-    // commit_txn bookkeeping (all durable state is already settled).
-    std::mem::forget(tm);
-    Ok(TmOutcome::Committed(ts))
-}
-
-/// Like [`run_tm`] but crashes (by returning without committing or
-/// aborting) right after the prepare phase — used by the recovery tests to
-/// create an in-doubt `T_m`.
-#[doc(hidden)]
-pub fn run_tm_crash_after_prepare(
-    cluster: &Arc<Cluster>,
-    task: &MigrationTask,
-) -> DbResult<remus_common::TxnId> {
-    for node in cluster.nodes() {
-        node.read_through.mark(&task.shards);
-    }
-    let coord = cluster.node(task.source);
-    let start_ts = cluster.oracle.start_ts(task.source);
-    let mut tm = Txn::begin(&coord.storage, start_ts);
-    for node in cluster.nodes() {
-        for &shard in &task.shards {
-            tm.update(
-                &node.storage,
-                SHARD_MAP_SHARD,
-                shard.0,
-                encode_owner(task.dest),
-            )?;
-        }
-    }
-    for node in cluster.nodes() {
-        remus_txn::prepare_participant(&node.storage, tm.xid)?;
-    }
-    // "Crash": leak the transaction in the prepared state.
-    std::mem::forget(tm);
-    Ok(coordinator_xid(cluster, task))
-}
-
-fn coordinator_xid(cluster: &Arc<Cluster>, task: &MigrationTask) -> remus_common::TxnId {
-    // The most recent prepared transaction on the source is T_m (tests run
-    // this in isolation).
-    cluster
-        .node(task.source)
-        .storage
-        .clog
-        .prepared_txns()
-        .into_iter()
-        .max()
-        .expect("a prepared T_m exists")
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use remus_cluster::{ClusterBuilder, Session};
-    use remus_common::{NodeId, ShardId, TableId};
+    use remus_common::fault::{FaultInjector, InjectionPoint};
+    use remus_common::{NodeId, TableId, TxnId};
     use remus_storage::Value;
+
+    struct At(InjectionPoint, FaultAction);
+
+    impl FaultInjector for At {
+        fn decide(&self, point: InjectionPoint, _node: NodeId) -> FaultAction {
+            if point == self.0 {
+                self.1
+            } else {
+                FaultAction::Continue
+            }
+        }
+    }
+
+    /// Runs `T_m` with a scripted coordinator crash at `point`, returning
+    /// the xid left in doubt.
+    pub(crate) fn crash_tm_at(
+        cluster: &Arc<Cluster>,
+        task: &MigrationTask,
+        point: InjectionPoint,
+    ) -> TxnId {
+        cluster.install_fault_injector(Arc::new(At(point, FaultAction::Crash)));
+        let outcome = run_tm(cluster, task, true);
+        cluster.uninstall_fault_injector();
+        match outcome {
+            Err(DbError::InDoubt(xid)) => xid,
+            other => panic!("expected an in-doubt T_m, got {other:?}"),
+        }
+    }
 
     #[test]
     fn tm_moves_ownership_at_its_commit_timestamp() {
@@ -289,7 +152,7 @@ mod tests {
         let shard = ShardId(0); // owned by node 0
         let before_ts = cluster.oracle.start_ts(NodeId(1));
         let task = MigrationTask::single(shard, NodeId(0), NodeId(2));
-        let tm_ts = run_tm(&cluster, &task).unwrap();
+        let tm_ts = run_tm(&cluster, &task, false).unwrap();
         assert!(tm_ts > before_ts);
         // Every node's replica answers consistently: old snapshots see the
         // source, new ones the destination.
@@ -313,10 +176,49 @@ mod tests {
             .iter()
             .map(|n| n.read_through.epoch())
             .collect();
-        run_tm(&cluster, &task).unwrap();
+        run_tm(&cluster, &task, false).unwrap();
         for (node, before) in cluster.nodes().iter().zip(epochs_before) {
             assert!(!node.read_through.is_marked(ShardId(1)));
             assert_eq!(node.read_through.epoch(), before + 1);
+        }
+    }
+
+    #[test]
+    fn failed_tm_is_aborted_everywhere_with_the_windows_closed() {
+        for point in [
+            InjectionPoint::TmBeforePrepare,
+            InjectionPoint::TmAfterPrepare,
+        ] {
+            let cluster = ClusterBuilder::new(3).build();
+            cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+            let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
+            cluster.install_fault_injector(Arc::new(At(point, FaultAction::Fail)));
+            let err = run_tm(&cluster, &task, false).unwrap_err();
+            assert!(matches!(err, DbError::MigrationAbort { .. }), "{err:?}");
+            for node in cluster.nodes() {
+                assert!(!node.read_through.is_marked(ShardId(0)), "{point}");
+                assert_eq!(node.storage.active_count(), 0, "{point}");
+                assert!(node.storage.clog.prepared_txns().is_empty(), "{point}");
+                let owner = cluster.current_owner(node, ShardId(0)).unwrap();
+                assert_eq!(owner.node, NodeId(0), "{point}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_is_a_drill_an_engine_proceeds_past_it() {
+        let cluster = ClusterBuilder::new(2).build();
+        cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
+        let crash = At(InjectionPoint::TmAfterPrepare, FaultAction::Crash);
+        cluster.install_fault_injector(Arc::new(crash));
+        run_tm(&cluster, &task, false).unwrap();
+        let back = MigrationTask::single(ShardId(0), NodeId(1), NodeId(0));
+        let err = run_tm(&cluster, &back, true).unwrap_err();
+        assert!(matches!(err, DbError::InDoubt(_)), "{err:?}");
+        // Nothing ran to close the windows of an in-doubt `T_m`.
+        for node in cluster.nodes() {
+            assert!(node.read_through.is_marked(ShardId(0)));
         }
     }
 
@@ -346,7 +248,7 @@ mod tests {
             .install_frozen(42, Value::copy_from_slice(b"v"));
 
         let task = MigrationTask::single(shard, NodeId(0), NodeId(1));
-        run_tm(&cluster, &task).unwrap();
+        run_tm(&cluster, &task, false).unwrap();
 
         // The old transaction still routes to (and reads from) the source.
         assert_eq!(
@@ -372,7 +274,7 @@ mod tests {
         cluster.node(NodeId(1)).storage.create_shard(shard);
 
         let task = MigrationTask::single(shard, NodeId(0), NodeId(1));
-        let tm_xid = run_tm_crash_after_prepare(&cluster, &task).unwrap();
+        let tm_xid = crash_tm_at(&cluster, &task, InjectionPoint::TmAfterPrepare);
 
         let c2 = Arc::clone(&cluster);
         let router = std::thread::spawn(move || {

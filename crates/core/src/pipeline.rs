@@ -153,11 +153,9 @@ impl<'a> PushPipeline<'a> {
     /// A seam where an injected fault can delay or fail the migration.
     pub(crate) fn fault_seam(&self, point: InjectionPoint) -> DbResult<()> {
         match self.cluster.fault_at(point, self.task.source) {
-            FaultAction::Fail => return Err(DbError::NodeUnavailable(self.task.dest)),
-            FaultAction::Delay(d) => std::thread::sleep(d),
-            FaultAction::Continue | FaultAction::Crash => {}
+            FaultAction::Fail => Err(DbError::NodeUnavailable(self.task.dest)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn procs(&self) -> &(PropagationProcess, ReplayProcess) {
@@ -229,7 +227,7 @@ impl<'a> PushPipeline<'a> {
             let entries = crate::ssi_handover::hand_over_ssi_state(self.cluster, self.task);
             self.rec.attr(span, "ssi_entries_transferred", entries);
         }
-        let tm_cts = run_tm(self.cluster, self.task)?;
+        let tm_cts = run_tm(self.cluster, self.task, false)?;
         self.tm_committed = true;
         self.rec.attr(span, "tm_commit_ts", tm_cts.0);
         self.rec.end(span);

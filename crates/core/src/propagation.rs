@@ -190,12 +190,9 @@ fn propagate_loop(
                 std::thread::sleep(spill_latency * queue_spill_batches as u32);
             }
         }
-        // Propagation-lag seam: only Delay is expressible here.
-        if let remus_common::FaultAction::Delay(d) =
-            cluster.fault_at(remus_common::InjectionPoint::PropagationShip, source.id())
-        {
-            std::thread::sleep(d);
-        }
+        // Propagation-lag seam: only Delay is expressible here, and the
+        // seam helper has slept it by the time it returns.
+        cluster.fault_at(remus_common::InjectionPoint::PropagationShip, source.id());
         cluster.net.hop(source.id(), dest);
         if tx.send(msg).is_err() {
             // Replay ended; nothing left to ship to.

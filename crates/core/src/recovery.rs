@@ -45,6 +45,12 @@ pub fn recover_tm(cluster: &Arc<Cluster>, tm: TxnId) -> Option<Timestamp> {
         .iter()
         .find_map(|n| n.storage.clog.commit_ts(tm));
     for node in cluster.nodes() {
+        if let Some(ts) = decision {
+            // As in phase two of the commit it completes: a participant's
+            // clock observes the commit timestamp, or under DTS its next
+            // snapshot could trail the ownership change it just applied.
+            cluster.oracle.observe(node.id(), ts);
+        }
         match (node.storage.clog.status(tm), decision) {
             (TxnStatus::Prepared, Some(ts)) => {
                 commit_prepared(&node.storage, tm, ts).expect("T_m commit during recovery");
@@ -133,8 +139,9 @@ pub fn recover_migration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diversion::run_tm_crash_after_prepare;
+    use crate::diversion::tests::crash_tm_at;
     use remus_cluster::{ClusterBuilder, Session};
+    use remus_common::fault::InjectionPoint;
     use remus_common::{NodeId, ShardId, TableId};
     use remus_storage::Value;
     use remus_txn::{prepare_participant, Txn};
@@ -159,7 +166,7 @@ mod tests {
             .install_frozen(1, val("v"));
 
         let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-        let tm = run_tm_crash_after_prepare(&cluster, &task).unwrap();
+        let tm = crash_tm_at(&cluster, &task, InjectionPoint::TmAfterPrepare);
         let decision = recover_migration(&cluster, &task, tm).unwrap();
         assert_eq!(decision, RecoveryDecision::RolledBack);
         // Source serves; destination cleaned.
@@ -184,10 +191,13 @@ mod tests {
             .install_frozen(1, val("v"));
 
         let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-        let tm = run_tm_crash_after_prepare(&cluster, &task).unwrap();
-        // Crash happened mid phase two: exactly one participant committed.
-        let ts = cluster.oracle.commit_ts(NodeId(0));
-        commit_prepared(&cluster.node(NodeId(2)).storage, tm, ts).unwrap();
+        // Crash mid phase two: exactly one participant committed.
+        let tm = crash_tm_at(&cluster, &task, InjectionPoint::TmAfterFirstCommit);
+        let nodes = cluster.nodes().iter();
+        let committed: Vec<_> = nodes.filter_map(|n| n.storage.clog.commit_ts(tm)).collect();
+        let [ts] = committed[..] else {
+            panic!("expected one committed participant, got {committed:?}");
+        };
 
         let decision = recover_migration(&cluster, &task, tm).unwrap();
         assert_eq!(decision, RecoveryDecision::RolledForward(ts));

@@ -220,12 +220,8 @@ impl ReplayShared {
                 ops,
             } => {
                 // Replay-worker stall seam: only Delay is expressible here.
-                if let FaultAction::Delay(d) = self
-                    .cluster
-                    .fault_at(InjectionPoint::ReplayApply, self.dest.id())
-                {
-                    std::thread::sleep(d);
-                }
+                self.cluster
+                    .fault_at(InjectionPoint::ReplayApply, self.dest.id());
                 if let Err(e) = self.wait_chunks(&ops) {
                     // The interleaved copy failed or stalled: the migration
                     // is unwinding; surface and skip the apply.
@@ -243,7 +239,12 @@ impl ReplayShared {
                         // Single-phase shadow commit with the source's
                         // timestamp; replayed in commit order per key, so
                         // the destination data stays consistent with the
-                        // source (§3.3).
+                        // source (§3.3). Record before CLOG as everywhere,
+                        // but without `commit_txn`'s wait for the fsync:
+                        // asynchronous replay ends before `T_m`, and a
+                        // destination crash before `T_m` cancels the
+                        // migration and drops this copy (§3.7) — nothing
+                        // is acknowledged on the strength of this record.
                         let storage = &self.dest.storage;
                         storage
                             .wal
@@ -279,63 +280,46 @@ impl ReplayShared {
                 let fault = self
                     .cluster
                     .fault_at(InjectionPoint::MoccValidation, self.dest.id());
-                if let FaultAction::Delay(d) = fault {
-                    std::thread::sleep(d);
-                }
-                let sxid = xid.shadow();
-                match fault {
-                    FaultAction::Crash => {
-                        // The destination "crashes" after the shadow's
-                        // prepare record hit its WAL but before the ack
-                        // reached the source: the shadow stays prepared
-                        // (in-doubt, for resolve_prepared_shadows) and the
-                        // source observes the node as unavailable.
-                        let mut shadow = Txn::begin_with(sxid, start_ts, self.dest.id());
-                        if self.apply_ops(&mut shadow, &ops).is_ok() {
+                // The destination "crashes" after the shadow's prepare
+                // record hit its WAL but before the ack reaches the
+                // source: the shadow stays prepared (in-doubt, for
+                // resolve_prepared_shadows) and the source observes the
+                // node as unavailable.
+                let crash = fault == FaultAction::Crash;
+                let verdict = if fault == FaultAction::Fail {
+                    // Forced validation failure: no shadow work at all,
+                    // the verdict aborts the source transaction.
+                    Err(DbError::MigrationAbort {
+                        txn: xid,
+                        reason: "injected MOCC validation failure",
+                    })
+                } else {
+                    let sxid = xid.shadow();
+                    let mut shadow = Txn::begin_with(sxid, start_ts, self.dest.id());
+                    let applied = self.apply_ops(&mut shadow, &ops);
+                    match applied {
+                        Ok(()) => {
                             prepare_participant(&self.dest.storage, sxid)
                                 .expect("shadow prepare cannot fail");
                             self.prepared_shadows.lock().insert(xid);
-                        } else {
-                            abort_txn(&mut shadow);
                         }
-                        self.registry
-                            .complete(xid, Err(DbError::NodeUnavailable(self.dest.id())));
+                        // WW conflict with a destination transaction:
+                        // abort the shadow; the verdict aborts the source
+                        // too.
+                        Err(_) => abort_txn(&mut shadow),
                     }
-                    FaultAction::Fail => {
-                        // Forced validation failure: no shadow work at all,
-                        // the verdict aborts the source transaction.
+                    applied
+                };
+                if crash {
+                    self.registry
+                        .complete(xid, Err(DbError::NodeUnavailable(self.dest.id())));
+                } else {
+                    if verdict.is_err() {
                         self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
-                        self.cluster.net.hop(self.dest.id(), xid.origin());
-                        self.registry.complete(
-                            xid,
-                            Err(DbError::MigrationAbort {
-                                txn: xid,
-                                reason: "injected MOCC validation failure",
-                            }),
-                        );
                     }
-                    FaultAction::Continue | FaultAction::Delay(_) => {
-                        let mut shadow = Txn::begin_with(sxid, start_ts, self.dest.id());
-                        match self.apply_ops(&mut shadow, &ops) {
-                            Ok(()) => {
-                                prepare_participant(&self.dest.storage, sxid)
-                                    .expect("shadow prepare cannot fail");
-                                self.prepared_shadows.lock().insert(xid);
-                                // Ack validation-ok back to the source node.
-                                self.cluster.net.hop(self.dest.id(), xid.origin());
-                                self.registry.complete(xid, Ok(()));
-                            }
-                            Err(e) => {
-                                // WW conflict with a destination transaction:
-                                // abort the shadow; the verdict aborts the
-                                // source too.
-                                self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
-                                abort_txn(&mut shadow);
-                                self.cluster.net.hop(self.dest.id(), xid.origin());
-                                self.registry.complete(xid, Err(e));
-                            }
-                        }
-                    }
+                    // Ack the verdict back to the source node.
+                    self.cluster.net.hop(self.dest.id(), xid.origin());
+                    self.registry.complete(xid, verdict);
                 }
             }
             ApplyMsg::CommitShadow { xid, commit_ts } => {

@@ -431,11 +431,6 @@ fn ship_loop(
         let sb = ShipBatch::new(first, records);
         let mut held_now = false;
         match cluster.fault_at(InjectionPoint::ShipBatch, primary.id()) {
-            FaultAction::Continue => send(ShipMsg::Batch(sb)),
-            FaultAction::Delay(d) => {
-                std::thread::sleep(d);
-                send(ShipMsg::Batch(sb));
-            }
             FaultAction::Fail => {
                 // Reorder: hold this batch back until after its successor.
                 held_now = true;
@@ -448,6 +443,8 @@ fn ship_loop(
                 send(ShipMsg::Batch(sb.clone()));
                 send(ShipMsg::Batch(sb));
             }
+            // No fault, or ship lag the seam helper already slept.
+            FaultAction::Continue | FaultAction::Delay(_) => send(ShipMsg::Batch(sb)),
         }
         if !held_now {
             if let Some(prev) = held.take() {
@@ -650,11 +647,8 @@ fn apply_loop(
                 }
             }
             ShipMsg::Batch(batch) => {
-                if let FaultAction::Delay(d) =
-                    cluster.fault_at(InjectionPoint::ReplicaApply, replica.id())
-                {
-                    std::thread::sleep(d);
-                }
+                // Stalled-replica seam: only Delay is expressible here.
+                cluster.fault_at(InjectionPoint::ReplicaApply, replica.id());
                 match applier.apply(batch) {
                     Ok(n) => applied.add(n),
                     Err(_) => {

@@ -249,14 +249,10 @@ fn copy_chunk(
     job: &ChunkJob,
     snapshot_ts: Timestamp,
 ) -> DbResult<u64> {
-    let crash = match cluster.fault_at(InjectionPoint::CopyChunk, source.id()) {
-        FaultAction::Continue => false,
-        FaultAction::Delay(d) => {
-            std::thread::sleep(d);
-            false
-        }
-        FaultAction::Fail | FaultAction::Crash => true,
-    };
+    let crash = matches!(
+        cluster.fault_at(InjectionPoint::CopyChunk, source.id()),
+        FaultAction::Fail | FaultAction::Crash
+    );
     let src_table = source.storage.table_or_err(job.shard)?;
     let dst_table = dest.storage.table_or_err(job.shard)?;
     let per_tuple = cluster.config.snapshot_copy_per_tuple;

@@ -133,6 +133,49 @@ impl SquallState {
     }
 }
 
+/// What a Squall migration holds outside its own state: the cluster's
+/// access hook and the destination copies of the task's shards, created
+/// empty. Dropped before `T_m` committed it takes both back — the source
+/// still owns the shards and nothing was ever routed to the destination.
+/// After `T_m` the destination owns them and must keep pulling on demand,
+/// so the hook stays installed until every chunk is pulled: a migration
+/// that fails in its background pulls leaves a cluster that still serves.
+struct PullWindow<'a> {
+    cluster: &'a Cluster,
+    state: &'a SquallState,
+    tm_committed: bool,
+}
+
+impl<'a> PullWindow<'a> {
+    fn open(cluster: &'a Cluster, state: &'a Arc<SquallState>) -> Self {
+        for shard in state.chunks.keys() {
+            state.dest.storage.create_shard(*shard);
+        }
+        cluster.install_access_hook(Arc::new(SquallHook {
+            state: Arc::clone(state),
+        }));
+        PullWindow {
+            cluster,
+            state,
+            tm_committed: false,
+        }
+    }
+}
+
+impl Drop for PullWindow<'_> {
+    fn drop(&mut self) {
+        if self.tm_committed && !self.state.all_pulled() {
+            return;
+        }
+        if !self.tm_committed {
+            for shard in self.state.chunks.keys() {
+                self.state.dest.storage.drop_shard(*shard);
+            }
+        }
+        self.cluster.uninstall_access_hook();
+    }
+}
+
 struct SquallHook {
     state: Arc<SquallState>,
 }
@@ -214,16 +257,16 @@ impl MigrationEngine for SquallEngine {
         let source = Arc::clone(cluster.node(task.source));
         let dest = Arc::clone(cluster.node(task.dest));
 
-        // Build the chunk map from the source's current keys and create
-        // empty destination shards. A key with no visible version only
-        // shifts a boundary: pulls scan by range.
+        // Build the chunk map from the source's current keys. A key with
+        // no visible version only shifts a boundary: pulls scan by range.
+        // Planned before anything is acquired: a task naming a shard the
+        // source does not host fails here with nothing to release.
         let chunk_span = rec.start("chunk_map");
         let mut chunks = HashMap::new();
         for &shard in &task.shards {
             let table = source.storage.table_or_err(shard)?;
             let splits = ChunkSplits(table.chunk_splits(cluster.config.squall_chunk_keys));
             chunks.insert(shard, ChunkSet::new(splits));
-            dest.storage.create_shard(shard);
         }
         let state = Arc::new(SquallState {
             cluster: Arc::clone(cluster),
@@ -234,9 +277,8 @@ impl MigrationEngine for SquallEngine {
             pulled_tuples: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
         });
-        cluster.install_access_hook(Arc::new(SquallHook {
-            state: Arc::clone(&state),
-        }));
+        // Empty destination shards and the access hook, held by one guard.
+        let mut window = PullWindow::open(cluster, &state);
         rec.attr(
             chunk_span,
             "chunks",
@@ -248,7 +290,8 @@ impl MigrationEngine for SquallEngine {
         // destination and pull on demand.
         let transfer0 = Instant::now();
         let tm_span = rec.start("tm_2pc");
-        run_tm(cluster, task)?;
+        run_tm(cluster, task, false)?;
+        window.tm_committed = true;
         rec.end(tm_span);
         report.transfer_phase = transfer0.elapsed();
 
@@ -304,7 +347,6 @@ impl MigrationEngine for SquallEngine {
         let deadline = Instant::now() + Duration::from_secs(600);
         while !state.all_pulled() {
             if Instant::now() >= deadline {
-                cluster.uninstall_access_hook();
                 return Err(DbError::Timeout("squall background pulls"));
             }
             for (&shard, set) in &state.chunks {
@@ -325,7 +367,7 @@ impl MigrationEngine for SquallEngine {
         );
         rec.end(pulls_span);
         let cleanup_span = rec.start("cleanup");
-        cluster.uninstall_access_hook();
+        drop(window);
         for shard in &task.shards {
             source.storage.drop_shard(*shard);
         }

@@ -1,21 +1,29 @@
-//! Teardown matrix for the shared push pipeline: each push engine × each
-//! stage that can be made to fail. After the `Err` the cluster must look
-//! as if the migration never started — source serving, destination empty,
-//! no slot, pin, hook, closed gate or suspended routing left behind — and
-//! an immediate retry of the same migration must succeed.
+//! Teardown matrix for the migration engines: each engine × each stage
+//! that can be made to fail. After the `Err` the cluster must look as if
+//! the migration never started — source serving, destination empty, no
+//! slot, pin, commit hook, access hook, open read-through window, closed
+//! gate or suspended routing left behind — and an immediate retry of the
+//! same migration must succeed.
+//!
+//! `T_m` is failed at its own seams (an injected `Fail` before and after
+//! the prepare phase of the 2PC every migration commits through), for every
+//! push engine under both isolation levels and for Squall; the row-lock row
+//! is the other way `T_m` fails — a lock timeout on a shard-map row.
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use remus_cluster::{Cluster, ClusterBuilder, Session};
+use remus_cluster::{CcMode, Cluster, ClusterBuilder, Session};
 use remus_common::fault::{FaultAction, FaultInjector, InjectionPoint};
 use remus_common::IsolationLevel::{self, Serializable, SnapshotIsolation};
 use remus_common::{DbError, NodeId, ShardId, SimConfig, TableId};
-use remus_core::{LockAndAbort, MigrationEngine, MigrationTask, RemusEngine, WaitAndRemaster};
+use remus_core::{
+    LockAndAbort, MigrationEngine, MigrationTask, RemusEngine, SquallEngine, WaitAndRemaster,
+};
 use remus_shard::{encode_owner, TableLayout, SHARD_MAP_SHARD};
 use remus_storage::Value;
-use remus_txn::{abort_txn, CommitMode, Txn};
+use remus_txn::{abort_txn, Txn};
 
 const KEYS: u64 = 200;
 const LOCK_WAIT: Duration = Duration::from_millis(300);
@@ -23,12 +31,16 @@ const SOURCE: NodeId = NodeId(0);
 const DEST: NodeId = NodeId(1);
 /// Hosts only a shard-map replica: `T_m` writes there too.
 const BYSTANDER: NodeId = NodeId(2);
+const TM_SEAMS: [InjectionPoint; 2] = [
+    InjectionPoint::TmBeforePrepare,
+    InjectionPoint::TmAfterPrepare,
+];
 
 fn val(s: &str) -> Value {
     Value::copy_from_slice(s.as_bytes())
 }
 
-fn engines() -> [&'static dyn MigrationEngine; 3] {
+fn push_engines() -> [&'static dyn MigrationEngine; 3] {
     [&RemusEngine, &LockAndAbort, &WaitAndRemaster]
 }
 
@@ -41,7 +53,7 @@ enum Failure {
     Seam(InjectionPoint),
     /// An uncommitted writer holds a shard-map row `T_m` must update, so
     /// `T_m` times out on the row lock and aborts.
-    Tm,
+    TmRowLock,
 }
 
 struct FailAt(InjectionPoint);
@@ -56,7 +68,7 @@ impl FaultInjector for FailAt {
     }
 }
 
-fn populated_cluster(isolation: IsolationLevel) -> (Arc<Cluster>, TableLayout) {
+fn populated_cluster(isolation: IsolationLevel, cc: CcMode) -> (Arc<Cluster>, TableLayout) {
     let config = SimConfig {
         lock_wait_timeout: LOCK_WAIT,
         ..SimConfig::instant()
@@ -64,6 +76,7 @@ fn populated_cluster(isolation: IsolationLevel) -> (Arc<Cluster>, TableLayout) {
     let cluster = ClusterBuilder::new(3)
         .config(config)
         .isolation(isolation)
+        .cc_mode(cc)
         .build();
     let layout = cluster.create_table(TableId(1), 0, 2, |_| SOURCE);
     let session = Session::connect(&cluster, SOURCE);
@@ -90,7 +103,13 @@ fn bounded_write(cluster: &Arc<Cluster>, layout: TableLayout, key: u64, value: &
 
 fn check_teardown(engine: &dyn MigrationEngine, failure: Failure, isolation: IsolationLevel) {
     let ctx = format!("{} / {failure:?} / {isolation:?}", engine.name());
-    let (cluster, layout) = populated_cluster(isolation);
+    // Squall pulls under H-store partition locks.
+    let cc = if engine.name() == SquallEngine.name() {
+        CcMode::ShardLock
+    } else {
+        CcMode::Mvcc
+    };
+    let (cluster, layout) = populated_cluster(isolation, cc);
     let (source, dest) = (cluster.node(SOURCE), cluster.node(DEST));
     let task = MigrationTask {
         shards: layout.shard_ids().collect(),
@@ -105,7 +124,7 @@ fn check_teardown(engine: &dyn MigrationEngine, failure: Failure, isolation: Iso
     match failure {
         Failure::MissingShardAtPlan => failing_task.shards.push(ShardId(99)),
         Failure::Seam(point) => cluster.install_fault_injector(Arc::new(FailAt(point))),
-        Failure::Tm => {
+        Failure::TmRowLock => {
             let node = &cluster.node(BYSTANDER).storage;
             let mut txn = Txn::begin(node, cluster.oracle.start_ts(BYSTANDER));
             let row = task.shards[0].0;
@@ -133,12 +152,23 @@ fn check_teardown(engine: &dyn MigrationEngine, failure: Failure, isolation: Iso
         oldest_before,
         "{ctx}: copy snapshot still pinned"
     );
-    // No commit hook: a commit touching the shards is not asked to
-    // synchronize with anything.
-    let probe = source.storage.alloc_xid();
-    let mode = source.storage.hook().begin_commit(probe, &task.shards);
-    source.storage.hook().end_commit(probe, None);
-    assert_eq!(mode, CommitMode::Async, "{ctx}: commit hook left installed");
+    // No commit hook (a commit touching the shards is not asked to
+    // synchronize with anything), no access hook (no statement is asked to
+    // pull or abort), no read-through window (routing trusts its cache).
+    assert!(
+        source.storage.hook().is_none(),
+        "{ctx}: commit hook left installed"
+    );
+    assert!(
+        cluster.access_hook().is_none(),
+        "{ctx}: access hook left installed"
+    );
+    for node in cluster.nodes() {
+        for shard in &task.shards {
+            let open = node.read_through.is_marked(*shard);
+            assert!(!open, "{ctx}: window of {shard:?} open on {:?}", node.id());
+        }
+    }
     // Gates open, routing resumed, source serving.
     bounded_write(&cluster, layout, 7, "after-failure");
     let session = Session::connect(&cluster, SOURCE);
@@ -170,14 +200,14 @@ fn check_teardown(engine: &dyn MigrationEngine, failure: Failure, isolation: Iso
 
 #[test]
 fn missing_shard_at_plan_leaves_cluster_clean() {
-    for engine in engines() {
+    for engine in push_engines() {
         check_teardown(engine, Failure::MissingShardAtPlan, SnapshotIsolation);
     }
 }
 
 #[test]
 fn failed_snapshot_copy_leaves_cluster_clean() {
-    for engine in engines() {
+    for engine in push_engines() {
         check_teardown(
             engine,
             Failure::Seam(InjectionPoint::SnapshotCopy),
@@ -200,8 +230,31 @@ fn failed_tm_leaves_cluster_clean() {
     // Under `Serializable` the SSI hand-over fences the source before
     // `T_m` runs; the unwind has to lift that fence too.
     for isolation in [SnapshotIsolation, Serializable] {
-        for engine in engines() {
-            check_teardown(engine, Failure::Tm, isolation);
+        for engine in push_engines() {
+            for seam in TM_SEAMS {
+                check_teardown(engine, Failure::Seam(seam), isolation);
+            }
         }
+    }
+}
+
+#[test]
+fn tm_row_lock_timeout_leaves_cluster_clean() {
+    for engine in push_engines() {
+        check_teardown(engine, Failure::TmRowLock, SnapshotIsolation);
+    }
+}
+
+/// Squall flips ownership first, so all of it but the pulls is before or
+/// in `T_m`: its access hook and the empty destination shards are what a
+/// failure must take back.
+#[test]
+fn failed_squall_leaves_cluster_clean() {
+    let tm_seams = TM_SEAMS.map(Failure::Seam);
+    for failure in [Failure::MissingShardAtPlan, Failure::TmRowLock]
+        .into_iter()
+        .chain(tm_seams)
+    {
+        check_teardown(&SquallEngine, failure, SnapshotIsolation);
     }
 }

@@ -27,8 +27,9 @@ pub enum CommitMode {
 
 /// Migration interposition points on one node's commit path.
 ///
-/// All methods must be cheap when no migration is active; the engine
-/// installs a hook only on the migration's source node.
+/// The engine installs a hook only on the migration's source node, and only
+/// for the migration's lifetime: a node with no hook installed commits
+/// asynchronously and does no work on a hook's behalf.
 pub trait SyncCommitHook: Send + Sync {
     /// Called when a transaction that wrote `shards` on this node enters
     /// its commit progress. Returns the commit mode and registers the
@@ -44,37 +45,4 @@ pub trait SyncCommitHook: Send + Sync {
     /// Called once the transaction resolved (committed with `Some(ts)` or
     /// aborted with `None`), after its resolution record hit the WAL.
     fn end_commit(&self, xid: TxnId, commit_ts: Option<Timestamp>);
-}
-
-/// The hook installed when no migration is running: everything commits
-/// asynchronously.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopHook;
-
-impl SyncCommitHook for NoopHook {
-    fn begin_commit(&self, _xid: TxnId, _shards: &[ShardId]) -> CommitMode {
-        CommitMode::Async
-    }
-
-    fn await_validation(&self, _xid: TxnId) -> DbResult<()> {
-        Ok(())
-    }
-
-    fn end_commit(&self, _xid: TxnId, _commit_ts: Option<Timestamp>) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use remus_common::NodeId;
-
-    #[test]
-    fn noop_hook_always_async_and_valid() {
-        let hook = NoopHook;
-        let xid = TxnId::new(NodeId(0), 1);
-        assert_eq!(hook.begin_commit(xid, &[ShardId(1)]), CommitMode::Async);
-        assert!(hook.await_validation(xid).is_ok());
-        hook.end_commit(xid, Some(Timestamp(5)));
-        hook.end_commit(xid, None);
-    }
 }

@@ -40,7 +40,7 @@ pub use commit::{
     abort_txn, commit_prepared, commit_txn, force_abort, prepare_participant, rollback_prepared,
 };
 pub use gate::{LockMode, ShardGate, ShardLockTable};
-pub use hooks::{CommitMode, NoopHook, SyncCommitHook};
+pub use hooks::{CommitMode, SyncCommitHook};
 pub use net::{DelayNetwork, Network, NoNetwork};
 pub use node::{NodeCounters, NodeStorage};
 pub use recovery::{redo_write, replay_node_wal, ReplaySummary};

@@ -17,7 +17,7 @@ use remus_storage::{Clog, Key, VersionedTable};
 use remus_wal::{Lsn, Wal};
 
 use crate::gate::ShardGate;
-use crate::hooks::{NoopHook, SyncCommitHook};
+use crate::hooks::SyncCommitHook;
 use crate::ssi::SsiNode;
 
 /// Book-keeping for a transaction active on this node.
@@ -95,7 +95,7 @@ pub struct NodeStorage {
     next_seq: AtomicU64,
     active: Mutex<HashMap<TxnId, ActiveTxn>>,
     doomed: Mutex<HashMap<TxnId, &'static str>>,
-    hook: RwLock<Arc<dyn SyncCommitHook>>,
+    hook: RwLock<Option<Arc<dyn SyncCommitHook>>>,
     slots: Mutex<HashMap<u64, Lsn>>,
     next_slot: AtomicU64,
 }
@@ -139,7 +139,7 @@ impl NodeStorage {
             next_seq: AtomicU64::new(1),
             active: Mutex::new(HashMap::new()),
             doomed: Mutex::new(HashMap::new()),
-            hook: RwLock::new(Arc::new(NoopHook)),
+            hook: RwLock::new(None),
             slots: Mutex::new(HashMap::new()),
             next_slot: AtomicU64::new(1),
         }
@@ -390,19 +390,19 @@ impl NodeStorage {
 
     // ---- commit hook ----
 
-    /// Installs a migration commit hook, returning the previous one.
-    pub fn install_hook(&self, hook: Arc<dyn SyncCommitHook>) -> Arc<dyn SyncCommitHook> {
-        std::mem::replace(&mut *self.hook.write(), hook)
+    /// Installs a migration commit hook, replacing any previous one.
+    pub fn install_hook(&self, hook: Arc<dyn SyncCommitHook>) {
+        *self.hook.write() = Some(hook);
     }
 
-    /// Restores the no-op hook.
+    /// Removes the commit hook: everything commits asynchronously again.
     pub fn uninstall_hook(&self) {
-        *self.hook.write() = Arc::new(NoopHook);
+        *self.hook.write() = None;
     }
 
-    /// The currently installed hook.
-    pub fn hook(&self) -> Arc<dyn SyncCommitHook> {
-        Arc::clone(&self.hook.read())
+    /// The currently installed hook, if a migration installed one.
+    pub fn hook(&self) -> Option<Arc<dyn SyncCommitHook>> {
+        self.hook.read().clone()
     }
 }
 
@@ -547,15 +547,25 @@ mod tests {
     }
 
     #[test]
-    fn hook_install_swap() {
+    fn hook_install_and_uninstall() {
+        use crate::hooks::CommitMode;
+        use remus_common::Timestamp;
+        struct AlwaysSync;
+        impl SyncCommitHook for AlwaysSync {
+            fn begin_commit(&self, _xid: TxnId, _shards: &[ShardId]) -> CommitMode {
+                CommitMode::Sync
+            }
+            fn await_validation(&self, _xid: TxnId) -> DbResult<()> {
+                Ok(())
+            }
+            fn end_commit(&self, _xid: TxnId, _commit_ts: Option<Timestamp>) {}
+        }
         let n = node();
-        let prev = n.install_hook(Arc::new(NoopHook));
-        // Default hook present.
-        let _ = prev;
+        assert!(n.hook().is_none());
+        n.install_hook(Arc::new(AlwaysSync));
+        let mode = n.hook().unwrap().begin_commit(n.alloc_xid(), &[]);
+        assert_eq!(mode, CommitMode::Sync);
         n.uninstall_hook();
-        assert_eq!(
-            n.hook().begin_commit(n.alloc_xid(), &[]),
-            crate::hooks::CommitMode::Async
-        );
+        assert!(n.hook().is_none());
     }
 }

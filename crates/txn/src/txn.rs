@@ -1,7 +1,8 @@
 //! The transaction handle and its data operations.
 //!
 //! A [`Txn`] carries the snapshot (`start_ts`), the globally unique xid,
-//! and the set of nodes it wrote on. Operations are invoked against an
+//! and its participants — the nodes it wrote on, each with how far the
+//! commit protocol got there. Operations are invoked against an
 //! explicit [`NodeStorage`] — routing (which node hosts which shard) is the
 //! coordinator's job and lives in `remus-cluster`.
 //!
@@ -10,10 +11,11 @@
 //! node's active registry (the write set used by abort purges and by
 //! migration engines hunting victims).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use remus_common::{DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
+use remus_common::{
+    DbError, DbResult, FaultAction, InjectionPoint, NodeId, ShardId, Timestamp, TxnId,
+};
 use remus_storage::{Key, Value};
 use remus_wal::{LogOp, LogRecord, WriteKind, WriteOp};
 
@@ -41,17 +43,27 @@ pub struct Txn {
     pub coordinator: NodeId,
     /// Protocol state.
     pub state: TxnState,
-    /// Nodes on which this transaction performed writes, in first-touch
-    /// order.
-    pub(crate) write_nodes: Vec<Arc<NodeStorage>>,
-    /// Nodes on which the CLOG entry has been begun.
-    begun: HashSet<NodeId>,
-    /// Nodes on which a prepare record has been written.
-    pub(crate) prepared_nodes: HashSet<NodeId>,
+    /// The nodes this transaction wrote on, in first-touch order. Being
+    /// listed means begun there: registered active, CLOG entry and `Begin`
+    /// record written.
+    pub(crate) participants: Vec<Participant>,
     /// SSI handle, present only when the coordinator runs serializable
     /// mode. Shared by `Arc` into every SIREAD/write-registry entry the
     /// transaction creates, on any node.
     pub(crate) ssi: Option<Arc<SsiTxn>>,
+    /// The fault decision [`crate::commit_txn`] takes between the steps of
+    /// this transaction's two-phase commit (the `Tm*` points of
+    /// [`InjectionPoint`]). `None` — no seam is visited — for everything
+    /// but the handover transaction `T_m`.
+    pub seams: Option<Box<dyn Fn(InjectionPoint) -> FaultAction + Send + Sync>>,
+}
+
+/// One node a transaction wrote on.
+pub(crate) struct Participant {
+    pub(crate) node: Arc<NodeStorage>,
+    /// A prepare record has been written here: the abort record is then a
+    /// `RollbackPrepared`.
+    pub(crate) prepared: bool,
 }
 
 impl std::fmt::Debug for Txn {
@@ -84,10 +96,9 @@ impl Txn {
             start_ts,
             coordinator,
             state: TxnState::Active,
-            write_nodes: Vec::new(),
-            begun: HashSet::new(),
-            prepared_nodes: HashSet::new(),
+            participants: Vec::new(),
             ssi: None,
+            seams: None,
         }
     }
 
@@ -103,12 +114,7 @@ impl Txn {
 
     /// Nodes this transaction wrote on.
     pub fn write_node_ids(&self) -> Vec<NodeId> {
-        self.write_nodes.iter().map(|n| n.id).collect()
-    }
-
-    /// The distinct shards written on `node`.
-    pub fn written_shards_on(&self, node: &NodeStorage) -> Vec<ShardId> {
-        node.written_shards(self.xid)
+        self.participants.iter().map(|p| p.node.id).collect()
     }
 
     fn assert_active(&self) -> DbResult<()> {
@@ -123,18 +129,21 @@ impl Txn {
     }
 
     fn ensure_begun(&mut self, node: &Arc<NodeStorage>) -> DbResult<()> {
-        if self.begun.insert(node.id) {
-            node.register_active(self.xid);
-            if let Err(e) = node.clog.try_begin(self.xid) {
-                // Lost a race with a server-side force-abort.
-                node.deregister(self.xid);
-                self.begun.remove(&node.id);
-                return Err(e);
-            }
-            node.wal
-                .append(LogRecord::new(self.xid, LogOp::Begin(self.start_ts)));
-            self.write_nodes.push(Arc::clone(node));
+        if self.participants.iter().any(|p| p.node.id == node.id) {
+            return Ok(());
         }
+        node.register_active(self.xid);
+        if let Err(e) = node.clog.try_begin(self.xid) {
+            // Lost a race with a server-side force-abort.
+            node.deregister(self.xid);
+            return Err(e);
+        }
+        node.wal
+            .append(LogRecord::new(self.xid, LogOp::Begin(self.start_ts)));
+        self.participants.push(Participant {
+            node: Arc::clone(node),
+            prepared: false,
+        });
         Ok(())
     }
 
@@ -171,16 +180,10 @@ impl Txn {
     ) -> DbResult<()> {
         self.assert_active()?;
         node.check_doom(self.xid)?;
-        let waited = node.gate.wait_open(shard, node.config.lock_wait_timeout)?;
-        let table = match node.table_or_err(shard) {
-            Ok(t) => t,
-            Err(e) if waited => {
-                // The gate closed for an ownership transfer and the shard
-                // moved away while we were blocked.
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        };
+        node.gate.wait_open(shard, node.config.lock_wait_timeout)?;
+        // `NotOwner` here also covers a gate that closed for an ownership
+        // transfer: the shard moved away while we were blocked.
+        let table = node.table_or_err(shard)?;
         self.ensure_begun(node)?;
         // SSI: register the write and raise edges against concurrent
         // readers *before* the WAL/table apply — a dangerous structure
@@ -271,7 +274,7 @@ mod tests {
         ));
         assert_eq!(node.active_count(), 1);
         assert_eq!(txn.write_node_ids(), vec![NodeId(1)]);
-        assert_eq!(txn.written_shards_on(&node), vec![ShardId(1)]);
+        assert_eq!(node.written_shards(txn.xid), vec![ShardId(1)]);
     }
 
     #[test]

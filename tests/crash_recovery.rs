@@ -5,20 +5,47 @@
 use std::sync::Arc;
 
 use remus::chaos::{FaultSpec, PlanInjector};
-use remus::cluster::{ClusterBuilder, Session};
-use remus::common::{DbError, FaultAction, InjectionPoint, NodeId, ShardId, TableId, Timestamp};
-use remus::migration::diversion::run_tm_crash_after_prepare;
+use remus::cluster::{Cluster, ClusterBuilder, Session};
+use remus::common::IsolationLevel::{Serializable, SnapshotIsolation};
+use remus::common::{
+    DbError, FaultAction, InjectionPoint, IsolationLevel, NodeId, ShardId, TableId, Timestamp,
+    TxnId,
+};
+use remus::migration::diversion::run_tm;
 use remus::migration::mocc::ValidationRegistry;
 use remus::migration::recovery::{recover_migration, resolve_prepared_shadows, RecoveryDecision};
 use remus::migration::replay::{ApplyMsg, ReplayProcess};
 use remus::migration::snapshot::copy_shard_snapshot;
 use remus::migration::{MigrationEngine, MigrationTask, RemusEngine};
 use remus::storage::Value;
-use remus::txn::{commit_prepared, prepare_participant, Txn};
+use remus::txn::{prepare_participant, Txn};
 use remus::wal::{WriteKind, WriteOp};
 
 fn val(s: &str) -> Value {
     Value::copy_from_slice(s.as_bytes())
+}
+
+/// Runs the one `T_m` every migration runs with a scripted coordinator
+/// crash armed at `point`, returning the xid it leaves in doubt.
+fn crash_tm_at(cluster: &Arc<Cluster>, task: &MigrationTask, point: InjectionPoint) -> TxnId {
+    cluster.install_fault_injector(Arc::new(PlanInjector::from_specs(vec![FaultSpec {
+        point,
+        node: task.source,
+        occurrence: 0,
+        action: FaultAction::Crash,
+    }])));
+    let outcome = run_tm(cluster, task, true);
+    cluster.uninstall_fault_injector();
+    match outcome {
+        Err(DbError::InDoubt(xid)) => xid,
+        other => panic!("crash at {point}: expected an in-doubt T_m, got {other:?}"),
+    }
+}
+
+/// The commit timestamp of `tm` on the participants that entered phase two.
+fn committed_participants(cluster: &Cluster, tm: TxnId) -> Vec<Timestamp> {
+    let nodes = cluster.nodes().iter();
+    nodes.filter_map(|n| n.storage.clog.commit_ts(tm)).collect()
 }
 
 /// Crash before `T_m` commits: the migration rolls back; the source still
@@ -46,7 +73,7 @@ fn crash_before_tm_commit_rolls_back_and_source_serves() {
     session.run(|t| t.update(&layout, 7, val("v1"))).unwrap();
     // ... and an in-doubt T_m.
     let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-    let tm = run_tm_crash_after_prepare(&cluster, &task).unwrap();
+    let tm = crash_tm_at(&cluster, &task, InjectionPoint::TmAfterPrepare);
 
     let decision = recover_migration(&cluster, &task, tm).unwrap();
     assert_eq!(decision, RecoveryDecision::RolledBack);
@@ -55,9 +82,7 @@ fn crash_before_tm_commit_rolls_back_and_source_serves() {
     let (v, _) = session.run(|t| t.read(&layout, 7)).unwrap();
     assert_eq!(v, Some(val("v1")));
     // The cluster accepts a fresh migration of the same shard afterwards.
-    remus::migration::RemusEngine::new()
-        .migrate(&cluster, &task)
-        .unwrap();
+    RemusEngine::new().migrate(&cluster, &task).unwrap();
     let (v, _) = session.run(|t| t.read(&layout, 7)).unwrap();
     assert_eq!(v, Some(val("v1")));
 }
@@ -108,9 +133,11 @@ fn crash_after_tm_commit_rolls_forward_with_in_doubt_shadow() {
 
     // T_m crashed mid phase two: one participant already committed.
     let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
-    let tm = run_tm_crash_after_prepare(&cluster, &task).unwrap();
-    let ts = cluster.oracle.commit_ts(NodeId(0));
-    commit_prepared(&cluster.node(NodeId(2)).storage, tm, ts).unwrap();
+    let tm = crash_tm_at(&cluster, &task, InjectionPoint::TmAfterFirstCommit);
+    let committed = committed_participants(&cluster, tm);
+    let [ts] = committed[..] else {
+        panic!("expected one committed participant, got {committed:?}");
+    };
 
     let decision = recover_migration(&cluster, &task, tm).unwrap();
     assert_eq!(decision, RecoveryDecision::RolledForward(ts));
@@ -127,6 +154,95 @@ fn crash_after_tm_commit_rolls_forward_with_in_doubt_shadow() {
     // And all 40 keys survived.
     let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
     assert_eq!(rows.len(), 40);
+}
+
+/// The crash matrix: a coordinator crash at each seam of the 2PC `T_m`
+/// commits through, under both isolation levels. Recovery decides by the
+/// 2PC rule — committed iff some participant entered phase two — and leaves
+/// a cluster with nothing in doubt that accepts the next migration.
+#[test]
+fn tm_crash_at_every_seam_recovers_by_the_2pc_rule() {
+    use InjectionPoint::{TmAfterFirstCommit, TmAfterPrepare, TmBeforeCommit, TmBeforePrepare};
+    for isolation in [SnapshotIsolation, Serializable] {
+        for point in [
+            TmBeforePrepare,
+            TmAfterPrepare,
+            TmBeforeCommit,
+            TmAfterFirstCommit,
+        ] {
+            check_tm_crash(point, isolation);
+        }
+    }
+}
+
+fn check_tm_crash(point: InjectionPoint, isolation: IsolationLevel) {
+    let ctx = format!("crash at {point} / {isolation:?}");
+    let (source, dest, shard) = (NodeId(0), NodeId(1), ShardId(0));
+    let cluster = ClusterBuilder::new(3).isolation(isolation).build();
+    let layout = cluster.create_table(TableId(1), 0, 1, |_| source);
+    let session = Session::connect(&cluster, NodeId(2));
+    for k in 0..40u64 {
+        session.run(|t| t.insert(&layout, k, val("v0"))).unwrap();
+    }
+    let snapshot_ts = cluster.oracle.start_ts(source);
+    copy_shard_snapshot(
+        &cluster,
+        cluster.node(source),
+        cluster.node(dest),
+        shard,
+        snapshot_ts,
+    )
+    .unwrap();
+
+    let task = MigrationTask::single(shard, source, dest);
+    let tm = crash_tm_at(&cluster, &task, point);
+    let phase_two = committed_participants(&cluster, tm);
+    let decision = recover_migration(&cluster, &task, tm).unwrap();
+    let owner = match (point, &phase_two[..]) {
+        (InjectionPoint::TmAfterFirstCommit, [ts]) => {
+            assert_eq!(decision, RecoveryDecision::RolledForward(*ts), "{ctx}");
+            dest
+        }
+        (InjectionPoint::TmAfterFirstCommit, _) => {
+            panic!("{ctx}: expected one participant in phase two, got {phase_two:?}")
+        }
+        _ => {
+            assert!(phase_two.is_empty(), "{ctx}: {phase_two:?}");
+            assert_eq!(decision, RecoveryDecision::RolledBack, "{ctx}");
+            source
+        }
+    };
+    for node in cluster.nodes() {
+        let (id, storage) = (node.id(), &node.storage);
+        let row = cluster.current_owner(node, shard).unwrap();
+        assert_eq!(row.node, owner, "{ctx}: owner row on {id:?}");
+        if let RecoveryDecision::RolledForward(ts) = decision {
+            assert_eq!(row.cts, ts, "{ctx}: owner row on {id:?}");
+        }
+        assert_eq!(storage.hosts(shard), id == owner, "{ctx}: copy on {id:?}");
+        assert_eq!(storage.active_count(), 0, "{ctx}: active on {id:?}");
+        let prepared = storage.clog.prepared_txns();
+        assert!(
+            prepared.is_empty(),
+            "{ctx}: {prepared:?} in doubt on {id:?}"
+        );
+        let open = node.read_through.is_marked(shard);
+        assert!(!open, "{ctx}: read-through window open on {id:?}");
+    }
+
+    // A fresh migration of the same shard: the cancelled one retried, or
+    // the next one off the new owner.
+    let next = if owner == source {
+        task
+    } else {
+        MigrationTask::single(shard, dest, NodeId(2))
+    };
+    RemusEngine::new()
+        .migrate(&cluster, &next)
+        .unwrap_or_else(|e| panic!("{ctx}: fresh migration failed: {e:?}"));
+    assert!(cluster.node(next.dest).storage.hosts(shard), "{ctx}");
+    let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
+    assert_eq!(rows.len(), 40, "{ctx}");
 }
 
 /// A destination crash wipes the validation registry: prepared shadows of
