@@ -83,8 +83,7 @@ impl Session {
             session: self,
             txn,
             begin_ts: start_ts,
-            routes: std::collections::HashMap::new(),
-            touched: std::collections::BTreeMap::new(),
+            touched: Vec::new(),
             _pin: pin,
             finished: false,
         }
@@ -153,6 +152,22 @@ impl Session {
     }
 }
 
+/// One shard's entry in [`SessionTxn`]'s books.
+struct ShardUse {
+    shard: ShardId,
+    /// The sticky routing decision: once a shard is routed for this
+    /// transaction, every later statement goes to the same node. `None`
+    /// while only offloaded reads have touched the shard.
+    node: Option<NodeId>,
+    /// Local tallies, flushed to the cluster's load tracker once at
+    /// transaction end — the statement path stays free of shared-state
+    /// traffic. `offloaded` counts reads a certified replica served instead
+    /// of the shard's owner.
+    reads: u64,
+    writes: u64,
+    offloaded: u64,
+}
+
 /// An open transaction on a session.
 pub struct SessionTxn<'s> {
     session: &'s Session,
@@ -163,14 +178,10 @@ pub struct SessionTxn<'s> {
     /// transaction executes against one ownership epoch, as an H-store
     /// transaction stays pinned to its partition executor.
     begin_ts: Timestamp,
-    /// Sticky routing decisions: once a shard is routed for this
-    /// transaction, every later statement goes to the same node.
-    routes: std::collections::HashMap<ShardId, NodeId>,
-    /// Local `(reads, writes, offloaded)` tallies per shard, flushed to the
-    /// cluster's load tracker once at transaction end — the statement path
-    /// stays free of shared-state traffic. `offloaded` counts reads a
-    /// certified replica served instead of the shard's owner.
-    touched: std::collections::BTreeMap<ShardId, (u64, u64, u64)>,
+    /// What the transaction did on each shard so far, sorted by shard id
+    /// (so the written set — and with it the affinity pairs — is recorded
+    /// deterministically): one allocation, made by the first statement.
+    touched: Vec<ShardUse>,
     _pin: SnapshotGuard,
     finished: bool,
 }
@@ -199,20 +210,42 @@ impl<'s> SessionTxn<'s> {
     }
 
     /// The sticky routing decisions made so far, as `(shard, node)` pairs in
-    /// unspecified order. The chaos harness records these to check that
+    /// shard-id order. The chaos harness records these to check that
     /// routing across a migration is monotone in snapshot order.
     pub fn routes(&self) -> Vec<(ShardId, NodeId)> {
-        self.routes.iter().map(|(s, n)| (*s, *n)).collect()
+        let routed = self.touched.iter();
+        routed.filter_map(|u| Some((u.shard, u.node?))).collect()
+    }
+
+    /// Where `shard`'s entry is in `touched`, or where it would go.
+    fn find(&self, shard: ShardId) -> Result<usize, usize> {
+        self.touched.binary_search_by_key(&shard, |u| u.shard)
+    }
+
+    /// `shard`'s entry, made first if this is the first touch.
+    fn touch(&mut self, shard: ShardId) -> &mut ShardUse {
+        let at = self.find(shard).unwrap_or_else(|at| {
+            let fresh = ShardUse {
+                shard,
+                node: None,
+                reads: 0,
+                writes: 0,
+                offloaded: 0,
+            };
+            self.touched.insert(at, fresh);
+            at
+        });
+        &mut self.touched[at]
     }
 
     /// Routes `shard` for this transaction (sticky: the first decision,
     /// made with the begin-time snapshot, is reused for later statements).
     fn route_for(&mut self, shard: ShardId) -> DbResult<Arc<Node>> {
-        if let Some(node) = self.routes.get(&shard) {
-            return Ok(Arc::clone(self.session.cluster.node(*node)));
+        if let Some(node) = self.find(shard).ok().and_then(|at| self.touched[at].node) {
+            return Ok(Arc::clone(self.session.cluster.node(node)));
         }
         let node = self.session.route(shard, self.begin_ts)?;
-        self.routes.insert(shard, node.id());
+        self.touch(shard).node = Some(node.id());
         Ok(node)
     }
 
@@ -266,7 +299,7 @@ impl<'s> SessionTxn<'s> {
                     hook.before_access(replica.id(), shard, key, false, self.txn.xid)?;
                 }
                 replica.work.add(1);
-                self.touched.entry(shard).or_default().2 += 1;
+                self.touch(shard).offloaded += 1;
                 return table.read(
                     key,
                     self.txn.start_ts,
@@ -281,7 +314,7 @@ impl<'s> SessionTxn<'s> {
             hook.before_access(node.id(), shard, key, false, self.txn.xid)?;
         }
         node.work.add(1);
-        self.touched.entry(shard).or_default().0 += 1;
+        self.touch(shard).reads += 1;
         self.txn.read(&node.storage, shard, key)
     }
 
@@ -304,7 +337,7 @@ impl<'s> SessionTxn<'s> {
         if self.txn.ssi_handle().is_some() {
             return None;
         }
-        if self.touched.get(&shard).is_some_and(|t| t.1 > 0) {
+        if self.find(shard).is_ok_and(|at| self.touched[at].writes > 0) {
             return None;
         }
         let replicas = cluster.replica_ids();
@@ -390,7 +423,7 @@ impl<'s> SessionTxn<'s> {
             hook.before_access(node.id(), shard, key, true, self.txn.xid)?;
         }
         node.work.add(1);
-        self.touched.entry(shard).or_default().1 += 1;
+        self.touch(shard).writes += 1;
         op(&mut self.txn, &node.storage, shard)
     }
 
@@ -424,7 +457,7 @@ impl<'s> SessionTxn<'s> {
             )?;
             let rows = (out.len() - before) as u64;
             node.work.add(rows);
-            self.touched.entry(shard).or_default().0 += rows;
+            self.touch(shard).reads += rows;
         }
         Ok(out)
     }
@@ -446,14 +479,8 @@ impl<'s> SessionTxn<'s> {
             self.session
                 .last_commit
                 .fetch_max(cts.0, std::sync::atomic::Ordering::SeqCst);
-            // `touched` is ordered by shard id, so the written set — and
-            // with it the affinity pairs — is recorded deterministically.
-            let written: Vec<ShardId> = self
-                .touched
-                .iter()
-                .filter(|(_, &(_, w, _))| w > 0)
-                .map(|(&s, _)| s)
-                .collect();
+            let written = self.touched.iter().filter(|u| u.writes > 0);
+            let written: Vec<ShardId> = written.map(|u| u.shard).collect();
             self.session.cluster.load.record_commit(&written);
         }
         self.finish();
@@ -470,11 +497,11 @@ impl<'s> SessionTxn<'s> {
         if !self.finished {
             self.release_locks();
             let mut offloaded_total = 0;
-            for (&shard, &(reads, writes, offloaded)) in &self.touched {
-                let cell = self.session.cluster.load.cell(shard);
-                cell.charge(reads, writes);
-                cell.charge_offloaded(offloaded);
-                offloaded_total += offloaded;
+            for used in &self.touched {
+                let cell = self.session.cluster.load.cell(used.shard);
+                cell.charge(used.reads, used.writes);
+                cell.charge_offloaded(used.offloaded);
+                offloaded_total += used.offloaded;
             }
             if offloaded_total > 0 {
                 self.session

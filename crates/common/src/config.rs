@@ -142,8 +142,8 @@ impl ParallelismConfig {
 /// keeps `gts_lease: 1`, and the chaos checker's strict GTS mode assumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotPathConfig {
-    /// Lock stripes per versioned-table key index (1 = the original single
-    /// `RwLock<BTreeMap>`).
+    /// Lock stripes per versioned-table key index: each stripe is one
+    /// `RwLock` over its own slot table (1 = every key behind one lock).
     pub index_stripes: usize,
     /// Cadence of incremental version-chain GC in the maintenance thread.
     /// `Duration::ZERO` disables GC entirely.

@@ -14,10 +14,16 @@
 //!   heap: SI reads, first-committer-wins writes, deletes, explicit row
 //!   locks, streaming snapshot scans, snapshot installation, GC.
 //!
-//! How a table lays out its version chains, and the pure visibility and
-//! write-check procedures that walk them, are private to this crate. What
-//! is public is the table API below: each operation has one body and every
-//! other entry point projects it (the [`table`] module doc has the callers).
+//! How a table lays out its keys and version chains — per lock stripe an
+//! open-addressing table of `(key, node)` slots for point access, one node
+//! per key holding the latch and the newest version with older versions
+//! linked behind it, and the keys in order for scans, built when the first
+//! scan asks — and the pure visibility and write-check procedures that walk
+//! a chain, are private to this crate. A version caches its creator's commit
+//! timestamp once somebody resolved it, so the commit log is asked about a
+//! version at most until it is known committed. What is public is the table
+//! API below: each operation has one body and every other entry point
+//! projects it (the [`table`] module doc has the callers).
 //!
 //! | operation | body | projections |
 //! |---|---|---|
@@ -34,6 +40,7 @@
 pub mod clog;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
+mod slots;
 pub mod table;
 mod tuple;
 mod visibility;

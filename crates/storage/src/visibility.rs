@@ -19,7 +19,7 @@
 use remus_common::{Timestamp, TxnId};
 
 use crate::clog::{Clog, TxnStatus};
-use crate::tuple::{Value, VersionChain};
+use crate::tuple::{Value, Version, VersionChain};
 
 /// Outcome of a non-blocking visibility resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,26 +40,33 @@ pub enum ReadOutcome {
     WaitFor(TxnId),
 }
 
-/// Resolves what `self_xid` sees for this chain at `start_ts`.
+/// What a reader that settled on `v` gets: its payload with `cts`, or
+/// nothing if it is a tombstone.
+fn read_of(v: &Version, cts: Timestamp) -> ReadOutcome {
+    match &v.value {
+        Some(value) => ReadOutcome::Value {
+            value: value.clone(),
+            cts,
+        },
+        None => ReadOutcome::NotFound,
+    }
+}
+
+/// Resolves what `self_xid` sees for this chain at `start_ts`. Takes the
+/// latched chain mutably because resolving a committed creator stamps its
+/// version ([`Version::status`]).
 pub fn resolve_visible(
-    chain: &VersionChain,
+    chain: &mut VersionChain,
     clog: &Clog,
     start_ts: Timestamp,
     self_xid: TxnId,
 ) -> ReadOutcome {
-    for v in chain.iter() {
+    for v in chain.iter_mut() {
         if v.xmin == self_xid {
             // Read-your-writes: the newest own version decides.
-            return if v.deleted {
-                ReadOutcome::NotFound
-            } else {
-                ReadOutcome::Value {
-                    value: v.value.clone(),
-                    cts: Timestamp::INVALID,
-                }
-            };
+            return read_of(v, Timestamp::INVALID);
         }
-        match clog.status(v.xmin) {
+        match v.status(clog) {
             TxnStatus::InProgress | TxnStatus::Aborted => continue,
             TxnStatus::Prepared => {
                 // Mutation self-test seam: skipping a prepared version is
@@ -74,14 +81,7 @@ pub fn resolve_visible(
             }
             TxnStatus::Committed(cts) => {
                 if cts <= start_ts {
-                    return if v.deleted {
-                        ReadOutcome::NotFound
-                    } else {
-                        ReadOutcome::Value {
-                            value: v.value.clone(),
-                            cts,
-                        }
-                    };
+                    return read_of(v, cts);
                 }
                 // Committed after our snapshot: invisible, keep walking.
             }
@@ -125,7 +125,7 @@ pub enum WriteCheck {
 /// Checks whether `self_xid` (snapshot `start_ts`) may perform `kind` on the
 /// tuple whose chain is given.
 pub fn check_write(
-    chain: &VersionChain,
+    chain: &mut VersionChain,
     clog: &Clog,
     start_ts: Timestamp,
     self_xid: TxnId,
@@ -136,11 +136,11 @@ pub fn check_write(
     // second lookup could see the writer abort in between and contradict
     // the filter here.
     let mut newest = None;
-    for v in chain.iter() {
+    for v in chain.iter_mut() {
         let status = if v.xmin == self_xid {
             TxnStatus::InProgress
         } else {
-            clog.status(v.xmin)
+            v.status(clog)
         };
         #[cfg(feature = "mutation-hooks")]
         crate::mutation::fire_abort_after_write_check_read(clog, v.xmin);
@@ -157,7 +157,7 @@ pub fn check_write(
     };
 
     if v.xmin == self_xid {
-        return match (kind, v.deleted) {
+        return match (kind, v.deleted()) {
             (WriteKind::Insert, true) => WriteCheck::OwnNewest, // re-insert over own tombstone
             (WriteKind::Insert, false) => WriteCheck::DuplicateKey,
             (_, true) => WriteCheck::NotFound, // updating a row we deleted
@@ -171,17 +171,16 @@ pub fn check_write(
         TxnStatus::Committed(cts) => {
             // An unresolved or newly-committed explicit lock blocks like a
             // write.
-            if let Some(locker) = v.locker {
-                if locker != self_xid {
-                    match clog.status(locker) {
-                        TxnStatus::InProgress | TxnStatus::Prepared => {
-                            return WriteCheck::WaitFor(locker);
-                        }
-                        TxnStatus::Committed(lcts) if lcts > start_ts => {
-                            return WriteCheck::Conflict(locker);
-                        }
-                        _ => {}
+            let locker = v.locker;
+            if locker.is_valid() && locker != self_xid {
+                match clog.status(locker) {
+                    TxnStatus::InProgress | TxnStatus::Prepared => {
+                        return WriteCheck::WaitFor(locker);
                     }
+                    TxnStatus::Committed(lcts) if lcts > start_ts => {
+                        return WriteCheck::Conflict(locker);
+                    }
+                    _ => {}
                 }
             }
             if cts > start_ts {
@@ -190,13 +189,13 @@ pub fn check_write(
                 // is a unique-constraint violation (PostgreSQL waits on the
                 // other inserter, then raises duplicate key); everything
                 // else is a first-committer-wins conflict.
-                return if kind == WriteKind::Insert && !v.deleted {
+                return if kind == WriteKind::Insert && !v.deleted() {
                     WriteCheck::DuplicateKey
                 } else {
                     WriteCheck::Conflict(v.xmin)
                 };
             }
-            match (kind, v.deleted) {
+            match (kind, v.deleted()) {
                 (WriteKind::Insert, true) => WriteCheck::Ok,
                 (WriteKind::Insert, false) => WriteCheck::DuplicateKey,
                 (_, true) => WriteCheck::NotFound,
@@ -209,7 +208,6 @@ pub fn check_write(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::TupleVersion;
     use bytes::Bytes;
     use remus_common::NodeId;
 
@@ -238,25 +236,25 @@ mod tests {
             clog.set_committed(xid(n), Timestamp(ts)).unwrap();
         }
         let mut chain = VersionChain::default();
-        chain.push(TupleVersion::data(xid(1), val("v1")));
-        chain.push(TupleVersion::data(xid(2), val("v2")));
+        chain.push(Version::data(xid(1), val("v1")));
+        chain.push(Version::data(xid(2), val("v2")));
         (clog, chain)
     }
 
     #[test]
     fn snapshot_selects_version_by_commit_ts() {
-        let (clog, chain) = two_version_chain();
+        let (clog, mut chain) = two_version_chain();
         let reader = xid(99);
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(15), reader),
+            resolve_visible(&mut chain, &clog, Timestamp(15), reader),
             seen("v1", 10)
         );
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(20), reader),
+            resolve_visible(&mut chain, &clog, Timestamp(20), reader),
             seen("v2", 20)
         );
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(5), reader),
+            resolve_visible(&mut chain, &clog, Timestamp(5), reader),
             ReadOutcome::NotFound
         );
     }
@@ -266,9 +264,9 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         clog.begin(xid(3));
         clog.set_prepared(xid(3)).unwrap();
-        chain.push(TupleVersion::data(xid(3), val("v3")));
+        chain.push(Version::data(xid(3), val("v3")));
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
+            resolve_visible(&mut chain, &clog, Timestamp(25), xid(99)),
             ReadOutcome::WaitFor(xid(3))
         );
     }
@@ -277,9 +275,9 @@ mod tests {
     fn in_progress_creator_is_invisible() {
         let (clog, mut chain) = two_version_chain();
         clog.begin(xid(3));
-        chain.push(TupleVersion::data(xid(3), val("v3")));
+        chain.push(Version::data(xid(3), val("v3")));
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
+            resolve_visible(&mut chain, &clog, Timestamp(25), xid(99)),
             seen("v2", 20)
         );
     }
@@ -289,9 +287,9 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         clog.begin(xid(3));
         clog.set_aborted(xid(3));
-        chain.push(TupleVersion::data(xid(3), val("v3")));
+        chain.push(Version::data(xid(3), val("v3")));
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
+            resolve_visible(&mut chain, &clog, Timestamp(25), xid(99)),
             seen("v2", 20)
         );
     }
@@ -301,15 +299,15 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         let me = xid(50);
         clog.begin(me);
-        chain.push(TupleVersion::data(me, val("mine")));
+        chain.push(Version::data(me, val("mine")));
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(5), me),
+            resolve_visible(&mut chain, &clog, Timestamp(5), me),
             seen("mine", Timestamp::INVALID.0)
         );
         let mut chain2 = chain.clone();
-        chain2.push(TupleVersion::tombstone(me));
+        chain2.push(Version::tombstone(me));
         assert_eq!(
-            resolve_visible(&chain2, &clog, Timestamp(25), me),
+            resolve_visible(&mut chain2, &clog, Timestamp(25), me),
             ReadOutcome::NotFound
         );
     }
@@ -319,14 +317,14 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         clog.begin(xid(3));
         clog.set_committed(xid(3), Timestamp(30)).unwrap();
-        chain.push(TupleVersion::tombstone(xid(3)));
+        chain.push(Version::tombstone(xid(3)));
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(35), xid(99)),
+            resolve_visible(&mut chain, &clog, Timestamp(35), xid(99)),
             ReadOutcome::NotFound
         );
         // Older snapshots still see through the tombstone.
         assert_eq!(
-            resolve_visible(&chain, &clog, Timestamp(25), xid(99)),
+            resolve_visible(&mut chain, &clog, Timestamp(25), xid(99)),
             seen("v2", 20)
         );
     }
@@ -335,7 +333,7 @@ mod tests {
     fn empty_chain_is_not_found() {
         let clog = Clog::new();
         assert_eq!(
-            resolve_visible(&VersionChain::default(), &clog, Timestamp(10), xid(1)),
+            resolve_visible(&mut VersionChain::default(), &clog, Timestamp(10), xid(1)),
             ReadOutcome::NotFound
         );
     }
@@ -344,19 +342,19 @@ mod tests {
 
     #[test]
     fn update_ok_when_newest_committed_before_snapshot() {
-        let (clog, chain) = two_version_chain();
+        let (clog, mut chain) = two_version_chain();
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
             WriteCheck::Ok
         );
     }
 
     #[test]
     fn update_conflicts_with_newer_committed_version() {
-        let (clog, chain) = two_version_chain();
+        let (clog, mut chain) = two_version_chain();
         // Snapshot at 15; txn 2 committed v2 at 20 => first committer wins.
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(15), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(15), xid(99), WriteKind::Update),
             WriteCheck::Conflict(xid(2))
         );
     }
@@ -365,14 +363,14 @@ mod tests {
     fn update_waits_for_unresolved_writer() {
         let (clog, mut chain) = two_version_chain();
         clog.begin(xid(3));
-        chain.push(TupleVersion::data(xid(3), val("v3")));
+        chain.push(Version::data(xid(3), val("v3")));
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
             WriteCheck::WaitFor(xid(3))
         );
         clog.set_prepared(xid(3)).unwrap();
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
             WriteCheck::WaitFor(xid(3))
         );
     }
@@ -382,9 +380,9 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         clog.begin(xid(3));
         clog.set_aborted(xid(3));
-        chain.push(TupleVersion::data(xid(3), val("dead")));
+        chain.push(Version::data(xid(3), val("dead")));
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
             WriteCheck::Ok
         );
     }
@@ -394,9 +392,9 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         let me = xid(50);
         clog.begin(me);
-        chain.push(TupleVersion::data(me, val("mine")));
+        chain.push(Version::data(me, val("mine")));
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), me, WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), me, WriteKind::Update),
             WriteCheck::OwnNewest
         );
     }
@@ -406,26 +404,32 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         let me = xid(50);
         clog.begin(me);
-        chain.push(TupleVersion::tombstone(me));
+        chain.push(Version::tombstone(me));
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), me, WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), me, WriteKind::Update),
             WriteCheck::NotFound
         );
     }
 
     #[test]
     fn insert_duplicate_and_over_tombstone() {
-        let (clog, chain) = two_version_chain();
+        let (clog, mut chain) = two_version_chain();
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Insert),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Insert),
             WriteCheck::DuplicateKey
         );
         let mut deleted = chain.clone();
         clog.begin(xid(3));
         clog.set_committed(xid(3), Timestamp(22)).unwrap();
-        deleted.push(TupleVersion::tombstone(xid(3)));
+        deleted.push(Version::tombstone(xid(3)));
         assert_eq!(
-            check_write(&deleted, &clog, Timestamp(25), xid(99), WriteKind::Insert),
+            check_write(
+                &mut deleted,
+                &clog,
+                Timestamp(25),
+                xid(99),
+                WriteKind::Insert
+            ),
             WriteCheck::Ok
         );
     }
@@ -433,17 +437,17 @@ mod tests {
     #[test]
     fn insert_into_empty_chain_is_ok_but_update_is_not_found() {
         let clog = Clog::new();
-        let chain = VersionChain::default();
+        let mut chain = VersionChain::default();
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(5), xid(1), WriteKind::Insert),
+            check_write(&mut chain, &clog, Timestamp(5), xid(1), WriteKind::Insert),
             WriteCheck::Ok
         );
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(5), xid(1), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(5), xid(1), WriteKind::Update),
             WriteCheck::NotFound
         );
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(5), xid(1), WriteKind::Delete),
+            check_write(&mut chain, &clog, Timestamp(5), xid(1), WriteKind::Delete),
             WriteCheck::NotFound
         );
     }
@@ -453,10 +457,10 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         clog.begin(xid(3));
         clog.set_committed(xid(3), Timestamp(30)).unwrap();
-        chain.push(TupleVersion::tombstone(xid(3)));
+        chain.push(Version::tombstone(xid(3)));
         // Snapshot at 25 did not see the delete; re-insert is a WW conflict.
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Insert),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Insert),
             WriteCheck::Conflict(xid(3))
         );
     }
@@ -466,21 +470,21 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         let locker = xid(7);
         clog.begin(locker);
-        chain.newest_mut().unwrap().locker = Some(locker);
+        chain.newest_mut().unwrap().locker = locker;
         // Unresolved locker: wait.
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
             WriteCheck::WaitFor(locker)
         );
         // Locker committed after our snapshot: conflict.
         clog.set_committed(locker, Timestamp(30)).unwrap();
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), xid(99), WriteKind::Update),
             WriteCheck::Conflict(locker)
         );
         // Locker committed before our snapshot: no obstacle.
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(35), xid(99), WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(35), xid(99), WriteKind::Update),
             WriteCheck::Ok
         );
     }
@@ -490,9 +494,9 @@ mod tests {
         let (clog, mut chain) = two_version_chain();
         let me = xid(7);
         clog.begin(me);
-        chain.newest_mut().unwrap().locker = Some(me);
+        chain.newest_mut().unwrap().locker = me;
         assert_eq!(
-            check_write(&chain, &clog, Timestamp(25), me, WriteKind::Update),
+            check_write(&mut chain, &clog, Timestamp(25), me, WriteKind::Update),
             WriteCheck::Ok
         );
     }

@@ -178,3 +178,146 @@ fn incremental_gc_races_writers_without_losing_visible_versions() {
     table.gc_step(final_watermark, &clog, usize::MAX);
     assert_eq!(table.stats().versions, KEYS as usize);
 }
+
+#[test]
+fn a_growing_stripe_rehashes_under_readers_a_scanner_and_gc() {
+    // Two stripes and 3 000 ascending keys: each stripe's slots double ten
+    // times (4 -> 4 096) while everything else is in flight, and the keys a
+    // deleter takes out again are unmapped — the run behind them shifted
+    // back — between two doublings.
+    const KEYS: u64 = 3_000;
+    const LAG: u64 = 512;
+    let doomed = |key: u64| key % 7 == 5;
+    let table = Arc::new(VersionedTable::with_stripes(2));
+    let clog = Arc::new(Clog::new());
+    let ts = Arc::new(AtomicU64::new(10));
+    // Keys `0..inserted` are committed; keys `0..rewritten` also had their
+    // second write (an update, or the delete of a doomed key).
+    let inserted = Arc::new(AtomicU64::new(0));
+    let rewritten = Arc::new(AtomicU64::new(0));
+    // Active snapshots of the two readers and the scanner (u64::MAX = none).
+    let active: Arc<[AtomicU64; 3]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(u64::MAX)));
+    let snapshot = |ts: &AtomicU64, slot: &AtomicU64| {
+        let snap = ts.fetch_add(1, Ordering::SeqCst);
+        slot.store(snap, Ordering::SeqCst);
+        Timestamp(snap)
+    };
+
+    let inserter = {
+        let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
+        let inserted = Arc::clone(&inserted);
+        std::thread::spawn(move || {
+            for key in 0..KEYS {
+                commit_write(
+                    &table,
+                    &clog,
+                    key,
+                    TxnId::new(NodeId(0), key + 1),
+                    &ts,
+                    true,
+                );
+                inserted.store(key + 1, Ordering::SeqCst);
+            }
+        })
+    };
+    let rewriter = {
+        let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
+        let (inserted, rewritten) = (Arc::clone(&inserted), Arc::clone(&rewritten));
+        std::thread::spawn(move || {
+            for key in 0..KEYS {
+                while inserted.load(Ordering::SeqCst) <= key {
+                    std::thread::yield_now();
+                }
+                let xid = TxnId::new(NodeId(1), key + 1);
+                if doomed(key) {
+                    let start = Timestamp(ts.fetch_add(1, Ordering::SeqCst));
+                    clog.begin(xid);
+                    table.delete(key, xid, start, &clog, T).unwrap();
+                    let cts = Timestamp(ts.fetch_add(1, Ordering::SeqCst));
+                    clog.set_committed(xid, cts).unwrap();
+                } else {
+                    commit_write(&table, &clog, key, xid, &ts, false);
+                }
+                rewritten.store(key + 1, Ordering::SeqCst);
+            }
+        })
+    };
+    let gc = {
+        let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
+        let (active, rewritten) = (Arc::clone(&active), Arc::clone(&rewritten));
+        std::thread::spawn(move || {
+            let mut pruned = 0;
+            while rewritten.load(Ordering::SeqCst) < KEYS {
+                // The clock first: a snapshot taken after it is above the lag.
+                let lagged = ts.load(Ordering::SeqCst).saturating_sub(LAG);
+                let pinned = active.iter().map(|a| a.load(Ordering::SeqCst)).min();
+                let watermark = Timestamp(lagged.min(pinned.unwrap_or(u64::MAX)));
+                pruned += table.gc_step(watermark, &clog, 64).pruned;
+            }
+            pruned
+        })
+    };
+    let readers: Vec<_> = (0..2usize)
+        .map(|r| {
+            let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
+            let (active, inserted) = (Arc::clone(&active), Arc::clone(&inserted));
+            std::thread::spawn(move || {
+                let mut i = r as u64;
+                while inserted.load(Ordering::SeqCst) < KEYS {
+                    let committed = inserted.load(Ordering::SeqCst);
+                    let snap = snapshot(&ts, &active[r]);
+                    i = i.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let key = (i >> 33) % committed.max(1);
+                    let reader = TxnId::new(NodeId(8 + r as u32), i >> 20);
+                    let got = table.read(key, snap, reader, &clog, T).unwrap();
+                    active[r].store(u64::MAX, Ordering::SeqCst);
+                    if committed > 0 && !doomed(key) {
+                        let want = Value::from(format!("k{key}").into_bytes());
+                        assert_eq!(got, Some(want), "key {key} lost while its stripe grew");
+                    }
+                }
+            })
+        })
+        .collect();
+    let scanner = {
+        let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
+        let (active, inserted) = (Arc::clone(&active), Arc::clone(&inserted));
+        std::thread::spawn(move || {
+            while inserted.load(Ordering::SeqCst) < KEYS {
+                let committed = inserted.load(Ordering::SeqCst);
+                let snap = snapshot(&ts, &active[2]);
+                let mut seen = Vec::new();
+                table
+                    .scan(.., snap, TxnId::INVALID, &clog, T, |k, _| seen.push(k))
+                    .unwrap();
+                active[2].store(u64::MAX, Ordering::SeqCst);
+                assert!(seen.windows(2).all(|w| w[0] < w[1]), "scan out of order");
+                // Every key committed before the snapshot and not deleted.
+                let mut seen = seen.into_iter().filter(|k| !doomed(*k)).peekable();
+                for key in (0..committed).filter(|k| !doomed(*k)) {
+                    assert_eq!(seen.next(), Some(key), "scan skipped a mapped key");
+                }
+            }
+        })
+    };
+    inserter.join().unwrap();
+    for h in readers.into_iter().chain([scanner, rewriter]) {
+        h.join().unwrap();
+    }
+    assert!(
+        gc.join().unwrap() > 0,
+        "GC racing the rehashes pruned nothing"
+    );
+    // Quiesced: the doomed keys are unmapped, every other key has one
+    // version and reads its value.
+    let end = Timestamp(ts.load(Ordering::SeqCst));
+    table.vacuum(end, &clog);
+    let live = (0..KEYS).filter(|k| !doomed(*k)).count();
+    let stats = table.stats();
+    assert_eq!((stats.keys, stats.versions), (live, live));
+    for key in 0..KEYS {
+        let got = table.read(key, end, TxnId::new(NodeId(9), key + 1), &clog, T);
+        let want = (!doomed(key)).then(|| Value::from(format!("k{key}").into_bytes()));
+        assert_eq!(got.unwrap(), want, "key {key}");
+    }
+}
