@@ -351,7 +351,7 @@ fn run_skew_leg(leg: &Leg<bool>) -> LegOutcome {
         let policy = PlannerConfig {
             replication: replicate,
             colocation: false,
-            ..PlannerConfig::adaptive()
+            ..PlannerConfig::balanced()
         };
         let pilot = start_pilot(cluster, policy);
         let deadline = Instant::now() + RS_REACT_TIMEOUT;

@@ -49,10 +49,16 @@ pub(crate) fn bench() -> Bench<Option<ParallelismConfig>> {
         chunk_size: 256,
         ..SimConfig::instant().parallelism
     };
-    let planes = [
-        ("smoke-seq", ParallelismConfig::sequential()),
-        ("smoke-par", parallel),
-    ];
+    // A fully sequential data plane: one copy worker over one chunk per
+    // shard (the exact sequential scan), one replay worker, single-record
+    // drains.
+    let sequential = ParallelismConfig {
+        copy_workers: 1,
+        replay_workers: 1,
+        chunk_size: u64::MAX,
+        drain_batch: 1,
+    };
+    let planes = [("smoke-seq", sequential), ("smoke-par", parallel)];
     let plain = |kind| Leg::new("smoke", "", None).engine(kind);
     let mut legs = Vec::from(EngineKind::all().map(plain));
     for kind in EngineKind::all() {

@@ -110,20 +110,6 @@ pub struct ParallelismConfig {
     pub drain_batch: usize,
 }
 
-impl ParallelismConfig {
-    /// A fully sequential data plane: one copy worker, one replay worker,
-    /// single-record drains. Used by equivalence tests and as the baseline
-    /// leg of the sequential-vs-parallel bench comparison.
-    pub fn sequential() -> Self {
-        ParallelismConfig {
-            copy_workers: 1,
-            replay_workers: 1,
-            chunk_size: u64::MAX,
-            drain_batch: 1,
-        }
-    }
-}
-
 /// Foreground hot-path shape: storage-index striping, version-chain GC
 /// cadence, and GTS lease size.
 ///
@@ -252,16 +238,6 @@ impl PlannerConfig {
             cost_weight_ship: 1.0,
         }
     }
-
-    /// `balanced()` with the replicate-or-migrate decision core enabled.
-    /// Kept as a separate preset so every existing balanced() user keeps
-    /// the migrate-only behavior byte-for-byte.
-    pub fn adaptive() -> Self {
-        PlannerConfig {
-            replication: true,
-            ..Self::balanced()
-        }
-    }
 }
 
 /// Tunables for the simulated cluster and the migration engines.
@@ -356,17 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_parallelism_is_single_threaded_everywhere() {
-        let p = ParallelismConfig::sequential();
-        assert_eq!(p.copy_workers, 1);
-        assert_eq!(p.replay_workers, 1);
-        assert_eq!(p.drain_batch, 1);
-        // A maximal chunk keeps every shard in one chunk: the copy is the
-        // exact sequential scan.
-        assert_eq!(p.chunk_size, u64::MAX);
-    }
-
-    #[test]
     fn sequential_hot_path_is_todays_behavior() {
         let h = HotPathConfig::sequential();
         assert_eq!(h.index_stripes, 1);
@@ -383,10 +348,7 @@ mod tests {
 
         // Replication is opt-in: balanced() users keep migrate-only planning.
         assert!(!b.replication);
-
-        let a = PlannerConfig::adaptive();
-        assert!(a.replication);
-        assert!(a.replica_read_ratio > 0.5 && a.replica_read_ratio <= 1.0);
+        assert!(b.replica_read_ratio > 0.5 && b.replica_read_ratio <= 1.0);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   chunk-locking) with background pulls; source access to migrated
 //!   chunks aborts.
 //! * [`propagation`] / [`replay`] / [`mocc`] — the shared update
-//!   propagation machinery: WAL tailing into per-transaction update cache
-//!   queues, the destination apply processes (parallel, key-fenced), and
+//!   propagation machinery: WAL tailing through [`remus_wal::TxnAssembler`]
+//!   (its per-transaction buffers are the paper's update cache queues),
+//!   the destination apply processes (parallel, key-fenced), and
 //!   the MOCC validation registry + commit hook.
 //! * [`replication`] — WAL-shipped read replicas: per-primary shippers and
 //!   gate-sequenced appliers, virtual-cut backfill with chunk

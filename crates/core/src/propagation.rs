@@ -1,8 +1,11 @@
 //! The source-side propagation (send) process (§3.3).
 //!
 //! Tails the source WAL from a replication slot, extracting only the
-//! changes of the migrating shards into per-transaction update cache
-//! queues. A transaction's queue is shipped when the process encounters:
+//! changes of the migrating shards into per-transaction buffers — the
+//! paper's update cache queues, assembled by [`remus_wal::TxnAssembler`]
+//! with "shard is migrating" as its write predicate. This file is what
+//! propagation does with the assembler's events: a transaction's buffer is
+//! shipped when the process encounters:
 //!
 //! * its commit record with `commit_ts > snapshot_ts` (async mode) — as an
 //!   [`ApplyMsg::Committed`];
@@ -12,11 +15,11 @@
 //!   record appears.
 //!
 //! Aborted transactions and transactions committed at or before the
-//! snapshot timestamp have their queues dropped. Queues that spilled past
+//! snapshot timestamp have their buffers dropped. Buffers that grew past
 //! `SPILL_THRESHOLD` records charge the configured reload latency per
 //! batch when shipped.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,16 +27,17 @@ use std::time::Duration;
 use crossbeam::channel::Sender;
 use remus_cluster::{Cluster, Node};
 use remus_common::{DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
-use remus_wal::{LogOp, Lsn, UpdateCacheQueue, WriteOp};
+use remus_wal::{Lsn, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
 
 use crate::mocc::RemusHook;
 use crate::replay::ApplyMsg;
 
-/// Per-transaction update cache queues spill to disk above this many
-/// records (paper §3.3 "allows their change records being spilled to
-/// disk"); the spill is modelled by `SimConfig::spill_reload_latency` per
-/// reloaded batch.
+/// A transaction's buffered changes spill to disk above this many records
+/// (paper §3.3 "allows their change records being spilled to disk"); the
+/// spill is modelled by `SimConfig::spill_reload_latency` per reloaded batch
+/// of [`SPILL_RELOAD_BATCH`] records when the buffer is shipped.
 const SPILL_THRESHOLD: usize = 4096;
+const SPILL_RELOAD_BATCH: usize = 256;
 
 /// Counters exposed by the propagation process.
 #[derive(Debug, Default)]
@@ -44,12 +48,6 @@ pub struct PropagationStats {
     pub sent: AtomicU64,
     /// Change records extracted for the migrating shards.
     pub extracted: AtomicU64,
-}
-
-struct PendingTxn {
-    start_ts: Timestamp,
-    queue: UpdateCacheQueue,
-    validated: bool,
 }
 
 /// Handle to the running propagation thread.
@@ -157,37 +155,29 @@ fn propagate_loop(
     stop_at: Arc<AtomicU64>,
 ) {
     let mut reader = source.storage.wal.reader_from(from);
-    let mut pending: HashMap<TxnId, PendingTxn> = HashMap::new();
+    let mut assembler = TxnAssembler::new(from, |w: &WriteOp| shards.contains(&w.shard));
+    // Synchronized source transactions whose `Validate` was shipped: their
+    // decision record ships the shadow's, not a second copy of the writes.
+    let mut validated: HashSet<TxnId> = HashSet::new();
     let spill_latency = cluster.config.spill_reload_latency;
     let drain_batch = cluster.config.parallelism.drain_batch.max(1);
     let batch_len = cluster.metrics.counter("replay.batch_len");
-    // Write records drained in the current batch, staged per transaction and
-    // bulk-appended to the update cache queue. A transaction's staged writes
-    // are flushed before any of its control records is handled so shipping
-    // order is identical to the one-record-at-a-time drain.
-    let mut staged: HashMap<TxnId, Vec<WriteOp>> = HashMap::new();
-    fn flush_staged(
-        pending: &mut HashMap<TxnId, PendingTxn>,
-        staged: &mut HashMap<TxnId, Vec<WriteOp>>,
-        xid: TxnId,
-    ) {
-        if let Some(ops) = staged.remove(&xid) {
-            if let Some(p) = pending.get_mut(&xid) {
-                p.queue.push_all(ops);
-            }
-        }
-    }
 
-    let ship = |msg: ApplyMsg, queue_spill_batches: usize| {
-        if queue_spill_batches > 0 {
-            source
-                .storage
-                .counters
-                .queue_spills
-                .add(queue_spill_batches as u64);
+    let ship = |msg: ApplyMsg| {
+        // What of the transaction buffer `msg` carries lay past the spill
+        // threshold is reloaded in batches first.
+        let buffered = match &msg {
+            ApplyMsg::Validate { ops, .. } | ApplyMsg::Committed { ops, .. } => ops.len(),
+            _ => 0,
+        };
+        let reloads = buffered
+            .saturating_sub(SPILL_THRESHOLD)
+            .div_ceil(SPILL_RELOAD_BATCH);
+        if reloads > 0 {
+            source.storage.counters.queue_spills.add(reloads as u64);
             if !spill_latency.is_zero() {
                 // Reloading spilled change records in batches (§3.3).
-                std::thread::sleep(spill_latency * queue_spill_batches as u32);
+                std::thread::sleep(spill_latency * reloads as u32);
             }
         }
         // Propagation-lag seam: only Delay is expressible here, and the
@@ -202,103 +192,63 @@ fn propagate_loop(
 
     loop {
         let batch = reader.next_batch_blocking(drain_batch, Duration::from_millis(20));
-        if batch.is_empty() {
-            // Idle: check for a requested stop once everything up to
-            // the stop point has been processed.
-            let stop = stop_at.load(Ordering::SeqCst);
-            if stop != u64::MAX && stats.processed_lsn.load(Ordering::SeqCst) >= stop {
-                break;
-            }
-        } else {
+        if let Some(&(last, _)) = batch.last() {
             batch_len.add(batch.len() as u64);
-            for (lsn, record) in batch {
-                let xid = record.xid;
-                // Records arrive as `Arc<LogRecord>` shared with the log:
-                // match by reference and clone only the write payloads this
-                // migration actually extracts (a `Bytes` clone is a refcount
-                // bump, not a copy).
-                match &record.op {
-                    LogOp::Begin(start_ts) => {
-                        pending.insert(
-                            xid,
-                            PendingTxn {
-                                start_ts: *start_ts,
-                                queue: UpdateCacheQueue::new(SPILL_THRESHOLD),
-                                validated: false,
-                            },
-                        );
+            for (lsn, record) in &batch {
+                // A transaction without a `Begin` on this stream resolved
+                // before the slot existed — it is wholly inside the copied
+                // snapshot — so every arm asks for `begin_lsn: Some`.
+                match assembler.feed(*lsn, record) {
+                    TxnEvent::Kept(txn) if txn.begin_lsn.is_some() => {
+                        source.work.add(1);
+                        stats.extracted.fetch_add(1, Ordering::Relaxed);
                     }
-                    LogOp::Write(op) if shards.contains(&op.shard) => {
-                        if pending.contains_key(&xid) {
-                            staged.entry(xid).or_default().push(op.clone());
-                            source.work.add(1);
-                            stats.extracted.fetch_add(1, Ordering::Relaxed);
-                        }
+                    TxnEvent::Prepared(txn)
+                        if txn.begin_lsn.is_some()
+                            && !txn.writes.is_empty()
+                            && hook.is_sync_txn(txn.xid) =>
+                    {
+                        let (xid, start_ts) = (txn.xid, txn.start_ts);
+                        let ops = std::mem::take(&mut txn.writes);
+                        validated.insert(xid);
+                        ship(ApplyMsg::Validate { xid, start_ts, ops });
                     }
-                    LogOp::Write(_) => {}
-                    LogOp::Prepare => {
-                        flush_staged(&mut pending, &mut staged, xid);
-                        if let Some(p) = pending.get_mut(&xid) {
-                            if !p.queue.is_empty() && hook.is_sync_txn(xid) {
-                                let queue = std::mem::replace(
-                                    &mut p.queue,
-                                    UpdateCacheQueue::new(SPILL_THRESHOLD),
-                                );
-                                let batches = queue.spill_batches(256);
-                                p.validated = true;
-                                ship(
-                                    ApplyMsg::Validate {
-                                        xid,
-                                        start_ts: p.start_ts,
-                                        ops: queue.into_ops(),
-                                    },
-                                    batches,
-                                );
+                    TxnEvent::Resolved { txn, outcome, .. } if txn.begin_lsn.is_some() => {
+                        let (xid, start_ts, ops) = (txn.xid, txn.start_ts, txn.writes);
+                        let shadowed = validated.remove(&xid);
+                        match outcome {
+                            TxnOutcome::Committed(commit_ts) if shadowed => {
+                                ship(ApplyMsg::CommitShadow { xid, commit_ts })
                             }
-                        }
-                    }
-                    LogOp::Commit(ts) | LogOp::CommitPrepared(ts) => {
-                        let ts = *ts;
-                        flush_staged(&mut pending, &mut staged, xid);
-                        if let Some(p) = pending.remove(&xid) {
-                            if p.validated {
-                                ship(ApplyMsg::CommitShadow { xid, commit_ts: ts }, 0);
-                            } else if !p.queue.is_empty() && ts > snapshot_ts {
-                                let batches = p.queue.spill_batches(256);
-                                ship(
-                                    ApplyMsg::Committed {
-                                        xid,
-                                        start_ts: p.start_ts,
-                                        commit_ts: ts,
-                                        ops: p.queue.into_ops(),
-                                    },
-                                    batches,
-                                );
+                            TxnOutcome::Aborted if shadowed => {
+                                ship(ApplyMsg::RollbackShadow { xid })
                             }
-                            // Committed at or before the snapshot: already
-                            // contained in the copied snapshot — dropped.
-                        }
-                    }
-                    LogOp::Abort | LogOp::RollbackPrepared => {
-                        flush_staged(&mut pending, &mut staged, xid);
-                        if let Some(p) = pending.remove(&xid) {
-                            if p.validated {
-                                ship(ApplyMsg::RollbackShadow { xid }, 0);
+                            // Not at or before the snapshot timestamp: that
+                            // is already contained in the copied snapshot.
+                            TxnOutcome::Committed(commit_ts)
+                                if !ops.is_empty() && commit_ts > snapshot_ts =>
+                            {
+                                ship(ApplyMsg::Committed {
+                                    xid,
+                                    start_ts,
+                                    commit_ts,
+                                    ops,
+                                })
                             }
+                            _ => {}
                         }
                     }
-                }
-                stats.processed_lsn.store(lsn.0, Ordering::SeqCst);
-                source.storage.advance_slot(slot, lsn);
-            }
-            // End of batch: move the remaining staged writes of still-open
-            // transactions into their update cache queues.
-            for (xid, ops) in staged.drain() {
-                if let Some(p) = pending.get_mut(&xid) {
-                    p.queue.push_all(ops);
+                    _ => {}
                 }
             }
+            // Once per batch, like the replica shipper: everything the batch
+            // had to ship is sent by the time its last LSN counts as
+            // processed.
+            stats.processed_lsn.store(last.0, Ordering::SeqCst);
+            source.storage.advance_slot(slot, last);
         }
+        // Also on an idle tick: a stop is honoured once everything up to the
+        // stop point has been processed.
         let stop = stop_at.load(Ordering::SeqCst);
         if stop != u64::MAX && stats.processed_lsn.load(Ordering::SeqCst) >= stop {
             break;
@@ -317,7 +267,7 @@ mod tests {
     use remus_common::{SimConfig, TableId};
     use remus_storage::Value;
     use remus_txn::SyncCommitHook;
-    use remus_wal::{LogRecord, WriteKind, WriteOp};
+    use remus_wal::{LogOp, LogRecord, WriteKind, WriteOp};
 
     fn val(s: &str) -> Value {
         Value::copy_from_slice(s.as_bytes())
@@ -542,5 +492,105 @@ mod tests {
         prop.join().unwrap();
         // After the process dropped its slot, truncation can clean fully.
         assert_eq!(storage.truncate_wal_safely(), wal.flush_lsn());
+    }
+
+    /// Everything propagation ships for the source's log as it stands, read
+    /// `drain_batch` records at a time.
+    fn shipped(cluster: &Arc<Cluster>, hook: Arc<RemusHook>, snapshot_ts: u64) -> Vec<String> {
+        let (prop, rx) = start_prop(cluster, hook, snapshot_ts);
+        prop.request_stop(cluster.node(NodeId(0)).storage.wal.flush_lsn());
+        let mut msgs = Vec::new();
+        loop {
+            match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+                ApplyMsg::Shutdown => break,
+                msg => msgs.push(format!("{msg:?}")),
+            }
+        }
+        prop.join().unwrap();
+        msgs
+    }
+
+    #[test]
+    fn shipping_order_does_not_depend_on_the_drain_batch() {
+        let sequences: Vec<Vec<String>> = [1, 2, 32]
+            .into_iter()
+            .map(|drain_batch| {
+                let mut config = SimConfig::instant();
+                config.parallelism.drain_batch = drain_batch;
+                let cluster = ClusterBuilder::new(2).config(config).build();
+                cluster.create_table(TableId(1), 0, 2, |_| NodeId(0));
+                let hook = test_hook();
+                hook.enable_sync();
+                hook.begin_commit(xid(1), &[ShardId(0)]);
+                // Four interleaved transactions: 1 synchronized, 2 committed
+                // at the snapshot timestamp, 3 aborted, 4 touching only the
+                // shard that is not migrating; 5 is the ordinary shipped one
+                // the others must stay in order around.
+                let script = [
+                    (1, LogOp::Begin(Timestamp(2))),
+                    (2, LogOp::Begin(Timestamp(3))),
+                    (1, wop(0, 1)),
+                    (3, LogOp::Begin(Timestamp(4))),
+                    (5, LogOp::Begin(Timestamp(5))),
+                    (2, wop(0, 2)),
+                    (4, LogOp::Begin(Timestamp(6))),
+                    (3, wop(0, 3)),
+                    (1, wop(0, 11)),
+                    (5, wop(0, 5)),
+                    (1, LogOp::Prepare),
+                    (4, wop(1, 4)),
+                    (2, LogOp::Commit(Timestamp(10))),
+                    (5, wop(0, 55)),
+                    (3, LogOp::Abort),
+                    (4, LogOp::Commit(Timestamp(20))),
+                    (5, LogOp::Commit(Timestamp(21))),
+                    (1, LogOp::CommitPrepared(Timestamp(22))),
+                ];
+                let wal = &cluster.node(NodeId(0)).storage.wal;
+                for (n, op) in script {
+                    wal.append(LogRecord::new(xid(n), op));
+                }
+                shipped(&cluster, hook, 10)
+            })
+            .collect();
+        let kinds: Vec<&str> = sequences[0]
+            .iter()
+            .map(|m| m.split([' ', '{']).next().unwrap())
+            .collect();
+        assert_eq!(kinds, ["Validate", "Committed", "CommitShadow"]);
+        assert!(sequences[0][0].contains("key: 1,") && sequences[0][0].contains("key: 11,"));
+        assert_eq!(sequences[1], sequences[0], "drain_batch 2 against 1");
+        assert_eq!(sequences[2], sequences[0], "drain_batch 32 against 1");
+    }
+
+    #[test]
+    fn a_buffer_past_the_spill_threshold_is_charged_per_reload_batch() {
+        let cluster = cluster2();
+        let storage = &cluster.node(NodeId(0)).storage;
+        let writes = SPILL_THRESHOLD as u64 + 300;
+        storage
+            .wal
+            .append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
+        for key in 0..writes {
+            storage.wal.append(LogRecord::new(xid(1), wop(0, key)));
+        }
+        storage
+            .wal
+            .append(LogRecord::new(xid(1), LogOp::Commit(Timestamp(9))));
+        let spills = storage.counters.queue_spills.get();
+
+        let (prop, rx) = start_prop(&cluster, test_hook(), 0);
+        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+            ApplyMsg::Committed { ops, .. } => {
+                let keys: Vec<u64> = ops.iter().map(|op| op.key).collect();
+                assert_eq!(keys, (0..writes).collect::<Vec<_>>(), "log order");
+            }
+            other => panic!("unexpected message {other:?}"),
+        }
+        // 300 records past the threshold, reloaded 256 at a time.
+        assert_eq!(storage.counters.queue_spills.get() - spills, 2);
+        assert_eq!(prop.stats.extracted.load(Ordering::Relaxed), writes);
+        prop.request_stop(storage.wal.flush_lsn());
+        prop.join().unwrap();
     }
 }

@@ -33,8 +33,9 @@
 //!
 //! Transactions whose `Begin` predates the slot are *not* replayed: they
 //! resolved before the slot existed, so their effects (if committed) are
-//! wholly inside the cut snapshot. Everything else is applied at its commit
-//! record, see below.
+//! wholly inside the cut snapshot — [`remus_wal::TxnAssembler`] hands them
+//! over with `begin_lsn == None` and the applier skips them. Everything else
+//! is applied at its commit record, see below.
 //!
 //! ## Cross-stream apply order
 //!
@@ -43,8 +44,10 @@
 //! destination's after it (which also re-delivers the source's transactions
 //! as their shadows), and either stream may lag the other — so a commit can
 //! arrive after a newer one on the same key. The applier therefore never
-//! pushes "on top": it resolves the transaction in the replica's CLOG first
-//! and then installs each write with
+//! pushes "on top": it applies a committed transaction by
+//! [`remus_txn::redo_committed`], the one redo rule it shares with crash
+//! replay — resolve the transaction in the CLOG first, then install each
+//! write with
 //! [`install_committed`](remus_storage::VersionedTable::install_committed),
 //! which places the version by commit timestamp and edits the transaction's
 //! own version in place when a second delivery finds one — this is the
@@ -55,15 +58,20 @@
 //!
 //! ## The applied watermark
 //!
-//! Per stream the applier maintains a frontier `F` = the LSN before the
-//! earliest still-open `Begin` (or the densely-applied LSN if none), and a
-//! stream watermark `W_s` = max commit timestamp among resolutions at or
-//! below `F`, seeded at the cut. Every transaction that commits on that
-//! primary with `cts <= W_s` is applied: its records are all at or below
-//! the resolution that produced `W_s`'s bound — later transactions ticked
-//! the primary's clock past `W_s` first. The replica-wide watermark
-//! published to [`ReplicaHandle`] is the minimum over streams, so replica
-//! reads at the watermark are ordinary snapshot-isolation reads.
+//! Per stream the frontier `F` is the assembler's
+//! ([`remus_wal::TxnAssembler::frontier`]): the LSN before the earliest
+//! still-open `Begin`, or the densely-applied LSN if none. On top of it the
+//! applier keeps a stream watermark `W_s` = max commit timestamp among
+//! resolutions at or below `F`, seeded at the cut. Every transaction that
+//! commits on that primary with `cts <= W_s` is applied: its records are all
+//! at or below the resolution that produced `W_s`'s bound — later
+//! transactions ticked the primary's clock past `W_s` first, and a prepared
+//! transaction, whose timestamp its coordinator decided while other commits
+//! were logged, holds the frontier from its `Begin` until its decision
+//! (`tests/replica_watermark.rs` is this paragraph as a property). The
+//! replica-wide watermark published to [`ReplicaHandle`] is the minimum over
+//! streams, so replica reads at the watermark are ordinary
+//! snapshot-isolation reads.
 //!
 //! An idle primary would stall the minimum, so a caught-up shipper sends
 //! heartbeats: it ticks the primary's clock *first*, then reads its
@@ -72,7 +80,7 @@
 //! any commit not covered by the heartbeat's position must have ticked the
 //! primary's clock after the heartbeat timestamp was drawn.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -82,7 +90,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use remus_cluster::{Cluster, Node, ReplicaHandle};
 use remus_common::{DbError, DbResult, FaultAction, InjectionPoint, NodeId, Timestamp, TxnId};
 use remus_shard::SHARD_MAP_SHARD;
-use remus_wal::{ApplyLsnGate, LogOp, Lsn, ShipBatch, WriteOp};
+use remus_txn::redo_committed;
+use remus_wal::{ApplyLsnGate, Lsn, ShipBatch, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
 
 use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
 
@@ -465,15 +474,18 @@ fn ship_loop(
     primary.storage.drop_slot(slot);
 }
 
-struct OpenTxn {
-    begin_lsn: u64,
-    writes: Vec<WriteOp>,
+/// The replica's write predicate. Shard-map rows are excluded: the replica
+/// is itself a participant of every map transaction (`T_m` updates all
+/// nodes' map replicas), so its map table is maintained by its own 2PC path,
+/// not by redo.
+fn is_data_write(w: &WriteOp) -> bool {
+    w.shard != SHARD_MAP_SHARD
 }
 
 /// One replication stream's apply state machine: re-sequences received
-/// batches through the apply-LSN gate, buffers writes per transaction,
-/// applies each transaction at its resolution record, and maintains the
-/// stream frontier and watermark.
+/// batches through the apply-LSN gate, assembles them per transaction
+/// ([`TxnAssembler`]), applies each transaction at its resolution record,
+/// and maintains the stream watermark from the assembler's frontier.
 ///
 /// [`start_replica`]'s applier threads drive one of these per primary; it
 /// is public so tests can feed it arbitrary (duplicated, reordered,
@@ -482,14 +494,9 @@ pub struct StreamApplier {
     replica: Arc<Node>,
     gate: Arc<CopyGate>,
     lsn_gate: ApplyLsnGate,
-    /// Transactions whose Begin arrived on this stream. Anything without a
-    /// buffered Begin predates the replication slot: it resolved before
-    /// the slot existed, so its effects are wholly inside the cut snapshot.
-    open: HashMap<TxnId, OpenTxn>,
-    /// Begin LSNs of open transactions (the frontier stalls at the oldest).
-    begins: BTreeSet<u64>,
+    assembler: TxnAssembler<fn(&WriteOp) -> bool>,
     /// Commit resolutions not yet at or below the frontier: lsn -> cts.
-    resolved: BTreeMap<u64, Timestamp>,
+    resolved: BTreeMap<Lsn, Timestamp>,
     wmax: Timestamp,
 }
 
@@ -514,8 +521,7 @@ impl StreamApplier {
             replica: Arc::clone(replica),
             gate,
             lsn_gate: ApplyLsnGate::starting_after(from),
-            open: HashMap::new(),
-            begins: BTreeSet::new(),
+            assembler: TxnAssembler::new(from, is_data_write),
             resolved: BTreeMap::new(),
             wmax: cut_ts,
         }
@@ -529,10 +535,7 @@ impl StreamApplier {
     /// The frontier: every record at or below it belongs to a resolved,
     /// fully-applied transaction (or to one older than the slot).
     pub fn frontier(&self) -> Lsn {
-        match self.begins.first() {
-            Some(&b) => Lsn(b - 1),
-            None => self.lsn_gate.applied(),
-        }
+        self.assembler.frontier()
     }
 
     /// The stream watermark `W_s` (monotone).
@@ -543,61 +546,39 @@ impl StreamApplier {
     /// Number of transactions with a Begin on the stream but no resolution
     /// yet.
     pub fn open_txns(&self) -> usize {
-        self.open.len()
+        self.assembler.open_headed()
     }
 
     /// Admits one received batch and applies whatever the gate releases.
     /// Returns the number of transactions committed to the replica.
     pub fn apply(&mut self, batch: ShipBatch) -> DbResult<u64> {
-        let ready = self.lsn_gate.admit(batch);
         let mut committed = 0;
-        for (lsn, record) in ready {
-            let xid = record.xid;
-            match &record.op {
-                LogOp::Begin(_) => {
-                    self.open.insert(
-                        xid,
-                        OpenTxn {
-                            begin_lsn: lsn.0,
-                            writes: Vec::new(),
-                        },
-                    );
-                    self.begins.insert(lsn.0);
-                }
-                LogOp::Write(op) => {
-                    if let Some(t) = self.open.get_mut(&xid) {
-                        t.writes.push(op.clone());
-                    }
-                }
-                // The frontier already stalls at the open Begin until the
-                // decision record arrives — the replica analogue of
-                // prepare-wait.
-                LogOp::Prepare => {}
-                LogOp::Commit(ts) | LogOp::CommitPrepared(ts) => {
-                    if let Some(t) = self.open.remove(&xid) {
-                        self.begins.remove(&t.begin_lsn);
-                        apply_commit(&self.replica, &self.gate, xid, *ts, &t.writes)?;
-                        committed += 1;
-                        self.resolved.insert(lsn.0, *ts);
-                    }
-                }
-                LogOp::Abort | LogOp::RollbackPrepared => {
-                    if let Some(t) = self.open.remove(&xid) {
-                        self.begins.remove(&t.begin_lsn);
-                    }
+        for (lsn, record) in self.lsn_gate.admit(batch) {
+            // Nothing to do at `Prepare`: the frontier stalls at the open
+            // `Begin` until the decision record arrives — the replica
+            // analogue of prepare-wait. A transaction without a `Begin` on
+            // this stream resolved before the slot existed, so its effects
+            // (if committed) are wholly inside the cut snapshot: skipped.
+            if let TxnEvent::Resolved {
+                txn,
+                resolution_lsn,
+                outcome: TxnOutcome::Committed(cts),
+            } = self.assembler.feed(lsn, &record)
+            {
+                if txn.begin_lsn.is_some() {
+                    apply_commit(&self.replica, &self.gate, txn.xid, cts, &txn.writes)?;
+                    committed += 1;
+                    self.resolved.insert(resolution_lsn, cts);
                 }
             }
         }
         // Drain resolutions the frontier now covers into the watermark.
-        let frontier = self.frontier().0;
-        while let Some((&l, &ts)) = self.resolved.first_key_value() {
-            if l > frontier {
+        let frontier = self.frontier();
+        while let Some(entry) = self.resolved.first_entry() {
+            if *entry.key() > frontier {
                 break;
             }
-            self.resolved.remove(&l);
-            if ts > self.wmax {
-                self.wmax = ts;
-            }
+            self.wmax = self.wmax.max(entry.remove());
         }
         Ok(committed)
     }
@@ -607,12 +588,10 @@ impl StreamApplier {
     /// yet applied ticked the primary's clock after `ts` was drawn, so
     /// `ts` is a sound watermark. Returns whether it was accepted.
     pub fn heartbeat(&mut self, position: Lsn, ts: Timestamp) -> bool {
-        if self.lsn_gate.applied() != position || !self.begins.is_empty() {
+        if self.lsn_gate.applied() != position || self.open_txns() > 0 {
             return false;
         }
-        if ts > self.wmax {
-            self.wmax = ts;
-        }
+        self.wmax = self.wmax.max(ts);
         true
     }
 }
@@ -671,10 +650,11 @@ fn apply_loop(
     }
 }
 
-/// Applies one committed transaction's buffered writes to the replica, in
-/// commit order whatever the arrival order (see the module docs): the
-/// transaction is resolved first, then each version is installed at its
-/// commit timestamp's place in its chain.
+/// Applies one committed transaction's buffered data writes to the replica,
+/// in commit order whatever the arrival order (see the module docs): behind
+/// the backfill gate, by the one redo rule for a committed transaction
+/// ([`remus_txn::redo_committed`] — resolve first, then install each version
+/// at its commit timestamp's place in its chain).
 ///
 /// Convergent by construction: a write the cut snapshot predates is installed
 /// above the frozen copy, one another stream (a 2PC participant's, a migration
@@ -688,31 +668,16 @@ fn apply_commit(
     cts: Timestamp,
     writes: &[WriteOp],
 ) -> DbResult<()> {
-    // Shard-map rows are excluded: the replica is itself a participant of
-    // every map transaction (T_m updates all nodes' map replicas), so its
-    // map table is maintained by its own 2PC path, not by redo.
-    let data: Vec<&WriteOp> = writes
-        .iter()
-        .filter(|w| w.shard != SHARD_MAP_SHARD)
-        .collect();
-    if data.is_empty() {
+    if writes.is_empty() {
         return Ok(());
     }
     // During backfill, wait key-by-key for the covering chunk — the same
     // ordering the migration's dual execution uses against its copy gate.
-    for w in &data {
+    for w in writes {
         gate.wait_copied(w.shard, w.key, COPY_WAIT)?;
     }
-    let storage = &replica.storage;
-    // Err means another stream already resolved this xid (a 2PC txn spans
-    // streams); `set_committed` then only checks the timestamps agree.
-    let _ = storage.clog.try_begin(xid);
-    storage.clog.set_committed(xid, cts)?;
-    for w in &data {
-        let table = storage.create_shard(w.shard);
-        table.install_committed(w.key, w.kind, w.value.clone(), xid, cts, &storage.clog);
-    }
-    replica.work.add(data.len() as u64);
+    redo_committed(&replica.storage, xid, cts, writes)?;
+    replica.work.add(writes.len() as u64);
     Ok(())
 }
 

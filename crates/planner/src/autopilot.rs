@@ -378,11 +378,14 @@ mod tests {
                 .run(|t| t.insert(&layout, k, Value::from(vec![k as u8])))
                 .unwrap();
         }
-        let mut config = PlannerConfig::adaptive();
-        config.cost_weight_versions = 0.0;
-        config.cost_weight_wal = 0.0;
-        config.cost_weight_ship = 0.0;
-        config.colocation = false;
+        let config = PlannerConfig {
+            replication: true,
+            cost_weight_versions: 0.0,
+            cost_weight_wal: 0.0,
+            cost_weight_ship: 0.0,
+            colocation: false,
+            ..PlannerConfig::balanced()
+        };
         let pilot = Autopilot::start(
             Arc::clone(&cluster),
             config,

@@ -30,11 +30,11 @@
 //! | [`scan`](VersionedTable::scan) | the one streaming scan: `collect_batch` ✱ merges the stripes' ordered keys, `visible_at` resolves each | snapshot copy chunks (≈ 128-key ranges), `SessionTxn::scan_table` (whole shards, own writes visible) |
 //! | [`scan_visible_range`](VersionedTable::scan_visible_range) | `scan` collected into a `Vec`, no own writes | Squall pulls, replica `scan_table`, the benchmark's scan probe (40 000-key ranges) |
 //! | [`count_visible`](VersionedTable::count_visible) | `scan` counted | the benchmark's consistency checks |
-//! | [`write`](VersionedTable::write) | the write-side wait loop; `apply_write` ✱ is the one step that edits a chain | `Txn::write_common`, `recovery::redo_write` |
+//! | [`write`](VersionedTable::write) | the write-side wait loop; `apply_write` ✱ is the one step that edits a chain | `Txn::write_common`; crash replay, only to re-instate a prepared in-doubt transaction's uncommitted versions |
 //! | [`insert`](VersionedTable::insert) / [`update`](VersionedTable::update) / [`delete`](VersionedTable::delete) / [`lock_row`](VersionedTable::lock_row) | one-line forwards to `write` | storage tests, the benchmark's write probes |
 //! | [`purge_txn`](VersionedTable::purge_txn) | abort cleanup | `remus-txn` abort path |
 //! | [`install_frozen`](VersionedTable::install_frozen) ✱ | replaces a chain by one frozen version | snapshot copy, Squall pulls, bulk loaders, `shard::install_owner` |
-//! | [`install_committed`](VersionedTable::install_committed) ✱ | places a resolved transaction's version by commit timestamp | the replica applier (`replication::apply_commit`) |
+//! | [`install_committed`](VersionedTable::install_committed) ✱ | places a resolved transaction's version by commit timestamp | `remus_txn::redo_committed` — the one redo rule, for the replica applier and crash replay |
 //! | [`chunk_splits`](VersionedTable::chunk_splits) | every n-th key of the ordered keys | `CopyGate::plan`, Squall's chunk map |
 //! | [`gc_step`](VersionedTable::gc_step) | budgeted GC over pending chains; `prune_chain` ✱ is the pruning rule | `Cluster::gc_tick`, the benchmark's GC probe |
 //! | [`vacuum`](VersionedTable::vacuum) | `gc_step` without a budget | storage tests |
@@ -553,7 +553,9 @@ impl VersionedTable {
     /// Installs what `xid`, already committed at `cts` in `clog`, wrote to
     /// `key` at its place in commit order: below every version committed after
     /// `cts`, above the rest. [`write`](Self::write) pushes on top, which is
-    /// commit order only where writers are serialised by the chain itself; a
+    /// commit order only where writers are serialised by the chain itself.
+    /// Redo of a log is not such a place (`remus_txn::redo_committed` is the
+    /// caller, for crash replay and the replica applier alike): a
     /// replica applies one WAL stream per primary, and the two streams that
     /// carry a migrated shard's history (the source's up to `T_m`, the
     /// destination's after it) arrive in either order. A version `xid` already

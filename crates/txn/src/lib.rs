@@ -25,7 +25,9 @@
 //! * [`recovery`] — crash-restart WAL replay: after
 //!   [`node::NodeStorage::crash_reset`] drops volatile state and reopens
 //!   the WAL from its durability backend, [`recovery::replay_node_wal`]
-//!   redoes committed transactions and re-instates prepared in-doubt ones.
+//!   redoes committed transactions and re-instates prepared in-doubt ones;
+//!   [`recovery::redo_committed`] is the one redo rule for a committed
+//!   transaction, shared with the replica applier.
 
 pub mod commit;
 pub mod gate;
@@ -43,6 +45,6 @@ pub use gate::{LockMode, ShardGate, ShardLockTable};
 pub use hooks::{CommitMode, SyncCommitHook};
 pub use net::{DelayNetwork, Network, NoNetwork};
 pub use node::{NodeCounters, NodeStorage};
-pub use recovery::{redo_write, replay_node_wal, ReplaySummary};
+pub use recovery::{redo_committed, replay_node_wal, ReplaySummary};
 pub use ssi::{SealOutcome, SsiNode, SsiPhase, SsiShardExport, SsiTxn};
 pub use txn::Txn;

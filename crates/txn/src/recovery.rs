@@ -2,38 +2,49 @@
 //!
 //! After [`crate::node::NodeStorage::crash_reset`] reopened the WAL from its
 //! durability backend, the node holds a recovered record sequence and empty
-//! MVCC tables. [`replay_node_wal`] rebuilds storage state from that
-//! sequence using the classic redo contract:
+//! MVCC tables. [`replay_node_wal`] rebuilds storage state in **one pass**
+//! over that sequence, from the retained head, through the same
+//! [`TxnAssembler`] the propagation process and the replica applier read a
+//! log with (its write predicate here: everything), using the classic redo
+//! contract:
 //!
 //! * **Committed** transactions (a `Commit`/`CommitPrepared` record
-//!   survived) are re-applied in resolution-LSN order — the order their
-//!   effects became visible pre-crash — and re-registered in the CLOG with
-//!   their original commit timestamps.
+//!   survived) are redone as their resolution record arrives, by
+//!   [`redo_committed`] — the one redo rule, shared with the replica
+//!   applier: the transaction is re-registered in the CLOG with its original
+//!   commit timestamp first, then each write is installed **at that
+//!   timestamp's place** in its chain. Placement is by commit timestamp, not
+//!   by log position, so the result does not depend on the order resolution
+//!   records are met in (one node's log happens to be in commit order per
+//!   key; a log merged from several nodes is not).
 //! * **Prepared in-doubt** transactions (a `Prepare` record but no
-//!   decision) are re-applied as *uncommitted* versions and re-registered
-//!   as `Prepared`: the coordinator's eventual `commit_prepared` /
-//!   `rollback_prepared` resolves them exactly as it would have pre-crash.
+//!   decision) are what the assembler still holds at the end of the log with
+//!   `prepared` set: they are re-applied as *uncommitted* versions and
+//!   re-registered as `Prepared`, so the coordinator's eventual
+//!   `commit_prepared` / `rollback_prepared` resolves them exactly as it
+//!   would have pre-crash.
 //! * Everything else — aborted, rolled back, or in-progress with no
 //!   prepare — is skipped. The reset CLOG reports unknown xids as
 //!   `Aborted`, which is precisely the crash semantics: an unprepared
 //!   transaction whose commit record did not reach disk never happened.
 //!
-//! Writes are re-applied with `start_ts = Timestamp::MAX` so the
-//! first-committer-wins check never fires against versions the replay
-//! itself created: conflict resolution already happened before the crash;
-//! replay is a faithful re-execution of its outcome, not a re-validation.
-//!
 //! Replay only sees what WAL truncation left behind. The cluster couples
 //! truncation to consumed propagation slots, not to checkpoints, so a node
-//! that truncated its log cannot rebuild the truncated prefix — replay
-//! therefore treats "redo hits a key whose base image is gone" leniently
-//! (insert-over-live falls back to update, update-of-missing falls back to
-//! insert) and reports what it did in the [`ReplaySummary`].
+//! that truncated its log cannot rebuild the truncated prefix, and a
+//! transaction's `Begin` can be cut while its later records are kept:
+//! replay redoes such a transaction (`begin_lsn == None` is not a reason to
+//! skip here — the start is a truncation point, not a slot). A committed
+//! install never looks at the base image, so it needs no leniency. The one
+//! path that still does is the in-doubt one (`redo_write`, private): an
+//! uncommitted version has no commit timestamp to be placed by, so it goes
+//! through the ordinary write path, which checks the base image — and a base
+//! image a frozen install or a truncated record provided is gone
+//! (insert-over-live falls back to update, update-of-missing to insert).
 
 use std::time::Duration;
 
 use remus_common::{DbError, DbResult, Timestamp, TxnId};
-use remus_wal::{LogOp, Lsn, WriteKind, WriteOp};
+use remus_wal::{TxnAssembler, TxnEvent, TxnOutcome, WriteKind, WriteOp};
 
 use crate::node::NodeStorage;
 
@@ -59,134 +70,107 @@ pub struct ReplaySummary {
     pub writes_applied: usize,
 }
 
-/// Everything replay learned about one transaction in the scan pass.
-#[derive(Debug, Default)]
-struct TxnRecovery {
-    writes: Vec<WriteOp>,
-    saw_prepare: bool,
-    /// `(lsn, commit_ts)` — `None` commit_ts means abort/rollback.
-    resolution: Option<(Lsn, Option<Timestamp>)>,
-}
-
 /// Rebuilds a node's storage state from its (already reopened) WAL.
 ///
 /// Call after [`NodeStorage::crash_reset`]; the tables must be empty apart
 /// from frozen bootstrap rows the caller re-seeded (frozen installs are
-/// not WAL-logged, so replay never collides with them — frozen chains are
-/// replaced wholesale by row-level redo anyway).
+/// not WAL-logged; row-level redo installs above them).
 pub fn replay_node_wal(node: &NodeStorage) -> DbResult<ReplaySummary> {
     let mut summary = ReplaySummary::default();
-    let flush = node.wal.flush_lsn();
-    let start = Lsn(flush.0 - node.wal.retained() as u64 + 1);
-
-    // Pass 1: group records by transaction, find each one's fate.
-    let mut txns: Vec<(TxnId, TxnRecovery)> = Vec::new();
-    let mut index: std::collections::HashMap<TxnId, usize> = std::collections::HashMap::new();
+    let mut reader = node.wal.reader_from_head();
+    let mut assembler = TxnAssembler::new(reader.consumed(), |_: &WriteOp| true);
     let mut max_local_seq: Option<u64> = None;
-    for lsn in start.0..=flush.0 {
-        let record = match node.wal.get(Lsn(lsn)) {
-            Some(r) => r,
-            None => continue, // concurrently truncated; nothing to redo there
-        };
+    while let Some((lsn, record)) = reader.try_next() {
         summary.records += 1;
         if record.xid.origin() == node.id {
-            let seq = record.xid.seq();
-            max_local_seq = Some(max_local_seq.map_or(seq, |m: u64| m.max(seq)));
+            max_local_seq = max_local_seq.max(Some(record.xid.seq()));
         }
-        let slot = *index.entry(record.xid).or_insert_with(|| {
-            txns.push((record.xid, TxnRecovery::default()));
-            txns.len() - 1
-        });
-        let entry = &mut txns[slot].1;
-        match &record.op {
-            LogOp::Begin(_) => {}
-            LogOp::Write(w) => entry.writes.push(w.clone()),
-            LogOp::Prepare => entry.saw_prepare = true,
-            LogOp::Commit(ts) | LogOp::CommitPrepared(ts) => {
-                entry.resolution = Some((Lsn(lsn), Some(*ts)));
-            }
-            LogOp::Abort | LogOp::RollbackPrepared => {
-                entry.resolution = Some((Lsn(lsn), None));
+        // `txn.begin_lsn` is not asked: the head of a truncated log can cut
+        // a transaction's `Begin` and keep its resolution, and it is redone.
+        if let TxnEvent::Resolved { txn, outcome, .. } = assembler.feed(lsn, &record) {
+            match outcome {
+                TxnOutcome::Committed(cts) => {
+                    summary.writes_applied += redo_committed(node, txn.xid, cts, &txn.writes)?;
+                    summary.committed += 1;
+                }
+                TxnOutcome::Aborted => summary.aborted += 1,
             }
         }
     }
     if let Some(seq) = max_local_seq {
         node.reserve_seq(seq);
     }
-
-    // Pass 2a: redo committed transactions in resolution order.
-    let mut committed: Vec<(Lsn, usize)> = txns
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (_, t))| match t.resolution {
-            Some((lsn, Some(_))) => Some((lsn, i)),
-            _ => None,
-        })
-        .collect();
-    committed.sort_unstable_by_key(|(lsn, _)| *lsn);
-    for (_, i) in committed {
-        let (xid, recovery) = &txns[i];
-        let cts = recovery.resolution.expect("filtered on Some").1.unwrap();
-        node.clog.begin(*xid);
-        for w in &recovery.writes {
-            apply_write(node, *xid, w, &mut summary)?;
+    // What the log ends without a decision for: re-instate the prepared
+    // (uncommitted versions + `Prepared` CLOG status) so the coordinator's
+    // decision can land on the restarted node; the rest never happened.
+    for txn in assembler.into_open() {
+        if !txn.prepared {
+            summary.dropped_in_progress += 1;
+            continue;
         }
-        node.clog.set_committed(*xid, cts)?;
-        summary.committed += 1;
-    }
-
-    // Pass 2b: re-instate prepared in-doubt transactions (uncommitted
-    // versions + Prepared CLOG status) so the coordinator's decision can
-    // land on the restarted node.
-    for (xid, recovery) in &txns {
-        match recovery.resolution {
-            Some((_, Some(_))) => {}
-            Some((_, None)) => summary.aborted += 1,
-            None if recovery.saw_prepare => {
-                node.clog.begin(*xid);
-                for w in &recovery.writes {
-                    apply_write(node, *xid, w, &mut summary)?;
-                }
-                node.clog.set_prepared(*xid)?;
-                summary.prepared_in_doubt += 1;
-            }
-            None => summary.dropped_in_progress += 1,
+        node.clog.begin(txn.xid);
+        for w in &txn.writes {
+            summary.writes_applied += usize::from(redo_write(node, txn.xid, w)?);
         }
+        node.clog.set_prepared(txn.xid)?;
+        summary.prepared_in_doubt += 1;
     }
     Ok(summary)
 }
 
-/// Redoes one logged row write leniently, creating the shard table if
-/// needed. `start_ts = MAX` defeats first-committer-wins (validation
-/// already happened wherever the record was produced); `Lock` records
-/// carry no image and redo nothing. Insert-over-live falls back to update,
-/// update-of-missing to insert, and delete-of-missing is a no-op — the
-/// tolerance crash replay needs for truncated base images, and exactly the
-/// value-converging semantics a replica applier needs when a migration
-/// replays the same transaction over two shipped streams.
+/// The one redo rule for a transaction a log says committed at `cts`: resolve
+/// it in `node`'s CLOG, then install each write at `cts`'s place in its chain
+/// ([`install_committed`](remus_storage::VersionedTable::install_committed)),
+/// creating shard tables as needed. Crash replay and the replica applier both
+/// call this. Order-free and idempotent: a second delivery of the transaction
+/// (a retransmit, its migration shadow, a 2PC participant's stream) edits its
+/// versions in place and finds the CLOG entry equal; resolving before
+/// installing means no reader ever meets an unresolved version of `xid`.
+/// `Lock` records carry no image and install nothing.
 ///
-/// Returns whether a row version was installed.
-pub fn redo_write(
+/// Returns how many row versions were installed.
+pub fn redo_committed(
     node: &NodeStorage,
     xid: TxnId,
-    w: &WriteOp,
-    timeout: Duration,
-) -> DbResult<bool> {
+    cts: Timestamp,
+    writes: &[WriteOp],
+) -> DbResult<usize> {
+    // Err means the xid is already resolved here; `set_committed` then only
+    // checks that the timestamps agree.
+    let _ = node.clog.try_begin(xid);
+    node.clog.set_committed(xid, cts)?;
+    for w in writes {
+        let table = node.create_shard(w.shard);
+        table.install_committed(w.key, w.kind, w.value.clone(), xid, cts, &node.clog);
+    }
+    Ok(writes.iter().filter(|w| w.kind != WriteKind::Lock).count())
+}
+
+/// Re-instates one write of a prepared in-doubt transaction as an
+/// *uncommitted* version of `xid` (registered in progress by the caller).
+/// There is no commit timestamp to place it by, so it takes the ordinary
+/// write path — on top of the chain, which is right because a prepared
+/// writer held the key's lock when the log ended — with `start_ts = MAX`, so
+/// first-committer-wins never fires (validation happened before the crash).
+/// Lenient where that path checks a base image replay cannot rebuild (a
+/// frozen install is not logged, a truncated record is gone):
+/// insert-over-live falls back to update, update-of-missing to insert,
+/// delete-of-missing is a no-op.
+///
+/// Returns whether a row version was installed.
+fn redo_write(node: &NodeStorage, xid: TxnId, w: &WriteOp) -> DbResult<bool> {
     if w.kind == WriteKind::Lock {
         return Ok(false);
     }
     let table = node.create_shard(w.shard);
     let redo = |kind| {
         let value = w.value.clone();
-        table.write(w.key, kind, value, xid, Timestamp::MAX, &node.clog, timeout)
+        let (clog, timeout) = (&node.clog, REPLAY_TIMEOUT);
+        table.write(w.key, kind, value, xid, Timestamp::MAX, clog, timeout)
     };
     let outcome = match (w.kind, redo(w.kind)) {
-        // Base image predates the retained WAL (insert was truncated away
-        // but the row re-appeared): redo as update.
         (WriteKind::Insert, Err(DbError::DuplicateKey)) => redo(WriteKind::Update),
-        // Base image lost to WAL truncation: redo as insert.
         (WriteKind::Update, Err(DbError::KeyNotFound)) => redo(WriteKind::Insert),
-        // Deleting a row that never made it to disk: already gone.
         (WriteKind::Delete, Err(DbError::KeyNotFound)) => return Ok(false),
         (_, other) => other,
     };
@@ -194,25 +178,12 @@ pub fn redo_write(
     Ok(true)
 }
 
-/// [`redo_write`] plus replay summary accounting.
-fn apply_write(
-    node: &NodeStorage,
-    xid: TxnId,
-    w: &WriteOp,
-    summary: &mut ReplaySummary,
-) -> DbResult<()> {
-    if redo_write(node, xid, w, REPLAY_TIMEOUT)? {
-        summary.writes_applied += 1;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use remus_common::{NodeId, ShardId, SimConfig, WalConfig};
     use remus_storage::TxnStatus;
-    use remus_wal::LogRecord;
+    use remus_wal::{LogOp, LogRecord};
 
     fn bytes(s: &str) -> remus_storage::Value {
         remus_storage::Value::from(s.as_bytes().to_vec())
@@ -332,6 +303,39 @@ mod tests {
         );
     }
 
+    /// The redo rule places a version by its commit timestamp, not by where
+    /// its resolution record sits in the log. One primary cannot produce this
+    /// log today — writers of a key are serialised by its chain, so a node
+    /// logs a key's commits in timestamp order — but a log merged from
+    /// several nodes can, and the rule must not depend on the accident.
+    #[test]
+    fn replay_places_versions_by_commit_timestamp_not_by_log_position() {
+        let node = NodeStorage::new(NodeId(1), SimConfig::instant());
+        node.create_shard(ShardId(5));
+        let newer = node.alloc_xid();
+        let older = node.alloc_xid();
+        let wal = &node.wal;
+        wal.append(LogRecord::new(newer, LogOp::Begin(Timestamp(15))));
+        wal.append(LogRecord::new(older, LogOp::Begin(Timestamp(5))));
+        wal.append(LogRecord::new(newer, write(5, 7, WriteKind::Insert, "new")));
+        wal.append(LogRecord::new(newer, LogOp::Commit(Timestamp(20))));
+        wal.append(LogRecord::new(older, write(5, 7, WriteKind::Update, "old")));
+        wal.append(LogRecord::new(older, LogOp::Commit(Timestamp(10))));
+
+        let summary = replay_node_wal(&node).unwrap();
+        assert_eq!((summary.committed, summary.writes_applied), (2, 2));
+        assert_eq!(read_at(&node, ShardId(5), 7, Timestamp(9)), None);
+        assert_eq!(
+            read_at(&node, ShardId(5), 7, Timestamp(10)),
+            Some(bytes("old"))
+        );
+        assert_eq!(
+            read_at(&node, ShardId(5), 7, Timestamp(20)),
+            Some(bytes("new")),
+            "the image committed at 20 is the newest, whatever the log order"
+        );
+    }
+
     #[test]
     fn replay_survives_truncated_base_images() {
         let node = NodeStorage::new(NodeId(1), SimConfig::instant());
@@ -429,20 +433,13 @@ mod tests {
                 .append_durable(LogRecord::new(xid, LogOp::Commit(Timestamp(cts))))
                 .unwrap();
             // The same history, unlogged, in the table that is kept.
-            node.clog.begin(xid);
-            redo_write(
-                &node,
-                xid,
-                &WriteOp {
-                    shard: kept,
-                    key,
-                    kind,
-                    value: bytes(val),
-                },
-                REPLAY_TIMEOUT,
-            )
-            .unwrap();
-            node.clog.set_committed(xid, Timestamp(cts)).unwrap();
+            let twin = WriteOp {
+                shard: kept,
+                key,
+                kind,
+                value: bytes(val),
+            };
+            redo_committed(&node, xid, Timestamp(cts), &[twin]).unwrap();
         }
 
         node.crash_reset(&[kept]).unwrap();

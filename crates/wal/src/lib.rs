@@ -3,11 +3,14 @@
 //! Write-ahead log and the update-propagation building blocks.
 //!
 //! Remus tracks the incremental changes of a migrating shard by traversing
-//! WAL records (paper §3.3): a propagation process tails the log, builds a
-//! per-transaction [`queue::UpdateCacheQueue`] of the changes relevant to
-//! the migrating shards, and ships each queue when it sees the
-//! transaction's commit (async mode) or validation/prepare record (sync
-//! mode, MOCC).
+//! WAL records (paper §3.3): a propagation process tails the log, buffers
+//! per transaction the changes relevant to the migrating shards — the
+//! paper's update cache queue is an [`assemble::TxnBuffer`] — and ships a
+//! buffer when it sees the transaction's commit (async mode) or
+//! validation/prepare record (sync mode, MOCC). That fold of `Begin / Write
+//! / Prepare / resolution` records into per-transaction buffers is
+//! [`assemble::TxnAssembler`], shared with the replica applier and crash
+//! replay.
 //!
 //! The log itself ([`log::Wal`]) is an in-memory append-only sequence with
 //! monotonically increasing LSNs, blocking tail reads for the propagation
@@ -20,18 +23,18 @@
 //! from after a process-level crash — tolerating a torn tail, hard-failing
 //! on mid-log corruption. See DESIGN.md §10.
 
+pub mod assemble;
 pub mod backend;
 pub mod codec;
 pub mod log;
-pub mod queue;
 pub mod record;
 pub mod ship;
 
+pub use assemble::{TxnAssembler, TxnBuffer, TxnEvent, TxnOutcome};
 pub use backend::{
     BackendHandle, FileBackend, FsyncData, MemBackend, RecoveredLog, SyncPolicy, WalBackend,
 };
 pub use codec::{crc32, decode_record, encode_record, encode_record_vec, CODEC_VERSION};
 pub use log::{Lsn, Wal, WalReader};
-pub use queue::UpdateCacheQueue;
 pub use record::{LogOp, LogRecord, WriteKind, WriteOp};
 pub use ship::{ApplyLsnGate, ShipBatch};

@@ -298,6 +298,14 @@ impl Wal {
         }
     }
 
+    /// A reader positioned at the retained head: the first record it
+    /// yields is the oldest one truncation left behind (where crash replay
+    /// starts).
+    pub fn reader_from_head(self: &Arc<Self>) -> WalReader {
+        let base = self.inner.lock().base;
+        self.reader_from(Lsn(base))
+    }
+
     fn wait_for(&self, lsn: Lsn, timeout: Duration) -> Option<Arc<LogRecord>> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock();
@@ -369,9 +377,9 @@ impl WalReader {
 
     /// Blocks up to `timeout` for at least one record, then greedily drains
     /// up to `max` records that are already flushed. Returns an empty vector
-    /// on timeout. This is the batched update-cache drain used by the
-    /// propagation process: one blocking wait amortized over a vector of
-    /// records instead of a wait per record.
+    /// on timeout. This is the batched drain the propagation process and the
+    /// replica shipper feed their assembler from: one blocking wait
+    /// amortized over a vector of records instead of a wait per record.
     pub fn next_batch_blocking(
         &mut self,
         max: usize,

@@ -15,7 +15,11 @@
 //! parked if it starts beyond the next expected LSN — parked batches drain
 //! as soon as the gap fills. Everything the gate releases is a dense,
 //! strictly increasing LSN run, so the applier behind it never sees a
-//! frame twice and never sees a gap, no matter what the transport did.
+//! frame twice and never sees a gap, no matter what the transport did —
+//! which is the order [`crate::assemble::TxnAssembler`] asks to be fed in:
+//! the applier hands it what the gate releases, and the assembler's
+//! per-transaction buffers and frontier are the same whatever the transport
+//! did (`tests/assembler_properties.rs`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
