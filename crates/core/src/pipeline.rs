@@ -95,10 +95,11 @@ impl<'a> PushPipeline<'a> {
         // The propagation reader starts at the oldest active transaction's
         // begin LSN (it must observe the full write set of every
         // transaction that may commit after the snapshot timestamp); the
-        // snapshot timestamp is taken after that. The slot is registered
-        // atomically with computing `from`, so concurrent WAL truncation
-        // can never pass the reader's start position.
-        let (slot, from) = source.storage.create_slot_at_oldest_active();
+        // snapshot timestamp is taken after that. The tail's slot is
+        // registered atomically with computing its start, so concurrent WAL
+        // truncation can never pass it; propagation owns the tail, and the
+        // slot goes with it however its thread ends.
+        let tail = source.storage.create_slot_at_oldest_active();
         // Acquire and pin atomically: from this instant until the copy
         // finishes, the GC safe-ts watermark cannot pass the copy snapshot,
         // so no version the copy scan still needs is ever pruned.
@@ -110,8 +111,7 @@ impl<'a> PushPipeline<'a> {
             task.dest,
             &task.shards,
             snapshot_ts,
-            slot,
-            from,
+            tail,
             Arc::clone(&hook),
             tx,
         );
@@ -183,7 +183,7 @@ impl<'a> PushPipeline<'a> {
             return Err(DbError::Internal(format!(
                 "{e}: flush={} processed={} sent={} done={}",
                 self.source.storage.wal.flush_lsn().0,
-                prop.stats.processed_lsn.load(Ordering::SeqCst),
+                prop.processed_lsn().0,
                 prop.stats.sent.load(Ordering::SeqCst),
                 replay.stats.done.load(Ordering::SeqCst),
             )));
@@ -206,10 +206,7 @@ impl<'a> PushPipeline<'a> {
     /// messages are sync-mode traffic that synchronizes itself).
     pub(crate) fn drain_to(&self, lsn: Lsn, what: &'static str) -> DbResult<u64> {
         let (prop, replay) = self.procs();
-        wait_until(
-            || prop.stats.processed_lsn.load(Ordering::SeqCst) >= lsn.0,
-            what,
-        )?;
+        wait_until(|| prop.processed_lsn() >= lsn, what)?;
         let sent = prop.stats.sent.load(Ordering::SeqCst);
         wait_until(|| replay.stats.done.load(Ordering::SeqCst) >= sent, what)?;
         Ok(sent)
@@ -234,17 +231,21 @@ impl<'a> PushPipeline<'a> {
         Ok(tm_cts)
     }
 
-    /// Opens the `cleanup` span and drops the source copy (idempotent). An
-    /// engine that holds writers off calls this before letting them back
-    /// in, so they find the shard gone rather than a copy nobody owns;
-    /// [`Self::finish`] calls it for the rest.
+    /// Opens the `cleanup` span and drops the source copy under its
+    /// `drop_source` child (idempotent). An engine that holds writers off
+    /// calls this before letting them back in, so they find the shard gone
+    /// rather than a copy nobody owns; [`Self::finish`] calls it for the
+    /// rest. Freeing the copy is where cleanup's time goes: the stop of the
+    /// pipeline (`stop_pipeline`, in `finish`) is a signalled wake-up.
     pub(crate) fn retire_source(&mut self) -> SpanId {
         debug_assert!(self.tm_committed, "source retired before T_m committed");
         *self.cleanup_span.get_or_insert_with(|| {
             let span = self.rec.start("cleanup");
+            let drop_span = self.rec.child(span, "drop_source");
             for shard in &self.task.shards {
                 self.source.storage.drop_shard(*shard);
             }
+            self.rec.end(drop_span);
             span
         })
     }
@@ -256,6 +257,7 @@ impl<'a> PushPipeline<'a> {
         if self.hook_installed {
             self.source.storage.uninstall_hook();
         }
+        let stop_span = self.rec.child(span, "stop_pipeline");
         let final_lsn = self.source.storage.wal.flush_lsn();
         prop.request_stop(final_lsn);
         let mut report = std::mem::take(&mut self.report);
@@ -263,6 +265,7 @@ impl<'a> PushPipeline<'a> {
         report.validation_conflicts = replay.stats.conflicts.load(Ordering::SeqCst);
         // Both are joined before either error propagates.
         prop.join().and(replay.join())?;
+        self.rec.end(stop_span);
         self.rec.attr(span, "final_lsn", final_lsn.0);
         self.rec
             .attr(span, "records_replayed", report.records_replayed);

@@ -1,6 +1,8 @@
 //! The source-side propagation (send) process (§3.3).
 //!
-//! Tails the source WAL from a replication slot, extracting only the
+//! Tails the source WAL through a slot-owning [`remus_txn::WalTail`] until it
+//! is asked to stop at an LSN (the one stop: [`remus_wal::TailHandle::stop`],
+//! which wakes a parked reader), extracting only the
 //! changes of the migrating shards into per-transaction buffers — the
 //! paper's update cache queues, assembled by [`remus_wal::TxnAssembler`]
 //! with "shard is migrating" as its write predicate. This file is what
@@ -27,7 +29,8 @@ use std::time::Duration;
 use crossbeam::channel::Sender;
 use remus_cluster::{Cluster, Node};
 use remus_common::{DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
-use remus_wal::{Lsn, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
+use remus_txn::WalTail;
+use remus_wal::{Lsn, TailHandle, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
 
 use crate::mocc::RemusHook;
 use crate::replay::ApplyMsg;
@@ -42,8 +45,6 @@ const SPILL_RELOAD_BATCH: usize = 256;
 /// Counters exposed by the propagation process.
 #[derive(Debug, Default)]
 pub struct PropagationStats {
-    /// LSN of the last WAL record processed.
-    pub processed_lsn: AtomicU64,
     /// Messages sent to the replay process.
     pub sent: AtomicU64,
     /// Change records extracted for the migrating shards.
@@ -54,17 +55,16 @@ pub struct PropagationStats {
 pub struct PropagationProcess {
     /// Counters.
     pub stats: Arc<PropagationStats>,
-    stop_at: Arc<AtomicU64>,
+    tail: TailHandle,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl PropagationProcess {
-    /// Starts propagation on `source` for `shards`, reading the WAL after
-    /// `from` and shipping to `tx`. `hook` identifies synchronized source
-    /// transactions; `dest` is only used to charge network hops. `slot`
-    /// must be a replication slot already registered at `from` (see
-    /// [`remus_txn::NodeStorage::create_slot_at_oldest_active`]) — the
-    /// process owns it from here and drops it when the loop exits.
+    /// Starts propagation on `source` for `shards`, reading the WAL through
+    /// `tail` and shipping to `tx`. `hook` identifies synchronized source
+    /// transactions; `dest` is only used to charge network hops. `tail` is
+    /// the source's [`remus_txn::NodeStorage::create_slot_at_oldest_active`]:
+    /// the process owns it from here, and its slot goes when the thread ends.
     #[allow(clippy::too_many_arguments)]
     pub fn start(
         cluster: &Arc<Cluster>,
@@ -72,22 +72,17 @@ impl PropagationProcess {
         dest: NodeId,
         shards: &[ShardId],
         snapshot_ts: Timestamp,
-        slot: u64,
-        from: Lsn,
+        tail: WalTail,
         hook: Arc<RemusHook>,
         tx: Sender<ApplyMsg>,
     ) -> PropagationProcess {
         let stats = Arc::new(PropagationStats::default());
-        // The reader starts after `from`: everything at or before it counts
-        // as processed, otherwise the lag computation never converges.
-        stats.processed_lsn.store(from.0, Ordering::SeqCst);
-        let stop_at = Arc::new(AtomicU64::new(u64::MAX));
+        let tail_handle = tail.handle();
         let shard_set: HashSet<ShardId> = shards.iter().copied().collect();
         let handle = {
             let cluster = Arc::clone(cluster);
             let source = Arc::clone(source);
             let stats = Arc::clone(&stats);
-            let stop_at = Arc::clone(&stop_at);
             std::thread::spawn(move || {
                 propagate_loop(
                     cluster,
@@ -95,26 +90,33 @@ impl PropagationProcess {
                     dest,
                     shard_set,
                     snapshot_ts,
-                    slot,
-                    from,
+                    tail,
                     hook,
                     tx,
                     stats,
-                    stop_at,
                 )
             })
         };
         PropagationProcess {
             stats,
-            stop_at,
+            tail: tail_handle,
             handle: Some(handle),
         }
     }
 
     /// Asks the process to stop once it has processed every record up to
-    /// and including `upto`, then sends `Shutdown` downstream.
+    /// and including `upto` ([`Lsn::ZERO`]: now), then sends `Shutdown`
+    /// downstream. Wakes it if it is parked on a quiet log.
     pub fn request_stop(&self, upto: Lsn) {
-        self.stop_at.store(upto.0, Ordering::SeqCst);
+        self.tail.stop(upto);
+    }
+
+    /// LSN of the last WAL record processed: everything it had to ship is
+    /// sent. The reader starts after its slot's position, so everything at
+    /// or before that counts as processed from the start (otherwise the lag
+    /// never converges).
+    pub fn processed_lsn(&self) -> Lsn {
+        self.tail.acked()
     }
 
     /// Waits for the thread to finish; a panic on it surfaces as an error
@@ -129,8 +131,7 @@ impl PropagationProcess {
     /// Records not yet processed relative to `flush` plus messages not yet
     /// applied by the replay (`done`): the catch-up lag (§3.4).
     pub fn lag(&self, flush: Lsn, replay_done: u64) -> u64 {
-        let processed = self.stats.processed_lsn.load(Ordering::SeqCst);
-        let unread = flush.0.saturating_sub(processed);
+        let unread = flush.0.saturating_sub(self.processed_lsn().0);
         let unapplied = self
             .stats
             .sent
@@ -147,15 +148,12 @@ fn propagate_loop(
     dest: NodeId,
     shards: HashSet<ShardId>,
     snapshot_ts: Timestamp,
-    slot: u64,
-    from: Lsn,
+    mut tail: WalTail,
     hook: Arc<RemusHook>,
     tx: Sender<ApplyMsg>,
     stats: Arc<PropagationStats>,
-    stop_at: Arc<AtomicU64>,
 ) {
-    let mut reader = source.storage.wal.reader_from(from);
-    let mut assembler = TxnAssembler::new(from, |w: &WriteOp| shards.contains(&w.shard));
+    let mut assembler = TxnAssembler::new(tail.consumed(), |w: &WriteOp| shards.contains(&w.shard));
     // Synchronized source transactions whose `Validate` was shipped: their
     // decision record ships the shadow's, not a second copy of the writes.
     let mut validated: HashSet<TxnId> = HashSet::new();
@@ -190,72 +188,63 @@ fn propagate_loop(
         stats.sent.fetch_add(1, Ordering::SeqCst);
     };
 
+    // Asking for the next batch is what counts the previous one as processed
+    // (and moves the slot): everything it had to ship is sent by then. There
+    // is nothing to do on a quiet log, so no idle period.
     loop {
-        let batch = reader.next_batch_blocking(drain_batch, Duration::from_millis(20));
-        if let Some(&(last, _)) = batch.last() {
-            batch_len.add(batch.len() as u64);
-            for (lsn, record) in &batch {
-                // A transaction without a `Begin` on this stream resolved
-                // before the slot existed — it is wholly inside the copied
-                // snapshot — so every arm asks for `begin_lsn: Some`.
-                match assembler.feed(*lsn, record) {
-                    TxnEvent::Kept(txn) if txn.begin_lsn.is_some() => {
-                        source.work.add(1);
-                        stats.extracted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    TxnEvent::Prepared(txn)
-                        if txn.begin_lsn.is_some()
-                            && !txn.writes.is_empty()
-                            && hook.is_sync_txn(txn.xid) =>
-                    {
-                        let (xid, start_ts) = (txn.xid, txn.start_ts);
-                        let ops = std::mem::take(&mut txn.writes);
-                        validated.insert(xid);
-                        ship(ApplyMsg::Validate { xid, start_ts, ops });
-                    }
-                    TxnEvent::Resolved { txn, outcome, .. } if txn.begin_lsn.is_some() => {
-                        let (xid, start_ts, ops) = (txn.xid, txn.start_ts, txn.writes);
-                        let shadowed = validated.remove(&xid);
-                        match outcome {
-                            TxnOutcome::Committed(commit_ts) if shadowed => {
-                                ship(ApplyMsg::CommitShadow { xid, commit_ts })
-                            }
-                            TxnOutcome::Aborted if shadowed => {
-                                ship(ApplyMsg::RollbackShadow { xid })
-                            }
-                            // Not at or before the snapshot timestamp: that
-                            // is already contained in the copied snapshot.
-                            TxnOutcome::Committed(commit_ts)
-                                if !ops.is_empty() && commit_ts > snapshot_ts =>
-                            {
-                                ship(ApplyMsg::Committed {
-                                    xid,
-                                    start_ts,
-                                    commit_ts,
-                                    ops,
-                                })
-                            }
-                            _ => {}
-                        }
-                    }
-                    _ => {}
+        let batch = match tail.next_batch(drain_batch, Duration::MAX) {
+            TailRead::Batch(batch) => batch,
+            TailRead::Idle => continue,
+            TailRead::Stopped => break,
+        };
+        batch_len.add(batch.len() as u64);
+        for (lsn, record) in &batch {
+            // A transaction without a `Begin` on this stream resolved
+            // before the slot existed — it is wholly inside the copied
+            // snapshot — so every arm asks for `begin_lsn: Some`.
+            match assembler.feed(*lsn, record) {
+                TxnEvent::Kept(txn) if txn.begin_lsn.is_some() => {
+                    source.work.add(1);
+                    stats.extracted.fetch_add(1, Ordering::Relaxed);
                 }
+                TxnEvent::Prepared(txn)
+                    if txn.begin_lsn.is_some()
+                        && !txn.writes.is_empty()
+                        && hook.is_sync_txn(txn.xid) =>
+                {
+                    let (xid, start_ts) = (txn.xid, txn.start_ts);
+                    let ops = std::mem::take(&mut txn.writes);
+                    validated.insert(xid);
+                    ship(ApplyMsg::Validate { xid, start_ts, ops });
+                }
+                TxnEvent::Resolved { txn, outcome, .. } if txn.begin_lsn.is_some() => {
+                    let (xid, start_ts, ops) = (txn.xid, txn.start_ts, txn.writes);
+                    let shadowed = validated.remove(&xid);
+                    match outcome {
+                        TxnOutcome::Committed(commit_ts) if shadowed => {
+                            ship(ApplyMsg::CommitShadow { xid, commit_ts })
+                        }
+                        TxnOutcome::Aborted if shadowed => ship(ApplyMsg::RollbackShadow { xid }),
+                        // Not at or before the snapshot timestamp: that
+                        // is already contained in the copied snapshot.
+                        TxnOutcome::Committed(commit_ts)
+                            if !ops.is_empty() && commit_ts > snapshot_ts =>
+                        {
+                            ship(ApplyMsg::Committed {
+                                xid,
+                                start_ts,
+                                commit_ts,
+                                ops,
+                            })
+                        }
+                        _ => {}
+                    }
+                }
+                _ => {}
             }
-            // Once per batch, like the replica shipper: everything the batch
-            // had to ship is sent by the time its last LSN counts as
-            // processed.
-            stats.processed_lsn.store(last.0, Ordering::SeqCst);
-            source.storage.advance_slot(slot, last);
-        }
-        // Also on an idle tick: a stop is honoured once everything up to the
-        // stop point has been processed.
-        let stop = stop_at.load(Ordering::SeqCst);
-        if stop != u64::MAX && stats.processed_lsn.load(Ordering::SeqCst) >= stop {
-            break;
         }
     }
     let _ = tx.send(ApplyMsg::Shutdown);
-    source.storage.drop_slot(slot);
 }
 
 #[cfg(test)]
@@ -288,15 +277,14 @@ mod tests {
         snapshot_ts: u64,
     ) -> (PropagationProcess, crossbeam::channel::Receiver<ApplyMsg>) {
         let (tx, rx) = unbounded();
-        let slot = cluster.node(NodeId(0)).storage.create_slot(Lsn::ZERO);
+        let tail = cluster.node(NodeId(0)).storage.create_slot(Lsn::ZERO);
         let prop = PropagationProcess::start(
             cluster,
             cluster.node(NodeId(0)),
             NodeId(1),
             &[ShardId(0)],
             Timestamp(snapshot_ts),
-            slot,
-            Lsn::ZERO,
+            tail,
             hook,
             tx,
         );

@@ -2,9 +2,10 @@
 //!
 //! A replica is an ordinary cluster node that owns no shards. Per primary
 //! node, [`start_replica`] runs one *shipper* thread (tails the primary's
-//! WAL from a replication slot — the same
-//! [`remus_wal::WalReader::next_batch_blocking`] drain the migration
-//! propagation process uses — and sends LSN-prefixed [`ShipBatch`]es) and
+//! WAL through a slot-owning [`remus_txn::WalTail`] — the same
+//! [`remus_wal::WalReader::next_batch`] wait the migration propagation
+//! process uses, here with `HEARTBEAT_PERIOD` as its idle period — and
+//! sends LSN-prefixed [`ShipBatch`]es) and
 //! one *applier* thread (feeds received batches through an
 //! [`ApplyLsnGate`], so the apply stream is dense and exactly-once no
 //! matter how the transport duplicated, reordered, or overlapped them).
@@ -90,8 +91,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use remus_cluster::{Cluster, Node, ReplicaHandle};
 use remus_common::{DbError, DbResult, FaultAction, InjectionPoint, NodeId, Timestamp, TxnId};
 use remus_shard::SHARD_MAP_SHARD;
-use remus_txn::redo_committed;
-use remus_wal::{ApplyLsnGate, Lsn, ShipBatch, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
+use remus_txn::{redo_committed, WalTail};
+use remus_wal::{
+    ApplyLsnGate, Lsn, ShipBatch, TailHandle, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteOp,
+};
 
 use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
 
@@ -99,6 +102,11 @@ use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
 /// redo. Generous: the copy pool is making progress the whole time, and a
 /// poisoned gate wakes waiters immediately.
 const COPY_WAIT: Duration = Duration::from_secs(60);
+
+/// How long a caught-up shipper lets its primary stay quiet before it sends
+/// a heartbeat (and a batch the reorder fault held back). Not a stop
+/// latency: a stop wakes the shipper.
+const HEARTBEAT_PERIOD: Duration = Duration::from_millis(20);
 
 /// What a shipper sends its applier.
 enum ShipMsg {
@@ -176,7 +184,10 @@ pub struct ReplicaProcess {
     handle: Arc<ReplicaHandle>,
     shared: Arc<ReplState>,
     gates: Vec<Arc<CopyGate>>,
+    /// Stops the appliers and the bootstrap, which wait on channels and
+    /// gates; the shippers wait on the log and are stopped through `tails`.
     stop: Arc<AtomicBool>,
+    tails: Vec<TailHandle>,
     shippers: Vec<JoinHandle<()>>,
     appliers: Vec<JoinHandle<()>>,
     bootstrap: Option<JoinHandle<()>>,
@@ -244,8 +255,11 @@ impl ReplicaProcess {
         for gate in &self.gates {
             gate.poison();
         }
-        // Shippers exit at their next idle tick, sending `Shutdown` and
-        // dropping their slots; appliers drain up to the `Shutdown`.
+        // Shippers are woken, send `Shutdown` and drop their tails (and with
+        // them their slots); appliers drain up to the `Shutdown`.
+        for tail in &self.tails {
+            tail.stop(Lsn::ZERO);
+        }
         for h in self.shippers.drain(..) {
             let _ = h.join();
         }
@@ -289,7 +303,7 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
 
     // Slots first: from here on, no record a cut-snapshot scan could miss
     // can be truncated out from under the stream.
-    let slots: Vec<(u64, Lsn)> = primaries
+    let tails: Vec<WalTail> = primaries
         .iter()
         .map(|p| p.storage.create_slot_at_oldest_active())
         .collect();
@@ -297,7 +311,8 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
     // Per-stream cuts, drawn from each primary's own clock *after* its
     // slot exists (see the module docs for why this bounds its WAL).
     let mut streams = Vec::with_capacity(primaries.len());
-    for (p, &(_, from)) in primaries.iter().zip(&slots) {
+    for (p, tail) in primaries.iter().zip(&tails) {
+        let from = tail.consumed();
         let cut_ts = cluster.oracle.start_ts(p.id());
         let flush_at_cut = p.storage.wal.flush_lsn();
         streams.push(Arc::new(StreamState {
@@ -338,14 +353,14 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
 
     let mut shippers = Vec::with_capacity(primaries.len());
     let mut appliers = Vec::with_capacity(primaries.len());
-    for (i, p) in primaries.iter().enumerate() {
+    let tail_handles = tails.iter().map(WalTail::handle).collect();
+    for (i, (p, tail)) in primaries.iter().zip(tails).enumerate() {
         let (tx, rx) = unbounded();
-        let (slot, from) = slots[i];
+        let from = tail.consumed();
         shippers.push({
             let cluster = Arc::clone(cluster);
             let primary = Arc::clone(p);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || ship_loop(cluster, primary, replica, slot, from, tx, stop))
+            std::thread::spawn(move || ship_loop(cluster, primary, replica, tail, tx))
         });
         appliers.push({
             let cluster = Arc::clone(cluster);
@@ -388,24 +403,24 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
         shared,
         gates,
         stop,
+        tails: tail_handles,
         shippers,
         appliers,
         bootstrap: Some(bootstrap),
     })
 }
 
-/// The shipper: tails `primary`'s WAL from its slot and sends LSN-prefixed
-/// batches (and caught-up heartbeats) to the replica's applier.
+/// The shipper: tails `primary`'s WAL and sends LSN-prefixed batches (and
+/// caught-up heartbeats) to the replica's applier until the tail is stopped.
+/// A stop is never answered with a heartbeat: `Stopped` goes straight to
+/// `Shutdown`.
 fn ship_loop(
     cluster: Arc<Cluster>,
     primary: Arc<Node>,
     replica: NodeId,
-    slot: u64,
-    from: Lsn,
+    mut tail: WalTail,
     tx: Sender<ShipMsg>,
-    stop: Arc<AtomicBool>,
 ) {
-    let mut reader = primary.storage.wal.reader_from(from);
     let drain_batch = cluster.config.parallelism.drain_batch.max(1);
     let send = |msg: ShipMsg| {
         cluster.net.hop(primary.id(), replica);
@@ -415,27 +430,28 @@ fn ship_loop(
     // successor (or at the next idle tick), so the apply gate sees a
     // genuine out-of-order arrival followed by a late retransmit.
     let mut held: Option<ShipBatch> = None;
+    // Records are `Arc`-shared (a held batch keeps its frames alive), so
+    // asking for the next batch lets the slot advance past everything drained.
     loop {
-        let batch = reader.next_batch_blocking(drain_batch, Duration::from_millis(20));
-        if batch.is_empty() {
-            if stop.load(Ordering::SeqCst) {
-                break;
+        let batch = match tail.next_batch(drain_batch, HEARTBEAT_PERIOD) {
+            TailRead::Batch(batch) => batch,
+            TailRead::Stopped => break,
+            TailRead::Idle => {
+                if let Some(prev) = held.take() {
+                    send(ShipMsg::Batch(prev));
+                }
+                // Caught-up heartbeat. Order matters: tick the clock *before*
+                // reading the position, so any commit past `position` drew its
+                // timestamp after `ts`.
+                let ts = cluster.oracle.start_ts(primary.id());
+                let position = tail.consumed();
+                if primary.storage.wal.flush_lsn() == position {
+                    send(ShipMsg::Heartbeat { position, ts });
+                }
+                continue;
             }
-            if let Some(prev) = held.take() {
-                send(ShipMsg::Batch(prev));
-            }
-            // Caught-up heartbeat. Order matters: tick the clock *before*
-            // reading the position, so any commit past `position` drew its
-            // timestamp after `ts`.
-            let ts = cluster.oracle.start_ts(primary.id());
-            let position = reader.consumed();
-            if primary.storage.wal.flush_lsn() == position {
-                send(ShipMsg::Heartbeat { position, ts });
-            }
-            continue;
-        }
+        };
         let first = batch[0].0;
-        let last = batch[batch.len() - 1].0;
         let records = batch.into_iter().map(|(_, r)| r).collect();
         let sb = ShipBatch::new(first, records);
         let mut held_now = false;
@@ -460,18 +476,11 @@ fn ship_loop(
                 send(ShipMsg::Batch(prev));
             }
         }
-        // Records are `Arc`-shared (a held batch keeps its frames alive),
-        // so the slot can advance past everything drained.
-        primary.storage.advance_slot(slot, last);
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
     }
     if let Some(prev) = held.take() {
         send(ShipMsg::Batch(prev));
     }
     let _ = tx.send(ShipMsg::Shutdown);
-    primary.storage.drop_slot(slot);
 }
 
 /// The replica's write predicate. Shard-map rows are excluded: the replica
@@ -832,6 +841,37 @@ mod tests {
             .unwrap();
         assert!(w >= cts);
         proc.stop();
+    }
+
+    /// A stop is never answered with a heartbeat: whatever the shipper was
+    /// asked to ship first goes out, then `Shutdown` — no `Heartbeat` behind
+    /// the last batch, though the primary is caught up and idle by then.
+    #[test]
+    fn a_stopped_shipper_ships_up_to_the_stop_and_never_heartbeats_after_it() {
+        let (c, layout) = cluster3();
+        let primary = Arc::clone(c.node(NodeId(0)));
+        let tail = primary.storage.create_slot_at_oldest_active();
+        let from = tail.consumed();
+        let s = Session::connect(&c, NodeId(0));
+        for k in 0..40u64 {
+            let mut t = s.begin();
+            t.insert(&layout, k * 2, val("x")).unwrap();
+            t.commit().unwrap();
+        }
+        let flush = primary.storage.wal.flush_lsn();
+        tail.handle().stop(flush);
+        let (tx, rx) = unbounded();
+        ship_loop(Arc::clone(&c), Arc::clone(&primary), NodeId(2), tail, tx);
+        let mut shipped = from;
+        let mut msgs = std::iter::from_fn(|| rx.try_recv().ok()).peekable();
+        while let Some(ShipMsg::Batch(batch)) = msgs.next_if(|m| matches!(m, ShipMsg::Batch(_))) {
+            assert_eq!(batch.first, Lsn(shipped.0 + 1), "dense, in order");
+            shipped = Lsn(shipped.0 + batch.records.len() as u64);
+        }
+        assert!(shipped >= flush, "shipped {shipped}, stop at {flush}");
+        assert!(matches!(msgs.next(), Some(ShipMsg::Shutdown)));
+        assert!(msgs.next().is_none());
+        assert_eq!(primary.storage.slot_count(), 0);
     }
 
     #[test]

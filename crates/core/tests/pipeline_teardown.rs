@@ -174,8 +174,11 @@ fn check_teardown(engine: &dyn MigrationEngine, failure: Failure, isolation: Iso
     let session = Session::connect(&cluster, SOURCE);
     let (v, _) = session.run(|t| t.read(&layout, 7)).unwrap();
     assert_eq!(v, Some(val("after-failure")), "{ctx}");
-    // The replication slot is gone: truncation is held back by nothing but
-    // active transactions, and moves past where the migration started.
+    // The replication slot is gone — whichever way propagation's thread
+    // ended, its tail took the slot with it: truncation is held back by
+    // nothing but active transactions, and moves past where the migration
+    // started.
+    assert_eq!(source.storage.slot_count(), 0, "{ctx}: slot left behind");
     let truncated = source.storage.truncate_wal_safely();
     assert!(truncated > start_lsn, "{ctx}: WAL pinned at {truncated:?}");
     assert_eq!(

@@ -47,6 +47,27 @@ fn check_trace(report: &MigrationReport, engine_name: &str) {
     );
 }
 
+/// Where a push engine's cleanup goes: dropping the source copy, then
+/// stopping propagation and replay — two children, each inside `cleanup`.
+fn check_cleanup_children(report: &MigrationReport) {
+    let trace = &report.traces[0];
+    let cleanup = trace.span("cleanup").unwrap();
+    let kids = trace.children(cleanup.id);
+    let names: Vec<_> = kids.iter().map(|s| s.name).collect();
+    assert_eq!(
+        names,
+        vec!["drop_source", "stop_pipeline"],
+        "{}",
+        trace.engine
+    );
+    assert!(kids[0].end.unwrap() <= kids[1].start, "{}", trace.engine);
+    assert!(
+        kids[1].end.unwrap() <= cleanup.end.unwrap(),
+        "{}",
+        trace.engine
+    );
+}
+
 #[test]
 fn remus_trace_has_canonical_phases_and_nested_barrier() {
     let cluster = populated_cluster(CcMode::Mvcc);
@@ -55,6 +76,7 @@ fn remus_trace_has_canonical_phases_and_nested_barrier() {
         .migrate(&cluster, &task)
         .unwrap();
     check_trace(&report, "remus");
+    check_cleanup_children(&report);
     let trace = &report.traces[0];
 
     // Copy happens before the barrier, the barrier before T_m.
@@ -78,6 +100,7 @@ fn lock_and_abort_trace_has_canonical_phases() {
     let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
     let report = LockAndAbort::new().migrate(&cluster, &task).unwrap();
     check_trace(&report, "lock-and-abort");
+    check_cleanup_children(&report);
     let trace = &report.traces[0];
     let lock = trace.span("lock_shards").unwrap();
     let tm = trace.span("tm_2pc").unwrap();
@@ -91,6 +114,7 @@ fn wait_and_remaster_trace_has_canonical_phases() {
     let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
     let report = WaitAndRemaster::new().migrate(&cluster, &task).unwrap();
     check_trace(&report, "wait-and-remaster");
+    check_cleanup_children(&report);
     let trace = &report.traces[0];
     let drain = trace.span("drain").unwrap();
     let tm = trace.span("tm_2pc").unwrap();

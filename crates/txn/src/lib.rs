@@ -44,7 +44,7 @@ pub use commit::{
 pub use gate::{LockMode, ShardGate, ShardLockTable};
 pub use hooks::{CommitMode, SyncCommitHook};
 pub use net::{DelayNetwork, Network, NoNetwork};
-pub use node::{NodeCounters, NodeStorage};
+pub use node::{NodeCounters, NodeStorage, WalTail};
 pub use recovery::{redo_committed, replay_node_wal, ReplaySummary};
 pub use ssi::{SealOutcome, SsiNode, SsiPhase, SsiShardExport, SsiTxn};
 pub use txn::Txn;

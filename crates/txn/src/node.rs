@@ -9,12 +9,13 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use remus_common::metrics::{Counter, MetricsRegistry};
 use remus_common::{DbError, DbResult, NodeId, ShardId, SimConfig, TxnId};
 use remus_storage::{Clog, Key, VersionedTable};
-use remus_wal::{Lsn, Wal};
+use remus_wal::{Lsn, TailHandle, TailRead, Wal, WalReader};
 
 use crate::gate::ShardGate;
 use crate::hooks::SyncCommitHook;
@@ -71,6 +72,47 @@ impl NodeCounters {
     }
 }
 
+/// Replication slot id -> the handle of the tail that owns it: WAL
+/// truncation must not pass what that tail's consumer has acknowledged.
+type Slots = Mutex<HashMap<u64, TailHandle>>;
+
+/// A reader of one node's WAL that owns its replication slot: the one way
+/// to tail a log that truncation must wait for (migration propagation, the
+/// replica shipper). Asking for the next batch acknowledges the previous one
+/// — which is the slot's position: records are `Arc`-shared, so whoever
+/// still holds one keeps it alive — and dropping the tail drops the slot, so
+/// a consumer that returns early or panics releases the log by construction.
+#[derive(Debug)]
+pub struct WalTail {
+    reader: WalReader,
+    slots: Arc<Slots>,
+    slot: u64,
+}
+
+impl WalTail {
+    /// [`WalReader::next_batch`]: a batch, the idle period, or stopped.
+    pub fn next_batch(&mut self, max: usize, idle: Duration) -> TailRead {
+        self.reader.next_batch(max, idle)
+    }
+
+    /// LSN of the last record handed out (the start position before any).
+    pub fn consumed(&self) -> Lsn {
+        self.reader.consumed()
+    }
+
+    /// The handle that stops this tail and reads its acknowledged LSN.
+    pub fn handle(&self) -> TailHandle {
+        self.reader.handle()
+    }
+}
+
+impl Drop for WalTail {
+    fn drop(&mut self) {
+        // A slot `crash_reset` already cleared stays gone; ids are not reused.
+        self.slots.lock().remove(&self.slot);
+    }
+}
+
 /// One node's storage-side state.
 pub struct NodeStorage {
     /// This node's id.
@@ -96,7 +138,7 @@ pub struct NodeStorage {
     active: Mutex<HashMap<TxnId, ActiveTxn>>,
     doomed: Mutex<HashMap<TxnId, &'static str>>,
     hook: RwLock<Option<Arc<dyn SyncCommitHook>>>,
-    slots: Mutex<HashMap<u64, Lsn>>,
+    slots: Arc<Slots>,
     next_slot: AtomicU64,
 }
 
@@ -140,7 +182,7 @@ impl NodeStorage {
             active: Mutex::new(HashMap::new()),
             doomed: Mutex::new(HashMap::new()),
             hook: RwLock::new(None),
-            slots: Mutex::new(HashMap::new()),
+            slots: Arc::default(),
             next_slot: AtomicU64::new(1),
         }
     }
@@ -292,38 +334,42 @@ impl NodeStorage {
 
     // ---- replication slots & WAL truncation ----
 
-    /// Registers a replication slot at `from`: WAL truncation will never
-    /// pass an undropped slot's position.
-    pub fn create_slot(&self, from: Lsn) -> u64 {
-        let id = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        self.slots.lock().insert(id, from);
-        id
-    }
-
-    /// Advances a slot after its reader consumed through `upto`.
-    pub fn advance_slot(&self, slot: u64, upto: Lsn) {
-        if let Some(pos) = self.slots.lock().get_mut(&slot) {
-            *pos = (*pos).max(upto);
+    /// A [`WalTail`] reading after `from`, its slot registered under the
+    /// caller's lock on the slot table.
+    fn tail_at(&self, slots: &mut HashMap<u64, TailHandle>, from: Lsn) -> WalTail {
+        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
+        let reader = self.wal.reader_from(from);
+        slots.insert(slot, reader.handle());
+        WalTail {
+            reader,
+            slots: Arc::clone(&self.slots),
+            slot,
         }
     }
 
-    /// Drops a slot (its reader finished).
-    pub fn drop_slot(&self, slot: u64) {
-        self.slots.lock().remove(&slot);
+    /// A tail whose slot is registered at `from`: WAL truncation will never
+    /// pass an undropped slot's position. For tests that script a log by
+    /// hand; the system starts its tails at
+    /// [`Self::create_slot_at_oldest_active`].
+    pub fn create_slot(&self, from: Lsn) -> WalTail {
+        self.tail_at(&mut self.slots.lock(), from)
     }
 
-    /// Registers a replication slot at the oldest active transaction's
+    /// A tail whose slot is registered at the oldest active transaction's
     /// begin LSN, atomically with respect to [`Self::truncate_wal_safely`]: the
-    /// slot is visible to any later truncation, so a reader starting at
-    /// the returned LSN never observes a truncated record. Computing the
-    /// position and registering the slot separately would leave a window
-    /// where concurrent truncation passes the not-yet-registered reader.
-    pub fn create_slot_at_oldest_active(&self) -> (u64, Lsn) {
+    /// slot is visible to any later truncation, so the tail never observes a
+    /// truncated record. Computing the position and registering the slot
+    /// separately would leave a window where concurrent truncation passes
+    /// the not-yet-registered reader.
+    pub fn create_slot_at_oldest_active(&self) -> WalTail {
         let mut slots = self.slots.lock();
         let from = self.oldest_active_begin_lsn();
-        let id = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        slots.insert(id, from);
-        (id, from)
+        self.tail_at(&mut slots, from)
+    }
+
+    /// Number of live replication slots (each is a [`WalTail`] somewhere).
+    pub fn slot_count(&self) -> usize {
+        self.slots.lock().len()
     }
 
     /// Truncates the WAL up to the safe point: the minimum of every active
@@ -334,8 +380,8 @@ impl NodeStorage {
     pub fn truncate_wal_safely(&self) -> Lsn {
         let slots = self.slots.lock();
         let mut upto = self.oldest_active_begin_lsn();
-        for pos in slots.values() {
-            upto = upto.min(*pos);
+        for tail in slots.values() {
+            upto = upto.min(tail.acked());
         }
         self.wal.truncate_until(upto);
         upto
@@ -508,17 +554,62 @@ mod tests {
         for _ in 0..10 {
             n.wal.append(LogRecord::new(filler, LogOp::Abort));
         }
-        let slot = n.create_slot(Lsn(4));
+        let mut tail = n.create_slot(Lsn(4));
         assert_eq!(n.truncate_wal_safely(), Lsn(4));
         assert_eq!(n.wal.retained(), 6);
-        n.advance_slot(slot, Lsn(7));
+        // Handing a batch out moves nothing; asking for the next one
+        // acknowledges it.
+        let TailRead::Batch(batch) = tail.next_batch(3, Duration::ZERO) else {
+            panic!("records 5..=7 are in the log");
+        };
+        assert_eq!(batch.last().unwrap().0, Lsn(7));
+        assert_eq!(n.truncate_wal_safely(), Lsn(4));
+        assert!(matches!(
+            tail.next_batch(1, Duration::ZERO),
+            TailRead::Batch(_)
+        ));
+        assert_eq!(tail.handle().acked(), Lsn(7));
         assert_eq!(n.truncate_wal_safely(), Lsn(7));
-        // Slots never move backwards.
-        n.advance_slot(slot, Lsn(5));
-        assert_eq!(n.truncate_wal_safely(), Lsn(7));
-        n.drop_slot(slot);
+        drop(tail);
+        assert_eq!(n.slot_count(), 0);
         assert_eq!(n.truncate_wal_safely(), Lsn(10));
         assert_eq!(n.wal.retained(), 0);
+    }
+
+    /// The slot is released by construction: a consumer that panics with a
+    /// batch in hand unwinds through the tail's `Drop`.
+    #[test]
+    fn a_tail_dropped_by_a_panicking_consumer_releases_its_slot() {
+        use remus_wal::{LogOp, LogRecord};
+        let n = Arc::new(node());
+        let filler = n.alloc_xid();
+        for _ in 0..6 {
+            n.wal.append(LogRecord::new(filler, LogOp::Abort));
+        }
+        let mut tail = n.create_slot(Lsn(2));
+        let consumer = std::thread::spawn(move || {
+            let TailRead::Batch(batch) = tail.next_batch(2, Duration::ZERO) else {
+                panic!("records 3..=4 are in the log");
+            };
+            panic!("consumer died holding {} records", batch.len());
+        });
+        assert!(consumer.join().is_err());
+        assert_eq!(n.slot_count(), 0);
+        assert_eq!(n.truncate_wal_safely(), Lsn(6), "past the dead tail");
+    }
+
+    /// A tail that outlives a crash of its node finds its slot already
+    /// cleared; dropping it then must not take anybody else's.
+    #[test]
+    fn a_tail_outliving_crash_reset_drops_nothing() {
+        let n = node();
+        let stale = n.create_slot(Lsn::ZERO);
+        n.crash_reset(&[]).unwrap();
+        let fresh = n.create_slot(Lsn::ZERO);
+        drop(stale);
+        assert_eq!(n.slot_count(), 1);
+        drop(fresh);
+        assert_eq!(n.slot_count(), 0);
     }
 
     #[test]
@@ -533,16 +624,18 @@ mod tests {
         for _ in 0..4 {
             n.wal.append(LogRecord::new(filler, LogOp::Abort));
         }
-        let (slot, from) = n.create_slot_at_oldest_active();
-        assert_eq!(from, Lsn(2));
+        let mut tail = n.create_slot_at_oldest_active();
+        assert_eq!(tail.consumed(), Lsn(2));
         // The active transaction finishing no longer unblocks truncation:
         // the slot holds the reader's start position on its own.
         n.deregister(x);
         assert_eq!(n.truncate_wal_safely(), Lsn(2));
         // A reader starting at `from` still sees every record from there.
-        let mut reader = n.wal.reader_from(from);
-        assert!(reader.try_next().is_some());
-        n.drop_slot(slot);
+        assert!(matches!(
+            tail.next_batch(1, Duration::ZERO),
+            TailRead::Batch(_)
+        ));
+        drop(tail);
         assert_eq!(n.truncate_wal_safely(), n.wal.flush_lsn());
     }
 

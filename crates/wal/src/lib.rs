@@ -13,8 +13,10 @@
 //! replay.
 //!
 //! The log itself ([`log::Wal`]) is an in-memory append-only sequence with
-//! monotonically increasing LSNs, blocking tail reads for the propagation
-//! process, and truncation of fully-consumed prefixes. Durability is
+//! monotonically increasing LSNs, one blocking tail read
+//! ([`log::WalReader::next_batch`]: a batch, the idle period, or a stop asked
+//! for through its [`log::TailHandle`]) for the propagation process and the
+//! replica shipper, and truncation of fully-consumed prefixes. Durability is
 //! pluggable through [`backend::WalBackend`]: the default in-memory
 //! backend keeps the original "order only" model, while
 //! [`backend::FileBackend`] persists every record to an on-disk segment
@@ -35,6 +37,6 @@ pub use backend::{
     BackendHandle, FileBackend, FsyncData, MemBackend, RecoveredLog, SyncPolicy, WalBackend,
 };
 pub use codec::{crc32, decode_record, encode_record, encode_record_vec, CODEC_VERSION};
-pub use log::{Lsn, Wal, WalReader};
+pub use log::{Lsn, TailHandle, TailRead, Wal, WalReader};
 pub use record::{LogOp, LogRecord, WriteKind, WriteOp};
 pub use ship::{ApplyLsnGate, ShipBatch};

@@ -1,4 +1,4 @@
-//! The append-only log with LSNs, blocking tail reads, and truncation.
+//! The append-only log with LSNs, stoppable blocking tail reads, and truncation.
 //!
 //! The in-memory record deque is the authoritative *read* path (replay,
 //! propagation) no matter which durability backend is attached; the
@@ -295,6 +295,10 @@ impl Wal {
         WalReader {
             wal: Arc::clone(self),
             next: Lsn(from.0 + 1),
+            state: Arc::new(TailState {
+                stop_at: AtomicU64::new(u64::MAX),
+                acked: AtomicU64::new(from.0),
+            }),
         }
     }
 
@@ -306,8 +310,12 @@ impl Wal {
         self.reader_from(Lsn(base))
     }
 
-    fn wait_for(&self, lsn: Lsn, timeout: Duration) -> Option<Arc<LogRecord>> {
-        let deadline = Instant::now() + timeout;
+    /// The one blocking wait on the log: parks on `grown` until the record
+    /// at `lsn` exists, or `stop_at` is set and everything up to it has been
+    /// handed out, or `idle` elapses (an `idle` too long to add to the clock
+    /// never does).
+    fn wait_for(&self, lsn: Lsn, stop_at: &AtomicU64, idle: Duration) -> TailRead {
+        let deadline = Instant::now().checked_add(idle);
         let mut inner = self.inner.lock();
         let generation = inner.generation;
         loop {
@@ -320,15 +328,28 @@ impl Wal {
                 // Truncated from under the reader: a protocol bug.
                 panic!("WAL read at truncated {lsn} (base {})", inner.base);
             }
+            // `stop_at` only changes under `inner` ([`TailHandle::stop`]), so
+            // a stop cannot slip in between this look and the park below.
+            if lsn.0 > stop_at.load(Ordering::SeqCst) {
+                return TailRead::Stopped;
+            }
             let idx = (lsn.0 - inner.base - 1) as usize;
             if let Some(r) = inner.records.get(idx) {
-                return Some(Arc::clone(r));
+                let r = Arc::clone(r);
+                // The batch is allocated off the lock appenders queue on.
+                drop(inner);
+                return TailRead::Batch(vec![(lsn, r)]);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
+            match deadline {
+                None => self.grown.wait(&mut inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return TailRead::Idle;
+                    }
+                    self.grown.wait_for(&mut inner, deadline - now);
+                }
             }
-            self.grown.wait_for(&mut inner, deadline - now);
         }
     }
 }
@@ -341,11 +362,62 @@ impl Drop for Wal {
     }
 }
 
-/// A streaming cursor over a [`Wal`], used by the propagation process.
+/// What [`WalReader::next_batch`] came back with.
+#[derive(Debug)]
+pub enum TailRead {
+    /// One or more records, in LSN order.
+    Batch(Vec<(Lsn, Arc<LogRecord>)>),
+    /// The idle period passed with no record and no stop.
+    Idle,
+    /// A stop was asked for and everything up to its LSN has been handed
+    /// out; nothing more will be.
+    Stopped,
+}
+
+/// What a reader shares with its [`TailHandle`]s.
+#[derive(Debug)]
+struct TailState {
+    /// Stop once everything up to this LSN is handed out (`u64::MAX`:
+    /// never asked). Written under `Wal::inner` only.
+    stop_at: AtomicU64,
+    /// Last LSN the consumer is done with.
+    acked: AtomicU64,
+}
+
+/// The other end of a [`WalReader`]: stops it and reads how far its consumer
+/// has got, from any thread.
+#[derive(Debug, Clone)]
+pub struct TailHandle {
+    wal: Arc<Wal>,
+    state: Arc<TailState>,
+}
+
+impl TailHandle {
+    /// Asks the reader to come back [`TailRead::Stopped`] once it has handed
+    /// out every record up to and including `upto` ([`Lsn::ZERO`]: now), and
+    /// wakes it if it is parked. A stop only ever moves earlier.
+    pub fn stop(&self, upto: Lsn) {
+        let inner = self.wal.inner.lock();
+        self.state.stop_at.fetch_min(upto.0, Ordering::SeqCst);
+        drop(inner);
+        self.wal.grown.notify_all();
+    }
+
+    /// LSN of the last record the consumer has acknowledged: everything the
+    /// reader handed out before the consumer's latest call of
+    /// [`WalReader::next_batch`] (the reader's start position before that).
+    pub fn acked(&self) -> Lsn {
+        Lsn(self.state.acked.load(Ordering::SeqCst))
+    }
+}
+
+/// A streaming cursor over a [`Wal`], used by the propagation process, the
+/// replica shipper and crash replay.
 #[derive(Debug)]
 pub struct WalReader {
     wal: Arc<Wal>,
     next: Lsn,
+    state: Arc<TailState>,
 }
 
 impl WalReader {
@@ -359,6 +431,14 @@ impl WalReader {
         Lsn(self.next.0.saturating_sub(1))
     }
 
+    /// A handle that stops this reader and reads its acknowledged LSN.
+    pub fn handle(&self) -> TailHandle {
+        TailHandle {
+            wal: Arc::clone(&self.wal),
+            state: Arc::clone(&self.state),
+        }
+    }
+
     /// Returns the next record if it is already in the log.
     pub fn try_next(&mut self) -> Option<(Lsn, Arc<LogRecord>)> {
         let r = self.wal.get(self.next)?;
@@ -367,37 +447,24 @@ impl WalReader {
         Some((lsn, r))
     }
 
-    /// Blocks up to `timeout` for the next record.
-    pub fn next_blocking(&mut self, timeout: Duration) -> Option<(Lsn, Arc<LogRecord>)> {
-        let r = self.wal.wait_for(self.next, timeout)?;
-        let lsn = self.next;
-        self.next = Lsn(self.next.0 + 1);
-        Some((lsn, r))
-    }
-
-    /// Blocks up to `timeout` for at least one record, then greedily drains
-    /// up to `max` records that are already flushed. Returns an empty vector
-    /// on timeout. This is the batched drain the propagation process and the
-    /// replica shipper feed their assembler from: one blocking wait
-    /// amortized over a vector of records instead of a wait per record.
-    pub fn next_batch_blocking(
-        &mut self,
-        max: usize,
-        timeout: Duration,
-    ) -> Vec<(Lsn, Arc<LogRecord>)> {
-        let max = max.max(1);
-        let mut out = Vec::new();
-        match self.next_blocking(timeout) {
-            Some(pair) => out.push(pair),
-            None => return out,
-        }
-        while out.len() < max {
-            match self.try_next() {
-                Some(pair) => out.push(pair),
-                None => break,
+    /// The one blocking read: acknowledges everything handed out so far,
+    /// then waits for a record, a stop ([`TailHandle::stop`]) or the end of
+    /// the `idle` period, whichever is first. On a record it greedily drains
+    /// up to `max` records that are already flushed — one wait amortized
+    /// over a vector of records instead of a wait per record.
+    pub fn next_batch(&mut self, max: usize, idle: Duration) -> TailRead {
+        self.state.acked.store(self.consumed().0, Ordering::SeqCst);
+        let mut read = self.wal.wait_for(self.next, &self.state.stop_at, idle);
+        if let TailRead::Batch(out) = &mut read {
+            self.next = Lsn(self.next.0 + 1);
+            while out.len() < max {
+                match self.try_next() {
+                    Some(pair) => out.push(pair),
+                    None => break,
+                }
             }
         }
-        out
+        read
     }
 }
 
@@ -409,6 +476,13 @@ mod tests {
 
     fn rec(n: u64) -> LogRecord {
         LogRecord::new(TxnId::new(NodeId(0), n), LogOp::Commit(Timestamp(n)))
+    }
+
+    fn batch_of(read: TailRead) -> Vec<(Lsn, Arc<LogRecord>)> {
+        match read {
+            TailRead::Batch(batch) => batch,
+            other => panic!("expected a batch, got {other:?}"),
+        }
     }
 
     #[test]
@@ -446,36 +520,19 @@ mod tests {
     }
 
     #[test]
-    fn blocking_read_wakes_on_append() {
-        let wal = Arc::new(Wal::new());
-        let mut reader = wal.reader_from(Lsn::ZERO);
-        let writer = {
-            let wal = Arc::clone(&wal);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                wal.append(rec(7));
-            })
-        };
-        let (lsn, r) = reader.next_blocking(Duration::from_secs(5)).unwrap();
-        assert_eq!(lsn, Lsn(1));
-        assert_eq!(r.xid.seq(), 7);
-        writer.join().unwrap();
-    }
-
-    #[test]
     fn batch_read_drains_up_to_max_in_order() {
         let wal = Arc::new(Wal::new());
         for n in 1..=5 {
             wal.append(rec(n));
         }
         let mut reader = wal.reader_from(Lsn::ZERO);
-        let batch = reader.next_batch_blocking(3, Duration::from_secs(1));
+        let batch = batch_of(reader.next_batch(3, Duration::from_secs(1)));
         assert_eq!(
             batch.iter().map(|(l, _)| l.0).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
         // The rest comes in the next batch, even with headroom to spare.
-        let batch = reader.next_batch_blocking(8, Duration::from_secs(1));
+        let batch = batch_of(reader.next_batch(8, Duration::from_secs(1)));
         assert_eq!(
             batch.iter().map(|(l, _)| l.0).collect::<Vec<_>>(),
             vec![4, 5]
@@ -487,9 +544,10 @@ mod tests {
     fn batch_read_times_out_empty_and_wakes_on_append() {
         let wal = Arc::new(Wal::new());
         let mut reader = wal.reader_from(Lsn::ZERO);
-        assert!(reader
-            .next_batch_blocking(4, Duration::from_millis(10))
-            .is_empty());
+        assert!(matches!(
+            reader.next_batch(4, Duration::from_millis(10)),
+            TailRead::Idle
+        ));
         let writer = {
             let wal = Arc::clone(&wal);
             std::thread::spawn(move || {
@@ -497,17 +555,10 @@ mod tests {
                 wal.append(rec(7));
             })
         };
-        let batch = reader.next_batch_blocking(4, Duration::from_secs(5));
+        let batch = batch_of(reader.next_batch(4, Duration::from_secs(5)));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].0, Lsn(1));
         writer.join().unwrap();
-    }
-
-    #[test]
-    fn blocking_read_times_out() {
-        let wal = Arc::new(Wal::new());
-        let mut reader = wal.reader_from(Lsn::ZERO);
-        assert!(reader.next_blocking(Duration::from_millis(10)).is_none());
     }
 
     #[test]
@@ -545,7 +596,7 @@ mod tests {
         wal.append(rec(1));
         wal.truncate_until(Lsn(1));
         let mut reader = wal.reader_from(Lsn::ZERO);
-        reader.next_blocking(Duration::from_millis(5));
+        reader.next_batch(1, Duration::from_millis(5));
     }
 
     #[test]
@@ -569,7 +620,7 @@ mod tests {
         assert_eq!(wal.append(rec(9)), Lsn(1));
     }
 
-    /// Satellite regression: a reader parked in `next_batch_blocking` with
+    /// Satellite regression: a reader parked in `next_batch` with
     /// a long timeout must observe a crash/reopen (or a truncation that
     /// passes it) promptly — watchdog-bounded — instead of sleeping the
     /// timeout out. Before the fix, neither `truncate_until` nor reopen
@@ -584,7 +635,7 @@ mod tests {
             let mut reader = reader_wal.reader_from(Lsn(1));
             // Parks waiting for LSN 2 with a far-future timeout.
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                reader.next_batch_blocking(8, Duration::from_secs(30))
+                reader.next_batch(8, Duration::from_secs(30))
             }));
             tx.send(out.is_err()).unwrap();
         });

@@ -2,7 +2,7 @@
 //! monotonic apply-LSN gate.
 //!
 //! A shipper tails a primary's WAL (the same
-//! [`crate::log::WalReader::next_batch_blocking`] drain the migration
+//! [`crate::log::WalReader::next_batch`] drain the migration
 //! propagation path uses) and sends [`ShipBatch`]es — contiguous record
 //! runs prefixed with the LSN of their first frame — to replicas. The
 //! transport is allowed to be sloppy: batches may arrive duplicated,
