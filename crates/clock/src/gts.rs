@@ -1,8 +1,8 @@
 //! GTS — the centralized global timestamp sequencer (paper §2.2).
 //!
 //! Implemented in the control-plane node of PolarDB-PG; here a single
-//! atomic counter shared by every node handle. With the default lease of 1
-//! every request goes to the central counter, so all timestamps are globally
+//! atomic counter shared by every node handle. With a lease of 1 every
+//! request goes to the central counter, so all timestamps are globally
 //! monotonically increasing, which yields linearizability across sessions.
 //!
 //! # Batched allocation (leases)
@@ -17,9 +17,15 @@
 //! `ts` exceeds `ts`). What a lease gives up is *cross-node real-time
 //! recency*: a snapshot taken on one node may be older than a commit that
 //! already finished on another node, because their blocks are disjoint.
-//! That is exactly the DTS trust model, so leases are opt-in
-//! (`HotPathConfig::gts_lease`, default 1) and the chaos checker's strict
-//! GTS mode always runs with lease 1.
+//! That is exactly the DTS trust model. `HotPathConfig::gts_lease` picks the
+//! lease: `SimConfig::instant()` and `HotPathConfig::sequential()` keep 1,
+//! `HotPathConfig::tuned()` leases 64 (the repo benchmark and the optimised
+//! leg of `bench_foreground` run it), and the chaos checker's strict GTS
+//! mode always runs with lease 1.
+//!
+//! Each node's block sits in a slot of its own, indexed by node id like
+//! `Dts`'s clocks, so two coordinators issuing from their blocks share
+//! nothing but the central counter, once per block.
 //!
 //! Because a node's unissued lease remainder sits *below* the central
 //! counter, anything that reasons about "timestamps no future snapshot can
@@ -28,11 +34,9 @@
 //!
 //! [`observe`]: crate::TimestampOracle::observe
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use remus_common::{NodeId, Timestamp};
 
 use crate::{OracleKind, TimestampOracle};
@@ -44,6 +48,12 @@ struct LeaseRange {
     hi: u64,
 }
 
+/// One node's lease, on cache lines of its own so that two nodes issuing
+/// from their blocks never share one.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct LeaseSlot(Mutex<LeaseRange>);
+
 /// The centralized sequencer.
 #[derive(Debug)]
 pub struct Gts {
@@ -53,8 +63,9 @@ pub struct Gts {
     lease: u64,
     /// Round trips to the sequencer (the RPC-equivalent cost).
     rpcs: AtomicU64,
-    /// Per-node outstanding leases (`lease > 1` only).
-    nodes: RwLock<HashMap<NodeId, Arc<Mutex<LeaseRange>>>>,
+    /// Each node's outstanding lease, indexed by node id (`lease > 1`
+    /// only).
+    leases: Box<[LeaseSlot]>,
 }
 
 impl Gts {
@@ -67,14 +78,24 @@ impl Gts {
         Self::with_lease(1)
     }
 
-    /// A sequencer leasing `lease` timestamps per node round trip
-    /// (clamped to >= 1).
+    /// A sequencer serving one node, `NodeId(0)`, leasing `lease`
+    /// timestamps per round trip — [`Gts::leased`] for a single node.
     pub fn with_lease(lease: u64) -> Self {
+        Self::leased(1, lease)
+    }
+
+    /// A sequencer serving nodes `0..nodes`, each leasing `lease`
+    /// timestamps per round trip (clamped to >= 1). Under a lease above 1,
+    /// asking on behalf of a node outside that range panics, as [`Dts`]
+    /// does.
+    ///
+    /// [`Dts`]: crate::Dts
+    pub fn leased(nodes: usize, lease: u64) -> Self {
         Gts {
             next: AtomicU64::new(Timestamp::SNAPSHOT_MIN.0 + 1),
             lease: lease.max(1),
             rpcs: AtomicU64::new(0),
-            nodes: RwLock::new(HashMap::new()),
+            leases: (0..nodes).map(|_| LeaseSlot::default()).collect(),
         }
     }
 
@@ -85,12 +106,8 @@ impl Gts {
         self.rpcs.load(Ordering::Relaxed)
     }
 
-    fn node_lease(&self, node: NodeId) -> Arc<Mutex<LeaseRange>> {
-        if let Some(l) = self.nodes.read().get(&node) {
-            return Arc::clone(l);
-        }
-        let mut nodes = self.nodes.write();
-        Arc::clone(nodes.entry(node).or_default())
+    fn node_lease(&self, node: NodeId) -> &Mutex<LeaseRange> {
+        &self.leases[node.raw() as usize].0
     }
 
     fn fetch(&self, node: NodeId) -> Timestamp {
@@ -98,8 +115,7 @@ impl Gts {
             self.rpcs.fetch_add(1, Ordering::Relaxed);
             return Timestamp(self.next.fetch_add(1, Ordering::SeqCst));
         }
-        let lease = self.node_lease(node);
-        let mut range = lease.lock();
+        let mut range = self.node_lease(node).lock();
         if range.next >= range.hi {
             // Lease exhausted: one round trip buys the next block. The
             // central counter never moves backwards, so this block lies
@@ -124,11 +140,10 @@ impl Gts {
         if self.lease == 1 {
             return None;
         }
-        self.nodes
-            .read()
-            .values()
-            .filter_map(|l| {
-                let range = l.lock();
+        self.leases
+            .iter()
+            .filter_map(|slot| {
+                let range = slot.0.lock();
                 (range.next < range.hi).then_some(Timestamp(range.next))
             })
             .min()
@@ -160,8 +175,7 @@ impl TimestampOracle for Gts {
         // ...and so must the rest of this node's current block. If the
         // block cannot (ts at/above its top), exhaust it so the next fetch
         // refills from the advanced central counter.
-        let lease = self.node_lease(node);
-        let mut range = lease.lock();
+        let mut range = self.node_lease(node).lock();
         if range.next <= ts.0 {
             range.next = (ts.0 + 1).min(range.hi);
         }
@@ -255,7 +269,7 @@ mod tests {
 
     #[test]
     fn leased_blocks_are_disjoint_across_nodes() {
-        let gts = Arc::new(Gts::with_lease(16));
+        let gts = Arc::new(Gts::leased(4, 16));
         let handles: Vec<_> = (0..4)
             .map(|n| {
                 let gts = Arc::clone(&gts);
@@ -288,7 +302,7 @@ mod tests {
 
     #[test]
     fn min_unissued_tracks_lowest_outstanding_lease() {
-        let gts = Gts::with_lease(8);
+        let gts = Gts::leased(3, 8);
         assert_eq!(gts.min_unissued(), None, "no lease outstanding yet");
         let a = gts.start_ts(NodeId(0)); // node 0 leases [a, a+8)
         let b = gts.start_ts(NodeId(1)); // node 1 leases [a+8, a+16)
@@ -312,7 +326,7 @@ mod tests {
 
     #[test]
     fn observe_establishes_causality_within_and_across_blocks() {
-        let gts = Gts::with_lease(32);
+        let gts = Gts::leased(2, 32);
         let a = gts.commit_ts(NodeId(0)); // node 0 holds a low block
         let b = gts.commit_ts(NodeId(1)); // node 1 holds a higher block
         assert!(b > a);

@@ -38,7 +38,8 @@ pub enum OracleKind {
 /// The timestamp service interface used by the transaction manager.
 ///
 /// All methods take the *node* on whose behalf the timestamp is requested:
-/// GTS ignores it (one global sequence), DTS uses it to pick the node's HLC.
+/// GTS uses it only to pick the node's lease block (one global sequence),
+/// DTS to pick the node's HLC.
 pub trait TimestampOracle: Send + Sync {
     /// Acquires a start timestamp (snapshot) for a transaction.
     fn start_ts(&self, node: NodeId) -> Timestamp;

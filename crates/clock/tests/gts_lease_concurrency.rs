@@ -11,7 +11,7 @@ use remus_common::{NodeId, Timestamp};
 #[test]
 fn concurrent_leased_nodes_never_duplicate() {
     for lease in [2, 16, 64] {
-        let gts = Arc::new(Gts::with_lease(lease));
+        let gts = Arc::new(Gts::leased(8, lease));
         let handles: Vec<_> = (0..8)
             .map(|n| {
                 let gts = Arc::clone(&gts);
@@ -55,7 +55,7 @@ fn concurrent_observe_preserves_causality() {
     // One "coordinator" node keeps observing commit timestamps produced by
     // worker nodes (as 2PC does); every timestamp it issues after an
     // observation must exceed the observed one.
-    let gts = Arc::new(Gts::with_lease(32));
+    let gts = Arc::new(Gts::leased(13, 32));
     let workers: Vec<_> = (1..=4)
         .map(|n| {
             let gts = Arc::clone(&gts);

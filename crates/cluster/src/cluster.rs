@@ -1,11 +1,11 @@
 //! The cluster: nodes, control plane services, and shared machinery.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use remus_clock::{Dts, Gts, OracleKind, TimestampOracle};
 use remus_common::fault::{FaultAction, FaultInjector, InjectionPoint};
 use remus_common::metrics::{MetricSample, MetricsRegistry};
@@ -38,58 +38,101 @@ pub enum CcMode {
     ShardLock,
 }
 
+/// One stripe of the [`SnapshotRegistry`], on cache lines of its own so
+/// that two coordinators' begins never share one.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct Stripe(Mutex<StripeState>);
+
+#[derive(Debug, Default)]
+struct StripeState {
+    /// Registered snapshot timestamps, with how many registrations each.
+    active: BTreeMap<u64, usize>,
+    /// Session transactions in flight on this stripe.
+    txns: u64,
+}
+
 /// Tracks active snapshots so vacuum can compute its horizon. Long-lived
 /// entries (a snapshot-copy scan, an analytical query) hold the horizon
 /// back — the version-chain growth Figure 10 measures.
-#[derive(Debug, Default)]
+///
+/// Striped by who registers: one stripe per node for the transactions it
+/// coordinates and the copies it sources, and a last one for
+/// [`Cluster::pin_snapshot`]. A registration locks its one stripe; an
+/// observer ([`SnapshotRegistry::oldest`], [`SnapshotRegistry::oldest_or`],
+/// [`Cluster::active_txn_count`]) locks every stripe in index order and
+/// holds them all, so it excludes every registration exactly as the one
+/// mutex this replaces did.
+#[derive(Debug)]
 pub struct SnapshotRegistry {
-    active: Mutex<BTreeMap<u64, usize>>,
+    stripes: Box<[Stripe]>,
 }
 
 impl SnapshotRegistry {
-    fn register(&self, ts: Timestamp) {
-        *self.active.lock().entry(ts.0).or_insert(0) += 1;
+    fn new(nodes: usize) -> Self {
+        SnapshotRegistry {
+            stripes: (0..=nodes).map(|_| Stripe::default()).collect(),
+        }
     }
 
-    /// Acquires a timestamp from `f` and registers it in one critical
-    /// section, so any observer of [`SnapshotRegistry::oldest`] sees every
-    /// snapshot acquired before its read — the dual-execution drain relies
-    /// on this to never miss a transaction that just took an old snapshot.
-    fn register_atomic(&self, f: impl FnOnce() -> Timestamp) -> Timestamp {
-        let mut active = self.active.lock();
+    fn pin_stripe(&self) -> usize {
+        self.stripes.len() - 1
+    }
+
+    /// Acquires a timestamp from `f` and registers it on `stripe` in one
+    /// critical section, so any observer sees every snapshot acquired
+    /// before its read — the dual-execution drain relies on this to never
+    /// miss a transaction that just took an old snapshot. `txn` also counts
+    /// a session transaction in flight.
+    fn register(&self, stripe: usize, txn: bool, f: impl FnOnce() -> Timestamp) -> Timestamp {
+        let mut state = self.stripes[stripe].0.lock();
         let ts = f();
-        *active.entry(ts.0).or_insert(0) += 1;
+        *state.active.entry(ts.0).or_insert(0) += 1;
+        state.txns += u64::from(txn);
         ts
     }
 
-    fn unregister(&self, ts: Timestamp) {
-        let mut active = self.active.lock();
-        if let Some(n) = active.get_mut(&ts.0) {
+    fn unregister(&self, stripe: usize, txn: bool, ts: Timestamp) {
+        let mut state = self.stripes[stripe].0.lock();
+        if let Some(n) = state.active.get_mut(&ts.0) {
             *n -= 1;
             if *n == 0 {
-                active.remove(&ts.0);
+                state.active.remove(&ts.0);
             }
         }
+        state.txns -= u64::from(txn);
+    }
+
+    /// Every stripe, locked in index order — the only order in which any
+    /// thread holds more than one.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, StripeState>> {
+        self.stripes.iter().map(|stripe| stripe.0.lock()).collect()
+    }
+
+    fn oldest_of(stripes: &[MutexGuard<'_, StripeState>]) -> Option<Timestamp> {
+        let firsts = stripes.iter().filter_map(|s| s.active.keys().next());
+        firsts.min().map(|&t| Timestamp(t))
     }
 
     /// The oldest active snapshot, if any.
     pub fn oldest(&self) -> Option<Timestamp> {
-        self.active.lock().keys().next().map(|&t| Timestamp(t))
+        Self::oldest_of(&self.lock_all())
     }
 
     /// The oldest active snapshot, or — with none active — `fallback()`
-    /// read in the same critical section, symmetric with how
+    /// read while every stripe is held, symmetric with how
     /// [`Cluster::acquire_snapshot`] registers: a snapshot is either
     /// registered before this call (and returned) or acquired after the
-    /// fallback was read. Reading the fallback after releasing the lock
+    /// fallback was read. Reading the fallback after releasing the stripes
     /// would let a begin *and* a later commit slip in between, and the
     /// result would pass a snapshot that is already active.
     pub fn oldest_or(&self, fallback: impl FnOnce() -> Timestamp) -> Timestamp {
-        let active = self.active.lock();
-        match active.keys().next() {
-            Some(&t) => Timestamp(t),
-            None => fallback(),
-        }
+        let stripes = self.lock_all();
+        Self::oldest_of(&stripes).unwrap_or_else(fallback)
+    }
+
+    fn txn_count(&self) -> u64 {
+        self.lock_all().iter().map(|s| s.txns).sum()
     }
 }
 
@@ -120,9 +163,11 @@ impl Periodic {
     }
 }
 
-/// RAII registration of an active snapshot.
+/// RAII registration of a long-lived snapshot (a migration's copy, a
+/// replica's cut).
 pub struct SnapshotGuard {
     registry: Arc<SnapshotRegistry>,
+    stripe: usize,
     ts: Timestamp,
 }
 
@@ -135,7 +180,7 @@ impl SnapshotGuard {
 
 impl Drop for SnapshotGuard {
     fn drop(&mut self) {
-        self.registry.unregister(self.ts);
+        self.registry.unregister(self.stripe, false, self.ts);
     }
 }
 
@@ -143,6 +188,9 @@ impl Drop for SnapshotGuard {
 /// ownership transfer suspends routing of newly arrived transactions).
 #[derive(Debug, Default)]
 pub struct RoutingGate {
+    /// A copy of `suspended`, stored under its lock after it: a begin that
+    /// finds it clear has nothing to wait for and takes no lock.
+    armed: AtomicBool,
     suspended: Mutex<bool>,
     resumed: Condvar,
 }
@@ -150,17 +198,25 @@ pub struct RoutingGate {
 impl RoutingGate {
     /// Suspends new begins.
     pub fn suspend(&self) {
-        *self.suspended.lock() = true;
+        let mut suspended = self.suspended.lock();
+        *suspended = true;
+        self.armed.store(true, Ordering::SeqCst);
     }
 
     /// Resumes and wakes blocked begins.
     pub fn resume(&self) {
-        *self.suspended.lock() = false;
+        let mut suspended = self.suspended.lock();
+        *suspended = false;
+        self.armed.store(false, Ordering::SeqCst);
+        drop(suspended);
         self.resumed.notify_all();
     }
 
     /// Blocks while suspended.
     pub fn wait_admitted(&self) {
+        if !self.armed.load(Ordering::SeqCst) {
+            return;
+        }
         let mut suspended = self.suspended.lock();
         while *suspended {
             self.resumed.wait(&mut suspended);
@@ -215,8 +271,10 @@ pub struct Cluster {
     /// Per-shard load accounting for the elasticity autopilot.
     pub load: ShardLoadTracker,
     registered_tables: Mutex<Vec<TableLayout>>,
-    active_txns: AtomicU64,
     maintenance_stop: Arc<AtomicBool>,
+    /// Whether `access_hook` holds a hook, stored under its write lock after
+    /// it: a statement that finds it clear takes no lock.
+    access_hook_armed: AtomicBool,
     access_hook: parking_lot::RwLock<Option<Arc<dyn AccessHook>>>,
     fault_injector: parking_lot::RwLock<Option<Arc<dyn FaultInjector>>>,
     replicas: ReplicaRegistry,
@@ -316,7 +374,9 @@ impl ClusterBuilder {
         let oracle: Arc<dyn TimestampOracle> = match self.custom_oracle {
             Some(o) => o,
             None => match self.oracle {
-                OracleKind::Gts => Arc::new(Gts::with_lease(self.config.hot_path.gts_lease)),
+                OracleKind::Gts => {
+                    Arc::new(Gts::leased(self.nodes, self.config.hot_path.gts_lease))
+                }
                 OracleKind::Dts => Arc::new(Dts::new(self.nodes, self.config.max_clock_skew)),
             },
         };
@@ -343,12 +403,12 @@ impl ClusterBuilder {
             cc_mode: self.cc_mode,
             shard_locks: ShardLockTable::new(),
             routing_gate: RoutingGate::default(),
-            snapshots: Arc::new(SnapshotRegistry::default()),
+            snapshots: Arc::new(SnapshotRegistry::new(self.nodes)),
             metrics,
             load: ShardLoadTracker::new(),
             registered_tables: Mutex::new(Vec::new()),
-            active_txns: AtomicU64::new(0),
             maintenance_stop: Arc::new(AtomicBool::new(false)),
+            access_hook_armed: AtomicBool::new(false),
             access_hook: parking_lot::RwLock::new(None),
             fault_injector: parking_lot::RwLock::new(None),
             replicas: ReplicaRegistry::default(),
@@ -491,17 +551,9 @@ impl Cluster {
 
     // ---- active transaction accounting ----
 
-    pub(crate) fn txn_started(&self) {
-        self.active_txns.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn txn_finished(&self) {
-        self.active_txns.fetch_sub(1, Ordering::SeqCst);
-    }
-
     /// Number of client transactions currently in flight cluster-wide.
     pub fn active_txn_count(&self) -> u64 {
-        self.active_txns.load(Ordering::SeqCst)
+        self.snapshots.txn_count()
     }
 
     /// Blocks until every in-flight client transaction finished
@@ -588,16 +640,23 @@ impl Cluster {
 
     /// Installs the pull-migration access hook.
     pub fn install_access_hook(&self, hook: Arc<dyn AccessHook>) {
-        *self.access_hook.write() = Some(hook);
+        let mut installed = self.access_hook.write();
+        *installed = Some(hook);
+        self.access_hook_armed.store(true, Ordering::SeqCst);
     }
 
     /// Removes the access hook.
     pub fn uninstall_access_hook(&self) {
-        *self.access_hook.write() = None;
+        let mut installed = self.access_hook.write();
+        *installed = None;
+        self.access_hook_armed.store(false, Ordering::SeqCst);
     }
 
     /// The installed access hook, if any.
     pub fn access_hook(&self) -> Option<Arc<dyn AccessHook>> {
+        if !self.access_hook_armed.load(Ordering::SeqCst) {
+            return None;
+        }
         self.access_hook.read().clone()
     }
 
@@ -710,30 +769,46 @@ impl Cluster {
 
     // ---- snapshots & vacuum ----
 
-    /// Registers a long-lived snapshot (RAII).
+    /// Registers a long-lived snapshot (RAII) on the pin stripe.
     pub fn pin_snapshot(&self, ts: Timestamp) -> SnapshotGuard {
-        self.snapshots.register(ts);
+        let stripe = self.snapshots.pin_stripe();
+        self.snapshots.register(stripe, false, || ts);
+        self.guard(stripe, ts)
+    }
+
+    /// Atomically acquires a start timestamp for a snapshot on `node` and
+    /// pins it on `node`'s stripe: once this returns, the snapshot is
+    /// visible to [`SnapshotRegistry::oldest`]. Never call the oracle and
+    /// pin separately.
+    pub fn acquire_snapshot(&self, node: NodeId) -> (Timestamp, SnapshotGuard) {
+        let stripe = node.raw() as usize;
+        let ts = self
+            .snapshots
+            .register(stripe, false, || self.oracle.start_ts(node));
+        (ts, self.guard(stripe, ts))
+    }
+
+    fn guard(&self, stripe: usize, ts: Timestamp) -> SnapshotGuard {
         SnapshotGuard {
             registry: Arc::clone(&self.snapshots),
+            stripe,
             ts,
         }
     }
 
-    /// Atomically acquires a start timestamp for a transaction on `node`
-    /// and pins it: once this returns, the snapshot is visible to
-    /// [`SnapshotRegistry::oldest`]. Sessions must use this rather than
-    /// calling the oracle and pinning separately.
-    pub fn acquire_snapshot(&self, node: NodeId) -> (Timestamp, SnapshotGuard) {
-        let ts = self
-            .snapshots
-            .register_atomic(|| self.oracle.start_ts(node));
-        (
-            ts,
-            SnapshotGuard {
-                registry: Arc::clone(&self.snapshots),
-                ts,
-            },
-        )
+    /// [`Cluster::acquire_snapshot`] for a session transaction coordinated
+    /// by `node`, counted in flight and without a guard:
+    /// [`Cluster::end_txn`], called once from the transaction's one exit,
+    /// releases it.
+    pub(crate) fn begin_txn(&self, node: NodeId) -> Timestamp {
+        self.snapshots
+            .register(node.raw() as usize, true, || self.oracle.start_ts(node))
+    }
+
+    /// Releases what [`Cluster::begin_txn`] registered for `node`.
+    pub(crate) fn end_txn(&self, node: NodeId, start_ts: Timestamp) {
+        self.snapshots
+            .unregister(node.raw() as usize, true, start_ts);
     }
 
     /// The timestamp below which no active *or future* snapshot can read:
@@ -751,7 +826,7 @@ impl Cluster {
     /// Order matters. The floor is read first: a snapshot acquired after
     /// that read is at or above it, and one acquired before it is already
     /// registered when the registry is read. The clock fallback is read
-    /// inside the registry's critical section
+    /// while every registry stripe is held
     /// ([`SnapshotRegistry::oldest_or`]) for the same reason.
     pub fn safe_ts_watermark(&self) -> Timestamp {
         let floor = self.oracle.min_unissued();
@@ -1251,52 +1326,111 @@ mod tests {
     /// Red on the parent: `safe_ts_watermark` read the registry, released
     /// its lock, and only then read the clock. A begin and a conflicting
     /// commit inside that clock read gave a watermark above a registered
-    /// snapshot, and GC pruned the version it reads.
+    /// snapshot, and GC pruned the version it reads. The second case begins
+    /// on a node other than the one whose clock the fallback reads, so it
+    /// registers on another stripe of the registry: the watermark must hold
+    /// every stripe, not only the fallback node's.
     #[test]
     fn watermark_clock_read_cannot_be_overtaken_by_a_begin_and_a_commit() {
+        for (nodes, racer_node) in [(1, NodeId(0)), (2, NodeId(1))] {
+            let oracle = Arc::new(HookedGts::default());
+            let c = ClusterBuilder::new(nodes)
+                .oracle_instance(Arc::clone(&oracle) as Arc<dyn TimestampOracle>)
+                .build();
+            c.create_table(TableId(1), 100, 1, |_| NodeId(0));
+            commit_write(&c, ShardId(100), 7, "v0");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let racer = Arc::clone(&c);
+            *oracle.hook.lock() = Some(Box::new(move || {
+                let racing = std::thread::spawn(move || {
+                    let snapshot = racer.acquire_snapshot(racer_node);
+                    commit_write(&racer, ShardId(100), 7, "v1");
+                    snapshot
+                });
+                // With the clock read while the registry is held the begin
+                // blocks until the watermark is out: wait for the racer
+                // only as long as it could need if nothing held it.
+                let deadline = Instant::now() + Duration::from_millis(200);
+                while !racing.is_finished() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                tx.send(racing).unwrap();
+            }));
+            c.gc_tick(usize::MAX);
+            let (ts, _pin) = rx.recv().unwrap().join().unwrap();
+            let node = c.node(NodeId(0));
+            let read = node
+                .storage
+                .table(ShardId(100))
+                .unwrap()
+                .read(
+                    7,
+                    ts,
+                    node.storage.alloc_xid(),
+                    &node.storage.clog,
+                    Duration::from_secs(1),
+                )
+                .unwrap();
+            assert_eq!(
+                read,
+                Some(remus_storage::Value::from("v0".to_string().into_bytes())),
+                "{nodes} node(s), begin on {racer_node}: GC pruned the version a registered snapshot reads"
+            );
+        }
+    }
+
+    /// Red on the parent: every begin registered its snapshot under one
+    /// cluster-wide mutex with the oracle read inside it, so a transaction
+    /// on node 1 waited out node 0's timestamp fetch. Now node 0's begin
+    /// holds node 0's stripe only.
+    #[test]
+    fn a_begin_holds_only_its_own_node() {
         let oracle = Arc::new(HookedGts::default());
-        let c = ClusterBuilder::new(1)
+        let c = ClusterBuilder::new(2)
             .oracle_instance(Arc::clone(&oracle) as Arc<dyn TimestampOracle>)
             .build();
-        c.create_table(TableId(1), 100, 1, |_| NodeId(0));
-        commit_write(&c, ShardId(100), 7, "v0");
+        let layout = c.create_table(TableId(1), 0, 2, NodeId);
+        let key = (0..64u64)
+            .find(|&k| {
+                c.current_owner(c.node(NodeId(1)), layout.shard_for(k))
+                    .unwrap()
+                    .node
+                    == NodeId(1)
+            })
+            .expect("some key routed to node 1");
+        let value = |s: &str| remus_storage::Value::copy_from_slice(s.as_bytes());
+        let on_node1 = crate::Session::connect(&c, NodeId(1));
+        on_node1
+            .run(|t| t.insert(&layout, key, value("v0")))
+            .unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        let racer = Arc::clone(&c);
+        let other = Arc::clone(&c);
         *oracle.hook.lock() = Some(Box::new(move || {
             let racing = std::thread::spawn(move || {
-                let snapshot = racer.acquire_snapshot(NodeId(0));
-                commit_write(&racer, ShardId(100), 7, "v1");
-                snapshot
+                let session = crate::Session::connect(&other, NodeId(1));
+                let mut txn = session.begin();
+                txn.update(&layout, key, value("v1")).unwrap();
+                let read = txn.read(&layout, key).unwrap();
+                txn.commit().unwrap();
+                read
             });
-            // With the clock read inside the registry's critical section
-            // the begin blocks until the watermark is out: wait for the
-            // racer only as long as it could need if nothing held it.
-            let deadline = Instant::now() + Duration::from_millis(200);
+            let deadline = Instant::now() + Duration::from_secs(2);
             while !racing.is_finished() && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            tx.send(racing).unwrap();
+            tx.send((racing.is_finished(), racing)).unwrap();
         }));
-        c.gc_tick(usize::MAX);
-        let (ts, _pin) = rx.recv().unwrap().join().unwrap();
-        let node = c.node(NodeId(0));
-        let read = node
-            .storage
-            .table(ShardId(100))
-            .unwrap()
-            .read(
-                7,
-                ts,
-                node.storage.alloc_xid(),
-                &node.storage.clog,
-                Duration::from_secs(1),
-            )
-            .unwrap();
-        assert_eq!(
-            read,
-            Some(remus_storage::Value::from("v0".to_string().into_bytes())),
-            "GC pruned the version a registered snapshot reads"
+        // The hook runs inside node 0's stripe and inside `start_ts`.
+        let on_node0 = crate::Session::connect(&c, NodeId(0));
+        let txn = on_node0.begin();
+        let (finished, racing) = rx.recv().unwrap();
+        assert_eq!(racing.join().unwrap(), Some(value("v1")));
+        assert!(
+            finished,
+            "a transaction on node 1 waited for node 0's begin to fetch its timestamp"
         );
+        txn.commit().unwrap();
+        assert_eq!(c.active_txn_count(), 0);
     }
 
     #[test]
@@ -1559,10 +1693,18 @@ mod tests {
 
     #[test]
     fn drain_waits_for_active_txns() {
-        let c = cluster(1);
-        c.txn_started();
+        let c = cluster(2);
+        let on_node0 = crate::Session::connect(&c, NodeId(0));
+        let on_node1 = crate::Session::connect(&c, NodeId(1));
+        let first = on_node0.begin();
+        let second = on_node1.begin();
+        assert_eq!(c.active_txn_count(), 2);
         assert!(c.wait_for_drain(Duration::from_millis(20)).is_err());
-        c.txn_finished();
+        first.commit().unwrap();
+        assert_eq!(c.active_txn_count(), 1);
+        assert!(c.wait_for_drain(Duration::from_millis(20)).is_err());
+        drop(second);
         assert!(c.wait_for_drain(Duration::from_millis(20)).is_ok());
+        assert_eq!(c.snapshots.oldest(), None);
     }
 }

@@ -19,7 +19,7 @@ use remus_shard::{CacheLookup, ShardMapCache, TableLayout};
 use remus_storage::{Key, Value};
 use remus_txn::{abort_txn, commit_txn, LockMode, Txn};
 
-use crate::cluster::{CcMode, Cluster, SnapshotGuard};
+use crate::cluster::{CcMode, Cluster};
 use crate::node::Node;
 
 /// A client connection bound to a coordinator node.
@@ -76,15 +76,13 @@ impl Session {
     /// Begins a transaction (blocks while routing is suspended).
     pub fn begin(&self) -> SessionTxn<'_> {
         self.cluster.routing_gate.wait_admitted();
-        let (start_ts, pin) = self.cluster.acquire_snapshot(self.coordinator.id());
+        let start_ts = self.cluster.begin_txn(self.coordinator.id());
         let txn = Txn::begin(&self.coordinator.storage, start_ts);
-        self.cluster.txn_started();
         SessionTxn {
             session: self,
             txn,
             begin_ts: start_ts,
             touched: Vec::new(),
-            _pin: pin,
             finished: false,
         }
     }
@@ -173,8 +171,9 @@ pub struct SessionTxn<'s> {
     session: &'s Session,
     /// The underlying transaction handle.
     pub txn: Txn,
-    /// The snapshot the transaction began with. Routing always uses this
-    /// one (not the per-statement refresh of shard-lock mode): a
+    /// The snapshot the transaction began with, registered on the
+    /// coordinator's stripe until [`SessionTxn::finish`]. Routing always
+    /// uses this one (not the per-statement refresh of shard-lock mode): a
     /// transaction executes against one ownership epoch, as an H-store
     /// transaction stays pinned to its partition executor.
     begin_ts: Timestamp,
@@ -182,7 +181,6 @@ pub struct SessionTxn<'s> {
     /// (so the written set — and with it the affinity pairs — is recorded
     /// deterministically): one allocation, made by the first statement.
     touched: Vec<ShardUse>,
-    _pin: SnapshotGuard,
     finished: bool,
 }
 
@@ -510,7 +508,8 @@ impl<'s> SessionTxn<'s> {
                     .counter("replica.offloaded_reads")
                     .add(offloaded_total);
             }
-            self.session.cluster.txn_finished();
+            let coordinator = self.session.coordinator.id();
+            self.session.cluster.end_txn(coordinator, self.begin_ts);
             self.finished = true;
         }
     }

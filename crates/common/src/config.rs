@@ -124,8 +124,11 @@ pub struct ParallelismConfig {
 /// global uniqueness, causality via `observe`) but gives up the *real-time*
 /// recency the single-counter GTS provides for free: a snapshot taken on
 /// one node may be older than a commit that already finished on another.
-/// That is exactly the DTS trust model, so leases are opt-in — every preset
-/// keeps `gts_lease: 1`, and the chaos checker's strict GTS mode assumes it.
+/// That is exactly the DTS trust model. [`SimConfig::instant`] and
+/// [`HotPathConfig::sequential`] keep `gts_lease: 1`, and the chaos
+/// checker's strict GTS mode assumes it; [`HotPathConfig::tuned`] leases 64,
+/// and both the repo benchmark and `bench_foreground`'s optimised leg run
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotPathConfig {
     /// Lock stripes per versioned-table key index: each stripe is one
@@ -354,9 +357,9 @@ mod tests {
     #[test]
     fn presets_keep_gc_and_leases_opt_in() {
         // GC cadence and GTS leases change timing-visible behavior (GC) or
-        // the real-time recency model (leases), so every preset keeps them
-        // off; only the striping — semantically invisible — is on by
-        // default.
+        // the real-time recency model (leases), so the default config keeps
+        // them off (`HotPathConfig::tuned` turns both on); only the
+        // striping — semantically invisible — is on by default.
         let c = SimConfig::instant();
         assert_eq!(c.hot_path.gc_interval, Duration::ZERO);
         assert_eq!(c.hot_path.gts_lease, 1);
