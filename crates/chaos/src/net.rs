@@ -20,7 +20,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use remus_common::NodeId;
+use remus_common::{time, NodeId};
 use remus_txn::Network;
 
 /// A transient one-directional link partition: hops `start..start+len` of
@@ -127,9 +127,7 @@ impl Network for FaultyNetwork {
                 extra += Duration::from_micros(state.rng.gen_range(0..=self.max_jitter_us));
             }
         }
-        if !extra.is_zero() {
-            std::thread::sleep(extra);
-        }
+        time::charge(extra);
         self.inner.hop(from, to);
     }
 }

@@ -9,9 +9,10 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use remus_clock::{Dts, Gts, OracleKind, TimestampOracle};
 use remus_common::fault::{FaultAction, FaultInjector, InjectionPoint};
 use remus_common::metrics::{MetricSample, MetricsRegistry};
+use remus_common::time::{self, Signal};
 use remus_common::{DbError, DbResult, NodeId, ShardId, SimConfig, TableId, Timestamp};
 use remus_shard::{install_owner, read_owner_at, ShardMapRow, TableLayout, SHARD_MAP_SHARD};
-use remus_txn::{replay_node_wal, DelayNetwork, Network, NoNetwork, ReplaySummary, ShardLockTable};
+use remus_txn::{replay_node_wal, DelayNetwork, Network, ReplaySummary, ShardLockTable};
 
 use crate::load::{ShardLoadSnapshot, ShardLoadTracker};
 use crate::node::Node;
@@ -63,15 +64,20 @@ struct StripeState {
 /// [`Cluster::active_txn_count`]) locks every stripe in index order and
 /// holds them all, so it excludes every registration exactly as the one
 /// mutex this replaces did.
+///
+/// A release notifies [`SnapshotRegistry::park_until`]'s one signal, which is
+/// what the drains wait on (Remus's dual execution, wait-and-remaster's).
 #[derive(Debug)]
 pub struct SnapshotRegistry {
     stripes: Box<[Stripe]>,
+    released: Signal,
 }
 
 impl SnapshotRegistry {
     fn new(nodes: usize) -> Self {
         SnapshotRegistry {
             stripes: (0..=nodes).map(|_| Stripe::default()).collect(),
+            released: Signal::default(),
         }
     }
 
@@ -101,6 +107,16 @@ impl SnapshotRegistry {
             }
         }
         state.txns -= u64::from(txn);
+        // Changed under the stripe lock every observer takes, then told.
+        drop(state);
+        self.released.notify();
+    }
+
+    /// Parks until `cond` — an observation of this registry — holds,
+    /// looking again at every release, or until `timeout` passes
+    /// (`false`).
+    pub fn park_until(&self, cond: impl FnMut() -> bool, timeout: Duration) -> bool {
+        self.released.park_until(cond, timeout)
     }
 
     /// Every stripe, locked in index order — the only order in which any
@@ -271,7 +287,8 @@ pub struct Cluster {
     /// Per-shard load accounting for the elasticity autopilot.
     pub load: ShardLoadTracker,
     registered_tables: Mutex<Vec<TableLayout>>,
-    maintenance_stop: Arc<AtomicBool>,
+    /// The maintenance thread's stop request and the signal it parks on.
+    maintenance_stop: Arc<(AtomicBool, Signal)>,
     /// Whether `access_hook` holds a hook, stored under its write lock after
     /// it: a statement that finds it clear takes no lock.
     access_hook_armed: AtomicBool,
@@ -382,7 +399,6 @@ impl ClusterBuilder {
         };
         let net: Arc<dyn Network> = match self.custom_net {
             Some(net) => net,
-            None if self.config.network_latency.is_zero() => Arc::new(NoNetwork),
             None => Arc::new(DelayNetwork::new(self.config.network_latency)),
         };
         let metrics = MetricsRegistry::new();
@@ -407,7 +423,7 @@ impl ClusterBuilder {
             metrics,
             load: ShardLoadTracker::new(),
             registered_tables: Mutex::new(Vec::new()),
-            maintenance_stop: Arc::new(AtomicBool::new(false)),
+            maintenance_stop: Arc::default(),
             access_hook_armed: AtomicBool::new(false),
             access_hook: parking_lot::RwLock::new(None),
             fault_injector: parking_lot::RwLock::new(None),
@@ -559,12 +575,9 @@ impl Cluster {
     /// Blocks until every in-flight client transaction finished
     /// (wait-and-remaster's drain).
     pub fn wait_for_drain(&self, timeout: Duration) -> DbResult<()> {
-        let deadline = std::time::Instant::now() + timeout;
-        while self.active_txn_count() > 0 {
-            if std::time::Instant::now() >= deadline {
-                return Err(DbError::Timeout("transaction drain"));
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        let drained = || self.active_txn_count() == 0;
+        if !self.snapshots.park_until(drained, timeout) {
+            return Err(DbError::Timeout("transaction drain"));
         }
         Ok(())
     }
@@ -692,7 +705,7 @@ impl Cluster {
         };
         match action {
             FaultAction::Delay(d) => {
-                std::thread::sleep(d);
+                time::charge(d);
                 FaultAction::Continue
             }
             decided => decided,
@@ -900,21 +913,27 @@ impl Cluster {
     /// (cheap, keeps the in-memory log bounded), a vacuum pass every
     /// `vacuum_period`, and — when `config.hot_path.gc_interval` is nonzero
     /// — a budgeted [`Cluster::gc_tick`] at that cadence, each on its own
-    /// wall-clock deadline. Runs until the cluster is dropped or
-    /// [`Cluster::stop_maintenance`] is called.
+    /// wall-clock deadline. Runs until [`Cluster::stop_maintenance`] is
+    /// called or the cluster is dropped: the thread holds the cluster only
+    /// while a duty runs, and parks on the stop signal in between.
     pub fn start_maintenance(
         self: &Arc<Self>,
         vacuum_period: Duration,
     ) -> std::thread::JoinHandle<()> {
-        let cluster = Arc::clone(self);
+        let cluster = Arc::downgrade(self);
         let stop = Arc::clone(&self.maintenance_stop);
         let gc_interval = self.config.hot_path.gc_interval;
         std::thread::spawn(move || {
+            let (stopped, signal) = &*stop;
+            let requested = || stopped.load(Ordering::SeqCst);
             let start = Instant::now();
             let mut wal = Periodic::new(WAL_TRUNCATE_PERIOD, start);
             let mut gc = (!gc_interval.is_zero()).then(|| Periodic::new(gc_interval, start));
             let mut vacuum = Periodic::new(vacuum_period, start);
-            while !stop.load(Ordering::Relaxed) {
+            while !requested() {
+                let Some(cluster) = cluster.upgrade() else {
+                    break;
+                };
                 let now = Instant::now();
                 if wal.due(now) {
                     cluster.wal_truncate_tick();
@@ -925,19 +944,21 @@ impl Cluster {
                 if vacuum.due(now) {
                     cluster.vacuum_tick();
                 }
-                // To the earliest deadline — at most one WAL period away, so
-                // a stop request is seen as promptly.
+                // If that was the last `Arc`, its `Drop` asks for the stop.
+                drop(cluster);
                 let wake = gc
                     .iter()
                     .fold(wal.next.min(vacuum.next), |w, gc| w.min(gc.next));
-                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+                signal.park_until(requested, wake.saturating_duration_since(Instant::now()));
             }
         })
     }
 
-    /// Stops the background maintenance thread.
+    /// Stops the background maintenance thread, waking it if it is parked.
     pub fn stop_maintenance(&self) {
-        self.maintenance_stop.store(true, Ordering::Relaxed);
+        let (stopped, signal) = &*self.maintenance_stop;
+        stopped.store(true, Ordering::SeqCst);
+        signal.notify();
     }
 }
 
@@ -1507,6 +1528,26 @@ mod tests {
         c.stop_maintenance();
         handle.join().unwrap();
         assert_eq!(retained, 0, "no WAL truncation within 400 ms");
+    }
+
+    /// Red on the parent, which moved an `Arc` into the thread: a cluster
+    /// under maintenance outlived its last handle, and the thread ran on.
+    #[test]
+    fn dropping_the_last_handle_drops_the_cluster_and_stops_maintenance() {
+        let c = cluster(2);
+        let handle = c.start_maintenance(Duration::from_secs(3600));
+        let weak = Arc::downgrade(&c);
+        drop(c);
+        let dropped = Instant::now();
+        while !handle.is_finished() && dropped.elapsed() < Duration::from_secs(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            handle.is_finished(),
+            "maintenance still running 1 s after the drop"
+        );
+        handle.join().unwrap();
+        assert!(weak.upgrade().is_none(), "the cluster outlived its handles");
     }
 
     /// The REVIEW scenario: under `gts_lease > 1`, node 1 holds a stale

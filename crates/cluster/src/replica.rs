@@ -30,10 +30,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use remus_common::{DbError, DbResult, NodeId, Timestamp, TxnId};
+use remus_common::{time, DbError, DbResult, NodeId, Timestamp, TxnId};
 use remus_shard::TableLayout;
 use remus_storage::{Key, Value};
 
@@ -142,29 +142,21 @@ impl ReplicaHandle {
 
     /// Blocks until the backfill certifies.
     pub fn wait_certified(&self, timeout: Duration) -> DbResult<()> {
-        let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
-        while !state.certified {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || self.advanced.wait_for(&mut state, left).timed_out() {
-                return Err(DbError::Timeout("replica certification"));
-            }
-        }
-        Ok(())
+        time::wait(&self.advanced, &mut state, timeout, |s| {
+            s.certified.then_some(())
+        })
+        .ok_or(DbError::Timeout("replica certification"))
     }
 
     /// Blocks until the watermark reaches `ts`, returning the watermark
     /// observed (the read-your-writes wait).
     pub fn wait_watermark(&self, ts: Timestamp, timeout: Duration) -> DbResult<Timestamp> {
-        let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
-        while !state.certified || state.watermark < ts {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || self.advanced.wait_for(&mut state, left).timed_out() {
-                return Err(DbError::Timeout("replica watermark"));
-            }
-        }
-        Ok(state.watermark)
+        time::wait(&self.advanced, &mut state, timeout, |s| {
+            (s.certified && s.watermark >= ts).then_some(s.watermark)
+        })
+        .ok_or(DbError::Timeout("replica watermark"))
     }
 }
 

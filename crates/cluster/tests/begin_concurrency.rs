@@ -3,9 +3,11 @@
 //! own stripe of the snapshot registry, long-lived pins go to the pin
 //! stripe, and the safe-ts watermark holds every stripe while it reads. No
 //! transaction that is live when the watermark is read may start below it,
-//! and nothing may stay registered or counted once every thread is done.
+//! and nothing may stay registered or counted once every thread is done. A
+//! drainer parks on the registry's signal meanwhile, so every release races
+//! a park; it must come back once the sessions stop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -41,7 +43,8 @@ fn begins_on_every_coordinator_race_pins_and_the_watermark() {
     // returns and cleared before `commit` (0 = none).
     let live: Arc<Vec<AtomicU64>> =
         Arc::new((0..COORDINATORS).map(|_| AtomicU64::new(0)).collect());
-    let start = Arc::new(Barrier::new(COORDINATORS as usize + 2));
+    let start = Arc::new(Barrier::new(COORDINATORS as usize + 3));
+    let sessions_done = Arc::new(AtomicBool::new(false));
 
     let sessions: Vec<_> = (0..COORDINATORS)
         .map(|n| {
@@ -96,9 +99,30 @@ fn begins_on_every_coordinator_race_pins_and_the_watermark() {
         })
     };
 
+    let drainer = {
+        let (cluster, start, done) = (
+            Arc::clone(&cluster),
+            Arc::clone(&start),
+            Arc::clone(&sessions_done),
+        );
+        std::thread::spawn(move || {
+            start.wait();
+            loop {
+                // Read first: the last drain begins after every session ended.
+                let last = done.load(Ordering::SeqCst);
+                cluster.wait_for_drain(Duration::from_secs(60)).unwrap();
+                if last {
+                    break;
+                }
+            }
+        })
+    };
+
     for session in sessions {
         session.join().unwrap();
     }
+    sessions_done.store(true, Ordering::SeqCst);
+    drainer.join().unwrap();
     pinner.join().unwrap();
     observer.join().unwrap();
     assert!(cluster.wait_for_drain(Duration::ZERO).is_ok());

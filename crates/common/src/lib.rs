@@ -7,7 +7,8 @@
 //! both the centralized and decentralized oracles ([`ts`]), the common error
 //! type ([`error`]), simulation configuration ([`config`]), and lightweight
 //! metrics primitives used by the workload driver and benchmark harnesses
-//! ([`metrics`]).
+//! ([`metrics`]), and the one seam through which the product crates pay a
+//! modeled cost or wait with a deadline ([`time`]).
 //!
 //! Nothing in this crate knows about storage, transactions, or migration; it
 //! is the bottom of the dependency stack.
@@ -18,6 +19,7 @@ pub mod fault;
 pub mod ids;
 pub mod json;
 pub mod metrics;
+pub mod time;
 pub mod ts;
 
 pub use config::{

@@ -12,10 +12,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use remus_common::{DbError, DbResult, ShardId, Timestamp, TxnId};
+use remus_common::{time, DbError, DbResult, ShardId, Timestamp, TxnId};
 use remus_txn::{CommitMode, SyncCommitHook};
 
 /// Validation verdict passed from the destination replay to the waiting
@@ -53,20 +53,11 @@ impl ValidationRegistry {
     /// Source side: blocks until the verdict for `xid` arrives, consuming
     /// it.
     pub fn await_verdict(&self, xid: TxnId, timeout: Duration) -> DbResult<()> {
-        let deadline = Instant::now() + timeout;
         let mut verdicts = self.verdicts.lock();
-        loop {
-            if let Some(v) = verdicts.remove(&xid) {
-                return match v {
-                    Verdict::Ok => Ok(()),
-                    Verdict::Failed(e) => Err(e),
-                };
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DbError::Timeout("MOCC validation"));
-            }
-            self.arrived.wait_for(&mut verdicts, deadline - now);
+        match time::wait(&self.arrived, &mut verdicts, timeout, |v| v.remove(&xid)) {
+            Some(Verdict::Ok) => Ok(()),
+            Some(Verdict::Failed(e)) => Err(e),
+            None => Err(DbError::Timeout("MOCC validation")),
         }
     }
 
@@ -133,16 +124,11 @@ impl RemusHook {
             self.sync_enabled(),
             "drain before enabling sync is meaningless"
         );
-        let deadline = Instant::now() + timeout;
         let mut unsync = self.unsync_in_commit.lock();
-        while !unsync.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DbError::Timeout("TS_unsync drain"));
-            }
-            self.drained.wait_for(&mut unsync, deadline - now);
-        }
-        Ok(())
+        time::wait(&self.drained, &mut unsync, timeout, |u| {
+            u.is_empty().then_some(())
+        })
+        .ok_or(DbError::Timeout("TS_unsync drain"))
     }
 }
 

@@ -32,17 +32,6 @@ use crate::trace::{SpanId, TraceRecorder};
 /// stuck systems should hit it.
 pub(crate) const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
 
-pub(crate) fn wait_until(mut cond: impl FnMut() -> bool, what: &'static str) -> DbResult<()> {
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
-    while !cond() {
-        if Instant::now() >= deadline {
-            return Err(DbError::Timeout(what));
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    Ok(())
-}
-
 /// One push migration in flight: the resources of the shared stages.
 pub(crate) struct PushPipeline<'a> {
     cluster: &'a Arc<Cluster>,
@@ -105,6 +94,10 @@ impl<'a> PushPipeline<'a> {
         // so no version the copy scan still needs is ever pruned.
         let (snapshot_ts, _snapshot_pin) = cluster.acquire_snapshot(task.source);
         let (tx, rx) = unbounded();
+        // Replay is gated per key range: a propagated change applies as
+        // soon as its chunk is installed, never before (it would be
+        // clobbered by the frozen install).
+        let replay = ReplayProcess::start(cluster, dest, registry, rx, Some(Arc::clone(&gate)));
         let prop = PropagationProcess::start(
             cluster,
             source,
@@ -114,11 +107,8 @@ impl<'a> PushPipeline<'a> {
             tail,
             Arc::clone(&hook),
             tx,
+            Arc::clone(&replay.stats.progress),
         );
-        // Replay is gated per key range: a propagated change applies as
-        // soon as its chunk is installed, never before (it would be
-        // clobbered by the frozen install).
-        let replay = ReplayProcess::start(cluster, dest, registry, rx, Some(Arc::clone(&gate)));
         let mut p = PushPipeline {
             cluster,
             task,
@@ -162,6 +152,16 @@ impl<'a> PushPipeline<'a> {
         self.procs.as_ref().expect("pipeline already finished")
     }
 
+    /// Parks until `cond` holds, looking again whenever propagation
+    /// processed a batch or replay completed a message.
+    fn park_until(&self, cond: impl FnMut() -> bool, what: &'static str) -> DbResult<()> {
+        let progress = &self.procs().1.stats.progress;
+        if !progress.park_until(cond, DRAIN_TIMEOUT) {
+            return Err(DbError::Timeout(what));
+        }
+        Ok(())
+    }
+
     /// The catch-up lag (§3.4).
     fn lag(&self) -> u64 {
         let (prop, replay) = self.procs();
@@ -178,7 +178,7 @@ impl<'a> PushPipeline<'a> {
         let threshold = self.cluster.config.catchup_threshold as u64;
         self.rec.attr(span, "lag_threshold", threshold);
         self.rec.attr(span, "start_lag", self.lag());
-        if let Err(e) = wait_until(|| self.lag() <= threshold, "async catch-up") {
+        if let Err(e) = self.park_until(|| self.lag() <= threshold, "async catch-up") {
             let (prop, replay) = self.procs();
             return Err(DbError::Internal(format!(
                 "{e}: flush={} processed={} sent={} done={}",
@@ -206,9 +206,9 @@ impl<'a> PushPipeline<'a> {
     /// messages are sync-mode traffic that synchronizes itself).
     pub(crate) fn drain_to(&self, lsn: Lsn, what: &'static str) -> DbResult<u64> {
         let (prop, replay) = self.procs();
-        wait_until(|| prop.processed_lsn() >= lsn, what)?;
+        self.park_until(|| prop.processed_lsn() >= lsn, what)?;
         let sent = prop.stats.sent.load(Ordering::SeqCst);
-        wait_until(|| replay.stats.done.load(Ordering::SeqCst) >= sent, what)?;
+        self.park_until(|| replay.stats.done.load(Ordering::SeqCst) >= sent, what)?;
         Ok(sent)
     }
 

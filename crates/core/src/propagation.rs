@@ -28,6 +28,7 @@ use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use remus_cluster::{Cluster, Node};
+use remus_common::time::{self, Signal};
 use remus_common::{DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
 use remus_txn::WalTail;
 use remus_wal::{Lsn, TailHandle, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
@@ -65,6 +66,7 @@ impl PropagationProcess {
     /// transactions; `dest` is only used to charge network hops. `tail` is
     /// the source's [`remus_txn::NodeStorage::create_slot_at_oldest_active`]:
     /// the process owns it from here, and its slot goes when the thread ends.
+    /// `progress` is notified after every processed batch.
     #[allow(clippy::too_many_arguments)]
     pub fn start(
         cluster: &Arc<Cluster>,
@@ -75,6 +77,7 @@ impl PropagationProcess {
         tail: WalTail,
         hook: Arc<RemusHook>,
         tx: Sender<ApplyMsg>,
+        progress: Arc<Signal>,
     ) -> PropagationProcess {
         let stats = Arc::new(PropagationStats::default());
         let tail_handle = tail.handle();
@@ -93,6 +96,7 @@ impl PropagationProcess {
                     tail,
                     hook,
                     tx,
+                    progress,
                     stats,
                 )
             })
@@ -151,6 +155,7 @@ fn propagate_loop(
     mut tail: WalTail,
     hook: Arc<RemusHook>,
     tx: Sender<ApplyMsg>,
+    progress: Arc<Signal>,
     stats: Arc<PropagationStats>,
 ) {
     let mut assembler = TxnAssembler::new(tail.consumed(), |w: &WriteOp| shards.contains(&w.shard));
@@ -173,10 +178,8 @@ fn propagate_loop(
             .div_ceil(SPILL_RELOAD_BATCH);
         if reloads > 0 {
             source.storage.counters.queue_spills.add(reloads as u64);
-            if !spill_latency.is_zero() {
-                // Reloading spilled change records in batches (§3.3).
-                std::thread::sleep(spill_latency * reloads as u32);
-            }
+            // Reloading spilled change records in batches (§3.3).
+            time::charge(spill_latency * reloads as u32);
         }
         // Propagation-lag seam: only Delay is expressible here, and the
         // seam helper has slept it by the time it returns.
@@ -188,9 +191,10 @@ fn propagate_loop(
         stats.sent.fetch_add(1, Ordering::SeqCst);
     };
 
-    // Asking for the next batch is what counts the previous one as processed
-    // (and moves the slot): everything it had to ship is sent by then. There
-    // is nothing to do on a quiet log, so no idle period.
+    // A batch counts as processed (and moves the slot) once everything it
+    // had to ship is sent: it is acknowledged and a drain waiting on it told
+    // *before* the next batch is asked for, since that may park. There is
+    // nothing to do on a quiet log, so no idle period.
     loop {
         let batch = match tail.next_batch(drain_batch, Duration::MAX) {
             TailRead::Batch(batch) => batch,
@@ -243,6 +247,8 @@ fn propagate_loop(
                 _ => {}
             }
         }
+        tail.ack();
+        progress.notify();
     }
     let _ = tx.send(ApplyMsg::Shutdown);
 }
@@ -287,6 +293,7 @@ mod tests {
             tail,
             hook,
             tx,
+            Arc::default(),
         );
         (prop, rx)
     }

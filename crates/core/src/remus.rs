@@ -21,9 +21,9 @@ use std::time::Instant;
 
 use remus_cluster::Cluster;
 use remus_common::fault::InjectionPoint;
-use remus_common::DbResult;
+use remus_common::{DbError, DbResult};
 
-use crate::pipeline::{wait_until, PushPipeline, DRAIN_TIMEOUT};
+use crate::pipeline::{PushPipeline, DRAIN_TIMEOUT};
 use crate::report::{MigrationEngine, MigrationReport, MigrationTask};
 
 /// The Remus engine.
@@ -73,13 +73,10 @@ impl MigrationEngine for RemusEngine {
         // T_m.commit_ts) run to completion, committing through MOCC.
         let dual0 = Instant::now();
         let dual_span = p.rec.start("dual_execution");
-        wait_until(
-            || match cluster.snapshots.oldest() {
-                None => true,
-                Some(ts) => ts >= tm_cts,
-            },
-            "dual execution drain",
-        )?;
+        let drained = || cluster.snapshots.oldest().is_none_or(|ts| ts >= tm_cts);
+        if !cluster.snapshots.park_until(drained, DRAIN_TIMEOUT) {
+            return Err(DbError::Timeout("dual execution drain"));
+        }
         p.rec.end(dual_span);
 
         // No pre-T_m transactions remain: stop the pipeline after the

@@ -40,6 +40,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use remus_cluster::{Cluster, Node};
 use remus_common::fault::{FaultAction, InjectionPoint};
+use remus_common::time::Signal;
 use remus_common::{DbError, DbResult, ShardId, Timestamp, TxnId};
 use remus_storage::Key;
 use remus_txn::{abort_txn, commit_prepared, prepare_participant, rollback_prepared, Txn};
@@ -100,6 +101,10 @@ pub struct ReplayStats {
     pub records: AtomicU64,
     /// Validation failures (WW conflicts with destination transactions).
     pub conflicts: AtomicU64,
+    /// Notified after every completed message, and by the propagation
+    /// process feeding this replay after every batch it processed: what a
+    /// catch-up or a drain parks on.
+    pub progress: Arc<Signal>,
 }
 
 /// Tracks ticket completion with a contiguous watermark so the done-set
@@ -171,8 +176,14 @@ impl ReplayShared {
         self.set_fatal(DbError::Internal(
             "replay worker panicked mid-job".to_string(),
         ));
+        self.complete(ticket);
+    }
+
+    /// Marks `ticket` complete and counts its message done.
+    fn complete(&self, ticket: u64) {
         self.completion.mark(ticket);
-        self.stats.done.fetch_add(1, Ordering::Relaxed);
+        self.stats.done.fetch_add(1, Ordering::SeqCst);
+        self.stats.progress.notify();
     }
 
     /// Blocks until every key the ops touch has had its snapshot chunk
@@ -226,8 +237,7 @@ impl ReplayShared {
                     // The interleaved copy failed or stalled: the migration
                     // is unwinding; surface and skip the apply.
                     self.set_fatal(e);
-                    self.completion.mark(job.ticket);
-                    self.stats.done.fetch_add(1, Ordering::Relaxed);
+                    self.complete(job.ticket);
                     return;
                 }
                 // The shadow runs under its own id: the source transaction
@@ -273,8 +283,7 @@ impl ReplayShared {
                     // left waiting on a verdict that will never come.
                     self.registry
                         .complete(xid, Err(DbError::NodeUnavailable(self.dest.id())));
-                    self.completion.mark(job.ticket);
-                    self.stats.done.fetch_add(1, Ordering::Relaxed);
+                    self.complete(job.ticket);
                     return;
                 }
                 let fault = self
@@ -336,8 +345,7 @@ impl ReplayShared {
             }
             ApplyMsg::Shutdown => unreachable!("dispatcher consumes Shutdown"),
         }
-        self.completion.mark(job.ticket);
-        self.stats.done.fetch_add(1, Ordering::Relaxed);
+        self.complete(job.ticket);
         self.dest.storage.counters.replay_jobs.inc();
     }
 }

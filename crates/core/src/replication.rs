@@ -89,6 +89,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use remus_cluster::{Cluster, Node, ReplicaHandle};
+use remus_common::time::Signal;
 use remus_common::{DbError, DbResult, FaultAction, InjectionPoint, NodeId, Timestamp, TxnId};
 use remus_shard::SHARD_MAP_SHARD;
 use remus_txn::{redo_committed, WalTail};
@@ -135,10 +136,8 @@ struct StreamState {
     cut_ts: Timestamp,
     /// LSN the stream must densely apply for certification. Starts at the
     /// flush LSN recorded at the cut; raised to the post-copy flush LSN
-    /// when the chunk copy finishes (`copied` turns true).
+    /// when the chunk copy finishes.
     cut_lsn: AtomicU64,
-    /// True once the chunk copy completed and `cut_lsn` is final.
-    copied: AtomicBool,
     /// Highest densely-applied LSN (the apply gate's position).
     applied: AtomicU64,
     /// The frontier: every record at or below it belongs to a resolved,
@@ -154,8 +153,13 @@ struct ReplState {
     /// Set by the bootstrap once every stream certified; appliers publish
     /// the min-watermark to the handle only after this.
     certified: AtomicBool,
-    /// A copy or apply step failed terminally (outside an orderly stop).
+    /// A copy or apply step failed terminally. A failure a stop causes is
+    /// recorded too, where nobody can read it: `is_failed` needs the process
+    /// a stop consumes.
     failed: AtomicBool,
+    /// Notified when an applier stored its stream's frontier, and by a stop:
+    /// what the bootstrap's certification parks on.
+    frontier_moved: Signal,
 }
 
 impl ReplState {
@@ -183,10 +187,10 @@ impl ReplState {
 pub struct ReplicaProcess {
     handle: Arc<ReplicaHandle>,
     shared: Arc<ReplState>,
+    /// Poisoned by a stop: that is what the appliers and the bootstrap, which
+    /// wait on channels and gates, are stopped by; the shippers wait on the
+    /// log and are stopped through `tails`.
     gates: Vec<Arc<CopyGate>>,
-    /// Stops the appliers and the bootstrap, which wait on channels and
-    /// gates; the shippers wait on the log and are stopped through `tails`.
-    stop: Arc<AtomicBool>,
     tails: Vec<TailHandle>,
     shippers: Vec<JoinHandle<()>>,
     appliers: Vec<JoinHandle<()>>,
@@ -250,11 +254,12 @@ impl ReplicaProcess {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock appliers stuck behind an unfinished backfill chunk.
+        // Unblock appliers stuck behind an unfinished backfill chunk, and
+        // the bootstrap wherever it is.
         for gate in &self.gates {
             gate.poison();
         }
+        self.shared.frontier_moved.notify();
         // Shippers are woken, send `Shutdown` and drop their tails (and with
         // them their slots); appliers drain up to the `Shutdown`.
         for tail in &self.tails {
@@ -299,8 +304,6 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
             "replica bootstrap: cluster has no primary nodes".into(),
         ));
     }
-    let stop = Arc::new(AtomicBool::new(false));
-
     // Slots first: from here on, no record a cut-snapshot scan could miss
     // can be truncated out from under the stream.
     let tails: Vec<WalTail> = primaries
@@ -319,7 +322,6 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
             primary: p.id(),
             cut_ts,
             cut_lsn: AtomicU64::new(flush_at_cut.0),
-            copied: AtomicBool::new(false),
             applied: AtomicU64::new(from.0),
             frontier: AtomicU64::new(from.0),
             watermark: AtomicU64::new(cut_ts.0),
@@ -349,6 +351,7 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
         streams: streams.clone(),
         certified: AtomicBool::new(false),
         failed: AtomicBool::new(false),
+        frontier_moved: Signal::default(),
     });
 
     let mut shippers = Vec::with_capacity(primaries.len());
@@ -369,9 +372,8 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
             let shared = Arc::clone(&shared);
             let stream = Arc::clone(&streams[i]);
             let gate = Arc::clone(&gates[i]);
-            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                apply_loop(cluster, node, handle, shared, stream, gate, from, rx, stop)
+                apply_loop(cluster, node, handle, shared, stream, gate, from, rx)
             })
         });
     }
@@ -383,7 +385,6 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
         let handle = Arc::clone(&handle);
         let shared = Arc::clone(&shared);
         let gates = gates.clone();
-        let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             bootstrap_loop(
                 cluster,
@@ -393,7 +394,6 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
                 shared,
                 gates,
                 cut_pin,
-                stop,
             )
         })
     };
@@ -402,7 +402,6 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
         handle,
         shared,
         gates,
-        stop,
         tails: tail_handles,
         shippers,
         appliers,
@@ -617,7 +616,6 @@ fn apply_loop(
     gate: Arc<CopyGate>,
     from: Lsn,
     rx: Receiver<ShipMsg>,
-    stop: Arc<AtomicBool>,
 ) {
     let mut applier = StreamApplier::gated(&replica, stream.cut_ts, from, gate);
     let applied = cluster.metrics.counter("replica.applied_txns");
@@ -640,9 +638,7 @@ fn apply_loop(
                 match applier.apply(batch) {
                     Ok(n) => applied.add(n),
                     Err(_) => {
-                        if !stop.load(Ordering::SeqCst) {
-                            shared.failed.store(true, Ordering::SeqCst);
-                        }
+                        shared.failed.store(true, Ordering::SeqCst);
                         return;
                     }
                 }
@@ -656,6 +652,7 @@ fn apply_loop(
                 shared.publish(&cluster, &handle);
             }
         }
+        shared.frontier_moved.notify();
     }
 }
 
@@ -702,16 +699,11 @@ fn bootstrap_loop(
     shared: Arc<ReplState>,
     gates: Vec<Arc<CopyGate>>,
     cut_pin: remus_cluster::SnapshotGuard,
-    stop: Arc<AtomicBool>,
 ) {
-    let poison_all = |gates: &[Arc<CopyGate>]| {
-        for g in gates {
-            g.poison();
-        }
-    };
+    // A stop poisons every gate.
+    let stopped = || gates.iter().any(|g| g.is_poisoned());
     for (i, primary) in primaries.iter().enumerate() {
-        if stop.load(Ordering::SeqCst) {
-            poison_all(&gates);
+        if stopped() {
             return;
         }
         let stream = &shared.streams[i];
@@ -726,10 +718,10 @@ fn bootstrap_loop(
             )
             .is_err()
         {
-            if !stop.load(Ordering::SeqCst) {
-                shared.failed.store(true, Ordering::SeqCst);
+            shared.failed.store(true, Ordering::SeqCst);
+            for gate in &gates {
+                gate.poison();
             }
-            poison_all(&gates);
             return;
         }
         // Every transaction a chunk scan could have skipped (in progress or
@@ -737,24 +729,21 @@ fn bootstrap_loop(
         // flush point; once the frontier passes it, they are all applied.
         let fin = primary.storage.wal.flush_lsn().0;
         stream.cut_lsn.fetch_max(fin, Ordering::SeqCst);
-        stream.copied.store(true, Ordering::SeqCst);
     }
     // Certification: each stream's frontier past its cut LSN means the
     // replica now covers a point-in-time snapshot of each primary at its
     // cut timestamp.
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            poison_all(&gates);
-            return;
-        }
-        let done = shared
-            .streams
-            .iter()
-            .all(|s| s.frontier.load(Ordering::SeqCst) >= s.cut_lsn.load(Ordering::SeqCst));
-        if done {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    let certified = || {
+        let caught_up = |s: &Arc<StreamState>| {
+            s.frontier.load(Ordering::SeqCst) >= s.cut_lsn.load(Ordering::SeqCst)
+        };
+        shared.streams.iter().all(caught_up)
+    };
+    shared
+        .frontier_moved
+        .park_until(|| stopped() || certified(), Duration::MAX);
+    if stopped() {
+        return;
     }
     shared.certified.store(true, Ordering::SeqCst);
     let min = shared

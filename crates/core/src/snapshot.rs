@@ -35,7 +35,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use remus_cluster::{Cluster, Node};
 use remus_common::fault::{FaultAction, InjectionPoint};
-use remus_common::{DbError, DbResult, ShardId, Timestamp, TxnId};
+use remus_common::{time, DbError, DbResult, ShardId, Timestamp, TxnId};
 use remus_storage::Key;
 
 use crate::trace::{SpanId, TraceRecorder};
@@ -194,17 +194,14 @@ impl CopyGate {
         };
         let flat = plan.base + plan.splits.chunk_of(key);
         let mut state = self.state.lock();
-        loop {
+        time::wait(&self.advanced, &mut state, timeout, |state| {
             if state.poisoned {
-                return Err(DbError::Migration("snapshot copy failed".into()));
+                Some(Err(DbError::Migration("snapshot copy failed".into())))
+            } else {
+                state.done[flat].then_some(Ok(()))
             }
-            if state.done[flat] {
-                return Ok(());
-            }
-            if self.advanced.wait_for(&mut state, timeout).timed_out() {
-                return Err(DbError::Timeout("copy-gate wait"));
-            }
-        }
+        })
+        .unwrap_or(Err(DbError::Timeout("copy-gate wait")))
     }
 
     /// Marks a chunk copied at the given source copy-LSN watermark and wakes
@@ -221,6 +218,11 @@ impl CopyGate {
     pub fn poison(&self) {
         self.state.lock().poisoned = true;
         self.advanced.notify_all();
+    }
+
+    /// True once the gate is poisoned.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.state.lock().poisoned
     }
 
     /// Copy-LSN watermark recorded for a completed chunk, if completed.
@@ -277,18 +279,14 @@ fn copy_chunk(
             if batch_cost == 256 {
                 source.work.add(256);
                 dest.work.add(256);
-                if !per_tuple.is_zero() {
-                    std::thread::sleep(per_tuple * 256);
-                }
+                time::charge(per_tuple * 256);
                 batch_cost = 0;
             }
         },
     )?;
     source.work.add(batch_cost as u64);
     dest.work.add(batch_cost as u64);
-    if !per_tuple.is_zero() && batch_cost > 0 {
-        std::thread::sleep(per_tuple * batch_cost);
-    }
+    time::charge(per_tuple * batch_cost);
     if crash {
         return Err(DbError::NodeUnavailable(source.id()));
     }
@@ -665,6 +663,39 @@ mod tests {
             .wait_copied(ShardId(0), 15, Duration::from_secs(1))
             .unwrap_err();
         assert!(matches!(err, DbError::Migration(_)));
+    }
+
+    /// Red on the parent, which re-armed the whole timeout at every
+    /// wake-up: a waiter on a chunk nobody copies, woken every 20 ms by
+    /// another chunk completing, waited until they stopped (300 ms).
+    #[test]
+    fn a_gate_wait_times_out_while_other_chunks_complete() {
+        let cluster = ClusterBuilder::new(2).build();
+        let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+        let session = Session::connect(&cluster, NodeId(0));
+        for k in 0..200 {
+            session.run(|t| t.insert(&layout, k, val("w"))).unwrap();
+        }
+        let gate = CopyGate::plan(&[ShardId(0)], cluster.node(NodeId(0)), 10).unwrap();
+        assert!(gate.chunk_count() > 15);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for flat in 1..=15 {
+                    std::thread::sleep(Duration::from_millis(20));
+                    gate.mark_copied(flat, 0);
+                }
+            });
+            let t0 = std::time::Instant::now();
+            let err = gate
+                .wait_copied(ShardId(0), 0, Duration::from_millis(50))
+                .unwrap_err();
+            let took = t0.elapsed();
+            assert!(matches!(err, DbError::Timeout(_)), "{err:?}");
+            assert!(
+                took < Duration::from_millis(100),
+                "timed out after {took:?}"
+            );
+        });
     }
 
     #[test]

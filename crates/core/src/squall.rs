@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use remus_cluster::{AccessHook, CcMode, Cluster, Node};
-use remus_common::{DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
+use remus_common::{time, DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
 use remus_storage::Key;
 
 use crate::diversion::run_tm;
@@ -97,10 +97,7 @@ impl SquallState {
             return Ok(());
         }
         // The pull itself: network + destination write time for the chunk.
-        let latency = self.cluster.config.squall_pull_latency;
-        if !latency.is_zero() {
-            std::thread::sleep(latency);
-        }
+        time::charge(self.cluster.config.squall_pull_latency);
         self.cluster.net.hop(self.dest.id(), self.source.id());
         let src_table = self.source.storage.table_or_err(shard)?;
         let rows = src_table.scan_visible_range(

@@ -76,3 +76,21 @@ fn stopping_a_replica_of_idle_primaries_does_not_wait_out_a_heartbeat_period() {
         .collect();
     assert!(stops.iter().all(|d| *d < LIMIT), "stops took {stops:?}");
 }
+
+/// Red on the parent: its maintenance thread slept to its next deadline,
+/// the 50 ms WAL period, and looked at the stop flag only then.
+#[test]
+fn stopping_maintenance_does_not_wait_out_its_period() {
+    let stops: Vec<Duration> = (0..ROUNDS)
+        .map(|_| {
+            let cluster = populated_cluster(1);
+            let handle = cluster.start_maintenance(Duration::from_secs(3600));
+            std::thread::sleep(Duration::from_millis(5));
+            let t0 = Instant::now();
+            cluster.stop_maintenance();
+            handle.join().unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    assert!(stops.iter().all(|d| *d < LIMIT), "stops took {stops:?}");
+}

@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use remus_cluster::Cluster;
 use remus_common::metrics::LatencyStat;
+use remus_common::time::Signal;
 use remus_common::{DbResult, NodeId, PlannerConfig};
 use remus_core::{MigrationController, MigrationEngine, RemusEngine, ReplicaProcess};
 
@@ -22,8 +23,8 @@ use crate::observe::ObservationCollector;
 use crate::planner::{Action, Planner};
 use crate::throttle::LatencyThrottle;
 
-/// Sleep slice while paused or between stop-flag checks; keeps stop and
-/// resume latency low without busy-waiting.
+/// How often a throttled loop looks at the latency budget again (a stop
+/// wakes it at once).
 const POLL: Duration = Duration::from_millis(2);
 
 /// First retry backoff; doubles per attempt up to [`BACKOFF_CAP`].
@@ -84,7 +85,9 @@ pub struct AutopilotReport {
 /// and returns its [`AutopilotReport`]. Progress is also visible live in
 /// the cluster metrics registry under `planner.*`.
 pub struct Autopilot {
-    stop: Arc<AtomicBool>,
+    /// The stop request and the signal the loop parks on: between ticks,
+    /// while throttled and between retries.
+    stop: Arc<(AtomicBool, Signal)>,
     paused: Arc<AtomicBool>,
     handle: JoinHandle<AutopilotReport>,
 }
@@ -106,7 +109,7 @@ impl Autopilot {
         config: PlannerConfig,
         options: AutopilotOptions,
     ) -> Autopilot {
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::default();
         let paused = Arc::new(AtomicBool::new(false));
         let handle = {
             let stop = Arc::clone(&stop);
@@ -128,7 +131,9 @@ impl Autopilot {
     /// Signals the loop to finish its current migration and exit, then
     /// joins it and returns the report.
     pub fn stop(self) -> AutopilotReport {
-        self.stop.store(true, Ordering::SeqCst);
+        let (stop, signal) = &*self.stop;
+        stop.store(true, Ordering::SeqCst);
+        signal.notify();
         self.handle.join().expect("autopilot thread panicked")
     }
 }
@@ -138,7 +143,7 @@ fn run_loop(
     engine: Arc<dyn MigrationEngine>,
     config: PlannerConfig,
     options: AutopilotOptions,
-    stop: Arc<AtomicBool>,
+    stop: Arc<(AtomicBool, Signal)>,
     paused: Arc<AtomicBool>,
 ) -> AutopilotReport {
     let controller = MigrationController::new(Arc::clone(&cluster), engine);
@@ -155,12 +160,12 @@ fn run_loop(
     // Replica processes this loop provisioned and still owns. The loop is
     // the sole writer of the cluster's offload flag while it runs.
     let mut replicas: HashMap<NodeId, ReplicaProcess> = HashMap::new();
+    let (stop, signal) = &*stop;
+    let stopping = || stop.load(Ordering::SeqCst);
+    // Waits `d` out, or until a stop is asked for (`true`).
+    let stopped_within = |d| signal.park_until(stopping, d);
 
-    'ticks: while !stop.load(Ordering::SeqCst) {
-        sleep_responsive(options.tick_interval, &stop);
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
+    'ticks: while !stopped_within(options.tick_interval) {
         report.ticks += 1;
         ticks.inc();
         let obs = collector.collect(&cluster, config.ewma_alpha);
@@ -178,15 +183,14 @@ fn run_loop(
                         stalls.inc();
                         paused.store(true, Ordering::SeqCst);
                     }
-                    if stop.load(Ordering::SeqCst) {
+                    if stopped_within(POLL) {
                         paused.store(false, Ordering::SeqCst);
                         break 'ticks;
                     }
-                    std::thread::sleep(POLL);
                 }
                 paused.store(false, Ordering::SeqCst);
             }
-            if stop.load(Ordering::SeqCst) {
+            if stopping() {
                 break 'ticks;
             }
             report.decisions.push(decision.to_string());
@@ -213,13 +217,13 @@ fn run_loop(
                                 moves.inc();
                                 break;
                             }
-                            Err(_)
-                                if attempt < config.max_retries && !stop.load(Ordering::SeqCst) =>
-                            {
+                            Err(_) if attempt < config.max_retries && !stopping() => {
                                 attempt += 1;
                                 report.retries += 1;
                                 let backoff = BACKOFF_CAP.min(BACKOFF_BASE * 2u32.pow(attempt - 1));
-                                std::thread::sleep(backoff);
+                                // A stop cuts the backoff short; the retry
+                                // still runs and settles the move.
+                                stopped_within(backoff);
                             }
                             Err(_) => {
                                 report.failed += 1;
@@ -293,19 +297,6 @@ fn landed(cluster: &Cluster, task: &remus_core::MigrationTask) -> bool {
             .map(|row| row.node == task.dest)
             .unwrap_or(false)
     })
-}
-
-/// Sleeps `total` in small slices, returning early when `stop` is set.
-fn sleep_responsive(total: Duration, stop: &AtomicBool) {
-    let mut remaining = total;
-    while !remaining.is_zero() {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let slice = remaining.min(POLL);
-        std::thread::sleep(slice);
-        remaining -= slice;
-    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use remus_common::{DbError, DbResult, NodeId, Timestamp, TxnId};
+use remus_common::{time, DbError, DbResult, NodeId, Timestamp, TxnId};
 use std::collections::HashMap;
 
 /// Status of a transaction as recorded in the CLOG.
@@ -287,30 +287,23 @@ impl Clog {
     /// Blocks until `xid` is resolved (committed or aborted), returning the
     /// final status. This is the prepare-wait primitive.
     pub fn wait_resolved(&self, xid: TxnId, timeout: Duration) -> DbResult<TxnStatus> {
-        let deadline = std::time::Instant::now() + timeout;
+        let resolved = || Some(self.status(xid)).filter(|st| st.is_resolved());
+        if let Some(st) = resolved() {
+            return Ok(st);
+        }
+        // Every look from here is under the lock a resolution bumps `wake`
+        // under, so none can slip in between a look and the park.
+        let mut gen = self.wake.lock();
         let mut blocked = false;
-        loop {
-            let st = self.status(xid);
-            if st.is_resolved() {
-                return Ok(st);
-            }
-            let mut gen = self.wake.lock();
-            // Re-check under the lock to avoid a lost wakeup between the
-            // status read and the wait.
-            let st = self.status(xid);
-            if st.is_resolved() {
-                return Ok(st);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(DbError::Timeout("transaction resolution"));
-            }
-            if !blocked {
+        time::wait(&self.cond, &mut gen, timeout, |_| {
+            let st = resolved();
+            if st.is_none() && !blocked {
                 blocked = true;
                 self.wait_blocks.fetch_add(1, Ordering::Relaxed);
             }
-            self.cond.wait_for(&mut gen, deadline - now);
-        }
+            st
+        })
+        .ok_or(DbError::Timeout("transaction resolution"))
     }
 
     /// Number of [`Clog::wait_resolved`] calls that actually blocked on an

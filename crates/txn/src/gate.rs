@@ -14,10 +14,10 @@
 //! every shard.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use remus_common::{DbError, DbResult, ShardId, TxnId};
+use remus_common::{time, DbError, DbResult, ShardId, TxnId};
 
 /// Per-shard write gates.
 #[derive(Debug, Default)]
@@ -60,18 +60,14 @@ impl ShardGate {
     /// had to wait (the caller then re-validates shard placement — after an
     /// ownership transfer the shard is gone and the write must abort).
     pub fn wait_open(&self, shard: ShardId, timeout: Duration) -> DbResult<bool> {
-        let deadline = Instant::now() + timeout;
         let mut closed = self.closed.lock();
         let mut waited = false;
-        while closed.get(&shard).copied().unwrap_or(false) {
-            waited = true;
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DbError::Timeout("shard gate"));
-            }
-            self.opened.wait_for(&mut closed, deadline - now);
-        }
-        Ok(waited)
+        time::wait(&self.opened, &mut closed, timeout, |closed| {
+            let open = !closed.get(&shard).copied().unwrap_or(false);
+            waited |= !open;
+            open.then_some(waited)
+        })
+        .ok_or(DbError::Timeout("shard gate"))
     }
 }
 
@@ -166,18 +162,15 @@ impl ShardLockTable {
         mode: LockMode,
         timeout: Duration,
     ) -> DbResult<()> {
-        let deadline = Instant::now() + timeout;
         let mut locks = self.locks.lock();
-        loop {
-            if locks.entry(shard).or_default().grant(xid, mode) {
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DbError::Timeout("shard lock"));
-            }
-            self.released.wait_for(&mut locks, deadline - now);
-        }
+        time::wait(&self.released, &mut locks, timeout, |locks| {
+            locks
+                .entry(shard)
+                .or_default()
+                .grant(xid, mode)
+                .then_some(())
+        })
+        .ok_or(DbError::Timeout("shard lock"))
     }
 
     /// Acquires several shard locks in sorted order (deadlock avoidance).

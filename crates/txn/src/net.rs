@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use remus_common::NodeId;
+use remus_common::{time, NodeId};
 
 /// Charges simulated network hops.
 pub trait Network: Send + Sync {
@@ -38,8 +38,8 @@ impl DelayNetwork {
 
 impl Network for DelayNetwork {
     fn hop(&self, from: NodeId, to: NodeId) {
-        if from != to && !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
+        if from != to {
+            time::charge(self.latency);
         }
     }
 }

@@ -95,6 +95,11 @@ impl WalTail {
         self.reader.next_batch(max, idle)
     }
 
+    /// [`WalReader::ack`]: moves the slot to everything handed out so far.
+    pub fn ack(&self) {
+        self.reader.ack()
+    }
+
     /// LSN of the last record handed out (the start position before any).
     pub fn consumed(&self) -> Lsn {
         self.reader.consumed()

@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use remus_common::{DbError, DbResult, WalConfig};
+use remus_common::{time, DbError, DbResult, WalConfig};
 
 use crate::backend::WalBackend;
 use crate::codec::{self, crc32};
@@ -254,27 +254,25 @@ impl WalBackend for FileBackend {
 
     fn wait_durable(&self, lsn: Lsn) -> DbResult<()> {
         let mut d = self.shared.durable.lock();
-        loop {
-            if d.lsn >= lsn.0 {
-                return Ok(());
-            }
-            if let Some(e) = &d.error {
-                return Err(DbError::Internal(e.clone()));
-            }
-            if d.flusher_exited {
-                return Err(DbError::Internal(format!(
-                    "wal backend stopped before {lsn} became durable"
-                )));
-            }
-            if self
-                .shared
-                .durable_cv
-                .wait_for(&mut d, Duration::from_secs(10))
-                .timed_out()
-            {
-                return Err(DbError::Timeout("wal group commit"));
-            }
-        }
+        time::wait(
+            &self.shared.durable_cv,
+            &mut d,
+            Duration::from_secs(10),
+            |d| {
+                if d.lsn >= lsn.0 {
+                    Some(Ok(()))
+                } else if let Some(e) = &d.error {
+                    Some(Err(DbError::Internal(e.clone())))
+                } else {
+                    d.flusher_exited.then(|| {
+                        Err(DbError::Internal(format!(
+                            "wal backend stopped before {lsn} became durable"
+                        )))
+                    })
+                }
+            },
+        )
+        .unwrap_or(Err(DbError::Timeout("wal group commit")))
     }
 
     fn durable_lsn(&self) -> Lsn {

@@ -13,10 +13,10 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use remus_common::{DbResult, WalBackendKind, WalConfig};
+use remus_common::{time, DbResult, WalBackendKind, WalConfig};
 
 use crate::backend::{BackendHandle, FileBackend, FsyncData, MemBackend, SyncPolicy};
 use crate::record::LogRecord;
@@ -314,11 +314,10 @@ impl Wal {
     /// at `lsn` exists, or `stop_at` is set and everything up to it has been
     /// handed out, or `idle` elapses (an `idle` too long to add to the clock
     /// never does).
-    fn wait_for(&self, lsn: Lsn, stop_at: &AtomicU64, idle: Duration) -> TailRead {
-        let deadline = Instant::now().checked_add(idle);
+    fn wait_record(&self, lsn: Lsn, stop_at: &AtomicU64, idle: Duration) -> TailRead {
         let mut inner = self.inner.lock();
         let generation = inner.generation;
-        loop {
+        let found = time::wait(&self.grown, &mut inner, idle, |inner| {
             if inner.generation != generation {
                 // The log was torn down and reopened from disk while this
                 // reader was parked: its position is meaningless now.
@@ -329,27 +328,19 @@ impl Wal {
                 panic!("WAL read at truncated {lsn} (base {})", inner.base);
             }
             // `stop_at` only changes under `inner` ([`TailHandle::stop`]), so
-            // a stop cannot slip in between this look and the park below.
+            // a stop cannot slip in between this look and the park.
             if lsn.0 > stop_at.load(Ordering::SeqCst) {
-                return TailRead::Stopped;
+                return Some(None);
             }
             let idx = (lsn.0 - inner.base - 1) as usize;
-            if let Some(r) = inner.records.get(idx) {
-                let r = Arc::clone(r);
-                // The batch is allocated off the lock appenders queue on.
-                drop(inner);
-                return TailRead::Batch(vec![(lsn, r)]);
-            }
-            match deadline {
-                None => self.grown.wait(&mut inner),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return TailRead::Idle;
-                    }
-                    self.grown.wait_for(&mut inner, deadline - now);
-                }
-            }
+            inner.records.get(idx).map(|r| Some(Arc::clone(r)))
+        });
+        // The batch is allocated off the lock appenders queue on.
+        drop(inner);
+        match found {
+            Some(Some(record)) => TailRead::Batch(vec![(lsn, record)]),
+            Some(None) => TailRead::Stopped,
+            None => TailRead::Idle,
         }
     }
 }
@@ -447,14 +438,21 @@ impl WalReader {
         Some((lsn, r))
     }
 
+    /// Acknowledges everything handed out so far: [`TailHandle::acked`]
+    /// reports it from here on. A consumer whose progress someone waits on
+    /// acknowledges, then tells them, before it asks for more.
+    pub fn ack(&self) {
+        self.state.acked.store(self.consumed().0, Ordering::SeqCst);
+    }
+
     /// The one blocking read: acknowledges everything handed out so far,
     /// then waits for a record, a stop ([`TailHandle::stop`]) or the end of
     /// the `idle` period, whichever is first. On a record it greedily drains
     /// up to `max` records that are already flushed — one wait amortized
     /// over a vector of records instead of a wait per record.
     pub fn next_batch(&mut self, max: usize, idle: Duration) -> TailRead {
-        self.state.acked.store(self.consumed().0, Ordering::SeqCst);
-        let mut read = self.wal.wait_for(self.next, &self.state.stop_at, idle);
+        self.ack();
+        let mut read = self.wal.wait_record(self.next, &self.state.stop_at, idle);
         if let TailRead::Batch(out) = &mut read {
             self.next = Lsn(self.next.0 + 1);
             while out.len() < max {
