@@ -9,26 +9,29 @@
 //! processing; the snapshot pin only blocks vacuum, which is exactly the
 //! version-chain pressure §4.8 measures.
 //!
-//! Each shard is split into [`ParallelismConfig::chunk_size`]-key chunks
-//! processed by a pool of `copy_workers` threads. A [`CopyGate`] tracks
-//! chunk completion: when a chunk finishes, its copy-LSN watermark (the
-//! source WAL tail at completion) is recorded and replay workers waiting on
-//! keys in that chunk wake up — catch-up replay can begin on completed
-//! chunks while others are still copying. Snapshot equivalence holds
-//! because `install_frozen` replaces the whole version chain: a replayed
-//! update applied before the chunk copy would be clobbered, so the gate
-//! makes replay of a key wait for its chunk. The converse order is safe —
-//! the chunk scan reads the pinned snapshot, which by construction precedes
-//! every replayed commit. Chunk retry after a mid-chunk worker crash is
-//! safe for the same reason: re-installing a tuple from the snapshot is
-//! idempotent as long as no replayed update has been applied, and none has,
-//! because the gate only opens when the chunk *successfully* completes.
+//! A [`CopyGate`] is the one chunk map: each shard cut into chunks at
+//! [`ParallelismConfig::chunk_size`]-key boundaries, a done flag per chunk,
+//! and the one pool that drains them on `copy_workers` threads. The push
+//! copy runs the pool with `copy_chunk` as its chunk body; Squall plans its
+//! pulls through a gate too and runs the pool with its pull (`crate::squall`).
+//! Both move a chunk with `move_range`, the one scan of a key range into
+//! `install_frozen`. When a chunk finishes, replay workers waiting on keys in
+//! it wake up — catch-up replay can begin on completed chunks while others
+//! are still copying. Snapshot equivalence holds because `install_frozen`
+//! replaces the whole version chain: a replayed update applied before the
+//! chunk copy would be clobbered, so the gate makes replay of a key wait for
+//! its chunk. The converse order is safe — the chunk scan reads the pinned
+//! snapshot, which by construction precedes every replayed commit. Chunk
+//! retry after a mid-chunk worker crash is safe for the same reason:
+//! re-installing a tuple from the snapshot is idempotent as long as no
+//! replayed update has been applied, and none has, because the gate only
+//! opens when the chunk *successfully* completes.
 //!
 //! [`ParallelismConfig::chunk_size`]: remus_common::ParallelismConfig::chunk_size
 
 use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,14 +91,25 @@ struct ShardPlan {
     base: usize,
 }
 
+impl ShardPlan {
+    fn chunk(&self, shard: ShardId, idx: usize) -> ChunkJob {
+        ChunkJob {
+            shard,
+            idx,
+            flat: self.base + idx,
+            range: self.splits.range_of(idx),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct GateState {
     done: Vec<bool>,
-    copy_lsn: Vec<u64>,
     poisoned: bool,
 }
 
-/// Completion tracker for the chunked snapshot copy of one migration.
+/// The chunk map of one migration's copy (or of Squall's pulls, or of a
+/// replica's backfill), and the pool that moves the chunks.
 ///
 /// Built from the source tables *before* the copy starts, so replay workers
 /// started concurrently can ask "is the chunk holding this key copied yet?"
@@ -116,11 +130,14 @@ pub struct ChunkJob {
     /// Chunk index within the shard.
     pub idx: usize,
     /// Index into the gate's flat completion state.
-    flat: usize,
-    /// Inclusive-ish lower bound of the key range.
-    lo: Bound<Key>,
-    /// Exclusive-ish upper bound of the key range.
-    hi: Bound<Key>,
+    pub(crate) flat: usize,
+    /// Half-open key range.
+    range: (Bound<Key>, Bound<Key>),
+}
+
+/// What a wait on, or a drain of, a poisoned gate answers.
+fn poisoned() -> DbError {
+    DbError::Migration("snapshot copy failed".into())
 }
 
 impl CopyGate {
@@ -136,24 +153,19 @@ impl CopyGate {
             plans.insert(shard, ShardPlan { splits, base });
             base += n;
         }
-        Ok(CopyGate {
-            plans,
-            state: Mutex::new(GateState {
-                done: vec![false; base],
-                copy_lsn: vec![0; base],
-                poisoned: false,
-            }),
-            advanced: Condvar::new(),
-        })
+        Ok(CopyGate::with_plans(plans, base))
     }
 
     /// A trivially-open gate for an empty task (no shards, no chunks).
     pub fn open() -> CopyGate {
+        CopyGate::with_plans(HashMap::new(), 0)
+    }
+
+    fn with_plans(plans: HashMap<ShardId, ShardPlan>, chunks: usize) -> CopyGate {
         CopyGate {
-            plans: HashMap::new(),
+            plans,
             state: Mutex::new(GateState {
-                done: Vec::new(),
-                copy_lsn: Vec::new(),
+                done: vec![false; chunks],
                 poisoned: false,
             }),
             advanced: Condvar::new(),
@@ -165,52 +177,54 @@ impl CopyGate {
         self.plans.values().map(|p| p.splits.chunk_count()).sum()
     }
 
-    /// Every chunk as a work item, shard by shard in chunk order.
-    fn jobs(&self) -> Vec<ChunkJob> {
-        let mut jobs = Vec::with_capacity(self.chunk_count());
-        let mut shards: Vec<_> = self.plans.iter().collect();
-        shards.sort_by_key(|(s, _)| **s);
-        for (&shard, plan) in shards {
-            for idx in 0..plan.splits.chunk_count() {
-                let (lo, hi) = plan.splits.range_of(idx);
-                jobs.push(ChunkJob {
-                    shard,
-                    idx,
-                    flat: plan.base + idx,
-                    lo,
-                    hi,
-                });
-            }
-        }
-        jobs
+    /// The chunks of `shard` in key order; none for a shard outside the gate.
+    pub(crate) fn chunks_of(&self, shard: ShardId) -> impl Iterator<Item = ChunkJob> + '_ {
+        let plan = self.plans.get(&shard);
+        plan.into_iter()
+            .flat_map(move |p| (0..p.splits.chunk_count()).map(move |idx| p.chunk(shard, idx)))
+    }
+
+    /// The chunk holding `(shard, key)`; `None` for a shard outside the gate.
+    pub(crate) fn chunk_of(&self, shard: ShardId, key: Key) -> Option<ChunkJob> {
+        let plan = self.plans.get(&shard)?;
+        Some(plan.chunk(shard, plan.splits.chunk_of(key)))
     }
 
     /// Blocks until the chunk holding `(shard, key)` has been copied.
     /// Returns immediately for shards outside the migration. Errs if the
     /// copy was poisoned or `timeout` elapses.
     pub fn wait_copied(&self, shard: ShardId, key: Key, timeout: Duration) -> DbResult<()> {
-        let Some(plan) = self.plans.get(&shard) else {
+        let Some(chunk) = self.chunk_of(shard, key) else {
             return Ok(());
         };
-        let flat = plan.base + plan.splits.chunk_of(key);
         let mut state = self.state.lock();
         time::wait(&self.advanced, &mut state, timeout, |state| {
             if state.poisoned {
-                Some(Err(DbError::Migration("snapshot copy failed".into())))
+                Some(Err(poisoned()))
             } else {
-                state.done[flat].then_some(Ok(()))
+                state.done[chunk.flat].then_some(Ok(()))
             }
         })
         .unwrap_or(Err(DbError::Timeout("copy-gate wait")))
     }
 
-    /// Marks a chunk copied at the given source copy-LSN watermark and wakes
-    /// waiters.
-    fn mark_copied(&self, flat: usize, copy_lsn: u64) {
-        let mut state = self.state.lock();
-        state.done[flat] = true;
-        state.copy_lsn[flat] = copy_lsn;
-        drop(state);
+    /// Whether `chunk` is marked copied: a look that never blocks.
+    pub(crate) fn is_copied(&self, chunk: &ChunkJob) -> bool {
+        self.state.lock().done[chunk.flat]
+    }
+
+    /// True once some chunk of `shard` is copied.
+    pub(crate) fn any_copied(&self, shard: ShardId) -> bool {
+        let Some(plan) = self.plans.get(&shard) else {
+            return false;
+        };
+        let chunks = plan.base..plan.base + plan.splits.chunk_count();
+        self.state.lock().done[chunks].contains(&true)
+    }
+
+    /// Marks a chunk (by its flat index) copied and wakes waiters.
+    pub(crate) fn mark_copied(&self, flat: usize) {
+        self.state.lock().done[flat] = true;
         self.advanced.notify_all();
     }
 
@@ -225,185 +239,189 @@ impl CopyGate {
         self.state.lock().poisoned
     }
 
-    /// Copy-LSN watermark recorded for a completed chunk, if completed.
-    pub fn copy_lsn(&self, shard: ShardId, idx: usize) -> Option<u64> {
-        let plan = self.plans.get(&shard)?;
-        let state = self.state.lock();
-        let flat = plan.base + idx;
-        state.done[flat].then(|| state.copy_lsn[flat])
-    }
-
     /// True once every chunk completed.
     pub fn all_copied(&self) -> bool {
         let state = self.state.lock();
         state.done.iter().all(|d| *d)
     }
+
+    /// The one chunk pool: drains every chunk, shard by shard in key order,
+    /// on `workers` scoped threads. `body(chunk, worker)` moves one chunk and
+    /// answers its tuple count; the chunk is then marked copied. The first
+    /// error poisons the gate and is returned, and a poisoned gate — by a
+    /// failed body or by a stop from outside — hands out no further chunk.
+    /// Returns the tuples moved.
+    pub(crate) fn drain(
+        &self,
+        workers: usize,
+        body: impl Fn(&ChunkJob, usize) -> DbResult<u64> + Sync,
+    ) -> DbResult<u64> {
+        let mut shards: Vec<ShardId> = self.plans.keys().copied().collect();
+        shards.sort();
+        let jobs: Vec<ChunkJob> = shards.into_iter().flat_map(|s| self.chunks_of(s)).collect();
+        let next = AtomicUsize::new(0);
+        let total = AtomicU64::new(0);
+        let first_err = Mutex::new(None);
+        std::thread::scope(|scope| {
+            for worker in 0..workers.clamp(1, jobs.len().max(1)) {
+                let (jobs, next, total, first_err, body) =
+                    (&jobs, &next, &total, &first_err, &body);
+                scope.spawn(move || {
+                    while let Some(chunk) = jobs.get(next.fetch_add(1, Ordering::SeqCst)) {
+                        let outcome = if self.is_poisoned() {
+                            Err(poisoned())
+                        } else {
+                            body(chunk, worker)
+                        };
+                        match outcome {
+                            Ok(tuples) => {
+                                total.fetch_add(tuples, Ordering::SeqCst);
+                                self.mark_copied(chunk.flat);
+                            }
+                            Err(e) => {
+                                first_err.lock().get_or_insert(e);
+                                self.poison();
+                                return;
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        match first_err.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(total.into_inner()),
+        }
+    }
 }
 
-/// Streams one chunk of `shard` into the (already created) destination
-/// table. Returns tuples copied. A `CopyChunk` fault of `Fail`/`Crash`
-/// kills the worker mid-chunk: a prefix of the chunk is installed, then the
-/// scan errs — the caller retries the whole chunk.
-fn copy_chunk(
-    cluster: &Arc<Cluster>,
+/// The one range move: streams the versions of `chunk`'s key range visible
+/// at `ts` on `source` into `dest`'s table with `install_frozen`. Each tuple
+/// costs `per_tuple` and counts as work on both nodes, paid in batches of
+/// 256 to keep a modeled bandwidth without a syscall per tuple. Installs at
+/// most `limit` tuples. Returns the tuples installed.
+pub(crate) fn move_range(
+    cluster: &Cluster,
     source: &Node,
     dest: &Node,
-    job: &ChunkJob,
+    chunk: &ChunkJob,
+    ts: Timestamp,
+    per_tuple: Duration,
+    limit: u64,
+) -> DbResult<u64> {
+    let src_table = source.storage.table_or_err(chunk.shard)?;
+    let dst_table = dest.storage.table_or_err(chunk.shard)?;
+    let pay = |tuples: u32| {
+        source.work.add(tuples as u64);
+        dest.work.add(tuples as u64);
+        time::charge(per_tuple * tuples);
+    };
+    let (mut moved, mut batch) = (0u64, 0u32);
+    src_table.scan(
+        chunk.range,
+        ts,
+        TxnId::INVALID,
+        &source.storage.clog,
+        cluster.config.lock_wait_timeout,
+        |key, value| {
+            if moved < limit {
+                dst_table.install_frozen(key, value);
+                moved += 1;
+                batch += 1;
+                if batch == 256 {
+                    pay(batch);
+                    batch = 0;
+                }
+            }
+        },
+    )?;
+    pay(batch);
+    Ok(moved)
+}
+
+/// The push copy's chunk body: one attempt at copying `chunk` at
+/// `snapshot_ts`. Returns tuples copied. A `CopyChunk` fault of
+/// `Fail`/`Crash` kills the worker mid-chunk: a prefix of the chunk is
+/// installed, then the attempt errs — the caller retries the whole chunk.
+fn copy_chunk(
+    cluster: &Cluster,
+    source: &Node,
+    dest: &Node,
+    chunk: &ChunkJob,
     snapshot_ts: Timestamp,
 ) -> DbResult<u64> {
     let crash = matches!(
         cluster.fault_at(InjectionPoint::CopyChunk, source.id()),
         FaultAction::Fail | FaultAction::Crash
     );
-    let src_table = source.storage.table_or_err(job.shard)?;
-    let dst_table = dest.storage.table_or_err(job.shard)?;
+    let limit = if crash { CRASH_AFTER_TUPLES } else { u64::MAX };
     let per_tuple = cluster.config.snapshot_copy_per_tuple;
-    let mut copied = 0u64;
-    let mut batch_cost = 0u32;
-    src_table.scan(
-        (job.lo, job.hi),
-        snapshot_ts,
-        TxnId::INVALID,
-        &source.storage.clog,
-        cluster.config.lock_wait_timeout,
-        |key, value| {
-            if crash && copied >= CRASH_AFTER_TUPLES {
-                return;
-            }
-            dst_table.install_frozen(key, value);
-            copied += 1;
-            batch_cost += 1;
-            // Charge the streaming scan + network + install cost in batches
-            // to keep the simulated copy bandwidth realistic without a
-            // syscall per tuple.
-            if batch_cost == 256 {
-                source.work.add(256);
-                dest.work.add(256);
-                time::charge(per_tuple * 256);
-                batch_cost = 0;
-            }
-        },
-    )?;
-    source.work.add(batch_cost as u64);
-    dest.work.add(batch_cost as u64);
-    time::charge(per_tuple * batch_cost);
+    let copied = move_range(cluster, source, dest, chunk, snapshot_ts, per_tuple, limit)?;
     if crash {
         return Err(DbError::NodeUnavailable(source.id()));
     }
     Ok(copied)
 }
 
-/// Copies every chunk of the gate's shards from `source` to `dest` with a
-/// pool of [`ParallelismConfig::copy_workers`] threads, marking chunks in
-/// the gate (with their copy-LSN watermark) as they complete. Destination
-/// tables for all shards are created before any worker starts, so replay of
-/// an early-finished chunk never races shard creation. Per-chunk child
-/// spans are recorded under `parent` when a recorder is given. Returns
-/// total tuples copied; on failure the gate is poisoned.
+/// Copies every chunk of the gate's shards from `source` to `dest` on the
+/// gate's pool, [`ParallelismConfig::copy_workers`] wide, each chunk tried
+/// up to `MAX_CHUNK_ATTEMPTS` times. Destination tables for all shards are
+/// created before any worker starts, so replay of an early-finished chunk
+/// never races shard creation. Per-chunk child spans are recorded under
+/// `parent` when a recorder is given. Returns total tuples copied; on
+/// failure the gate is poisoned.
 ///
 /// [`ParallelismConfig::copy_workers`]: remus_common::ParallelismConfig::copy_workers
 pub fn copy_task_snapshots_gated(
     cluster: &Arc<Cluster>,
-    source: &Arc<Node>,
-    dest: &Arc<Node>,
+    source: &Node,
+    dest: &Node,
     snapshot_ts: Timestamp,
-    gate: &Arc<CopyGate>,
+    gate: &CopyGate,
     rec: Option<(&TraceRecorder, SpanId)>,
 ) -> DbResult<u64> {
     for &shard in gate.plans.keys() {
         dest.storage.create_shard(shard);
     }
-    let jobs = gate.jobs();
-    let workers = cluster
-        .config
-        .parallelism
-        .copy_workers
-        .max(1)
-        .min(jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let total = AtomicU64::new(0);
-    let failed = AtomicBool::new(false);
-    let first_err: Mutex<Option<DbError>> = Mutex::new(None);
     let chunk_counter = cluster.metrics.counter("migration.copy_chunks");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let (next, total, failed, first_err) = (&next, &total, &failed, &first_err);
-                let (jobs, gate, chunk_counter) = (&jobs, gate, &chunk_counter);
-                let (cluster, source, dest) =
-                    (Arc::clone(cluster), Arc::clone(source), Arc::clone(dest));
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= jobs.len() || failed.load(Ordering::SeqCst) {
-                        return;
+    gate.drain(cluster.config.parallelism.copy_workers, |chunk, worker| {
+        let span = rec.map(|(r, parent)| {
+            let s = r.child(parent, "copy_chunk");
+            r.attr(s, "shard", chunk.shard.0);
+            r.attr(s, "chunk", chunk.idx as u64);
+            r.attr(s, "worker", worker as u64);
+            (r, s)
+        });
+        let mut attempt = 1;
+        let outcome = loop {
+            match copy_chunk(cluster, source, dest, chunk, snapshot_ts) {
+                Err(_) if attempt < MAX_CHUNK_ATTEMPTS => {
+                    if let Some((r, s)) = span {
+                        r.attr(s, "retries", attempt as u64);
                     }
-                    let job = &jobs[i];
-                    let span = rec.map(|(r, parent)| {
-                        let s = r.child(parent, "copy_chunk");
-                        r.attr(s, "shard", job.shard.0);
-                        r.attr(s, "chunk", job.idx as u64);
-                        r.attr(s, "worker", worker as u64);
-                        s
-                    });
-                    let mut attempt = 0;
-                    let outcome = loop {
-                        attempt += 1;
-                        match copy_chunk(&cluster, &source, &dest, job, snapshot_ts) {
-                            Ok(t) => break Ok(t),
-                            Err(e) if attempt < MAX_CHUNK_ATTEMPTS => {
-                                if let Some((r, _)) = rec {
-                                    let s = span.expect("span set when rec set");
-                                    r.attr(s, "retries", attempt as u64);
-                                }
-                                let _ = e;
-                            }
-                            Err(e) => break Err(e),
-                        }
-                    };
-                    match outcome {
-                        Ok(tuples) => {
-                            let copy_lsn = source.storage.wal.flush_lsn().0;
-                            total.fetch_add(tuples, Ordering::SeqCst);
-                            chunk_counter.inc();
-                            if let Some((r, _)) = rec {
-                                let s = span.expect("span set when rec set");
-                                r.attr(s, "tuples", tuples);
-                                r.attr(s, "copy_lsn", copy_lsn);
-                                r.end(s);
-                            }
-                            gate.mark_copied(job.flat, copy_lsn);
-                        }
-                        Err(e) => {
-                            if let Some((r, _)) = rec {
-                                r.end(span.expect("span set when rec set"));
-                            }
-                            let mut slot = first_err.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            drop(slot);
-                            failed.store(true, Ordering::SeqCst);
-                            gate.poison();
-                            return;
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("snapshot copy worker panicked");
+                    attempt += 1;
+                }
+                outcome => break outcome,
+            }
+        };
+        if let Ok(tuples) = outcome {
+            chunk_counter.inc();
+            if let Some((r, s)) = span {
+                r.attr(s, "tuples", tuples);
+                r.attr(s, "copy_lsn", source.storage.wal.flush_lsn().0);
+            }
         }
-    });
-    if let Some(e) = first_err.lock().take() {
-        return Err(e);
-    }
-    Ok(total.into_inner())
+        if let Some((r, s)) = span {
+            r.end(s);
+        }
+        outcome
+    })
 }
 
 /// Copies the snapshot of `shard` (visible at `snapshot_ts`) from `source`
 /// to `dest`, creating the destination shard table: the whole shard as one
-/// chunk — the sequential reference the chunked copy is tested against.
-/// Returns tuples copied.
+/// range move, with no fault seam and no gate — the sequential reference
+/// the chunked copy is tested against. Returns tuples copied.
 pub fn copy_shard_snapshot(
     cluster: &Arc<Cluster>,
     source: &Node,
@@ -417,10 +435,18 @@ pub fn copy_shard_snapshot(
         shard,
         idx: 0,
         flat: 0,
-        lo: Bound::Unbounded,
-        hi: Bound::Unbounded,
+        range: (Bound::Unbounded, Bound::Unbounded),
     };
-    copy_chunk(cluster, source, dest, &whole, snapshot_ts)
+    let per_tuple = cluster.config.snapshot_copy_per_tuple;
+    move_range(
+        cluster,
+        source,
+        dest,
+        &whole,
+        snapshot_ts,
+        per_tuple,
+        u64::MAX,
+    )
 }
 
 /// Copies all of a task's shards with the configured chunked worker pool
@@ -430,15 +456,12 @@ pub fn copy_shard_snapshot(
 pub fn copy_task_snapshots(
     cluster: &Arc<Cluster>,
     shards: &[ShardId],
-    source: &Arc<Node>,
-    dest: &Arc<Node>,
+    source: &Node,
+    dest: &Node,
     snapshot_ts: Timestamp,
 ) -> DbResult<u64> {
-    let gate = Arc::new(CopyGate::plan(
-        shards,
-        source,
-        cluster.config.parallelism.chunk_size,
-    )?);
+    let chunk_size = cluster.config.parallelism.chunk_size;
+    let gate = CopyGate::plan(shards, source, chunk_size)?;
     copy_task_snapshots_gated(cluster, source, dest, snapshot_ts, &gate, None)
 }
 
@@ -653,11 +676,9 @@ mod tests {
         // Non-migrating shards pass straight through.
         gate.wait_copied(ShardId(99), 3, Duration::from_millis(1))
             .unwrap();
-        gate.mark_copied(0, 7);
+        gate.mark_copied(0);
         gate.wait_copied(ShardId(0), 3, Duration::from_millis(20))
             .unwrap();
-        assert_eq!(gate.copy_lsn(ShardId(0), 0), Some(7));
-        assert_eq!(gate.copy_lsn(ShardId(0), 1), None);
         gate.poison();
         let err = gate
             .wait_copied(ShardId(0), 15, Duration::from_secs(1))
@@ -682,7 +703,7 @@ mod tests {
             s.spawn(|| {
                 for flat in 1..=15 {
                     std::thread::sleep(Duration::from_millis(20));
-                    gate.mark_copied(flat, 0);
+                    gate.mark_copied(flat);
                 }
             });
             let t0 = std::time::Instant::now();
@@ -696,6 +717,34 @@ mod tests {
                 "timed out after {took:?}"
             );
         });
+    }
+
+    #[test]
+    fn chunk_map_boundaries() {
+        // Keys 10, 20, 30, 40, 50 in chunks of two split at 30 and 50.
+        let splits = ChunkSplits(vec![30, 50]);
+        // Chunks: [0,30), [30,50), [50,∞).
+        assert_eq!(splits.chunk_count(), 3);
+        assert_eq!(splits.chunk_of(0), 0);
+        assert_eq!(splits.chunk_of(29), 0);
+        assert_eq!(splits.chunk_of(30), 1);
+        assert_eq!(splits.chunk_of(49), 1);
+        assert_eq!(splits.chunk_of(50), 2);
+        assert_eq!(splits.chunk_of(u64::MAX), 2);
+        assert_eq!(splits.range_of(0), (Bound::Unbounded, Bound::Excluded(30)));
+        assert_eq!(splits.range_of(2), (Bound::Included(50), Bound::Unbounded));
+    }
+
+    #[test]
+    fn empty_shard_is_one_chunk() {
+        let cluster = ClusterBuilder::new(1).build();
+        cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+        let gate = CopyGate::plan(&[ShardId(0)], cluster.node(NodeId(0)), 16).unwrap();
+        assert_eq!(gate.chunk_count(), 1);
+        let chunk = gate.chunk_of(ShardId(0), 123).unwrap();
+        assert_eq!(chunk.idx, 0);
+        assert_eq!(chunk.range, (Bound::Unbounded, Bound::Unbounded));
+        assert_eq!(gate.chunks_of(ShardId(0)).count(), 1);
     }
 
     #[test]

@@ -9,124 +9,101 @@
 //! what blocks concurrent transactions and produces the throughput
 //! collapse of Figures 6c/7c. Source transactions that touch an
 //! already-migrated chunk abort and retry on the destination.
+//!
+//! The chunk map is a [`CopyGate`] planned with `squall_chunk_keys`: a pull
+//! moves its chunk with the snapshot copy's range move and marks it in the
+//! gate before it releases the shard lock, and the background pulls are
+//! the gate's pool.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use remus_cluster::{AccessHook, CcMode, Cluster, Node};
 use remus_common::{time, DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
 use remus_storage::Key;
 
 use crate::diversion::run_tm;
+use crate::pipeline::DRAIN_TIMEOUT;
 use crate::report::{MigrationEngine, MigrationReport, MigrationTask};
-use crate::snapshot::ChunkSplits;
+use crate::snapshot::{move_range, ChunkJob, CopyGate};
 use crate::trace::TraceRecorder;
 
-/// Per-shard chunk map: the chunks plus their pulled flags.
-#[derive(Debug)]
-struct ChunkSet {
-    splits: ChunkSplits,
-    pulled: Mutex<Vec<bool>>,
-    remaining: AtomicUsize,
-}
-
-impl ChunkSet {
-    fn new(splits: ChunkSplits) -> ChunkSet {
-        let n = splits.chunk_count();
-        ChunkSet {
-            splits,
-            pulled: Mutex::new(vec![false; n]),
-            remaining: AtomicUsize::new(n),
-        }
-    }
-
-    fn is_pulled(&self, idx: usize) -> bool {
-        self.pulled.lock()[idx]
-    }
-
-    fn len(&self) -> usize {
-        self.splits.chunk_count()
-    }
-}
-
+/// One Squall migration's state, and the access hook it installs.
 struct SquallState {
     cluster: Arc<Cluster>,
     source: Arc<Node>,
     dest: Arc<Node>,
-    chunks: HashMap<ShardId, ChunkSet>,
+    gate: CopyGate,
     pulls: AtomicU64,
     pulled_tuples: AtomicU64,
     aborts: AtomicU64,
 }
 
 impl SquallState {
-    /// Pulls chunk `idx` of `shard` if still missing. The caller must hold
-    /// (or be entitled to take) the shard lock: sessions already hold it
-    /// exclusively; background pullers pass their own pseudo-xid and
+    /// Pulls `chunk` if still missing; returns the tuples pulled. The caller
+    /// must hold (or be entitled to take) the shard lock: sessions already
+    /// hold it exclusively; background pullers pass their own pseudo-xid and
     /// release afterwards.
-    fn pull_chunk(
-        &self,
-        shard: ShardId,
-        idx: usize,
-        lock_xid: TxnId,
-        release: bool,
-    ) -> DbResult<()> {
-        let set = &self.chunks[&shard];
-        if set.is_pulled(idx) {
-            return Ok(());
+    fn pull(&self, chunk: &ChunkJob, lock_xid: TxnId, release: bool) -> DbResult<u64> {
+        if self.gate.is_copied(chunk) {
+            return Ok(0);
         }
         self.cluster.shard_locks.acquire(
             lock_xid,
-            shard,
+            chunk.shard,
             remus_txn::LockMode::Exclusive,
             self.cluster.config.lock_wait_timeout,
         )?;
-        let result = self.pull_locked(shard, idx);
+        let result = self.pull_locked(chunk);
         if release {
             self.cluster.shard_locks.release_all(lock_xid);
         }
         result
     }
 
-    fn pull_locked(&self, shard: ShardId, idx: usize) -> DbResult<()> {
-        let set = &self.chunks[&shard];
-        if set.is_pulled(idx) {
-            return Ok(());
+    fn pull_locked(&self, chunk: &ChunkJob) -> DbResult<u64> {
+        if self.gate.is_copied(chunk) {
+            return Ok(0);
         }
         // The pull itself: network + destination write time for the chunk.
         time::charge(self.cluster.config.squall_pull_latency);
         self.cluster.net.hop(self.dest.id(), self.source.id());
-        let src_table = self.source.storage.table_or_err(shard)?;
-        let rows = src_table.scan_visible_range(
-            set.splits.range_of(idx),
+        let n = move_range(
+            &self.cluster,
+            &self.source,
+            &self.dest,
+            chunk,
             Timestamp::MAX,
-            &self.source.storage.clog,
-            self.cluster.config.lock_wait_timeout,
+            Duration::ZERO,
+            u64::MAX,
         )?;
-        let dst_table = self.dest.storage.table_or_err(shard)?;
-        let n = rows.len() as u64;
-        for (k, v) in rows {
-            dst_table.install_frozen(k, v);
-        }
-        self.source.work.add(n);
-        self.dest.work.add(n);
         self.pulled_tuples.fetch_add(n, Ordering::Relaxed);
         self.pulls.fetch_add(1, Ordering::Relaxed);
-        let mut pulled = set.pulled.lock();
-        if !pulled[idx] {
-            pulled[idx] = true;
-            set.remaining.fetch_sub(1, Ordering::SeqCst);
-        }
-        Ok(())
+        self.gate.mark_copied(chunk.flat);
+        Ok(n)
     }
 
-    fn all_pulled(&self) -> bool {
-        self.chunks
-            .values()
-            .all(|s| s.remaining.load(Ordering::SeqCst) == 0)
+    /// A background pull under its own pseudo-xid. A lock wait that times
+    /// out is tried again — the chunk may have been pulled on demand
+    /// meanwhile — until those waits add up to `DRAIN_TIMEOUT`.
+    fn pull_background(&self, chunk: &ChunkJob) -> DbResult<u64> {
+        let pseudo = self.dest.storage.alloc_xid();
+        let mut waited = Duration::ZERO;
+        loop {
+            match self.pull(chunk, pseudo, true) {
+                Err(DbError::Timeout(_)) if waited < DRAIN_TIMEOUT => {
+                    waited += self.cluster.config.lock_wait_timeout;
+                }
+                result => return result,
+            }
+        }
+    }
+
+    /// Counts a source transaction that touched moved data, and its error.
+    fn abort(&self, txn: TxnId, reason: &'static str) -> DbError {
+        self.aborts.fetch_add(1, Ordering::Relaxed);
+        DbError::MigrationAbort { txn, reason }
     }
 }
 
@@ -140,20 +117,20 @@ impl SquallState {
 struct PullWindow<'a> {
     cluster: &'a Cluster,
     state: &'a SquallState,
+    shards: &'a [ShardId],
     tm_committed: bool,
 }
 
 impl<'a> PullWindow<'a> {
-    fn open(cluster: &'a Cluster, state: &'a Arc<SquallState>) -> Self {
-        for shard in state.chunks.keys() {
+    fn open(cluster: &'a Cluster, state: &'a Arc<SquallState>, shards: &'a [ShardId]) -> Self {
+        for shard in shards {
             state.dest.storage.create_shard(*shard);
         }
-        cluster.install_access_hook(Arc::new(SquallHook {
-            state: Arc::clone(state),
-        }));
+        cluster.install_access_hook(Arc::clone(state) as Arc<dyn AccessHook>);
         PullWindow {
             cluster,
             state,
+            shards,
             tm_committed: false,
         }
     }
@@ -161,11 +138,11 @@ impl<'a> PullWindow<'a> {
 
 impl Drop for PullWindow<'_> {
     fn drop(&mut self) {
-        if self.tm_committed && !self.state.all_pulled() {
+        if self.tm_committed && !self.state.gate.all_copied() {
             return;
         }
         if !self.tm_committed {
-            for shard in self.state.chunks.keys() {
+            for shard in self.shards {
                 self.state.dest.storage.drop_shard(*shard);
             }
         }
@@ -173,11 +150,7 @@ impl Drop for PullWindow<'_> {
     }
 }
 
-struct SquallHook {
-    state: Arc<SquallState>,
-}
-
-impl AccessHook for SquallHook {
+impl AccessHook for SquallState {
     fn before_access(
         &self,
         node: NodeId,
@@ -186,40 +159,26 @@ impl AccessHook for SquallHook {
         _write: bool,
         xid: TxnId,
     ) -> DbResult<()> {
-        let Some(set) = self.state.chunks.get(&shard) else {
+        let Some(chunk) = self.gate.chunk_of(shard, key) else {
             return Ok(());
         };
-        let idx = set.splits.chunk_of(key);
-        if node == self.state.dest.id() {
+        if node == self.dest.id() {
             // On-demand (reactive) pull under the session's shard lock.
-            self.state.pull_chunk(shard, idx, xid, false)
-        } else if node == self.state.source.id() && set.is_pulled(idx) {
+            self.pull(&chunk, xid, false).map(drop)
+        } else if node == self.source.id() && self.gate.is_copied(&chunk) {
             // The chunk has moved: abort and retry on the destination.
-            self.state.aborts.fetch_add(1, Ordering::Relaxed);
-            Err(DbError::MigrationAbort {
-                txn: xid,
-                reason: "squall: chunk already migrated",
-            })
+            Err(self.abort(xid, "squall: chunk already migrated"))
         } else {
             Ok(())
         }
     }
 
     fn before_scan(&self, node: NodeId, shard: ShardId, xid: TxnId) -> DbResult<()> {
-        let Some(set) = self.state.chunks.get(&shard) else {
-            return Ok(());
-        };
-        if node == self.state.dest.id() {
-            for idx in 0..set.len() {
-                self.state.pull_chunk(shard, idx, xid, false)?;
-            }
-            Ok(())
-        } else if node == self.state.source.id() && (0..set.len()).any(|i| set.is_pulled(i)) {
-            self.state.aborts.fetch_add(1, Ordering::Relaxed);
-            Err(DbError::MigrationAbort {
-                txn: xid,
-                reason: "squall: shard partially migrated",
-            })
+        if node == self.dest.id() {
+            let mut chunks = self.gate.chunks_of(shard);
+            chunks.try_for_each(|chunk| self.pull(&chunk, xid, false).map(drop))
+        } else if node == self.source.id() && self.gate.any_copied(shard) {
+            Err(self.abort(xid, "squall: shard partially migrated"))
         } else {
             Ok(())
         }
@@ -251,36 +210,26 @@ impl MigrationEngine for SquallEngine {
         let t0 = Instant::now();
         let rec = TraceRecorder::new(self.name());
         let mut report = MigrationReport::new(self.name());
-        let source = Arc::clone(cluster.node(task.source));
-        let dest = Arc::clone(cluster.node(task.dest));
+        let (source, dest) = (cluster.node(task.source), cluster.node(task.dest));
 
         // Build the chunk map from the source's current keys. A key with
         // no visible version only shifts a boundary: pulls scan by range.
         // Planned before anything is acquired: a task naming a shard the
         // source does not host fails here with nothing to release.
         let chunk_span = rec.start("chunk_map");
-        let mut chunks = HashMap::new();
-        for &shard in &task.shards {
-            let table = source.storage.table_or_err(shard)?;
-            let splits = ChunkSplits(table.chunk_splits(cluster.config.squall_chunk_keys));
-            chunks.insert(shard, ChunkSet::new(splits));
-        }
+        let gate = CopyGate::plan(&task.shards, source, cluster.config.squall_chunk_keys)?;
         let state = Arc::new(SquallState {
             cluster: Arc::clone(cluster),
-            source: Arc::clone(&source),
-            dest: Arc::clone(&dest),
-            chunks,
+            source: Arc::clone(source),
+            dest: Arc::clone(dest),
+            gate,
             pulls: AtomicU64::new(0),
             pulled_tuples: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
         });
         // Empty destination shards and the access hook, held by one guard.
-        let mut window = PullWindow::open(cluster, &state);
-        rec.attr(
-            chunk_span,
-            "chunks",
-            state.chunks.values().map(|s| s.len() as u64).sum(),
-        );
+        let mut window = PullWindow::open(cluster, &state, &task.shards);
+        rec.attr(chunk_span, "chunks", state.gate.chunk_count() as u64);
         rec.end(chunk_span);
 
         // Ownership flips immediately: new transactions go to the
@@ -292,76 +241,17 @@ impl MigrationEngine for SquallEngine {
         rec.end(tm_span);
         report.transfer_phase = transfer0.elapsed();
 
-        // Background pulls: a pool of asynchronous workers (§4.2) draining
-        // a flat (shard, chunk) work list, sized by `copy_workers`.
+        // Background pulls: the gate's pool of asynchronous workers (§4.2),
+        // sized by `copy_workers`.
         let pulls_span = rec.start("pulls");
-        let work: Vec<(ShardId, usize)> = {
-            let mut shards: Vec<_> = state.chunks.keys().copied().collect();
-            shards.sort();
-            shards
-                .into_iter()
-                .flat_map(|shard| (0..state.chunks[&shard].len()).map(move |idx| (shard, idx)))
-                .collect()
-        };
-        let pool = cluster
-            .config
-            .parallelism
-            .copy_workers
-            .max(1)
-            .min(work.len().max(1));
-        let next = Arc::new(AtomicUsize::new(0));
-        let workers: Vec<_> = (0..pool)
-            .map(|_| {
-                let state = Arc::clone(&state);
-                let work = work.clone();
-                let next = Arc::clone(&next);
-                std::thread::spawn(move || -> DbResult<()> {
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(shard, idx)) = work.get(i) else {
-                            return Ok(());
-                        };
-                        if state.chunks[&shard].is_pulled(idx) {
-                            continue;
-                        }
-                        let pseudo = state.dest.storage.alloc_xid();
-                        match state.pull_chunk(shard, idx, pseudo, true) {
-                            Ok(()) => {}
-                            Err(DbError::Timeout(_)) => {
-                                // Lock contention: leave for the retry loop.
-                                continue;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("background puller panicked")?;
-        }
-        // Retry loop for chunks skipped under contention.
-        let deadline = Instant::now() + Duration::from_secs(600);
-        while !state.all_pulled() {
-            if Instant::now() >= deadline {
-                return Err(DbError::Timeout("squall background pulls"));
-            }
-            for (&shard, set) in &state.chunks {
-                for idx in 0..set.len() {
-                    if !set.is_pulled(idx) {
-                        let pseudo = dest.storage.alloc_xid();
-                        let _ = state.pull_chunk(shard, idx, pseudo, true);
-                    }
-                }
-            }
-        }
-
-        rec.attr(pulls_span, "pulls", state.pulls.load(Ordering::Relaxed));
-        rec.attr(
-            pulls_span,
-            "pulled_tuples",
-            state.pulled_tuples.load(Ordering::Relaxed),
-        );
+        let workers = cluster.config.parallelism.copy_workers;
+        state
+            .gate
+            .drain(workers, |chunk, _| state.pull_background(chunk))?;
+        report.pulls = state.pulls.load(Ordering::Relaxed);
+        report.tuples_copied = state.pulled_tuples.load(Ordering::Relaxed);
+        rec.attr(pulls_span, "pulls", report.pulls);
+        rec.attr(pulls_span, "pulled_tuples", report.tuples_copied);
         rec.end(pulls_span);
         let cleanup_span = rec.start("cleanup");
         drop(window);
@@ -369,8 +259,6 @@ impl MigrationEngine for SquallEngine {
             source.storage.drop_shard(*shard);
         }
         rec.end(cleanup_span);
-        report.pulls = state.pulls.load(Ordering::Relaxed);
-        report.tuples_copied = state.pulled_tuples.load(Ordering::Relaxed);
         report.forced_aborts = state.aborts.load(Ordering::Relaxed);
         report.total = t0.elapsed();
         report.traces.push(rec.finish());
@@ -384,7 +272,6 @@ mod tests {
     use remus_cluster::{ClusterBuilder, Session};
     use remus_common::{SimConfig, TableId};
     use remus_storage::Value;
-    use std::ops::Bound;
 
     fn val(s: &str) -> Value {
         Value::copy_from_slice(s.as_bytes())
@@ -424,36 +311,6 @@ mod tests {
         assert!(!cluster.node(NodeId(0)).storage.hosts(ShardId(0)));
         let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
         assert_eq!(rows.len(), 100);
-    }
-
-    #[test]
-    fn chunk_map_boundaries() {
-        // Keys 10, 20, 30, 40, 50 in chunks of two split at 30 and 50.
-        let set = ChunkSet::new(ChunkSplits(vec![30, 50]));
-        // Chunks: [0,30), [30,50), [50,∞).
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.splits.chunk_of(0), 0);
-        assert_eq!(set.splits.chunk_of(29), 0);
-        assert_eq!(set.splits.chunk_of(30), 1);
-        assert_eq!(set.splits.chunk_of(49), 1);
-        assert_eq!(set.splits.chunk_of(50), 2);
-        assert_eq!(set.splits.chunk_of(u64::MAX), 2);
-        assert_eq!(
-            set.splits.range_of(0),
-            (Bound::Unbounded, Bound::Excluded(30))
-        );
-        assert_eq!(
-            set.splits.range_of(2),
-            (Bound::Included(50), Bound::Unbounded)
-        );
-    }
-
-    #[test]
-    fn empty_shard_is_one_chunk() {
-        let set = ChunkSet::new(ChunkSplits(Vec::new()));
-        assert_eq!(set.len(), 1);
-        assert_eq!(set.splits.chunk_of(123), 0);
-        assert_eq!(set.splits.range_of(0), (Bound::Unbounded, Bound::Unbounded));
     }
 
     #[test]
@@ -523,5 +380,42 @@ mod tests {
         assert!(report.pulls >= 16, "expected at least one pull per chunk");
         let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
         assert_eq!(rows.len(), 64);
+    }
+
+    /// A session holds the shard lock while the background pulls start:
+    /// every pull's lock wait times out (20 ms) and is tried again, and the
+    /// migration finishes once the session lets go.
+    #[test]
+    fn background_pulls_retry_past_a_held_shard_lock() {
+        let cluster = ClusterBuilder::new(2)
+            .cc_mode(CcMode::ShardLock)
+            .config(SimConfig {
+                squall_chunk_keys: 8,
+                lock_wait_timeout: Duration::from_millis(20),
+                ..SimConfig::instant()
+            })
+            .build();
+        let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+        let session = Session::connect(&cluster, NodeId(0));
+        for k in 0..40 {
+            session.run(|t| t.insert(&layout, k, val("v"))).unwrap();
+        }
+        // The holder's read takes the shard lock until the holder ends.
+        let holder_session = Session::connect(&cluster, NodeId(0));
+        let mut holder = holder_session.begin();
+        holder.read(&layout, 0).unwrap();
+        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
+        let cluster2 = Arc::clone(&cluster);
+        let migration = std::thread::spawn(move || SquallEngine::new().migrate(&cluster2, &task));
+        std::thread::sleep(Duration::from_millis(150));
+        assert!(!migration.is_finished(), "a pull went past the held lock");
+        drop(holder);
+        let report = migration.join().unwrap().unwrap();
+        // 40 keys in chunks of 8: five pulls, every tuple moved once.
+        assert_eq!(report.pulls, 5);
+        assert_eq!(report.tuples_copied, 40);
+        assert!(!cluster.node(NodeId(0)).storage.hosts(ShardId(0)));
+        let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
+        assert_eq!(rows.len(), 40);
     }
 }

@@ -48,9 +48,10 @@ pub fn hand_over_ssi_state(cluster: &Arc<Cluster>, task: &MigrationTask) -> u64 
 }
 
 /// Conservative-path handover: fences the source, dooms every still-active
-/// straddler (in the SSI table *and* the node's doom list, so in-flight
-/// statements fail fast), and transfers the retained entries. Returns
-/// `(entries_transferred, straddlers_doomed)`.
+/// straddler in the SSI table, and transfers the retained entries. Returns
+/// `(entries_transferred, straddlers_doomed)`. The node's doom list is left
+/// alone: a straddler's next touch of the shard on the source fails at the
+/// `departed` fence, and its commit fails at `seal` with the doom reason.
 pub fn doom_ssi_straddlers(
     cluster: &Arc<Cluster>,
     task: &MigrationTask,
@@ -65,10 +66,7 @@ pub fn doom_ssi_straddlers(
     let mut doomed = 0;
     for shard in &task.shards {
         src.mark_departed(*shard);
-        for xid in src.doom_active_straddlers(*shard, reason) {
-            source.storage.doom(xid, reason);
-            doomed += 1;
-        }
+        doomed += src.doom_active_straddlers(*shard, reason).len() as u64;
         let export = src.export_shard(*shard);
         entries += export.len() as u64;
         dst.import_shard(&export);

@@ -97,6 +97,28 @@ fn lock_and_abort_dooms_straddling_serializable_readers() {
     session.run(|t| t.update(&layout, 3, val("v1"))).unwrap();
 }
 
+/// Red on the parent, where the straddler doom also went into the source's
+/// doom list, and the reader — not a participant there — never cleared it.
+#[test]
+fn a_doomed_straddling_reader_leaves_no_doom_entry_behind() {
+    let cluster = ClusterBuilder::new(2)
+        .isolation(IsolationLevel::Serializable)
+        .build();
+    let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+    let session = Session::connect(&cluster, NodeId(0));
+    for k in 0..10u64 {
+        session.run(|t| t.insert(&layout, k, val("v0"))).unwrap();
+    }
+    let reader_session = Session::connect(&cluster, NodeId(0));
+    let mut reader = reader_session.begin();
+    assert_eq!(reader.read(&layout, 3).unwrap(), Some(val("v0")));
+    let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
+    LockAndAbort::new().migrate(&cluster, &task).unwrap();
+    assert!(reader.commit().unwrap_err().is_migration_induced());
+    let source = &cluster.node(NodeId(0)).storage;
+    assert_eq!(source.doomed_count(), 0);
+}
+
 /// The SI default takes none of this machinery: the same straddling reader
 /// survives a lock-and-abort migration untouched (regression guard that
 /// the handover is opt-in).

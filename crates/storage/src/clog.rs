@@ -11,8 +11,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, RwLock};
-use remus_common::{time, DbError, DbResult, NodeId, Timestamp, TxnId};
+use parking_lot::RwLock;
+use remus_common::time::Signal;
+use remus_common::{DbError, DbResult, NodeId, Timestamp, TxnId};
 use std::collections::HashMap;
 
 /// Status of a transaction as recorded in the CLOG.
@@ -88,17 +89,17 @@ impl CacheSlot {
 
 /// A node's commit log.
 ///
-/// Sharded hash maps keep the hot path short; a single condition variable
-/// wakes prepare-waiters whenever any transaction resolves (acceptable at
-/// simulation scale and simple to reason about). `Committed(ts)` lookups —
+/// Sharded hash maps keep the hot path short; one [`Signal`] wakes
+/// prepare-waiters whenever any transaction resolves (acceptable at
+/// simulation scale and simple to reason about), and costs a resolution one
+/// load while nobody waits. `Committed(ts)` lookups —
 /// the common case of every MVCC visibility check — are served by a
 /// lock-free seqlock cache in front of the shard locks; commit status is
 /// immutable once set, so a cache hit never needs revalidation.
 pub struct Clog {
     shards: [RwLock<HashMap<TxnId, TxnStatus>>; SHARDS],
     cache: Box<[CacheSlot]>,
-    wake: Mutex<u64>,
-    cond: Condvar,
+    resolved: Signal,
     wait_blocks: AtomicU64,
 }
 
@@ -124,8 +125,7 @@ impl Clog {
             cache: (0..SHARDS * SLOTS_PER_SHARD)
                 .map(|_| CacheSlot::default())
                 .collect(),
-            wake: Mutex::new(0),
-            cond: Condvar::new(),
+            resolved: Signal::default(),
             wait_blocks: AtomicU64::new(0),
         };
         {
@@ -197,7 +197,7 @@ impl Clog {
                 }
             }
         }
-        self.notify();
+        self.resolved.notify();
         true
     }
 
@@ -231,7 +231,7 @@ impl Clog {
                 other => return Err(DbError::Internal(format!("commit({xid}) from {other:?}"))),
             }
         }
-        self.notify();
+        self.resolved.notify();
         Ok(())
     }
 
@@ -248,13 +248,7 @@ impl Clog {
                 }
             }
         }
-        self.notify();
-    }
-
-    fn notify(&self) {
-        let mut gen = self.wake.lock();
-        *gen += 1;
-        self.cond.notify_all();
+        self.resolved.notify();
     }
 
     /// Looks up a transaction's status. Unknown xids are reported as
@@ -287,23 +281,25 @@ impl Clog {
     /// Blocks until `xid` is resolved (committed or aborted), returning the
     /// final status. This is the prepare-wait primitive.
     pub fn wait_resolved(&self, xid: TxnId, timeout: Duration) -> DbResult<TxnStatus> {
-        let resolved = || Some(self.status(xid)).filter(|st| st.is_resolved());
-        if let Some(st) = resolved() {
-            return Ok(st);
-        }
-        // Every look from here is under the lock a resolution bumps `wake`
-        // under, so none can slip in between a look and the park.
-        let mut gen = self.wake.lock();
-        let mut blocked = false;
-        time::wait(&self.cond, &mut gen, timeout, |_| {
-            let st = resolved();
-            if st.is_none() && !blocked {
-                blocked = true;
-                self.wait_blocks.fetch_add(1, Ordering::Relaxed);
-            }
-            st
-        })
-        .ok_or(DbError::Timeout("transaction resolution"))
+        // A resolution flips the status under its shard's write lock, which
+        // every uncached look takes, and only then notifies.
+        let mut status = None;
+        let mut looks = 0;
+        self.resolved.park_until(
+            || {
+                looks += 1;
+                status = Some(self.status(xid)).filter(|st| st.is_resolved());
+                // The first look is the fast path; a miss at the second,
+                // taken once parked, is a wait that blocks.
+                if status.is_none() && looks == 2 {
+                    self.wait_blocks.fetch_add(1, Ordering::Relaxed);
+                }
+                status.is_some()
+            },
+            timeout,
+        );
+        // The last look's answer: resolved, or `None` at the deadline.
+        status.ok_or(DbError::Timeout("transaction resolution"))
     }
 
     /// Number of [`Clog::wait_resolved`] calls that actually blocked on an
@@ -336,7 +332,7 @@ impl Clog {
                 }
             }
         }
-        self.notify();
+        self.resolved.notify();
         aborted
     }
 
@@ -372,7 +368,7 @@ impl Clog {
         let mut shard = self.shard(FROZEN_TXN).write();
         shard.insert(FROZEN_TXN, TxnStatus::Committed(Timestamp::SNAPSHOT_MIN));
         drop(shard);
-        self.notify();
+        self.resolved.notify();
     }
 }
 

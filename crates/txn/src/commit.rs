@@ -339,6 +339,8 @@ pub fn abort_txn(txn: &mut Txn) {
     }
     for p in &txn.participants {
         resolve_aborted(&p.node, txn.xid, p.prepared);
+        // The victim's own abort is what observes a doom.
+        p.node.clear_doom(txn.xid);
     }
     txn.state = TxnState::Aborted;
 }
@@ -346,8 +348,9 @@ pub fn abort_txn(txn: &mut Txn) {
 /// Server-side termination of a victim transaction on one node (the
 /// lock-and-abort engine "terminates in advance" transactions holding
 /// conflicting locks, §2.3.3). Dooms the xid so the client sees a
-/// migration abort, then aborts and purges its writes on this node.
-/// Returns `false` if the transaction had already committed.
+/// migration abort, then aborts and purges its writes on this node; the
+/// victim's own [`abort_txn`] clears the doom. Returns `false` if the
+/// transaction had already committed.
 pub fn force_abort(node: &NodeStorage, xid: TxnId, reason: &'static str) -> bool {
     node.doom(xid, reason);
     // The CLOG goes first here, and atomically: the victim may be entering
@@ -510,6 +513,22 @@ mod tests {
         assert_eq!(n.table(ShardId(1)).unwrap().stats().versions, 0);
         // The client discovers the abort at its next action.
         assert!(txn.read(&n, ShardId(1), 1).is_err());
+    }
+
+    /// Red on the parent, where a successful force-abort's doom stayed in
+    /// the node's list for ever.
+    #[test]
+    fn a_force_abort_victims_own_abort_clears_its_doom() {
+        let n = node(1);
+        let gts = Gts::new();
+        let mut txn = Txn::begin(&n, gts.start_ts(n.id));
+        txn.insert(&n, ShardId(1), 1, val("a")).unwrap();
+        assert!(force_abort(&n, txn.xid, "lock-and-abort"));
+        assert_eq!(n.doomed_count(), 1, "the victim has not observed it yet");
+        let err = txn.read(&n, ShardId(1), 1).unwrap_err();
+        assert!(err.is_migration_induced());
+        abort_txn(&mut txn);
+        assert_eq!(n.doomed_count(), 0);
     }
 
     #[test]

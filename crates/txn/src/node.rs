@@ -337,6 +337,11 @@ impl NodeStorage {
         self.doomed.lock().remove(&xid);
     }
 
+    /// Number of doomed transactions whose abort nobody has observed yet.
+    pub fn doomed_count(&self) -> usize {
+        self.doomed.lock().len()
+    }
+
     // ---- replication slots & WAL truncation ----
 
     /// A [`WalTail`] reading after `from`, its slot registered under the

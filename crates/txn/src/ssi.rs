@@ -498,8 +498,7 @@ impl SsiNode {
     /// Conservative handover: dooms every still-active transaction holding
     /// an SSI entry on `shard` (readers included — a straddling reader's
     /// rw-edges cannot be tracked once the shard's versions move away).
-    /// Returns the doomed xids so the engine can also doom them in the
-    /// node's registry for in-flight statement aborts.
+    /// Returns the doomed xids; each one fails at its own `seal`.
     pub fn doom_active_straddlers(&self, shard: ShardId, reason: &'static str) -> Vec<TxnId> {
         let mut holders: Vec<Arc<SsiTxn>> = Vec::new();
         for stripe in &self.stripes {

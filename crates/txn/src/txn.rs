@@ -134,8 +134,10 @@ impl Txn {
         }
         node.register_active(self.xid);
         if let Err(e) = node.clog.try_begin(self.xid) {
-            // Lost a race with a server-side force-abort.
+            // Lost a race with a server-side force-abort, whose doom this
+            // error is the victim's observation of.
             node.deregister(self.xid);
+            node.clear_doom(self.xid);
             return Err(e);
         }
         node.wal
