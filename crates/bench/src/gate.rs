@@ -227,7 +227,7 @@ pub const GATES: &[Gate] = &[
         consequence: "the live migration interrupted service at scale",
     },
     // bench_ssi. Serializable-over-SI delivered throughput (Ports &
-    // Grittner's tax, measured 0.80x/0.86x): a quarter of SI means the
+    // Grittner's tax, measured 0.99x/0.99x): a quarter of SI means the
     // SIREAD/commit-check hot path regressed, not the runner.
     Gate {
         table: "ssi tax",

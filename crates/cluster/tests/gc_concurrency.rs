@@ -247,16 +247,24 @@ fn background_maintenance_gc_prunes_while_sessions_commit() {
                 .unwrap();
         }
     }
+    let gc_pruned = || -> u64 {
+        cluster
+            .metrics_snapshot()
+            .iter()
+            .filter(|s| s.name == "storage.gc_pruned")
+            .map(|s| s.value)
+            .sum()
+    };
+    // The updates can all land before the first 1 ms tick: give the
+    // background thread a bounded chance to run a pass before stopping it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while gc_pruned() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     cluster.stop_maintenance();
     handle.join().unwrap();
-    // The background thread pruned shadowed versions as it went.
-    let gc_pruned: u64 = cluster
-        .metrics_snapshot()
-        .iter()
-        .filter(|s| s.name == "storage.gc_pruned")
-        .map(|s| s.value)
-        .sum();
-    assert!(gc_pruned > 0, "maintenance GC never pruned anything");
+    // The background thread pruned shadowed versions.
+    assert!(gc_pruned() > 0, "maintenance GC never pruned anything");
     for k in 0..8u64 {
         let got = session.run(|t| t.read(&layout, k)).unwrap().0;
         assert_eq!(got, Some(val("r299")));

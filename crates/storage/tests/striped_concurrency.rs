@@ -195,6 +195,8 @@ fn a_growing_stripe_rehashes_under_readers_a_scanner_and_gc() {
     // second write (an update, or the delete of a doomed key).
     let inserted = Arc::new(AtomicU64::new(0));
     let rewritten = Arc::new(AtomicU64::new(0));
+    // Versions the GC thread freed so far.
+    let pruned = Arc::new(AtomicU64::new(0));
     // Active snapshots of the two readers and the scanner (u64::MAX = none).
     let active: Arc<[AtomicU64; 3]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(u64::MAX)));
     let snapshot = |ts: &AtomicU64, slot: &AtomicU64| {
@@ -223,10 +225,20 @@ fn a_growing_stripe_rehashes_under_readers_a_scanner_and_gc() {
     let rewriter = {
         let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
         let (inserted, rewritten) = (Arc::clone(&inserted), Arc::clone(&rewritten));
+        let pruned = Arc::clone(&pruned);
         std::thread::spawn(move || {
             for key in 0..KEYS {
                 while inserted.load(Ordering::SeqCst) <= key {
                     std::thread::yield_now();
+                }
+                // GC stops once the last key is rewritten: hold that key
+                // back until GC has freed something, or for a bounded time.
+                if key == KEYS - 1 {
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while pruned.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
                 }
                 let xid = TxnId::new(NodeId(1), key + 1);
                 if doomed(key) {
@@ -244,17 +256,21 @@ fn a_growing_stripe_rehashes_under_readers_a_scanner_and_gc() {
     };
     let gc = {
         let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
-        let (active, rewritten) = (Arc::clone(&active), Arc::clone(&rewritten));
+        let (active, rewritten, pruned) = (
+            Arc::clone(&active),
+            Arc::clone(&rewritten),
+            Arc::clone(&pruned),
+        );
         std::thread::spawn(move || {
-            let mut pruned = 0;
             while rewritten.load(Ordering::SeqCst) < KEYS {
                 // The clock first: a snapshot taken after it is above the lag.
                 let lagged = ts.load(Ordering::SeqCst).saturating_sub(LAG);
                 let pinned = active.iter().map(|a| a.load(Ordering::SeqCst)).min();
                 let watermark = Timestamp(lagged.min(pinned.unwrap_or(u64::MAX)));
-                pruned += table.gc_step(watermark, &clog, 64).pruned;
+                let freed = table.gc_step(watermark, &clog, 64).pruned;
+                pruned.fetch_add(freed as u64, Ordering::SeqCst);
             }
-            pruned
+            pruned.load(Ordering::SeqCst)
         })
     };
     let readers: Vec<_> = (0..2usize)

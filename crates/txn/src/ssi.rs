@@ -33,6 +33,12 @@
 //!   passes the reader's commit timestamp. [`SsiNode::gc`] drops them
 //!   there.
 //!
+//! Cost of an access (DESIGN.md §14): a point read or write takes one
+//! stripe lock and tests the other side's entries in place under it, with
+//! plain atomic loads of each peer's phase word and flags; the node-wide
+//! fences (the departed set, the shard-scan entries) cost one load while
+//! they are empty.
+//!
 //! Migration interaction (DESIGN.md §14): when a shard moves, its SIREAD
 //! and write-registry entries are exported from the source and imported on
 //! the destination ([`SsiNode::export_shard`] / [`SsiNode::import_shard`])
@@ -42,11 +48,10 @@
 //! ([`SsiNode::doom_active_straddlers`]) and transfer only the retained
 //! (committing/committed) entries.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use remus_common::metrics::{Counter, Gauge, MetricsRegistry};
@@ -82,11 +87,21 @@ pub enum SealOutcome {
     Doomed(&'static str),
 }
 
+// Values of `SsiTxn::phase`. `Committed(cts)` is `COMMITTED | cts`.
+const ACTIVE: u64 = 0;
+const COMMITTING: u64 = 1;
+const ABORTED: u64 = 2;
+const DOOMED: u64 = 3;
+const COMMITTED: u64 = 1 << 63;
+
 /// Per-transaction SSI state, shared by `Arc` across nodes.
 ///
-/// The rw-edge flags are plain atomics — they only ever go from unset to
-/// set, and a stale read of "unset" is resolved by the seal/edge-check
-/// ordering described in the module docs.
+/// The rw-edge flags only ever go from unset to set. Seal and edge form a
+/// Dekker pair: `seal` stores the phase and its caller then loads the
+/// flags ([`SsiTxn::is_pivot`]); an edge sets a flag and then loads the
+/// other endpoint's phase. All four accesses are `SeqCst`, so at least one
+/// side sees the other — a pivot whose own check passed forces the live
+/// side of the closing edge to abort.
 #[derive(Debug)]
 pub struct SsiTxn {
     /// The transaction this handle belongs to.
@@ -96,7 +111,12 @@ pub struct SsiTxn {
     pub start_ts: Timestamp,
     in_rw: AtomicBool,
     out_rw: AtomicBool,
-    phase: Mutex<SsiPhase>,
+    /// The phase word: `ACTIVE`, `COMMITTING`, `ABORTED`, `DOOMED` or
+    /// `COMMITTED | cts`.
+    phase: AtomicU64,
+    /// Why a handover doomed it: written before the phase says `DOOMED`,
+    /// read only after.
+    doom_reason: OnceLock<&'static str>,
 }
 
 impl SsiTxn {
@@ -107,66 +127,86 @@ impl SsiTxn {
             start_ts,
             in_rw: AtomicBool::new(false),
             out_rw: AtomicBool::new(false),
-            phase: Mutex::new(SsiPhase::Active),
+            phase: AtomicU64::new(ACTIVE),
+            doom_reason: OnceLock::new(),
         })
     }
 
     /// Current phase (a copy).
     pub fn phase(&self) -> SsiPhase {
-        *self.phase.lock()
+        match self.phase.load(SeqCst) {
+            ACTIVE => SsiPhase::Active,
+            COMMITTING => SsiPhase::Committing,
+            ABORTED => SsiPhase::Aborted,
+            DOOMED => SsiPhase::Doomed(self.doom_reason()),
+            word => SsiPhase::Committed(Timestamp(word & !COMMITTED)),
+        }
+    }
+
+    fn doom_reason(&self) -> &'static str {
+        self.doom_reason
+            .get()
+            .expect("a doom writes its reason before it publishes the phase")
     }
 
     /// True once both an incoming and an outgoing rw-edge have been
     /// recorded — the transaction is the pivot of a dangerous structure.
     pub fn is_pivot(&self) -> bool {
-        self.in_rw.load(Ordering::Acquire) && self.out_rw.load(Ordering::Acquire)
+        self.in_rw.load(SeqCst) && self.out_rw.load(SeqCst)
     }
 
     /// Whether the transaction has an incoming rw-edge.
     pub fn has_in_rw(&self) -> bool {
-        self.in_rw.load(Ordering::Acquire)
+        self.in_rw.load(SeqCst)
     }
 
     /// Whether the transaction has an outgoing rw-edge.
     pub fn has_out_rw(&self) -> bool {
-        self.out_rw.load(Ordering::Acquire)
+        self.out_rw.load(SeqCst)
     }
 
     /// Seals the handle on entry to commit progress: after this, edge
     /// checks treat it as committed. Returns the doom reason instead if a
     /// migration handover got there first.
     pub fn seal(&self) -> SealOutcome {
-        let mut phase = self.phase.lock();
-        match *phase {
-            SsiPhase::Doomed(reason) => SealOutcome::Doomed(reason),
-            _ => {
-                *phase = SsiPhase::Committing;
-                SealOutcome::Sealed
+        let mut word = self.phase.load(SeqCst);
+        loop {
+            if word == DOOMED {
+                return SealOutcome::Doomed(self.doom_reason());
+            }
+            match self
+                .phase
+                .compare_exchange_weak(word, COMMITTING, SeqCst, SeqCst)
+            {
+                Ok(_) => return SealOutcome::Sealed,
+                Err(now) => word = now,
             }
         }
     }
 
     /// Records the commit timestamp (SIREAD retention is keyed on it).
     pub fn mark_committed(&self, cts: Timestamp) {
-        *self.phase.lock() = SsiPhase::Committed(cts);
+        assert_eq!(cts.0 & COMMITTED, 0, "{cts:?} overlaps the phase tag bit");
+        self.phase.store(COMMITTED | cts.0, SeqCst);
     }
 
     /// Marks the transaction aborted; its entries stop producing edges.
     pub fn mark_aborted(&self) {
-        *self.phase.lock() = SsiPhase::Aborted;
+        self.phase.store(ABORTED, SeqCst);
     }
 
     /// Migration-handover doom: only lands on a still-active transaction
     /// (one already committing keeps its exported entries instead).
-    /// Returns whether the doom took effect.
+    /// Returns whether the doom took effect. Of two racing dooms, the
+    /// first reason written is the one a seal reports.
     pub fn doom(&self, reason: &'static str) -> bool {
-        let mut phase = self.phase.lock();
-        if *phase == SsiPhase::Active {
-            *phase = SsiPhase::Doomed(reason);
-            true
-        } else {
-            false
+        if self.phase.load(SeqCst) != ACTIVE {
+            return false;
         }
+        let _ = self.doom_reason.set(reason);
+        self.phase
+            .compare_exchange(ACTIVE, DOOMED, SeqCst, SeqCst)
+            .is_ok()
     }
 
     /// Whether an edge against this transaction is still meaningful from
@@ -188,28 +228,76 @@ impl SsiTxn {
     }
 }
 
-/// One lock stripe: SIREAD entries and write-registry entries for the
-/// keys hashed onto it.
-#[derive(Debug, Default)]
-struct Stripe {
-    sireads: HashMap<(ShardId, Key), Vec<Arc<SsiTxn>>>,
-    writes: HashMap<(ShardId, Key), Vec<Arc<SsiTxn>>>,
+/// Hashes the `(shard, key)` maps and picks their stripe: one folded
+/// 64 x 64 -> 128-bit multiply per word. The keys are the program's own
+/// shard ids and keys, so SipHash's resistance to chosen collisions buys
+/// nothing here.
+#[derive(Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
+
+type MulMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// One transaction's SIREAD or write entry: the xid sits inline next to
+/// the handle, so dedup and the self-check read no other cache line.
+#[derive(Debug, Clone)]
+struct Entry {
+    xid: TxnId,
+    txn: Arc<SsiTxn>,
+}
+
+/// The SIREAD and write entries of one `(shard, key)`.
+#[derive(Debug, Default)]
+struct KeyEntries {
+    readers: Vec<Entry>,
+    writers: Vec<Entry>,
+}
+
+/// One lock stripe: the entries of the keys hashed onto it, on a cache
+/// line of its own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe(Mutex<KeyMap>);
+
+type KeyMap = MulMap<(ShardId, Key), KeyEntries>;
 
 /// Per-node SSI state: the striped SIREAD lock table, the shard-granularity
 /// SIREAD entries (scans), the write registry, and the node-scoped metrics.
 ///
 /// Striping mirrors the storage index (`hot_path.index_stripes`): point
 /// reads and writes lock exactly one stripe, so serializable tracking adds
-/// no cross-key contention beyond what the table itself has.
+/// no cross-key contention beyond what the table itself has. No other lock
+/// is taken while a stripe lock is held.
 pub struct SsiNode {
-    stripes: Vec<Mutex<Stripe>>,
-    shard_reads: Mutex<HashMap<ShardId, Vec<Arc<SsiTxn>>>>,
+    stripes: Box<[Stripe]>,
+    shard_reads: Mutex<MulMap<ShardId, Vec<Entry>>>,
+    /// `shard_reads.len()`, stored under its lock: a write skips that lock
+    /// while no scan entry exists.
+    scanned_shards: AtomicUsize,
     /// Shards whose SSI state was handed to another node. Serializable
     /// access through this node afterwards would register edges nobody
     /// checks, so it fails as migration-induced instead. (SI-mode traffic
     /// never consults this — dual execution stays abort-free there.)
     departed: Mutex<HashSet<ShardId>>,
+    /// `departed.len()`, stored under its lock: an access skips that lock
+    /// while no shard is in handover.
+    departed_shards: AtomicUsize,
     /// Dangerous-structure aborts raised on this node (edge-time and
     /// commit-time).
     pub ssi_aborts: Arc<Counter>,
@@ -235,33 +323,35 @@ impl SsiNode {
     /// A fresh SSI table with `stripes` lock stripes, its counters resolved
     /// from the node's metric scope.
     pub fn new(stripes: usize, metrics: &MetricsRegistry) -> Arc<SsiNode> {
-        let stripes = stripes.max(1);
         Arc::new(SsiNode {
-            stripes: (0..stripes)
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect(),
-            shard_reads: Mutex::new(HashMap::new()),
-            departed: Mutex::new(HashSet::new()),
+            stripes: (0..stripes.max(1)).map(|_| Stripe::default()).collect(),
+            shard_reads: Mutex::default(),
+            scanned_shards: AtomicUsize::new(0),
+            departed: Mutex::default(),
+            departed_shards: AtomicUsize::new(0),
             ssi_aborts: metrics.counter("txn.ssi_aborts"),
             rw_edges: metrics.counter("txn.rw_edges"),
             siread_entries: metrics.gauge("txn.siread_entries"),
         })
     }
 
-    fn stripe_for(&self, shard: ShardId, key: Key) -> &Mutex<Stripe> {
-        let mut h = DefaultHasher::new();
-        (shard.0, key).hash(&mut h);
-        &self.stripes[(h.finish() as usize) % self.stripes.len()]
+    fn stripe_for(&self, shard: ShardId, key: Key) -> &Mutex<KeyMap> {
+        let mut h = MulHasher::default();
+        (shard, key).hash(&mut h);
+        // Multiply-shift onto the stripe count, from the hash's low half
+        // (the map inside the stripe takes its control bits from the top).
+        let i = ((h.finish() & 0xFFFF_FFFF) * self.stripes.len() as u64) >> 32;
+        &self.stripes[i as usize].0
     }
 
     /// Records an rw-antidependency edge `reader -rw-> writer`, counting
-    /// each flag that newly transitions.
+    /// each flag that newly transitions. A flag already set is only loaded,
+    /// so re-detecting an edge writes no shared cache line.
     fn add_edge(&self, reader: &SsiTxn, writer: &SsiTxn) {
-        if !reader.out_rw.swap(true, Ordering::AcqRel) {
-            self.rw_edges.inc();
-        }
-        if !writer.in_rw.swap(true, Ordering::AcqRel) {
-            self.rw_edges.inc();
+        for flag in [&reader.out_rw, &writer.in_rw] {
+            if !flag.load(SeqCst) && !flag.swap(true, SeqCst) {
+                self.rw_edges.inc();
+            }
         }
     }
 
@@ -276,9 +366,30 @@ impl SsiNode {
         Ok(())
     }
 
-    fn push_unique(list: &mut Vec<Arc<SsiTxn>>, txn: &Arc<SsiTxn>) {
-        if !list.iter().any(|t| t.xid == txn.xid) {
-            list.push(Arc::clone(txn));
+    /// Raises `live`'s edges against every concurrent transaction in
+    /// `others`, read in place under the caller's lock: `live -rw-> other`
+    /// when `live_reads`, else `other -rw-> live`.
+    fn raise_edges(&self, live: &SsiTxn, others: &[Entry], live_reads: bool) -> DbResult<()> {
+        for other in others {
+            if other.xid == live.xid || !other.txn.edge_relevant_to(live.start_ts) {
+                continue;
+            }
+            if live_reads {
+                self.add_edge(live, &other.txn);
+            } else {
+                self.add_edge(&other.txn, live);
+            }
+            self.check_committed_pivot(live, &other.txn)?;
+        }
+        Ok(())
+    }
+
+    fn push_unique(list: &mut Vec<Entry>, txn: &Arc<SsiTxn>) {
+        if !list.iter().any(|e| e.xid == txn.xid) {
+            list.push(Entry {
+                xid: txn.xid,
+                txn: Arc::clone(txn),
+            });
         }
     }
 
@@ -286,7 +397,7 @@ impl SsiNode {
     /// handed to another node: an edge registered here after the handover
     /// would never be seen by writers on the new owner.
     fn check_departed(&self, shard: ShardId, xid: TxnId) -> DbResult<()> {
-        if self.departed.lock().contains(&shard) {
+        if self.departed_shards.load(SeqCst) != 0 && self.departed.lock().contains(&shard) {
             return Err(DbError::MigrationAbort {
                 txn: xid,
                 reason: "serializable access to a shard in SSI handover",
@@ -295,51 +406,44 @@ impl SsiNode {
         Ok(())
     }
 
+    /// Changes the departed set and republishes its size.
+    fn update_departed(&self, change: impl FnOnce(&mut HashSet<ShardId>)) {
+        let mut departed = self.departed.lock();
+        change(&mut departed);
+        self.departed_shards.store(departed.len(), SeqCst);
+    }
+
+    /// Changes the scan entries and republishes how many shards have any.
+    fn update_shard_reads(&self, change: impl FnOnce(&mut MulMap<ShardId, Vec<Entry>>)) {
+        let mut shard_reads = self.shard_reads.lock();
+        change(&mut shard_reads);
+        self.scanned_shards.store(shard_reads.len(), SeqCst);
+    }
+
     /// Registers a point read: takes the SIREAD lock on `(shard, key)` and
     /// raises edges against every concurrent writer of the key.
     pub fn on_read(&self, reader: &Arc<SsiTxn>, shard: ShardId, key: Key) -> DbResult<()> {
         self.check_departed(shard, reader.xid)?;
-        let writers: Vec<Arc<SsiTxn>> = {
-            let mut stripe = self.stripe_for(shard, key).lock();
-            Self::push_unique(stripe.sireads.entry((shard, key)).or_default(), reader);
-            stripe
-                .writes
-                .get(&(shard, key))
-                .map(|w| w.to_vec())
-                .unwrap_or_default()
-        };
-        for writer in &writers {
-            if writer.xid == reader.xid || !writer.edge_relevant_to(reader.start_ts) {
-                continue;
-            }
-            self.add_edge(reader, writer);
-            self.check_committed_pivot(reader, writer)?;
-        }
-        Ok(())
+        let mut stripe = self.stripe_for(shard, key).lock();
+        let entries = stripe.entry((shard, key)).or_default();
+        Self::push_unique(&mut entries.readers, reader);
+        self.raise_edges(reader, &entries.writers, true)
     }
 
     /// Registers a shard scan: takes a shard-granularity SIREAD lock and
     /// raises edges against every concurrent writer anywhere in the shard.
     pub fn on_scan(&self, reader: &Arc<SsiTxn>, shard: ShardId) -> DbResult<()> {
         self.check_departed(shard, reader.xid)?;
-        Self::push_unique(self.shard_reads.lock().entry(shard).or_default(), reader);
+        // Raises the count before any stripe is read: a write this scan
+        // misses in its stripe sees the count (see `on_write`).
+        self.update_shard_reads(|reads| Self::push_unique(reads.entry(shard).or_default(), reader));
         // One stripe at a time; never two stripe locks at once.
-        for stripe in &self.stripes {
-            let writers: Vec<Arc<SsiTxn>> = {
-                let stripe = stripe.lock();
-                stripe
-                    .writes
-                    .iter()
-                    .filter(|((s, _), _)| *s == shard)
-                    .flat_map(|(_, w)| w.iter().cloned())
-                    .collect()
-            };
-            for writer in &writers {
-                if writer.xid == reader.xid || !writer.edge_relevant_to(reader.start_ts) {
-                    continue;
+        for stripe in self.stripes.iter() {
+            let stripe = stripe.0.lock();
+            for ((s, _), entries) in stripe.iter() {
+                if *s == shard {
+                    self.raise_edges(reader, &entries.writers, true)?;
                 }
-                self.add_edge(reader, writer);
-                self.check_committed_pivot(reader, writer)?;
             }
         }
         Ok(())
@@ -350,73 +454,65 @@ impl SsiNode {
     /// plus shard-granularity scan entries).
     pub fn on_write(&self, writer: &Arc<SsiTxn>, shard: ShardId, key: Key) -> DbResult<()> {
         self.check_departed(shard, writer.xid)?;
-        let mut readers: Vec<Arc<SsiTxn>> = {
+        {
             let mut stripe = self.stripe_for(shard, key).lock();
-            Self::push_unique(stripe.writes.entry((shard, key)).or_default(), writer);
-            stripe
-                .sireads
-                .get(&(shard, key))
-                .map(|r| r.to_vec())
-                .unwrap_or_default()
-        };
-        if let Some(scanners) = self.shard_reads.lock().get(&shard) {
-            readers.extend(scanners.iter().cloned());
+            let entries = stripe.entry((shard, key)).or_default();
+            Self::push_unique(&mut entries.writers, writer);
+            self.raise_edges(writer, &entries.readers, false)?;
         }
-        for reader in &readers {
-            if reader.xid == writer.xid || !reader.edge_relevant_to(writer.start_ts) {
-                continue;
+        // The write is registered before this load, and a scan raises the
+        // count before it reads the stripes: either the scan found the
+        // write, or this load finds the scan.
+        if self.scanned_shards.load(SeqCst) != 0 {
+            if let Some(scanners) = self.shard_reads.lock().get(&shard) {
+                self.raise_edges(writer, scanners, false)?;
             }
-            self.add_edge(reader, writer);
-            self.check_committed_pivot(writer, reader)?;
         }
         Ok(())
     }
 
     /// Live SIREAD entry count (key- plus shard-granularity).
     pub fn siread_count(&self) -> u64 {
-        let mut n: u64 = self
-            .shard_reads
-            .lock()
-            .values()
-            .map(|v| v.len() as u64)
-            .sum();
-        for stripe in &self.stripes {
+        let mut n: usize = self.shard_reads.lock().values().map(Vec::len).sum();
+        for stripe in self.stripes.iter() {
             n += stripe
+                .0
                 .lock()
-                .sireads
                 .values()
-                .map(|v| v.len() as u64)
-                .sum::<u64>();
+                .map(|e| e.readers.len())
+                .sum::<usize>();
         }
-        n
+        n as u64
     }
 
     /// Drops entries that can no longer produce a meaningful edge: aborted
     /// transactions, and committed ones whose commit timestamp the cluster
     /// safe-ts watermark has passed (no concurrent transaction remains).
-    /// Refreshes the `txn.siread_entries` gauge.
+    /// Refreshes the `txn.siread_entries` gauge with the survivors it
+    /// counted on the way.
     pub fn gc(&self, watermark: Timestamp) {
-        let retire = |t: &Arc<SsiTxn>| match t.phase() {
+        let keep = |e: &Entry| match e.txn.phase() {
             SsiPhase::Aborted => false,
             SsiPhase::Committed(cts) => cts >= watermark,
             _ => true,
         };
-        for stripe in &self.stripes {
-            let mut stripe = stripe.lock();
-            stripe.sireads.retain(|_, v| {
-                v.retain(retire);
-                !v.is_empty()
-            });
-            stripe.writes.retain(|_, v| {
-                v.retain(retire);
-                !v.is_empty()
+        let mut sireads = 0;
+        for stripe in self.stripes.iter() {
+            stripe.0.lock().retain(|_, entries| {
+                entries.readers.retain(keep);
+                entries.writers.retain(keep);
+                sireads += entries.readers.len();
+                !(entries.readers.is_empty() && entries.writers.is_empty())
             });
         }
-        self.shard_reads.lock().retain(|_, v| {
-            v.retain(retire);
-            !v.is_empty()
+        self.update_shard_reads(|reads| {
+            reads.retain(|_, scanners| {
+                scanners.retain(keep);
+                sireads += scanners.len();
+                !scanners.is_empty()
+            })
         });
-        self.siread_entries.set(self.siread_count());
+        self.siread_entries.set(sireads as u64);
     }
 
     // ---- migration handover ----
@@ -432,21 +528,21 @@ impl SsiNode {
             key_writes: Vec::new(),
             shard_sireads: Vec::new(),
         };
-        for stripe in &self.stripes {
-            let stripe = stripe.lock();
-            for ((s, key), v) in &stripe.sireads {
-                if *s == shard {
-                    export.key_sireads.push((*key, v.clone()));
+        for stripe in self.stripes.iter() {
+            for ((s, key), entries) in stripe.0.lock().iter() {
+                if *s != shard {
+                    continue;
                 }
-            }
-            for ((s, key), v) in &stripe.writes {
-                if *s == shard {
-                    export.key_writes.push((*key, v.clone()));
+                if !entries.readers.is_empty() {
+                    export.key_sireads.push((*key, entries.readers.clone()));
+                }
+                if !entries.writers.is_empty() {
+                    export.key_writes.push((*key, entries.writers.clone()));
                 }
             }
         }
-        if let Some(v) = self.shard_reads.lock().get(&shard) {
-            export.shard_sireads = v.clone();
+        if let Some(scanners) = self.shard_reads.lock().get(&shard) {
+            export.shard_sireads = scanners.clone();
         }
         export
     }
@@ -455,7 +551,9 @@ impl SsiNode {
     /// through this node fails as migration-induced. Called on the source
     /// right after [`SsiNode::export_shard`].
     pub fn mark_departed(&self, shard: ShardId) {
-        self.departed.lock().insert(shard);
+        self.update_departed(|d| {
+            d.insert(shard);
+        });
     }
 
     /// Lifts a [`SsiNode::mark_departed`] fence the ownership transfer did
@@ -463,7 +561,9 @@ impl SsiNode {
     /// entries are complete because none could be added while fenced. A
     /// no-op for a shard that was never fenced.
     pub fn reclaim_shard(&self, shard: ShardId) {
-        self.departed.lock().remove(&shard);
+        self.update_departed(|d| {
+            d.remove(&shard);
+        });
     }
 
     /// Merges an export from the migration source (idempotent; entries
@@ -471,27 +571,34 @@ impl SsiNode {
     /// any departed marking for the shard — the node is its owner now
     /// (back-migrations reuse nodes).
     pub fn import_shard(&self, export: &SsiShardExport) {
-        self.departed.lock().remove(&export.shard);
-        for (key, txns) in &export.key_sireads {
-            let mut stripe = self.stripe_for(export.shard, *key).lock();
-            let list = stripe.sireads.entry((export.shard, *key)).or_default();
-            for t in txns {
-                Self::push_unique(list, t);
-            }
+        self.reclaim_shard(export.shard);
+        for (key, list) in &export.key_sireads {
+            self.merge_key(export.shard, *key, list, |e| &mut e.readers);
         }
-        for (key, txns) in &export.key_writes {
-            let mut stripe = self.stripe_for(export.shard, *key).lock();
-            let list = stripe.writes.entry((export.shard, *key)).or_default();
-            for t in txns {
-                Self::push_unique(list, t);
-            }
+        for (key, list) in &export.key_writes {
+            self.merge_key(export.shard, *key, list, |e| &mut e.writers);
         }
         if !export.shard_sireads.is_empty() {
-            let mut shard_reads = self.shard_reads.lock();
-            let list = shard_reads.entry(export.shard).or_default();
-            for t in &export.shard_sireads {
-                Self::push_unique(list, t);
-            }
+            self.update_shard_reads(|reads| {
+                let scanners = reads.entry(export.shard).or_default();
+                for e in &export.shard_sireads {
+                    Self::push_unique(scanners, &e.txn);
+                }
+            });
+        }
+    }
+
+    fn merge_key(
+        &self,
+        shard: ShardId,
+        key: Key,
+        list: &[Entry],
+        side: fn(&mut KeyEntries) -> &mut Vec<Entry>,
+    ) {
+        let mut stripe = self.stripe_for(shard, key).lock();
+        let into = side(stripe.entry((shard, key)).or_default());
+        for e in list {
+            Self::push_unique(into, &e.txn);
         }
     }
 
@@ -500,27 +607,26 @@ impl SsiNode {
     /// rw-edges cannot be tracked once the shard's versions move away).
     /// Returns the doomed xids; each one fails at its own `seal`.
     pub fn doom_active_straddlers(&self, shard: ShardId, reason: &'static str) -> Vec<TxnId> {
-        let mut holders: Vec<Arc<SsiTxn>> = Vec::new();
-        for stripe in &self.stripes {
-            let stripe = stripe.lock();
-            for ((s, _), v) in stripe.sireads.iter().chain(stripe.writes.iter()) {
+        let mut holders: Vec<Entry> = Vec::new();
+        for stripe in self.stripes.iter() {
+            for ((s, _), entries) in stripe.0.lock().iter() {
                 if *s == shard {
-                    for t in v {
-                        Self::push_unique(&mut holders, t);
+                    for e in entries.readers.iter().chain(&entries.writers) {
+                        Self::push_unique(&mut holders, &e.txn);
                     }
                 }
             }
         }
-        if let Some(v) = self.shard_reads.lock().get(&shard) {
-            for t in v {
-                Self::push_unique(&mut holders, t);
+        if let Some(scanners) = self.shard_reads.lock().get(&shard) {
+            for e in scanners {
+                Self::push_unique(&mut holders, &e.txn);
             }
         }
         let mut doomed = Vec::new();
-        for t in holders {
-            if t.doom(reason) {
+        for e in holders {
+            if e.txn.doom(reason) {
                 self.ssi_aborts.inc();
-                doomed.push(t.xid);
+                doomed.push(e.xid);
             }
         }
         doomed
@@ -528,13 +634,11 @@ impl SsiNode {
 
     /// Drops every entry (crash restart: SSI state is volatile).
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            let mut stripe = stripe.lock();
-            stripe.sireads.clear();
-            stripe.writes.clear();
+        for stripe in self.stripes.iter() {
+            stripe.0.lock().clear();
         }
-        self.shard_reads.lock().clear();
-        self.departed.lock().clear();
+        self.update_shard_reads(|reads| reads.clear());
+        self.update_departed(HashSet::clear);
         self.siread_entries.set(0);
     }
 }
@@ -545,9 +649,9 @@ impl SsiNode {
 pub struct SsiShardExport {
     /// The shard being handed over.
     pub shard: ShardId,
-    key_sireads: Vec<(Key, Vec<Arc<SsiTxn>>)>,
-    key_writes: Vec<(Key, Vec<Arc<SsiTxn>>)>,
-    shard_sireads: Vec<Arc<SsiTxn>>,
+    key_sireads: Vec<(Key, Vec<Entry>)>,
+    key_writes: Vec<(Key, Vec<Entry>)>,
+    shard_sireads: Vec<Entry>,
 }
 
 impl SsiShardExport {
@@ -797,7 +901,145 @@ mod tests {
         assert!(matches!(committed.phase(), SsiPhase::Committed(_)));
     }
 
+    #[test]
+    fn fences_back_at_zero_behave_like_a_fresh_node() {
+        let used = SsiNode::new(4, &registry());
+        // A handover fenced and reclaimed, and a scan entry GC dropped.
+        used.mark_departed(S);
+        used.reclaim_shard(S);
+        let scanner = txn(1, 10);
+        used.on_scan(&scanner, S).unwrap();
+        scanner.mark_aborted();
+        used.gc(Timestamp(1000));
+        assert_eq!(used.departed_shards.load(SeqCst), 0);
+        assert_eq!(used.scanned_shards.load(SeqCst), 0);
+        let fresh = SsiNode::new(4, &registry());
+        for ssi in [&used, &fresh] {
+            let (r, w) = (txn(2, 10), txn(3, 10));
+            ssi.on_read(&r, S, 7).unwrap();
+            ssi.on_write(&w, S, 7).unwrap();
+            assert!(r.has_out_rw() && w.has_in_rw() && !w.has_out_rw());
+            // A scan taken now raises the count again for the next write.
+            let (s, w) = (txn(4, 10), txn(5, 10));
+            ssi.on_scan(&s, S).unwrap();
+            ssi.on_write(&w, S, 9).unwrap();
+            assert!(s.has_out_rw() && w.has_in_rw());
+        }
+        assert_eq!(used.rw_edges.get(), fresh.rw_edges.get());
+        assert_eq!(used.siread_count(), fresh.siread_count());
+    }
+
     // ---- SIREAD-table concurrency suite (nightly TSan target) ----
+
+    /// Lines two threads up at the start of each round. It spins rather
+    /// than parks: a parked `Barrier` wakes its threads microseconds apart,
+    /// far wider than the windows these races have.
+    struct Rendezvous(AtomicUsize);
+
+    impl Rendezvous {
+        fn wait(&self, round: usize) {
+            self.0.fetch_add(1, SeqCst);
+            let mut spins = 0u32;
+            while self.0.load(SeqCst) < 2 * (round + 1) {
+                spins += 1;
+                if spins.is_multiple_of(4096) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+    }
+
+    /// Spins a round-dependent few iterations, so the two sides of a race
+    /// meet at shifting offsets.
+    fn jitter(round: usize) {
+        for _ in 0..round % 48 {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn concurrent_seal_and_closing_edge_never_both_pass() {
+        // Each round: pivot P has its out-edge (it read a key W overwrote)
+        // and wrote a second key. P seals and runs its own commit check
+        // while R reads P's key, which sets P's in-edge: P's check must
+        // fail, or R must get the abort — never neither.
+        const ROUNDS: u64 = 2_000;
+        let ssi = SsiNode::new(4, &registry());
+        let mut rounds = Vec::new();
+        for i in 0..ROUNDS {
+            let p = txn(3 * i + 1, 10);
+            ssi.on_read(&p, S, 2 * i).unwrap();
+            ssi.on_write(&p, S, 2 * i + 1).unwrap();
+            ssi.on_write(&txn(3 * i + 2, 10), S, 2 * i).unwrap();
+            assert!(p.has_out_rw() && !p.has_in_rw());
+            rounds.push((p, txn(3 * i + 3, 10), 2 * i + 1));
+        }
+        let meet = Rendezvous(AtomicUsize::new(0));
+        let (pivot_passed, reader_passed) = std::thread::scope(|s| {
+            let sealer = s.spawn(|| {
+                let mut passed = Vec::new();
+                for (i, (p, _, _)) in rounds.iter().enumerate() {
+                    meet.wait(i);
+                    jitter(i);
+                    passed.push(p.seal() == SealOutcome::Sealed && !p.is_pivot());
+                }
+                passed
+            });
+            let closer = s.spawn(|| {
+                let mut passed = Vec::new();
+                for (i, (_, r, key)) in rounds.iter().enumerate() {
+                    meet.wait(i);
+                    jitter(i / 48);
+                    passed.push(ssi.on_read(r, S, *key).is_ok());
+                }
+                passed
+            });
+            (sealer.join().unwrap(), closer.join().unwrap())
+        });
+        for (i, (p, _, _)) in rounds.iter().enumerate() {
+            assert!(p.is_pivot(), "round {i}: the closing edge was not raised");
+            assert!(
+                !(pivot_passed[i] && reader_passed[i]),
+                "round {i}: the pivot passed its check and the reader closing its structure lived"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_scan_and_write_on_empty_shard_reads_raise_the_edge() {
+        // Each round a fresh node, so the scan count starts at zero while
+        // the write decides whether to look at the scan entries.
+        const ROUNDS: u64 = 2_000;
+        let m = registry();
+        let rounds: Vec<_> = (0..ROUNDS)
+            .map(|i| (SsiNode::new(4, &m), txn(2 * i + 1, 10), txn(2 * i + 2, 10)))
+            .collect();
+        let meet = Rendezvous(AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for (i, (ssi, r, _)) in rounds.iter().enumerate() {
+                    meet.wait(i);
+                    jitter(i);
+                    ssi.on_scan(r, S).unwrap();
+                }
+            });
+            s.spawn(|| {
+                for (i, (ssi, _, w)) in rounds.iter().enumerate() {
+                    meet.wait(i);
+                    jitter(i / 48);
+                    ssi.on_write(w, S, 7).unwrap();
+                }
+            });
+        });
+        for (i, (_, r, w)) in rounds.iter().enumerate() {
+            assert!(
+                r.has_out_rw() && w.has_in_rw(),
+                "round {i}: a scan racing a write raised no edge"
+            );
+        }
+    }
 
     #[test]
     fn concurrent_readers_writers_and_gc_race_cleanly() {
