@@ -1,18 +1,18 @@
 //! The destination-side replay process (§3.3, §3.5.2, §3.6).
 //!
 //! A dispatcher thread receives [`ApplyMsg`]s from the propagation process
-//! in source-WAL order and shards shadow-transaction work over a pool of
-//! apply workers (`ParallelismConfig::replay_workers`, the paper's
-//! "transaction-level parallel apply based on SI by tracking timestamp
-//! order"), routing each job to a worker by the hash of its smallest
-//! written key. Independence is decided by key: a message whose keys
-//! intersect an earlier in-flight message waits for that message to finish
-//! first (the key fence), so conflicting transactions apply in source
-//! commit order while disjoint ones fan out concurrently. The scheduler is
-//! deadlock-free: tickets are assigned in stream order, dependencies only
-//! point at lower tickets, and each worker consumes its queue in ticket
-//! order — so the globally smallest unfinished ticket is always at the
-//! head of some queue with every dependency already complete.
+//! in source-WAL order and shards their work over a pool of apply workers
+//! (`ParallelismConfig::replay_workers`, the paper's "transaction-level
+//! parallel apply based on SI by tracking timestamp order"), routing each
+//! job to a worker by the hash of its smallest written key. Independence is
+//! decided by key: a message whose keys intersect an earlier in-flight
+//! message waits for that message to finish first (the key fence), so
+//! conflicting transactions apply in source commit order while disjoint
+//! ones fan out concurrently. The scheduler is deadlock-free: tickets are
+//! assigned in stream order, dependencies only point at lower tickets, and
+//! each worker consumes its queue in ticket order — so the globally
+//! smallest unfinished ticket is always at the head of some queue with
+//! every dependency already complete.
 //!
 //! When a [`CopyGate`] is supplied, replay runs concurrently with the
 //! chunked snapshot copy: before applying a key the worker waits for that
@@ -20,21 +20,37 @@
 //! version chain, so applying first would be clobbered). Completed chunks
 //! replay while others are still copying.
 //!
-//! * `Committed` — async-phase replay: run a shadow transaction with the
-//!   source transaction's xid and start timestamp, apply its ops, commit
-//!   with the source commit timestamp.
+//! * `Committed` — async-phase replay by the one redo rule that replicas
+//!   and crash replay use ([`remus_txn::log_and_redo_committed`]): under the
+//!   source transaction's shadow id, log `Begin` with its start timestamp,
+//!   its writes and `Commit` with its commit timestamp, then resolve it in
+//!   the CLOG and install each write at that timestamp's place in its chain.
+//!   No transaction runs, so nothing is read or checked on the way; instead
+//!   the install reports what it found, and a write out of commit order — an
+//!   update, delete or lock of a key with no live version, an insert over a
+//!   live one, a version already committed above — fails the migration.
 //! * `Validate` — MOCC: apply ops as a shadow transaction (each op checks
 //!   for dead/updated tuples — a WW conflict aborts the shadow and fails
 //!   the verdict), 2PC-prepare the shadow, ack *validation-ok* through the
 //!   [`crate::mocc::ValidationRegistry`].
 //! * `CommitShadow` / `RollbackShadow` — resolve a prepared shadow with the
 //!   source's decision and timestamp.
+//!
+//! Why a `Committed` install never waits: no destination transaction
+//! writes a migrating shard before `T_m`, and a `Validate` shadow on a key
+//! is resolved before any later `Committed` on that key is dispatched — the
+//! source held the key's lock until its decision, which the stream carries
+//! as a `CommitShadow` / `RollbackShadow` the dispatcher runs inline, and
+//! the key fence orders the rest. So every version a catch-up install meets
+//! is resolved. The fence stays for `Committed` among themselves too,
+//! although placement by commit timestamp commutes: it makes the order
+//! check above run in commit order, and keeps a `Validate`'s dependency on
+//! a key a single ticket.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -43,15 +59,13 @@ use remus_common::fault::{FaultAction, InjectionPoint};
 use remus_common::time::Signal;
 use remus_common::{DbError, DbResult, ShardId, Timestamp, TxnId};
 use remus_storage::Key;
-use remus_txn::{abort_txn, commit_prepared, prepare_participant, rollback_prepared, Txn};
-use remus_wal::{LogOp, LogRecord, WriteKind, WriteOp};
+use remus_txn::{
+    abort_txn, commit_prepared, log_and_redo_committed, prepare_participant, rollback_prepared, Txn,
+};
+use remus_wal::{WriteKind, WriteOp};
 
 use crate::mocc::ValidationRegistry;
 use crate::snapshot::CopyGate;
-
-/// How long a replay worker waits for a key's copy chunk before declaring
-/// the interleaved snapshot copy stuck. Matches the engines' drain timeout.
-const GATE_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// A message from the propagation process to the replay process.
 #[derive(Debug)]
@@ -60,9 +74,9 @@ pub enum ApplyMsg {
     Committed {
         /// Source transaction id.
         xid: TxnId,
-        /// Its start timestamp (the shadow uses the same snapshot).
+        /// Its start timestamp (the redo logs it in its `Begin`).
         start_ts: Timestamp,
-        /// Its commit timestamp (the shadow commits with the same one).
+        /// Its commit timestamp (the redo places its versions at it).
         commit_ts: Timestamp,
         /// Its changes to the migrating shards, in execution order.
         ops: Vec<WriteOp>,
@@ -189,13 +203,19 @@ impl ReplayShared {
     /// Blocks until every key the ops touch has had its snapshot chunk
     /// copied. Errs if the copy was poisoned (migration unwinding).
     fn wait_chunks(&self, ops: &[WriteOp]) -> DbResult<()> {
-        if let Some(gate) = &self.gate {
-            for op in ops {
-                gate.wait_copied(op.shard, op.key, GATE_TIMEOUT)?;
-            }
+        match &self.gate {
+            Some(gate) => gate.wait_writes_copied(ops),
+            None => Ok(()),
         }
-        Ok(())
     }
+
+    /// Counts `n` change records applied (`Lock` included).
+    fn applied(&self, n: usize) {
+        self.dest.work.add(n as u64);
+        self.stats.records.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Runs a `Validate`'s ops in its shadow transaction.
     fn apply_ops(&self, shadow: &mut Txn, ops: &[WriteOp]) -> Result<(), DbError> {
         let storage = &self.dest.storage;
         for op in ops {
@@ -206,8 +226,7 @@ impl ReplayShared {
                 WriteKind::Lock => shadow.lock_row(storage, op.shard, op.key),
             };
             r?;
-            self.dest.work.add(1);
-            self.stats.records.fetch_add(1, Ordering::Relaxed);
+            self.applied(1);
         }
         Ok(())
     }
@@ -240,41 +259,26 @@ impl ReplayShared {
                     self.complete(job.ticket);
                     return;
                 }
-                // The shadow runs under its own id: the source transaction
-                // may itself be a 2PC participant on this node.
-                let sxid = xid.shadow();
-                let mut shadow = Txn::begin_with(sxid, start_ts, self.dest.id());
-                match self.apply_ops(&mut shadow, &ops) {
-                    Ok(()) => {
-                        // Single-phase shadow commit with the source's
-                        // timestamp; replayed in commit order per key, so
-                        // the destination data stays consistent with the
-                        // source (§3.3). Record before CLOG as everywhere,
-                        // but without `commit_txn`'s wait for the fsync:
-                        // asynchronous replay ends before `T_m`, and a
-                        // destination crash before `T_m` cancels the
-                        // migration and drops this copy (§3.7) — nothing
-                        // is acknowledged on the strength of this record.
-                        let storage = &self.dest.storage;
-                        storage
-                            .wal
-                            .append(LogRecord::new(sxid, LogOp::Commit(commit_ts)));
-                        storage
-                            .clog
-                            .set_committed(sxid, commit_ts)
-                            .expect("shadow commit cannot fail");
-                        storage.deregister(sxid);
+                // The one redo rule, logged, under the shadow id: the source
+                // transaction may itself be a 2PC participant on this node.
+                // Every version it meets is resolved (module doc), so it
+                // never waits.
+                let storage = &self.dest.storage;
+                let redo = log_and_redo_committed(storage, xid.shadow(), start_ts, commit_ts, &ops);
+                match redo.map(|redo| redo.out_of_order.map(|i| &ops[i])) {
+                    Ok(None) => {
+                        self.applied(ops.len());
                         self.cluster.oracle.observe(self.dest.id(), commit_ts);
                     }
-                    Err(e) => {
-                        // Async replay of a committed source transaction
-                        // must apply cleanly; anything else is a broken
-                        // migration invariant.
-                        abort_txn(&mut shadow);
-                        *self.fatal.lock() = Some(DbError::Internal(format!(
-                            "async replay of {xid} failed: {e}"
-                        )));
-                    }
+                    // Async replay of a committed source transaction onto
+                    // the complete copy must land in commit order; anything
+                    // else is a broken migration invariant.
+                    Ok(Some(op)) => self.set_fatal(DbError::Internal(format!(
+                        "async replay of {xid}: {op:?} is out of commit order"
+                    ))),
+                    Err(e) => self.set_fatal(DbError::Internal(format!(
+                        "async replay of {xid} failed: {e}"
+                    ))),
                 }
             }
             ApplyMsg::Validate { xid, start_ts, ops } => {
@@ -797,5 +801,45 @@ mod tests {
         let err = replay.join().unwrap_err();
         assert!(matches!(err, DbError::Internal(_)));
         let _ = cluster;
+    }
+
+    /// Sends `msgs` as committed transactions `(key, kind, start, commit)`
+    /// and answers what the drained replay reports.
+    fn replay_committed(msgs: &[(Key, WriteKind, u64, u64)]) -> Result<(), DbError> {
+        let (_cluster, tx, replay) = setup();
+        for (i, &(key, kind, start, commit)) in msgs.iter().enumerate() {
+            tx.send(ApplyMsg::Committed {
+                xid: xid(i as u64),
+                start_ts: Timestamp(start),
+                commit_ts: Timestamp(commit),
+                ops: vec![op(0, key, kind, "x")],
+            })
+            .unwrap();
+        }
+        tx.send(ApplyMsg::Shutdown).unwrap();
+        replay.join()
+    }
+
+    #[test]
+    fn fatal_surfaces_an_insert_over_a_live_version() {
+        let err = replay_committed(&[
+            (5, WriteKind::Insert, 10, 20),
+            (5, WriteKind::Insert, 25, 30),
+        ])
+        .unwrap_err();
+        assert!(matches!(err, DbError::Internal(_)), "{err:?}");
+    }
+
+    #[test]
+    fn fatal_surfaces_a_version_already_committed_above() {
+        // The update at 20 finds a live base (the insert at 10) but a
+        // version committed at 40 already above its place.
+        let err = replay_committed(&[
+            (6, WriteKind::Insert, 5, 10),
+            (6, WriteKind::Update, 35, 40),
+            (6, WriteKind::Update, 15, 20),
+        ])
+        .unwrap_err();
+        assert!(matches!(err, DbError::Internal(_)), "{err:?}");
     }
 }

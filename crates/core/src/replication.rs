@@ -99,11 +99,6 @@ use remus_wal::{
 
 use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
 
-/// How long an applier waits for a backfill chunk covering a key it must
-/// redo. Generous: the copy pool is making progress the whole time, and a
-/// poisoned gate wakes waiters immediately.
-const COPY_WAIT: Duration = Duration::from_secs(60);
-
 /// How long a caught-up shipper lets its primary stay quiet before it sends
 /// a heartbeat (and a batch the reorder fault held back). Not a stop
 /// latency: a stop wakes the shipper.
@@ -677,11 +672,9 @@ fn apply_commit(
     if writes.is_empty() {
         return Ok(());
     }
-    // During backfill, wait key-by-key for the covering chunk — the same
-    // ordering the migration's dual execution uses against its copy gate.
-    for w in writes {
-        gate.wait_copied(w.shard, w.key, COPY_WAIT)?;
-    }
+    // During backfill, wait for the covering chunks — the same wait as
+    // migration catch-up's against its copy gate.
+    gate.wait_writes_copied(writes)?;
     redo_committed(&replica.storage, xid, cts, writes)?;
     replica.work.add(writes.len() as u64);
     Ok(())

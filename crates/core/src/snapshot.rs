@@ -40,7 +40,9 @@ use remus_cluster::{Cluster, Node};
 use remus_common::fault::{FaultAction, InjectionPoint};
 use remus_common::{time, DbError, DbResult, ShardId, Timestamp, TxnId};
 use remus_storage::Key;
+use remus_wal::WriteOp;
 
+use crate::pipeline::DRAIN_TIMEOUT;
 use crate::trace::{SpanId, TraceRecorder};
 
 /// Attempts per chunk before a repeatedly-crashing copy worker gives up and
@@ -206,6 +208,17 @@ impl CopyGate {
             }
         })
         .unwrap_or(Err(DbError::Timeout("copy-gate wait")))
+    }
+
+    /// Blocks until the chunk of every key `writes` touch has been copied:
+    /// what a write set waits for before it is applied over the copy
+    /// (migration catch-up and validation, a replica's backfill). Errs as
+    /// [`Self::wait_copied`] does; the timeout is the engines' drain timeout,
+    /// since a failed copy or a stop poisons the gate and wakes every waiter.
+    pub fn wait_writes_copied(&self, writes: &[WriteOp]) -> DbResult<()> {
+        writes
+            .iter()
+            .try_for_each(|w| self.wait_copied(w.shard, w.key, DRAIN_TIMEOUT))
     }
 
     /// Whether `chunk` is marked copied: a look that never blocks.

@@ -232,8 +232,7 @@ proptest! {
 
 /// One single-write transaction as the three WAL frames a primary logs for
 /// it, starting at LSN `first` of its stream.
-fn txn_frames(first: u64, xid: u64, kind: WriteKind, value: &str, cts: u64) -> ShipBatch {
-    let xid = TxnId::new(PRIMARY, xid);
+fn txn_frames(first: u64, xid: TxnId, kind: WriteKind, value: &str, cts: u64) -> ShipBatch {
     let write = WriteOp {
         shard: ShardId(0),
         key: 20,
@@ -252,16 +251,19 @@ fn txn_frames(first: u64, xid: u64, kind: WriteKind, value: &str, cts: u64) -> S
 /// A migrated shard's history reaches the replica over two streams: `init`
 /// and `X` committed on the source (stream 0) before `T_m`, `Y` on the
 /// destination (stream 1) after it. Whichever stream runs ahead, and however
-/// often the destination's stream re-delivers `X` (its shadow of the source
-/// transaction), the replica must order the versions by commit timestamp:
-/// a read above 84 sees `Y`, one in 77..84 sees `X`.
+/// often `X` is delivered again — by a retransmit, or by the destination's
+/// stream as its shadow of the source transaction — the replica must order
+/// the versions by commit timestamp: a read above 84 sees `Y`, one in
+/// 77..84 sees `X`, and `X` holds one version.
 #[test]
 fn two_streams_of_one_shard_converge_in_commit_order() {
-    let init = |first| txn_frames(first, 1, WriteKind::Insert, "init", 5);
-    let x = |first| txn_frames(first, 2, WriteKind::Update, "X", 77);
-    let y = |first| txn_frames(first, 3, WriteKind::Update, "Y", 84);
+    let txn = |seq| TxnId::new(PRIMARY, seq);
+    let init = |first| txn_frames(first, txn(1), WriteKind::Insert, "init", 5);
+    let x = |first| txn_frames(first, txn(2), WriteKind::Update, "X", 77);
+    let x_shadow = |first| txn_frames(first, txn(2).shadow(), WriteKind::Update, "X", 77);
+    let y = |first| txn_frames(first, txn(3), WriteKind::Update, "Y", 84);
     // (stream, frames) in arrival order.
-    let arrivals: [(&str, Vec<(usize, ShipBatch)>); 3] = [
+    let arrivals: [(&str, Vec<(usize, ShipBatch)>); 4] = [
         (
             "the source's stream lags",
             vec![(0, init(1)), (1, y(1)), (0, x(4))],
@@ -270,6 +272,10 @@ fn two_streams_of_one_shard_converge_in_commit_order() {
         (
             "X re-delivered after Y",
             vec![(0, init(1)), (0, x(4)), (1, y(1)), (1, x(4))],
+        ),
+        (
+            "X's shadow re-delivered by the destination's stream",
+            vec![(0, init(1)), (0, x(4)), (1, x_shadow(1)), (1, y(4))],
         ),
     ];
     let mut digests = Vec::new();

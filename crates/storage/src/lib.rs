@@ -48,4 +48,4 @@ mod visibility;
 pub use clog::{Clog, TxnStatus};
 pub use table::{GcStepStats, TableStats, VersionedTable};
 pub use tuple::{Key, TupleVersion, Value};
-pub use visibility::WriteKind;
+pub use visibility::{Placement, WriteKind};

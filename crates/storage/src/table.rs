@@ -34,7 +34,7 @@
 //! | [`insert`](VersionedTable::insert) / [`update`](VersionedTable::update) / [`delete`](VersionedTable::delete) / [`lock_row`](VersionedTable::lock_row) | one-line forwards to `write` | storage tests, the benchmark's write probes |
 //! | [`purge_txn`](VersionedTable::purge_txn) | abort cleanup | `remus-txn` abort path |
 //! | [`install_frozen`](VersionedTable::install_frozen) ✱ | replaces a chain by one frozen version | snapshot copy, Squall pulls, bulk loaders, `shard::install_owner` |
-//! | [`install_committed`](VersionedTable::install_committed) ✱ | places a resolved transaction's version by commit timestamp | `remus_txn::redo_committed` — the one redo rule, for the replica applier and crash replay |
+//! | [`install_committed`](VersionedTable::install_committed) ✱ | places a resolved transaction's version by commit timestamp | `remus_txn::redo_committed` — the one redo rule, for migration catch-up, the replica applier and crash replay |
 //! | [`chunk_splits`](VersionedTable::chunk_splits) | every n-th key of the ordered keys | `CopyGate::plan`, Squall's chunk map |
 //! | [`gc_step`](VersionedTable::gc_step) | budgeted GC over pending chains; `prune_chain` ✱ is the pruning rule | `Cluster::gc_tick`, the benchmark's GC probe |
 //! | [`vacuum`](VersionedTable::vacuum) | `gc_step` without a budget | storage tests |
@@ -52,7 +52,9 @@ use remus_common::{DbError, DbResult, Timestamp, TxnId};
 use crate::clog::{Clog, TxnStatus};
 use crate::slots::SlotTable;
 use crate::tuple::{Key, TupleVersion, Value, Version, VersionChain};
-use crate::visibility::{check_write, resolve_visible, ReadOutcome, WriteCheck, WriteKind};
+use crate::visibility::{
+    check_write, placement, resolve_visible, Placement, ReadOutcome, WriteCheck, WriteKind,
+};
 
 /// What a slot points at: a key's latch and its chain, 64 bytes in one
 /// allocation.
@@ -555,14 +557,18 @@ impl VersionedTable {
     /// `cts`, above the rest. [`write`](Self::write) pushes on top, which is
     /// commit order only where writers are serialised by the chain itself.
     /// Redo of a log is not such a place (`remus_txn::redo_committed` is the
-    /// caller, for crash replay and the replica applier alike): a
-    /// replica applies one WAL stream per primary, and the two streams that
+    /// caller, for migration catch-up, crash replay and the replica applier):
+    /// a replica applies one WAL stream per primary, and the two streams that
     /// carry a migrated shard's history (the source's up to `T_m`, the
     /// destination's after it) arrive in either order. A version `xid` already
     /// has in the chain — the same transaction delivered again, by a retransmit
-    /// or as the destination's shadow of it — is edited where it stands, like
-    /// a writer's second statement on its own version. Never waits: every
-    /// version in a chain filled this way belongs to a resolved transaction.
+    /// or as the destination's shadow of it ([`TxnId::shadow`]) — is edited
+    /// where it stands, like a writer's second statement on its own version.
+    /// A `Lock` installs nothing. Never waits: every version in a chain filled
+    /// this way belongs to a resolved transaction.
+    ///
+    /// Answers what the install found around its place, for a caller that
+    /// replays onto a complete copy to check against [`Placement::in_order`].
     pub fn install_committed(
         &self,
         key: Key,
@@ -571,22 +577,25 @@ impl VersionedTable {
         xid: TxnId,
         cts: Timestamp,
         clog: &Clog,
-    ) {
-        if kind == WriteKind::Lock {
-            return;
-        }
+    ) -> Placement {
         let value = (kind != WriteKind::Delete).then_some(value);
-        self.stripe_of(key).with_node(key, true, |node| {
-            self.mutate(key, &mut node.lock(), |chain| {
-                match chain.version_of_mut(xid) {
+        let installs = kind != WriteKind::Lock;
+        let placed = self.stripe_of(key).with_node(key, installs, |node| {
+            let mut chain = node.lock();
+            let placed = placement(&mut chain, clog, xid, cts);
+            if installs {
+                self.mutate(key, &mut chain, |chain| match chain.version_of_mut(xid) {
                     Some(own) => own.value = value,
                     None => chain.insert_below(
                         Version::new(xid, value).committed_at(cts),
                         |v| matches!(v.status(clog), TxnStatus::Committed(c) if c > cts),
                     ),
-                }
-            })
+                });
+            }
+            placed
         });
+        // Only a lock of a key nobody wrote finds no node.
+        placed.unwrap_or(Placement::EMPTY)
     }
 
     /// Streams every tuple of `range` that `self_xid` sees at `snapshot_ts`
@@ -828,6 +837,38 @@ mod tests {
         f(x);
         clog.set_committed(x, Timestamp(ts)).unwrap();
         x
+    }
+
+    /// An install answers what it found around its place, and a shadow of a
+    /// transaction the chain already holds edits that version in place.
+    #[test]
+    fn install_committed_reports_its_place_and_edits_a_shadow_in_place() {
+        let (t, clog) = (VersionedTable::with_stripes(2), Clog::new());
+        let install = |kind, n: u64, ts| {
+            let x = committed(&clog, n, ts, |_| {});
+            t.install_committed(7, kind, val("v"), x, Timestamp(ts), &clog)
+        };
+        let place = |on_top, base_live| Placement { on_top, base_live };
+        assert_eq!(install(WriteKind::Lock, 1, 5), place(true, false));
+        assert_eq!(install(WriteKind::Insert, 2, 10), place(true, false));
+        assert_eq!(install(WriteKind::Update, 3, 30), place(true, true));
+        // Below the version committed at 30: out of commit order.
+        let under = install(WriteKind::Update, 4, 20);
+        assert_eq!(under, place(false, true));
+        assert!(!under.in_order(WriteKind::Update));
+        assert!(!place(true, true).in_order(WriteKind::Insert));
+
+        let shadow = xid(3).shadow();
+        clog.begin(shadow);
+        clog.set_committed(shadow, Timestamp(30)).unwrap();
+        let again =
+            t.install_committed(7, WriteKind::Update, val("s"), shadow, Timestamp(30), &clog);
+        assert_eq!(again, place(true, true));
+        assert_eq!(t.chain_snapshot(7).len(), 3, "one version per transaction");
+        assert_eq!(
+            t.read(7, Timestamp(30), xid(9), &clog, T).unwrap(),
+            Some(val("s"))
+        );
     }
 
     #[test]

@@ -95,6 +95,13 @@ impl Version {
         self
     }
 
+    /// True if `xid` created this version, under either of its identities:
+    /// a migration shadow (`TxnId::shadow`) is the source transaction
+    /// delivered again.
+    pub fn is_of(&self, xid: TxnId) -> bool {
+        self.xmin.unshadow() == xid.unshadow()
+    }
+
     /// True if this version is a deletion tombstone.
     pub fn deleted(&self) -> bool {
         self.value.is_none()
@@ -184,7 +191,7 @@ impl VersionChain {
 
     /// Mutable access to the version `xid` created, wherever it stands.
     pub fn version_of_mut(&mut self, xid: TxnId) -> Option<&mut Version> {
-        self.iter_mut().find(|v| v.xmin == xid)
+        self.iter_mut().find(|v| v.is_of(xid))
     }
 
     /// Inserts `version` below the leading run of versions `newer` holds for.

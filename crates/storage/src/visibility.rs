@@ -105,6 +105,61 @@ pub enum WriteKind {
     Lock,
 }
 
+/// What [`VersionedTable::install_committed`](crate::VersionedTable::install_committed)
+/// found around the place it put a committed version at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// No version committed after the installed one was in the chain.
+    pub on_top: bool,
+    /// The key was live under the write: the transaction's own version
+    /// before this write edited it, else the newest version below the place
+    /// that did not abort.
+    pub base_live: bool,
+}
+
+impl Placement {
+    /// What an install finds in a chain without versions.
+    pub(crate) const EMPTY: Placement = Placement {
+        on_top: true,
+        base_live: false,
+    };
+
+    /// Whether a history applied in commit order allows `kind` here: nothing
+    /// committed above it, an insert over no live version, and any other
+    /// write over a live one.
+    pub fn in_order(&self, kind: WriteKind) -> bool {
+        self.on_top && self.base_live == (kind != WriteKind::Insert)
+    }
+}
+
+/// Where a version `xid` committed at `cts` goes in this chain: see
+/// [`Placement`]. Read before the install edits the chain.
+pub(crate) fn placement(
+    chain: &mut VersionChain,
+    clog: &Clog,
+    xid: TxnId,
+    cts: Timestamp,
+) -> Placement {
+    let mut on_top = true;
+    // The base: the writer's own version, else the newest one below the
+    // place that did not abort.
+    let base_live = chain.iter_mut().find_map(|v| {
+        let base = v.is_of(xid)
+            || match v.status(clog) {
+                TxnStatus::Committed(c) if c > cts => {
+                    on_top = false;
+                    false
+                }
+                status => status != TxnStatus::Aborted,
+            };
+        base.then(|| !v.deleted())
+    });
+    Placement {
+        on_top,
+        base_live: base_live == Some(true),
+    }
+}
+
 /// Outcome of a non-blocking write check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteCheck {

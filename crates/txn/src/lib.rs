@@ -27,7 +27,8 @@
 //!   the WAL from its durability backend, [`recovery::replay_node_wal`]
 //!   redoes committed transactions and re-instates prepared in-doubt ones;
 //!   [`recovery::redo_committed`] is the one redo rule for a committed
-//!   transaction, shared with the replica applier.
+//!   transaction, shared with the replica applier and, logged first by
+//!   [`recovery::log_and_redo_committed`], with migration catch-up.
 
 pub mod commit;
 pub mod gate;
@@ -45,6 +46,6 @@ pub use gate::{LockMode, ShardGate, ShardLockTable};
 pub use hooks::{CommitMode, SyncCommitHook};
 pub use net::{DelayNetwork, Network, NoNetwork};
 pub use node::{NodeCounters, NodeStorage, WalTail};
-pub use recovery::{redo_committed, replay_node_wal, ReplaySummary};
+pub use recovery::{log_and_redo_committed, redo_committed, replay_node_wal, Redo, ReplaySummary};
 pub use ssi::{SealOutcome, SsiNode, SsiPhase, SsiShardExport, SsiTxn};
 pub use txn::Txn;

@@ -11,12 +11,12 @@
 //! * **Committed** transactions (a `Commit`/`CommitPrepared` record
 //!   survived) are redone as their resolution record arrives, by
 //!   [`redo_committed`] — the one redo rule, shared with the replica
-//!   applier: the transaction is re-registered in the CLOG with its original
-//!   commit timestamp first, then each write is installed **at that
-//!   timestamp's place** in its chain. Placement is by commit timestamp, not
-//!   by log position, so the result does not depend on the order resolution
-//!   records are met in (one node's log happens to be in commit order per
-//!   key; a log merged from several nodes is not).
+//!   applier and migration catch-up: the transaction is re-registered in
+//!   the CLOG with its original commit timestamp first, then each write is
+//!   installed **at that timestamp's place** in its chain. Placement is by
+//!   commit timestamp, not by log position, so the result does not depend
+//!   on the order resolution records are met in (one node's log happens to
+//!   be in commit order per key; a log merged from several nodes is not).
 //! * **Prepared in-doubt** transactions (a `Prepare` record but no
 //!   decision) are what the assembler still holds at the end of the log with
 //!   `prepared` set: they are re-applied as *uncommitted* versions and
@@ -34,8 +34,9 @@
 //! transaction's `Begin` can be cut while its later records are kept:
 //! replay redoes such a transaction (`begin_lsn == None` is not a reason to
 //! skip here — the start is a truncation point, not a slot). A committed
-//! install never looks at the base image, so it needs no leniency. The one
-//! path that still does is the in-doubt one (`redo_write`, private): an
+//! install reports the base image it found and replay ignores the report
+//! ([`Redo::out_of_order`]), so it needs no leniency. The one path that
+//! still does is the in-doubt one (`redo_write`, private): an
 //! uncommitted version has no commit timestamp to be placed by, so it goes
 //! through the ordinary write path, which checks the base image — and a base
 //! image a frozen install or a truncated record provided is gone
@@ -44,7 +45,7 @@
 use std::time::Duration;
 
 use remus_common::{DbError, DbResult, Timestamp, TxnId};
-use remus_wal::{TxnAssembler, TxnEvent, TxnOutcome, WriteKind, WriteOp};
+use remus_wal::{LogOp, LogRecord, TxnAssembler, TxnEvent, TxnOutcome, WriteKind, WriteOp};
 
 use crate::node::NodeStorage;
 
@@ -90,7 +91,8 @@ pub fn replay_node_wal(node: &NodeStorage) -> DbResult<ReplaySummary> {
         if let TxnEvent::Resolved { txn, outcome, .. } = assembler.feed(lsn, &record) {
             match outcome {
                 TxnOutcome::Committed(cts) => {
-                    summary.writes_applied += redo_committed(node, txn.xid, cts, &txn.writes)?;
+                    let redo = redo_committed(node, txn.xid, cts, &txn.writes)?;
+                    summary.writes_applied += redo.installed;
                     summary.committed += 1;
                 }
                 TxnOutcome::Aborted => summary.aborted += 1,
@@ -118,32 +120,78 @@ pub fn replay_node_wal(node: &NodeStorage) -> DbResult<ReplaySummary> {
     Ok(summary)
 }
 
+/// What [`redo_committed`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Redo {
+    /// Row versions installed (`Lock` records install none).
+    pub installed: usize,
+    /// The first write, by index, that did not land where a history applied
+    /// in commit order puts it
+    /// ([`Placement::in_order`](remus_storage::Placement::in_order)). Crash
+    /// replay and the replica applier ignore it: a truncated log or a cut
+    /// snapshot can lack the base image. Migration catch-up, which replays
+    /// onto a complete copy, fails on it.
+    pub out_of_order: Option<usize>,
+}
+
 /// The one redo rule for a transaction a log says committed at `cts`: resolve
 /// it in `node`'s CLOG, then install each write at `cts`'s place in its chain
 /// ([`install_committed`](remus_storage::VersionedTable::install_committed)),
-/// creating shard tables as needed. Crash replay and the replica applier both
-/// call this. Order-free and idempotent: a second delivery of the transaction
-/// (a retransmit, its migration shadow, a 2PC participant's stream) edits its
-/// versions in place and finds the CLOG entry equal; resolving before
-/// installing means no reader ever meets an unresolved version of `xid`.
-/// `Lock` records carry no image and install nothing.
-///
-/// Returns how many row versions were installed.
+/// creating shard tables as needed. Migration catch-up, crash replay and the
+/// replica applier all call this. Order-free and idempotent: a second
+/// delivery of the transaction (a retransmit, its migration shadow, a 2PC
+/// participant's stream) edits its versions in place and finds the CLOG
+/// entry equal; resolving before installing means no reader ever meets an
+/// unresolved version of `xid`. `Lock` records carry no image and install
+/// nothing.
 pub fn redo_committed(
     node: &NodeStorage,
     xid: TxnId,
     cts: Timestamp,
     writes: &[WriteOp],
-) -> DbResult<usize> {
+) -> DbResult<Redo> {
     // Err means the xid is already resolved here; `set_committed` then only
     // checks that the timestamps agree.
     let _ = node.clog.try_begin(xid);
     node.clog.set_committed(xid, cts)?;
-    for w in writes {
+    let mut redo = Redo::default();
+    for (i, w) in writes.iter().enumerate() {
         let table = node.create_shard(w.shard);
-        table.install_committed(w.key, w.kind, w.value.clone(), xid, cts, &node.clog);
+        let placed = table.install_committed(w.key, w.kind, w.value.clone(), xid, cts, &node.clog);
+        if redo.out_of_order.is_none() && !placed.in_order(w.kind) {
+            redo.out_of_order = Some(i);
+        }
+        redo.installed += usize::from(w.kind != WriteKind::Lock);
     }
-    Ok(writes.iter().filter(|w| w.kind != WriteKind::Lock).count())
+    Ok(redo)
+}
+
+/// [`redo_committed`] of a transaction `node` did not log itself, logged
+/// first as the records a transaction of its own would leave: `xid` is
+/// registered active, then `Begin(start_ts)`, one `Write` per write and
+/// `Commit(cts)` are appended, so the node's replicas, its restart and a slot
+/// created meanwhile see it; then it is redone and deregistered. Migration
+/// catch-up places a committed source transaction on the destination this
+/// way. The commit record is not waited for: catch-up ends before `T_m`, and
+/// a destination crash before `T_m` cancels the migration and drops the copy
+/// (§3.7), so nothing is acknowledged on the strength of this record.
+pub fn log_and_redo_committed(
+    node: &NodeStorage,
+    xid: TxnId,
+    start_ts: Timestamp,
+    cts: Timestamp,
+    writes: &[WriteOp],
+) -> DbResult<Redo> {
+    node.register_active(xid);
+    node.wal.append(LogRecord::new(xid, LogOp::Begin(start_ts)));
+    for w in writes {
+        node.wal
+            .append(LogRecord::new(xid, LogOp::Write(w.clone())));
+    }
+    node.wal.append(LogRecord::new(xid, LogOp::Commit(cts)));
+    let redo = redo_committed(node, xid, cts, writes);
+    node.deregister(xid);
+    redo
 }
 
 /// Re-instates one write of a prepared in-doubt transaction as an
@@ -183,7 +231,6 @@ mod tests {
     use super::*;
     use remus_common::{NodeId, ShardId, SimConfig, WalConfig};
     use remus_storage::TxnStatus;
-    use remus_wal::{LogOp, LogRecord};
 
     fn bytes(s: &str) -> remus_storage::Value {
         remus_storage::Value::from(s.as_bytes().to_vec())
@@ -334,6 +381,53 @@ mod tests {
             Some(bytes("new")),
             "the image committed at 20 is the newest, whatever the log order"
         );
+    }
+
+    /// A logged redo leaves the records a committed transaction of the node
+    /// would, nothing registered, and a report naming the first write out of
+    /// commit order.
+    #[test]
+    fn log_and_redo_logs_a_committed_transaction_and_reports_its_order() {
+        let node = NodeStorage::new(NodeId(1), SimConfig::instant());
+        let op = |kind, val| WriteOp {
+            shard: ShardId(6),
+            key: 1,
+            kind,
+            value: bytes(val),
+        };
+        let xid = TxnId::new(NodeId(0), 7).shadow();
+        let writes = [op(WriteKind::Insert, "a"), op(WriteKind::Lock, "")];
+        let redo = log_and_redo_committed(&node, xid, Timestamp(8), Timestamp(9), &writes);
+        let in_order = Redo {
+            installed: 1,
+            out_of_order: None,
+        };
+        assert_eq!(redo.unwrap(), in_order);
+        assert_eq!(node.active_count(), 0);
+        let ops: Vec<LogOp> = (1..=4)
+            .map(|l| node.wal.get(remus_wal::Lsn(l)).unwrap().op.clone())
+            .collect();
+        assert!(
+            matches!(
+                ops[..],
+                [
+                    LogOp::Begin(Timestamp(8)),
+                    LogOp::Write(_),
+                    LogOp::Write(_),
+                    LogOp::Commit(Timestamp(9))
+                ]
+            ),
+            "{ops:?}"
+        );
+        assert_eq!(
+            read_at(&node, ShardId(6), 1, Timestamp(9)),
+            Some(bytes("a"))
+        );
+
+        let writes = [op(WriteKind::Update, "b"), op(WriteKind::Insert, "c")];
+        let late = TxnId::new(NodeId(0), 8);
+        let redo = redo_committed(&node, late, Timestamp(12), &writes).unwrap();
+        assert_eq!(redo.out_of_order, Some(1), "an insert over a live version");
     }
 
     #[test]
