@@ -27,13 +27,20 @@
 //!
 //! # Group commit
 //!
-//! Appends are staged (already encoded) under the log's append lock; a
+//! Appends are staged under the log's append lock as the codec body the
+//! log already encoded, which `stage` only frames (length, CRC, LSN); a
 //! background flusher drains the staging buffer in batches, writes the
 //! frames, issues **one** fsync per batch via the [`SyncPolicy`], then
 //! advances the durable LSN and wakes every committer waiting in
 //! [`WalBackend::wait_durable`]. A commit therefore waits exactly for the
 //! flusher batch containing its LSN, and concurrent committers share
 //! fsyncs (`wal.fsyncs` ≪ `wal.appends` under load).
+//!
+//! A new segment file, and the removal of old ones, is durable only once
+//! the directory is: rotation syncs the WAL directory (through the same
+//! [`SyncPolicy`]) before any frame of the new segment can be acknowledged,
+//! and truncation syncs it after it removes segments. Directory syncs are
+//! not counted in `fsyncs`, which counts the syncs of segment data.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -47,7 +54,7 @@ use parking_lot::{Condvar, Mutex};
 use remus_common::{time, DbError, DbResult, WalConfig};
 
 use crate::backend::WalBackend;
-use crate::codec::{self, crc32};
+use crate::codec::{self, crc32, encode_record_vec};
 use crate::log::Lsn;
 use crate::record::LogRecord;
 
@@ -70,7 +77,7 @@ const GROUP_COMMIT_BATCH: usize = 256;
 /// failing policies to prove ordering (no commit acknowledged before its
 /// batch's sync returns) and error propagation.
 pub trait SyncPolicy: Send + Sync + std::fmt::Debug {
-    /// Makes `file`'s written data durable.
+    /// Makes `file`'s written data durable; for a directory, its entries.
     fn sync(&self, file: &File) -> io::Result<()>;
 }
 
@@ -144,6 +151,8 @@ struct Shared {
 pub struct FileBackend {
     shared: Arc<Shared>,
     flusher: Mutex<Option<JoinHandle<()>>>,
+    dir: PathBuf,
+    sync: Arc<dyn SyncPolicy>,
 }
 
 impl FileBackend {
@@ -196,7 +205,7 @@ impl FileBackend {
         let io = FlusherIo {
             dir: dir.to_path_buf(),
             segment_bytes: config.segment_bytes.max(SEGMENT_HEADER_LEN as u64 + 1),
-            sync,
+            sync: Arc::clone(&sync),
             cur: None,
             cur_bytes: 0,
         };
@@ -211,9 +220,18 @@ impl FileBackend {
             FileBackend {
                 shared,
                 flusher: Mutex::new(Some(flusher)),
+                dir: dir.to_path_buf(),
+                sync,
             },
             recovered,
         ))
+    }
+
+    /// Stages a whole record: encodes it, then [`WalBackend::stage`]s the
+    /// body. For driving the backend without a [`Wal`](crate::Wal) in front
+    /// of it; a `Wal` stages the body it already encoded.
+    pub fn stage(&self, lsn: Lsn, record: &LogRecord) {
+        WalBackend::stage(self, lsn, &encode_record_vec(record));
     }
 
     fn stop(&self, mode: Mode) {
@@ -238,8 +256,8 @@ impl FileBackend {
 }
 
 impl WalBackend for FileBackend {
-    fn stage(&self, lsn: Lsn, record: &LogRecord) {
-        let frame = encode_frame(lsn.0, record);
+    fn stage(&self, lsn: Lsn, body: &[u8]) {
+        let frame = encode_frame(lsn.0, body);
         let mut st = self.shared.staged.lock();
         if st.mode != Mode::Run {
             // The flusher is stopping or gone: this frame can never become
@@ -285,12 +303,19 @@ impl WalBackend for FileBackend {
 
     fn truncated_until(&self, lsn: Lsn) {
         let mut segs = self.shared.segments.lock();
+        let mut removed = false;
         // A segment is reclaimable once the *next* segment starts at or
         // below lsn + 1 (every record in it is then ≤ lsn). The newest
         // segment is never reclaimed: the flusher may still append to it.
         while segs.len() > 1 && segs[1].0 <= lsn.0 + 1 {
             let (_, path) = segs.remove(0);
-            let _ = fs::remove_file(path);
+            removed |= fs::remove_file(path).is_ok();
+        }
+        drop(segs);
+        if removed {
+            // A removal the directory forgets brings back a prefix segment
+            // recovery reads as more log, never as damage: best effort.
+            let _ = sync_dir(&*self.sync, &self.dir);
         }
     }
 
@@ -309,17 +334,23 @@ impl Drop for FileBackend {
     }
 }
 
-/// Builds one on-disk frame for `record` at `lsn`.
-fn encode_frame(lsn: u64, record: &LogRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(40);
-    payload.extend_from_slice(&lsn.to_le_bytes());
-    codec::encode_record(record, &mut payload);
-    let crc = crc32(&payload);
-    let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(&payload);
+/// Builds the on-disk frame of the record at `lsn` around its codec `body`.
+fn encode_frame(lsn: u64, body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + 8 + body.len());
+    frame.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+    frame.extend_from_slice(&lsn.to_le_bytes());
+    frame.extend_from_slice(body);
+    let payload = &frame[FRAME_PREFIX_LEN..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..FRAME_PREFIX_LEN].copy_from_slice(&crc.to_le_bytes());
     frame
+}
+
+/// Makes `dir`'s entries durable: a segment created or removed in it
+/// survives a power loss only once this returns.
+fn sync_dir(sync: &dyn SyncPolicy, dir: &Path) -> io::Result<()> {
+    sync.sync(&File::open(dir)?)
 }
 
 struct FlusherIo {
@@ -360,6 +391,10 @@ impl FlusherIo {
         header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
         header.extend_from_slice(&first_lsn.to_le_bytes());
         f.write_all(&header)?;
+        // The batch's sync makes the new segment's frames durable, but not
+        // its directory entry: without this, a power loss could drop the
+        // whole file after its frames were acknowledged.
+        sync_dir(&*self.sync, &self.dir)?;
         // Recovery can keep a record-less newest segment (a torn first
         // frame truncates it back to its header), which open() already
         // registered under this same first_lsn — and File::create just
@@ -792,6 +827,47 @@ mod tests {
             opened.records.len(),
             5,
             "acknowledged-durable records lost after header-only-segment reopen"
+        );
+        b.shutdown();
+    }
+
+    /// A segment's frames are only as durable as its directory entry:
+    /// rotation syncs the WAL directory before any frame of the new segment
+    /// is acknowledged, and removing segments at truncation syncs it again.
+    #[test]
+    fn rotation_and_removal_sync_the_directory() {
+        /// Notes, for every sync, whether the synced file is a directory.
+        #[derive(Debug, Default)]
+        struct Recording(Mutex<Vec<bool>>);
+        impl SyncPolicy for Recording {
+            fn sync(&self, file: &File) -> io::Result<()> {
+                self.0.lock().push(file.metadata()?.is_dir());
+                file.sync_data()
+            }
+        }
+        let dir_syncs = |r: &Recording| r.0.lock().iter().filter(|d| **d).count();
+        let dir = TempDir::new("dirsync");
+        let sync = Arc::new(Recording::default());
+        let (b, _) = FileBackend::open(&dir.0, &cfg(64), sync.clone()).unwrap();
+        for n in 1..=10u64 {
+            b.stage(Lsn(n), &rec(n));
+            b.wait_durable(Lsn(n)).unwrap();
+            // Every segment holding an acknowledged frame has had its
+            // directory entry synced.
+            let segments = list_segments(&dir.0).unwrap().len();
+            assert!(
+                dir_syncs(&sync) >= segments,
+                "{} directory syncs for {segments} segments after acknowledging {n}",
+                dir_syncs(&sync)
+            );
+        }
+        let before = dir_syncs(&sync);
+        b.truncated_until(Lsn(10));
+        assert_eq!(list_segments(&dir.0).unwrap().len(), 1);
+        assert_eq!(
+            dir_syncs(&sync),
+            before + 1,
+            "removing segments did not sync the directory"
         );
         b.shutdown();
     }

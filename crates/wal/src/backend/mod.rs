@@ -2,17 +2,17 @@
 //!
 //! The in-memory [`Wal`](crate::Wal) stays the authoritative *read* path
 //! for replay and propagation regardless of backend; a [`WalBackend`] is
-//! purely the durability half: it sees every record as it is appended
-//! (still under the log's append lock, so in LSN order), persists them,
-//! and answers "is LSN n durable yet?" for group commit.
+//! purely the durability half: it is handed every record's codec body as
+//! the append encoded it (still under the log's append lock, so in LSN
+//! order), persists them, and answers "is LSN n durable yet?" for group
+//! commit.
 //!
-//! Two implementations exist: [`MemBackend`] (the default — everything is
-//! "durable" instantly and a restart loses the log) and [`FileBackend`]
-//! (the on-disk segment log of DESIGN.md §10 with fsync-coalescing group
-//! commit and torn-tail-tolerant reopen).
+//! The one implementation is [`FileBackend`], the on-disk segment log of
+//! DESIGN.md §10 with fsync-coalescing group commit and torn-tail-tolerant
+//! reopen. A log without a backend (the default) is "durable" the moment a
+//! record is placed, and a restart loses it.
 
 pub mod file;
-pub mod mem;
 
 use std::fmt;
 use std::sync::Arc;
@@ -20,10 +20,8 @@ use std::sync::Arc;
 use remus_common::DbResult;
 
 use crate::log::Lsn;
-use crate::record::LogRecord;
 
 pub use file::{FileBackend, FsyncData, RecoveredLog, SyncPolicy};
-pub use mem::MemBackend;
 
 /// The durability half of a [`Wal`](crate::Wal).
 ///
@@ -31,10 +29,11 @@ pub use mem::MemBackend;
 /// observe records in strictly increasing, dense LSN order and may treat
 /// that as an invariant. Everything else can be called from any thread.
 pub trait WalBackend: Send + Sync + fmt::Debug {
-    /// Accepts the record just appended at `lsn` for persistence. Must not
-    /// block on I/O (the caller holds the append lock); file backends hand
-    /// the encoded frame to a background flusher.
-    fn stage(&self, lsn: Lsn, record: &LogRecord);
+    /// Accepts the record just appended at `lsn`, as its codec body
+    /// ([`crate::codec::encode_record`]), for persistence. Must not block on
+    /// I/O (the caller holds the append lock); the file backend frames the
+    /// body and hands the frame to a background flusher.
+    fn stage(&self, lsn: Lsn, body: &[u8]);
 
     /// Blocks until every record with LSN ≤ `lsn` is durable — for the
     /// file backend, until the fsync of the group-commit batch containing

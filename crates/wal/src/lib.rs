@@ -12,18 +12,19 @@
 //! [`assemble::TxnAssembler`], shared with the replica applier and crash
 //! replay.
 //!
-//! The log itself ([`log::Wal`]) is an in-memory append-only sequence with
-//! monotonically increasing LSNs, one blocking tail read
-//! ([`log::WalReader::next_batch`]: a batch, the idle period, or a stop asked
-//! for through its [`log::TailHandle`]) for the propagation process and the
-//! replica shipper, and truncation of fully-consumed prefixes. Durability is
-//! pluggable through [`backend::WalBackend`]: the default in-memory
-//! backend keeps the original "order only" model, while
-//! [`backend::FileBackend`] persists every record to an on-disk segment
-//! log (versioned [`codec`], per-record CRC, group commit with fsync
-//! coalescing) that [`log::Wal::crash_and_reopen`] can rebuild the log
-//! from after a process-level crash — tolerating a torn tail, hard-failing
-//! on mid-log corruption. See DESIGN.md §10.
+//! The log itself ([`log::Wal`]) is an in-memory append-only byte log of
+//! codec-encoded records in segments, with monotonically increasing LSNs,
+//! one blocking tail read ([`log::WalReader::next_batch`]: a batch, the idle
+//! period, or a stop asked for through its [`log::TailHandle`]) for the
+//! propagation process and the replica shipper, and truncation of
+//! fully-consumed prefixes, whole segments at a time. Durability is
+//! pluggable through [`backend::WalBackend`]: a log without one keeps the
+//! original "order only" model, while [`backend::FileBackend`] persists
+//! every record to an on-disk segment log (versioned [`codec`], per-record
+//! CRC, group commit with fsync coalescing) that
+//! [`log::Wal::crash_and_reopen`] can rebuild the log from after a
+//! process-level crash — tolerating a torn tail, hard-failing on mid-log
+//! corruption. See DESIGN.md §10.
 
 pub mod assemble;
 pub mod backend;
@@ -33,9 +34,7 @@ pub mod record;
 pub mod ship;
 
 pub use assemble::{TxnAssembler, TxnBuffer, TxnEvent, TxnOutcome};
-pub use backend::{
-    BackendHandle, FileBackend, FsyncData, MemBackend, RecoveredLog, SyncPolicy, WalBackend,
-};
+pub use backend::{BackendHandle, FileBackend, FsyncData, RecoveredLog, SyncPolicy, WalBackend};
 pub use codec::{crc32, decode_record, encode_record, encode_record_vec, CODEC_VERSION};
 pub use log::{Lsn, TailHandle, TailRead, Wal, WalReader};
 pub use record::{LogOp, LogRecord, WriteKind, WriteOp};

@@ -1,13 +1,32 @@
 //! The append-only log with LSNs, stoppable blocking tail reads, and truncation.
 //!
-//! The in-memory record deque is the authoritative *read* path (replay,
-//! propagation) no matter which durability backend is attached; the
-//! backend ([`crate::backend::WalBackend`]) sees every record as it is
-//! appended and owns persistence. [`Wal::append`] stages without waiting
-//! (fine for records whose loss a crash may tolerate — begins, writes,
-//! aborts, whose transactions simply roll back on recovery);
-//! [`Wal::append_durable`] additionally blocks until the record's
-//! group-commit batch is synced, which is what commit-path records use.
+//! The log is a byte log, as PostgreSQL's is. A record is stored as its
+//! codec body ([`crate::codec`], v1, no frame) in the tail segment, encoded
+//! there by the append itself, so an append allocates nothing per record and
+//! keeps no reference to the payload it was given. A segment holds
+//! [`SEGMENT_RECORDS`] records in one allocation: a table of their end
+//! offsets, then their bodies back to back, so a record is found by
+//! arithmetic on its LSN. The first segment is allocated by the first
+//! append; an empty log owns no memory. [`Wal::truncate_until`] moves the
+//! base record by record and frees a segment whole once its last record is
+//! at or below the base, after letting go of the lock.
+//!
+//! Readers ([`Wal::get`], [`WalReader`]) copy the bytes of the records they
+//! hand out under the lock and decode them after releasing it, into one
+//! `Arc<LogRecord>` per record that the consumers of a batch share. A
+//! reader reuses its copy buffer, so once it has grown to the batches it
+//! reads, a read allocates nothing under the lock appenders queue on.
+//!
+//! The in-memory log is the authoritative *read* path (replay, propagation)
+//! whichever durability backend is attached; the backend
+//! ([`crate::backend::WalBackend`]) is handed each record's body as the
+//! append encoded it and owns persistence. Without one, an append is
+//! durable the moment it is placed and a crash loses the log.
+//! [`Wal::append`] stages without waiting (fine for records whose loss a
+//! crash may tolerate — begins, writes, aborts, whose transactions simply
+//! roll back on recovery); [`Wal::append_durable`] additionally blocks until
+//! the record's group-commit batch is synced, which is what commit-path
+//! records use.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -18,7 +37,8 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use remus_common::{time, DbResult, WalBackendKind, WalConfig};
 
-use crate::backend::{BackendHandle, FileBackend, FsyncData, MemBackend, SyncPolicy};
+use crate::backend::{BackendHandle, FileBackend, FsyncData, SyncPolicy};
+use crate::codec::{decode_record, encode_record};
 use crate::record::LogRecord;
 
 /// A log sequence number. The first record appended gets LSN 1; LSN 0 means
@@ -37,22 +57,195 @@ impl std::fmt::Display for Lsn {
     }
 }
 
+/// Records per segment: the unit truncation frees.
+pub const SEGMENT_RECORDS: usize = 1024;
+/// Bytes a segment is allocated with: its end table and 60 KiB of bodies.
+/// A segment whose records do not fit grows like any `Vec`.
+pub const SEGMENT_BYTES: usize = 64 * 1024;
+/// Bytes of a segment's end table: one `u32` per record.
+const TABLE_BYTES: usize = 4 * SEGMENT_RECORDS;
+
+/// Up to [`SEGMENT_RECORDS`] consecutive records in one allocation: the end
+/// offset of each (`u32` LE, from the start of `bytes`), then their bodies.
 #[derive(Debug)]
-struct LogInner {
-    /// Records with LSN in `(base, base + records.len()]`. Stored behind
-    /// `Arc` so readers (replay, propagation — often several per record
-    /// during a migration) share the one flushed copy instead of
-    /// deep-cloning every payload out of the log.
-    records: VecDeque<Arc<LogRecord>>,
+struct Segment {
+    bytes: Vec<u8>,
+    /// Records held.
+    len: usize,
+}
+
+impl Segment {
+    fn new() -> Segment {
+        let mut bytes = Vec::with_capacity(SEGMENT_BYTES);
+        bytes.resize(TABLE_BYTES, 0);
+        Segment { bytes, len: 0 }
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == SEGMENT_RECORDS
+    }
+
+    /// End offset of record `i`.
+    fn end(&self, i: usize) -> usize {
+        let at = 4 * i;
+        u32::from_le_bytes(self.bytes[at..at + 4].try_into().unwrap()) as usize
+    }
+
+    /// Start offset of record `i`.
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            TABLE_BYTES
+        } else {
+            self.end(i - 1)
+        }
+    }
+
+    /// Encodes `record` after the last one and returns its body.
+    fn push(&mut self, record: &LogRecord) -> &[u8] {
+        let start = self.bytes.len();
+        encode_record(record, &mut self.bytes);
+        let end = u32::try_from(self.bytes.len()).expect("a WAL segment stays under 4 GiB");
+        let at = 4 * self.len;
+        self.bytes[at..at + 4].copy_from_slice(&end.to_le_bytes());
+        self.len += 1;
+        &self.bytes[start..]
+    }
+}
+
+/// The retained records: LSNs `(base, tail]`, in segments of which all but
+/// the last are full. A segment's records at or below `base` stay in it
+/// until the whole segment is.
+#[derive(Debug, Default)]
+struct ByteLog {
+    segments: VecDeque<Segment>,
+    /// LSN before the first record of `segments[0]`.
+    first: u64,
     /// LSN of the last truncated-away record (0 if nothing truncated).
     base: u64,
+}
+
+impl ByteLog {
+    /// A log whose next record is `base + 1`, holding `records` after it.
+    fn recovered(base: u64, records: &[LogRecord]) -> ByteLog {
+        let mut log = ByteLog {
+            segments: VecDeque::new(),
+            first: base,
+            base,
+        };
+        for record in records {
+            log.push(record);
+        }
+        log
+    }
+
+    /// LSN of the newest record.
+    fn tail(&self) -> u64 {
+        match self.segments.back() {
+            None => self.first,
+            Some(last) => {
+                self.first + ((self.segments.len() - 1) * SEGMENT_RECORDS + last.len) as u64
+            }
+        }
+    }
+
+    /// Encodes `record` into the tail segment; returns its LSN and body.
+    fn push(&mut self, record: &LogRecord) -> (Lsn, &[u8]) {
+        let lsn = Lsn(self.tail() + 1);
+        if self.segments.back().is_none_or(Segment::is_full) {
+            self.segments.push_back(Segment::new());
+        }
+        let tail = self
+            .segments
+            .back_mut()
+            .expect("a tail segment was just ensured");
+        (lsn, tail.push(record))
+    }
+
+    /// Replaces `out` with the bytes of up to `max` records from LSN `from`
+    /// on: none if `from` is truncated or not yet appended.
+    fn copy_out(&self, from: u64, max: usize, out: &mut Copied) {
+        out.bytes.clear();
+        out.ends.clear();
+        let tail = self.tail();
+        if from <= self.base || from > tail {
+            return;
+        }
+        let last = tail.min(from.saturating_add(max.max(1) as u64 - 1));
+        let mut lsn = from;
+        while lsn <= last {
+            let at = (lsn - self.first - 1) as usize;
+            let segment = &self.segments[at / SEGMENT_RECORDS];
+            // This segment's run of the records asked for: one contiguous copy.
+            let i = at % SEGMENT_RECORDS;
+            let j = (i + (last - lsn) as usize).min(segment.len - 1);
+            let (start, shift) = (segment.start(i), out.bytes.len());
+            out.bytes
+                .extend_from_slice(&segment.bytes[start..segment.end(j)]);
+            out.ends
+                .extend((i..=j).map(|k| segment.end(k) - start + shift));
+            lsn += (j - i + 1) as u64;
+        }
+    }
+
+    /// Moves the base to `upto` (never past the tail, never back) and
+    /// detaches every segment whose records are all at or below it, for the
+    /// caller to free.
+    fn truncate(&mut self, upto: u64) -> Vec<Segment> {
+        self.base = self.base.max(upto.min(self.tail()));
+        let whole = ((self.base - self.first) / SEGMENT_RECORDS as u64) as usize;
+        if whole == 0 {
+            return Vec::new();
+        }
+        self.first += (whole * SEGMENT_RECORDS) as u64;
+        self.segments.drain(..whole).collect()
+    }
+}
+
+/// Record bodies copied out of the log under its lock, decoded after it is
+/// released.
+#[derive(Debug, Default)]
+struct Copied {
+    /// The bodies back to back.
+    bytes: Vec<u8>,
+    /// End offset of each body in `bytes`.
+    ends: Vec<usize>,
+}
+
+impl Copied {
+    /// The copied records, the first of them at `from`.
+    fn records(&self, from: Lsn) -> impl Iterator<Item = (Lsn, Arc<LogRecord>)> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        (from.0..)
+            .zip(starts.zip(&self.ends))
+            .map(|(lsn, (start, &end))| {
+                let body = &self.bytes[start..end];
+                let decoded = decode_record(body).expect("the log decodes what it encoded");
+                (Lsn(lsn), Arc::new(decoded))
+            })
+    }
+}
+
+#[derive(Debug)]
+struct LogInner {
+    log: ByteLog,
     /// Bumped by [`Wal::crash_and_reopen`]: a parked reader that observes
     /// a generation change is reading across a crash, which is a protocol
     /// bug it must not sleep through.
     generation: u64,
-    /// Durability backend; staged under this mutex so it observes appends
-    /// in LSN order.
-    backend: BackendHandle,
+    /// Durability backend (none: in-memory only); staged under this mutex
+    /// so it observes appends in LSN order.
+    backend: Option<BackendHandle>,
+}
+
+impl LogInner {
+    /// Places `record` at the tail and stages the body it was encoded to.
+    fn append(&mut self, record: &LogRecord) -> Lsn {
+        let (lsn, body) = self.log.push(record);
+        if let Some(backend) = &self.backend {
+            backend.stage(lsn, body);
+        }
+        lsn
+    }
 }
 
 /// How a file-backed log was opened, kept so [`Wal::crash_and_reopen`] can
@@ -73,6 +266,9 @@ struct FileDurability {
 pub struct Wal {
     inner: Mutex<LogInner>,
     grown: Condvar,
+    /// LSN of the newest record, stored (`Release`) under `inner` once the
+    /// record is placed and loaded (`Acquire`) by [`Wal::flush_lsn`].
+    tail: AtomicU64,
     appends: AtomicU64,
     recovered_torn_tail: AtomicU64,
     durability: Option<FileDurability>,
@@ -85,16 +281,9 @@ impl Default for Wal {
 }
 
 impl Wal {
-    /// An empty log on the in-memory backend (no durability).
+    /// An empty log with no durability backend. Allocates nothing.
     pub fn new() -> Self {
-        Wal::from_parts(Arc::new(MemBackend::new()), VecDeque::new(), 0, 0, None)
-    }
-
-    /// A log on a caller-provided backend, starting empty. Used by backend
-    /// unit tests; `crash_and_reopen` on such a log falls back to a fresh
-    /// in-memory backend.
-    pub fn with_backend(backend: BackendHandle) -> Self {
-        Wal::from_parts(backend, VecDeque::new(), 0, 0, None)
+        Wal::from_parts(None, ByteLog::default(), 0, None)
     }
 
     /// Opens (or creates) a file-backed log rooted at `dir`, recovering
@@ -112,9 +301,8 @@ impl Wal {
     ) -> DbResult<Wal> {
         let (backend, opened) = FileBackend::open(dir, config, Arc::clone(&sync))?;
         Ok(Wal::from_parts(
-            Arc::new(backend),
-            opened.records.into_iter().map(Arc::new).collect(),
-            opened.base,
+            Some(Arc::new(backend)),
+            ByteLog::recovered(opened.base, &opened.records),
             opened.torn_tails,
             Some(FileDurability {
                 dir: dir.to_path_buf(),
@@ -136,16 +324,15 @@ impl Wal {
     }
 
     fn from_parts(
-        backend: BackendHandle,
-        records: VecDeque<Arc<LogRecord>>,
-        base: u64,
+        backend: Option<BackendHandle>,
+        log: ByteLog,
         torn_tails: u64,
         durability: Option<FileDurability>,
     ) -> Wal {
         Wal {
+            tail: AtomicU64::new(log.tail()),
             inner: Mutex::new(LogInner {
-                records,
-                base,
+                log,
                 generation: 0,
                 backend,
             }),
@@ -162,9 +349,8 @@ impl Wal {
     /// commit-path records use [`Wal::append_durable`] instead.
     pub fn append(&self, record: LogRecord) -> Lsn {
         let mut inner = self.inner.lock();
-        let lsn = Lsn(inner.base + inner.records.len() as u64 + 1);
-        inner.backend.stage(lsn, &record);
-        inner.records.push_back(Arc::new(record));
+        let lsn = inner.append(&record);
+        self.tail.store(lsn.0, Ordering::Release);
         drop(inner);
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.grown.notify_all();
@@ -173,38 +359,50 @@ impl Wal {
 
     /// Appends a record and blocks until it is durable — for the file
     /// backend, until the fsync of the group-commit batch containing its
-    /// LSN completes. In-memory backends return immediately, so the
-    /// commit path costs nothing extra under the default config.
+    /// LSN completes. Without a backend it returns at once, so the commit
+    /// path costs nothing extra under the default config.
     ///
     /// Durability failure (sync error, stopped backend, group-commit
     /// timeout) is returned, not panicked: the record is already in the
     /// in-memory log but was never acknowledged durable, so the caller
     /// must treat its transaction as un-committed and abort it.
     pub fn append_durable(&self, record: LogRecord) -> DbResult<Lsn> {
-        let (lsn, backend) = {
-            let mut inner = self.inner.lock();
-            let lsn = Lsn(inner.base + inner.records.len() as u64 + 1);
-            inner.backend.stage(lsn, &record);
-            inner.records.push_back(Arc::new(record));
-            (lsn, Arc::clone(&inner.backend))
-        };
+        let mut inner = self.inner.lock();
+        let lsn = inner.append(&record);
+        self.tail.store(lsn.0, Ordering::Release);
+        let backend = inner.backend.clone();
+        drop(inner);
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.grown.notify_all();
-        backend.wait_durable(lsn)?;
+        if let Some(backend) = backend {
+            backend.wait_durable(lsn)?;
+        }
         Ok(lsn)
     }
 
     /// The LSN of the newest record (the flush/tail position used for
-    /// `LSN_unsync` in the mode-change phase, §3.4).
+    /// `LSN_unsync` in the mode-change phase, §3.4). One load, no lock.
+    ///
+    /// The tail may have moved on by the time the caller looks at it; a
+    /// tail that is already stale is only ever lower (outside
+    /// [`Wal::crash_and_reopen`]), and that is safe for both kinds of
+    /// caller:
+    /// - a transaction's `begin_lsn` (`register_active`): a lower begin
+    ///   only makes truncation keep more;
+    /// - the start of a slot (`create_slot_at_oldest_active`): it loads the
+    ///   tail under the slot lock that WAL truncation holds, so the base
+    ///   cannot pass the loaded tail before the slot is registered.
     pub fn flush_lsn(&self) -> Lsn {
-        let inner = self.inner.lock();
-        Lsn(inner.base + inner.records.len() as u64)
+        Lsn(self.tail.load(Ordering::Acquire))
     }
 
-    /// Highest LSN the backend reports durable (equals [`Wal::flush_lsn`]
-    /// on the in-memory backend).
+    /// Highest LSN the backend reports durable ([`Wal::flush_lsn`] without
+    /// a backend).
     pub fn durable_lsn(&self) -> Lsn {
-        self.inner.lock().backend.durable_lsn()
+        match &self.inner.lock().backend {
+            Some(backend) => backend.durable_lsn(),
+            None => self.flush_lsn(),
+        }
     }
 
     /// Lifetime count of records appended (both append flavors).
@@ -214,7 +412,7 @@ impl Wal {
 
     /// Lifetime count of fsyncs issued by the durability backend.
     pub fn fsyncs(&self) -> u64 {
-        self.inner.lock().backend.fsyncs()
+        self.inner.lock().backend.as_ref().map_or(0, |b| b.fsyncs())
     }
 
     /// Torn-tail truncations performed across every open/reopen of this
@@ -225,30 +423,27 @@ impl Wal {
 
     /// Returns the record at `lsn`, if it exists and was not truncated.
     pub fn get(&self, lsn: Lsn) -> Option<Arc<LogRecord>> {
-        let inner = self.inner.lock();
-        if lsn.0 <= inner.base {
-            return None;
-        }
-        inner
-            .records
-            .get((lsn.0 - inner.base - 1) as usize)
-            .cloned()
+        let mut copied = Copied::default();
+        self.inner.lock().log.copy_out(lsn.0, 1, &mut copied);
+        let record = copied.records(lsn).next().map(|(_, record)| record);
+        record
     }
 
     /// Drops all records with LSN <= `upto`. Readers must have consumed
     /// them; reading a truncated LSN is an error surfaced by [`WalReader`].
     pub fn truncate_until(&self, upto: Lsn) {
-        let (backend, base) = {
+        let (freed, backend, base) = {
             let mut inner = self.inner.lock();
-            while inner.base < upto.0 && !inner.records.is_empty() {
-                inner.records.pop_front();
-                inner.base += 1;
-            }
-            (Arc::clone(&inner.backend), Lsn(inner.base))
+            let freed = inner.log.truncate(upto.0);
+            (freed, inner.backend.clone(), Lsn(inner.log.base))
         };
-        // Segment reclamation deletes files; do that I/O off the inner
-        // lock so concurrent appends and reads are not stalled behind it.
-        backend.truncated_until(base);
+        // Whole segments are freed, and segment files deleted, off the
+        // inner lock so concurrent appends and reads are not stalled
+        // behind them.
+        drop(freed);
+        if let Some(backend) = backend {
+            backend.truncated_until(base);
+        }
         // Wake parked readers so one left at or below the new base
         // observes the movement (and trips the truncated-read panic)
         // instead of sleeping out its timeout.
@@ -259,25 +454,23 @@ impl Wal {
     /// state is dropped, staged-but-unsynced records are discarded, and
     /// the log is repopulated from whatever the durability backend can
     /// recover — everything for a file-backed log (modulo a torn tail),
-    /// nothing for the in-memory backend.
+    /// nothing without a backend.
     pub fn crash_and_reopen(&self) -> DbResult<()> {
         let mut inner = self.inner.lock();
-        inner.backend.crash();
+        if let Some(backend) = &inner.backend {
+            backend.crash();
+        }
         match &self.durability {
-            None => {
-                inner.records.clear();
-                inner.base = 0;
-                inner.backend = Arc::new(MemBackend::new());
-            }
+            None => inner.log = ByteLog::default(),
             Some(d) => {
                 let (backend, opened) = FileBackend::open(&d.dir, &d.config, Arc::clone(&d.sync))?;
-                inner.records = opened.records.into_iter().map(Arc::new).collect();
-                inner.base = opened.base;
+                inner.log = ByteLog::recovered(opened.base, &opened.records);
                 self.recovered_torn_tail
                     .fetch_add(opened.torn_tails, Ordering::Relaxed);
-                inner.backend = Arc::new(backend);
+                inner.backend = Some(Arc::new(backend));
             }
         }
+        self.tail.store(inner.log.tail(), Ordering::Release);
         inner.generation += 1;
         drop(inner);
         self.grown.notify_all();
@@ -286,7 +479,8 @@ impl Wal {
 
     /// Number of retained records.
     pub fn retained(&self) -> usize {
-        self.inner.lock().records.len()
+        let inner = self.inner.lock();
+        (inner.log.tail() - inner.log.base) as usize
     }
 
     /// A reader positioned after `from` (i.e. the first record it yields
@@ -299,6 +493,7 @@ impl Wal {
                 stop_at: AtomicU64::new(u64::MAX),
                 acked: AtomicU64::new(from.0),
             }),
+            copied: Copied::default(),
         }
     }
 
@@ -306,40 +501,49 @@ impl Wal {
     /// yields is the oldest one truncation left behind (where crash replay
     /// starts).
     pub fn reader_from_head(self: &Arc<Self>) -> WalReader {
-        let base = self.inner.lock().base;
+        let base = self.inner.lock().log.base;
         self.reader_from(Lsn(base))
     }
 
     /// The one blocking wait on the log: parks on `grown` until the record
-    /// at `lsn` exists, or `stop_at` is set and everything up to it has been
-    /// handed out, or `idle` elapses (an `idle` too long to add to the clock
-    /// never does).
-    fn wait_record(&self, lsn: Lsn, stop_at: &AtomicU64, idle: Duration) -> TailRead {
+    /// at `from` exists, or `stop_at` is set and everything up to it has
+    /// been handed out, or `idle` elapses (an `idle` too long to add to the
+    /// clock never does). On a record it copies up to `max` records that are
+    /// already in the log into `copied`, and decodes them after unlocking.
+    fn wait_batch(
+        &self,
+        from: Lsn,
+        max: usize,
+        stop_at: &AtomicU64,
+        idle: Duration,
+        copied: &mut Copied,
+    ) -> TailRead {
         let mut inner = self.inner.lock();
         let generation = inner.generation;
         let found = time::wait(&self.grown, &mut inner, idle, |inner| {
             if inner.generation != generation {
                 // The log was torn down and reopened from disk while this
                 // reader was parked: its position is meaningless now.
-                panic!("WAL crashed and reopened under a parked reader at {lsn}");
+                panic!("WAL crashed and reopened under a parked reader at {from}");
             }
-            if lsn.0 <= inner.base {
+            if from.0 <= inner.log.base {
                 // Truncated from under the reader: a protocol bug.
-                panic!("WAL read at truncated {lsn} (base {})", inner.base);
+                panic!("WAL read at truncated {from} (base {})", inner.log.base);
             }
             // `stop_at` only changes under `inner` ([`TailHandle::stop`]), so
             // a stop cannot slip in between this look and the park.
-            if lsn.0 > stop_at.load(Ordering::SeqCst) {
-                return Some(None);
+            if from.0 > stop_at.load(Ordering::SeqCst) {
+                return Some(false);
             }
-            let idx = (lsn.0 - inner.base - 1) as usize;
-            inner.records.get(idx).map(|r| Some(Arc::clone(r)))
+            (from.0 <= inner.log.tail()).then_some(true)
         });
-        // The batch is allocated off the lock appenders queue on.
-        drop(inner);
         match found {
-            Some(Some(record)) => TailRead::Batch(vec![(lsn, record)]),
-            Some(None) => TailRead::Stopped,
+            Some(true) => {
+                inner.log.copy_out(from.0, max, copied);
+                drop(inner);
+                TailRead::Batch(copied.records(from).collect())
+            }
+            Some(false) => TailRead::Stopped,
             None => TailRead::Idle,
         }
     }
@@ -348,8 +552,10 @@ impl Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         // Drain and stop the flusher so segment files are complete before
-        // test tempdirs are removed. Idempotent; no-op for in-memory.
-        self.inner.get_mut().backend.shutdown();
+        // test tempdirs are removed. Idempotent.
+        if let Some(backend) = &self.inner.get_mut().backend {
+            backend.shutdown();
+        }
     }
 }
 
@@ -409,6 +615,8 @@ pub struct WalReader {
     wal: Arc<Wal>,
     next: Lsn,
     state: Arc<TailState>,
+    /// The copy buffer, reused from read to read.
+    copied: Copied,
 }
 
 impl WalReader {
@@ -432,10 +640,14 @@ impl WalReader {
 
     /// Returns the next record if it is already in the log.
     pub fn try_next(&mut self) -> Option<(Lsn, Arc<LogRecord>)> {
-        let r = self.wal.get(self.next)?;
-        let lsn = self.next;
+        self.wal
+            .inner
+            .lock()
+            .log
+            .copy_out(self.next.0, 1, &mut self.copied);
+        let next = self.copied.records(self.next).next()?;
         self.next = Lsn(self.next.0 + 1);
-        Some((lsn, r))
+        Some(next)
     }
 
     /// Acknowledges everything handed out so far: [`TailHandle::acked`]
@@ -447,20 +659,16 @@ impl WalReader {
 
     /// The one blocking read: acknowledges everything handed out so far,
     /// then waits for a record, a stop ([`TailHandle::stop`]) or the end of
-    /// the `idle` period, whichever is first. On a record it greedily drains
-    /// up to `max` records that are already flushed — one wait amortized
-    /// over a vector of records instead of a wait per record.
+    /// the `idle` period, whichever is first. On a record it greedily takes
+    /// up to `max` records that are already flushed — one wait and one lock
+    /// amortized over a vector of records instead of one per record.
     pub fn next_batch(&mut self, max: usize, idle: Duration) -> TailRead {
         self.ack();
-        let mut read = self.wal.wait_record(self.next, &self.state.stop_at, idle);
-        if let TailRead::Batch(out) = &mut read {
-            self.next = Lsn(self.next.0 + 1);
-            while out.len() < max {
-                match self.try_next() {
-                    Some(pair) => out.push(pair),
-                    None => break,
-                }
-            }
+        let read = self
+            .wal
+            .wait_batch(self.next, max, &self.state.stop_at, idle, &mut self.copied);
+        if let TailRead::Batch(batch) = &read {
+            self.next = Lsn(self.next.0 + batch.len() as u64);
         }
         read
     }
@@ -571,20 +779,6 @@ mod tests {
         assert_eq!(wal.get(Lsn(4)).unwrap().xid.seq(), 4);
         // Appends continue with dense LSNs.
         assert_eq!(wal.append(rec(6)), Lsn(6));
-    }
-
-    #[test]
-    fn reads_share_one_flushed_copy() {
-        // `get` and the reader hand out refs to the same allocation — the
-        // clone-free read path (no per-reader deep copy of payloads).
-        let wal = Arc::new(Wal::new());
-        wal.append(rec(1));
-        let a = wal.get(Lsn(1)).unwrap();
-        let b = wal.get(Lsn(1)).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let mut reader = wal.reader_from(Lsn::ZERO);
-        let (_, c) = reader.try_next().unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
     }
 
     #[test]
