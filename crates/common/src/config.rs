@@ -260,9 +260,11 @@ pub struct SimConfig {
     pub parallelism: ParallelismConfig,
     /// Foreground hot-path shape (index stripes, GC cadence, GTS lease).
     pub hot_path: HotPathConfig,
-    /// The migration enters the mode-change phase when the number of
-    /// propagated-but-unapplied changes drops below this threshold
-    /// (paper §3.4 "drops below a threshold").
+    /// The migration enters the mode-change phase when its catch-up lag
+    /// drops to this threshold (paper §3.4 "drops below a threshold"). The
+    /// lag is a distance in source WAL records: the source's flush LSN minus
+    /// the lowest unfinished LSN, before which every record is applied on
+    /// the destination.
     pub catchup_threshold: usize,
     /// Latency charged when reloading one batch of a per-transaction update
     /// cache queue that spilled to disk (paper §3.3).

@@ -46,8 +46,9 @@ pub enum InjectionPoint {
     /// worker mid-chunk — the chunk is retried by the pool (the frozen
     /// install is idempotent), so the migration still completes.
     CopyChunk,
-    /// In the propagation worker, before shipping one change batch to the
-    /// destination (`propagation.rs`). `Delay` models propagation lag.
+    /// In a migration stream, once per batch read from the source's log,
+    /// before the batch is delivered to the receiver that ships its changes
+    /// to the destination (`stream.rs`). `Delay` models propagation lag.
     PropagationShip,
     /// In a destination replay worker, before applying one committed change
     /// set (`replay.rs`). `Delay` models a stalled replay worker.
@@ -83,13 +84,14 @@ pub enum InjectionPoint {
     /// on-disk WAL via `Cluster::restart_node`. Only meaningful with the
     /// file-backed WAL; `Crash` marks the seeded kill.
     CrashRestart,
-    /// In a WAL shipper, before sending one LSN-prefixed frame batch to a
-    /// replica (`replication.rs`). `Delay` models ship lag; `Fail` defers
-    /// the batch so it arrives after its successor (reorder, then
-    /// retransmit); `Crash` duplicates the send.
+    /// In a replica stream, once per LSN-prefixed frame batch read from a
+    /// primary's log, before it is delivered (`stream.rs`). `Delay` models
+    /// ship lag; `Fail` holds the batch back so it is delivered after its
+    /// successor (reorder, then retransmit); `Crash` delivers it twice.
     ShipBatch,
-    /// In a replica applier, before applying one shipped batch behind the
-    /// apply-LSN gate (`replication.rs`). `Delay` models a stalled replica.
+    /// In a replica stream, before applying one delivered batch behind the
+    /// apply-LSN gate, on the stream's own thread (`stream.rs`). `Delay`
+    /// models a stalled replica.
     ReplicaApply,
 }
 

@@ -20,15 +20,18 @@
 //!   flips ownership immediately, then combines on-demand pulls (blocking,
 //!   chunk-locking) with background pulls; source access to migrated
 //!   chunks aborts.
-//! * [`propagation`] / [`replay`] / [`mocc`] — the shared update
-//!   propagation machinery: WAL tailing through [`remus_wal::TxnAssembler`]
-//!   (its per-transaction buffers are the paper's update cache queues),
-//!   the destination apply processes (parallel, key-fenced), and
-//!   the MOCC validation registry + commit hook.
-//! * [`replication`] — WAL-shipped read replicas: per-primary shippers and
-//!   gate-sequenced appliers, virtual-cut backfill with chunk
-//!   certification, and the applied-watermark maintenance replica reads
-//!   run at.
+//! * `stream` — the one stream: a thread per (source node, receiver)
+//!   that tails the source's WAL, pays the transport and feeds the one
+//!   receiver, [`StreamApplier`] (apply-LSN gate, [`remus_wal::TxnAssembler`]
+//!   — its per-transaction buffers are the paper's update cache queues —
+//!   and a replica's redo or a migration's shipping rule), in the same
+//!   thread; a migration's catch-up progress is the lowest unfinished LSN.
+//! * [`replay`] / [`mocc`] — the destination side of a migration: the
+//!   parallel, key-fenced apply process and the MOCC validation registry +
+//!   commit hook.
+//! * [`replication`] — WAL-shipped read replicas: one stream per primary,
+//!   virtual-cut backfill with chunk certification, and the
+//!   applied-watermark maintenance replica reads run at.
 //! * [`diversion`] — `T_m` execution with cache-read-through marking.
 //! * [`ssi_handover`] — serializable-mode state handover: SIREAD/write
 //!   registry transfer with a source fence (Remus, wait-and-remaster) or
@@ -43,7 +46,6 @@ pub mod diversion;
 pub mod lock_abort;
 pub mod mocc;
 mod pipeline;
-pub mod propagation;
 pub mod recovery;
 pub mod remaster;
 pub mod remus;
@@ -53,14 +55,16 @@ pub mod report;
 pub mod snapshot;
 pub mod squall;
 pub mod ssi_handover;
+mod stream;
 pub mod trace;
 
 pub use controller::{MigrationController, MigrationPlan};
 pub use lock_abort::LockAndAbort;
 pub use remaster::WaitAndRemaster;
 pub use remus::RemusEngine;
-pub use replication::{start_replica, ReplicaProcess, StreamApplier};
+pub use replication::{start_replica, ReplicaProcess};
 pub use report::{EngineKind, MigrationEngine, MigrationReport, MigrationTask};
 pub use squall::SquallEngine;
 pub use ssi_handover::{doom_ssi_straddlers, hand_over_ssi_state};
+pub use stream::StreamApplier;
 pub use trace::{MigrationTrace, Span, SpanId, TraceRecorder};

@@ -113,8 +113,7 @@ impl MigrationEngine for LockAndAbort {
         let replay_span = p.rec.start("final_replay");
         let final_lsn = source.storage.wal.flush_lsn();
         p.rec.attr(replay_span, "final_lsn", final_lsn.0);
-        let sent_final = p.drain_to(final_lsn, "final update replay")?;
-        p.rec.attr(replay_span, "sent_final", sent_final);
+        p.drain_to(final_lsn, "final update replay")?;
         p.rec.end(replay_span);
         // Remap and drop the source copy; waking blocked writers then find
         // the shard gone and abort.

@@ -21,10 +21,10 @@ use remus_wal::Lsn;
 
 use crate::diversion::run_tm;
 use crate::mocc::{RemusHook, ValidationRegistry};
-use crate::propagation::PropagationProcess;
 use crate::replay::ReplayProcess;
 use crate::report::{MigrationReport, MigrationTask};
 use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
+use crate::stream::{Shipped, Stream, StreamApplier};
 use crate::trace::{SpanId, TraceRecorder};
 
 /// How long an engine is willing to wait in each drain loop before
@@ -39,21 +39,23 @@ pub(crate) struct PushPipeline<'a> {
     source: &'a Arc<Node>,
     pub(crate) rec: TraceRecorder,
     pub(crate) report: MigrationReport,
-    /// Tells propagation which source transactions commit synchronized.
+    /// Tells the stream which source transactions commit synchronized.
     /// Unless installed on the source's commit path (`hook_installed`) it
     /// never leaves async mode and everything ships asynchronously.
     pub(crate) hook: Arc<RemusHook>,
     hook_installed: bool,
     gate: Arc<CopyGate>,
+    /// What the stream shipped: the catch-up progress measure's inputs.
+    shipped: Arc<Shipped>,
     /// `None` once [`Self::finish`] took them: nothing left to tear down.
-    procs: Option<(PropagationProcess, ReplayProcess)>,
+    procs: Option<(Stream, ReplayProcess)>,
     tm_committed: bool,
     cleanup_span: Option<SpanId>,
     t0: Instant,
 }
 
 impl<'a> PushPipeline<'a> {
-    /// Phase 1, snapshot copying: starts propagation and gated replay, then
+    /// Phase 1, snapshot copying: starts the stream and gated replay, then
     /// copies the task's shards chunk by chunk — completed chunks replay
     /// while others copy. `sync_commits` installs the commit hook.
     pub(crate) fn start(
@@ -81,34 +83,34 @@ impl<'a> PushPipeline<'a> {
                 .storage
                 .install_hook(Arc::clone(&hook) as Arc<dyn remus_txn::SyncCommitHook>);
         }
-        // The propagation reader starts at the oldest active transaction's
-        // begin LSN (it must observe the full write set of every
-        // transaction that may commit after the snapshot timestamp); the
-        // snapshot timestamp is taken after that. The tail's slot is
-        // registered atomically with computing its start, so concurrent WAL
-        // truncation can never pass it; propagation owns the tail, and the
-        // slot goes with it however its thread ends.
+        // The stream starts at the oldest active transaction's begin LSN (it
+        // must observe the full write set of every transaction that may
+        // commit after the snapshot timestamp); the snapshot timestamp is
+        // taken after that. The tail's slot is registered atomically with
+        // computing its start, so concurrent WAL truncation can never pass
+        // it; the stream owns the tail, and the slot goes with it however
+        // its thread ends.
         let tail = source.storage.create_slot_at_oldest_active();
         // Acquire and pin atomically: from this instant until the copy
         // finishes, the GC safe-ts watermark cannot pass the copy snapshot,
         // so no version the copy scan still needs is ever pruned.
         let (snapshot_ts, _snapshot_pin) = cluster.acquire_snapshot(task.source);
         let (tx, rx) = unbounded();
-        // Replay is gated per key range: a propagated change applies as
-        // soon as its chunk is installed, never before (it would be
-        // clobbered by the frozen install).
+        // Replay is gated per key range: a shipped change applies as soon
+        // as its chunk is installed, never before (it would be clobbered by
+        // the frozen install).
         let replay = ReplayProcess::start(cluster, dest, registry, rx, Some(Arc::clone(&gate)));
-        let prop = PropagationProcess::start(
+        let (applier, shipped) = StreamApplier::migration(
             cluster,
             source,
-            task.dest,
             &task.shards,
             snapshot_ts,
-            tail,
+            tail.consumed(),
             Arc::clone(&hook),
             tx,
-            Arc::clone(&replay.stats.progress),
         );
+        let progress = Arc::clone(&replay.stats.progress);
+        let stream = Stream::migration(cluster, source, task.dest, tail, applier, progress);
         let mut p = PushPipeline {
             cluster,
             task,
@@ -118,7 +120,8 @@ impl<'a> PushPipeline<'a> {
             hook,
             hook_installed: sync_commits,
             gate,
-            procs: Some((prop, replay)),
+            shipped,
+            procs: Some((stream, replay)),
             tm_committed: false,
             cleanup_span: None,
             t0,
@@ -148,12 +151,12 @@ impl<'a> PushPipeline<'a> {
         }
     }
 
-    fn procs(&self) -> &(PropagationProcess, ReplayProcess) {
+    fn procs(&self) -> &(Stream, ReplayProcess) {
         self.procs.as_ref().expect("pipeline already finished")
     }
 
-    /// Parks until `cond` holds, looking again whenever propagation
-    /// processed a batch or replay completed a message.
+    /// Parks until `cond` holds, looking again whenever the stream processed
+    /// a batch or replay completed a message.
     fn park_until(&self, cond: impl FnMut() -> bool, what: &'static str) -> DbResult<()> {
         let progress = &self.procs().1.stats.progress;
         if !progress.park_until(cond, DRAIN_TIMEOUT) {
@@ -162,13 +165,16 @@ impl<'a> PushPipeline<'a> {
         Ok(())
     }
 
-    /// The catch-up lag (§3.4).
+    /// The progress measure: the lowest unfinished source LSN's predecessor
+    /// — every source record at or below it is applied on the destination.
+    fn applied_lsn(&self) -> Lsn {
+        self.shipped.finished_through(self.procs().1.completed())
+    }
+
+    /// The catch-up lag (§3.4): source records not yet applied.
     fn lag(&self) -> u64 {
-        let (prop, replay) = self.procs();
-        prop.lag(
-            self.source.storage.wal.flush_lsn(),
-            replay.stats.done.load(Ordering::SeqCst),
-        )
+        let flush = self.source.storage.wal.flush_lsn();
+        flush.0.saturating_sub(self.applied_lsn().0)
     }
 
     /// Phase 2, asynchronous catch-up: waits out the configured lag threshold.
@@ -179,13 +185,11 @@ impl<'a> PushPipeline<'a> {
         self.rec.attr(span, "lag_threshold", threshold);
         self.rec.attr(span, "start_lag", self.lag());
         if let Err(e) = self.park_until(|| self.lag() <= threshold, "async catch-up") {
-            let (prop, replay) = self.procs();
             return Err(DbError::Internal(format!(
-                "{e}: flush={} processed={} sent={} done={}",
+                "{e}: flush={} applied={} completed tickets={}",
                 self.source.storage.wal.flush_lsn().0,
-                prop.processed_lsn().0,
-                prop.stats.sent.load(Ordering::SeqCst),
-                replay.stats.done.load(Ordering::SeqCst),
+                self.applied_lsn().0,
+                self.procs().1.completed(),
             )));
         }
         self.report.catchup_phase = catch0.elapsed();
@@ -199,17 +203,10 @@ impl<'a> PushPipeline<'a> {
         Ok(())
     }
 
-    /// Waits until propagation has processed the source WAL through `lsn`
-    /// and replay has applied everything shipped by then; returns that send
-    /// count. It is snapshotted once (both counters are monotone; demanding
-    /// instantaneous sent == done would starve under sustained load — later
-    /// messages are sync-mode traffic that synchronizes itself).
-    pub(crate) fn drain_to(&self, lsn: Lsn, what: &'static str) -> DbResult<u64> {
-        let (prop, replay) = self.procs();
-        self.park_until(|| prop.processed_lsn() >= lsn, what)?;
-        let sent = prop.stats.sent.load(Ordering::SeqCst);
-        self.park_until(|| replay.stats.done.load(Ordering::SeqCst) >= sent, what)?;
-        Ok(sent)
+    /// Waits until every source record up to and including `lsn` is applied
+    /// on the destination: the progress measure has reached `lsn`.
+    pub(crate) fn drain_to(&self, lsn: Lsn, what: &'static str) -> DbResult<()> {
+        self.park_until(|| self.applied_lsn() >= lsn, what)
     }
 
     /// Ordered diversion: commits `T_m` and returns its commit timestamp.
@@ -253,18 +250,18 @@ impl<'a> PushPipeline<'a> {
     /// Cleanup: stops the pipeline after the final records; returns the report.
     pub(crate) fn finish(mut self) -> DbResult<MigrationReport> {
         let span = self.retire_source();
-        let (prop, replay) = self.procs.take().expect("pipeline already finished");
+        let (stream, replay) = self.procs.take().expect("pipeline already finished");
         if self.hook_installed {
             self.source.storage.uninstall_hook();
         }
         let stop_span = self.rec.child(span, "stop_pipeline");
         let final_lsn = self.source.storage.wal.flush_lsn();
-        prop.request_stop(final_lsn);
+        stream.stop(final_lsn);
         let mut report = std::mem::take(&mut self.report);
         report.records_replayed = replay.stats.records.load(Ordering::SeqCst);
         report.validation_conflicts = replay.stats.conflicts.load(Ordering::SeqCst);
         // Both are joined before either error propagates.
-        prop.join().and(replay.join())?;
+        stream.join().and(replay.join())?;
         self.rec.end(stop_span);
         self.rec.attr(span, "final_lsn", final_lsn.0);
         self.rec
@@ -280,7 +277,7 @@ impl<'a> PushPipeline<'a> {
 
 impl Drop for PushPipeline<'_> {
     fn drop(&mut self) {
-        let Some((prop, replay)) = self.procs.take() else {
+        let Some((stream, replay)) = self.procs.take() else {
             return;
         };
         // Wakes replay workers parked on chunks that will never be copied.
@@ -288,9 +285,9 @@ impl Drop for PushPipeline<'_> {
         if self.hook_installed {
             self.source.storage.uninstall_hook();
         }
-        prop.request_stop(Lsn::ZERO);
+        stream.stop(Lsn::ZERO);
         // Errors here are secondary to the one being unwound.
-        let _ = prop.join();
+        let _ = stream.join();
         let _ = replay.join();
         if !self.tm_committed {
             // The source still owns the shards: drop the half-migrated

@@ -64,10 +64,9 @@ impl MigrationEngine for WaitAndRemaster {
         let replay_span = p.rec.start("final_replay");
         let final_lsn = cluster.node(task.source).storage.wal.flush_lsn();
         p.rec.attr(replay_span, "final_lsn", final_lsn.0);
-        // Routing is suspended and the cluster drained, so the send
-        // counter is stable; wait for the replay to finish it.
-        let sent_final = p.drain_to(final_lsn, "final update replay")?;
-        p.rec.attr(replay_span, "sent_final", sent_final);
+        // Routing is suspended and the cluster drained: nothing past
+        // `final_lsn` touches the shards; wait for the replay to finish.
+        p.drain_to(final_lsn, "final update replay")?;
         p.rec.end(replay_span);
         // With no transaction in flight only retained (committed) SSI
         // entries remain to hand over — the transfer path with no

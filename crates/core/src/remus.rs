@@ -60,8 +60,7 @@ impl MigrationEngine for RemusEngine {
         let apply_span = p.rec.child(barrier_span, "lsn_unsync_apply");
         let lsn_unsync = cluster.node(task.source).storage.wal.flush_lsn();
         p.rec.attr(apply_span, "lsn_unsync", lsn_unsync.0);
-        let sent_at_unsync = p.drain_to(lsn_unsync, "LSN_unsync application")?;
-        p.rec.attr(apply_span, "sent_at_unsync", sent_at_unsync);
+        p.drain_to(lsn_unsync, "LSN_unsync application")?;
         p.rec.end(apply_span);
         p.rec.end(barrier_span);
 

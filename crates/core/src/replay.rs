@@ -1,18 +1,18 @@
 //! The destination-side replay process (§3.3, §3.5.2, §3.6).
 //!
-//! A dispatcher thread receives [`ApplyMsg`]s from the propagation process
-//! in source-WAL order and shards their work over a pool of apply workers
-//! (`ParallelismConfig::replay_workers`, the paper's "transaction-level
-//! parallel apply based on SI by tracking timestamp order"), routing each
-//! job to a worker by the hash of its smallest written key. Independence is
-//! decided by key: a message whose keys intersect an earlier in-flight
-//! message waits for that message to finish first (the key fence), so
-//! conflicting transactions apply in source commit order while disjoint
-//! ones fan out concurrently. The scheduler is deadlock-free: tickets are
-//! assigned in stream order, dependencies only point at lower tickets, and
-//! each worker consumes its queue in ticket order — so the globally
-//! smallest unfinished ticket is always at the head of some queue with
-//! every dependency already complete.
+//! A dispatcher thread receives [`ApplyMsg`]s from a migration stream
+//! (`stream.rs`) in source-WAL order and shards their work over a pool of
+//! apply workers (`ParallelismConfig::replay_workers`, the paper's
+//! "transaction-level parallel apply based on SI by tracking timestamp
+//! order"), routing each job to a worker by the hash of its smallest written
+//! key. Independence is decided by key: a message whose keys intersect an
+//! earlier in-flight message waits for that message to finish first (the key
+//! fence), so conflicting transactions apply in source commit order while
+//! disjoint ones fan out concurrently. The scheduler is deadlock-free:
+//! tickets are assigned in stream order, dependencies only point at lower
+//! tickets, and each worker consumes its queue in ticket order — so the
+//! globally smallest unfinished ticket is always at the head of some queue
+//! with every dependency already complete.
 //!
 //! When a [`CopyGate`] is supplied, replay runs concurrently with the
 //! chunked snapshot copy: before applying a key the worker waits for that
@@ -67,7 +67,7 @@ use remus_wal::{WriteKind, WriteOp};
 use crate::mocc::ValidationRegistry;
 use crate::snapshot::CopyGate;
 
-/// A message from the propagation process to the replay process.
+/// A message from a migration stream to the replay process.
 #[derive(Debug)]
 pub enum ApplyMsg {
     /// Replay a source transaction that committed asynchronously.
@@ -109,15 +109,13 @@ pub enum ApplyMsg {
 /// Counters exposed by the replay process.
 #[derive(Debug, Default)]
 pub struct ReplayStats {
-    /// Messages fully processed.
-    pub done: AtomicU64,
     /// Individual change records applied.
     pub records: AtomicU64,
     /// Validation failures (WW conflicts with destination transactions).
     pub conflicts: AtomicU64,
-    /// Notified after every completed message, and by the propagation
-    /// process feeding this replay after every batch it processed: what a
-    /// catch-up or a drain parks on.
+    /// Notified after every completed message, and by the stream feeding
+    /// this replay after every batch it processed: what a catch-up or a
+    /// drain parks on.
     pub progress: Arc<Signal>,
 }
 
@@ -193,10 +191,9 @@ impl ReplayShared {
         self.complete(ticket);
     }
 
-    /// Marks `ticket` complete and counts its message done.
+    /// Marks `ticket` complete and tells whoever waits on progress.
     fn complete(&self, ticket: u64) {
         self.completion.mark(ticket);
-        self.stats.done.fetch_add(1, Ordering::SeqCst);
         self.stats.progress.notify();
     }
 
@@ -431,6 +428,13 @@ impl ReplayProcess {
             .collect()
     }
 
+    /// The completed ticket prefix: the messages up to the `completed()`-th
+    /// received are all processed. Tickets are assigned one per message, in
+    /// receive order from 1.
+    pub fn completed(&self) -> u64 {
+        self.shared.completion.state.lock().0
+    }
+
     /// The first unexpected (fatal) replay failure, if any.
     pub fn fatal(&self) -> Option<DbError> {
         self.shared.fatal.lock().clone()
@@ -441,7 +445,7 @@ impl ReplayProcess {
         self.shared.prepared_shadows.lock().len()
     }
 
-    /// Waits for the dispatcher (after the propagation sent `Shutdown`) and
+    /// Waits for the dispatcher (after the stream sent `Shutdown`) and
     /// all workers to finish. Fails if a fatal replay error occurred (a
     /// worker panic is caught, noted, and surfaced here instead of hanging
     /// the pipeline) or if any shadow transaction is still prepared after a
@@ -652,13 +656,16 @@ mod tests {
             })
             .unwrap();
         }
+        let all_done = || replay.completed() == 50;
+        assert!(replay
+            .stats
+            .progress
+            .park_until(all_done, Duration::from_secs(5)));
         tx.send(ApplyMsg::Shutdown).unwrap();
-        let stats = Arc::clone(&replay.stats);
         replay.join().unwrap();
         assert_eq!(read_at(&cluster, NodeId(1), 7, 505), Some(val("v49")));
         // Intermediate snapshots see intermediate values.
         assert_eq!(read_at(&cluster, NodeId(1), 7, 105), Some(val("v9")));
-        assert_eq!(stats.done.load(Ordering::Relaxed), 50);
     }
 
     #[test]

@@ -1,0 +1,1013 @@
+//! One stream: how a source node's log reaches a receiver (§3.3, §11).
+//!
+//! A stream is one thread per (source node, receiver). It tails the source
+//! through its slot-owning [`WalTail`] until the tail is stopped
+//! ([`TailHandle::stop`], which wakes a parked reader), pays the transport —
+//! a `net.hop` per delivered batch, plus the stream's ship fault seam once
+//! per batch read — and feeds each batch to a [`StreamApplier`] in the same
+//! thread. [`run`] is the one loop; two kinds of stream run it:
+//!
+//! * a **replica** stream ([`crate::replication`]) waits at most
+//!   [`HEARTBEAT_PERIOD`] on a quiet log and then sends a heartbeat. Its
+//!   seam is `ShipBatch`: `Fail` holds a batch back until after its
+//!   successor, `Crash` delivers it twice, and the apply-LSN gate
+//!   re-sequences both. `ReplicaApply` is visited before each apply.
+//! * a **migration** stream ([`crate::pipeline`]) parks with no idle period
+//!   and visits `PropagationShip` once per batch.
+//!
+//! A stop is never answered with a heartbeat: `Stopped` delivers a held
+//! batch and ends, and a stopped migration stream sends
+//! [`ApplyMsg::Shutdown`] to its replay.
+//!
+//! ## The one receiver
+//!
+//! [`StreamApplier`] owns, for both kinds, the dense apply-LSN gate, the
+//! [`TxnAssembler`] and the rule that skips a transaction with no `Begin` on
+//! the stream: it resolved before the slot existed, so it is wholly inside
+//! the copied snapshot or the replica's cut. Its one branch is what a
+//! resolved or prepared transaction does:
+//!
+//! * **replica** — keep every data write; a committed transaction is redone
+//!   by [`remus_txn::redo_committed`] behind the backfill [`CopyGate`], and
+//!   the watermark is taken from the frontier (see [`crate::replication`]).
+//! * **migration** — keep the migrating shards' writes (the assembler's
+//!   per-transaction buffers are the paper's update cache queues) and ship
+//!   to the destination's [`crate::replay`]: a prepared transaction the
+//!   commit hook marked synchronized as an [`ApplyMsg::Validate`], its
+//!   decision as `CommitShadow` / `RollbackShadow`; a commit above the
+//!   snapshot timestamp as an [`ApplyMsg::Committed`]. Aborted transactions
+//!   and commits at or before the snapshot timestamp are dropped. A buffer
+//!   that grew past `SPILL_THRESHOLD` records charges the configured reload
+//!   latency per batch when it ships.
+//!
+//! ## Progress: the lowest unfinished LSN
+//!
+//! A replica applies synchronously, so its progress is the gate's applied
+//! LSN. A migration's replay applies in parallel, out of order: its
+//! progress is the LSN just before the record that produced the oldest
+//! message outside replay's completed ticket prefix, or the gate's applied
+//! LSN when no message is outstanding ([`Shipped::finished_through`]).
+//! Every record at or below it is applied on the destination — the
+//! condition §3.4 puts on `LSN_unsync` before `T_m`.
+
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+use crossbeam::channel::Sender;
+use parking_lot::Mutex;
+use remus_cluster::{Cluster, Node};
+use remus_common::time::{self, Signal};
+use remus_common::{
+    Counter, DbError, DbResult, FaultAction, InjectionPoint, NodeId, ShardId, Timestamp, TxnId,
+};
+use remus_shard::SHARD_MAP_SHARD;
+use remus_txn::{redo_committed, WalTail};
+use remus_wal::{
+    ApplyLsnGate, Lsn, ShipBatch, TailHandle, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteOp,
+};
+
+use crate::mocc::RemusHook;
+use crate::replay::ApplyMsg;
+use crate::snapshot::CopyGate;
+
+/// How long a caught-up replica stream lets its primary stay quiet before it
+/// sends a heartbeat (and a batch the reorder fault held back). Not a stop
+/// latency: a stop wakes the stream.
+const HEARTBEAT_PERIOD: Duration = Duration::from_millis(20);
+
+/// A transaction's buffered changes spill to disk above this many records
+/// (paper §3.3 "allows their change records being spilled to disk"); the
+/// spill is modelled by `SimConfig::spill_reload_latency` per reloaded batch
+/// of [`SPILL_RELOAD_BATCH`] records when the buffer is shipped.
+const SPILL_THRESHOLD: usize = 4096;
+const SPILL_RELOAD_BATCH: usize = 256;
+
+/// A running stream: its thread and the handle that stops its tail.
+pub(crate) struct Stream {
+    tail: TailHandle,
+    thread: JoinHandle<()>,
+}
+
+impl Stream {
+    /// Runs `body` with `tail` on a thread of its own; the tail's slot goes
+    /// when the thread ends.
+    pub(crate) fn spawn(tail: WalTail, body: impl FnOnce(WalTail) + Send + 'static) -> Stream {
+        Stream {
+            tail: tail.handle(),
+            thread: std::thread::spawn(move || body(tail)),
+        }
+    }
+
+    /// A migration stream from `source` to `dest`'s replay, notifying
+    /// `progress` after every batch.
+    pub(crate) fn migration(
+        cluster: &Arc<Cluster>,
+        source: &Arc<Node>,
+        dest: NodeId,
+        tail: WalTail,
+        mut applier: StreamApplier,
+        progress: Arc<Signal>,
+    ) -> Stream {
+        let (cluster, source) = (Arc::clone(cluster), Arc::clone(source));
+        Stream::spawn(tail, move |tail| {
+            // A migration stream's apply only ships, so it cannot fail.
+            let publish = |_: &StreamApplier, _| progress.notify();
+            let _ = run(&cluster, &source, dest, tail, &mut applier, publish);
+        })
+    }
+
+    /// Stops the stream once it has handed out every record up to and
+    /// including `upto` ([`Lsn::ZERO`]: now); wakes it if it is parked.
+    pub(crate) fn stop(&self, upto: Lsn) {
+        self.tail.stop(upto);
+    }
+
+    /// Waits for the thread; a panic on it surfaces as an error so teardown
+    /// paths can join without unwinding twice.
+    pub(crate) fn join(self) -> DbResult<()> {
+        self.thread
+            .join()
+            .map_err(|_| DbError::Internal("stream thread panicked".into()))
+    }
+}
+
+/// The one stream loop (module docs): tails `source` until the tail is
+/// stopped, delivering every batch to `applier` and calling `publish` with
+/// the applier and what the delivery applied after each delivery and each
+/// accepted heartbeat. Returns a replica's first apply error.
+pub(crate) fn run<P: FnMut(&StreamApplier, u64)>(
+    cluster: &Cluster,
+    source: &Node,
+    dest: NodeId,
+    mut tail: WalTail,
+    applier: &mut StreamApplier,
+    mut publish: P,
+) -> DbResult<()> {
+    let replica = matches!(applier.rule, Rule::Replica { .. });
+    let (idle, seam) = if replica {
+        (HEARTBEAT_PERIOD, InjectionPoint::ShipBatch)
+    } else {
+        (Duration::MAX, InjectionPoint::PropagationShip)
+    };
+    let drain_batch = cluster.config.parallelism.drain_batch.max(1);
+    let deliver = |applier: &mut StreamApplier, publish: &mut P, batch| -> DbResult<()> {
+        cluster.net.hop(source.id(), dest);
+        if replica {
+            // Stalled-replica seam: only Delay is expressible here.
+            cluster.fault_at(InjectionPoint::ReplicaApply, dest);
+        }
+        let applied = applier.apply(batch)?;
+        publish(applier, applied);
+        Ok(())
+    };
+    // A batch held back by the reorder fault: it is delivered *after* its
+    // successor (or at the next idle tick), so the apply gate sees a
+    // genuine out-of-order arrival followed by a late retransmit.
+    let mut held: Option<ShipBatch> = None;
+    loop {
+        let records = match tail.next_batch(drain_batch, idle) {
+            TailRead::Batch(records) => records,
+            TailRead::Stopped => break,
+            TailRead::Idle => {
+                // Only a replica stream has an idle period.
+                if let Some(prev) = held.take() {
+                    deliver(applier, &mut publish, prev)?;
+                }
+                // Caught-up heartbeat. Order matters: tick the clock *before*
+                // reading the position, so any commit past `position` drew
+                // its timestamp after `ts`.
+                let ts = cluster.oracle.start_ts(source.id());
+                let position = tail.consumed();
+                if source.storage.wal.flush_lsn() == position {
+                    cluster.net.hop(source.id(), dest);
+                    if applier.heartbeat(position, ts) {
+                        publish(applier, 0);
+                    }
+                }
+                continue;
+            }
+        };
+        let batch = ShipBatch::new(records[0].0, records.into_iter().map(|(_, r)| r).collect());
+        let sends = match cluster.fault_at(seam, source.id()) {
+            // Reorder: hold this batch back until after its successor.
+            FaultAction::Fail if replica => [held.replace(batch), None, None],
+            // Duplicate transmission (a retransmit racing the original).
+            FaultAction::Crash if replica => [Some(batch.clone()), Some(batch), held.take()],
+            // No fault, or lag the seam helper already slept.
+            _ => [Some(batch), held.take(), None],
+        };
+        for batch in sends.into_iter().flatten() {
+            deliver(applier, &mut publish, batch)?;
+        }
+    }
+    if let Some(prev) = held.take() {
+        deliver(applier, &mut publish, prev)?;
+    }
+    applier.close();
+    Ok(())
+}
+
+/// The replica's write predicate. Shard-map rows are excluded: the replica
+/// is itself a participant of every map transaction (`T_m` updates all
+/// nodes' map replicas), so its map table is maintained by its own 2PC path,
+/// not by redo.
+fn is_data_write(w: &WriteOp) -> bool {
+    w.shard != SHARD_MAP_SHARD
+}
+
+/// Whether the transaction an event is about has a `Begin` on this stream.
+fn headed(event: &TxnEvent<'_>) -> bool {
+    match event {
+        TxnEvent::Nothing => false,
+        TxnEvent::Kept(txn) => txn.begin_lsn.is_some(),
+        TxnEvent::Prepared(txn) => txn.begin_lsn.is_some(),
+        TxnEvent::Resolved { txn, .. } => txn.begin_lsn.is_some(),
+    }
+}
+
+/// What a migration stream has shipped, readable from the pipeline that
+/// waits on it: the progress measure's inputs (module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Shipped {
+    /// The gate's applied LSN, stored after every batch.
+    applied: AtomicU64,
+    /// `(ticket, LSN of the record that produced it)` of every message
+    /// replay may not have completed yet, in ticket order. Replay assigns
+    /// tickets in receive order from 1, so the n-th message sent is ticket n.
+    pending: Mutex<VecDeque<(u64, Lsn)>>,
+}
+
+impl Shipped {
+    /// The lowest-unfinished-LSN measure: the LSN before the record that
+    /// produced the oldest message above replay's `completed` ticket prefix,
+    /// else the applied LSN. Every record at or below it is applied.
+    pub(crate) fn finished_through(&self, completed: u64) -> Lsn {
+        // Read before the list: a message from a record at or below it was
+        // queued before it was stored.
+        let applied = Lsn(self.applied.load(Ordering::SeqCst));
+        let mut pending = self.pending.lock();
+        while pending
+            .front()
+            .is_some_and(|&(ticket, _)| ticket <= completed)
+        {
+            pending.pop_front();
+        }
+        pending
+            .front()
+            .map_or(applied, |&(_, lsn)| applied.min(Lsn(lsn.0 - 1)))
+    }
+}
+
+/// The writes a stream's assembler buffers.
+type Keep = Box<dyn Fn(&WriteOp) -> bool + Send>;
+
+/// What a resolved or prepared transaction does on a stream.
+enum Rule {
+    /// Redo it on a replica, behind the backfill gate.
+    Replica {
+        replica: Arc<Node>,
+        gate: Arc<CopyGate>,
+    },
+    /// Ship it to a migration's replay.
+    Migration(Migration),
+}
+
+/// A migration stream's shipping state.
+struct Migration {
+    source: Arc<Node>,
+    snapshot_ts: Timestamp,
+    /// Identifies synchronized source transactions.
+    hook: Arc<RemusHook>,
+    /// Synchronized source transactions whose `Validate` was shipped: their
+    /// decision record ships the shadow's, not a second copy of the writes.
+    validated: HashSet<TxnId>,
+    spill_latency: Duration,
+    batch_len: Arc<Counter>,
+    tx: Sender<ApplyMsg>,
+    /// Messages sent so far: the last one's replay ticket.
+    sent: u64,
+    shipped: Arc<Shipped>,
+}
+
+impl Migration {
+    /// What a headed transaction's event ships (§3.3). Returns the number of
+    /// messages sent.
+    fn on_event(&mut self, lsn: Lsn, event: TxnEvent<'_>) -> u64 {
+        match event {
+            TxnEvent::Kept(_) => self.source.work.add(1),
+            TxnEvent::Prepared(txn) if !txn.writes.is_empty() && self.hook.is_sync_txn(txn.xid) => {
+                let (xid, start_ts) = (txn.xid, txn.start_ts);
+                let ops = std::mem::take(&mut txn.writes);
+                self.validated.insert(xid);
+                return self.ship(lsn, ApplyMsg::Validate { xid, start_ts, ops });
+            }
+            TxnEvent::Resolved { txn, outcome, .. } => {
+                let (xid, start_ts, ops) = (txn.xid, txn.start_ts, txn.writes);
+                let shadowed = self.validated.remove(&xid);
+                let msg = match outcome {
+                    TxnOutcome::Committed(commit_ts) if shadowed => {
+                        ApplyMsg::CommitShadow { xid, commit_ts }
+                    }
+                    TxnOutcome::Aborted if shadowed => ApplyMsg::RollbackShadow { xid },
+                    // Not at or before the snapshot timestamp: that is
+                    // already contained in the copied snapshot.
+                    TxnOutcome::Committed(commit_ts)
+                        if !ops.is_empty() && commit_ts > self.snapshot_ts =>
+                    {
+                        ApplyMsg::Committed {
+                            xid,
+                            start_ts,
+                            commit_ts,
+                            ops,
+                        }
+                    }
+                    _ => return 0,
+                };
+                return self.ship(lsn, msg);
+            }
+            _ => {}
+        }
+        0
+    }
+
+    /// Sends `msg`, produced by the record at `lsn`, to replay.
+    fn ship(&mut self, lsn: Lsn, msg: ApplyMsg) -> u64 {
+        // What of the transaction buffer `msg` carries lay past the spill
+        // threshold is reloaded in batches first.
+        let buffered = match &msg {
+            ApplyMsg::Validate { ops, .. } | ApplyMsg::Committed { ops, .. } => ops.len(),
+            _ => 0,
+        };
+        let reloads = buffered
+            .saturating_sub(SPILL_THRESHOLD)
+            .div_ceil(SPILL_RELOAD_BATCH);
+        if reloads > 0 {
+            self.source
+                .storage
+                .counters
+                .queue_spills
+                .add(reloads as u64);
+            // Reloading spilled change records in batches (§3.3).
+            time::charge(self.spill_latency * reloads as u32);
+        }
+        self.sent += 1;
+        self.shipped.pending.lock().push_back((self.sent, lsn));
+        // A send fails only once replay has ended: nothing left to ship to.
+        let _ = self.tx.send(msg);
+        1
+    }
+}
+
+/// The one receiver of a stream (module docs): re-sequences received batches
+/// through the apply-LSN gate, assembles them per transaction
+/// ([`TxnAssembler`]), acts on each transaction at its prepare or
+/// resolution record, and maintains the stream watermark from the
+/// assembler's frontier.
+///
+/// Every stream thread drives one of these; it is public so tests can feed
+/// a replica's arbitrary (duplicated, reordered, overlapping) batch
+/// sequences directly and check convergence.
+pub struct StreamApplier {
+    lsn_gate: ApplyLsnGate,
+    assembler: TxnAssembler<Keep>,
+    rule: Rule,
+    /// Commit resolutions not yet at or below the frontier: lsn -> cts.
+    resolved: BTreeMap<Lsn, Timestamp>,
+    wmax: Timestamp,
+}
+
+impl StreamApplier {
+    /// An applier for `replica`, expecting the first record after `from`,
+    /// with its watermark seeded at `cut_ts` and no backfill gate (every
+    /// key applies immediately).
+    pub fn new(replica: &Arc<Node>, cut_ts: Timestamp, from: Lsn) -> StreamApplier {
+        Self::gated(replica, cut_ts, from, Arc::new(CopyGate::open()))
+    }
+
+    /// Like [`StreamApplier::new`], but applies behind a backfill copy
+    /// gate: a write to a key whose chunk is still being copied waits for
+    /// the chunk (or fails when the gate is poisoned).
+    pub fn gated(
+        replica: &Arc<Node>,
+        cut_ts: Timestamp,
+        from: Lsn,
+        gate: Arc<CopyGate>,
+    ) -> StreamApplier {
+        let replica = Arc::clone(replica);
+        Self::with_rule(
+            from,
+            Box::new(is_data_write),
+            cut_ts,
+            Rule::Replica { replica, gate },
+        )
+    }
+
+    /// The receiver of a migration of `shards` off `source`, expecting the
+    /// first record after `from` and shipping to `tx`; `hook` identifies
+    /// synchronized source transactions. Returns what the pipeline reads its
+    /// progress from.
+    pub(crate) fn migration(
+        cluster: &Cluster,
+        source: &Arc<Node>,
+        shards: &[ShardId],
+        snapshot_ts: Timestamp,
+        from: Lsn,
+        hook: Arc<RemusHook>,
+        tx: Sender<ApplyMsg>,
+    ) -> (StreamApplier, Arc<Shipped>) {
+        let shards: HashSet<ShardId> = shards.iter().copied().collect();
+        let shipped = Arc::new(Shipped::default());
+        shipped.applied.store(from.0, Ordering::SeqCst);
+        let rule = Rule::Migration(Migration {
+            source: Arc::clone(source),
+            snapshot_ts,
+            hook,
+            validated: HashSet::new(),
+            spill_latency: cluster.config.spill_reload_latency,
+            batch_len: cluster.metrics.counter("replay.batch_len"),
+            tx,
+            sent: 0,
+            shipped: Arc::clone(&shipped),
+        });
+        let keep = Box::new(move |w: &WriteOp| shards.contains(&w.shard));
+        (Self::with_rule(from, keep, snapshot_ts, rule), shipped)
+    }
+
+    fn with_rule(from: Lsn, keep: Keep, wmax: Timestamp, rule: Rule) -> StreamApplier {
+        StreamApplier {
+            lsn_gate: ApplyLsnGate::starting_after(from),
+            assembler: TxnAssembler::new(from, keep),
+            rule,
+            resolved: BTreeMap::new(),
+            wmax,
+        }
+    }
+
+    /// Highest densely-applied LSN.
+    pub fn applied(&self) -> Lsn {
+        self.lsn_gate.applied()
+    }
+
+    /// The frontier: every record at or below it belongs to a resolved,
+    /// fully-applied transaction (or to one older than the slot).
+    pub fn frontier(&self) -> Lsn {
+        self.assembler.frontier()
+    }
+
+    /// The stream watermark `W_s` (monotone).
+    pub fn watermark(&self) -> Timestamp {
+        self.wmax
+    }
+
+    /// Number of transactions with a Begin on the stream but no resolution
+    /// yet.
+    pub fn open_txns(&self) -> usize {
+        self.assembler.open_headed()
+    }
+
+    /// Admits one received batch and acts on whatever the gate releases.
+    /// Returns the number of transactions committed to the replica (for a
+    /// migration: of messages shipped).
+    pub fn apply(&mut self, batch: ShipBatch) -> DbResult<u64> {
+        let mut done = 0;
+        let records = self.lsn_gate.admit(batch);
+        if let Rule::Migration(m) = &self.rule {
+            m.batch_len.add(records.len() as u64);
+        }
+        for (lsn, record) in records {
+            let event = self.assembler.feed(lsn, &record);
+            if !headed(&event) {
+                continue;
+            }
+            match (&mut self.rule, event) {
+                // Nothing to do at `Prepare` on a replica: the frontier
+                // stalls at the open `Begin` until the decision record
+                // arrives — the replica analogue of prepare-wait.
+                (
+                    Rule::Replica { replica, gate },
+                    TxnEvent::Resolved {
+                        txn,
+                        resolution_lsn,
+                        outcome: TxnOutcome::Committed(cts),
+                    },
+                ) => {
+                    apply_commit(replica, gate, txn.xid, cts, &txn.writes)?;
+                    done += 1;
+                    self.resolved.insert(resolution_lsn, cts);
+                }
+                (Rule::Migration(m), event) => done += m.on_event(lsn, event),
+                _ => {}
+            }
+        }
+        if let Rule::Migration(m) = &self.rule {
+            m.shipped.applied.store(self.applied().0, Ordering::SeqCst);
+        }
+        // Drain resolutions the frontier now covers into the watermark.
+        let frontier = self.frontier();
+        while let Some(entry) = self.resolved.first_entry() {
+            if *entry.key() > frontier {
+                break;
+            }
+            self.wmax = self.wmax.max(entry.remove());
+        }
+        Ok(done)
+    }
+
+    /// Accepts a caught-up heartbeat if this stream has densely applied
+    /// exactly `position` with no transaction open — then every commit not
+    /// yet applied ticked the primary's clock after `ts` was drawn, so
+    /// `ts` is a sound watermark. Returns whether it was accepted.
+    pub fn heartbeat(&mut self, position: Lsn, ts: Timestamp) -> bool {
+        if self.lsn_gate.applied() != position || self.open_txns() > 0 {
+            return false;
+        }
+        self.wmax = self.wmax.max(ts);
+        true
+    }
+
+    /// The end of the stream: a migration's replay is told with `Shutdown`.
+    fn close(&self) {
+        if let Rule::Migration(m) = &self.rule {
+            let _ = m.tx.send(ApplyMsg::Shutdown);
+        }
+    }
+}
+
+/// Applies one committed transaction's buffered data writes to the replica,
+/// in commit order whatever the arrival order (see [`crate::replication`]):
+/// behind the backfill gate, by the one redo rule for a committed transaction
+/// ([`remus_txn::redo_committed`] — resolve first, then install each version
+/// at its commit timestamp's place in its chain).
+///
+/// Convergent by construction: a write the cut snapshot predates is installed
+/// above the frozen copy, one another stream (a 2PC participant's, a migration
+/// shadow's) or a retransmit already delivered edits that version in place,
+/// and [`remus_storage::Clog::set_committed`] is idempotent for an equal
+/// timestamp.
+fn apply_commit(
+    replica: &Node,
+    gate: &CopyGate,
+    xid: TxnId,
+    cts: Timestamp,
+    writes: &[WriteOp],
+) -> DbResult<()> {
+    if writes.is_empty() {
+        return Ok(());
+    }
+    // During backfill, wait for the covering chunks — the same wait as
+    // migration catch-up's against its copy gate.
+    gate.wait_writes_copied(writes)?;
+    redo_committed(&replica.storage, xid, cts, writes)?;
+    replica.work.add(writes.len() as u64);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mocc::ValidationRegistry;
+    use crate::replay::ReplayProcess;
+    use crossbeam::channel::{unbounded, Receiver};
+    use remus_cluster::{ClusterBuilder, Session};
+    use remus_common::{SimConfig, TableId};
+    use remus_storage::Value;
+    use remus_txn::SyncCommitHook;
+    use remus_wal::{LogOp, LogRecord, WriteKind, WriteOp};
+
+    fn val(s: &str) -> Value {
+        Value::copy_from_slice(s.as_bytes())
+    }
+
+    fn wop(shard: u64, key: u64) -> LogOp {
+        LogOp::Write(WriteOp {
+            shard: ShardId(shard),
+            key,
+            kind: WriteKind::Insert,
+            value: val("x"),
+        })
+    }
+
+    /// A migration stream of `shards` off node 0 towards node 1, from the
+    /// start of node 0's log, shipping to the returned receiver.
+    fn start_migration(
+        cluster: &Arc<Cluster>,
+        shards: &[ShardId],
+        hook: Arc<RemusHook>,
+        snapshot_ts: u64,
+    ) -> (Stream, Receiver<ApplyMsg>, Arc<Shipped>) {
+        let (tx, rx) = unbounded();
+        let source = cluster.node(NodeId(0));
+        let tail = source.storage.create_slot(Lsn::ZERO);
+        let (applier, shipped) = StreamApplier::migration(
+            cluster,
+            source,
+            shards,
+            Timestamp(snapshot_ts),
+            tail.consumed(),
+            hook,
+            tx,
+        );
+        let stream = Stream::migration(cluster, source, NodeId(1), tail, applier, Arc::default());
+        (stream, rx, shipped)
+    }
+
+    fn start_stream(
+        cluster: &Arc<Cluster>,
+        hook: Arc<RemusHook>,
+        snapshot_ts: u64,
+    ) -> (Stream, Receiver<ApplyMsg>) {
+        let (stream, rx, _) = start_migration(cluster, &[ShardId(0)], hook, snapshot_ts);
+        (stream, rx)
+    }
+
+    fn test_hook() -> Arc<RemusHook> {
+        Arc::new(RemusHook::new(
+            &[ShardId(0)],
+            Arc::new(ValidationRegistry::new()),
+            Duration::from_secs(2),
+        ))
+    }
+
+    fn cluster2() -> Arc<Cluster> {
+        let c = ClusterBuilder::new(2).config(SimConfig::instant()).build();
+        c.create_table(TableId(1), 0, 2, |_| NodeId(0));
+        c
+    }
+
+    fn xid(n: u64) -> TxnId {
+        TxnId::new(NodeId(0), 100 + n)
+    }
+
+    #[test]
+    fn ships_committed_txns_after_snapshot_only() {
+        let cluster = cluster2();
+        let wal = &cluster.node(NodeId(0)).storage.wal;
+        // Txn A commits at ts 5 (before snapshot 10): dropped.
+        wal.append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
+        wal.append(LogRecord::new(xid(1), wop(0, 1)));
+        wal.append(LogRecord::new(xid(1), LogOp::Commit(Timestamp(5))));
+        // Txn B commits at ts 15: shipped.
+        wal.append(LogRecord::new(xid(2), LogOp::Begin(Timestamp(12))));
+        wal.append(LogRecord::new(xid(2), wop(0, 2)));
+        wal.append(LogRecord::new(xid(2), LogOp::Commit(Timestamp(15))));
+        // Txn C only touches shard 1 (not migrating): dropped.
+        wal.append(LogRecord::new(xid(3), LogOp::Begin(Timestamp(13))));
+        wal.append(LogRecord::new(xid(3), wop(1, 3)));
+        wal.append(LogRecord::new(xid(3), LogOp::Commit(Timestamp(16))));
+
+        let (stream, rx) = start_stream(&cluster, test_hook(), 10);
+        let msg = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        match msg {
+            ApplyMsg::Committed {
+                xid: x,
+                commit_ts,
+                ops,
+                start_ts,
+            } => {
+                assert_eq!(x, xid(2));
+                assert_eq!(commit_ts, Timestamp(15));
+                assert_eq!(start_ts, Timestamp(12));
+                assert_eq!(ops.len(), 1);
+            }
+            other => panic!("unexpected message {other:?}"),
+        }
+        stream.stop(cluster.node(NodeId(0)).storage.wal.flush_lsn());
+        // Shutdown follows with nothing else in between.
+        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            ApplyMsg::Shutdown => {}
+            other => panic!("unexpected message {other:?}"),
+        }
+        stream.join().unwrap();
+    }
+
+    #[test]
+    fn aborted_txn_queue_is_dropped() {
+        let cluster = cluster2();
+        let wal = &cluster.node(NodeId(0)).storage.wal;
+        wal.append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
+        wal.append(LogRecord::new(xid(1), wop(0, 1)));
+        wal.append(LogRecord::new(xid(1), LogOp::Abort));
+        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
+        stream.stop(wal.flush_lsn());
+        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            ApplyMsg::Shutdown => {}
+            other => panic!("unexpected message {other:?}"),
+        }
+        stream.join().unwrap();
+    }
+
+    #[test]
+    fn sync_txn_validates_then_commits_shadow() {
+        let cluster = cluster2();
+        let hook = test_hook();
+        hook.enable_sync();
+        // Mark the txn as sync-mode the way commit_txn would.
+        assert_eq!(
+            hook.begin_commit(xid(1), &[ShardId(0)]),
+            remus_txn::CommitMode::Sync
+        );
+        let wal = &cluster.node(NodeId(0)).storage.wal;
+        wal.append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
+        wal.append(LogRecord::new(xid(1), wop(0, 1)));
+        wal.append(LogRecord::new(xid(1), LogOp::Prepare));
+        wal.append(LogRecord::new(xid(1), LogOp::CommitPrepared(Timestamp(9))));
+
+        let (stream, rx) = start_stream(&cluster, hook, 0);
+        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            ApplyMsg::Validate { xid: x, ops, .. } => {
+                assert_eq!(x, xid(1));
+                assert_eq!(ops.len(), 1);
+            }
+            other => panic!("unexpected message {other:?}"),
+        }
+        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            ApplyMsg::CommitShadow { xid: x, commit_ts } => {
+                assert_eq!(x, xid(1));
+                assert_eq!(commit_ts, Timestamp(9));
+            }
+            other => panic!("unexpected message {other:?}"),
+        }
+        stream.stop(wal.flush_lsn());
+        stream.join().unwrap();
+    }
+
+    #[test]
+    fn non_sync_prepared_txn_ships_at_commit_prepared() {
+        // An ordinary distributed transaction during the async phase: its
+        // prepare record is not a validation trigger; the queue ships with
+        // the commit-prepared record.
+        let cluster = cluster2();
+        let wal = &cluster.node(NodeId(0)).storage.wal;
+        wal.append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
+        wal.append(LogRecord::new(xid(1), wop(0, 1)));
+        wal.append(LogRecord::new(xid(1), LogOp::Prepare));
+        wal.append(LogRecord::new(xid(1), LogOp::CommitPrepared(Timestamp(9))));
+        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
+        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            ApplyMsg::Committed {
+                xid: x, commit_ts, ..
+            } => {
+                assert_eq!(x, xid(1));
+                assert_eq!(commit_ts, Timestamp(9));
+            }
+            other => panic!("unexpected message {other:?}"),
+        }
+        stream.stop(wal.flush_lsn());
+        stream.join().unwrap();
+    }
+
+    #[test]
+    fn rollback_prepared_of_sync_txn_ships_rollback_shadow() {
+        let cluster = cluster2();
+        let hook = test_hook();
+        hook.enable_sync();
+        hook.begin_commit(xid(1), &[ShardId(0)]);
+        let wal = &cluster.node(NodeId(0)).storage.wal;
+        wal.append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
+        wal.append(LogRecord::new(xid(1), wop(0, 1)));
+        wal.append(LogRecord::new(xid(1), LogOp::Prepare));
+        wal.append(LogRecord::new(xid(1), LogOp::RollbackPrepared));
+        let (stream, rx) = start_stream(&cluster, hook, 0);
+        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            ApplyMsg::Validate { .. } => {}
+            other => panic!("unexpected message {other:?}"),
+        }
+        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            ApplyMsg::RollbackShadow { xid: x } => assert_eq!(x, xid(1)),
+            other => panic!("unexpected message {other:?}"),
+        }
+        stream.stop(wal.flush_lsn());
+        stream.join().unwrap();
+    }
+
+    /// The progress measure stops at the oldest message replay has not
+    /// completed: a later message's completion does not move it, and it
+    /// reaches the log's end once that message completes.
+    #[test]
+    fn progress_is_the_lowest_unfinished_lsn_and_a_later_completion_does_not_move_it() {
+        let cluster = cluster2();
+        let (source, dest) = (cluster.node(NodeId(0)), cluster.node(NodeId(1)));
+        let shards = [ShardId(0), ShardId(1)];
+        for shard in shards {
+            dest.storage.create_shard(shard);
+        }
+        let wal = &source.storage.wal;
+        // Two committed transactions, one per shard: messages (tickets) 1
+        // and 2, produced by the commit records at LSN 3 and 6.
+        for (n, shard) in [(1, 0), (2, 1)] {
+            wal.append(LogRecord::new(xid(n), LogOp::Begin(Timestamp(10 + n))));
+            wal.append(LogRecord::new(xid(n), wop(shard, n)));
+            wal.append(LogRecord::new(xid(n), LogOp::Commit(Timestamp(20 + n))));
+        }
+        // Replay holds each write until its shard's one chunk is copied.
+        let gate = Arc::new(CopyGate::plan(&shards, source, u64::MAX).unwrap());
+        let chunk = |shard| gate.chunk_of(shard, 0).unwrap().flat;
+        let registry = Arc::new(ValidationRegistry::new());
+        let (tx, rx) = unbounded();
+        let replay = ReplayProcess::start(&cluster, dest, registry, rx, Some(Arc::clone(&gate)));
+        let tail = source.storage.create_slot(Lsn::ZERO);
+        let (applier, shipped) = StreamApplier::migration(
+            &cluster,
+            source,
+            &shards,
+            Timestamp(5),
+            tail.consumed(),
+            test_hook(),
+            tx,
+        );
+        let progress = Arc::clone(&replay.stats.progress);
+        let stream = Stream::migration(&cluster, source, NodeId(1), tail, applier, progress);
+        let measure = || shipped.finished_through(replay.completed());
+        let wait = |cond: &dyn Fn() -> bool| {
+            assert!(replay
+                .stats
+                .progress
+                .park_until(cond, Duration::from_secs(5)));
+        };
+        // Nothing shipped is applied yet: the measure is before message 1.
+        wait(&|| shipped.applied.load(Ordering::SeqCst) == 6);
+        assert_eq!(measure(), Lsn(2));
+        // Message 2 completes first; the prefix is still empty.
+        gate.mark_copied(chunk(ShardId(1)));
+        let applied_2 = || dest.storage.table(ShardId(1)).unwrap().stats().keys == 1;
+        wait(&applied_2);
+        assert_eq!(replay.completed(), 0);
+        assert_eq!(measure(), Lsn(2), "a later completion moved the measure");
+        // Message 1 completes: everything up to the log's end is applied.
+        gate.mark_copied(chunk(ShardId(0)));
+        wait(&|| replay.completed() == 2);
+        assert_eq!(measure(), wal.flush_lsn());
+        stream.stop(wal.flush_lsn());
+        stream.join().and(replay.join()).unwrap();
+    }
+
+    #[test]
+    fn slot_protects_wal_until_dropped() {
+        let cluster = cluster2();
+        let storage = &cluster.node(NodeId(0)).storage;
+        let wal = &storage.wal;
+        for i in 0..5 {
+            wal.append(LogRecord::new(xid(i), LogOp::Abort));
+        }
+        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
+        // Wait for the reader to pass everything, then stop.
+        stream.stop(wal.flush_lsn());
+        loop {
+            if let ApplyMsg::Shutdown = rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+                break;
+            }
+        }
+        stream.join().unwrap();
+        // After the stream dropped its slot, truncation can clean fully.
+        assert_eq!(storage.truncate_wal_safely(), wal.flush_lsn());
+    }
+
+    /// Everything a migration stream ships for the source's log as it
+    /// stands, read `drain_batch` records at a time.
+    fn shipped(cluster: &Arc<Cluster>, hook: Arc<RemusHook>, snapshot_ts: u64) -> Vec<String> {
+        let (stream, rx) = start_stream(cluster, hook, snapshot_ts);
+        stream.stop(cluster.node(NodeId(0)).storage.wal.flush_lsn());
+        let mut msgs = Vec::new();
+        loop {
+            match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+                ApplyMsg::Shutdown => break,
+                msg => msgs.push(format!("{msg:?}")),
+            }
+        }
+        stream.join().unwrap();
+        msgs
+    }
+
+    #[test]
+    fn shipping_order_does_not_depend_on_the_drain_batch() {
+        let sequences: Vec<Vec<String>> = [1, 2, 32]
+            .into_iter()
+            .map(|drain_batch| {
+                let mut config = SimConfig::instant();
+                config.parallelism.drain_batch = drain_batch;
+                let cluster = ClusterBuilder::new(2).config(config).build();
+                cluster.create_table(TableId(1), 0, 2, |_| NodeId(0));
+                let hook = test_hook();
+                hook.enable_sync();
+                hook.begin_commit(xid(1), &[ShardId(0)]);
+                // Four interleaved transactions: 1 synchronized, 2 committed
+                // at the snapshot timestamp, 3 aborted, 4 touching only the
+                // shard that is not migrating; 5 is the ordinary shipped one
+                // the others must stay in order around.
+                let script = [
+                    (1, LogOp::Begin(Timestamp(2))),
+                    (2, LogOp::Begin(Timestamp(3))),
+                    (1, wop(0, 1)),
+                    (3, LogOp::Begin(Timestamp(4))),
+                    (5, LogOp::Begin(Timestamp(5))),
+                    (2, wop(0, 2)),
+                    (4, LogOp::Begin(Timestamp(6))),
+                    (3, wop(0, 3)),
+                    (1, wop(0, 11)),
+                    (5, wop(0, 5)),
+                    (1, LogOp::Prepare),
+                    (4, wop(1, 4)),
+                    (2, LogOp::Commit(Timestamp(10))),
+                    (5, wop(0, 55)),
+                    (3, LogOp::Abort),
+                    (4, LogOp::Commit(Timestamp(20))),
+                    (5, LogOp::Commit(Timestamp(21))),
+                    (1, LogOp::CommitPrepared(Timestamp(22))),
+                ];
+                let wal = &cluster.node(NodeId(0)).storage.wal;
+                for (n, op) in script {
+                    wal.append(LogRecord::new(xid(n), op));
+                }
+                shipped(&cluster, hook, 10)
+            })
+            .collect();
+        let kinds: Vec<&str> = sequences[0]
+            .iter()
+            .map(|m| m.split([' ', '{']).next().unwrap())
+            .collect();
+        assert_eq!(kinds, ["Validate", "Committed", "CommitShadow"]);
+        assert!(sequences[0][0].contains("key: 1,") && sequences[0][0].contains("key: 11,"));
+        assert_eq!(sequences[1], sequences[0], "drain_batch 2 against 1");
+        assert_eq!(sequences[2], sequences[0], "drain_batch 32 against 1");
+    }
+
+    #[test]
+    fn a_buffer_past_the_spill_threshold_is_charged_per_reload_batch() {
+        let cluster = cluster2();
+        let source = cluster.node(NodeId(0));
+        let storage = &source.storage;
+        let writes = SPILL_THRESHOLD as u64 + 300;
+        storage
+            .wal
+            .append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
+        for key in 0..writes {
+            storage.wal.append(LogRecord::new(xid(1), wop(0, key)));
+        }
+        storage
+            .wal
+            .append(LogRecord::new(xid(1), LogOp::Commit(Timestamp(9))));
+        let (spills, extracted) = (storage.counters.queue_spills.get(), source.work.get());
+
+        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
+        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+            ApplyMsg::Committed { ops, .. } => {
+                let keys: Vec<u64> = ops.iter().map(|op| op.key).collect();
+                assert_eq!(keys, (0..writes).collect::<Vec<_>>(), "log order");
+            }
+            other => panic!("unexpected message {other:?}"),
+        }
+        // 300 records past the threshold, reloaded 256 at a time.
+        assert_eq!(storage.counters.queue_spills.get() - spills, 2);
+        // Every kept record is counted as extraction work on the source.
+        assert_eq!(source.work.get() - extracted, writes);
+        stream.stop(storage.wal.flush_lsn());
+        stream.join().unwrap();
+    }
+
+    /// A replica stream is one thread: it applies every batch itself, up to
+    /// the stop it was given, and a stop is never answered with a heartbeat
+    /// — though the primary is caught up and idle by then.
+    #[test]
+    fn a_stopped_stream_applies_up_to_the_stop_on_its_own_thread_and_never_heartbeats() {
+        let c = ClusterBuilder::new(3).config(SimConfig::instant()).build();
+        let layout = c.create_table(TableId(1), 0, 4, |_| NodeId(0));
+        let (primary, replica) = (Arc::clone(c.node(NodeId(0))), Arc::clone(c.node(NodeId(2))));
+        let tail = primary.storage.create_slot_at_oldest_active();
+        let from = tail.consumed();
+        let s = Session::connect(&c, NodeId(0));
+        for k in 0..40u64 {
+            let mut t = s.begin();
+            t.insert(&layout, k * 2, val("x")).unwrap();
+            t.commit().unwrap();
+        }
+        let flush = primary.storage.wal.flush_lsn();
+        tail.handle().stop(flush);
+        let mut applier = StreamApplier::new(&replica, Timestamp(1), from);
+        let (mut delivered, mut committed) = (Vec::new(), 0);
+        let here = std::thread::current().id();
+        let publish = |applier: &StreamApplier, applied: u64| {
+            assert_eq!(
+                std::thread::current().id(),
+                here,
+                "applied off the stream's thread"
+            );
+            delivered.push(applier.applied());
+            committed += applied;
+        };
+        run(&c, &primary, NodeId(2), tail, &mut applier, publish).unwrap();
+        assert!(
+            applier.applied() >= flush,
+            "applied {}, stop at {flush}",
+            applier.applied()
+        );
+        assert_eq!(committed, 40);
+        // Every publish followed a delivery that moved the gate: none was a
+        // heartbeat's.
+        assert!(delivered.windows(2).all(|w| w[0] < w[1]), "{delivered:?}");
+        assert_eq!(delivered.last(), Some(&applier.applied()));
+        assert_eq!(primary.storage.slot_count(), 0);
+    }
+}

@@ -184,14 +184,17 @@ impl Clog {
 
     /// Like [`Clog::set_aborted`], but only from the in-progress (or
     /// unknown) state: returns `false` if the transaction is already
-    /// prepared or committed. Server-side force-aborts must not yank a
-    /// transaction that entered 2PC — its coordinator may still decide to
-    /// commit it; callers wait for such victims instead.
+    /// prepared, committed or aborted. Server-side force-aborts must not yank
+    /// a transaction that entered 2PC — its coordinator may still decide to
+    /// commit it; callers wait for such victims instead. A transaction that
+    /// already aborted itself has nothing left for a force-abort to do.
     pub fn try_abort(&self, xid: TxnId) -> bool {
         {
             let mut shard = self.shard(xid).write();
             match shard.get(&xid) {
-                Some(TxnStatus::Committed(_)) | Some(TxnStatus::Prepared) => return false,
+                Some(TxnStatus::Committed(_) | TxnStatus::Prepared | TxnStatus::Aborted) => {
+                    return false
+                }
                 _ => {
                     shard.insert(xid, TxnStatus::Aborted);
                 }

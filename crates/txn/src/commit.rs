@@ -350,13 +350,15 @@ pub fn abort_txn(txn: &mut Txn) {
 /// conflicting locks, §2.3.3). Dooms the xid so the client sees a
 /// migration abort, then aborts and purges its writes on this node; the
 /// victim's own [`abort_txn`] clears the doom. Returns `false` if the
-/// transaction had already committed.
+/// transaction had already prepared, committed or aborted.
 pub fn force_abort(node: &NodeStorage, xid: TxnId, reason: &'static str) -> bool {
     node.doom(xid, reason);
     // The CLOG goes first here, and atomically: the victim may be entering
     // its own commit, and whichever of the two flips the status wins.
     if !node.clog.try_abort(xid) {
-        // Already prepared or committed: past the point of no return.
+        // Already prepared or committed: past the point of no return. Or
+        // already aborted: the victim's own abort cleared the list before
+        // this doom, and nobody will observe it.
         node.clear_doom(xid);
         return false;
     }
@@ -529,6 +531,20 @@ mod tests {
         assert!(err.is_migration_induced());
         abort_txn(&mut txn);
         assert_eq!(n.doomed_count(), 0);
+    }
+
+    /// Red on the parent, where a force-abort landing after its victim's
+    /// own abort answered `true` and left the doom in the list for ever.
+    #[test]
+    fn a_force_abort_after_the_victims_own_abort_leaves_no_doom() {
+        let n = node(1);
+        let gts = Gts::new();
+        let mut txn = Txn::begin(&n, gts.start_ts(n.id));
+        txn.insert(&n, ShardId(1), 1, val("a")).unwrap();
+        abort_txn(&mut txn);
+        assert!(!force_abort(&n, txn.xid, "lock-and-abort"));
+        assert_eq!(n.doomed_count(), 0);
+        assert_eq!(n.clog.status(txn.xid), TxnStatus::Aborted);
     }
 
     #[test]

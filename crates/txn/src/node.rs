@@ -77,8 +77,8 @@ impl NodeCounters {
 type Slots = Mutex<HashMap<u64, TailHandle>>;
 
 /// A reader of one node's WAL that owns its replication slot: the one way
-/// to tail a log that truncation must wait for (migration propagation, the
-/// replica shipper). Asking for the next batch acknowledges the previous one
+/// to tail a log that truncation must wait for (a migration's or a
+/// replica's stream). Asking for the next batch acknowledges the previous one
 /// — which is the slot's position: records are `Arc`-shared, so whoever
 /// still holds one keeps it alive — and dropping the tail drops the slot, so
 /// a consumer that returns early or panics releases the log by construction.

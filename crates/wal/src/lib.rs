@@ -16,7 +16,7 @@
 //! codec-encoded records in segments, with monotonically increasing LSNs,
 //! one blocking tail read ([`log::WalReader::next_batch`]: a batch, the idle
 //! period, or a stop asked for through its [`log::TailHandle`]) for the
-//! propagation process and the replica shipper, and truncation of
+//! migration and replica streams, and truncation of
 //! fully-consumed prefixes, whole segments at a time. Durability is
 //! pluggable through [`backend::WalBackend`]: a log without one keeps the
 //! original "order only" model, while [`backend::FileBackend`] persists

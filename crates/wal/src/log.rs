@@ -608,8 +608,8 @@ impl TailHandle {
     }
 }
 
-/// A streaming cursor over a [`Wal`], used by the propagation process, the
-/// replica shipper and crash replay.
+/// A streaming cursor over a [`Wal`], used by migration and replica streams
+/// and by crash replay.
 #[derive(Debug)]
 pub struct WalReader {
     wal: Arc<Wal>,

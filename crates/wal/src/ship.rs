@@ -1,10 +1,10 @@
 //! WAL shipping: LSN-prefixed frame batches and the replica-side dense
 //! monotonic apply-LSN gate.
 //!
-//! A shipper tails a primary's WAL (the same
-//! [`crate::log::WalReader::next_batch`] drain the migration
-//! propagation path uses) and sends [`ShipBatch`]es — contiguous record
-//! runs prefixed with the LSN of their first frame — to replicas. The
+//! A replica stream tails a primary's WAL (the same
+//! [`crate::log::WalReader::next_batch`] drain a migration's stream uses)
+//! and delivers [`ShipBatch`]es — contiguous record runs prefixed with the
+//! LSN of their first frame — to the replica's applier. The
 //! transport is allowed to be sloppy: batches may arrive duplicated,
 //! reordered, or overlapping at arbitrary LSN boundaries (a retransmit
 //! after a timeout resends frames the replica already holds).
@@ -33,7 +33,7 @@ use crate::record::LogRecord;
 pub struct ShipBatch {
     /// LSN of `records[0]`.
     pub first: Lsn,
-    /// The frames, in LSN order, shared with the shipper's log.
+    /// The frames, in LSN order, shared with the source's log.
     pub records: Vec<Arc<LogRecord>>,
 }
 
