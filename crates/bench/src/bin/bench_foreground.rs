@@ -1,5 +1,5 @@
-//! Foreground hot-path benchmark: concurrent sessions against a
-//! migrating cluster, optimized hot path vs the sequential baseline.
+//! Foreground benchmark: concurrent sessions against a migrating cluster,
+//! on the in-memory WAL and on the file-backed one.
 //!
 //! Four session threads each commit a fixed number of transactions (two
 //! updates + two reads over a private key pair, so there are no
@@ -9,33 +9,23 @@
 //! *work*, not fixed time: throughput is total commits over the wall
 //! clock of the session threads.
 //!
-//! The run is executed twice with identical workloads:
+//! Both legs run [`HotPathConfig::tuned()`] (striped index, incremental
+//! GC on a 2 ms cadence, batched GTS leases) with identical workloads:
 //!
-//! * **baseline** — [`HotPathConfig::sequential()`]: one index stripe,
-//!   no version-chain GC, one GTS timestamp per RPC. Version chains grow
-//!   by two versions per transaction and every write pays an
-//!   O(chain-length) insert, so throughput decays as history piles up.
-//! * **optimized** — [`HotPathConfig::tuned()`]: striped index,
-//!   incremental GC on a 2 ms cadence, batched GTS leases. Chains stay
-//!   near length one and the foreground path stays flat.
-//!
-//! and then twice more with the **file-backed WAL** (DESIGN.md §10):
-//! every commit waits on the group-commit flusher, so the legs price real
-//! fsyncs into the foreground path while concurrent sessions coalesce
-//! them (`wal.fsyncs` ≪ `wal.appends`, both reported in the JSON
-//! counters). The hot-path speedup is gated *within* each durability
-//! pair — tuned-vs-sequential on the in-memory pair and again on the
-//! file-backed pair — because durability adds the same constant to both
-//! legs of a pair and comparing across pairs would measure the disk, not
-//! the hot path.
+//! * **optimized** — the in-memory WAL;
+//! * **walfile-optimized** — the **file-backed WAL** (DESIGN.md §10):
+//!   every commit waits on the group-commit flusher, so the leg prices real
+//!   fsyncs into the foreground path while concurrent sessions coalesce
+//!   them (`wal.fsyncs` ≪ `wal.appends`, both reported in the JSON
+//!   counters).
 //!
 //! It emits a `remus-bench/v1` JSON report with a `foreground throughput`
-//! table (txn/s, p50/p99 latency, speedup) and holds it to the
-//! `foreground throughput` rows of [`remus_bench::gate::GATES`], as
-//! `bench_check` does: the in-memory pair by its speedup, the file-backed
-//! pair by its appends per fsync — that group commit coalesces is a count
-//! this host's disk cannot move, where the pair's wall-clock ratio is
-//! mostly the disk.
+//! table (txn/s, p50/p99 latency, throughput against the in-memory leg) and
+//! holds it to the `foreground throughput` row of
+//! [`remus_bench::gate::GATES`], as `bench_check` does: the file-backed
+//! leg's appends per fsync — that group commit coalesces is a count this
+//! host's disk cannot move, where the legs' wall-clock ratio is mostly the
+//! disk.
 //!
 //! Usage: `cargo run --release -p remus-bench --bin bench_foreground --
 //! --json BENCH_foreground.json`
@@ -57,9 +47,7 @@ const BULK_KEYS: usize = 2048;
 const SESSIONS: usize = 4;
 /// Committed transactions per session (fixed work per leg).
 const TXNS_PER_SESSION: u64 = 8000;
-/// Private keys per session; two versions land per transaction, so the
-/// baseline chain on each key reaches `2 * TXNS_PER_SESSION /
-/// HOT_KEYS_PER_SESSION` versions by the end of the leg.
+/// Private keys per session; two versions land per transaction.
 const HOT_KEYS_PER_SESSION: usize = 2;
 /// Simulated per-tuple copy cost: 2048 keys -> ~20 ms per migration leg,
 /// so several round trips overlap the session work.
@@ -70,13 +58,10 @@ const BULK_SHARD: ShardId = ShardId(0);
 /// The shard the sessions hammer (never migrates).
 const HOT_SHARD: ShardId = ShardId(1);
 
-/// What `bench_foreground` reports. A leg's parameters are its hot path
-/// and whether its WAL is file-backed; the speedup is taken within each
-/// durability pair.
-pub(crate) fn bench() -> Bench<(HotPathConfig, bool)> {
-    let (sequential, tuned) = (HotPathConfig::sequential(), HotPathConfig::tuned());
-    let leg = |scenario, row, params, baseline| Leg::new(scenario, row, params).versus(baseline);
-    let (memory, walfile) = ("baseline", "walfile-baseline");
+/// What `bench_foreground` reports. A leg's parameter is whether its WAL is
+/// file-backed; its throughput is taken against the in-memory leg's.
+pub(crate) fn bench() -> Bench<bool> {
+    let leg = |scenario, row, durable| Leg::new(scenario, row, durable).versus("optimized");
     Bench {
         scale_label: Some("foreground"),
         default_json: Some("BENCH_foreground.json"),
@@ -87,23 +72,11 @@ pub(crate) fn bench() -> Bench<(HotPathConfig, bool)> {
             "p50_us",
             "p99_us",
             "migrations",
-            "speedup",
+            "vs in-memory",
         ],
         legs: vec![
-            leg("foreground-baseline", memory, (sequential, false), memory),
-            leg("foreground-optimized", "optimized", (tuned, false), memory),
-            leg(
-                "foreground-walfile-baseline",
-                walfile,
-                (sequential, true),
-                walfile,
-            ),
-            leg(
-                "foreground-walfile-optimized",
-                "walfile-optimized",
-                (tuned, true),
-                walfile,
-            ),
+            leg("foreground-optimized", "optimized", false),
+            leg("foreground-walfile-optimized", "walfile-optimized", true),
         ],
         ..Bench::new(
             "bench_foreground",
@@ -118,15 +91,15 @@ fn keys_on(layout: &TableLayout, shard: ShardId, n: usize) -> Vec<u64> {
     on_shard.take(n).collect()
 }
 
-fn run_leg(leg: &Leg<(HotPathConfig, bool)>) -> LegOutcome {
-    let (hot_path, durable) = leg.params;
+fn run_leg(leg: &Leg<bool>) -> LegOutcome {
+    let durable = leg.params;
     // One WAL root per durable leg, removed afterwards — leaking segments
     // would trip the CI tmpdir-hygiene check.
     let wal_root = format!("remus-bench-fgwal-{}-{}", std::process::id(), leg.row);
     let wal_root = durable.then(|| std::env::temp_dir().join(wal_root));
     let config = SimConfig {
         snapshot_copy_per_tuple: COPY_PER_TUPLE,
-        hot_path,
+        hot_path: HotPathConfig::tuned(),
         wal: wal_root
             .as_ref()
             .map_or_else(WalConfig::memory, WalConfig::file),

@@ -107,37 +107,16 @@ pub struct Gate {
 /// The gate table. Each row's comment says why its floor cannot be runner
 /// noise.
 pub const GATES: &[Gate] = &[
-    // bench_foreground. Tuned-vs-sequential hot path; both legs run
-    // back-to-back in one process, so only a code regression can erase a
-    // measured ~2.5x down to 1.1x.
-    Gate {
-        table: "foreground throughput",
-        value: GateValue::RowRatio("optimized"),
-        expected: 1.5,
-        floor: 1.1,
-        consequence: "the optimized leg is no faster than the baseline",
-    },
-    // The file-backed WAL pair is gated on a count, not on its speedup
-    // cell: both legs wait on this host's fsync, so their wall-clock ratio
-    // swings 0.25x–3.5x run to run at any commit, while appends per fsync
+    // bench_foreground. The file-backed WAL leg is gated on a count, not
+    // on its wall-clock cell: it waits on this host's fsync, so its
+    // throughput swings run to run at any commit, while appends per fsync
     // only moves when group commit stops coalescing the four sessions'
     // commits. Floor: a flusher that syncs every other append is not
     // grouping. Expected: two thirds of the lowest of five fresh runs on
     // the 2-vCPU host this row was written on (7.47–9.05 and 7.97–8.77;
     // the goldens, from a faster disk, read 9.0 and 10.3) — a third of the
     // coalescing gone is worth a warning on any host.
-    // Reports from before the durable legs existed lack the scenarios.
-    Gate {
-        table: "foreground throughput",
-        value: GateValue::Counters {
-            scenario: "foreground-walfile-baseline",
-            num: "wal.appends",
-            den: "wal.fsyncs",
-        },
-        expected: 5.0,
-        floor: 2.0,
-        consequence: "group commit is not coalescing",
-    },
+    // Reports from before the durable legs existed lack the scenario.
     Gate {
         table: "foreground throughput",
         value: GateValue::Counters {

@@ -71,46 +71,26 @@ fn mutated_goldens_trip_the_right_tier() {
     use Edit::*;
     // (golden, edit, the tier the edited row must land in, what its
     // message must name)
-    let cases: [(&str, Edit, GateTier, &[&str]); 10] = [
-        (
-            "foreground",
-            Cell {
-                row: "optimized",
-                column: "speedup",
-                to: "1.09x",
-            },
-            GateTier::Fail,
-            &["foreground throughput", "optimized", "1.09x", "floor 1.1x"],
-        ),
-        (
-            "foreground",
-            Cell {
-                row: "optimized",
-                column: "speedup",
-                to: "1.30x",
-            },
-            GateTier::Warn,
-            &["foreground throughput", "optimized", "1.30x", "1.5x"],
-        ),
+    let cases: [(&str, Edit, GateTier, &[&str]); 8] = [
         // A mangled cell must never pass silently.
         (
-            "foreground",
+            "replica",
             Cell {
-                row: "optimized",
-                column: "speedup",
+                row: "2-replica",
+                column: "scaling",
                 to: "fastx",
             },
             GateTier::Fail,
-            &["foreground throughput", "optimized", "parse"],
+            &["replica read scaling", "2-replica", "parse"],
         ),
         (
-            "foreground",
-            DropRow("optimized"),
+            "replica",
+            DropRow("2-replica"),
             GateTier::Fail,
-            &["foreground throughput", "optimized", "no such row"],
+            &["replica read scaling", "2-replica", "no such row"],
         ),
-        // The file-backed pair is gated on appends per fsync, not on its
-        // wall-clock cell: the golden's 135064 appends over 2 x 40000 fsyncs
+        // The file-backed leg is gated on appends per fsync, not on its
+        // wall-clock cell: the golden's 132250 appends over 2 x 40000 fsyncs
         // is under the floor, over 2 x 20000 between floor and expected, and
         // a durable leg that never synced is a violation of its own.
         (
@@ -124,22 +104,22 @@ fn mutated_goldens_trip_the_right_tier() {
             &[
                 "foreground-walfile-optimized",
                 "wal.appends/wal.fsyncs",
-                "1.69x",
+                "1.65x",
                 "floor 2x",
             ],
         ),
         (
             "foreground",
             Counter {
-                scenario: "foreground-walfile-baseline",
+                scenario: "foreground-walfile-optimized",
                 name: "wal.fsyncs",
                 to: 20_000,
             },
             GateTier::Warn,
             &[
-                "foreground-walfile-baseline",
+                "foreground-walfile-optimized",
                 "wal.appends/wal.fsyncs",
-                "3.38x",
+                "3.31x",
                 "5x",
             ],
         ),
@@ -154,7 +134,7 @@ fn mutated_goldens_trip_the_right_tier() {
             &[
                 "foreground-walfile-optimized",
                 "wal.fsyncs is 0",
-                "wal.appends 135064",
+                "wal.appends 132250",
             ],
         ),
         (

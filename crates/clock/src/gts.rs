@@ -18,10 +18,9 @@
 //! recency*: a snapshot taken on one node may be older than a commit that
 //! already finished on another node, because their blocks are disjoint.
 //! That is exactly the DTS trust model. `HotPathConfig::gts_lease` picks the
-//! lease: `SimConfig::instant()` and `HotPathConfig::sequential()` keep 1,
-//! `HotPathConfig::tuned()` leases 64 (the repo benchmark and the optimised
-//! leg of `bench_foreground` run it), and the chaos checker's strict GTS
-//! mode always runs with lease 1.
+//! lease: `SimConfig::instant()` keeps 1, `HotPathConfig::tuned()` leases 64
+//! (the repo benchmark and `bench_foreground` run it), and the chaos
+//! checker's strict GTS mode always runs with lease 1.
 //!
 //! Each node's block sits in a slot of its own, indexed by node id like
 //! `Dts`'s clocks, so two coordinators issuing from their blocks share

@@ -124,11 +124,10 @@ pub struct ParallelismConfig {
 /// global uniqueness, causality via `observe`) but gives up the *real-time*
 /// recency the single-counter GTS provides for free: a snapshot taken on
 /// one node may be older than a commit that already finished on another.
-/// That is exactly the DTS trust model. [`SimConfig::instant`] and
-/// [`HotPathConfig::sequential`] keep `gts_lease: 1`, and the chaos
-/// checker's strict GTS mode assumes it; [`HotPathConfig::tuned`] leases 64,
-/// and both the repo benchmark and `bench_foreground`'s optimised leg run
-/// it.
+/// That is exactly the DTS trust model. [`SimConfig::instant`] keeps
+/// `gts_lease: 1`, and the chaos checker's strict GTS mode assumes it;
+/// [`HotPathConfig::tuned`] leases 64, and both the repo benchmark and
+/// `bench_foreground` run it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotPathConfig {
     /// Lock stripes per versioned-table key index: each stripe is one
@@ -143,20 +142,9 @@ pub struct HotPathConfig {
 }
 
 impl HotPathConfig {
-    /// Today's behavior, byte for byte: one index stripe, no GC, unbatched
-    /// timestamps. Baseline leg of the foreground bench and the equivalence
-    /// tests.
-    pub fn sequential() -> Self {
-        HotPathConfig {
-            index_stripes: 1,
-            gc_interval: Duration::ZERO,
-            gts_lease: 1,
-        }
-    }
-
     /// The optimized foreground path: striped index, frequent incremental
-    /// GC, batched timestamp leases. Used by the optimized leg of
-    /// `bench_foreground` and the dedicated concurrency suites.
+    /// GC, batched timestamp leases. Used by `bench_foreground` and the
+    /// dedicated concurrency suites.
     pub fn tuned() -> Self {
         HotPathConfig {
             index_stripes: 8,
@@ -334,14 +322,6 @@ mod tests {
         let c = SimConfig::instant();
         assert_eq!(c.network_latency, Duration::ZERO);
         assert_eq!(c.squall_pull_latency, Duration::ZERO);
-    }
-
-    #[test]
-    fn sequential_hot_path_is_todays_behavior() {
-        let h = HotPathConfig::sequential();
-        assert_eq!(h.index_stripes, 1);
-        assert_eq!(h.gc_interval, Duration::ZERO);
-        assert_eq!(h.gts_lease, 1);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! ([`TailHandle::stop`], which wakes a parked reader), pays the transport —
 //! a `net.hop` per delivered batch, plus the stream's ship fault seam once
 //! per batch read — and feeds each batch to a [`StreamApplier`] in the same
-//! thread. [`run`] is the one loop; two kinds of stream run it:
+//! thread. A batch is the [`ShipBatch`] the read handed out: the source
+//! log's encoded records, delivered as they are. [`run`] is the one loop;
+//! two kinds of stream run it:
 //!
 //! * a **replica** stream ([`crate::replication`]) waits at most
 //!   [`HEARTBEAT_PERIOD`] on a quiet log and then sends a heartbeat. Its
@@ -22,7 +24,8 @@
 //! ## The one receiver
 //!
 //! [`StreamApplier`] owns, for both kinds, the dense apply-LSN gate, the
-//! [`TxnAssembler`] and the rule that skips a transaction with no `Begin` on
+//! [`TxnAssembler`] (which decodes only the writes to the shards the stream
+//! keeps) and the rule that skips a transaction with no `Begin` on
 //! the stream: it resolved before the slot existed, so it is wholly inside
 //! the copied snapshot or the replica's cut. Its one branch is what a
 //! resolved or prepared transaction does:
@@ -168,8 +171,8 @@ pub(crate) fn run<P: FnMut(&StreamApplier, u64)>(
     // genuine out-of-order arrival followed by a late retransmit.
     let mut held: Option<ShipBatch> = None;
     loop {
-        let records = match tail.next_batch(drain_batch, idle) {
-            TailRead::Batch(records) => records,
+        let batch = match tail.next_batch(drain_batch, idle) {
+            TailRead::Batch(batch) => batch,
             TailRead::Stopped => break,
             TailRead::Idle => {
                 // Only a replica stream has an idle period.
@@ -190,7 +193,6 @@ pub(crate) fn run<P: FnMut(&StreamApplier, u64)>(
                 continue;
             }
         };
-        let batch = ShipBatch::new(records[0].0, records.into_iter().map(|(_, r)| r).collect());
         let sends = match cluster.fault_at(seam, source.id()) {
             // Reorder: hold this batch back until after its successor.
             FaultAction::Fail if replica => [held.replace(batch), None, None],
@@ -210,12 +212,12 @@ pub(crate) fn run<P: FnMut(&StreamApplier, u64)>(
     Ok(())
 }
 
-/// The replica's write predicate. Shard-map rows are excluded: the replica
+/// The replica's shard predicate. Shard-map rows are excluded: the replica
 /// is itself a participant of every map transaction (`T_m` updates all
 /// nodes' map replicas), so its map table is maintained by its own 2PC path,
 /// not by redo.
-fn is_data_write(w: &WriteOp) -> bool {
-    w.shard != SHARD_MAP_SHARD
+fn is_data_write(shard: ShardId) -> bool {
+    shard != SHARD_MAP_SHARD
 }
 
 /// Whether the transaction an event is about has a `Begin` on this stream.
@@ -261,8 +263,8 @@ impl Shipped {
     }
 }
 
-/// The writes a stream's assembler buffers.
-type Keep = Box<dyn Fn(&WriteOp) -> bool + Send>;
+/// The shards whose writes a stream's assembler buffers.
+type Keep = Box<dyn Fn(ShardId) -> bool + Send>;
 
 /// What a resolved or prepared transaction does on a stream.
 enum Rule {
@@ -432,7 +434,7 @@ impl StreamApplier {
             sent: 0,
             shipped: Arc::clone(&shipped),
         });
-        let keep = Box::new(move |w: &WriteOp| shards.contains(&w.shard));
+        let keep = Box::new(move |shard| shards.contains(&shard));
         (Self::with_rule(from, keep, snapshot_ts, rule), shipped)
     }
 
@@ -473,33 +475,34 @@ impl StreamApplier {
     /// migration: of messages shipped).
     pub fn apply(&mut self, batch: ShipBatch) -> DbResult<u64> {
         let mut done = 0;
-        let records = self.lsn_gate.admit(batch);
-        if let Rule::Migration(m) = &self.rule {
-            m.batch_len.add(records.len() as u64);
-        }
-        for (lsn, record) in records {
-            let event = self.assembler.feed(lsn, &record);
-            if !headed(&event) {
-                continue;
+        for run in self.lsn_gate.admit(batch) {
+            if let Rule::Migration(m) = &self.rule {
+                m.batch_len.add(run.len() as u64);
             }
-            match (&mut self.rule, event) {
-                // Nothing to do at `Prepare` on a replica: the frontier
-                // stalls at the open `Begin` until the decision record
-                // arrives — the replica analogue of prepare-wait.
-                (
-                    Rule::Replica { replica, gate },
-                    TxnEvent::Resolved {
-                        txn,
-                        resolution_lsn,
-                        outcome: TxnOutcome::Committed(cts),
-                    },
-                ) => {
-                    apply_commit(replica, gate, txn.xid, cts, &txn.writes)?;
-                    done += 1;
-                    self.resolved.insert(resolution_lsn, cts);
+            for (lsn, record) in run.iter() {
+                let event = self.assembler.feed(lsn, record);
+                if !headed(&event) {
+                    continue;
                 }
-                (Rule::Migration(m), event) => done += m.on_event(lsn, event),
-                _ => {}
+                match (&mut self.rule, event) {
+                    // Nothing to do at `Prepare` on a replica: the frontier
+                    // stalls at the open `Begin` until the decision record
+                    // arrives — the replica analogue of prepare-wait.
+                    (
+                        Rule::Replica { replica, gate },
+                        TxnEvent::Resolved {
+                            txn,
+                            resolution_lsn,
+                            outcome: TxnOutcome::Committed(cts),
+                        },
+                    ) => {
+                        apply_commit(replica, gate, txn.xid, cts, &txn.writes)?;
+                        done += 1;
+                        self.resolved.insert(resolution_lsn, cts);
+                    }
+                    (Rule::Migration(m), event) => done += m.on_event(lsn, event),
+                    _ => {}
+                }
             }
         }
         if let Rule::Migration(m) = &self.rule {

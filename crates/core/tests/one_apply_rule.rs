@@ -11,6 +11,7 @@
 //! function that built the node, rebuilds it.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam::channel::unbounded;
 use proptest::prelude::*;
@@ -21,7 +22,7 @@ use remus_core::replay::{ApplyMsg, ReplayProcess};
 use remus_core::snapshot::{copy_task_snapshots_gated, CopyGate};
 use remus_storage::{Value, WriteKind};
 use remus_txn::{redo_committed, NodeStorage};
-use remus_wal::{Lsn, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
+use remus_wal::{Lsn, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteOp};
 
 const SHARD: ShardId = ShardId(0);
 const SOURCE: NodeId = NodeId(0);
@@ -83,15 +84,17 @@ fn redo_of_the_log(dest: &NodeStorage, seeded: &[u64]) -> u64 {
         table.install_frozen(k, val(0, k));
     }
     let mut reader = dest.wal.reader_from(Lsn::ZERO);
-    let mut assembler = TxnAssembler::new(Lsn::ZERO, |_: &WriteOp| true);
-    while let Some((lsn, record)) = reader.try_next() {
-        if let TxnEvent::Resolved {
-            txn,
-            outcome: TxnOutcome::Committed(cts),
-            ..
-        } = assembler.feed(lsn, &record)
-        {
-            redo_committed(&fresh, txn.xid, cts, &txn.writes).unwrap();
+    let mut assembler = TxnAssembler::new(Lsn::ZERO, |_: ShardId| true);
+    while let TailRead::Batch(run) = reader.next_batch(64, Duration::ZERO) {
+        for (lsn, record) in run.iter() {
+            if let TxnEvent::Resolved {
+                txn,
+                outcome: TxnOutcome::Committed(cts),
+                ..
+            } = assembler.feed(lsn, record)
+            {
+                redo_committed(&fresh, txn.xid, cts, &txn.writes).unwrap();
+            }
         }
     }
     table.committed_state_digest(&fresh.clog)

@@ -15,7 +15,7 @@ use remus_common::{NodeId, ShardId, SimConfig, TableId, Timestamp, TxnId};
 use remus_core::StreamApplier;
 use remus_shard::TableLayout;
 use remus_storage::{Value, WriteKind};
-use remus_wal::{LogOp, LogRecord, Lsn, ShipBatch, WriteOp};
+use remus_wal::{encode_record_vec, LogOp, LogRecord, Lsn, ShipBatch, WriteOp};
 
 const PRIMARY: NodeId = NodeId(0);
 const IN_ORDER: NodeId = NodeId(1);
@@ -65,36 +65,43 @@ fn run_workload(cluster: &Arc<Cluster>, layout: &TableLayout, txns: &[Vec<(u64, 
     }
 }
 
-/// Collects the primary's whole WAL as one dense record run.
-fn full_log(cluster: &Arc<Cluster>) -> ShipBatch {
+/// Collects the primary's whole WAL, record `i` at LSN `i + 1`.
+fn full_log(cluster: &Arc<Cluster>) -> Vec<LogRecord> {
     let mut reader = cluster.node(PRIMARY).storage.wal.reader_from(Lsn::ZERO);
     let mut records = Vec::new();
     while let Some((_, r)) = reader.try_next() {
         records.push(r);
     }
-    ShipBatch::new(Lsn(1), records)
+    records
+}
+
+/// `records` encoded as one run whose first record has LSN `first`.
+fn run_of(first: Lsn, records: &[LogRecord]) -> ShipBatch {
+    let mut run = ShipBatch::default();
+    run.first = first;
+    for record in records {
+        run.push(&encode_record_vec(record));
+    }
+    run
 }
 
 /// Splits the log into batches by `cuts` (cycled segment lengths), then
 /// mangles delivery per segment action: 0 = send, 1 = duplicate, 2 = defer
 /// behind the next batch (reorder), 3 = overlap (resend with the previous
 /// segment's tail prefixed).
-fn mangled_batches(log: &ShipBatch, cuts: &[u64], actions: &[u8]) -> Vec<ShipBatch> {
+fn mangled_batches(log: &[LogRecord], cuts: &[u64], actions: &[u8]) -> Vec<ShipBatch> {
     let mut segments = Vec::new();
     let mut start = 0usize;
     let mut ci = 0usize;
-    while start < log.records.len() {
+    while start < log.len() {
         let len = if cuts.is_empty() {
             7
         } else {
             cuts[ci % cuts.len()] as usize
         }
         .max(1)
-        .min(log.records.len() - start);
-        segments.push(ShipBatch::new(
-            Lsn(log.first.0 + start as u64),
-            log.records[start..start + len].to_vec(),
-        ));
+        .min(log.len() - start);
+        segments.push(run_of(Lsn(start as u64 + 1), &log[start..start + len]));
         start += len;
         ci += 1;
     }
@@ -119,11 +126,10 @@ fn mangled_batches(log: &ShipBatch, cuts: &[u64], actions: &[u8]) -> Vec<ShipBat
             }
             3 => {
                 // Overlap: include the tail of the previous segment again.
-                let lead = (seg.first.0 - log.first.0) as usize;
-                let prev_tail = segments[i.saturating_sub(1)].records.len().min(3).min(lead);
+                let lead = (seg.first.0 - 1) as usize;
+                let prev_tail = segments[i.saturating_sub(1)].len().min(3).min(lead);
                 let first = Lsn(seg.first.0 - prev_tail as u64);
-                let records = log.records[lead - prev_tail..lead + seg.records.len()].to_vec();
-                out.push(ShipBatch::new(first, records));
+                out.push(run_of(first, &log[lead - prev_tail..lead + seg.len()]));
             }
             _ => out.push(seg.clone()),
         }
@@ -177,7 +183,7 @@ proptest! {
             Timestamp::SNAPSHOT_MIN,
             Lsn::ZERO,
         );
-        in_order.apply(log.clone()).unwrap();
+        in_order.apply(run_of(Lsn(1), &log)).unwrap();
         prop_assert_eq!(in_order.applied(), Lsn(log.len() as u64));
 
         let mut mangled = StreamApplier::new(
@@ -220,10 +226,10 @@ proptest! {
             Timestamp::SNAPSHOT_MIN,
             Lsn::ZERO,
         );
-        applier.apply(log.clone()).unwrap();
+        applier.apply(run_of(Lsn(1), &log)).unwrap();
         let want = digest_of(&cluster, IN_ORDER, &layout);
         for _ in 0..storms {
-            let n = applier.apply(log.clone()).unwrap();
+            let n = applier.apply(run_of(Lsn(1), &log)).unwrap();
             prop_assert_eq!(n, 0);
         }
         prop_assert_eq!(digest_of(&cluster, IN_ORDER, &layout), want);
@@ -244,8 +250,7 @@ fn txn_frames(first: u64, xid: TxnId, kind: WriteKind, value: &str, cts: u64) ->
         LogOp::Write(write),
         LogOp::Commit(Timestamp(cts)),
     ];
-    let records = frames.map(|op| Arc::new(LogRecord::new(xid, op)));
-    ShipBatch::new(Lsn(first), records.to_vec())
+    run_of(Lsn(first), &frames.map(|op| LogRecord::new(xid, op)))
 }
 
 /// A migrated shard's history reaches the replica over two streams: `init`

@@ -15,7 +15,6 @@
 //! a resolution counts once no transaction begun before it is still open.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -23,7 +22,7 @@ use remus_cluster::{ClusterBuilder, Node};
 use remus_common::{NodeId, ShardId, SimConfig, Timestamp, TxnId};
 use remus_core::StreamApplier;
 use remus_storage::{Value, WriteKind};
-use remus_wal::{LogOp, LogRecord, Lsn, ShipBatch, WriteOp};
+use remus_wal::{encode_record_vec, LogOp, LogRecord, Lsn, ShipBatch, WriteOp};
 
 const REPLICA: NodeId = NodeId(1);
 const SHARDS: u64 = 2;
@@ -82,7 +81,7 @@ fn ops_of(i: usize, (writes, prepare, ending): &TxnSpec) -> Vec<LogOp> {
 /// Interleaves the transactions by `picks`, each in its own order, stamping
 /// `Begin` and commit records from the log position — or, for ending 2,
 /// from the position of the transaction's `Prepare`.
-fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<Arc<LogRecord>> {
+fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<LogRecord> {
     let mut pending: Vec<(usize, std::vec::IntoIter<LogOp>)> = specs
         .iter()
         .enumerate()
@@ -111,7 +110,7 @@ fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<Arc<LogRecord>> {
             LogOp::CommitPrepared(_) => LogOp::CommitPrepared(*decided.get(i).unwrap_or(&ts)),
             other => other,
         };
-        log.push(Arc::new(LogRecord::new(xid(*i), op)));
+        log.push(LogRecord::new(xid(*i), op));
     }
     log
 }
@@ -119,7 +118,7 @@ fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<Arc<LogRecord>> {
 /// Per key, the committed images of the whole log by commit timestamp
 /// (`None` = deleted): a transaction's last write to a key is its image.
 fn committed_images(
-    log: &[Arc<LogRecord>],
+    log: &[LogRecord],
 ) -> BTreeMap<(ShardId, u64), BTreeMap<Timestamp, Option<Value>>> {
     let mut pending: BTreeMap<TxnId, Vec<&WriteOp>> = BTreeMap::new();
     let mut images: BTreeMap<(ShardId, u64), BTreeMap<Timestamp, Option<Value>>> = BTreeMap::new();
@@ -208,9 +207,12 @@ proptest! {
                     _ => false,
                 };
             }
-            applier
-                .apply(ShipBatch::new(Lsn(at as u64 + 1), log[at..end].to_vec()))
-                .unwrap();
+            let mut run = ShipBatch::default();
+            run.first = Lsn(at as u64 + 1);
+            for record in &log[at..end] {
+                run.push(&encode_record_vec(record));
+            }
+            applier.apply(run).unwrap();
             (at, i) = (end, i + 1);
             prop_assert_eq!(applier.applied(), Lsn(at as u64));
             prop_assert_eq!(applier.open_txns(), open.len());

@@ -572,7 +572,7 @@ mod tests {
         let TailRead::Batch(batch) = tail.next_batch(3, Duration::ZERO) else {
             panic!("records 5..=7 are in the log");
         };
-        assert_eq!(batch.last().unwrap().0, Lsn(7));
+        assert_eq!(batch.last(), Lsn(7));
         assert_eq!(n.truncate_wal_safely(), Lsn(4));
         assert!(matches!(
             tail.next_batch(1, Duration::ZERO),

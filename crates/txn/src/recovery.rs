@@ -3,10 +3,10 @@
 //! After [`crate::node::NodeStorage::crash_reset`] reopened the WAL from its
 //! durability backend, the node holds a recovered record sequence and empty
 //! MVCC tables. [`replay_node_wal`] rebuilds storage state in **one pass**
-//! over that sequence, from the retained head, through the same
-//! [`TxnAssembler`] the propagation process and the replica applier read a
-//! log with (its write predicate here: everything), using the classic redo
-//! contract:
+//! over that sequence, from the retained head, read in runs as the streams
+//! read it and through the same [`TxnAssembler`] the propagation process
+//! and the replica applier read a log with (its shard predicate here:
+//! every shard), using the classic redo contract:
 //!
 //! * **Committed** transactions (a `Commit`/`CommitPrepared` record
 //!   survived) are redone as their resolution record arrives, by
@@ -45,7 +45,10 @@
 use std::time::Duration;
 
 use remus_common::{DbError, DbResult, Timestamp, TxnId};
-use remus_wal::{LogOp, LogRecord, TxnAssembler, TxnEvent, TxnOutcome, WriteKind, WriteOp};
+use remus_wal::log::SEGMENT_RECORDS;
+use remus_wal::{
+    LogOp, LogRecord, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteKind, WriteOp,
+};
 
 use crate::node::NodeStorage;
 
@@ -79,23 +82,25 @@ pub struct ReplaySummary {
 pub fn replay_node_wal(node: &NodeStorage) -> DbResult<ReplaySummary> {
     let mut summary = ReplaySummary::default();
     let mut reader = node.wal.reader_from_head();
-    let mut assembler = TxnAssembler::new(reader.consumed(), |_: &WriteOp| true);
+    let mut assembler = TxnAssembler::new(reader.consumed(), |_| true);
     let mut max_local_seq: Option<u64> = None;
-    while let Some((lsn, record)) = reader.try_next() {
-        summary.records += 1;
-        if record.xid.origin() == node.id {
-            max_local_seq = max_local_seq.max(Some(record.xid.seq()));
-        }
-        // `txn.begin_lsn` is not asked: the head of a truncated log can cut
-        // a transaction's `Begin` and keep its resolution, and it is redone.
-        if let TxnEvent::Resolved { txn, outcome, .. } = assembler.feed(lsn, &record) {
-            match outcome {
-                TxnOutcome::Committed(cts) => {
-                    let redo = redo_committed(node, txn.xid, cts, &txn.writes)?;
-                    summary.writes_applied += redo.installed;
-                    summary.committed += 1;
+    while let TailRead::Batch(run) = reader.next_batch(SEGMENT_RECORDS, Duration::ZERO) {
+        for (lsn, record) in run.iter() {
+            summary.records += 1;
+            let xid = record.xid();
+            max_local_seq = max_local_seq.max((xid.origin() == node.id).then_some(xid.seq()));
+            // `txn.begin_lsn` is not asked: the head of a truncated log can
+            // cut a transaction's `Begin` and keep its resolution, and it is
+            // redone.
+            if let TxnEvent::Resolved { txn, outcome, .. } = assembler.feed(lsn, record) {
+                match outcome {
+                    TxnOutcome::Committed(cts) => {
+                        let redo = redo_committed(node, txn.xid, cts, &txn.writes)?;
+                        summary.writes_applied += redo.installed;
+                        summary.committed += 1;
+                    }
+                    TxnOutcome::Aborted => summary.aborted += 1,
                 }
-                TxnOutcome::Aborted => summary.aborted += 1,
             }
         }
     }

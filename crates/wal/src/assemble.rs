@@ -10,6 +10,11 @@
 //! and answers each record with a [`TxnEvent`] saying what it did. The
 //! consumers keep only what they do with an event.
 //!
+//! **Filter before decoding.** A record is fed as the log holds it, a
+//! [`RecordView`] of its codec body. The predicate sees only a write's shard,
+//! which the view reads in place, so a write it drops is never decoded; a
+//! kept write is decoded once and its [`WriteOp`] moved into the buffer.
+//!
 //! **A `Begin` that predates the reader's start** has one representation: a
 //! transaction first seen at any other record is assembled with
 //! `begin_lsn == None` and only the records after the start. What that
@@ -28,8 +33,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use remus_common::{Timestamp, TxnId};
+use remus_common::{ShardId, Timestamp, TxnId};
 
+use crate::codec::RecordView;
 use crate::log::Lsn;
 use crate::record::{LogOp, LogRecord, WriteOp};
 
@@ -101,9 +107,9 @@ pub struct TxnAssembler<F> {
     last: Lsn,
 }
 
-impl<F: Fn(&WriteOp) -> bool> TxnAssembler<F> {
+impl<F: Fn(ShardId) -> bool> TxnAssembler<F> {
     /// An assembler for a reader that starts after `after`, buffering the
-    /// writes `keep` accepts.
+    /// writes to the shards `keep` accepts.
     pub fn new(after: Lsn, keep: F) -> Self {
         TxnAssembler {
             keep,
@@ -114,32 +120,34 @@ impl<F: Fn(&WriteOp) -> bool> TxnAssembler<F> {
     }
 
     /// Feeds the next record of the log.
-    pub fn feed(&mut self, lsn: Lsn, record: &LogRecord) -> TxnEvent<'_> {
+    pub fn feed(&mut self, lsn: Lsn, record: RecordView<'_>) -> TxnEvent<'_> {
         debug_assert!(lsn > self.last, "records are fed in log order");
         self.last = lsn;
-        let xid = record.xid;
-        let outcome = match &record.op {
+        if record.shard().is_some_and(|shard| !(self.keep)(shard)) {
+            return TxnEvent::Nothing;
+        }
+        let LogRecord { xid, op } = record.decode().expect("a run holds the codec's bodies");
+        let outcome = match op {
             LogOp::Begin(start_ts) => {
                 let mut txn = TxnBuffer::headless(&xid);
-                (txn.start_ts, txn.begin_lsn) = (*start_ts, Some(lsn));
+                (txn.start_ts, txn.begin_lsn) = (start_ts, Some(lsn));
                 self.heads.insert(lsn);
                 if let Some(stale) = self.open.insert(xid, txn).and_then(|t| t.begin_lsn) {
                     self.heads.remove(&stale);
                 }
                 return TxnEvent::Nothing;
             }
-            LogOp::Write(w) if (self.keep)(w) => {
+            LogOp::Write(w) => {
                 let txn = self.buffer(xid);
-                txn.writes.push(w.clone());
+                txn.writes.push(w);
                 return TxnEvent::Kept(txn);
             }
-            LogOp::Write(_) => return TxnEvent::Nothing,
             LogOp::Prepare => {
                 let txn = self.buffer(xid);
                 txn.prepared = true;
                 return TxnEvent::Prepared(txn);
             }
-            LogOp::Commit(cts) | LogOp::CommitPrepared(cts) => TxnOutcome::Committed(*cts),
+            LogOp::Commit(cts) | LogOp::CommitPrepared(cts) => TxnOutcome::Committed(cts),
             LogOp::Abort | LogOp::RollbackPrepared => TxnOutcome::Aborted,
         };
         let txn = self.open.remove(&xid);

@@ -9,6 +9,11 @@
 //! one layer up (the segment framing in [`crate::backend::file`]); this
 //! module also hosts the CRC-32 implementation it uses, hand-rolled
 //! because the workspace builds offline with no checksum crate.
+//!
+//! The log keeps these bodies as they are and readers hand them out as they
+//! are ([`crate::ship::ShipBatch`]). A [`RecordView`] reads one in place: the
+//! xid and a write's shard sit at fixed offsets, so a consumer that filters
+//! by shard decodes only what it keeps.
 
 use remus_common::{DbError, DbResult, ShardId, Timestamp, TxnId};
 use remus_storage::Value;
@@ -74,6 +79,34 @@ pub fn encode_record_vec(record: &LogRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     encode_record(record, &mut out);
     out
+}
+
+/// One encoded record body, read in place. Built over a body this codec
+/// wrote (the log's, or a test's); a shorter slice panics on the fixed-offset
+/// reads: the xid after the version byte, the op tag after the xid, a
+/// write's shard after the tag.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a>(pub(crate) &'a [u8]);
+
+impl RecordView<'_> {
+    /// The transaction the record belongs to.
+    pub fn xid(&self) -> TxnId {
+        TxnId(u64_at(self.0, 1))
+    }
+
+    /// The shard of a `Write`; `None` for every other record.
+    pub fn shard(&self) -> Option<ShardId> {
+        (self.0[9] == TAG_WRITE).then(|| ShardId(u64_at(self.0, 10)))
+    }
+
+    /// The whole record: [`decode_record`] of the body.
+    pub fn decode(&self) -> DbResult<LogRecord> {
+        decode_record(self.0)
+    }
+}
+
+fn u64_at(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
 }
 
 /// Decodes one record from `buf`, which must contain exactly one encoded
@@ -229,6 +262,22 @@ mod tests {
             let rec = LogRecord::new(TxnId::new(NodeId(2), i as u64 + 1), op);
             let bytes = encode_record_vec(&rec);
             assert_eq!(decode_record(&bytes).unwrap(), rec);
+        }
+    }
+
+    #[test]
+    fn a_view_reads_the_xid_and_a_writes_shard_in_place() {
+        for (i, op) in sample_ops().into_iter().enumerate() {
+            let rec = LogRecord::new(TxnId::new(NodeId(2), i as u64 + 1), op);
+            let bytes = encode_record_vec(&rec);
+            let view = RecordView(&bytes);
+            assert_eq!(view.xid(), rec.xid);
+            let shard = match &rec.op {
+                LogOp::Write(w) => Some(w.shard),
+                _ => None,
+            };
+            assert_eq!(view.shard(), shard);
+            assert_eq!(view.decode().unwrap(), rec);
         }
     }
 

@@ -35,7 +35,9 @@ pub mod ship;
 
 pub use assemble::{TxnAssembler, TxnBuffer, TxnEvent, TxnOutcome};
 pub use backend::{BackendHandle, FileBackend, FsyncData, RecoveredLog, SyncPolicy, WalBackend};
-pub use codec::{crc32, decode_record, encode_record, encode_record_vec, CODEC_VERSION};
+pub use codec::{
+    crc32, decode_record, encode_record, encode_record_vec, RecordView, CODEC_VERSION,
+};
 pub use log::{Lsn, TailHandle, TailRead, Wal, WalReader};
 pub use record::{LogOp, LogRecord, WriteKind, WriteOp};
 pub use ship::{ApplyLsnGate, ShipBatch};

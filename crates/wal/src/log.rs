@@ -11,11 +11,14 @@
 //! base record by record and frees a segment whole once its last record is
 //! at or below the base, after letting go of the lock.
 //!
-//! Readers ([`Wal::get`], [`WalReader`]) copy the bytes of the records they
-//! hand out under the lock and decode them after releasing it, into one
-//! `Arc<LogRecord>` per record that the consumers of a batch share. A
-//! reader reuses its copy buffer, so once it has grown to the batches it
-//! reads, a read allocates nothing under the lock appenders queue on.
+//! A reader ([`WalReader`]) copies the bodies of the records it hands out
+//! under the lock into its own buffer, one contiguous copy per segment, and
+//! hands that buffer out as a [`ShipBatch`] after releasing the lock,
+//! replacing it with one of the same capacity. So once the buffer has grown
+//! to the batches it reads, a read allocates nothing under the lock
+//! appenders queue on, and it decodes nothing: the consumer reads the
+//! bodies in place and decodes what it keeps. [`Wal::get`] and
+//! [`WalReader::try_next`] decode the one record of a one-record run.
 //!
 //! The in-memory log is the authoritative *read* path (replay, propagation)
 //! whichever durability backend is attached; the backend
@@ -38,8 +41,9 @@ use parking_lot::{Condvar, Mutex};
 use remus_common::{time, DbResult, WalBackendKind, WalConfig};
 
 use crate::backend::{BackendHandle, FileBackend, FsyncData, SyncPolicy};
-use crate::codec::{decode_record, encode_record};
+use crate::codec::encode_record;
 use crate::record::LogRecord;
+use crate::ship::ShipBatch;
 
 /// A log sequence number. The first record appended gets LSN 1; LSN 0 means
 /// "before the log".
@@ -161,10 +165,11 @@ impl ByteLog {
         (lsn, tail.push(record))
     }
 
-    /// Replaces `out` with the bytes of up to `max` records from LSN `from`
+    /// Replaces `out` with the bodies of up to `max` records from LSN `from`
     /// on: none if `from` is truncated or not yet appended.
-    fn copy_out(&self, from: u64, max: usize, out: &mut Copied) {
-        out.bytes.clear();
+    fn copy_out(&self, from: u64, max: usize, out: &mut ShipBatch) {
+        out.first = Lsn(from);
+        out.bodies.clear();
         out.ends.clear();
         let tail = self.tail();
         if from <= self.base || from > tail {
@@ -178,8 +183,8 @@ impl ByteLog {
             // This segment's run of the records asked for: one contiguous copy.
             let i = at % SEGMENT_RECORDS;
             let j = (i + (last - lsn) as usize).min(segment.len - 1);
-            let (start, shift) = (segment.start(i), out.bytes.len());
-            out.bytes
+            let (start, shift) = (segment.start(i), out.bodies.len());
+            out.bodies
                 .extend_from_slice(&segment.bytes[start..segment.end(j)]);
             out.ends
                 .extend((i..=j).map(|k| segment.end(k) - start + shift));
@@ -198,30 +203,6 @@ impl ByteLog {
         }
         self.first += (whole * SEGMENT_RECORDS) as u64;
         self.segments.drain(..whole).collect()
-    }
-}
-
-/// Record bodies copied out of the log under its lock, decoded after it is
-/// released.
-#[derive(Debug, Default)]
-struct Copied {
-    /// The bodies back to back.
-    bytes: Vec<u8>,
-    /// End offset of each body in `bytes`.
-    ends: Vec<usize>,
-}
-
-impl Copied {
-    /// The copied records, the first of them at `from`.
-    fn records(&self, from: Lsn) -> impl Iterator<Item = (Lsn, Arc<LogRecord>)> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        (from.0..)
-            .zip(starts.zip(&self.ends))
-            .map(|(lsn, (start, &end))| {
-                let body = &self.bytes[start..end];
-                let decoded = decode_record(body).expect("the log decodes what it encoded");
-                (Lsn(lsn), Arc::new(decoded))
-            })
     }
 }
 
@@ -422,11 +403,15 @@ impl Wal {
     }
 
     /// Returns the record at `lsn`, if it exists and was not truncated.
-    pub fn get(&self, lsn: Lsn) -> Option<Arc<LogRecord>> {
-        let mut copied = Copied::default();
-        self.inner.lock().log.copy_out(lsn.0, 1, &mut copied);
-        let record = copied.records(lsn).next().map(|(_, record)| record);
-        record
+    pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
+        self.read_one(lsn, &mut ShipBatch::default())
+    }
+
+    /// [`Wal::get`], copying through `run`.
+    fn read_one(&self, lsn: Lsn, run: &mut ShipBatch) -> Option<LogRecord> {
+        self.inner.lock().log.copy_out(lsn.0, 1, run);
+        let (_, view) = run.iter().next()?;
+        Some(view.decode().expect("the log decodes what it encoded"))
     }
 
     /// Drops all records with LSN <= `upto`. Readers must have consumed
@@ -493,7 +478,7 @@ impl Wal {
                 stop_at: AtomicU64::new(u64::MAX),
                 acked: AtomicU64::new(from.0),
             }),
-            copied: Copied::default(),
+            run: ShipBatch::default(),
         }
     }
 
@@ -503,49 +488,6 @@ impl Wal {
     pub fn reader_from_head(self: &Arc<Self>) -> WalReader {
         let base = self.inner.lock().log.base;
         self.reader_from(Lsn(base))
-    }
-
-    /// The one blocking wait on the log: parks on `grown` until the record
-    /// at `from` exists, or `stop_at` is set and everything up to it has
-    /// been handed out, or `idle` elapses (an `idle` too long to add to the
-    /// clock never does). On a record it copies up to `max` records that are
-    /// already in the log into `copied`, and decodes them after unlocking.
-    fn wait_batch(
-        &self,
-        from: Lsn,
-        max: usize,
-        stop_at: &AtomicU64,
-        idle: Duration,
-        copied: &mut Copied,
-    ) -> TailRead {
-        let mut inner = self.inner.lock();
-        let generation = inner.generation;
-        let found = time::wait(&self.grown, &mut inner, idle, |inner| {
-            if inner.generation != generation {
-                // The log was torn down and reopened from disk while this
-                // reader was parked: its position is meaningless now.
-                panic!("WAL crashed and reopened under a parked reader at {from}");
-            }
-            if from.0 <= inner.log.base {
-                // Truncated from under the reader: a protocol bug.
-                panic!("WAL read at truncated {from} (base {})", inner.log.base);
-            }
-            // `stop_at` only changes under `inner` ([`TailHandle::stop`]), so
-            // a stop cannot slip in between this look and the park.
-            if from.0 > stop_at.load(Ordering::SeqCst) {
-                return Some(false);
-            }
-            (from.0 <= inner.log.tail()).then_some(true)
-        });
-        match found {
-            Some(true) => {
-                inner.log.copy_out(from.0, max, copied);
-                drop(inner);
-                TailRead::Batch(copied.records(from).collect())
-            }
-            Some(false) => TailRead::Stopped,
-            None => TailRead::Idle,
-        }
     }
 }
 
@@ -563,7 +505,7 @@ impl Drop for Wal {
 #[derive(Debug)]
 pub enum TailRead {
     /// One or more records, in LSN order.
-    Batch(Vec<(Lsn, Arc<LogRecord>)>),
+    Batch(ShipBatch),
     /// The idle period passed with no record and no stop.
     Idle,
     /// A stop was asked for and everything up to its LSN has been handed
@@ -615,8 +557,9 @@ pub struct WalReader {
     wal: Arc<Wal>,
     next: Lsn,
     state: Arc<TailState>,
-    /// The copy buffer, reused from read to read.
-    copied: Copied,
+    /// The copy buffer: reused by [`WalReader::try_next`], handed out and
+    /// replaced by [`WalReader::next_batch`].
+    run: ShipBatch,
 }
 
 impl WalReader {
@@ -639,15 +582,10 @@ impl WalReader {
     }
 
     /// Returns the next record if it is already in the log.
-    pub fn try_next(&mut self) -> Option<(Lsn, Arc<LogRecord>)> {
-        self.wal
-            .inner
-            .lock()
-            .log
-            .copy_out(self.next.0, 1, &mut self.copied);
-        let next = self.copied.records(self.next).next()?;
-        self.next = Lsn(self.next.0 + 1);
-        Some(next)
+    pub fn try_next(&mut self) -> Option<(Lsn, LogRecord)> {
+        let (lsn, record) = (self.next, self.wal.read_one(self.next, &mut self.run)?);
+        self.next = Lsn(lsn.0 + 1);
+        Some((lsn, record))
     }
 
     /// Acknowledges everything handed out so far: [`TailHandle::acked`]
@@ -658,19 +596,52 @@ impl WalReader {
     }
 
     /// The one blocking read: acknowledges everything handed out so far,
-    /// then waits for a record, a stop ([`TailHandle::stop`]) or the end of
-    /// the `idle` period, whichever is first. On a record it greedily takes
-    /// up to `max` records that are already flushed — one wait and one lock
-    /// amortized over a vector of records instead of one per record.
+    /// then parks on the log's `grown` until the record at the reader's
+    /// position exists, or a stop ([`TailHandle::stop`]) is asked for and
+    /// everything up to it has been handed out, or the `idle` period ends
+    /// (one too long to add to the clock never does), whichever is first. On
+    /// a record it copies up to `max` records that are already in the log
+    /// into its buffer — one wait and one lock amortized over a run of
+    /// records instead of one per record — and after unlocking hands the
+    /// buffer out, leaving an empty one of the same capacity in its place.
     pub fn next_batch(&mut self, max: usize, idle: Duration) -> TailRead {
         self.ack();
-        let read = self
-            .wal
-            .wait_batch(self.next, max, &self.state.stop_at, idle, &mut self.copied);
-        if let TailRead::Batch(batch) = &read {
-            self.next = Lsn(self.next.0 + batch.len() as u64);
+        let (from, stop_at) = (self.next, &self.state.stop_at);
+        let mut inner = self.wal.inner.lock();
+        let generation = inner.generation;
+        let found = time::wait(&self.wal.grown, &mut inner, idle, |inner| {
+            if inner.generation != generation {
+                // The log was torn down and reopened from disk while this
+                // reader was parked: its position is meaningless now.
+                panic!("WAL crashed and reopened under a parked reader at {from}");
+            }
+            if from.0 <= inner.log.base {
+                // Truncated from under the reader: a protocol bug.
+                panic!("WAL read at truncated {from} (base {})", inner.log.base);
+            }
+            // `stop_at` only changes under `inner` ([`TailHandle::stop`]), so
+            // a stop cannot slip in between this look and the park.
+            if from.0 > stop_at.load(Ordering::SeqCst) {
+                return Some(false);
+            }
+            (from.0 <= inner.log.tail()).then_some(true)
+        });
+        match found {
+            Some(true) => {
+                inner.log.copy_out(from.0, max, &mut self.run);
+                drop(inner);
+                let spare = ShipBatch {
+                    first: Lsn::ZERO,
+                    bodies: Vec::with_capacity(self.run.bodies.capacity()),
+                    ends: Vec::with_capacity(self.run.ends.capacity()),
+                };
+                let run = std::mem::replace(&mut self.run, spare);
+                self.next = Lsn(run.last().0 + 1);
+                TailRead::Batch(run)
+            }
+            Some(false) => TailRead::Stopped,
+            None => TailRead::Idle,
         }
-        read
     }
 }
 
@@ -684,9 +655,9 @@ mod tests {
         LogRecord::new(TxnId::new(NodeId(0), n), LogOp::Commit(Timestamp(n)))
     }
 
-    fn batch_of(read: TailRead) -> Vec<(Lsn, Arc<LogRecord>)> {
+    fn batch_of(read: TailRead) -> Vec<Lsn> {
         match read {
-            TailRead::Batch(batch) => batch,
+            TailRead::Batch(batch) => batch.iter().map(|(lsn, _)| lsn).collect(),
             other => panic!("expected a batch, got {other:?}"),
         }
     }
@@ -733,16 +704,10 @@ mod tests {
         }
         let mut reader = wal.reader_from(Lsn::ZERO);
         let batch = batch_of(reader.next_batch(3, Duration::from_secs(1)));
-        assert_eq!(
-            batch.iter().map(|(l, _)| l.0).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        assert_eq!(batch, vec![Lsn(1), Lsn(2), Lsn(3)]);
         // The rest comes in the next batch, even with headroom to spare.
         let batch = batch_of(reader.next_batch(8, Duration::from_secs(1)));
-        assert_eq!(
-            batch.iter().map(|(l, _)| l.0).collect::<Vec<_>>(),
-            vec![4, 5]
-        );
+        assert_eq!(batch, vec![Lsn(4), Lsn(5)]);
         assert_eq!(reader.consumed(), Lsn(5));
     }
 
@@ -762,8 +727,7 @@ mod tests {
             })
         };
         let batch = batch_of(reader.next_batch(4, Duration::from_secs(5)));
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].0, Lsn(1));
+        assert_eq!(batch, vec![Lsn(1)]);
         writer.join().unwrap();
     }
 

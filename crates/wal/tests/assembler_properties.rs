@@ -6,14 +6,13 @@
 //! after the cut" — computed per transaction straight from the log.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use remus_common::{NodeId, ShardId, Timestamp, TxnId};
 use remus_storage::Value;
 use remus_wal::{
-    ApplyLsnGate, LogOp, LogRecord, Lsn, ShipBatch, TxnAssembler, TxnBuffer, TxnEvent, TxnOutcome,
-    WriteKind, WriteOp,
+    encode_record_vec, ApplyLsnGate, LogOp, LogRecord, Lsn, ShipBatch, TxnAssembler, TxnBuffer,
+    TxnEvent, TxnOutcome, WriteKind, WriteOp,
 };
 
 /// One generated transaction: its writes as `(shard, key)`, whether it
@@ -65,7 +64,7 @@ fn records_of(i: usize, (writes, prepare, ending): &TxnSpec) -> Vec<LogOp> {
 /// Interleaves the transactions' record sequences by `picks`, preserving
 /// each one's order; record `n` (0-based) has LSN `n + 1`, and a commit
 /// record's timestamp is its LSN.
-fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<Arc<LogRecord>> {
+fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<LogRecord> {
     let mut pending: Vec<(usize, std::vec::IntoIter<LogOp>)> = specs
         .iter()
         .enumerate()
@@ -86,7 +85,7 @@ fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<Arc<LogRecord>> {
                     LogOp::CommitPrepared(_) => LogOp::CommitPrepared(cts),
                     other => other,
                 };
-                log.push(Arc::new(LogRecord::new(xid(*i), op)));
+                log.push(LogRecord::new(xid(*i), op));
             }
             None => {
                 pending.remove(slot);
@@ -97,20 +96,29 @@ fn interleave(specs: &[TxnSpec], picks: &[usize]) -> Vec<Arc<LogRecord>> {
 }
 
 /// The predicate under test: shard 2 is "not migrating".
-fn keep(w: &WriteOp) -> bool {
-    w.shard != ShardId(2)
+fn keep(shard: ShardId) -> bool {
+    shard != ShardId(2)
+}
+
+/// `records` encoded as one run whose first record has LSN `first`.
+fn run_of(first: usize, records: &[LogRecord]) -> ShipBatch {
+    let mut run = ShipBatch::default();
+    run.first = Lsn(first as u64);
+    for record in records {
+        run.push(&encode_record_vec(record));
+    }
+    run
 }
 
 /// What the assembler must have for each transaction once the log from
 /// `cut + 1` on was fed: `(buffer, resolution)`, by definition.
-fn model(
-    log: &[Arc<LogRecord>],
-    cut: usize,
-) -> BTreeMap<TxnId, (TxnBuffer, Option<(Lsn, TxnOutcome)>)> {
+fn model(log: &[LogRecord], cut: usize) -> BTreeMap<TxnId, (TxnBuffer, Option<(Lsn, TxnOutcome)>)> {
     let mut txns: BTreeMap<TxnId, (TxnBuffer, Option<(Lsn, TxnOutcome)>)> = BTreeMap::new();
     for (n, record) in log.iter().enumerate().skip(cut) {
         let lsn = Lsn(n as u64 + 1);
-        if matches!(&record.op, LogOp::Write(w) if !keep(w)) && !txns.contains_key(&record.xid) {
+        if matches!(&record.op, LogOp::Write(w) if !keep(w.shard))
+            && !txns.contains_key(&record.xid)
+        {
             // Dropped before the assembler knew the transaction: no trace.
             continue;
         }
@@ -126,7 +134,7 @@ fn model(
         });
         match &record.op {
             LogOp::Begin(ts) => (txn.start_ts, txn.begin_lsn) = (*ts, Some(lsn)),
-            LogOp::Write(w) if keep(w) => txn.writes.push(w.clone()),
+            LogOp::Write(w) if keep(w.shard) => txn.writes.push(w.clone()),
             LogOp::Write(_) => {}
             LogOp::Prepare => txn.prepared = true,
             LogOp::Commit(cts) | LogOp::CommitPrepared(cts) => {
@@ -183,11 +191,11 @@ proptest! {
         let mut frontier = assembler.frontier();
         let mut last_resolution = Lsn::ZERO;
         let mut resolved = 0;
-        for (n, record) in log.iter().enumerate().skip(cut) {
-            let lsn = Lsn(n as u64 + 1);
-            match seen(assembler.feed(lsn, record)) {
+        let run = run_of(1, &log);
+        for ((lsn, view), record) in run.iter().zip(&log).skip(cut) {
+            match seen(assembler.feed(lsn, view)) {
                 Seen::Nothing => {
-                    let dropped = matches!(&record.op, LogOp::Write(w) if !keep(w));
+                    let dropped = matches!(&record.op, LogOp::Write(w) if !keep(w.shard));
                     prop_assert!(dropped || matches!(record.op, LogOp::Begin(_)));
                     if let LogOp::Begin(_) = record.op {
                         open_heads.insert(record.xid, lsn);
@@ -195,7 +203,7 @@ proptest! {
                 }
                 Seen::Kept(txn) => {
                     let LogOp::Write(w) = &record.op else { panic!("Kept at {:?}", record.op) };
-                    prop_assert!(keep(w));
+                    prop_assert!(keep(w.shard));
                     prop_assert_eq!(txn.writes.last(), Some(w));
                     prop_assert_eq!(txn.begin_lsn, begin_of(&record.xid));
                 }
@@ -253,16 +261,15 @@ proptest! {
         let log = interleave(&specs, &picks);
         let cut = cut % (log.len() + 1);
         let mut direct = TxnAssembler::new(Lsn(cut as u64), keep);
-        let in_order: Vec<Seen> = log
+        let in_order: Vec<Seen> = run_of(1, &log)
             .iter()
-            .enumerate()
             .skip(cut)
-            .map(|(n, record)| seen(direct.feed(Lsn(n as u64 + 1), record)))
+            .map(|(lsn, record)| seen(direct.feed(lsn, record)))
             .collect();
 
         // Segment the tail; per segment: 0 = send, 1 = send twice, 2 = hold
         // back behind the next one, 3 = resend with `back` earlier frames.
-        let batch = |from: usize, to: usize| ShipBatch::new(Lsn(from as u64 + 1), log[from..to].to_vec());
+        let batch = |from: usize, to: usize| run_of(from + 1, &log[from..to]);
         let mut batches = Vec::new();
         let mut held = None;
         let (mut at, mut i) = (cut, 0);
@@ -286,8 +293,10 @@ proptest! {
         let mut gated = TxnAssembler::new(Lsn(cut as u64), keep);
         let mut through_gate = Vec::new();
         for b in batches {
-            for (lsn, record) in gate.admit(b) {
-                through_gate.push(seen(gated.feed(lsn, &record)));
+            for run in gate.admit(b) {
+                for (lsn, record) in run.iter() {
+                    through_gate.push(seen(gated.feed(lsn, record)));
+                }
             }
         }
         prop_assert_eq!(gate.applied(), Lsn(log.len() as u64));

@@ -109,7 +109,7 @@ fn drain(reader: &mut WalReader, max: usize) -> Vec<(Lsn, LogRecord)> {
             "batch of {}",
             batch.len()
         );
-        out.extend(batch.into_iter().map(|(lsn, r)| (lsn, (*r).clone())));
+        out.extend(batch.iter().map(|(lsn, r)| (lsn, r.decode().unwrap())));
     }
     out
 }
@@ -170,13 +170,13 @@ proptest! {
             probes.extend((1..=tail / R + 1).flat_map(|k| [k * R - 1, k * R, k * R + 1]));
             for lsn in probes {
                 prop_assert_eq!(
-                    (lsn, base, wal.get(Lsn(lsn)).map(|r| (*r).clone())),
+                    (lsn, base, wal.get(Lsn(lsn))),
                     (lsn, base, model_get(&model, base, lsn))
                 );
             }
             let mut head = wal.reader_from_head();
             prop_assert_eq!(head.position(), Lsn(base + 1));
-            let first = head.try_next().map(|(lsn, r)| (lsn, (*r).clone()));
+            let first = head.try_next();
             prop_assert_eq!(first, expected(&model, base).into_iter().next());
         }
         // The whole retained log, through the head reader, in one pass.

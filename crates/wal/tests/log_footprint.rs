@@ -5,18 +5,37 @@
 //! nothing else runs beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use remus_common::{ShardId, Timestamp, TxnId};
 use remus_storage::Value;
 use remus_wal::log::{SEGMENT_BYTES, SEGMENT_RECORDS};
 use remus_wal::{LogOp, LogRecord, Lsn, Wal, WriteKind, WriteOp};
 
-/// Requested bytes currently allocated. A statistic: nothing is published
-/// through it.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-/// Calls that asked for memory (`alloc` and `realloc`).
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Requested bytes this thread has allocated and not freed. Counted per
+    /// thread: the test harness's main thread may still be allocating after
+    /// it started the test's thread.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Calls of this thread that asked for memory (`alloc` and `realloc`).
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Adds `bytes` to this thread's live count and, for a request, one call.
+fn count(bytes: isize, request: bool) {
+    // A const-initialized `Cell` needs no destructor: `with` allocates
+    // nothing and works on any live thread.
+    LIVE.with(|live| live.set(live.get() + bytes));
+    ALLOCS.with(|calls| calls.set(calls.get() + usize::from(request)));
+}
+
+fn alloc_calls() -> usize {
+    ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> isize {
+    LIVE.with(Cell::get)
+}
 
 struct CountingAlloc;
 
@@ -24,24 +43,19 @@ struct CountingAlloc;
 // upholds the `GlobalAlloc` contract; the counters touch no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size() as isize, true);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        count(-(layout.size() as isize), false);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size as isize - layout.size() as isize, true);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,31 +89,27 @@ fn record(i: u64) -> LogRecord {
 
 #[test]
 fn appends_allocate_per_segment_and_truncation_frees_whole_segments() {
-    let (allocs, live) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
+    let (allocs, live) = (alloc_calls(), live_bytes());
     let wal = Wal::new();
-    assert_eq!(
-        ALLOCS.load(Ordering::Relaxed) - allocs,
-        0,
-        "an empty log allocated"
-    );
-    assert_eq!(LIVE.load(Ordering::Relaxed), live);
+    assert_eq!(alloc_calls() - allocs, 0, "an empty log allocated");
+    assert_eq!(live_bytes(), live);
 
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let allocs = alloc_calls();
     for i in 0..N {
         wal.append(record(i));
     }
     let segments = N.div_ceil(SEGMENT_RECORDS as u64) as usize;
-    let spent = ALLOCS.load(Ordering::Relaxed) - allocs;
+    let spent = alloc_calls() - allocs;
     assert!(
         spent <= segments + SLACK,
         "{N} appends made {spent} allocations for {segments} segments"
     );
-    let full = (LIVE.load(Ordering::Relaxed) - live) as usize;
+    let full = (live_bytes() - live) as usize;
     assert!(full >= segments * SEGMENT_BYTES, "{full} bytes live");
 
     wal.truncate_until(wal.flush_lsn());
     assert_eq!(wal.retained(), 0);
-    let left = (LIVE.load(Ordering::Relaxed) - live) as usize;
+    let left = (live_bytes() - live) as usize;
     // The tail's segment and the ring of handles (16 × 32 bytes).
     assert!(
         left <= SEGMENT_BYTES + 1024,
@@ -108,5 +118,5 @@ fn appends_allocate_per_segment_and_truncation_frees_whole_segments() {
 
     // The log goes on from the tail in the segment it kept.
     assert_eq!(wal.append(record(N)), Lsn(N + 1));
-    assert_eq!(*wal.get(Lsn(N + 1)).unwrap(), record(N));
+    assert_eq!(wal.get(Lsn(N + 1)).unwrap(), record(N));
 }

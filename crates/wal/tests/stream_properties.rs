@@ -92,10 +92,10 @@ fn concurrent_writers_and_tail_reader() {
             let mut total = 0;
             while total < 1500 {
                 if let TailRead::Batch(batch) = reader.next_batch(1, Duration::from_secs(5)) {
-                    let r = &batch[0].1;
-                    let w = r.xid.origin().raw() as usize;
+                    let xid = batch.iter().next().unwrap().1.xid();
+                    let w = xid.origin().raw() as usize;
                     // Each writer's own records arrive in its program order.
-                    assert_eq!(r.xid.seq(), per_writer[w] + 1);
+                    assert_eq!(xid.seq(), per_writer[w] + 1);
                     per_writer[w] += 1;
                     total += 1;
                 } else {

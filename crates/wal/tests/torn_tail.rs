@@ -135,7 +135,7 @@ fn torn_tail_is_reported_through_the_wal_counter() {
     let wal = Wal::open_file(&dir.0, &WalConfig::file(&dir.0)).unwrap();
     assert_eq!(wal.recovered_torn_tail(), 1);
     assert_eq!(wal.flush_lsn(), Lsn(N - 1));
-    assert_eq!(*wal.get(Lsn(N - 1)).expect("tail record"), rec(N - 1));
+    assert_eq!(wal.get(Lsn(N - 1)).expect("tail record"), rec(N - 1));
     assert!(wal.get(Lsn(N)).is_none(), "torn record must not resurface");
     // The reopened log keeps appending where the repaired tail ends.
     let lsn = wal.append_durable(rec(N)).unwrap();

@@ -23,6 +23,10 @@
 #               run of the parent; `WORSE` otherwise
 #
 # then `benchmark/run.sh compare`'s verdict. Exits non-zero on any `WORSE`.
+# A run that exits non-zero is listed in the summary line by seed; only what
+# it wrote counts, and a pair is scored (and compared) only when both of its
+# runs wrote a report. Each run's stdout and stderr stay in
+# <workload>.<side>.<seed>.{stdout,stderr}.
 #
 #   AB_DIR   where the checkouts, target dirs and run files go
 #            (default: a fresh directory under ${TMPDIR:-/tmp}); kept, so a
@@ -57,18 +61,24 @@ checkout parent "$parent_ref"
 checkout change "${change_ref:-HEAD}"
 
 run() { # <side> <seed>
-    local out="$dir/$workload.$1.run"
+    local out="$dir/$workload.$1.run" log="$dir/$workload.$1.$2"
+    rm -f "$out"
     (cd "$dir/$1" && CARGO_TARGET_DIR="$dir/$1-target" bash benchmark/run.sh \
         --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 --json "$out" \
-        >"$dir/$workload.$1.stdout" 2>"$dir/$workload.$1.stderr") ||
-        echo "pair seed $2: $1 exited non-zero (see $dir/$workload.$1.stdout)" >&2
-    cat "$out" >>"$dir/$workload.$1.json"
-    echo >>"$dir/$workload.$1.json"
+        >"$log.stdout" 2>"$log.stderr") || {
+        echo "pair seed $2: $1 exited non-zero (see $log.stdout and .stderr)" >&2
+        echo "$2" >>"$dir/$workload.$1.failed"
+    }
+    if [ -s "$out" ]; then
+        cat "$out" >>"$dir/$workload.$1.json"
+        echo >>"$dir/$workload.$1.json"
+    fi
 }
 
 status=0
 for workload in "${workloads[@]}"; do
-    rm -f "$dir/$workload".{parent,change}.json
+    rm -f "$dir/$workload".{parent,change}.{json,failed}
+    touch "$dir/$workload".{parent,change}.{json,failed}
     for ((i = 0; i < pairs; i++)); do
         order=(parent change)
         ((i % 2)) && order=(change parent)
@@ -78,18 +88,27 @@ for workload in "${workloads[@]}"; do
         echo "$workload pair $((i + 1))/$pairs (seed $((seed0 + i)), ${order[0]} first) done" >&2
     done
 
-    python3 - "$repo/BENCHMARK.json" "$dir/$workload.parent.json" "$dir/$workload.change.json" <<'EOF' || status=1
+    python3 - "$repo/BENCHMARK.json" "$workload" "$dir/$workload" <<'EOF' || status=1
 import json, statistics, sys
-spec, parent, change = sys.argv[1:]
-runs = lambda path: [json.loads(l) for l in open(path) if l.strip()]
-parent, change = runs(parent), runs(change)
-def quartiles(xs):
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return med, q1, q3
-print(f"{parent[0]['workload']}: {len(parent)} pairs; failed ops parent "
+spec, workload, prefix = sys.argv[1:]
+runs = lambda side: {r["seed"]: r for r in map(json.loads, filter(str.strip, open(f"{prefix}.{side}.json")))}
+parent, change = runs("parent"), runs("change")
+seeds = sorted(parent.keys() & change.keys())
+parent, change = [parent[s] for s in seeds], [change[s] for s in seeds]
+for side, paired in (("parent", parent), ("change", change)):
+    with open(f"{prefix}.{side}.paired.json", "w") as out:
+        out.writelines(json.dumps(r) + "\n" for r in paired)
+failed = lambda side: "[" + " ".join(open(f"{prefix}.{side}.failed").read().split()) + "]"
+print(f"{workload}: {len(seeds)} pairs; failed runs parent {failed('parent')} "
+      f"change {failed('change')}; failed ops parent "
       f"{sum(r['failed'] for r in parent)} change {sum(r['failed'] for r in change)}; "
       f"incorrect runs parent {sum(not r['correct'] for r in parent)} "
       f"change {sum(not r['correct'] for r in change)}")
+if len(seeds) < 2:
+    sys.exit("fewer than two pairs with a report on both sides: nothing to score")
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return med, q1, q3
 print(f"{'metric':<20} {'parent med [q1, q3]':<36} {'change med [q1, q3]':<36} "
       f"{'delta':>8} {'wins':>5} {'ties':>5}  {'gain rule':<9}  no worse")
 any_worse = False
@@ -114,9 +133,9 @@ for m in json.load(open(spec))["end_to_end"]:
           f"{delta:>8} {wins:>5} {ties:>5}  {'holds' if gain else '-':<9}  {verdict}")
 sys.exit(any_worse)
 EOF
-    echo "--- benchmark/run.sh compare (BENCHMARK.json bounds, change against parent)"
+    echo "--- benchmark/run.sh compare (BENCHMARK.json bounds, change against parent, paired runs)"
     (cd "$dir/change" && CARGO_TARGET_DIR="$dir/change-target" bash benchmark/run.sh \
-        compare "$dir/$workload.parent.json" "$dir/$workload.change.json") || true
-    echo "runs kept in $dir/$workload.{parent,change}.json"
+        compare "$dir/$workload".{parent,change}.paired.json) || true
+    echo "runs kept in $dir/$workload.{parent,change}.json, paired runs in .paired.json"
 done
 exit $status
