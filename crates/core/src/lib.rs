@@ -25,10 +25,13 @@
 //!   receiver, [`StreamApplier`] (apply-LSN gate, [`remus_wal::TxnAssembler`]
 //!   — its per-transaction buffers are the paper's update cache queues —
 //!   and a replica's redo or a migration's shipping rule), in the same
-//!   thread; a migration's catch-up progress is the lowest unfinished LSN.
+//!   thread. A migration stream is also its replay's scheduler: it ships
+//!   through the [`replay::ReplayFeed`], which assigns each message its
+//!   ticket on that thread.
 //! * [`replay`] / [`mocc`] — the destination side of a migration: the
-//!   parallel, key-fenced apply process and the MOCC validation registry +
-//!   commit hook.
+//!   parallel, key-fenced apply workers, the one ordered record of what
+//!   they have done — which answers the catch-up progress, the lowest
+//!   unfinished LSN — and the MOCC validation registry + commit hook.
 //! * [`replication`] — WAL-shipped read replicas: one stream per primary,
 //!   virtual-cut backfill with chunk certification, and the
 //!   applied-watermark maintenance replica reads run at.

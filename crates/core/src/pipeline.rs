@@ -13,7 +13,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use remus_cluster::{Cluster, Node};
 use remus_common::fault::{FaultAction, InjectionPoint};
 use remus_common::{DbError, DbResult, Timestamp};
@@ -24,7 +23,7 @@ use crate::mocc::{RemusHook, ValidationRegistry};
 use crate::replay::ReplayProcess;
 use crate::report::{MigrationReport, MigrationTask};
 use crate::snapshot::{copy_task_snapshots_gated, CopyGate};
-use crate::stream::{Shipped, Stream, StreamApplier};
+use crate::stream::{Stream, StreamApplier};
 use crate::trace::{SpanId, TraceRecorder};
 
 /// How long an engine is willing to wait in each drain loop before
@@ -45,8 +44,6 @@ pub(crate) struct PushPipeline<'a> {
     pub(crate) hook: Arc<RemusHook>,
     hook_installed: bool,
     gate: Arc<CopyGate>,
-    /// What the stream shipped: the catch-up progress measure's inputs.
-    shipped: Arc<Shipped>,
     /// `None` once [`Self::finish`] took them: nothing left to tear down.
     procs: Option<(Stream, ReplayProcess)>,
     tm_committed: bool,
@@ -95,22 +92,20 @@ impl<'a> PushPipeline<'a> {
         // finishes, the GC safe-ts watermark cannot pass the copy snapshot,
         // so no version the copy scan still needs is ever pruned.
         let (snapshot_ts, _snapshot_pin) = cluster.acquire_snapshot(task.source);
-        let (tx, rx) = unbounded();
         // Replay is gated per key range: a shipped change applies as soon
         // as its chunk is installed, never before (it would be clobbered by
         // the frozen install).
-        let replay = ReplayProcess::start(cluster, dest, registry, rx, Some(Arc::clone(&gate)));
-        let (applier, shipped) = StreamApplier::migration(
+        let (replay, feed) = ReplayProcess::start(cluster, dest, registry, Some(Arc::clone(&gate)));
+        let applier = StreamApplier::migration(
             cluster,
             source,
             &task.shards,
             snapshot_ts,
             tail.consumed(),
             Arc::clone(&hook),
-            tx,
+            feed,
         );
-        let progress = Arc::clone(&replay.stats.progress);
-        let stream = Stream::migration(cluster, source, task.dest, tail, applier, progress);
+        let stream = Stream::migration(cluster, source, task.dest, tail, applier);
         let mut p = PushPipeline {
             cluster,
             task,
@@ -120,7 +115,6 @@ impl<'a> PushPipeline<'a> {
             hook,
             hook_installed: sync_commits,
             gate,
-            shipped,
             procs: Some((stream, replay)),
             tm_committed: false,
             cleanup_span: None,
@@ -165,16 +159,10 @@ impl<'a> PushPipeline<'a> {
         Ok(())
     }
 
-    /// The progress measure: the lowest unfinished source LSN's predecessor
-    /// — every source record at or below it is applied on the destination.
-    fn applied_lsn(&self) -> Lsn {
-        self.shipped.finished_through(self.procs().1.completed())
-    }
-
     /// The catch-up lag (§3.4): source records not yet applied.
     fn lag(&self) -> u64 {
         let flush = self.source.storage.wal.flush_lsn();
-        flush.0.saturating_sub(self.applied_lsn().0)
+        flush.0.saturating_sub(self.procs().1.finished_through().0)
     }
 
     /// Phase 2, asynchronous catch-up: waits out the configured lag threshold.
@@ -186,10 +174,9 @@ impl<'a> PushPipeline<'a> {
         self.rec.attr(span, "start_lag", self.lag());
         if let Err(e) = self.park_until(|| self.lag() <= threshold, "async catch-up") {
             return Err(DbError::Internal(format!(
-                "{e}: flush={} applied={} completed tickets={}",
+                "{e}: flush={} applied={}",
                 self.source.storage.wal.flush_lsn().0,
-                self.applied_lsn().0,
-                self.procs().1.completed(),
+                self.procs().1.finished_through().0,
             )));
         }
         self.report.catchup_phase = catch0.elapsed();
@@ -204,9 +191,9 @@ impl<'a> PushPipeline<'a> {
     }
 
     /// Waits until every source record up to and including `lsn` is applied
-    /// on the destination: the progress measure has reached `lsn`.
+    /// on the destination: replay's progress measure has reached `lsn`.
     pub(crate) fn drain_to(&self, lsn: Lsn, what: &'static str) -> DbResult<()> {
-        self.park_until(|| self.applied_lsn() >= lsn, what)
+        self.park_until(|| self.procs().1.finished_through() >= lsn, what)
     }
 
     /// Ordered diversion: commits `T_m` and returns its commit timestamp.
@@ -260,7 +247,8 @@ impl<'a> PushPipeline<'a> {
         let mut report = std::mem::take(&mut self.report);
         report.records_replayed = replay.stats.records.load(Ordering::SeqCst);
         report.validation_conflicts = replay.stats.conflicts.load(Ordering::SeqCst);
-        // Both are joined before either error propagates.
+        // Both are joined before either error propagates; the stream first,
+        // since its end drops the feed, which lets the workers exit.
         stream.join().and(replay.join())?;
         self.rec.end(stop_span);
         self.rec.attr(span, "final_lsn", final_lsn.0);

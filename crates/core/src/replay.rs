@@ -1,18 +1,29 @@
 //! The destination-side replay process (§3.3, §3.5.2, §3.6).
 //!
-//! A dispatcher thread receives [`ApplyMsg`]s from a migration stream
-//! (`stream.rs`) in source-WAL order and shards their work over a pool of
-//! apply workers (`ParallelismConfig::replay_workers`, the paper's
-//! "transaction-level parallel apply based on SI by tracking timestamp
-//! order"), routing each job to a worker by the hash of its smallest written
-//! key. Independence is decided by key: a message whose keys intersect an
-//! earlier in-flight message waits for that message to finish first (the key
-//! fence), so conflicting transactions apply in source commit order while
-//! disjoint ones fan out concurrently. The scheduler is deadlock-free:
-//! tickets are assigned in stream order, dependencies only point at lower
-//! tickets, and each worker consumes its queue in ticket order — so the
-//! globally smallest unfinished ticket is always at the head of some queue
-//! with every dependency already complete.
+//! A migration stream (`stream.rs`) feeds its replay itself: it owns the
+//! [`ReplayFeed`], and [`ReplayFeed::ship`] runs on the stream's thread. Each
+//! [`ApplyMsg`] gets the next ticket, recorded with the LSN of the source
+//! record that produced it, and goes to one of a pool of apply workers
+//! (`ParallelismConfig::replay_workers`, the paper's "transaction-level
+//! parallel apply based on SI by tracking timestamp order"), routed by the
+//! hash of its smallest written `(shard, key)`. Independence is decided by
+//! key: a message whose keys intersect an earlier in-flight message waits
+//! for that message to finish first (the key fence), so conflicting
+//! transactions apply in source commit order while disjoint ones fan out
+//! concurrently. The scheduler is deadlock-free: tickets are assigned in
+//! stream order, dependencies only point at lower tickets, and each worker
+//! consumes its queue in ticket order — so the globally smallest unfinished
+//! ticket is always at the head of some queue with every dependency already
+//! complete. Dropping the feed (the stream thread ends) closes the queues:
+//! the workers drain them and exit.
+//!
+//! **Progress is the lowest unfinished LSN.** One record of what is done
+//! answers both a worker's wait for a ticket and the migration's progress
+//! ([`ReplayProcess::finished_through`]): the LSN just before the record
+//! that produced the oldest unfinished ticket, or the stream's applied LSN
+//! when none is outstanding. Every source record at or below it is applied
+//! on the destination — the condition §3.4 puts on `LSN_unsync` before
+//! `T_m`.
 //!
 //! When a [`CopyGate`] is supplied, replay runs concurrently with the
 //! chunked snapshot copy: before applying a key the worker waits for that
@@ -38,21 +49,21 @@
 //!
 //! Why a `Committed` install never waits: no destination transaction
 //! writes a migrating shard before `T_m`, and a `Validate` shadow on a key
-//! is resolved before any later `Committed` on that key is dispatched — the
+//! is resolved before any later `Committed` on that key is shipped — the
 //! source held the key's lock until its decision, which the stream carries
-//! as a `CommitShadow` / `RollbackShadow` the dispatcher runs inline, and
-//! the key fence orders the rest. So every version a catch-up install meets
-//! is resolved. The fence stays for `Committed` among themselves too,
-//! although placement by commit timestamp commutes: it makes the order
-//! check above run in commit order, and keeps a `Validate`'s dependency on
-//! a key a single ticket.
+//! as a `CommitShadow` / `RollbackShadow` the feed runs inline, and the key
+//! fence orders the rest. So every version a catch-up install meets is
+//! resolved. The fence stays for `Committed` among themselves too, although
+//! placement by commit timestamp commutes: it makes the order check above
+//! run in commit order, and keeps a `Validate`'s dependency on a key a
+//! single ticket.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use remus_cluster::{Cluster, Node};
 use remus_common::fault::{FaultAction, InjectionPoint};
@@ -62,7 +73,7 @@ use remus_storage::Key;
 use remus_txn::{
     abort_txn, commit_prepared, log_and_redo_committed, prepare_participant, rollback_prepared, Txn,
 };
-use remus_wal::{WriteKind, WriteOp};
+use remus_wal::{Lsn, WriteKind, WriteOp};
 
 use crate::mocc::ValidationRegistry;
 use crate::snapshot::CopyGate;
@@ -102,8 +113,6 @@ pub enum ApplyMsg {
         /// Source transaction id.
         xid: TxnId,
     },
-    /// Graceful end of stream.
-    Shutdown,
 }
 
 /// Counters exposed by the replay process.
@@ -119,35 +128,61 @@ pub struct ReplayStats {
     pub progress: Arc<Signal>,
 }
 
-/// Tracks ticket completion with a contiguous watermark so the done-set
-/// stays small.
+/// The one record of what is done (module docs), in ticket order.
 #[derive(Debug, Default)]
 struct Completion {
-    state: Mutex<(u64, HashSet<u64>)>, // (watermark, done above watermark)
+    state: Mutex<Done>,
     advanced: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct Done {
+    /// Every ticket up to it is complete.
+    through: u64,
+    /// The tickets above `through`, in order: the LSN of the record that
+    /// produced each, and whether it is complete.
+    outstanding: VecDeque<(Lsn, bool)>,
+    /// The stream's applied LSN: every record up to it was read, and what
+    /// it produced was issued.
+    read: Lsn,
+}
+
 impl Completion {
+    /// Issues the next ticket, for a message produced by the record at `lsn`.
+    fn issue(&self, lsn: Lsn) -> u64 {
+        let mut done = self.state.lock();
+        done.outstanding.push_back((lsn, false));
+        done.through + done.outstanding.len() as u64
+    }
+
     /// Marks ticket `t` complete.
     fn mark(&self, t: u64) {
-        let mut state = self.state.lock();
-        state.1.insert(t);
-        loop {
-            let next = state.0 + 1;
-            if !state.1.remove(&next) {
-                break;
-            }
-            state.0 = next;
+        let mut done = self.state.lock();
+        if t > done.through {
+            let i = (t - done.through - 1) as usize;
+            done.outstanding[i].1 = true;
+        }
+        while let Some((_, true)) = done.outstanding.front() {
+            done.outstanding.pop_front();
+            done.through += 1;
         }
         self.advanced.notify_all();
     }
 
     /// Blocks until ticket `t` completed.
     fn wait(&self, t: u64) {
-        let mut state = self.state.lock();
-        while !(state.0 >= t || state.1.contains(&t)) {
-            self.advanced.wait(&mut state);
+        let mut done = self.state.lock();
+        while t > done.through && !done.outstanding[(t - done.through - 1) as usize].1 {
+            self.advanced.wait(&mut done);
         }
+    }
+
+    /// The lowest-unfinished-LSN measure: the LSN before the record that
+    /// produced the oldest unfinished ticket, else the stream's applied LSN.
+    fn finished_through(&self) -> Lsn {
+        let done = self.state.lock();
+        let oldest = done.outstanding.front();
+        oldest.map_or(done.read, |&(lsn, _)| done.read.min(Lsn(lsn.0 - 1)))
     }
 }
 
@@ -162,7 +197,7 @@ struct ReplayShared {
     dest: Arc<Node>,
     registry: Arc<ValidationRegistry>,
     stats: Arc<ReplayStats>,
-    completion: Arc<Completion>,
+    completion: Completion,
     /// Chunked-copy completion tracker; replay of a key waits for its
     /// chunk. `None` when the copy finished before replay started.
     gate: Option<Arc<CopyGate>>,
@@ -344,41 +379,39 @@ impl ReplayShared {
                     rollback_prepared(&self.dest.storage, xid.shadow());
                 }
             }
-            ApplyMsg::Shutdown => unreachable!("dispatcher consumes Shutdown"),
         }
         self.complete(job.ticket);
         self.dest.storage.counters.replay_jobs.inc();
     }
 }
 
-/// The replay process: dispatcher + sharded worker pool.
+/// The replay process: a sharded worker pool and what it has done.
 pub struct ReplayProcess {
     /// Counters.
     pub stats: Arc<ReplayStats>,
     shared: Arc<ReplayShared>,
     worker_jobs: Arc<Vec<AtomicU64>>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ReplayProcess {
-    /// Starts the replay process on `dest`, consuming messages from `rx`.
-    /// With a [`CopyGate`], replay interleaves with the chunked snapshot
-    /// copy: a key is applied only after its chunk finished copying.
+    /// Starts the replay process on `dest` and returns it with the feed its
+    /// stream ships through. With a [`CopyGate`], replay interleaves with
+    /// the chunked snapshot copy: a key is applied only after its chunk
+    /// finished copying.
     pub fn start(
         cluster: &Arc<Cluster>,
         dest: &Arc<Node>,
         registry: Arc<ValidationRegistry>,
-        rx: Receiver<ApplyMsg>,
         gate: Option<Arc<CopyGate>>,
-    ) -> ReplayProcess {
+    ) -> (ReplayProcess, ReplayFeed) {
         let stats = Arc::new(ReplayStats::default());
         let shared = Arc::new(ReplayShared {
             cluster: Arc::clone(cluster),
             dest: Arc::clone(dest),
             registry,
             stats: Arc::clone(&stats),
-            completion: Arc::new(Completion::default()),
+            completion: Completion::default(),
             gate,
             prepared_shadows: Mutex::new(HashSet::new()),
             fatal: Mutex::new(None),
@@ -386,11 +419,11 @@ impl ReplayProcess {
 
         let n = cluster.config.parallelism.replay_workers.max(1);
         let worker_jobs = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
-        let mut job_txs = Vec::with_capacity(n);
+        let mut queues = Vec::with_capacity(n);
         let workers = (0..n)
             .map(|w| {
                 let (job_tx, job_rx) = unbounded::<Job>();
-                job_txs.push(job_tx);
+                queues.push(job_tx);
                 let shared = Arc::clone(&shared);
                 let worker_jobs = Arc::clone(&worker_jobs);
                 std::thread::spawn(move || {
@@ -404,23 +437,23 @@ impl ReplayProcess {
                 })
             })
             .collect();
-
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatch_loop(shared, rx, job_txs))
+        let feed = ReplayFeed {
+            shared: Arc::clone(&shared),
+            queues,
+            last_key_ticket: HashMap::new(),
+            validated: HashMap::new(),
         };
-
-        ReplayProcess {
+        let replay = ReplayProcess {
             stats,
             shared,
             worker_jobs,
-            dispatcher: Some(dispatcher),
             workers,
-        }
+        };
+        (replay, feed)
     }
 
     /// Jobs executed by each worker, by worker index (per-worker span
-    /// attrs; the dispatcher's inline shadow resolutions are not counted).
+    /// attrs; the feed's inline shadow resolutions are not counted).
     pub fn worker_jobs(&self) -> Vec<u64> {
         self.worker_jobs
             .iter()
@@ -428,34 +461,20 @@ impl ReplayProcess {
             .collect()
     }
 
-    /// The completed ticket prefix: the messages up to the `completed()`-th
-    /// received are all processed. Tickets are assigned one per message, in
-    /// receive order from 1.
-    pub fn completed(&self) -> u64 {
-        self.shared.completion.state.lock().0
+    /// The progress measure (module docs): every source record at or below
+    /// it is applied on the destination.
+    pub fn finished_through(&self) -> Lsn {
+        self.shared.completion.finished_through()
     }
 
-    /// The first unexpected (fatal) replay failure, if any.
-    pub fn fatal(&self) -> Option<DbError> {
-        self.shared.fatal.lock().clone()
-    }
-
-    /// Shadows still prepared (should be empty after a clean drain).
-    pub fn prepared_shadow_count(&self) -> usize {
-        self.shared.prepared_shadows.lock().len()
-    }
-
-    /// Waits for the dispatcher (after the stream sent `Shutdown`) and
-    /// all workers to finish. Fails if a fatal replay error occurred (a
-    /// worker panic is caught, noted, and surfaced here instead of hanging
-    /// the pipeline) or if any shadow transaction is still prepared after a
-    /// clean drain (the stream must have resolved every validated shadow).
-    pub fn join(mut self) -> Result<(), DbError> {
+    /// Waits for the workers to finish, which they do once the feed is
+    /// dropped. Fails if a fatal replay error occurred (a worker panic is
+    /// caught, noted, and surfaced here instead of hanging the pipeline) or
+    /// if any shadow transaction is still prepared after a clean drain (the
+    /// stream must have resolved every validated shadow).
+    pub fn join(self) -> Result<(), DbError> {
         let mut thread_died = false;
-        if let Some(d) = self.dispatcher.take() {
-            thread_died |= d.join().is_err();
-        }
-        for w in self.workers.drain(..) {
+        for w in self.workers {
             thread_died |= w.join().is_err();
         }
         if let Some(e) = self.shared.fatal.lock().take() {
@@ -476,6 +495,69 @@ impl ReplayProcess {
     }
 }
 
+/// The stream's end of a replay (module docs): assigns tickets in stream
+/// order on the thread that ships. Dropping it lets the workers drain and
+/// exit.
+pub struct ReplayFeed {
+    shared: Arc<ReplayShared>,
+    queues: Vec<Sender<Job>>,
+    /// The last ticket that touched each key: the key fence.
+    last_key_ticket: HashMap<(ShardId, Key), u64>,
+    /// Synchronized transactions whose `Validate` was shipped and whose
+    /// decision was not: the `Validate`'s ticket.
+    validated: HashMap<TxnId, u64>,
+}
+
+impl ReplayFeed {
+    /// Whether `xid`'s `Validate` was shipped: its decision record ships the
+    /// shadow's, not a second copy of the writes.
+    pub(crate) fn validated(&self, xid: TxnId) -> bool {
+        self.validated.contains_key(&xid)
+    }
+
+    /// Every source record up to `lsn` was read and what it produced was
+    /// shipped: the measure may move (the stream calls this per batch).
+    pub(crate) fn read_through(&self, lsn: Lsn) {
+        self.shared.completion.state.lock().read = lsn;
+        self.shared.stats.progress.notify();
+    }
+
+    /// Ships `msg`, produced by the source record at `lsn`: the next ticket,
+    /// its key-fence dependencies and the worker its smallest key routes to.
+    /// A shadow's resolution depends only on its `Validate` and runs inline,
+    /// which keeps stream order for the same xid.
+    pub fn ship(&mut self, lsn: Lsn, msg: ApplyMsg) {
+        let ticket = self.shared.completion.issue(lsn);
+        let ops = match &msg {
+            ApplyMsg::Committed { ops, .. } => ops,
+            ApplyMsg::Validate { xid, ops, .. } => {
+                self.validated.insert(*xid, ticket);
+                ops
+            }
+            ApplyMsg::CommitShadow { xid, .. } | ApplyMsg::RollbackShadow { xid } => {
+                let deps = self.validated.remove(xid).into_iter().collect();
+                let job = Job { ticket, deps, msg };
+                if catch_unwind(AssertUnwindSafe(|| self.shared.run_job(job))).is_err() {
+                    self.shared.note_panic(ticket);
+                }
+                return;
+            }
+        };
+        let worker = route_of(ops, self.queues.len());
+        let mut deps: Vec<u64> = ops
+            .iter()
+            .filter_map(|op| self.last_key_ticket.insert((op.shard, op.key), ticket))
+            // A message touching the same key twice must not depend on
+            // itself.
+            .filter(|&d| d != ticket)
+            .collect();
+        deps.sort_unstable();
+        deps.dedup();
+        let job = Job { ticket, deps, msg };
+        self.queues[worker].send(job).expect("workers alive");
+    }
+}
+
 /// The worker a message's ops route to: hash of the smallest written key.
 /// Routing is only a locality/balance choice — correctness comes from the
 /// key fence — but it is deterministic so reruns shard identically.
@@ -489,74 +571,6 @@ fn route_of(ops: &[WriteOp], workers: usize) -> usize {
         }
         None => 0,
     }
-}
-
-fn dispatch_loop(shared: Arc<ReplayShared>, rx: Receiver<ApplyMsg>, job_txs: Vec<Sender<Job>>) {
-    let mut next_ticket: u64 = 0;
-    // Last ticket that touched each key; per-xid ticket of the Validate.
-    let mut last_key_ticket: HashMap<(ShardId, Key), u64> = HashMap::new();
-    let mut validate_ticket: HashMap<TxnId, u64> = HashMap::new();
-
-    let deps_for = |ops: &[WriteOp], ticket: u64, map: &mut HashMap<(ShardId, Key), u64>| {
-        let mut deps: Vec<u64> = ops
-            .iter()
-            .filter_map(|op| map.insert((op.shard, op.key), ticket))
-            // A message touching the same key twice must not depend on
-            // itself.
-            .filter(|&d| d != ticket)
-            .collect();
-        deps.sort_unstable();
-        deps.dedup();
-        deps
-    };
-
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ApplyMsg::Shutdown => break,
-            ApplyMsg::Committed { ref ops, .. } => {
-                next_ticket += 1;
-                let worker = route_of(ops, job_txs.len());
-                let deps = deps_for(ops, next_ticket, &mut last_key_ticket);
-                job_txs[worker]
-                    .send(Job {
-                        ticket: next_ticket,
-                        deps,
-                        msg,
-                    })
-                    .expect("workers alive");
-            }
-            ApplyMsg::Validate { xid, ref ops, .. } => {
-                next_ticket += 1;
-                validate_ticket.insert(xid, next_ticket);
-                let worker = route_of(ops, job_txs.len());
-                let deps = deps_for(ops, next_ticket, &mut last_key_ticket);
-                job_txs[worker]
-                    .send(Job {
-                        ticket: next_ticket,
-                        deps,
-                        msg,
-                    })
-                    .expect("workers alive");
-            }
-            ApplyMsg::CommitShadow { xid, .. } | ApplyMsg::RollbackShadow { xid } => {
-                // Resolution of a prepared shadow: depends only on its own
-                // Validate having completed; run inline (cheap) to preserve
-                // stream order for the same xid.
-                next_ticket += 1;
-                let ticket = next_ticket;
-                let deps = validate_ticket.remove(&xid).into_iter().collect();
-                let shared = Arc::clone(&shared);
-                if catch_unwind(AssertUnwindSafe(|| {
-                    shared.run_job(Job { ticket, deps, msg })
-                }))
-                .is_err()
-                {
-                    shared.note_panic(ticket);
-                }
-            }
-        }
-    }
-    // Closing the job channels lets workers drain and exit.
 }
 
 #[cfg(test)]
@@ -580,22 +594,16 @@ mod tests {
         }
     }
 
-    fn setup() -> (Arc<Cluster>, Sender<ApplyMsg>, ReplayProcess) {
+    fn setup() -> (Arc<Cluster>, ReplayFeed, ReplayProcess) {
         let mut config = SimConfig::instant();
         config.parallelism.replay_workers = 4;
         let cluster = ClusterBuilder::new(2).config(config).build();
         cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
         let dest = Arc::clone(cluster.node(NodeId(1)));
         dest.storage.create_shard(ShardId(0));
-        let (tx, rx) = unbounded();
-        let replay = ReplayProcess::start(
-            &cluster,
-            &dest,
-            Arc::new(ValidationRegistry::new()),
-            rx,
-            None,
-        );
-        (cluster, tx, replay)
+        let registry = Arc::new(ValidationRegistry::new());
+        let (replay, feed) = ReplayProcess::start(&cluster, &dest, registry, None);
+        (cluster, feed, replay)
     }
 
     fn read_at(cluster: &Arc<Cluster>, node: NodeId, key: Key, ts: u64) -> Option<Value> {
@@ -620,15 +628,17 @@ mod tests {
 
     #[test]
     fn committed_replay_preserves_timestamps() {
-        let (cluster, tx, replay) = setup();
-        tx.send(ApplyMsg::Committed {
-            xid: xid(1),
-            start_ts: Timestamp(10),
-            commit_ts: Timestamp(20),
-            ops: vec![op(0, 1, WriteKind::Insert, "a")],
-        })
-        .unwrap();
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        let (cluster, mut feed, replay) = setup();
+        feed.ship(
+            Lsn(1),
+            ApplyMsg::Committed {
+                xid: xid(1),
+                start_ts: Timestamp(10),
+                commit_ts: Timestamp(20),
+                ops: vec![op(0, 1, WriteKind::Insert, "a")],
+            },
+        );
+        drop(feed);
         replay.join().unwrap();
         // Visible at ts 20 and later, invisible before.
         assert_eq!(read_at(&cluster, NodeId(1), 1, 20), Some(val("a")));
@@ -637,31 +647,36 @@ mod tests {
 
     #[test]
     fn conflicting_replays_apply_in_commit_order() {
-        let (cluster, tx, replay) = setup();
+        let (cluster, mut feed, replay) = setup();
         // Many updates to the same key: the fence must serialize them in
         // stream order despite 4 parallel workers.
-        tx.send(ApplyMsg::Committed {
-            xid: xid(0),
-            start_ts: Timestamp(5),
-            commit_ts: Timestamp(10),
-            ops: vec![op(0, 7, WriteKind::Insert, "v0")],
-        })
-        .unwrap();
+        feed.ship(
+            Lsn(1),
+            ApplyMsg::Committed {
+                xid: xid(0),
+                start_ts: Timestamp(5),
+                commit_ts: Timestamp(10),
+                ops: vec![op(0, 7, WriteKind::Insert, "v0")],
+            },
+        );
         for i in 1..50u64 {
-            tx.send(ApplyMsg::Committed {
-                xid: xid(i),
-                start_ts: Timestamp(10 * i + 5),
-                commit_ts: Timestamp(10 * (i + 1)),
-                ops: vec![op(0, 7, WriteKind::Update, &format!("v{i}"))],
-            })
-            .unwrap();
+            feed.ship(
+                Lsn(i + 1),
+                ApplyMsg::Committed {
+                    xid: xid(i),
+                    start_ts: Timestamp(10 * i + 5),
+                    commit_ts: Timestamp(10 * (i + 1)),
+                    ops: vec![op(0, 7, WriteKind::Update, &format!("v{i}"))],
+                },
+            );
         }
-        let all_done = || replay.completed() == 50;
+        feed.read_through(Lsn(50));
+        let all_done = || replay.finished_through() == Lsn(50);
         assert!(replay
             .stats
             .progress
             .park_until(all_done, Duration::from_secs(5)));
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        drop(feed);
         replay.join().unwrap();
         assert_eq!(read_at(&cluster, NodeId(1), 7, 505), Some(val("v49")));
         // Intermediate snapshots see intermediate values.
@@ -670,17 +685,19 @@ mod tests {
 
     #[test]
     fn disjoint_replays_run_concurrently_and_all_apply() {
-        let (cluster, tx, replay) = setup();
+        let (cluster, mut feed, replay) = setup();
         for i in 0..200u64 {
-            tx.send(ApplyMsg::Committed {
-                xid: xid(i),
-                start_ts: Timestamp(5),
-                commit_ts: Timestamp(10 + i),
-                ops: vec![op(0, i, WriteKind::Insert, "x")],
-            })
-            .unwrap();
+            feed.ship(
+                Lsn(i + 1),
+                ApplyMsg::Committed {
+                    xid: xid(i),
+                    start_ts: Timestamp(5),
+                    commit_ts: Timestamp(10 + i),
+                    ops: vec![op(0, i, WriteKind::Insert, "x")],
+                },
+            );
         }
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        drop(feed);
         replay.join().unwrap();
         let stats = cluster
             .node(NodeId(1))
@@ -698,15 +715,16 @@ mod tests {
         let dest = Arc::clone(cluster.node(NodeId(1)));
         dest.storage.create_shard(ShardId(0));
         let registry = Arc::new(ValidationRegistry::new());
-        let (tx, rx) = unbounded();
-        let replay = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), rx, None);
+        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
 
-        tx.send(ApplyMsg::Validate {
-            xid: xid(1),
-            start_ts: Timestamp(10),
-            ops: vec![op(0, 3, WriteKind::Insert, "s")],
-        })
-        .unwrap();
+        feed.ship(
+            Lsn(1),
+            ApplyMsg::Validate {
+                xid: xid(1),
+                start_ts: Timestamp(10),
+                ops: vec![op(0, 3, WriteKind::Insert, "s")],
+            },
+        );
         // Source side gets validation-ok.
         registry
             .await_verdict(xid(1), Duration::from_secs(2))
@@ -717,12 +735,14 @@ mod tests {
             dest.storage.clog.status(xid(1).shadow()),
             remus_storage::TxnStatus::Prepared
         );
-        tx.send(ApplyMsg::CommitShadow {
-            xid: xid(1),
-            commit_ts: Timestamp(30),
-        })
-        .unwrap();
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        feed.ship(
+            Lsn(2),
+            ApplyMsg::CommitShadow {
+                xid: xid(1),
+                commit_ts: Timestamp(30),
+            },
+        );
+        drop(feed);
         replay.join().unwrap();
         assert_eq!(read_at(&cluster, NodeId(1), 3, 30), Some(val("s")));
         assert_eq!(read_at(&cluster, NodeId(1), 3, 29), None);
@@ -734,8 +754,7 @@ mod tests {
         let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(1));
         let registry = Arc::new(ValidationRegistry::new());
         let dest = Arc::clone(cluster.node(NodeId(1)));
-        let (tx, rx) = unbounded();
-        let replay = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), rx, None);
+        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
 
         // A destination transaction wrote key 3 and committed "after" the
         // source transaction's snapshot.
@@ -744,18 +763,20 @@ mod tests {
         let (_, dest_cts) = session.run(|t| t.update(&layout, 3, val("newer"))).unwrap();
 
         // Source transaction with an older snapshot tries to update key 3.
-        tx.send(ApplyMsg::Validate {
-            xid: xid(1),
-            start_ts: Timestamp(dest_cts.0 - 1),
-            ops: vec![op(0, 3, WriteKind::Update, "stale")],
-        })
-        .unwrap();
+        feed.ship(
+            Lsn(1),
+            ApplyMsg::Validate {
+                xid: xid(1),
+                start_ts: Timestamp(dest_cts.0 - 1),
+                ops: vec![op(0, 3, WriteKind::Update, "stale")],
+            },
+        );
         let err = registry
             .await_verdict(xid(1), Duration::from_secs(2))
             .unwrap_err();
         assert!(matches!(err, DbError::WwConflict { .. }));
-        tx.send(ApplyMsg::RollbackShadow { xid: xid(1) }).unwrap();
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        feed.ship(Lsn(2), ApplyMsg::RollbackShadow { xid: xid(1) });
+        drop(feed);
         assert_eq!(replay.stats.conflicts.load(Ordering::Relaxed), 1);
         replay.join().unwrap();
         // The destination value is untouched.
@@ -770,19 +791,20 @@ mod tests {
         let dest = Arc::clone(cluster.node(NodeId(1)));
         dest.storage.create_shard(ShardId(0));
         let registry = Arc::new(ValidationRegistry::new());
-        let (tx, rx) = unbounded();
-        let replay = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), rx, None);
-        tx.send(ApplyMsg::Validate {
-            xid: xid(1),
-            start_ts: Timestamp(10),
-            ops: vec![op(0, 3, WriteKind::Insert, "doomed")],
-        })
-        .unwrap();
+        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
+        feed.ship(
+            Lsn(1),
+            ApplyMsg::Validate {
+                xid: xid(1),
+                start_ts: Timestamp(10),
+                ops: vec![op(0, 3, WriteKind::Insert, "doomed")],
+            },
+        );
         registry
             .await_verdict(xid(1), Duration::from_secs(2))
             .unwrap();
-        tx.send(ApplyMsg::RollbackShadow { xid: xid(1) }).unwrap();
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        feed.ship(Lsn(2), ApplyMsg::RollbackShadow { xid: xid(1) });
+        drop(feed);
         replay.join().unwrap();
         assert_eq!(read_at(&cluster, NodeId(1), 3, 1_000_000), None);
         assert_eq!(replay_stats_prepared(&cluster), 0);
@@ -794,36 +816,26 @@ mod tests {
 
     #[test]
     fn fatal_surfaces_broken_async_replay() {
-        let (cluster, tx, replay) = setup();
         // Updating a key that does not exist on the destination is a
         // protocol violation for async replay.
-        tx.send(ApplyMsg::Committed {
-            xid: xid(1),
-            start_ts: Timestamp(10),
-            commit_ts: Timestamp(20),
-            ops: vec![op(0, 404, WriteKind::Update, "x")],
-        })
-        .unwrap();
-        tx.send(ApplyMsg::Shutdown).unwrap();
-        let err = replay.join().unwrap_err();
-        assert!(matches!(err, DbError::Internal(_)));
-        let _ = cluster;
+        let err = replay_committed(&[(404, WriteKind::Update, 10, 20)]).unwrap_err();
+        assert!(matches!(err, DbError::Internal(_)), "{err:?}");
     }
 
-    /// Sends `msgs` as committed transactions `(key, kind, start, commit)`
+    /// Ships `msgs` as committed transactions `(key, kind, start, commit)`
     /// and answers what the drained replay reports.
     fn replay_committed(msgs: &[(Key, WriteKind, u64, u64)]) -> Result<(), DbError> {
-        let (_cluster, tx, replay) = setup();
+        let (_cluster, mut feed, replay) = setup();
         for (i, &(key, kind, start, commit)) in msgs.iter().enumerate() {
-            tx.send(ApplyMsg::Committed {
+            let msg = ApplyMsg::Committed {
                 xid: xid(i as u64),
                 start_ts: Timestamp(start),
                 commit_ts: Timestamp(commit),
                 ops: vec![op(0, key, kind, "x")],
-            })
-            .unwrap();
+            };
+            feed.ship(Lsn(i as u64 + 1), msg);
         }
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        drop(feed);
         replay.join()
     }
 
@@ -848,5 +860,35 @@ mod tests {
         ])
         .unwrap_err();
         assert!(matches!(err, DbError::Internal(_)), "{err:?}");
+    }
+
+    /// The progress measure stops at the oldest ticket not yet complete: a
+    /// later ticket's completion does not move it, and it reaches the
+    /// stream's applied LSN once that ticket completes.
+    #[test]
+    fn progress_is_the_lowest_unfinished_lsn_and_a_later_completion_does_not_move_it() {
+        let completion = Completion::default();
+        assert_eq!(completion.finished_through(), Lsn::ZERO);
+        // Tickets 1 and 2, produced by the records at LSN 3 and 6; the
+        // stream has read through LSN 7.
+        assert_eq!(completion.issue(Lsn(3)), 1);
+        assert_eq!(completion.issue(Lsn(6)), 2);
+        completion.state.lock().read = Lsn(7);
+        assert_eq!(completion.finished_through(), Lsn(2));
+        completion.mark(2);
+        completion.wait(2);
+        assert_eq!(
+            completion.finished_through(),
+            Lsn(2),
+            "a later completion moved the measure"
+        );
+        completion.mark(1);
+        completion.wait(1);
+        assert_eq!(completion.finished_through(), Lsn(7));
+        // A ticket issued after the prefix completed continues the count.
+        assert_eq!(completion.issue(Lsn(9)), 3);
+        assert_eq!(completion.finished_through(), Lsn(7));
+        completion.state.lock().read = Lsn(9);
+        assert_eq!(completion.finished_through(), Lsn(8));
     }
 }

@@ -18,8 +18,9 @@
 //!   and visits `PropagationShip` once per batch.
 //!
 //! A stop is never answered with a heartbeat: `Stopped` delivers a held
-//! batch and ends, and a stopped migration stream sends
-//! [`ApplyMsg::Shutdown`] to its replay.
+//! batch and ends. A migration stream's applier owns its replay's
+//! [`ReplayFeed`], so the end of the thread drops the feed, and the replay
+//! workers drain what was shipped and exit.
 //!
 //! ## The one receiver
 //!
@@ -35,10 +36,13 @@
 //!   the watermark is taken from the frontier (see [`crate::replication`]).
 //! * **migration** — keep the migrating shards' writes (the assembler's
 //!   per-transaction buffers are the paper's update cache queues) and ship
-//!   to the destination's [`crate::replay`]: a prepared transaction the
-//!   commit hook marked synchronized as an [`ApplyMsg::Validate`], its
-//!   decision as `CommitShadow` / `RollbackShadow`; a commit above the
-//!   snapshot timestamp as an [`ApplyMsg::Committed`]. Aborted transactions
+//!   them through the destination's [`ReplayFeed`] on the stream's own
+//!   thread, which assigns each message its replay ticket: a prepared
+//!   transaction the commit hook marked synchronized as an
+//!   [`ApplyMsg::Validate`], its decision as `CommitShadow` /
+//!   `RollbackShadow`; a commit above the snapshot timestamp as an
+//!   [`ApplyMsg::Committed`], its writes taken out of the assembler's
+//!   buffer (the replica rule redoes them in place). Aborted transactions
 //!   and commits at or before the snapshot timestamp are dropped. A buffer
 //!   that grew past `SPILL_THRESHOLD` records charges the configured reload
 //!   latency per batch when it ships.
@@ -46,23 +50,19 @@
 //! ## Progress: the lowest unfinished LSN
 //!
 //! A replica applies synchronously, so its progress is the gate's applied
-//! LSN. A migration's replay applies in parallel, out of order: its
-//! progress is the LSN just before the record that produced the oldest
-//! message outside replay's completed ticket prefix, or the gate's applied
-//! LSN when no message is outstanding ([`Shipped::finished_through`]).
-//! Every record at or below it is applied on the destination — the
-//! condition §3.4 puts on `LSN_unsync` before `T_m`.
+//! LSN. A migration's replay applies in parallel, out of order: the feed
+//! records each ticket with the LSN of the record that produced it, the
+//! stream stores the gate's applied LSN with the replay after every batch,
+//! and the replay answers the measure itself
+//! ([`crate::replay::ReplayProcess::finished_through`]).
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
 use remus_cluster::{Cluster, Node};
-use remus_common::time::{self, Signal};
+use remus_common::time;
 use remus_common::{
     Counter, DbError, DbResult, FaultAction, InjectionPoint, NodeId, ShardId, Timestamp, TxnId,
 };
@@ -73,7 +73,7 @@ use remus_wal::{
 };
 
 use crate::mocc::RemusHook;
-use crate::replay::ApplyMsg;
+use crate::replay::{ApplyMsg, ReplayFeed};
 use crate::snapshot::CopyGate;
 
 /// How long a caught-up replica stream lets its primary stay quiet before it
@@ -104,21 +104,19 @@ impl Stream {
         }
     }
 
-    /// A migration stream from `source` to `dest`'s replay, notifying
-    /// `progress` after every batch.
+    /// A migration stream from `source` to `dest`'s replay, which `applier`
+    /// feeds.
     pub(crate) fn migration(
         cluster: &Arc<Cluster>,
         source: &Arc<Node>,
         dest: NodeId,
         tail: WalTail,
         mut applier: StreamApplier,
-        progress: Arc<Signal>,
     ) -> Stream {
         let (cluster, source) = (Arc::clone(cluster), Arc::clone(source));
         Stream::spawn(tail, move |tail| {
             // A migration stream's apply only ships, so it cannot fail.
-            let publish = |_: &StreamApplier, _| progress.notify();
-            let _ = run(&cluster, &source, dest, tail, &mut applier, publish);
+            let _ = run(&cluster, &source, dest, tail, &mut applier, |_, _| {});
         })
     }
 
@@ -208,7 +206,6 @@ pub(crate) fn run<P: FnMut(&StreamApplier, u64)>(
     if let Some(prev) = held.take() {
         deliver(applier, &mut publish, prev)?;
     }
-    applier.close();
     Ok(())
 }
 
@@ -227,39 +224,6 @@ fn headed(event: &TxnEvent<'_>) -> bool {
         TxnEvent::Kept(txn) => txn.begin_lsn.is_some(),
         TxnEvent::Prepared(txn) => txn.begin_lsn.is_some(),
         TxnEvent::Resolved { txn, .. } => txn.begin_lsn.is_some(),
-    }
-}
-
-/// What a migration stream has shipped, readable from the pipeline that
-/// waits on it: the progress measure's inputs (module docs).
-#[derive(Debug, Default)]
-pub(crate) struct Shipped {
-    /// The gate's applied LSN, stored after every batch.
-    applied: AtomicU64,
-    /// `(ticket, LSN of the record that produced it)` of every message
-    /// replay may not have completed yet, in ticket order. Replay assigns
-    /// tickets in receive order from 1, so the n-th message sent is ticket n.
-    pending: Mutex<VecDeque<(u64, Lsn)>>,
-}
-
-impl Shipped {
-    /// The lowest-unfinished-LSN measure: the LSN before the record that
-    /// produced the oldest message above replay's `completed` ticket prefix,
-    /// else the applied LSN. Every record at or below it is applied.
-    pub(crate) fn finished_through(&self, completed: u64) -> Lsn {
-        // Read before the list: a message from a record at or below it was
-        // queued before it was stored.
-        let applied = Lsn(self.applied.load(Ordering::SeqCst));
-        let mut pending = self.pending.lock();
-        while pending
-            .front()
-            .is_some_and(|&(ticket, _)| ticket <= completed)
-        {
-            pending.pop_front();
-        }
-        pending
-            .front()
-            .map_or(applied, |&(_, lsn)| applied.min(Lsn(lsn.0 - 1)))
     }
 }
 
@@ -283,60 +247,55 @@ struct Migration {
     snapshot_ts: Timestamp,
     /// Identifies synchronized source transactions.
     hook: Arc<RemusHook>,
-    /// Synchronized source transactions whose `Validate` was shipped: their
-    /// decision record ships the shadow's, not a second copy of the writes.
-    validated: HashSet<TxnId>,
     spill_latency: Duration,
     batch_len: Arc<Counter>,
-    tx: Sender<ApplyMsg>,
-    /// Messages sent so far: the last one's replay ticket.
-    sent: u64,
-    shipped: Arc<Shipped>,
+    feed: ReplayFeed,
 }
 
 impl Migration {
-    /// What a headed transaction's event ships (§3.3). Returns the number of
-    /// messages sent.
-    fn on_event(&mut self, lsn: Lsn, event: TxnEvent<'_>) -> u64 {
-        match event {
-            TxnEvent::Kept(_) => self.source.work.add(1),
+    /// What a headed transaction's event ships (§3.3).
+    fn on_event(&mut self, lsn: Lsn, event: TxnEvent<'_>) {
+        let msg = match event {
+            TxnEvent::Kept(_) => return self.source.work.add(1),
             TxnEvent::Prepared(txn) if !txn.writes.is_empty() && self.hook.is_sync_txn(txn.xid) => {
-                let (xid, start_ts) = (txn.xid, txn.start_ts);
                 let ops = std::mem::take(&mut txn.writes);
-                self.validated.insert(xid);
-                return self.ship(lsn, ApplyMsg::Validate { xid, start_ts, ops });
+                ApplyMsg::Validate {
+                    xid: txn.xid,
+                    start_ts: txn.start_ts,
+                    ops,
+                }
             }
             TxnEvent::Resolved { txn, outcome, .. } => {
-                let (xid, start_ts, ops) = (txn.xid, txn.start_ts, txn.writes);
-                let shadowed = self.validated.remove(&xid);
-                let msg = match outcome {
-                    TxnOutcome::Committed(commit_ts) if shadowed => {
+                let xid = txn.xid;
+                match outcome {
+                    TxnOutcome::Committed(commit_ts) if self.feed.validated(xid) => {
                         ApplyMsg::CommitShadow { xid, commit_ts }
                     }
-                    TxnOutcome::Aborted if shadowed => ApplyMsg::RollbackShadow { xid },
+                    TxnOutcome::Aborted if self.feed.validated(xid) => {
+                        ApplyMsg::RollbackShadow { xid }
+                    }
                     // Not at or before the snapshot timestamp: that is
                     // already contained in the copied snapshot.
                     TxnOutcome::Committed(commit_ts)
-                        if !ops.is_empty() && commit_ts > self.snapshot_ts =>
+                        if !txn.writes.is_empty() && commit_ts > self.snapshot_ts =>
                     {
                         ApplyMsg::Committed {
                             xid,
-                            start_ts,
+                            start_ts: txn.start_ts,
                             commit_ts,
-                            ops,
+                            ops: std::mem::take(&mut txn.writes),
                         }
                     }
-                    _ => return 0,
-                };
-                return self.ship(lsn, msg);
+                    _ => return,
+                }
             }
-            _ => {}
-        }
-        0
+            _ => return,
+        };
+        self.ship(lsn, msg);
     }
 
-    /// Sends `msg`, produced by the record at `lsn`, to replay.
-    fn ship(&mut self, lsn: Lsn, msg: ApplyMsg) -> u64 {
+    /// Ships `msg`, produced by the record at `lsn`, through the feed.
+    fn ship(&mut self, lsn: Lsn, msg: ApplyMsg) {
         // What of the transaction buffer `msg` carries lay past the spill
         // threshold is reloaded in batches first.
         let buffered = match &msg {
@@ -355,11 +314,7 @@ impl Migration {
             // Reloading spilled change records in batches (§3.3).
             time::charge(self.spill_latency * reloads as u32);
         }
-        self.sent += 1;
-        self.shipped.pending.lock().push_back((self.sent, lsn));
-        // A send fails only once replay has ended: nothing left to ship to.
-        let _ = self.tx.send(msg);
-        1
+        self.feed.ship(lsn, msg);
     }
 }
 
@@ -408,9 +363,8 @@ impl StreamApplier {
     }
 
     /// The receiver of a migration of `shards` off `source`, expecting the
-    /// first record after `from` and shipping to `tx`; `hook` identifies
-    /// synchronized source transactions. Returns what the pipeline reads its
-    /// progress from.
+    /// first record after `from` and shipping through `feed`; `hook`
+    /// identifies synchronized source transactions.
     pub(crate) fn migration(
         cluster: &Cluster,
         source: &Arc<Node>,
@@ -418,24 +372,20 @@ impl StreamApplier {
         snapshot_ts: Timestamp,
         from: Lsn,
         hook: Arc<RemusHook>,
-        tx: Sender<ApplyMsg>,
-    ) -> (StreamApplier, Arc<Shipped>) {
+        feed: ReplayFeed,
+    ) -> StreamApplier {
         let shards: HashSet<ShardId> = shards.iter().copied().collect();
-        let shipped = Arc::new(Shipped::default());
-        shipped.applied.store(from.0, Ordering::SeqCst);
+        feed.read_through(from);
         let rule = Rule::Migration(Migration {
             source: Arc::clone(source),
             snapshot_ts,
             hook,
-            validated: HashSet::new(),
             spill_latency: cluster.config.spill_reload_latency,
             batch_len: cluster.metrics.counter("replay.batch_len"),
-            tx,
-            sent: 0,
-            shipped: Arc::clone(&shipped),
+            feed,
         });
         let keep = Box::new(move |shard| shards.contains(&shard));
-        (Self::with_rule(from, keep, snapshot_ts, rule), shipped)
+        Self::with_rule(from, keep, snapshot_ts, rule)
     }
 
     fn with_rule(from: Lsn, keep: Keep, wmax: Timestamp, rule: Rule) -> StreamApplier {
@@ -471,8 +421,8 @@ impl StreamApplier {
     }
 
     /// Admits one received batch and acts on whatever the gate releases.
-    /// Returns the number of transactions committed to the replica (for a
-    /// migration: of messages shipped).
+    /// Returns the number of transactions committed to the replica (0 for a
+    /// migration, which ships).
     pub fn apply(&mut self, batch: ShipBatch) -> DbResult<u64> {
         let mut done = 0;
         for run in self.lsn_gate.admit(batch) {
@@ -500,13 +450,13 @@ impl StreamApplier {
                         done += 1;
                         self.resolved.insert(resolution_lsn, cts);
                     }
-                    (Rule::Migration(m), event) => done += m.on_event(lsn, event),
+                    (Rule::Migration(m), event) => m.on_event(lsn, event),
                     _ => {}
                 }
             }
         }
         if let Rule::Migration(m) = &self.rule {
-            m.shipped.applied.store(self.applied().0, Ordering::SeqCst);
+            m.feed.read_through(self.applied());
         }
         // Drain resolutions the frontier now covers into the watermark.
         let frontier = self.frontier();
@@ -529,13 +479,6 @@ impl StreamApplier {
         }
         self.wmax = self.wmax.max(ts);
         true
-    }
-
-    /// The end of the stream: a migration's replay is told with `Shutdown`.
-    fn close(&self) {
-        if let Rule::Migration(m) = &self.rule {
-            let _ = m.tx.send(ApplyMsg::Shutdown);
-        }
     }
 }
 
@@ -573,12 +516,14 @@ mod tests {
     use super::*;
     use crate::mocc::ValidationRegistry;
     use crate::replay::ReplayProcess;
-    use crossbeam::channel::{unbounded, Receiver};
     use remus_cluster::{ClusterBuilder, Session};
     use remus_common::{SimConfig, TableId};
-    use remus_storage::Value;
+    use remus_storage::{TxnStatus, Value};
     use remus_txn::SyncCommitHook;
     use remus_wal::{LogOp, LogRecord, WriteKind, WriteOp};
+
+    /// Far above every timestamp these tests write.
+    const LATEST: u64 = 1 << 40;
 
     fn val(s: &str) -> Value {
         Value::copy_from_slice(s.as_bytes())
@@ -593,37 +538,25 @@ mod tests {
         })
     }
 
-    /// A migration stream of `shards` off node 0 towards node 1, from the
-    /// start of node 0's log, shipping to the returned receiver.
-    fn start_migration(
-        cluster: &Arc<Cluster>,
-        shards: &[ShardId],
-        hook: Arc<RemusHook>,
-        snapshot_ts: u64,
-    ) -> (Stream, Receiver<ApplyMsg>, Arc<Shipped>) {
-        let (tx, rx) = unbounded();
-        let source = cluster.node(NodeId(0));
+    /// Migrates shard 0 off node 0's log as it stands, from its start, into
+    /// a replay on node 1; answers the drained replay's verdict.
+    fn migrate_log(cluster: &Arc<Cluster>, hook: Arc<RemusHook>, snapshot_ts: u64) -> DbResult<()> {
+        let (source, dest) = (cluster.node(NodeId(0)), cluster.node(NodeId(1)));
+        let registry = Arc::new(ValidationRegistry::new());
+        let (replay, feed) = ReplayProcess::start(cluster, dest, registry, None);
         let tail = source.storage.create_slot(Lsn::ZERO);
-        let (applier, shipped) = StreamApplier::migration(
+        let applier = StreamApplier::migration(
             cluster,
             source,
-            shards,
+            &[ShardId(0)],
             Timestamp(snapshot_ts),
             tail.consumed(),
             hook,
-            tx,
+            feed,
         );
-        let stream = Stream::migration(cluster, source, NodeId(1), tail, applier, Arc::default());
-        (stream, rx, shipped)
-    }
-
-    fn start_stream(
-        cluster: &Arc<Cluster>,
-        hook: Arc<RemusHook>,
-        snapshot_ts: u64,
-    ) -> (Stream, Receiver<ApplyMsg>) {
-        let (stream, rx, _) = start_migration(cluster, &[ShardId(0)], hook, snapshot_ts);
-        (stream, rx)
+        let stream = Stream::migration(cluster, source, NodeId(1), tail, applier);
+        stream.stop(source.storage.wal.flush_lsn());
+        stream.join().and(replay.join())
     }
 
     fn test_hook() -> Arc<RemusHook> {
@@ -634,14 +567,47 @@ mod tests {
         ))
     }
 
-    fn cluster2() -> Arc<Cluster> {
-        let c = ClusterBuilder::new(2).config(SimConfig::instant()).build();
+    /// Two nodes, shards 0 and 1 on node 0 and empty on node 1.
+    fn cluster2_with(config: SimConfig) -> Arc<Cluster> {
+        let c = ClusterBuilder::new(2).config(config).build();
         c.create_table(TableId(1), 0, 2, |_| NodeId(0));
+        for shard in [ShardId(0), ShardId(1)] {
+            c.node(NodeId(1)).storage.create_shard(shard);
+        }
         c
+    }
+
+    fn cluster2() -> Arc<Cluster> {
+        cluster2_with(SimConfig::instant())
     }
 
     fn xid(n: u64) -> TxnId {
         TxnId::new(NodeId(0), 100 + n)
+    }
+
+    /// Node 1's committed value of `key` in `shard` at `ts`.
+    fn dest_read(cluster: &Cluster, shard: u64, key: u64, ts: u64) -> Option<Value> {
+        let storage = &cluster.node(NodeId(1)).storage;
+        let table = storage.table(ShardId(shard)).unwrap();
+        let clog = &storage.clog;
+        let read = table.read(
+            key,
+            Timestamp(ts),
+            TxnId::INVALID,
+            clog,
+            Duration::from_secs(2),
+        );
+        read.unwrap()
+    }
+
+    /// What node 1's log holds, in order.
+    fn dest_log(cluster: &Cluster) -> Vec<LogOp> {
+        let mut reader = cluster.node(NodeId(1)).storage.wal.reader_from(Lsn::ZERO);
+        let mut ops = Vec::new();
+        while let TailRead::Batch(run) = reader.next_batch(64, Duration::ZERO) {
+            ops.extend(run.iter().map(|(_, record)| record.decode().unwrap().op));
+        }
+        ops
     }
 
     #[test]
@@ -661,29 +627,24 @@ mod tests {
         wal.append(LogRecord::new(xid(3), wop(1, 3)));
         wal.append(LogRecord::new(xid(3), LogOp::Commit(Timestamp(16))));
 
-        let (stream, rx) = start_stream(&cluster, test_hook(), 10);
-        let msg = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        match msg {
-            ApplyMsg::Committed {
-                xid: x,
-                commit_ts,
-                ops,
-                start_ts,
-            } => {
-                assert_eq!(x, xid(2));
-                assert_eq!(commit_ts, Timestamp(15));
-                assert_eq!(start_ts, Timestamp(12));
-                assert_eq!(ops.len(), 1);
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
-        stream.stop(cluster.node(NodeId(0)).storage.wal.flush_lsn());
-        // Shutdown follows with nothing else in between.
-        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            ApplyMsg::Shutdown => {}
-            other => panic!("unexpected message {other:?}"),
-        }
-        stream.join().unwrap();
+        migrate_log(&cluster, test_hook(), 10).unwrap();
+        // B alone is redone on the destination, with its own timestamps.
+        let log = dest_log(&cluster);
+        assert!(
+            matches!(
+                log[..],
+                [
+                    LogOp::Begin(Timestamp(12)),
+                    LogOp::Write(_),
+                    LogOp::Commit(Timestamp(15))
+                ]
+            ),
+            "{log:?}"
+        );
+        assert_eq!(dest_read(&cluster, 0, 2, 15), Some(val("x")));
+        assert_eq!(dest_read(&cluster, 0, 2, 14), None);
+        assert_eq!(dest_read(&cluster, 0, 1, LATEST), None);
+        assert_eq!(dest_read(&cluster, 1, 3, LATEST), None);
     }
 
     #[test]
@@ -693,13 +654,17 @@ mod tests {
         wal.append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(2))));
         wal.append(LogRecord::new(xid(1), wop(0, 1)));
         wal.append(LogRecord::new(xid(1), LogOp::Abort));
-        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
-        stream.stop(wal.flush_lsn());
-        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            ApplyMsg::Shutdown => {}
-            other => panic!("unexpected message {other:?}"),
-        }
-        stream.join().unwrap();
+        migrate_log(&cluster, test_hook(), 0).unwrap();
+        assert_eq!(dest_log(&cluster), []);
+        assert_eq!(dest_read(&cluster, 0, 1, LATEST), None);
+    }
+
+    /// Whether node 1's log prepared a shadow and later resolved it with
+    /// `decision` (another transaction's redo may log in between).
+    fn shadow_prepared_then(cluster: &Cluster, decision: LogOp) -> bool {
+        let log = dest_log(cluster);
+        let prepare = log.iter().position(|op| *op == LogOp::Prepare);
+        prepare.is_some_and(|i| log[i + 1..].contains(&decision))
     }
 
     #[test]
@@ -718,23 +683,19 @@ mod tests {
         wal.append(LogRecord::new(xid(1), LogOp::Prepare));
         wal.append(LogRecord::new(xid(1), LogOp::CommitPrepared(Timestamp(9))));
 
-        let (stream, rx) = start_stream(&cluster, hook, 0);
-        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            ApplyMsg::Validate { xid: x, ops, .. } => {
-                assert_eq!(x, xid(1));
-                assert_eq!(ops.len(), 1);
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
-        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            ApplyMsg::CommitShadow { xid: x, commit_ts } => {
-                assert_eq!(x, xid(1));
-                assert_eq!(commit_ts, Timestamp(9));
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
-        stream.stop(wal.flush_lsn());
-        stream.join().unwrap();
+        migrate_log(&cluster, hook, 0).unwrap();
+        // Validated into a prepared shadow, which committed at the source's
+        // timestamp.
+        let decision = LogOp::CommitPrepared(Timestamp(9));
+        assert!(
+            shadow_prepared_then(&cluster, decision),
+            "{:?}",
+            dest_log(&cluster)
+        );
+        let status = cluster.node(NodeId(1)).storage.clog.status(xid(1).shadow());
+        assert_eq!(status, TxnStatus::Committed(Timestamp(9)));
+        assert_eq!(dest_read(&cluster, 0, 1, 9), Some(val("x")));
+        assert_eq!(dest_read(&cluster, 0, 1, 8), None);
     }
 
     #[test]
@@ -748,18 +709,13 @@ mod tests {
         wal.append(LogRecord::new(xid(1), wop(0, 1)));
         wal.append(LogRecord::new(xid(1), LogOp::Prepare));
         wal.append(LogRecord::new(xid(1), LogOp::CommitPrepared(Timestamp(9))));
-        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
-        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            ApplyMsg::Committed {
-                xid: x, commit_ts, ..
-            } => {
-                assert_eq!(x, xid(1));
-                assert_eq!(commit_ts, Timestamp(9));
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
-        stream.stop(wal.flush_lsn());
-        stream.join().unwrap();
+        migrate_log(&cluster, test_hook(), 0).unwrap();
+        // Redone as committed, with no shadow prepared.
+        let log = dest_log(&cluster);
+        assert!(!log.contains(&LogOp::Prepare), "{log:?}");
+        assert_eq!(log.last(), Some(&LogOp::Commit(Timestamp(9))));
+        assert_eq!(dest_read(&cluster, 0, 1, 9), Some(val("x")));
+        assert_eq!(dest_read(&cluster, 0, 1, 8), None);
     }
 
     #[test]
@@ -773,33 +729,30 @@ mod tests {
         wal.append(LogRecord::new(xid(1), wop(0, 1)));
         wal.append(LogRecord::new(xid(1), LogOp::Prepare));
         wal.append(LogRecord::new(xid(1), LogOp::RollbackPrepared));
-        let (stream, rx) = start_stream(&cluster, hook, 0);
-        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            ApplyMsg::Validate { .. } => {}
-            other => panic!("unexpected message {other:?}"),
-        }
-        match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            ApplyMsg::RollbackShadow { xid: x } => assert_eq!(x, xid(1)),
-            other => panic!("unexpected message {other:?}"),
-        }
-        stream.stop(wal.flush_lsn());
-        stream.join().unwrap();
+        migrate_log(&cluster, hook, 0).unwrap();
+        let decision = LogOp::RollbackPrepared;
+        assert!(
+            shadow_prepared_then(&cluster, decision),
+            "{:?}",
+            dest_log(&cluster)
+        );
+        let status = cluster.node(NodeId(1)).storage.clog.status(xid(1).shadow());
+        assert_eq!(status, TxnStatus::Aborted);
+        assert_eq!(dest_read(&cluster, 0, 1, LATEST), None);
     }
 
-    /// The progress measure stops at the oldest message replay has not
-    /// completed: a later message's completion does not move it, and it
-    /// reaches the log's end once that message completes.
+    /// The stream issues each ticket with the LSN of the record that
+    /// produced it: replay's progress stops before the record of a held
+    /// install, a later install's completion does not move it, and it
+    /// reaches the log's end once the held one completes.
     #[test]
-    fn progress_is_the_lowest_unfinished_lsn_and_a_later_completion_does_not_move_it() {
+    fn a_migration_stream_issues_each_ticket_with_the_lsn_of_its_record() {
         let cluster = cluster2();
         let (source, dest) = (cluster.node(NodeId(0)), cluster.node(NodeId(1)));
         let shards = [ShardId(0), ShardId(1)];
-        for shard in shards {
-            dest.storage.create_shard(shard);
-        }
         let wal = &source.storage.wal;
-        // Two committed transactions, one per shard: messages (tickets) 1
-        // and 2, produced by the commit records at LSN 3 and 6.
+        // Two committed transactions, one per shard: tickets 1 and 2,
+        // produced by the commit records at LSN 3 and 6.
         for (n, shard) in [(1, 0), (2, 1)] {
             wal.append(LogRecord::new(xid(n), LogOp::Begin(Timestamp(10 + n))));
             wal.append(LogRecord::new(xid(n), wop(shard, n)));
@@ -809,40 +762,31 @@ mod tests {
         let gate = Arc::new(CopyGate::plan(&shards, source, u64::MAX).unwrap());
         let chunk = |shard| gate.chunk_of(shard, 0).unwrap().flat;
         let registry = Arc::new(ValidationRegistry::new());
-        let (tx, rx) = unbounded();
-        let replay = ReplayProcess::start(&cluster, dest, registry, rx, Some(Arc::clone(&gate)));
+        let (replay, feed) =
+            ReplayProcess::start(&cluster, dest, registry, Some(Arc::clone(&gate)));
         let tail = source.storage.create_slot(Lsn::ZERO);
-        let (applier, shipped) = StreamApplier::migration(
-            &cluster,
-            source,
-            &shards,
-            Timestamp(5),
-            tail.consumed(),
-            test_hook(),
-            tx,
-        );
-        let progress = Arc::clone(&replay.stats.progress);
-        let stream = Stream::migration(&cluster, source, NodeId(1), tail, applier, progress);
-        let measure = || shipped.finished_through(replay.completed());
+        let from = tail.consumed();
+        let hook = test_hook();
+        let ts = Timestamp(5);
+        let applier = StreamApplier::migration(&cluster, source, &shards, ts, from, hook, feed);
+        let stream = Stream::migration(&cluster, source, NodeId(1), tail, applier);
         let wait = |cond: &dyn Fn() -> bool| {
             assert!(replay
                 .stats
                 .progress
                 .park_until(cond, Duration::from_secs(5)));
         };
-        // Nothing shipped is applied yet: the measure is before message 1.
-        wait(&|| shipped.applied.load(Ordering::SeqCst) == 6);
-        assert_eq!(measure(), Lsn(2));
-        // Message 2 completes first; the prefix is still empty.
+        // Nothing shipped is applied yet: the measure is before ticket 1.
+        wait(&|| replay.finished_through() == Lsn(2));
+        // Ticket 2 completes first.
         gate.mark_copied(chunk(ShardId(1)));
         let applied_2 = || dest.storage.table(ShardId(1)).unwrap().stats().keys == 1;
         wait(&applied_2);
-        assert_eq!(replay.completed(), 0);
-        assert_eq!(measure(), Lsn(2), "a later completion moved the measure");
-        // Message 1 completes: everything up to the log's end is applied.
+        let measure = replay.finished_through();
+        assert_eq!(measure, Lsn(2), "a later completion moved the measure");
+        // Ticket 1 completes: everything up to the log's end is applied.
         gate.mark_copied(chunk(ShardId(0)));
-        wait(&|| replay.completed() == 2);
-        assert_eq!(measure(), wal.flush_lsn());
+        wait(&|| replay.finished_through() == wal.flush_lsn());
         stream.stop(wal.flush_lsn());
         stream.join().and(replay.join()).unwrap();
     }
@@ -855,44 +799,20 @@ mod tests {
         for i in 0..5 {
             wal.append(LogRecord::new(xid(i), LogOp::Abort));
         }
-        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
-        // Wait for the reader to pass everything, then stop.
-        stream.stop(wal.flush_lsn());
-        loop {
-            if let ApplyMsg::Shutdown = rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-                break;
-            }
-        }
-        stream.join().unwrap();
+        // The stream reads everything, then stops and drops its slot.
+        migrate_log(&cluster, test_hook(), 0).unwrap();
         // After the stream dropped its slot, truncation can clean fully.
         assert_eq!(storage.truncate_wal_safely(), wal.flush_lsn());
     }
 
-    /// Everything a migration stream ships for the source's log as it
-    /// stands, read `drain_batch` records at a time.
-    fn shipped(cluster: &Arc<Cluster>, hook: Arc<RemusHook>, snapshot_ts: u64) -> Vec<String> {
-        let (stream, rx) = start_stream(cluster, hook, snapshot_ts);
-        stream.stop(cluster.node(NodeId(0)).storage.wal.flush_lsn());
-        let mut msgs = Vec::new();
-        loop {
-            match rx.recv_timeout(Duration::from_secs(2)).unwrap() {
-                ApplyMsg::Shutdown => break,
-                msg => msgs.push(format!("{msg:?}")),
-            }
-        }
-        stream.join().unwrap();
-        msgs
-    }
-
     #[test]
-    fn shipping_order_does_not_depend_on_the_drain_batch() {
-        let sequences: Vec<Vec<String>> = [1, 2, 32]
+    fn shipping_does_not_depend_on_the_drain_batch() {
+        let digests: Vec<u64> = [1, 2, 32]
             .into_iter()
             .map(|drain_batch| {
                 let mut config = SimConfig::instant();
                 config.parallelism.drain_batch = drain_batch;
-                let cluster = ClusterBuilder::new(2).config(config).build();
-                cluster.create_table(TableId(1), 0, 2, |_| NodeId(0));
+                let cluster = cluster2_with(config);
                 let hook = test_hook();
                 hook.enable_sync();
                 hook.begin_commit(xid(1), &[ShardId(0)]);
@@ -924,17 +844,32 @@ mod tests {
                 for (n, op) in script {
                     wal.append(LogRecord::new(xid(n), op));
                 }
-                shipped(&cluster, hook, 10)
+                migrate_log(&cluster, hook, 10).unwrap();
+                // 1 through its shadow at 22, 5 at 21; 2, 3 and 4 nowhere.
+                let decision = LogOp::CommitPrepared(Timestamp(22));
+                assert!(
+                    shadow_prepared_then(&cluster, decision),
+                    "drain_batch {drain_batch}"
+                );
+                for (key, cts) in [(1, 22), (11, 22), (5, 21), (55, 21)] {
+                    assert_eq!(
+                        dest_read(&cluster, 0, key, cts),
+                        Some(val("x")),
+                        "key {key}"
+                    );
+                    assert_eq!(dest_read(&cluster, 0, key, cts - 1), None, "key {key}");
+                }
+                for key in [2, 3] {
+                    assert_eq!(dest_read(&cluster, 0, key, LATEST), None, "key {key}");
+                }
+                let storage = &cluster.node(NodeId(1)).storage;
+                assert_eq!(storage.table(ShardId(1)).unwrap().stats().keys, 0);
+                let table = storage.table(ShardId(0)).unwrap();
+                table.committed_state_digest(&storage.clog)
             })
             .collect();
-        let kinds: Vec<&str> = sequences[0]
-            .iter()
-            .map(|m| m.split([' ', '{']).next().unwrap())
-            .collect();
-        assert_eq!(kinds, ["Validate", "Committed", "CommitShadow"]);
-        assert!(sequences[0][0].contains("key: 1,") && sequences[0][0].contains("key: 11,"));
-        assert_eq!(sequences[1], sequences[0], "drain_batch 2 against 1");
-        assert_eq!(sequences[2], sequences[0], "drain_batch 32 against 1");
+        assert_eq!(digests[1], digests[0], "drain_batch 2 against 1");
+        assert_eq!(digests[2], digests[0], "drain_batch 32 against 1");
     }
 
     #[test]
@@ -954,20 +889,19 @@ mod tests {
             .append(LogRecord::new(xid(1), LogOp::Commit(Timestamp(9))));
         let (spills, extracted) = (storage.counters.queue_spills.get(), source.work.get());
 
-        let (stream, rx) = start_stream(&cluster, test_hook(), 0);
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            ApplyMsg::Committed { ops, .. } => {
-                let keys: Vec<u64> = ops.iter().map(|op| op.key).collect();
-                assert_eq!(keys, (0..writes).collect::<Vec<_>>(), "log order");
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
+        migrate_log(&cluster, test_hook(), 0).unwrap();
         // 300 records past the threshold, reloaded 256 at a time.
         assert_eq!(storage.counters.queue_spills.get() - spills, 2);
         // Every kept record is counted as extraction work on the source.
         assert_eq!(source.work.get() - extracted, writes);
-        stream.stop(storage.wal.flush_lsn());
-        stream.join().unwrap();
+        // And all of them were redone, in one transaction at its timestamp.
+        let dest = &cluster.node(NodeId(1)).storage;
+        assert_eq!(
+            dest.table(ShardId(0)).unwrap().stats().keys,
+            writes as usize
+        );
+        assert_eq!(dest_read(&cluster, 0, writes - 1, 9), Some(val("x")));
+        assert_eq!(dest_read(&cluster, 0, 0, 8), None);
     }
 
     /// A replica stream is one thread: it applies every batch itself, up to

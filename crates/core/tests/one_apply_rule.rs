@@ -13,7 +13,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
 use proptest::prelude::*;
 use remus_cluster::ClusterBuilder;
 use remus_common::{NodeId, ShardId, SimConfig, TableId, Timestamp, TxnId};
@@ -130,17 +129,16 @@ proptest! {
         }
         let gate = gated.then(|| Arc::new(CopyGate::plan(&[SHARD], source, 3).unwrap()));
 
-        let (tx, rx) = unbounded();
         let registry = Arc::new(ValidationRegistry::new());
-        let replay = ReplayProcess::start(&cluster, dest, registry, rx, gate.clone());
-        for msg in stream(&seeded, &txns) {
-            tx.send(msg).unwrap();
+        let (replay, mut feed) = ReplayProcess::start(&cluster, dest, registry, gate.clone());
+        for (i, msg) in stream(&seeded, &txns).into_iter().enumerate() {
+            feed.ship(Lsn(i as u64 + 1), msg);
         }
         // The workers wait per key for the chunk this copy is moving.
         if let Some(gate) = &gate {
             copy_task_snapshots_gated(&cluster, source, dest, Timestamp(2), gate, None).unwrap();
         }
-        tx.send(ApplyMsg::Shutdown).unwrap();
+        drop(feed);
         replay.join().unwrap();
 
         let storage = &dest.storage;

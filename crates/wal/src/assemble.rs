@@ -59,8 +59,10 @@ pub struct TxnBuffer {
     pub begin_lsn: Option<Lsn>,
     /// Whether a `Prepare` was fed.
     pub prepared: bool,
-    /// The kept writes, in log order. A consumer that ships them early (at
-    /// [`TxnEvent::Prepared`]) takes them out; later ones collect again.
+    /// The kept writes, in log order. A consumer that ships them (at
+    /// [`TxnEvent::Prepared`] or [`TxnEvent::Resolved`]) takes them out;
+    /// later ones collect again. A buffer left with the assembler at its
+    /// resolution is emptied and reused by a later transaction.
     pub writes: Vec<WriteOp>,
 }
 
@@ -85,10 +87,11 @@ pub enum TxnEvent<'a> {
     Kept(&'a TxnBuffer),
     /// The validation / prepare record: the transaction stays open.
     Prepared(&'a mut TxnBuffer),
-    /// The decision record: the transaction is closed and handed over.
+    /// The decision record: the transaction is closed, and lent until the
+    /// next record is fed.
     Resolved {
         /// Everything assembled for it.
-        txn: TxnBuffer,
+        txn: &'a mut TxnBuffer,
         /// LSN of the decision record.
         resolution_lsn: Lsn,
         /// The decision.
@@ -105,6 +108,11 @@ pub struct TxnAssembler<F> {
     /// `Begin` LSNs of the open transactions that have one.
     heads: BTreeSet<Lsn>,
     last: Lsn,
+    /// The last transaction resolved, lent with its `Resolved` event.
+    resolved: TxnBuffer,
+    /// An emptied write buffer the next transaction's first kept write
+    /// reuses.
+    spare: Vec<WriteOp>,
 }
 
 impl<F: Fn(ShardId) -> bool> TxnAssembler<F> {
@@ -116,6 +124,8 @@ impl<F: Fn(ShardId) -> bool> TxnAssembler<F> {
             open: HashMap::new(),
             heads: BTreeSet::new(),
             last: after,
+            resolved: TxnBuffer::headless(&TxnId::INVALID),
+            spare: Vec::new(),
         }
     }
 
@@ -138,12 +148,15 @@ impl<F: Fn(ShardId) -> bool> TxnAssembler<F> {
                 return TxnEvent::Nothing;
             }
             LogOp::Write(w) => {
-                let txn = self.buffer(xid);
+                let txn = self.open.entry(xid).or_insert_with_key(TxnBuffer::headless);
+                if txn.writes.capacity() == 0 {
+                    txn.writes = std::mem::take(&mut self.spare);
+                }
                 txn.writes.push(w);
                 return TxnEvent::Kept(txn);
             }
             LogOp::Prepare => {
-                let txn = self.buffer(xid);
+                let txn = self.open.entry(xid).or_insert_with_key(TxnBuffer::headless);
                 txn.prepared = true;
                 return TxnEvent::Prepared(txn);
             }
@@ -155,15 +168,16 @@ impl<F: Fn(ShardId) -> bool> TxnAssembler<F> {
         if let Some(begin) = txn.begin_lsn {
             self.heads.remove(&begin);
         }
+        let mut writes = std::mem::replace(&mut self.resolved, txn).writes;
+        if writes.capacity() > 0 {
+            writes.clear();
+            self.spare = writes;
+        }
         TxnEvent::Resolved {
-            txn,
+            txn: &mut self.resolved,
             resolution_lsn: lsn,
             outcome,
         }
-    }
-
-    fn buffer(&mut self, xid: TxnId) -> &mut TxnBuffer {
-        self.open.entry(xid).or_insert_with_key(TxnBuffer::headless)
     }
 
     /// The LSN before the earliest open `Begin`, else the last record fed.

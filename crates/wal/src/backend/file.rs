@@ -32,7 +32,7 @@
 //! background flusher drains the staging buffer in batches, writes the
 //! frames, issues **one** fsync per batch via the [`SyncPolicy`], then
 //! advances the durable LSN and wakes every committer waiting in
-//! [`WalBackend::wait_durable`]. A commit therefore waits exactly for the
+//! [`FileBackend::wait_durable`]. A commit therefore waits exactly for the
 //! flusher batch containing its LSN, and concurrent committers share
 //! fsyncs (`wal.fsyncs` ≪ `wal.appends` under load).
 //!
@@ -53,7 +53,6 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use remus_common::{time, DbError, DbResult, WalConfig};
 
-use crate::backend::WalBackend;
 use crate::codec::{self, crc32, encode_record_vec};
 use crate::log::Lsn;
 use crate::record::LogRecord;
@@ -145,8 +144,12 @@ struct Shared {
     segments: Mutex<Vec<(u64, PathBuf)>>,
 }
 
-/// The file-backed [`WalBackend`]. See the module docs for the format and
-/// the group-commit protocol.
+/// The file-backed durability half of a [`Wal`](crate::Wal). See the module
+/// docs for the format and the group-commit protocol.
+///
+/// [`FileBackend::stage`] is invoked under the log's append mutex, so it
+/// observes records in strictly increasing, dense LSN order and treats that
+/// as an invariant. Everything else can be called from any thread.
 #[derive(Debug)]
 pub struct FileBackend {
     shared: Arc<Shared>,
@@ -227,11 +230,11 @@ impl FileBackend {
         ))
     }
 
-    /// Stages a whole record: encodes it, then [`WalBackend::stage`]s the
+    /// Stages a whole record: encodes it, then [`FileBackend::stage`]s the
     /// body. For driving the backend without a [`Wal`](crate::Wal) in front
     /// of it; a `Wal` stages the body it already encoded.
-    pub fn stage(&self, lsn: Lsn, record: &LogRecord) {
-        WalBackend::stage(self, lsn, &encode_record_vec(record));
+    pub fn stage_record(&self, lsn: Lsn, record: &LogRecord) {
+        self.stage(lsn, &encode_record_vec(record));
     }
 
     fn stop(&self, mode: Mode) {
@@ -253,10 +256,12 @@ impl FileBackend {
             self.shared.durable_cv.notify_all();
         }
     }
-}
 
-impl WalBackend for FileBackend {
-    fn stage(&self, lsn: Lsn, body: &[u8]) {
+    /// Accepts the record just appended at `lsn`, as its codec body
+    /// ([`crate::codec::encode_record`]), for persistence: frames it and
+    /// hands the frame to the flusher. Never blocks on I/O (the caller holds
+    /// the append lock).
+    pub fn stage(&self, lsn: Lsn, body: &[u8]) {
         let frame = encode_frame(lsn.0, body);
         let mut st = self.shared.staged.lock();
         if st.mode != Mode::Run {
@@ -270,7 +275,9 @@ impl WalBackend for FileBackend {
         self.shared.staged_cv.notify_one();
     }
 
-    fn wait_durable(&self, lsn: Lsn) -> DbResult<()> {
+    /// Blocks until every record with LSN ≤ `lsn` is durable: until the
+    /// fsync of the group-commit batch containing `lsn` has completed.
+    pub fn wait_durable(&self, lsn: Lsn) -> DbResult<()> {
         let mut d = self.shared.durable.lock();
         time::wait(
             &self.shared.durable_cv,
@@ -293,15 +300,19 @@ impl WalBackend for FileBackend {
         .unwrap_or(Err(DbError::Timeout("wal group commit")))
     }
 
-    fn durable_lsn(&self) -> Lsn {
+    /// Highest LSN known durable.
+    pub fn durable_lsn(&self) -> Lsn {
         Lsn(self.shared.durable.lock().lsn)
     }
 
-    fn fsyncs(&self) -> u64 {
+    /// Number of segment-data fsyncs issued so far.
+    pub fn fsyncs(&self) -> u64 {
         self.shared.fsyncs.load(Ordering::Relaxed)
     }
 
-    fn truncated_until(&self, lsn: Lsn) {
+    /// Notification that the in-memory log dropped all records ≤ `lsn`:
+    /// reclaims whole segments strictly below that point.
+    pub fn truncated_until(&self, lsn: Lsn) {
         let mut segs = self.shared.segments.lock();
         let mut removed = false;
         // A segment is reclaimable once the *next* segment starts at or
@@ -319,11 +330,17 @@ impl WalBackend for FileBackend {
         }
     }
 
-    fn shutdown(&self) {
+    /// Graceful stop: persists everything already staged, then stops the
+    /// flusher. Idempotent.
+    pub fn shutdown(&self) {
         self.stop(Mode::Drain);
     }
 
-    fn crash(&self) {
+    /// Simulated process kill: discards staged-but-unsynced records and
+    /// stops the flusher *without* a final sync. What was already durable
+    /// stays on disk; everything else is lost — exactly the prefix
+    /// semantics a real crash gives. Idempotent.
+    pub fn crash(&self) {
         self.stop(Mode::Abandon);
     }
 }
@@ -662,7 +679,7 @@ mod tests {
             let (b, opened) = FileBackend::open(&dir.0, &config, Arc::new(FsyncData)).unwrap();
             assert_eq!(opened.records.len(), 0);
             for n in 1..=20u64 {
-                b.stage(Lsn(n), &rec(n));
+                b.stage_record(Lsn(n), &rec(n));
             }
             b.wait_durable(Lsn(20)).unwrap();
             assert!(b.fsyncs() >= 1);
@@ -685,7 +702,7 @@ mod tests {
         {
             let (b, _) = FileBackend::open(&dir.0, &config, Arc::new(FsyncData)).unwrap();
             for n in 1..=50u64 {
-                b.stage(Lsn(n), &rec(n));
+                b.stage_record(Lsn(n), &rec(n));
                 // Sync each record so rotation happens at deterministic
                 // frame boundaries rather than batch boundaries.
                 b.wait_durable(Lsn(n)).unwrap();
@@ -705,7 +722,7 @@ mod tests {
         let config = cfg(64);
         let (b, _) = FileBackend::open(&dir.0, &config, Arc::new(FsyncData)).unwrap();
         for n in 1..=50u64 {
-            b.stage(Lsn(n), &rec(n));
+            b.stage_record(Lsn(n), &rec(n));
             b.wait_durable(Lsn(n)).unwrap();
         }
         let before = list_segments(&dir.0).unwrap().len();
@@ -740,13 +757,13 @@ mod tests {
         let gate = Arc::new(Gate(Mutex::new(true), Condvar::new()));
         let (b, _) = FileBackend::open(&dir.0, &config, gate.clone()).unwrap();
         for n in 1..=5u64 {
-            b.stage(Lsn(n), &rec(n));
+            b.stage_record(Lsn(n), &rec(n));
         }
         b.wait_durable(Lsn(5)).unwrap();
         // Close the gate, stage more, crash: the extra records must die.
         *gate.0.lock() = false;
         for n in 6..=9u64 {
-            b.stage(Lsn(n), &rec(n));
+            b.stage_record(Lsn(n), &rec(n));
         }
         *gate.0.lock() = true;
         gate.1.notify_all();
@@ -764,7 +781,7 @@ mod tests {
         {
             let (b, _) = FileBackend::open(&dir.0, &config, Arc::new(FsyncData)).unwrap();
             for n in 1..=30u64 {
-                b.stage(Lsn(n), &rec(n));
+                b.stage_record(Lsn(n), &rec(n));
                 b.wait_durable(Lsn(n)).unwrap();
             }
             b.shutdown();
@@ -794,7 +811,7 @@ mod tests {
         {
             let (b, _) = FileBackend::open(&dir.0, &config, Arc::new(FsyncData)).unwrap();
             for n in 1..=2u64 {
-                b.stage(Lsn(n), &rec(n));
+                b.stage_record(Lsn(n), &rec(n));
             }
             b.wait_durable(Lsn(2)).unwrap();
             b.shutdown();
@@ -810,7 +827,7 @@ mod tests {
             assert_eq!(opened.records.len(), 0);
             assert_eq!(opened.torn_tails, 1);
             for n in 1..=5u64 {
-                b.stage(Lsn(n), &rec(n));
+                b.stage_record(Lsn(n), &rec(n));
             }
             b.wait_durable(Lsn(5)).unwrap();
             assert_eq!(
@@ -850,7 +867,7 @@ mod tests {
         let sync = Arc::new(Recording::default());
         let (b, _) = FileBackend::open(&dir.0, &cfg(64), sync.clone()).unwrap();
         for n in 1..=10u64 {
-            b.stage(Lsn(n), &rec(n));
+            b.stage_record(Lsn(n), &rec(n));
             b.wait_durable(Lsn(n)).unwrap();
             // Every segment holding an acknowledged frame has had its
             // directory entry synced.
@@ -887,11 +904,11 @@ mod tests {
         let dir = TempDir::new("failfast");
         let config = cfg(1 << 20);
         let (b, _) = FileBackend::open(&dir.0, &config, Arc::new(BrokenSync)).unwrap();
-        b.stage(Lsn(1), &rec(1));
+        b.stage_record(Lsn(1), &rec(1));
         assert!(b.wait_durable(Lsn(1)).is_err());
         let start = std::time::Instant::now();
         for n in 2..=10u64 {
-            b.stage(Lsn(n), &rec(n));
+            b.stage_record(Lsn(n), &rec(n));
         }
         assert!(
             b.shared.staged.lock().frames.is_empty(),
@@ -912,7 +929,7 @@ mod tests {
         let dir = TempDir::new("shutdownwait");
         let config = cfg(1 << 20);
         let (b, _) = FileBackend::open(&dir.0, &config, Arc::new(FsyncData)).unwrap();
-        b.stage(Lsn(1), &rec(1));
+        b.stage_record(Lsn(1), &rec(1));
         b.wait_durable(Lsn(1)).unwrap();
         b.shutdown();
         let start = std::time::Instant::now();

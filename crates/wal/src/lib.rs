@@ -17,9 +17,9 @@
 //! one blocking tail read ([`log::WalReader::next_batch`]: a batch, the idle
 //! period, or a stop asked for through its [`log::TailHandle`]) for the
 //! migration and replica streams, and truncation of
-//! fully-consumed prefixes, whole segments at a time. Durability is
-//! pluggable through [`backend::WalBackend`]: a log without one keeps the
-//! original "order only" model, while [`backend::FileBackend`] persists
+//! fully-consumed prefixes, whole segments at a time. A log without a
+//! durability backend keeps the original "order only" model, while one
+//! with a [`backend::FileBackend`] persists
 //! every record to an on-disk segment log (versioned [`codec`], per-record
 //! CRC, group commit with fsync coalescing) that
 //! [`log::Wal::crash_and_reopen`] can rebuild the log from after a
@@ -34,7 +34,7 @@ pub mod record;
 pub mod ship;
 
 pub use assemble::{TxnAssembler, TxnBuffer, TxnEvent, TxnOutcome};
-pub use backend::{BackendHandle, FileBackend, FsyncData, RecoveredLog, SyncPolicy, WalBackend};
+pub use backend::{FileBackend, FsyncData, RecoveredLog, SyncPolicy};
 pub use codec::{
     crc32, decode_record, encode_record, encode_record_vec, RecordView, CODEC_VERSION,
 };

@@ -21,9 +21,8 @@
 //! [`WalReader::try_next`] decode the one record of a one-record run.
 //!
 //! The in-memory log is the authoritative *read* path (replay, propagation)
-//! whichever durability backend is attached; the backend
-//! ([`crate::backend::WalBackend`]) is handed each record's body as the
-//! append encoded it and owns persistence. Without one, an append is
+//! whether or not it is durable; a [`FileBackend`] is handed each record's
+//! body as the append encoded it and owns persistence. Without one, an append is
 //! durable the moment it is placed and a crash loses the log.
 //! [`Wal::append`] stages without waiting (fine for records whose loss a
 //! crash may tolerate — begins, writes, aborts, whose transactions simply
@@ -40,7 +39,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use remus_common::{time, DbResult, WalBackendKind, WalConfig};
 
-use crate::backend::{BackendHandle, FileBackend, FsyncData, SyncPolicy};
+use crate::backend::{FileBackend, FsyncData, SyncPolicy};
 use crate::codec::encode_record;
 use crate::record::LogRecord;
 use crate::ship::ShipBatch;
@@ -215,7 +214,7 @@ struct LogInner {
     generation: u64,
     /// Durability backend (none: in-memory only); staged under this mutex
     /// so it observes appends in LSN order.
-    backend: Option<BackendHandle>,
+    backend: Option<Arc<FileBackend>>,
 }
 
 impl LogInner {
@@ -305,7 +304,7 @@ impl Wal {
     }
 
     fn from_parts(
-        backend: Option<BackendHandle>,
+        backend: Option<Arc<FileBackend>>,
         log: ByteLog,
         torn_tails: u64,
         durability: Option<FileDurability>,

@@ -166,7 +166,7 @@ fn seen(event: TxnEvent<'_>) -> Seen {
             txn,
             resolution_lsn,
             outcome,
-        } => Seen::Resolved(txn, resolution_lsn, outcome),
+        } => Seen::Resolved(txn.clone(), resolution_lsn, outcome),
     }
 }
 

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use remus_common::{DbError, NodeId, Timestamp, TxnId, WalConfig};
-use remus_wal::{FileBackend, LogOp, LogRecord, Lsn, SyncPolicy, Wal, WalBackend};
+use remus_wal::{FileBackend, LogOp, LogRecord, Lsn, SyncPolicy, Wal};
 
 struct TempDir(PathBuf);
 
@@ -143,7 +143,7 @@ fn a_held_sync_batches_everything_staged_behind_it() {
     )
     .unwrap();
     for n in 1..=N {
-        backend.stage(Lsn(n), &rec(n));
+        backend.stage_record(Lsn(n), &rec(n));
     }
     gate.open();
     backend.wait_durable(Lsn(N)).unwrap();
@@ -198,7 +198,7 @@ fn a_failed_sync_rejects_the_waiting_commit() {
     let dir = TempDir::new("broken");
     let (backend, _) =
         FileBackend::open(&dir.0, &WalConfig::file(&dir.0), Arc::new(BrokenSync)).unwrap();
-    backend.stage(Lsn(1), &rec(1));
+    backend.stage_record(Lsn(1), &rec(1));
     let err = backend.wait_durable(Lsn(1)).unwrap_err();
     match err {
         DbError::Internal(msg) => assert!(msg.contains("wal flusher"), "{msg}"),

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use remus_common::{NodeId, Timestamp, TxnId, WalConfig};
-use remus_wal::{FileBackend, FsyncData, LogOp, LogRecord, Lsn, Wal, WalBackend};
+use remus_wal::{FileBackend, FsyncData, LogOp, LogRecord, Lsn, Wal};
 
 const SEGMENT_HEADER_LEN: usize = 20;
 const FRAME_PREFIX_LEN: usize = 8;
@@ -47,7 +47,7 @@ fn write_log(dir: &Path, n: u64) -> (PathBuf, Vec<usize>) {
     let (backend, opened) = FileBackend::open(dir, &config, Arc::new(FsyncData)).unwrap();
     assert_eq!(opened.records.len(), 0);
     for i in 1..=n {
-        backend.stage(Lsn(i), &rec(i));
+        backend.stage_record(Lsn(i), &rec(i));
     }
     backend.wait_durable(Lsn(n)).unwrap();
     backend.shutdown();

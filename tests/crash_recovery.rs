@@ -19,7 +19,7 @@ use remus::migration::snapshot::copy_shard_snapshot;
 use remus::migration::{MigrationEngine, MigrationTask, RemusEngine};
 use remus::storage::Value;
 use remus::txn::{prepare_participant, Txn};
-use remus::wal::{WriteKind, WriteOp};
+use remus::wal::{Lsn, WriteKind, WriteOp};
 
 fn val(s: &str) -> Value {
     Value::copy_from_slice(s.as_bytes())
@@ -304,12 +304,11 @@ fn destination_crash_during_mocc_validation_leaves_resolvable_shadow() {
     let source = cluster.node(NodeId(0));
     let dest = Arc::clone(cluster.node(NodeId(1)));
     let registry = Arc::new(ValidationRegistry::new());
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let replay = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), rx, None);
+    let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
 
     // A synchronized source transaction sends its write set for validation.
     let sx = source.storage.alloc_xid();
-    tx.send(ApplyMsg::Validate {
+    let validate = ApplyMsg::Validate {
         xid: sx,
         start_ts: cluster.oracle.start_ts(NodeId(0)),
         ops: vec![WriteOp {
@@ -318,8 +317,8 @@ fn destination_crash_during_mocc_validation_leaves_resolvable_shadow() {
             kind: WriteKind::Update,
             value: val("never-acked"),
         }],
-    })
-    .unwrap();
+    };
+    feed.ship(Lsn(1), validate);
 
     // The verdict surfaces the crash instead of validation-ok...
     let err = registry
@@ -353,7 +352,7 @@ fn destination_crash_during_mocc_validation_leaves_resolvable_shadow() {
     );
 
     cluster.uninstall_fault_injector();
-    tx.send(ApplyMsg::Shutdown).unwrap();
+    drop(feed);
     // The replay process is dropped un-joined: its worker pool "died with
     // the node"; the prepared shadow was resolved from CLOG state alone.
     drop(replay);

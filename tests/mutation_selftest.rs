@@ -168,7 +168,7 @@ fn killed_replay_worker_fails_join_instead_of_hanging() {
     use remus::migration::mocc::ValidationRegistry;
     use remus::migration::replay::{ApplyMsg, ReplayProcess};
     use remus::storage::mutation::arm_kill_replay_worker;
-    use remus::wal::{WriteKind, WriteOp};
+    use remus::wal::{Lsn, WriteKind, WriteOp};
     use std::time::Duration;
 
     let mut config = SimConfig::instant();
@@ -177,14 +177,8 @@ fn killed_replay_worker_fails_join_instead_of_hanging() {
     cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
     let dest = Arc::clone(cluster.node(NodeId(1)));
     dest.storage.create_shard(ShardId(0));
-    let (tx, rx) = unbounded();
-    let replay = ReplayProcess::start(
-        &cluster,
-        &dest,
-        Arc::new(ValidationRegistry::new()),
-        rx,
-        None,
-    );
+    let registry = Arc::new(ValidationRegistry::new());
+    let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, registry, None);
 
     // The worker picking up the first job dies mid-job. The second job
     // writes the same key, so its key fence waits on the first job's
@@ -192,7 +186,7 @@ fn killed_replay_worker_fails_join_instead_of_hanging() {
     // the whole pipeline (and `join`) hung forever.
     arm_kill_replay_worker();
     for i in 0..2u64 {
-        tx.send(ApplyMsg::Committed {
+        let msg = ApplyMsg::Committed {
             xid: TxnId::new(NodeId(0), 2_000 + i),
             start_ts: Timestamp(10 * i + 5),
             commit_ts: Timestamp(10 * (i + 1)),
@@ -202,10 +196,10 @@ fn killed_replay_worker_fails_join_instead_of_hanging() {
                 kind: WriteKind::Insert,
                 value: val("x"),
             }],
-        })
-        .unwrap();
+        };
+        feed.ship(Lsn(i + 1), msg);
     }
-    tx.send(ApplyMsg::Shutdown).unwrap();
+    drop(feed);
 
     // Watchdog: `join` must return (with the panic surfaced as an error),
     // not hang — run it on the side and bound the wait.
