@@ -138,8 +138,9 @@ impl FaultPlan {
                 }
                 // Chunked-copy seams: delays stagger the worker pool; at
                 // most two Fail/Crash specs kill a copy worker mid-chunk.
-                // Each killed attempt is retried (frozen installs are
-                // idempotent, 4 attempts per chunk), so two failures can
+                // Each killed attempt is retried (a row installed again at
+                // its commit timestamp is edited in place, 4 attempts per
+                // chunk), so two failures can
                 // never exhaust a chunk's retry budget.
                 for _ in 0..rng.gen_range(0..3usize) {
                     specs.push(FaultSpec {

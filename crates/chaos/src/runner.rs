@@ -613,7 +613,8 @@ impl<'a> Lab<'a> {
                     // A snapshot copy the crash then wipes (destination
                     // victim) or leaves stale on the destination (source
                     // victim); the post-restart migration re-copies either
-                    // way because frozen installs are idempotent.
+                    // way because a copied row installed again at its
+                    // commit timestamp is edited in place.
                     copy_snapshot();
                 }
                 if stage >= 2 {

@@ -8,6 +8,10 @@
 //! decides by — *did `T_m` commit?* Before it, no transaction was ever
 //! routed to the destination, so the half-migrated copy there is dropped
 //! and the source keeps serving; after it, the destination owns the shards.
+//! So replay's verdict is taken before `T_m` ([`PushPipeline::divert`]): a
+//! broken catch-up fails the migration while the source still owns it.
+//! Neither the copy nor replay waits for the other (`crate::snapshot`), so
+//! the unwind has nobody to wake.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -43,7 +47,9 @@ pub(crate) struct PushPipeline<'a> {
     /// never leaves async mode and everything ships asynchronously.
     pub(crate) hook: Arc<RemusHook>,
     hook_installed: bool,
-    gate: Arc<CopyGate>,
+    /// The source's flush LSN when the copy finished: every message shipped
+    /// while the copy window was open came from a record at or below it.
+    copied_lsn: Lsn,
     /// `None` once [`Self::finish`] took them: nothing left to tear down.
     procs: Option<(Stream, ReplayProcess)>,
     tm_committed: bool,
@@ -52,9 +58,10 @@ pub(crate) struct PushPipeline<'a> {
 }
 
 impl<'a> PushPipeline<'a> {
-    /// Phase 1, snapshot copying: starts the stream and gated replay, then
-    /// copies the task's shards chunk by chunk — completed chunks replay
-    /// while others copy. `sync_commits` installs the commit hook.
+    /// Phase 1, snapshot copying: starts the stream and replay, then copies
+    /// the task's shards chunk by chunk while catch-up replays — the copy
+    /// places each row at its source commit timestamp, under whatever
+    /// catch-up placed first. `sync_commits` installs the commit hook.
     pub(crate) fn start(
         engine: &'static str,
         cluster: &'a Arc<Cluster>,
@@ -68,7 +75,7 @@ impl<'a> PushPipeline<'a> {
         // Planned before anything is acquired: a task naming a shard the
         // source does not host fails here with nothing to release.
         let chunk_size = cluster.config.parallelism.chunk_size;
-        let gate = Arc::new(CopyGate::plan(&task.shards, source, chunk_size)?);
+        let gate = CopyGate::plan(&task.shards, source, chunk_size)?;
         let registry = Arc::new(ValidationRegistry::new());
         let hook = Arc::new(RemusHook::new(
             &task.shards,
@@ -92,10 +99,9 @@ impl<'a> PushPipeline<'a> {
         // finishes, the GC safe-ts watermark cannot pass the copy snapshot,
         // so no version the copy scan still needs is ever pruned.
         let (snapshot_ts, _snapshot_pin) = cluster.acquire_snapshot(task.source);
-        // Replay is gated per key range: a shipped change applies as soon
-        // as its chunk is installed, never before (it would be clobbered by
-        // the frozen install).
-        let (replay, feed) = ReplayProcess::start(cluster, dest, registry, Some(Arc::clone(&gate)));
+        // The copy window opens before the stream ships anything.
+        let (replay, feed) = ReplayProcess::start(cluster, dest, registry);
+        replay.copy_running();
         let applier = StreamApplier::migration(
             cluster,
             source,
@@ -114,7 +120,7 @@ impl<'a> PushPipeline<'a> {
             report: MigrationReport::new(engine),
             hook,
             hook_installed: sync_commits,
-            gate,
+            copied_lsn: Lsn::ZERO,
             procs: Some((stream, replay)),
             tm_committed: false,
             cleanup_span: None,
@@ -126,9 +132,11 @@ impl<'a> PushPipeline<'a> {
             source,
             dest,
             snapshot_ts,
-            &p.gate,
+            &gate,
             Some((&p.rec, copy_span)),
         )?;
+        p.procs().1.copy_done(gate.mapped());
+        p.copied_lsn = source.storage.wal.flush_lsn();
         p.report.tuples_copied = tuples;
         p.report.snapshot_phase = t0.elapsed();
         p.rec.attr(copy_span, "tuples_copied", tuples);
@@ -196,13 +204,22 @@ impl<'a> PushPipeline<'a> {
         self.park_until(|| self.procs().1.finished_through() >= lsn, what)
     }
 
-    /// Ordered diversion: commits `T_m` and returns its commit timestamp.
+    /// Ordered diversion: takes replay's verdict, commits `T_m` and returns
+    /// its commit timestamp.
     /// Serializable mode hands the shards' SSI state over first (fence,
     /// then copy): from that instant the rw-antidependency bookkeeping
     /// lives on the destination, so a post-`T_m` writer there sees every
     /// SIREAD owed by source readers. `hand_over_ssi` is false for an
     /// engine that already doomed the straddlers and moved the rest.
+    ///
+    /// Replay's first error stops it: once every message shipped while the
+    /// copy ran is applied, a fatal replay error or a provisional write the
+    /// copy proved out of order ([`ReplayProcess::check`]) is returned
+    /// before `T_m` is attempted, and the pipeline's unwind drops the
+    /// destination copy.
     pub(crate) fn divert(&mut self, hand_over_ssi: bool) -> DbResult<Timestamp> {
+        self.drain_to(self.copied_lsn, "copy-window replay")?;
+        self.procs().1.check()?;
         let span = self.rec.start("tm_2pc");
         if hand_over_ssi {
             let entries = crate::ssi_handover::hand_over_ssi_state(self.cluster, self.task);
@@ -268,8 +285,6 @@ impl Drop for PushPipeline<'_> {
         let Some((stream, replay)) = self.procs.take() else {
             return;
         };
-        // Wakes replay workers parked on chunks that will never be copied.
-        self.gate.poison();
         if self.hook_installed {
             self.source.storage.uninstall_hook();
         }

@@ -25,11 +25,20 @@
 //! on the destination — the condition §3.4 puts on `LSN_unsync` before
 //! `T_m`.
 //!
-//! When a [`CopyGate`] is supplied, replay runs concurrently with the
-//! chunked snapshot copy: before applying a key the worker waits for that
-//! key's copy chunk to complete (a frozen install replaces the whole
-//! version chain, so applying first would be clobbered). Completed chunks
-//! replay while others are still copying.
+//! **Replay never waits for the copy.** The snapshot copy places each row
+//! at its source commit timestamp, below what catch-up placed first
+//! (`crate::snapshot`), so the two land in either order. One thing only the
+//! finished copy can tell: whether a key catch-up found empty gets a base.
+//! While the copy runs ([`ReplayProcess::copy_running`] until
+//! [`ReplayProcess::copy_done`]), a write that finds no version below it is
+//! *provisional* and recorded — an update of a key the copy has not reached
+//! yet, or an insert the copy will put a live base under. The copy hands
+//! over the keys whose row it placed into a chain already mapped, and
+//! [`ReplayProcess::check`] reconciles the two sets before `T_m`: a
+//! provisional insert whose key got a base is out of order, and so is a
+//! provisional update, delete or lock whose key got none. The check
+//! compares key sets and re-walks no chain, so GC after the copy's pin is
+//! released cannot disturb it.
 //!
 //! * `Committed` — async-phase replay by the one redo rule that replicas
 //!   and crash replay use ([`remus_txn::log_and_redo_committed`]): under the
@@ -39,7 +48,8 @@
 //!   No transaction runs, so nothing is read or checked on the way; instead
 //!   the install reports what it found, and a write out of commit order — an
 //!   update, delete or lock of a key with no live version, an insert over a
-//!   live one, a version already committed above — fails the migration.
+//!   live one, a version already committed above — fails the migration
+//!   (provisionally while the copy runs, see above).
 //! * `Validate` — MOCC: apply ops as a shadow transaction (each op checks
 //!   for dead/updated tuples — a WW conflict aborts the shadow and fails
 //!   the verdict), 2PC-prepare the shadow, ack *validation-ok* through the
@@ -60,7 +70,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Sender};
@@ -69,14 +79,13 @@ use remus_cluster::{Cluster, Node};
 use remus_common::fault::{FaultAction, InjectionPoint};
 use remus_common::time::Signal;
 use remus_common::{DbError, DbResult, ShardId, Timestamp, TxnId};
-use remus_storage::Key;
+use remus_storage::{Key, Placement};
 use remus_txn::{
     abort_txn, commit_prepared, log_and_redo_committed, prepare_participant, rollback_prepared, Txn,
 };
 use remus_wal::{Lsn, WriteKind, WriteOp};
 
 use crate::mocc::ValidationRegistry;
-use crate::snapshot::CopyGate;
 
 /// A message from a migration stream to the replay process.
 #[derive(Debug)]
@@ -192,15 +201,25 @@ struct Job {
     msg: ApplyMsg,
 }
 
+/// The copy window (module docs).
+#[derive(Debug, Default)]
+struct CopyWindow {
+    /// Open while the snapshot copy runs.
+    open: AtomicBool,
+    /// Catch-up writes that found no version below them while it was open.
+    provisional: Mutex<Vec<(TxnId, WriteOp)>>,
+    /// The keys the copy placed a row into a mapped chain of; handed over
+    /// when the copy is done.
+    mapped: Mutex<HashSet<(ShardId, Key)>>,
+}
+
 struct ReplayShared {
     cluster: Arc<Cluster>,
     dest: Arc<Node>,
     registry: Arc<ValidationRegistry>,
     stats: Arc<ReplayStats>,
     completion: Completion,
-    /// Chunked-copy completion tracker; replay of a key waits for its
-    /// chunk. `None` when the copy finished before replay started.
-    gate: Option<Arc<CopyGate>>,
+    window: CopyWindow,
     /// Shadows currently prepared on the destination.
     prepared_shadows: Mutex<HashSet<TxnId>>,
     /// First unexpected failure (async replay must never conflict; if it
@@ -230,15 +249,6 @@ impl ReplayShared {
     fn complete(&self, ticket: u64) {
         self.completion.mark(ticket);
         self.stats.progress.notify();
-    }
-
-    /// Blocks until every key the ops touch has had its snapshot chunk
-    /// copied. Errs if the copy was poisoned (migration unwinding).
-    fn wait_chunks(&self, ops: &[WriteOp]) -> DbResult<()> {
-        match &self.gate {
-            Some(gate) => gate.wait_writes_copied(ops),
-            None => Ok(()),
-        }
     }
 
     /// Counts `n` change records applied (`Lock` included).
@@ -284,44 +294,37 @@ impl ReplayShared {
                 // Replay-worker stall seam: only Delay is expressible here.
                 self.cluster
                     .fault_at(InjectionPoint::ReplayApply, self.dest.id());
-                if let Err(e) = self.wait_chunks(&ops) {
-                    // The interleaved copy failed or stalled: the migration
-                    // is unwinding; surface and skip the apply.
-                    self.set_fatal(e);
-                    self.complete(job.ticket);
-                    return;
-                }
                 // The one redo rule, logged, under the shadow id: the source
                 // transaction may itself be a 2PC participant on this node.
                 // Every version it meets is resolved (module doc), so it
-                // never waits.
-                let storage = &self.dest.storage;
-                let redo = log_and_redo_committed(storage, xid.shadow(), start_ts, commit_ts, &ops);
-                match redo.map(|redo| redo.out_of_order.map(|i| &ops[i])) {
+                // never waits. The window is read before the install: a
+                // write that found it closed found every row the copy has.
+                let copying = self.window.open.load(Ordering::SeqCst);
+                let mut out_of_order = None;
+                let placed = |op: &WriteOp, placed: Placement| {
+                    if copying && placed.on_top && placed.base.is_none() {
+                        self.window.provisional.lock().push((xid, op.clone()));
+                    } else if !placed.in_order(op.kind) {
+                        out_of_order.get_or_insert_with(|| out_of_commit_order(xid, op));
+                    }
+                };
+                let (storage, sxid) = (&self.dest.storage, xid.shadow());
+                let redo = log_and_redo_committed(storage, sxid, start_ts, commit_ts, &ops, placed);
+                match redo.map(|_| out_of_order) {
                     Ok(None) => {
                         self.applied(ops.len());
                         self.cluster.oracle.observe(self.dest.id(), commit_ts);
                     }
-                    // Async replay of a committed source transaction onto
-                    // the complete copy must land in commit order; anything
-                    // else is a broken migration invariant.
-                    Ok(Some(op)) => self.set_fatal(DbError::Internal(format!(
-                        "async replay of {xid}: {op:?} is out of commit order"
-                    ))),
+                    // Async replay of a committed source transaction must
+                    // land in commit order; anything else is a broken
+                    // migration invariant.
+                    Ok(Some(e)) => self.set_fatal(e),
                     Err(e) => self.set_fatal(DbError::Internal(format!(
                         "async replay of {xid} failed: {e}"
                     ))),
                 }
             }
             ApplyMsg::Validate { xid, start_ts, ops } => {
-                if self.wait_chunks(&ops).is_err() {
-                    // Copy failed: fail the validation so the source is not
-                    // left waiting on a verdict that will never come.
-                    self.registry
-                        .complete(xid, Err(DbError::NodeUnavailable(self.dest.id())));
-                    self.complete(job.ticket);
-                    return;
-                }
                 let fault = self
                     .cluster
                     .fault_at(InjectionPoint::MoccValidation, self.dest.id());
@@ -396,14 +399,11 @@ pub struct ReplayProcess {
 
 impl ReplayProcess {
     /// Starts the replay process on `dest` and returns it with the feed its
-    /// stream ships through. With a [`CopyGate`], replay interleaves with
-    /// the chunked snapshot copy: a key is applied only after its chunk
-    /// finished copying.
+    /// stream ships through.
     pub fn start(
         cluster: &Arc<Cluster>,
         dest: &Arc<Node>,
         registry: Arc<ValidationRegistry>,
-        gate: Option<Arc<CopyGate>>,
     ) -> (ReplayProcess, ReplayFeed) {
         let stats = Arc::new(ReplayStats::default());
         let shared = Arc::new(ReplayShared {
@@ -412,7 +412,7 @@ impl ReplayProcess {
             registry,
             stats: Arc::clone(&stats),
             completion: Completion::default(),
-            gate,
+            window: CopyWindow::default(),
             prepared_shadows: Mutex::new(HashSet::new()),
             fatal: Mutex::new(None),
         });
@@ -467,19 +467,51 @@ impl ReplayProcess {
         self.shared.completion.finished_through()
     }
 
+    /// Opens the copy window (module docs): from now until
+    /// [`Self::copy_done`], a catch-up write that finds no version below it
+    /// is provisional. Called before the stream ships anything.
+    pub fn copy_running(&self) {
+        self.shared.window.open.store(true, Ordering::SeqCst);
+    }
+
+    /// Closes the copy window: the copy is done, and `mapped` are the keys
+    /// whose row it placed into a chain catch-up had mapped first
+    /// ([`crate::snapshot::CopyGate::mapped`]).
+    pub fn copy_done(&self, mapped: HashSet<(ShardId, Key)>) {
+        *self.shared.window.mapped.lock() = mapped;
+        self.shared.window.open.store(false, Ordering::SeqCst);
+    }
+
+    /// Replay's verdict so far, for the migration to take before `T_m`: the
+    /// first fatal error (a write out of commit order, a worker panic, a
+    /// failed redo), else the first provisional write the copy proved out of
+    /// commit order. Ask it once replay finished every message shipped while
+    /// the copy window was open.
+    pub fn check(&self) -> DbResult<()> {
+        if let Some(e) = self.shared.fatal.lock().clone() {
+            return Err(e);
+        }
+        let window = &self.shared.window;
+        let mapped = window.mapped.lock();
+        let provisional = window.provisional.lock();
+        let based = |op: &WriteOp| mapped.contains(&(op.shard, op.key));
+        let first = provisional
+            .iter()
+            .find(|(_, op)| based(op) == (op.kind == WriteKind::Insert));
+        first.map_or(Ok(()), |(xid, op)| Err(out_of_commit_order(*xid, op)))
+    }
+
     /// Waits for the workers to finish, which they do once the feed is
-    /// dropped. Fails if a fatal replay error occurred (a worker panic is
+    /// dropped. Fails with [`Self::check`]'s verdict (a worker panic is
     /// caught, noted, and surfaced here instead of hanging the pipeline) or
     /// if any shadow transaction is still prepared after a clean drain (the
     /// stream must have resolved every validated shadow).
-    pub fn join(self) -> Result<(), DbError> {
+    pub fn join(mut self) -> Result<(), DbError> {
         let mut thread_died = false;
-        for w in self.workers {
+        for w in self.workers.drain(..) {
             thread_died |= w.join().is_err();
         }
-        if let Some(e) = self.shared.fatal.lock().take() {
-            return Err(e);
-        }
+        self.check()?;
         if thread_died {
             return Err(DbError::Internal(
                 "replay thread died outside job execution".to_string(),
@@ -558,6 +590,14 @@ impl ReplayFeed {
     }
 }
 
+/// What a catch-up write out of commit order fails the migration with.
+fn out_of_commit_order(xid: TxnId, op: &WriteOp) -> DbError {
+    let (kind, shard, key) = (op.kind, op.shard, op.key);
+    DbError::Internal(format!(
+        "async replay of {xid}: {kind:?} of {shard:?} key {key} is out of commit order"
+    ))
+}
+
 /// The worker a message's ops route to: hash of the smallest written key.
 /// Routing is only a locality/balance choice — correctness comes from the
 /// key fence — but it is deterministic so reruns shard identically.
@@ -602,7 +642,7 @@ mod tests {
         let dest = Arc::clone(cluster.node(NodeId(1)));
         dest.storage.create_shard(ShardId(0));
         let registry = Arc::new(ValidationRegistry::new());
-        let (replay, feed) = ReplayProcess::start(&cluster, &dest, registry, None);
+        let (replay, feed) = ReplayProcess::start(&cluster, &dest, registry);
         (cluster, feed, replay)
     }
 
@@ -715,7 +755,7 @@ mod tests {
         let dest = Arc::clone(cluster.node(NodeId(1)));
         dest.storage.create_shard(ShardId(0));
         let registry = Arc::new(ValidationRegistry::new());
-        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
+        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry));
 
         feed.ship(
             Lsn(1),
@@ -754,7 +794,7 @@ mod tests {
         let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(1));
         let registry = Arc::new(ValidationRegistry::new());
         let dest = Arc::clone(cluster.node(NodeId(1)));
-        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
+        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry));
 
         // A destination transaction wrote key 3 and committed "after" the
         // source transaction's snapshot.
@@ -791,7 +831,7 @@ mod tests {
         let dest = Arc::clone(cluster.node(NodeId(1)));
         dest.storage.create_shard(ShardId(0));
         let registry = Arc::new(ValidationRegistry::new());
-        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
+        let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry));
         feed.ship(
             Lsn(1),
             ApplyMsg::Validate {

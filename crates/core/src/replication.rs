@@ -24,8 +24,10 @@
 //!    observes shadow commit timestamps on the destination), so the cut
 //!    bounds from above every commit already in that WAL;
 //! 3. chunk-copy the primary's data shards at the cut through a
-//!    [`CopyGate`] while the live stream applies concurrently — a stream
-//!    waits per key for its chunk, exactly like migration dual execution;
+//!    [`CopyGate`] while the live stream applies concurrently — neither
+//!    waits for the other: the copy installs each row at its source commit
+//!    timestamp, under whatever the stream placed first, exactly like a
+//!    migration's copy and catch-up (`crate::snapshot`);
 //! 4. certify the stream once its *frontier* (see below) passes the
 //!    primary's flush LSN recorded after the copy finished: at that point
 //!    every transaction the chunk scans could have missed has been
@@ -154,9 +156,8 @@ impl ReplState {
 pub struct ReplicaProcess {
     handle: Arc<ReplicaHandle>,
     shared: Arc<ReplState>,
-    /// Poisoned by a stop: that is what the bootstrap and a stream parked on
-    /// a backfill chunk are stopped by; a stream parked on the log is stopped
-    /// through its tail.
+    /// Poisoned by a stop: that is what stops the bootstrap and its copy
+    /// pool; a stream is stopped through its tail.
     gates: Vec<Arc<CopyGate>>,
     streams: Vec<Stream>,
     bootstrap: Option<JoinHandle<()>>,
@@ -219,8 +220,7 @@ impl ReplicaProcess {
     }
 
     fn shutdown(&mut self) {
-        // Unblock streams stuck behind an unfinished backfill chunk, and the
-        // bootstrap wherever it is.
+        // Stop the bootstrap wherever it is.
         for gate in &self.gates {
             gate.poison();
         }
@@ -294,18 +294,11 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
     let min_cut = streams.iter().map(|s| s.cut_ts).min().expect("non-empty");
     let cut_pin = cluster.pin_snapshot(min_cut);
 
-    // Chunk plans are laid out now, before any stream runs, so streams
-    // can gate on them from the first shipped record.
+    // Chunk plans are laid out from the tables as they stand at the cut.
     let chunk_size = cluster.config.parallelism.chunk_size;
     let mut gates = Vec::with_capacity(primaries.len());
     for p in &primaries {
-        let shards = p.data_shards();
-        let gate = if shards.is_empty() {
-            CopyGate::open()
-        } else {
-            CopyGate::plan(&shards, p, chunk_size)?
-        };
-        gates.push(Arc::new(gate));
+        gates.push(Arc::new(CopyGate::plan(&p.data_shards(), p, chunk_size)?));
     }
 
     let shared = Arc::new(ReplState {
@@ -319,8 +312,7 @@ pub fn start_replica(cluster: &Arc<Cluster>, replica: NodeId) -> DbResult<Replic
     for (i, (p, tail)) in primaries.iter().zip(tails).enumerate() {
         let from = tail.consumed();
         let stream = Arc::clone(&streams[i]);
-        let mut applier =
-            StreamApplier::gated(&replica_node, stream.cut_ts, from, Arc::clone(&gates[i]));
+        let mut applier = StreamApplier::new(&replica_node, stream.cut_ts, from);
         let cluster = Arc::clone(cluster);
         let primary = Arc::clone(p);
         let handle = Arc::clone(&handle);

@@ -13,7 +13,11 @@
 //! The chunk map is a [`CopyGate`] planned with `squall_chunk_keys`: a pull
 //! moves its chunk with the snapshot copy's range move and marks it in the
 //! gate before it releases the shard lock, and the background pulls are
-//! the gate's pool.
+//! the gate's pool. A pull reads at `Timestamp::MAX`, so each pulled row is
+//! the source's newest committed version, placed at its source commit
+//! timestamp: a destination transaction whose snapshot lies below it (under
+//! DTS a node's clock can lag the source's) reads nothing there — no older
+//! version moves — and conflicts if it writes the row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,7 +74,7 @@ impl SquallState {
         time::charge(self.cluster.config.squall_pull_latency);
         self.cluster.net.hop(self.dest.id(), self.source.id());
         let n = move_range(
-            &self.cluster,
+            &self.gate,
             &self.source,
             &self.dest,
             chunk,
@@ -417,5 +421,46 @@ mod tests {
         assert!(!cluster.node(NodeId(0)).storage.hosts(ShardId(0)));
         let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
         assert_eq!(rows.len(), 40);
+    }
+    /// A pull carries each row's source commit timestamp: the newest version
+    /// committed on the source, read at `Timestamp::MAX` under the shard
+    /// lock. A destination transaction whose snapshot lies below it (under
+    /// DTS a node's clock can lag the source's) reads nothing older there —
+    /// the pull moved no older version — and conflicts on a write, as
+    /// first-committer-wins has it.
+    #[test]
+    fn a_pulled_version_carries_its_source_commit_timestamp() {
+        let cluster = shard_lock_cluster(16);
+        let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+        let session = Session::connect(&cluster, NodeId(0));
+        session.run(|t| t.insert(&layout, 1, val("v0"))).unwrap();
+        let below = cluster.oracle.start_ts(NodeId(0));
+        session.run(|t| t.update(&layout, 1, val("v1"))).unwrap();
+        let task = MigrationTask::single(ShardId(0), NodeId(0), NodeId(1));
+        SquallEngine::new().migrate(&cluster, &task).unwrap();
+
+        let dest = &cluster.node(NodeId(1)).storage;
+        let table = dest.table(ShardId(0)).unwrap();
+        let t = Duration::from_secs(1);
+        let read = |ts| {
+            table
+                .read_versioned(1, ts, TxnId::INVALID, &dest.clog, t)
+                .unwrap()
+        };
+        let (value, cts) = read(Timestamp::MAX).unwrap();
+        assert_eq!(value, val("v1"));
+        assert!(cts > below, "the pulled version is not the source's newest");
+        assert_eq!(
+            read(below),
+            None,
+            "read a version committed after the snapshot"
+        );
+        let writer = dest.alloc_xid();
+        dest.clog.begin(writer);
+        let write = table.update(1, val("lost"), writer, below, &dest.clog, t);
+        assert!(
+            matches!(write, Err(DbError::WwConflict { .. })),
+            "{write:?}"
+        );
     }
 }

@@ -32,7 +32,7 @@
 //! resolved or prepared transaction does:
 //!
 //! * **replica** — keep every data write; a committed transaction is redone
-//!   by [`remus_txn::redo_committed`] behind the backfill [`CopyGate`], and
+//!   by [`remus_txn::redo_committed`] at once, beside the backfill copy, and
 //!   the watermark is taken from the frontier (see [`crate::replication`]).
 //! * **migration** — keep the migrating shards' writes (the assembler's
 //!   per-transaction buffers are the paper's update cache queues) and ship
@@ -74,7 +74,6 @@ use remus_wal::{
 
 use crate::mocc::RemusHook;
 use crate::replay::{ApplyMsg, ReplayFeed};
-use crate::snapshot::CopyGate;
 
 /// How long a caught-up replica stream lets its primary stay quiet before it
 /// sends a heartbeat (and a batch the reorder fault held back). Not a stop
@@ -147,7 +146,7 @@ pub(crate) fn run<P: FnMut(&StreamApplier, u64)>(
     applier: &mut StreamApplier,
     mut publish: P,
 ) -> DbResult<()> {
-    let replica = matches!(applier.rule, Rule::Replica { .. });
+    let replica = matches!(applier.rule, Rule::Replica(_));
     let (idle, seam) = if replica {
         (HEARTBEAT_PERIOD, InjectionPoint::ShipBatch)
     } else {
@@ -232,11 +231,8 @@ type Keep = Box<dyn Fn(ShardId) -> bool + Send>;
 
 /// What a resolved or prepared transaction does on a stream.
 enum Rule {
-    /// Redo it on a replica, behind the backfill gate.
-    Replica {
-        replica: Arc<Node>,
-        gate: Arc<CopyGate>,
-    },
+    /// Redo it on a replica.
+    Replica(Arc<Node>),
     /// Ship it to a migration's replay.
     Migration(Migration),
 }
@@ -338,28 +334,12 @@ pub struct StreamApplier {
 
 impl StreamApplier {
     /// An applier for `replica`, expecting the first record after `from`,
-    /// with its watermark seeded at `cut_ts` and no backfill gate (every
-    /// key applies immediately).
+    /// with its watermark seeded at `cut_ts`. A backfill copy may run
+    /// beside it: each applies by commit timestamp, so neither waits for
+    /// the other.
     pub fn new(replica: &Arc<Node>, cut_ts: Timestamp, from: Lsn) -> StreamApplier {
-        Self::gated(replica, cut_ts, from, Arc::new(CopyGate::open()))
-    }
-
-    /// Like [`StreamApplier::new`], but applies behind a backfill copy
-    /// gate: a write to a key whose chunk is still being copied waits for
-    /// the chunk (or fails when the gate is poisoned).
-    pub fn gated(
-        replica: &Arc<Node>,
-        cut_ts: Timestamp,
-        from: Lsn,
-        gate: Arc<CopyGate>,
-    ) -> StreamApplier {
-        let replica = Arc::clone(replica);
-        Self::with_rule(
-            from,
-            Box::new(is_data_write),
-            cut_ts,
-            Rule::Replica { replica, gate },
-        )
+        let rule = Rule::Replica(Arc::clone(replica));
+        Self::with_rule(from, Box::new(is_data_write), cut_ts, rule)
     }
 
     /// The receiver of a migration of `shards` off `source`, expecting the
@@ -439,14 +419,14 @@ impl StreamApplier {
                     // stalls at the open `Begin` until the decision record
                     // arrives — the replica analogue of prepare-wait.
                     (
-                        Rule::Replica { replica, gate },
+                        Rule::Replica(replica),
                         TxnEvent::Resolved {
                             txn,
                             resolution_lsn,
                             outcome: TxnOutcome::Committed(cts),
                         },
                     ) => {
-                        apply_commit(replica, gate, txn.xid, cts, &txn.writes)?;
+                        apply_commit(replica, txn.xid, cts, &txn.writes)?;
                         done += 1;
                         self.resolved.insert(resolution_lsn, cts);
                     }
@@ -484,29 +464,21 @@ impl StreamApplier {
 
 /// Applies one committed transaction's buffered data writes to the replica,
 /// in commit order whatever the arrival order (see [`crate::replication`]):
-/// behind the backfill gate, by the one redo rule for a committed transaction
+/// by the one redo rule for a committed transaction
 /// ([`remus_txn::redo_committed`] — resolve first, then install each version
 /// at its commit timestamp's place in its chain).
 ///
-/// Convergent by construction: a write the cut snapshot predates is installed
-/// above the frozen copy, one another stream (a 2PC participant's, a migration
-/// shadow's) or a retransmit already delivered edits that version in place,
-/// and [`remus_storage::Clog::set_committed`] is idempotent for an equal
-/// timestamp.
-fn apply_commit(
-    replica: &Node,
-    gate: &CopyGate,
-    xid: TxnId,
-    cts: Timestamp,
-    writes: &[WriteOp],
-) -> DbResult<()> {
+/// Convergent by construction: a write the cut snapshot predates goes above
+/// the backfill's copy of the key whichever lands first, and one committed at
+/// a timestamp the chain already holds — delivered by another stream (a 2PC
+/// participant's, a migration shadow's), by a retransmit or by the backfill —
+/// edits that version in place, and [`remus_storage::Clog::set_committed`]
+/// is idempotent for an equal timestamp.
+fn apply_commit(replica: &Node, xid: TxnId, cts: Timestamp, writes: &[WriteOp]) -> DbResult<()> {
     if writes.is_empty() {
         return Ok(());
     }
-    // During backfill, wait for the covering chunks — the same wait as
-    // migration catch-up's against its copy gate.
-    gate.wait_writes_copied(writes)?;
-    redo_committed(&replica.storage, xid, cts, writes)?;
+    redo_committed(&replica.storage, xid, cts, writes, |_, _| {})?;
     replica.work.add(writes.len() as u64);
     Ok(())
 }
@@ -543,7 +515,7 @@ mod tests {
     fn migrate_log(cluster: &Arc<Cluster>, hook: Arc<RemusHook>, snapshot_ts: u64) -> DbResult<()> {
         let (source, dest) = (cluster.node(NodeId(0)), cluster.node(NodeId(1)));
         let registry = Arc::new(ValidationRegistry::new());
-        let (replay, feed) = ReplayProcess::start(cluster, dest, registry, None);
+        let (replay, feed) = ReplayProcess::start(cluster, dest, registry);
         let tail = source.storage.create_slot(Lsn::ZERO);
         let applier = StreamApplier::migration(
             cluster,
@@ -741,32 +713,54 @@ mod tests {
         assert_eq!(dest_read(&cluster, 0, 1, LATEST), None);
     }
 
+    /// Holds the first `ReplayApply` visit on node 1 until released.
+    #[derive(Default)]
+    struct HoldApply {
+        released: std::sync::Mutex<bool>,
+        cv: std::sync::Condvar,
+    }
+
+    impl remus_common::fault::FaultInjector for HoldApply {
+        fn decide(&self, point: InjectionPoint, node: NodeId) -> FaultAction {
+            if point == InjectionPoint::ReplayApply && node == NodeId(1) {
+                let released = self.released.lock().unwrap();
+                drop(self.cv.wait_while(released, |r| !*r).unwrap());
+            }
+            FaultAction::Continue
+        }
+    }
+
     /// The stream issues each ticket with the LSN of the record that
     /// produced it: replay's progress stops before the record of a held
-    /// install, a later install's completion does not move it, and it
+    /// install, a later message's completion does not move it, and it
     /// reaches the log's end once the held one completes.
     #[test]
     fn a_migration_stream_issues_each_ticket_with_the_lsn_of_its_record() {
         let cluster = cluster2();
         let (source, dest) = (cluster.node(NodeId(0)), cluster.node(NodeId(1)));
         let shards = [ShardId(0), ShardId(1)];
-        let wal = &source.storage.wal;
-        // Two committed transactions, one per shard: tickets 1 and 2,
-        // produced by the commit records at LSN 3 and 6.
-        for (n, shard) in [(1, 0), (2, 1)] {
-            wal.append(LogRecord::new(xid(n), LogOp::Begin(Timestamp(10 + n))));
-            wal.append(LogRecord::new(xid(n), wop(shard, n)));
-            wal.append(LogRecord::new(xid(n), LogOp::Commit(Timestamp(20 + n))));
-        }
-        // Replay holds each write until its shard's one chunk is copied.
-        let gate = Arc::new(CopyGate::plan(&shards, source, u64::MAX).unwrap());
-        let chunk = |shard| gate.chunk_of(shard, 0).unwrap().flat;
         let registry = Arc::new(ValidationRegistry::new());
-        let (replay, feed) =
-            ReplayProcess::start(&cluster, dest, registry, Some(Arc::clone(&gate)));
+        let hook = Arc::new(RemusHook::new(&shards, registry, Duration::from_secs(2)));
+        hook.enable_sync();
+        hook.begin_commit(xid(2), &[ShardId(1)]);
+        let wal = &source.storage.wal;
+        // Ticket 1: a transaction committed on shard 0, produced by its
+        // commit record at LSN 3; the held install. Tickets 2 and 3: a
+        // synchronized one on shard 1, validated at its prepare (LSN 6) and
+        // committed at LSN 7 — neither visits the install seam.
+        wal.append(LogRecord::new(xid(1), LogOp::Begin(Timestamp(11))));
+        wal.append(LogRecord::new(xid(1), wop(0, 1)));
+        wal.append(LogRecord::new(xid(1), LogOp::Commit(Timestamp(21))));
+        wal.append(LogRecord::new(xid(2), LogOp::Begin(Timestamp(12))));
+        wal.append(LogRecord::new(xid(2), wop(1, 2)));
+        wal.append(LogRecord::new(xid(2), LogOp::Prepare));
+        wal.append(LogRecord::new(xid(2), LogOp::CommitPrepared(Timestamp(22))));
+        let hold = Arc::new(HoldApply::default());
+        cluster.install_fault_injector(Arc::clone(&hold) as _);
+        let registry = Arc::new(ValidationRegistry::new());
+        let (replay, feed) = ReplayProcess::start(&cluster, dest, registry);
         let tail = source.storage.create_slot(Lsn::ZERO);
         let from = tail.consumed();
-        let hook = test_hook();
         let ts = Timestamp(5);
         let applier = StreamApplier::migration(&cluster, source, &shards, ts, from, hook, feed);
         let stream = Stream::migration(&cluster, source, NodeId(1), tail, applier);
@@ -776,19 +770,19 @@ mod tests {
                 .progress
                 .park_until(cond, Duration::from_secs(5)));
         };
-        // Nothing shipped is applied yet: the measure is before ticket 1.
-        wait(&|| replay.finished_through() == Lsn(2));
-        // Ticket 2 completes first.
-        gate.mark_copied(chunk(ShardId(1)));
-        let applied_2 = || dest.storage.table(ShardId(1)).unwrap().stats().keys == 1;
-        wait(&applied_2);
+        // The synchronized transaction completes first.
+        let committed = TxnStatus::Committed(Timestamp(22));
+        wait(&|| dest.storage.clog.status(xid(2).shadow()) == committed);
         let measure = replay.finished_through();
         assert_eq!(measure, Lsn(2), "a later completion moved the measure");
-        // Ticket 1 completes: everything up to the log's end is applied.
-        gate.mark_copied(chunk(ShardId(0)));
+        // The held install completes: everything up to the log's end is
+        // applied.
+        *hold.released.lock().unwrap() = true;
+        hold.cv.notify_all();
         wait(&|| replay.finished_through() == wal.flush_lsn());
         stream.stop(wal.flush_lsn());
         stream.join().and(replay.join()).unwrap();
+        cluster.uninstall_fault_injector();
     }
 
     #[test]

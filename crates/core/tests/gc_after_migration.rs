@@ -1,5 +1,5 @@
 //! Write-driven GC across a live migration: the destination shard is built
-//! by frozen installs (clean chains, nothing pending) and then written by
+//! by the copy's installs (clean chains, nothing pending) and then written by
 //! replayed shadow transactions and diverted sessions, all through the same
 //! table API — so every chain they leave with something to prune must be
 //! pending on the *destination*, and draining leaves one version per key.

@@ -3,7 +3,7 @@
 //! multi-key streams of committed source transactions (inserts, updates,
 //! deletes and row locks, commit timestamps rising) are fed through the
 //! replay process with 1 and 4 workers, over frozen rows installed up front
-//! or copied by a gated chunk copy racing the replay. Folding the
+//! or copied by a chunk copy racing the replay. Folding the
 //! destination's WAL through a `TxnAssembler` and redoing every committed
 //! transaction with `redo_committed` into a fresh node seeded with the same
 //! frozen rows must give the same `committed_state_digest`. This is also
@@ -92,7 +92,7 @@ fn redo_of_the_log(dest: &NodeStorage, seeded: &[u64]) -> u64 {
                 ..
             } = assembler.feed(lsn, record)
             {
-                redo_committed(&fresh, txn.xid, cts, &txn.writes).unwrap();
+                redo_committed(&fresh, txn.xid, cts, &txn.writes, |_, _| {}).unwrap();
             }
         }
     }
@@ -127,16 +127,20 @@ proptest! {
         for &k in &seeded {
             table.install_frozen(k, val(0, k));
         }
-        let gate = gated.then(|| Arc::new(CopyGate::plan(&[SHARD], source, 3).unwrap()));
+        let gate = gated.then(|| CopyGate::plan(&[SHARD], source, 3).unwrap());
 
         let registry = Arc::new(ValidationRegistry::new());
-        let (replay, mut feed) = ReplayProcess::start(&cluster, dest, registry, gate.clone());
+        let (replay, mut feed) = ReplayProcess::start(&cluster, dest, registry);
+        if gated {
+            replay.copy_running();
+        }
         for (i, msg) in stream(&seeded, &txns).into_iter().enumerate() {
             feed.ship(Lsn(i as u64 + 1), msg);
         }
-        // The workers wait per key for the chunk this copy is moving.
+        // The copy races the workers, which apply without waiting for it.
         if let Some(gate) = &gate {
             copy_task_snapshots_gated(&cluster, source, dest, Timestamp(2), gate, None).unwrap();
+            replay.copy_done(gate.mapped());
         }
         drop(feed);
         replay.join().unwrap();

@@ -28,7 +28,7 @@
 //! | operation | body | projections |
 //! |---|---|---|
 //! | point read | the private `visible_at` | [`VersionedTable::read_versioned`], [`VersionedTable::read`] (value only) |
-//! | scan | [`VersionedTable::scan`] | [`VersionedTable::scan_visible_range`], [`VersionedTable::count_visible`] |
+//! | scan | [`VersionedTable::scan_versioned`] | [`VersionedTable::scan`] (value only), [`VersionedTable::scan_visible_range`], [`VersionedTable::count_visible`] |
 //! | write | [`VersionedTable::write`] taking a [`WriteKind`] | [`VersionedTable::insert`], [`update`](VersionedTable::update), [`delete`](VersionedTable::delete), [`lock_row`](VersionedTable::lock_row) |
 //! | GC | [`VersionedTable::gc_step`] | [`VersionedTable::vacuum`] |
 //! | bulk | [`VersionedTable::install_frozen`], [`purge_txn`](VersionedTable::purge_txn), [`chunk_splits`](VersionedTable::chunk_splits), [`clear`](VersionedTable::clear) | — |

@@ -27,14 +27,15 @@
 //! | `visible_at` ✱ (private) | the read-side prepare-wait loop | `read_versioned`, `scan` |
 //! | [`read_versioned`](VersionedTable::read_versioned) | `visible_at` on the key | `shard::read_owner_at` (routing reads) |
 //! | [`read`](VersionedTable::read) | the same, value only | `Txn::read`, replica snapshot reads, recovery checks, the benchmark's point-read probes |
-//! | [`scan`](VersionedTable::scan) | the one streaming scan: `collect_batch` ✱ merges the stripes' ordered keys, `visible_at` resolves each | snapshot copy chunks (≈ 128-key ranges), `SessionTxn::scan_table` (whole shards, own writes visible) |
-//! | [`scan_visible_range`](VersionedTable::scan_visible_range) | `scan` collected into a `Vec`, no own writes | Squall pulls, replica `scan_table`, the benchmark's scan probe (40 000-key ranges) |
+//! | [`scan_versioned`](VersionedTable::scan_versioned) | the one streaming scan: `collect_batch` ✱ merges the stripes' ordered keys, `visible_at` resolves each, with its commit timestamp | snapshot copy chunks (≈ 128-key ranges) and Squall's pulls |
+//! | [`scan`](VersionedTable::scan) | the same, value only | `SessionTxn::scan_table` (whole shards, own writes visible) |
+//! | [`scan_visible_range`](VersionedTable::scan_visible_range) | `scan` collected into a `Vec`, no own writes | replica `scan_table`, the benchmark's scan probe (40 000-key ranges) |
 //! | [`count_visible`](VersionedTable::count_visible) | `scan` counted | the benchmark's consistency checks |
 //! | [`write`](VersionedTable::write) | the write-side wait loop; `apply_write` ✱ is the one step that edits a chain | `Txn::write_common`; crash replay, only to re-instate a prepared in-doubt transaction's uncommitted versions |
 //! | [`insert`](VersionedTable::insert) / [`update`](VersionedTable::update) / [`delete`](VersionedTable::delete) / [`lock_row`](VersionedTable::lock_row) | one-line forwards to `write` | storage tests, the benchmark's write probes |
 //! | [`purge_txn`](VersionedTable::purge_txn) | abort cleanup | `remus-txn` abort path |
-//! | [`install_frozen`](VersionedTable::install_frozen) ✱ | replaces a chain by one frozen version | snapshot copy, Squall pulls, bulk loaders, `shard::install_owner` |
-//! | [`install_committed`](VersionedTable::install_committed) ✱ | places a resolved transaction's version by commit timestamp | `remus_txn::redo_committed` — the one redo rule, for migration catch-up, the replica applier and crash replay |
+//! | [`install_frozen`](VersionedTable::install_frozen) ✱ | replaces a chain by one frozen version | bulk loaders, `shard::install_owner` |
+//! | [`install_committed`](VersionedTable::install_committed) ✱ | places a resolved transaction's version by commit timestamp | `remus_txn::redo_committed` — the one redo rule, for migration catch-up, the replica applier and crash replay — and the range move of snapshot copies, replica backfills and Squall's pulls |
 //! | [`chunk_splits`](VersionedTable::chunk_splits) | every n-th key of the ordered keys | `CopyGate::plan`, Squall's chunk map |
 //! | [`gc_step`](VersionedTable::gc_step) | budgeted GC over pending chains; `prune_chain` ✱ is the pruning rule | `Cluster::gc_tick`, the benchmark's GC probe |
 //! | [`vacuum`](VersionedTable::vacuum) | `gc_step` without a budget | storage tests |
@@ -560,15 +561,21 @@ impl VersionedTable {
     /// caller, for migration catch-up, crash replay and the replica applier):
     /// a replica applies one WAL stream per primary, and the two streams that
     /// carry a migrated shard's history (the source's up to `T_m`, the
-    /// destination's after it) arrive in either order. A version `xid` already
-    /// has in the chain — the same transaction delivered again, by a retransmit
-    /// or as the destination's shadow of it ([`TxnId::shadow`]) — is edited
-    /// where it stands, like a writer's second statement on its own version.
-    /// A `Lock` installs nothing. Never waits: every version in a chain filled
-    /// this way belongs to a resolved transaction.
+    /// destination's after it) arrive in either order. Nor is a copy: the
+    /// snapshot copy installs each row it scans here too, as a version of
+    /// [`FROZEN_TXN`](crate::clog::FROZEN_TXN) at the row's source commit
+    /// timestamp, so a copied row goes under whatever catch-up placed first.
+    /// A version already committed at `cts` is the same transaction delivered
+    /// again — a retransmit, the destination's shadow of it
+    /// ([`TxnId::shadow`]), a retried copy chunk or a copy of what a stream
+    /// also carries — and is edited where it stands, like a writer's second
+    /// statement on its own version. A `Lock` installs nothing but maps the
+    /// key, so a copy that lands later finds it mapped. Never waits: every
+    /// version in a chain filled this way belongs to a resolved transaction.
     ///
     /// Answers what the install found around its place, for a caller that
-    /// replays onto a complete copy to check against [`Placement::in_order`].
+    /// checks the order a history arrived in against
+    /// [`Placement::in_order`].
     pub fn install_committed(
         &self,
         key: Key,
@@ -578,24 +585,36 @@ impl VersionedTable {
         cts: Timestamp,
         clog: &Clog,
     ) -> Placement {
-        let value = (kind != WriteKind::Delete).then_some(value);
-        let installs = kind != WriteKind::Lock;
-        let placed = self.stripe_of(key).with_node(key, installs, |node| {
+        let version = (kind != WriteKind::Lock).then(|| {
+            let value = (kind != WriteKind::Delete).then_some(value);
+            Version::new(xid, value).committed_at(cts)
+        });
+        let newer = |v: &mut Version| matches!(v.status(clog), TxnStatus::Committed(c) if c > cts);
+        let place = |node: &Node, version: Option<Version>| {
             let mut chain = node.lock();
-            let placed = placement(&mut chain, clog, xid, cts);
-            if installs {
-                self.mutate(key, &mut chain, |chain| match chain.version_of_mut(xid) {
-                    Some(own) => own.value = value,
-                    None => chain.insert_below(
-                        Version::new(xid, value).committed_at(cts),
-                        |v| matches!(v.status(clog), TxnStatus::Committed(c) if c > cts),
-                    ),
+            let placed = placement(&mut chain, clog, cts);
+            if let Some(version) = version {
+                self.mutate(key, &mut chain, |chain| {
+                    match chain.committed_at_mut(cts, clog) {
+                        Some(own) => own.value = version.value,
+                        None => chain.insert_below(version, newer),
+                    }
                 });
             }
             placed
-        });
-        // Only a lock of a key nobody wrote finds no node.
-        placed.unwrap_or(Placement::EMPTY)
+        };
+        let stripe = self.stripe_of(key);
+        if let Some(node) = stripe.index.read().slots.get(key) {
+            return place(node, version);
+        }
+        let mut index = stripe.index.write();
+        if let Some(node) = index.slots.get(key) {
+            return place(node, version);
+        }
+        // Unmapped: the version is the chain (a lock maps an empty one).
+        let chain = version.map_or_else(VersionChain::default, VersionChain::with);
+        index.insert(key, chain);
+        Placement::UNMAPPED
     }
 
     /// Streams every tuple of `range` that `self_xid` sees at `snapshot_ts`
@@ -612,6 +631,21 @@ impl VersionedTable {
         timeout: Duration,
         mut f: impl FnMut(Key, Value),
     ) -> DbResult<()> {
+        let each = |key, value, _| f(key, value);
+        self.scan_versioned(range, snapshot_ts, self_xid, clog, timeout, each)
+    }
+
+    /// [`scan`](Self::scan), also handing `f` the commit timestamp of each
+    /// version seen ([`Timestamp::INVALID`] for the reader's own).
+    pub fn scan_versioned(
+        &self,
+        range: impl RangeBounds<Key>,
+        snapshot_ts: Timestamp,
+        self_xid: TxnId,
+        clog: &Clog,
+        timeout: Duration,
+        mut f: impl FnMut(Key, Value, Timestamp),
+    ) -> DbResult<()> {
         let end: Bound<Key> = range.end_bound().cloned();
         let mut from: Bound<Key> = range.start_bound().cloned();
         loop {
@@ -620,10 +654,10 @@ impl VersionedTable {
             for key in batch {
                 // A key unmapped since the batch was collected had no
                 // version left for anyone.
-                if let Some((value, _)) =
+                if let Some((value, cts)) =
                     self.visible_at(key, snapshot_ts, self_xid, clog, timeout)?
                 {
-                    f(key, value);
+                    f(key, value, cts);
                 }
             }
             // A short batch reached the end of the range.
@@ -848,22 +882,32 @@ mod tests {
             let x = committed(&clog, n, ts, |_| {});
             t.install_committed(7, kind, val("v"), x, Timestamp(ts), &clog)
         };
-        let place = |on_top, base_live| Placement { on_top, base_live };
-        assert_eq!(install(WriteKind::Lock, 1, 5), place(true, false));
-        assert_eq!(install(WriteKind::Insert, 2, 10), place(true, false));
-        assert_eq!(install(WriteKind::Update, 3, 30), place(true, true));
+        let place = |mapped, on_top, base| Placement {
+            mapped,
+            on_top,
+            base,
+        };
+        // A lock of a key nobody wrote maps it and installs nothing.
+        assert_eq!(install(WriteKind::Lock, 1, 5), place(false, true, None));
+        assert_eq!(t.chain_snapshot(7).len(), 0);
+        assert_eq!(install(WriteKind::Insert, 2, 10), place(true, true, None));
+        assert_eq!(
+            install(WriteKind::Update, 3, 30),
+            place(true, true, Some(true))
+        );
         // Below the version committed at 30: out of commit order.
         let under = install(WriteKind::Update, 4, 20);
-        assert_eq!(under, place(false, true));
+        assert_eq!(under, place(true, false, Some(true)));
         assert!(!under.in_order(WriteKind::Update));
-        assert!(!place(true, true).in_order(WriteKind::Insert));
+        assert!(!place(true, true, Some(true)).in_order(WriteKind::Insert));
+        assert!(!place(true, true, None).in_order(WriteKind::Update));
 
         let shadow = xid(3).shadow();
         clog.begin(shadow);
         clog.set_committed(shadow, Timestamp(30)).unwrap();
         let again =
             t.install_committed(7, WriteKind::Update, val("s"), shadow, Timestamp(30), &clog);
-        assert_eq!(again, place(true, true));
+        assert_eq!(again, place(true, true, Some(true)));
         assert_eq!(t.chain_snapshot(7).len(), 3, "one version per transaction");
         assert_eq!(
             t.read(7, Timestamp(30), xid(9), &clog, T).unwrap(),

@@ -95,13 +95,6 @@ impl Version {
         self
     }
 
-    /// True if `xid` created this version, under either of its identities:
-    /// a migration shadow (`TxnId::shadow`) is the source transaction
-    /// delivered again.
-    pub fn is_of(&self, xid: TxnId) -> bool {
-        self.xmin.unshadow() == xid.unshadow()
-    }
-
     /// True if this version is a deletion tombstone.
     pub fn deleted(&self) -> bool {
         self.value.is_none()
@@ -189,9 +182,11 @@ impl VersionChain {
         })
     }
 
-    /// Mutable access to the version `xid` created, wherever it stands.
-    pub fn version_of_mut(&mut self, xid: TxnId) -> Option<&mut Version> {
-        self.iter_mut().find(|v| v.is_of(xid))
+    /// Mutable access to the version committed at `cts`, wherever it
+    /// stands: in one key's chain, a commit timestamp names one transaction.
+    pub fn committed_at_mut(&mut self, cts: Timestamp, clog: &Clog) -> Option<&mut Version> {
+        self.iter_mut()
+            .find_map(|v| (v.status(clog) == TxnStatus::Committed(cts)).then_some(v))
     }
 
     /// Inserts `version` below the leading run of versions `newer` holds for.

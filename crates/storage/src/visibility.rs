@@ -109,54 +109,52 @@ pub enum WriteKind {
 /// found around the place it put a committed version at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
+    /// The key was mapped before the install: something was written or
+    /// locked there first.
+    pub mapped: bool,
     /// No version committed after the installed one was in the chain.
     pub on_top: bool,
-    /// The key was live under the write: the transaction's own version
-    /// before this write edited it, else the newest version below the place
-    /// that did not abort.
-    pub base_live: bool,
+    /// The version under the write and whether it is live: the version
+    /// committed at the same timestamp (the transaction's own) before this
+    /// write edited it, else the newest one below the place that did not
+    /// abort. `None`: there is none.
+    pub base: Option<bool>,
 }
 
 impl Placement {
-    /// What an install finds in a chain without versions.
-    pub(crate) const EMPTY: Placement = Placement {
+    /// What an install finds at a key nobody mapped.
+    pub(crate) const UNMAPPED: Placement = Placement {
+        mapped: false,
         on_top: true,
-        base_live: false,
+        base: None,
     };
 
     /// Whether a history applied in commit order allows `kind` here: nothing
     /// committed above it, an insert over no live version, and any other
     /// write over a live one.
     pub fn in_order(&self, kind: WriteKind) -> bool {
-        self.on_top && self.base_live == (kind != WriteKind::Insert)
+        self.on_top && (self.base == Some(true)) == (kind != WriteKind::Insert)
     }
 }
 
-/// Where a version `xid` committed at `cts` goes in this chain: see
+/// Where a version committed at `cts` goes in this mapped key's chain: see
 /// [`Placement`]. Read before the install edits the chain.
-pub(crate) fn placement(
-    chain: &mut VersionChain,
-    clog: &Clog,
-    xid: TxnId,
-    cts: Timestamp,
-) -> Placement {
+pub(crate) fn placement(chain: &mut VersionChain, clog: &Clog, cts: Timestamp) -> Placement {
     let mut on_top = true;
-    // The base: the writer's own version, else the newest one below the
-    // place that did not abort.
-    let base_live = chain.iter_mut().find_map(|v| {
-        let base = v.is_of(xid)
-            || match v.status(clog) {
-                TxnStatus::Committed(c) if c > cts => {
-                    on_top = false;
-                    false
-                }
-                status => status != TxnStatus::Aborted,
-            };
+    let base = chain.iter_mut().find_map(|v| {
+        let base = match v.status(clog) {
+            TxnStatus::Committed(c) if c > cts => {
+                on_top = false;
+                false
+            }
+            status => status != TxnStatus::Aborted,
+        };
         base.then(|| !v.deleted())
     });
     Placement {
+        mapped: true,
         on_top,
-        base_live: base_live == Some(true),
+        base,
     }
 }
 

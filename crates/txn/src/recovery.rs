@@ -34,8 +34,8 @@
 //! transaction's `Begin` can be cut while its later records are kept:
 //! replay redoes such a transaction (`begin_lsn == None` is not a reason to
 //! skip here — the start is a truncation point, not a slot). A committed
-//! install reports the base image it found and replay ignores the report
-//! ([`Redo::out_of_order`]), so it needs no leniency. The one path that
+//! install reports the base image it found and replay does not ask
+//! ([`redo_committed`]), so it needs no leniency. The one path that
 //! still does is the in-doubt one (`redo_write`, private): an
 //! uncommitted version has no commit timestamp to be placed by, so it goes
 //! through the ordinary write path, which checks the base image — and a base
@@ -45,6 +45,7 @@
 use std::time::Duration;
 
 use remus_common::{DbError, DbResult, Timestamp, TxnId};
+use remus_storage::Placement;
 use remus_wal::log::SEGMENT_RECORDS;
 use remus_wal::{
     LogOp, LogRecord, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteKind, WriteOp,
@@ -95,8 +96,8 @@ pub fn replay_node_wal(node: &NodeStorage) -> DbResult<ReplaySummary> {
             if let TxnEvent::Resolved { txn, outcome, .. } = assembler.feed(lsn, record) {
                 match outcome {
                     TxnOutcome::Committed(cts) => {
-                        let redo = redo_committed(node, txn.xid, cts, &txn.writes)?;
-                        summary.writes_applied += redo.installed;
+                        summary.writes_applied +=
+                            redo_committed(node, txn.xid, cts, &txn.writes, |_, _| {})?;
                         summary.committed += 1;
                     }
                     TxnOutcome::Aborted => summary.aborted += 1,
@@ -125,68 +126,61 @@ pub fn replay_node_wal(node: &NodeStorage) -> DbResult<ReplaySummary> {
     Ok(summary)
 }
 
-/// What [`redo_committed`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Redo {
-    /// Row versions installed (`Lock` records install none).
-    pub installed: usize,
-    /// The first write, by index, that did not land where a history applied
-    /// in commit order puts it
-    /// ([`Placement::in_order`](remus_storage::Placement::in_order)). Crash
-    /// replay and the replica applier ignore it: a truncated log or a cut
-    /// snapshot can lack the base image. Migration catch-up, which replays
-    /// onto a complete copy, fails on it.
-    pub out_of_order: Option<usize>,
-}
-
 /// The one redo rule for a transaction a log says committed at `cts`: resolve
 /// it in `node`'s CLOG, then install each write at `cts`'s place in its chain
 /// ([`install_committed`](remus_storage::VersionedTable::install_committed)),
-/// creating shard tables as needed. Migration catch-up, crash replay and the
-/// replica applier all call this. Order-free and idempotent: a second
-/// delivery of the transaction (a retransmit, its migration shadow, a 2PC
-/// participant's stream) edits its versions in place and finds the CLOG
-/// entry equal; resolving before installing means no reader ever meets an
-/// unresolved version of `xid`. `Lock` records carry no image and install
-/// nothing.
+/// creating shard tables as needed, and tell `placed` where each landed.
+/// Crash replay and the replica applier call this and do not ask — a
+/// truncated log or a cut snapshot can lack the base image; migration
+/// catch-up logs first ([`log_and_redo_committed`]) and checks the order.
+/// Order-free and idempotent: a second delivery of the transaction (a
+/// retransmit, its migration shadow, a 2PC participant's stream, a copied
+/// row) edits its versions in place and finds the CLOG entry equal;
+/// resolving before installing means no reader ever meets an unresolved
+/// version of `xid`. `Lock` records carry no image and install nothing.
+/// Returns the row versions installed.
 pub fn redo_committed(
     node: &NodeStorage,
     xid: TxnId,
     cts: Timestamp,
     writes: &[WriteOp],
-) -> DbResult<Redo> {
+    mut placed: impl FnMut(&WriteOp, Placement),
+) -> DbResult<usize> {
     // Err means the xid is already resolved here; `set_committed` then only
     // checks that the timestamps agree.
     let _ = node.clog.try_begin(xid);
     node.clog.set_committed(xid, cts)?;
-    let mut redo = Redo::default();
-    for (i, w) in writes.iter().enumerate() {
+    let mut installed = 0;
+    for w in writes {
         let table = node.create_shard(w.shard);
-        let placed = table.install_committed(w.key, w.kind, w.value.clone(), xid, cts, &node.clog);
-        if redo.out_of_order.is_none() && !placed.in_order(w.kind) {
-            redo.out_of_order = Some(i);
-        }
-        redo.installed += usize::from(w.kind != WriteKind::Lock);
+        placed(
+            w,
+            table.install_committed(w.key, w.kind, w.value.clone(), xid, cts, &node.clog),
+        );
+        installed += usize::from(w.kind != WriteKind::Lock);
     }
-    Ok(redo)
+    Ok(installed)
 }
 
 /// [`redo_committed`] of a transaction `node` did not log itself, logged
 /// first as the records a transaction of its own would leave: `xid` is
 /// registered active, then `Begin(start_ts)`, one `Write` per write and
 /// `Commit(cts)` are appended, so the node's replicas, its restart and a slot
-/// created meanwhile see it; then it is redone and deregistered. Migration
-/// catch-up places a committed source transaction on the destination this
-/// way. The commit record is not waited for: catch-up ends before `T_m`, and
-/// a destination crash before `T_m` cancels the migration and drops the copy
-/// (§3.7), so nothing is acknowledged on the strength of this record.
+/// created meanwhile see it; then it is redone, telling `placed` where each
+/// write landed ([`Placement`]), and deregistered. Migration catch-up places a
+/// committed source transaction on the destination this way and checks the
+/// placements against commit order. The commit record is not waited for:
+/// catch-up ends before `T_m`, and a destination crash before `T_m` cancels
+/// the migration and drops the copy (§3.7), so nothing is acknowledged on the
+/// strength of this record. Returns the row versions installed.
 pub fn log_and_redo_committed(
     node: &NodeStorage,
     xid: TxnId,
     start_ts: Timestamp,
     cts: Timestamp,
     writes: &[WriteOp],
-) -> DbResult<Redo> {
+    placed: impl FnMut(&WriteOp, Placement),
+) -> DbResult<usize> {
     node.register_active(xid);
     node.wal.append(LogRecord::new(xid, LogOp::Begin(start_ts)));
     for w in writes {
@@ -194,7 +188,7 @@ pub fn log_and_redo_committed(
             .append(LogRecord::new(xid, LogOp::Write(w.clone())));
     }
     node.wal.append(LogRecord::new(xid, LogOp::Commit(cts)));
-    let redo = redo_committed(node, xid, cts, writes);
+    let redo = redo_committed(node, xid, cts, writes, placed);
     node.deregister(xid);
     redo
 }
@@ -389,8 +383,7 @@ mod tests {
     }
 
     /// A logged redo leaves the records a committed transaction of the node
-    /// would, nothing registered, and a report naming the first write out of
-    /// commit order.
+    /// would, nothing registered, and tells where each write landed.
     #[test]
     fn log_and_redo_logs_a_committed_transaction_and_reports_its_order() {
         let node = NodeStorage::new(NodeId(1), SimConfig::instant());
@@ -402,12 +395,17 @@ mod tests {
         };
         let xid = TxnId::new(NodeId(0), 7).shadow();
         let writes = [op(WriteKind::Insert, "a"), op(WriteKind::Lock, "")];
-        let redo = log_and_redo_committed(&node, xid, Timestamp(8), Timestamp(9), &writes);
-        let in_order = Redo {
-            installed: 1,
-            out_of_order: None,
-        };
-        assert_eq!(redo.unwrap(), in_order);
+        let mut order = Vec::new();
+        let redo = log_and_redo_committed(
+            &node,
+            xid,
+            Timestamp(8),
+            Timestamp(9),
+            &writes,
+            |w: &WriteOp, p: Placement| order.push(p.in_order(w.kind)),
+        );
+        assert_eq!(redo.unwrap(), 1);
+        assert_eq!(order, [true, true]);
         assert_eq!(node.active_count(), 0);
         let ops: Vec<LogOp> = (1..=4)
             .map(|l| node.wal.get(remus_wal::Lsn(l)).unwrap().op.clone())
@@ -431,8 +429,17 @@ mod tests {
 
         let writes = [op(WriteKind::Update, "b"), op(WriteKind::Insert, "c")];
         let late = TxnId::new(NodeId(0), 8);
-        let redo = redo_committed(&node, late, Timestamp(12), &writes).unwrap();
-        assert_eq!(redo.out_of_order, Some(1), "an insert over a live version");
+        let mut order = Vec::new();
+        log_and_redo_committed(
+            &node,
+            late,
+            Timestamp(11),
+            Timestamp(12),
+            &writes,
+            |w: &WriteOp, p: Placement| order.push(p.in_order(w.kind)),
+        )
+        .unwrap();
+        assert_eq!(order, [true, false], "an insert over a live version");
     }
 
     #[test]
@@ -538,7 +545,7 @@ mod tests {
                 kind,
                 value: bytes(val),
             };
-            redo_committed(&node, xid, Timestamp(cts), &[twin]).unwrap();
+            redo_committed(&node, xid, Timestamp(cts), &[twin], |_, _| {}).unwrap();
         }
 
         node.crash_reset(&[kept]).unwrap();

@@ -145,7 +145,7 @@ fn read_and_redo(
                         "a commit record at {lsn} made {fed} allocations"
                     );
                     capacity.remove(&txn.xid);
-                    redo_committed(node, txn.xid, cts, &txn.writes).unwrap();
+                    redo_committed(node, txn.xid, cts, &txn.writes, |_, _| {}).unwrap();
                 }
                 _ => assert!(
                     !counted || fed == 0,

@@ -304,7 +304,7 @@ fn destination_crash_during_mocc_validation_leaves_resolvable_shadow() {
     let source = cluster.node(NodeId(0));
     let dest = Arc::clone(cluster.node(NodeId(1)));
     let registry = Arc::new(ValidationRegistry::new());
-    let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry), None);
+    let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, Arc::clone(&registry));
 
     // A synchronized source transaction sends its write set for validation.
     let sx = source.storage.alloc_xid();

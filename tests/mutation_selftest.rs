@@ -161,8 +161,13 @@ fn run_experiment(mutate: bool) -> Vec<TxnRecord> {
     history
 }
 
+/// The replay-worker kill switch is one process-wide flag: the tests that
+/// arm it take turns.
+static KILL_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn killed_replay_worker_fails_join_instead_of_hanging() {
+    let _turn = KILL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     use crossbeam::channel::unbounded;
     use remus::common::{DbError, SimConfig, TxnId};
     use remus::migration::mocc::ValidationRegistry;
@@ -178,7 +183,7 @@ fn killed_replay_worker_fails_join_instead_of_hanging() {
     let dest = Arc::clone(cluster.node(NodeId(1)));
     dest.storage.create_shard(ShardId(0));
     let registry = Arc::new(ValidationRegistry::new());
-    let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, registry, None);
+    let (replay, mut feed) = ReplayProcess::start(&cluster, &dest, registry);
 
     // The worker picking up the first job dies mid-job. The second job
     // writes the same key, so its key fence waits on the first job's
@@ -216,6 +221,73 @@ fn killed_replay_worker_fails_join_instead_of_hanging() {
         format!("{err}").contains("panicked"),
         "error does not mention the panic: {err}"
     );
+}
+
+/// Replay's first error stops `T_m`: a catch-up worker killed mid-job during
+/// a Remus migration under a concurrent writer fails the migration before
+/// ownership moves, so the source still owns the shard and serves its data.
+/// On the parent the error surfaced only when the pipeline joined replay,
+/// after `T_m` had committed and the destination owned the shard.
+#[test]
+fn a_killed_replay_worker_fails_the_migration_before_t_m() {
+    use remus::common::SimConfig;
+    use remus::migration::{MigrationEngine, MigrationTask, RemusEngine};
+    use remus::storage::mutation::{arm_kill_replay_worker, take_kill_replay_worker};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
+
+    let _turn = KILL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+    const ROWS: u64 = 2_000;
+    let mut config = SimConfig::instant();
+    // A copy of ≈ 10 ms, so the writer commits while it runs.
+    config.snapshot_copy_per_tuple = Duration::from_micros(5);
+    let cluster = ClusterBuilder::new(2).config(config).build();
+    let layout = cluster.create_table(TableId(1), 0, 1, |_| NodeId(0));
+    let session = Session::connect(&cluster, NodeId(0));
+    for k in 0..ROWS {
+        session.run(|t| t.insert(&layout, k, val("v0"))).unwrap();
+    }
+    let task = MigrationTask {
+        shards: vec![ShardId(0)],
+        source: NodeId(0),
+        dest: NodeId(1),
+    };
+    let (stop, commits) = (AtomicBool::new(false), AtomicU64::new(0));
+    let result = std::thread::scope(|s| {
+        s.spawn(|| {
+            let writer = Session::connect(&cluster, NodeId(0));
+            let mut k = 0;
+            while !stop.load(Ordering::SeqCst) {
+                if writer
+                    .run(|t| t.update(&layout, k % ROWS, val("w")))
+                    .is_ok()
+                {
+                    commits.fetch_add(1, Ordering::SeqCst);
+                }
+                k += 1;
+            }
+        });
+        while commits.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        arm_kill_replay_worker();
+        let result = RemusEngine.migrate(&cluster, &task);
+        stop.store(true, Ordering::SeqCst);
+        result
+    });
+    assert!(
+        !take_kill_replay_worker(),
+        "no replay job ran during the migration"
+    );
+    let err = result.expect_err("a migration whose replay worker died succeeded");
+    assert!(format!("{err}").contains("panicked"), "{err}");
+    let source = cluster.node(NodeId(0));
+    let owner = cluster.current_owner(source, ShardId(0)).unwrap();
+    assert_eq!(owner.node, NodeId(0), "T_m committed: the shard moved");
+    assert!(source.storage.hosts(ShardId(0)));
+    assert!(!cluster.node(NodeId(1)).storage.hosts(ShardId(0)));
+    let (rows, _) = session.run(|t| t.scan_table(&layout)).unwrap();
+    assert_eq!(rows.len() as u64, ROWS);
 }
 
 #[test]
