@@ -47,9 +47,6 @@ pub(crate) struct PushPipeline<'a> {
     /// never leaves async mode and everything ships asynchronously.
     pub(crate) hook: Arc<RemusHook>,
     hook_installed: bool,
-    /// The source's flush LSN when the copy finished: every message shipped
-    /// while the copy window was open came from a record at or below it.
-    copied_lsn: Lsn,
     /// `None` once [`Self::finish`] took them: nothing left to tear down.
     procs: Option<(Stream, ReplayProcess)>,
     tm_committed: bool,
@@ -99,9 +96,10 @@ impl<'a> PushPipeline<'a> {
         // finishes, the GC safe-ts watermark cannot pass the copy snapshot,
         // so no version the copy scan still needs is ever pruned.
         let (snapshot_ts, _snapshot_pin) = cluster.acquire_snapshot(task.source);
-        // The copy window opens before the stream ships anything.
+        // The copy window opens before the stream ships anything, and the
+        // copy records the keys catch-up mapped first for replay's check.
         let (replay, feed) = ReplayProcess::start(cluster, dest, registry);
-        replay.copy_running();
+        let gate = gate.recording(replay.copy_running());
         let applier = StreamApplier::migration(
             cluster,
             source,
@@ -120,7 +118,6 @@ impl<'a> PushPipeline<'a> {
             report: MigrationReport::new(engine),
             hook,
             hook_installed: sync_commits,
-            copied_lsn: Lsn::ZERO,
             procs: Some((stream, replay)),
             tm_committed: false,
             cleanup_span: None,
@@ -135,8 +132,7 @@ impl<'a> PushPipeline<'a> {
             &gate,
             Some((&p.rec, copy_span)),
         )?;
-        p.procs().1.copy_done(gate.mapped());
-        p.copied_lsn = source.storage.wal.flush_lsn();
+        p.procs().1.copy_done();
         p.report.tuples_copied = tuples;
         p.report.snapshot_phase = t0.elapsed();
         p.rec.attr(copy_span, "tuples_copied", tuples);
@@ -212,13 +208,13 @@ impl<'a> PushPipeline<'a> {
     /// SIREAD owed by source readers. `hand_over_ssi` is false for an
     /// engine that already doomed the straddlers and moved the rest.
     ///
-    /// Replay's first error stops it: once every message shipped while the
-    /// copy ran is applied, a fatal replay error or a provisional write the
-    /// copy proved out of order ([`ReplayProcess::check`]) is returned
-    /// before `T_m` is attempted, and the pipeline's unwind drops the
-    /// destination copy.
+    /// Replay's first error stops it: a fatal replay error or a provisional
+    /// write the copy proved out of order ([`ReplayProcess::check`]) is
+    /// returned before `T_m` is attempted, and the pipeline's unwind drops
+    /// the destination copy. Callers drain replay to a flush LSN taken
+    /// after the copy first, so every message shipped while the copy ran
+    /// is applied by then.
     pub(crate) fn divert(&mut self, hand_over_ssi: bool) -> DbResult<Timestamp> {
-        self.drain_to(self.copied_lsn, "copy-window replay")?;
         self.procs().1.check()?;
         let span = self.rec.start("tm_2pc");
         if hand_over_ssi {

@@ -32,10 +32,10 @@
 //! While the copy runs ([`ReplayProcess::copy_running`] until
 //! [`ReplayProcess::copy_done`]), a write that finds no version below it is
 //! *provisional* and recorded — an update of a key the copy has not reached
-//! yet, or an insert the copy will put a live base under. The copy hands
-//! over the keys whose row it placed into a chain already mapped, and
-//! [`ReplayProcess::check`] reconciles the two sets before `T_m`: a
-//! provisional insert whose key got a base is out of order, and so is a
+//! yet, or an insert the copy will put a live base under. The copy records
+//! the keys whose row it placed into a chain already mapped, into a set
+//! this process hands it, and [`ReplayProcess::check`] reconciles the two
+//! sets before `T_m`: a provisional insert whose key got a base is out of order, and so is a
 //! provisional update, delete or lock whose key got none. The check
 //! compares key sets and re-walks no chain, so GC after the copy's pin is
 //! released cannot disturb it.
@@ -86,6 +86,7 @@ use remus_txn::{
 use remus_wal::{Lsn, WriteKind, WriteOp};
 
 use crate::mocc::ValidationRegistry;
+use crate::snapshot::MappedKeys;
 
 /// A message from a migration stream to the replay process.
 #[derive(Debug)]
@@ -208,9 +209,9 @@ struct CopyWindow {
     open: AtomicBool,
     /// Catch-up writes that found no version below them while it was open.
     provisional: Mutex<Vec<(TxnId, WriteOp)>>,
-    /// The keys the copy placed a row into a mapped chain of; handed over
-    /// when the copy is done.
-    mapped: Mutex<HashSet<(ShardId, Key)>>,
+    /// The keys the copy placed a row into a mapped chain of: the copy's
+    /// gate records them here ([`crate::snapshot::CopyGate::recording`]).
+    mapped: MappedKeys,
 }
 
 struct ReplayShared {
@@ -469,16 +470,16 @@ impl ReplayProcess {
 
     /// Opens the copy window (module docs): from now until
     /// [`Self::copy_done`], a catch-up write that finds no version below it
-    /// is provisional. Called before the stream ships anything.
-    pub fn copy_running(&self) {
+    /// is provisional. Called before the stream ships anything. Returns the
+    /// set the copy's gate records into
+    /// ([`crate::snapshot::CopyGate::recording`]).
+    pub fn copy_running(&self) -> MappedKeys {
         self.shared.window.open.store(true, Ordering::SeqCst);
+        Arc::clone(&self.shared.window.mapped)
     }
 
-    /// Closes the copy window: the copy is done, and `mapped` are the keys
-    /// whose row it placed into a chain catch-up had mapped first
-    /// ([`crate::snapshot::CopyGate::mapped`]).
-    pub fn copy_done(&self, mapped: HashSet<(ShardId, Key)>) {
-        *self.shared.window.mapped.lock() = mapped;
+    /// Closes the copy window: the copy is done.
+    pub fn copy_done(&self) {
         self.shared.window.open.store(false, Ordering::SeqCst);
     }
 

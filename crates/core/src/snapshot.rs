@@ -23,10 +23,11 @@
 //! every copied timestamp.
 //!
 //! What catch-up cannot tell while the copy runs is whether a key it found
-//! empty will get a base: `move_range` records each key whose chain was
-//! already mapped when its row landed ([`CopyGate::mapped`]), and the
-//! replay reconciles its provisional writes against that set before `T_m`
-//! (`crate::replay`).
+//! empty will get a base: a migration's gate records each key whose chain
+//! was already mapped when its row landed into the replay's
+//! [`MappedKeys`] ([`CopyGate::recording`]), and the replay reconciles its
+//! provisional writes against that set before `T_m` (`crate::replay`).
+//! Other copies record nothing.
 //!
 //! A [`CopyGate`] is the one chunk map: each shard cut into chunks at
 //! [`ParallelismConfig::chunk_size`]-key boundaries, a done flag per chunk,
@@ -120,6 +121,10 @@ struct GateState {
     poisoned: bool,
 }
 
+/// The keys whose chain was already mapped when a copy installed their row:
+/// catch-up wrote (or locked) them first (module docs).
+pub type MappedKeys = Arc<Mutex<HashSet<(ShardId, Key)>>>;
+
 /// The chunk map of one migration's copy (or of Squall's pulls, or of a
 /// replica's backfill), and the pool that moves the chunks.
 ///
@@ -130,9 +135,8 @@ struct GateState {
 pub struct CopyGate {
     plans: HashMap<ShardId, ShardPlan>,
     state: Mutex<GateState>,
-    /// Keys whose chain was already mapped when the range move installed
-    /// their row: catch-up wrote (or locked) them first.
-    mapped: Mutex<HashSet<(ShardId, Key)>>,
+    /// Where the copy records [`MappedKeys`]; `None` records nothing.
+    mapped: Option<MappedKeys>,
 }
 
 /// One unit of copy work: a key-range chunk of one shard.
@@ -169,11 +173,6 @@ impl CopyGate {
         Ok(CopyGate::with_plans(plans, base))
     }
 
-    /// A gate for an empty task (no shards, no chunks).
-    pub fn open() -> CopyGate {
-        CopyGate::with_plans(HashMap::new(), 0)
-    }
-
     fn with_plans(plans: HashMap<ShardId, ShardPlan>, chunks: usize) -> CopyGate {
         CopyGate {
             plans,
@@ -181,7 +180,17 @@ impl CopyGate {
                 done: vec![false; chunks],
                 poisoned: false,
             }),
-            mapped: Mutex::new(HashSet::new()),
+            mapped: None,
+        }
+    }
+
+    /// This gate, its copy recording into `mapped` — a migration's, whose
+    /// replay hands the set out
+    /// ([`crate::replay::ReplayProcess::copy_running`]).
+    pub fn recording(self, mapped: MappedKeys) -> CopyGate {
+        CopyGate {
+            mapped: Some(mapped),
+            ..self
         }
     }
 
@@ -201,12 +210,6 @@ impl CopyGate {
     pub(crate) fn chunk_of(&self, shard: ShardId, key: Key) -> Option<ChunkJob> {
         let plan = self.plans.get(&shard)?;
         Some(plan.chunk(shard, plan.splits.chunk_of(key)))
-    }
-
-    /// The keys whose row the copy installed into a chain that was already
-    /// mapped — under what catch-up placed first (module docs).
-    pub fn mapped(&self) -> HashSet<(ShardId, Key)> {
-        self.mapped.lock().clone()
     }
 
     /// Whether `chunk` is marked copied: a look that never blocks.
@@ -297,20 +300,20 @@ impl CopyGate {
 /// The one range move: streams the versions of `chunk`'s key range visible
 /// at `ts` on `source` into `dest`'s table, each at its source commit
 /// timestamp ([`VersionedTable::install_committed`], module docs), and
-/// records in `gate` the keys whose chain was already mapped. Each tuple
-/// costs `per_tuple` and counts as work on both nodes, paid in batches of
-/// 256 to keep a modeled bandwidth without a syscall per tuple. Installs at
-/// most `limit` tuples. Returns the tuples installed.
+/// records in `mapped`, if given, the keys whose chain was already mapped.
+/// Each tuple costs `per_tuple` and counts as work on both nodes, paid in
+/// batches of 256 to keep a modeled bandwidth without a syscall per tuple.
+/// Installs at most `limit` tuples. Returns the tuples installed.
 ///
 /// [`VersionedTable::install_committed`]: remus_storage::VersionedTable::install_committed
 pub(crate) fn move_range(
-    gate: &CopyGate,
     source: &Node,
     dest: &Node,
     chunk: &ChunkJob,
     ts: Timestamp,
     per_tuple: Duration,
     limit: u64,
+    mapped: Option<&MappedKeys>,
 ) -> DbResult<u64> {
     let src_table = source.storage.table_or_err(chunk.shard)?;
     let dst_table = dest.storage.table_or_err(chunk.shard)?;
@@ -330,8 +333,8 @@ pub(crate) fn move_range(
         |key, value, cts| {
             if moved < limit {
                 let placed = dst_table.install_committed(key, Insert, value, FROZEN_TXN, cts, clog);
-                if placed.mapped {
-                    gate.mapped.lock().insert((chunk.shard, key));
+                if let Some(mapped) = mapped.filter(|_| placed.mapped) {
+                    mapped.lock().insert((chunk.shard, key));
                 }
                 moved += 1;
                 batch += 1;
@@ -364,7 +367,8 @@ fn copy_chunk(
     );
     let limit = if crash { CRASH_AFTER_TUPLES } else { u64::MAX };
     let per_tuple = cluster.config.snapshot_copy_per_tuple;
-    let copied = move_range(gate, source, dest, chunk, snapshot_ts, per_tuple, limit)?;
+    let mapped = gate.mapped.as_ref();
+    let copied = move_range(source, dest, chunk, snapshot_ts, per_tuple, limit, mapped)?;
     if crash {
         return Err(DbError::NodeUnavailable(source.id()));
     }
@@ -445,16 +449,7 @@ pub fn copy_shard_snapshot(
         range: (Bound::Unbounded, Bound::Unbounded),
     };
     let per_tuple = cluster.config.snapshot_copy_per_tuple;
-    let gate = CopyGate::open();
-    move_range(
-        &gate,
-        source,
-        dest,
-        &whole,
-        snapshot_ts,
-        per_tuple,
-        u64::MAX,
-    )
+    move_range(source, dest, &whole, snapshot_ts, per_tuple, u64::MAX, None)
 }
 
 /// Copies all of a task's shards with the configured chunked worker pool
@@ -544,9 +539,12 @@ mod tests {
         let later = Timestamp(snapshot_ts.0 + 10);
         remus_txn::redo_committed(&dst.storage, late, later, &update, |_, _| {}).unwrap();
         let copy = || {
+            let mapped = MappedKeys::default();
             let gate = CopyGate::plan(&[ShardId(0)], src, 64).unwrap();
+            let gate = gate.recording(Arc::clone(&mapped));
             copy_task_snapshots_gated(&cluster, src, dst, snapshot_ts, &gate, None).unwrap();
-            gate.mapped()
+            let keys = mapped.lock().clone();
+            keys
         };
         assert_eq!(copy(), HashSet::from([(ShardId(0), 2)]));
         // A retry finds every row mapped, by itself.

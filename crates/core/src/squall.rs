@@ -74,13 +74,13 @@ impl SquallState {
         time::charge(self.cluster.config.squall_pull_latency);
         self.cluster.net.hop(self.dest.id(), self.source.id());
         let n = move_range(
-            &self.gate,
             &self.source,
             &self.dest,
             chunk,
             Timestamp::MAX,
             Duration::ZERO,
             u64::MAX,
+            None,
         )?;
         self.pulled_tuples.fetch_add(n, Ordering::Relaxed);
         self.pulls.fetch_add(1, Ordering::Relaxed);

@@ -127,20 +127,19 @@ proptest! {
         for &k in &seeded {
             table.install_frozen(k, val(0, k));
         }
-        let gate = gated.then(|| CopyGate::plan(&[SHARD], source, 3).unwrap());
-
         let registry = Arc::new(ValidationRegistry::new());
         let (replay, mut feed) = ReplayProcess::start(&cluster, dest, registry);
-        if gated {
-            replay.copy_running();
-        }
+        let gate = gated.then(|| {
+            let gate = CopyGate::plan(&[SHARD], source, 3).unwrap();
+            gate.recording(replay.copy_running())
+        });
         for (i, msg) in stream(&seeded, &txns).into_iter().enumerate() {
             feed.ship(Lsn(i as u64 + 1), msg);
         }
         // The copy races the workers, which apply without waiting for it.
         if let Some(gate) = &gate {
             copy_task_snapshots_gated(&cluster, source, dest, Timestamp(2), gate, None).unwrap();
-            replay.copy_done(gate.mapped());
+            replay.copy_done();
         }
         drop(feed);
         replay.join().unwrap();

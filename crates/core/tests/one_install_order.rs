@@ -225,7 +225,7 @@ proptest! {
 
         let registry = Arc::new(ValidationRegistry::new());
         let (replay, feed) = ReplayProcess::start(&cluster, dest, registry);
-        replay.copy_running();
+        let mapped = replay.copy_running();
         let interleave = Arc::new(Interleave {
             catch_up: Mutex::new(Some(CatchUp {
                 replay,
@@ -237,12 +237,12 @@ proptest! {
             visits: AtomicUsize::new(0),
         });
         cluster.install_fault_injector(Arc::clone(&interleave) as Arc<dyn FaultInjector>);
-        let gate = CopyGate::plan(&[SHARD], source, chunk_size).unwrap();
+        let gate = CopyGate::plan(&[SHARD], source, chunk_size).unwrap().recording(mapped);
         let copied = copy_task_snapshots_gated(&cluster, source, dest, SNAPSHOT, &gate, None);
         cluster.uninstall_fault_injector();
         let mut catch_up = interleave.catch_up.lock().unwrap().take().unwrap();
         prop_assert_eq!(copied.unwrap(), seeded.len() as u64);
-        catch_up.replay.copy_done(gate.mapped());
+        catch_up.replay.copy_done();
         catch_up.ship(usize::MAX);
         prop_assert!(catch_up.replay.check().is_ok());
         let CatchUp { replay, feed, .. } = catch_up;
@@ -276,14 +276,16 @@ fn order_check(kind: WriteKind, live: bool, first: bool) -> [bool; 2] {
     commit_on_source(&cluster, std::slice::from_ref(&msg));
     let registry = Arc::new(ValidationRegistry::new());
     let (replay, feed) = ReplayProcess::start(&cluster, dest, registry);
-    replay.copy_running();
+    let mapped = replay.copy_running();
     let mut catch_up = CatchUp {
         replay,
         feed,
         msgs: vec![msg].into_iter(),
         shipped: 0,
     };
-    let gate = CopyGate::plan(&[SHARD], source, 2).unwrap();
+    let gate = CopyGate::plan(&[SHARD], source, 2)
+        .unwrap()
+        .recording(mapped);
     let copy = || copy_task_snapshots_gated(&cluster, source, dest, SNAPSHOT, &gate, None);
     if first {
         catch_up.ship(1);
@@ -292,7 +294,7 @@ fn order_check(kind: WriteKind, live: bool, first: bool) -> [bool; 2] {
         copy().unwrap();
         catch_up.ship(1);
     }
-    catch_up.replay.copy_done(gate.mapped());
+    catch_up.replay.copy_done();
     let before_tm = catch_up.replay.check().is_err();
     drop(catch_up.feed);
     [before_tm, catch_up.replay.join().is_err()]
@@ -317,5 +319,63 @@ fn a_catch_up_insert_of_a_key_live_in_the_snapshot_fails_the_migration() {
     for first in [true, false] {
         let failed = order_check(WriteKind::Insert, true, first);
         assert_eq!(failed, [true, true], "landing first: {first}");
+    }
+}
+
+/// A catch-up delete of key 5 that lands before its chunk — alone, after a
+/// lock that mapped the key first, or under a re-insert — leaves a chain GC
+/// drains once the copy has put the row under it: one version per live key
+/// and nothing left pending, as `gc_after_migration.rs` expects of a
+/// destination.
+#[test]
+fn a_catch_up_delete_before_its_chunk_leaves_its_chain_to_gc() {
+    use WriteKind::{Delete, Insert, Lock};
+    for (kinds, live) in [
+        (vec![Delete], 2),
+        (vec![Lock, Delete], 2),
+        (vec![Delete, Insert], 3),
+    ] {
+        let cluster = seeded_cluster(&[1, 5, 9], 1, 2);
+        let (source, dest) = (cluster.node(SOURCE), cluster.node(DEST));
+        let msgs: Vec<ApplyMsg> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| ApplyMsg::Committed {
+                xid: TxnId::new(SOURCE, 100 + i as u64),
+                start_ts: Timestamp(SNAPSHOT.0 + 1 + 2 * i as u64),
+                commit_ts: Timestamp(SNAPSHOT.0 + 2 + 2 * i as u64),
+                ops: vec![write(5, kind, val(i + 1, 5))],
+            })
+            .collect();
+        commit_on_source(&cluster, &msgs);
+        let registry = Arc::new(ValidationRegistry::new());
+        let (replay, feed) = ReplayProcess::start(&cluster, dest, registry);
+        let mapped = replay.copy_running();
+        let mut catch_up = CatchUp {
+            replay,
+            feed,
+            msgs: msgs.into_iter(),
+            shipped: 0,
+        };
+        catch_up.ship(usize::MAX);
+        let gate = CopyGate::plan(&[SHARD], source, 2)
+            .unwrap()
+            .recording(mapped);
+        copy_task_snapshots_gated(&cluster, source, dest, SNAPSHOT, &gate, None).unwrap();
+        catch_up.replay.copy_done();
+        catch_up.replay.check().unwrap();
+        drop(catch_up.feed);
+        catch_up.replay.join().unwrap();
+
+        let (table, clog) = (dest.storage.table(SHARD).unwrap(), &dest.storage.clog);
+        table.gc_step(Timestamp::MAX, clog, usize::MAX);
+        let stats = table.stats();
+        assert_eq!(
+            (stats.keys, stats.versions, stats.max_chain),
+            (live, live, 1),
+            "{kinds:?}: a chain that needed GC was not pending"
+        );
+        let idle = table.gc_step(Timestamp::MAX, clog, usize::MAX);
+        assert_eq!(idle.scanned, 0, "{kinds:?}: nothing is left pending");
     }
 }

@@ -80,16 +80,32 @@ impl<V> SlotTable<V> {
 
     /// Stores `value` under `key`, returning what it replaced.
     pub fn insert(&mut self, key: Key, value: V) -> Option<V> {
-        if let Some(slot) = self.get_mut(key) {
-            return Some(std::mem::replace(slot, value));
-        }
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
+        let mut value = Some(value);
+        let (slot, _) = self.get_or_insert_with(key, || value.take().expect("made once"));
+        value.map(|value| std::mem::replace(slot, value))
+    }
+
+    /// The value stored under `key`, stored from `make` first if there is
+    /// none, and whether it was: one probe, and a second when that grows
+    /// the table.
+    pub fn get_or_insert_with(&mut self, key: Key, make: impl FnOnce() -> V) -> (&mut V, bool) {
+        if self.slots.is_empty() {
             self.grow();
         }
-        let at = self.probe(key);
-        self.slots[at] = Some((key, value));
-        self.len += 1;
-        None
+        let mut at = self.probe(key);
+        let created = self.slots[at].is_none();
+        if created {
+            if (self.len + 1) * 8 > self.slots.len() * 7 {
+                self.grow();
+                at = self.probe(key);
+            }
+            self.slots[at] = Some((key, make()));
+            self.len += 1;
+        }
+        (
+            &mut self.slots[at].as_mut().expect("stored above").1,
+            created,
+        )
     }
 
     /// Doubles the slot array and re-seats every entry.
@@ -220,6 +236,24 @@ mod tests {
             }
         }
         assert_eq!(t.len(), 0);
+    }
+
+    /// `get_or_insert_with` makes and stores only what is missing, and
+    /// hands back the value stored either way.
+    #[test]
+    fn get_or_insert_with_makes_only_what_is_missing() {
+        let (mut t, mut model) = (SlotTable::default(), BTreeMap::new());
+        for i in 0..300u64 {
+            let k = (i % 200).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let present = model.contains_key(&k);
+            let (v, created) = t.get_or_insert_with(k, || {
+                assert!(!present, "made a value for stored key {k}");
+                i
+            });
+            assert_eq!(created, !present, "key {k}");
+            assert_eq!(*v, *model.entry(k).or_insert(i));
+        }
+        assert_matches(&t, &model, &[]);
     }
 
     #[test]

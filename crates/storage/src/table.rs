@@ -159,12 +159,15 @@ struct Index {
 }
 
 impl Index {
-    /// The key's node, mapped to an empty chain first if there is none.
-    fn node_or_create(&mut self, key: Key) -> &Node {
-        if self.slots.get(key).is_none() {
-            self.insert(key, VersionChain::default());
+    /// The key's node, mapped to an empty chain first if there is none, and
+    /// whether it was.
+    fn node_or_create(&mut self, key: Key) -> (&mut Node, bool) {
+        let empty = || Box::new(Mutex::new(VersionChain::default()));
+        let (node, created) = self.slots.get_or_insert_with(key, empty);
+        if let Some(ordered) = self.ordered.as_mut().filter(|_| created) {
+            ordered.insert(key);
         }
-        self.slots.get(key).expect("mapped just above")
+        (node, created)
     }
 
     /// Maps `key` to a node of its own holding `chain`, dropping the node
@@ -188,8 +191,8 @@ impl Index {
 }
 
 /// One lock stripe of the key index, and the keys in it GC has work on.
-/// Invariant, kept under the chain latch: a chain that is not exactly one
-/// live version has its key in `pending`. Not the converse: an abort or a
+/// Invariant, kept under the chain latch or the stripe's write lock: a chain
+/// that is not exactly one live version has its key in `pending`. Not the converse: an abort or a
 /// frozen install leaves a clean chain's key behind, which costs one visit.
 #[derive(Default)]
 struct Stripe {
@@ -215,7 +218,7 @@ impl Stripe {
             return None;
         }
         drop(index);
-        Some(f(self.index.write().node_or_create(key)))
+        Some(f(self.index.write().node_or_create(key).0))
     }
 
     /// The stripe read-locked, with its ordered keys in place.
@@ -572,6 +575,9 @@ impl VersionedTable {
     /// statement on its own version. A `Lock` installs nothing but maps the
     /// key, so a copy that lands later finds it mapped. Never waits: every
     /// version in a chain filled this way belongs to a resolved transaction.
+    /// Takes the stripe's write lock at once: a copy installs into keys the
+    /// table does not have yet, and a probe under the read lock first would
+    /// miss for nearly every row.
     ///
     /// Answers what the install found around its place, for a caller that
     /// checks the order a history arrived in against
@@ -585,36 +591,29 @@ impl VersionedTable {
         cts: Timestamp,
         clog: &Clog,
     ) -> Placement {
-        let version = (kind != WriteKind::Lock).then(|| {
+        let mut index = self.stripe_of(key).index.write();
+        let (node, created) = index.node_or_create(key);
+        let chain = node.get_mut();
+        let placed = placement(chain, clog, cts, !created);
+        if kind != WriteKind::Lock {
             let value = (kind != WriteKind::Delete).then_some(value);
-            Version::new(xid, value).committed_at(cts)
-        });
-        let newer = |v: &mut Version| matches!(v.status(clog), TxnStatus::Committed(c) if c > cts);
-        let place = |node: &Node, version: Option<Version>| {
-            let mut chain = node.lock();
-            let placed = placement(&mut chain, clog, cts);
-            if let Some(version) = version {
-                self.mutate(key, &mut chain, |chain| {
-                    match chain.committed_at_mut(cts, clog) {
-                        Some(own) => own.value = version.value,
-                        None => chain.insert_below(version, newer),
-                    }
-                });
-            }
-            placed
-        };
-        let stripe = self.stripe_of(key);
-        if let Some(node) = stripe.index.read().slots.get(key) {
-            return place(node, version);
+            let newer =
+                |v: &mut Version| matches!(v.status(clog), TxnStatus::Committed(c) if c > cts);
+            self.mutate(key, chain, |chain| {
+                match chain.committed_at_mut(cts, clog) {
+                    Some(own) => own.value = value,
+                    None => chain.insert_below(Version::new(xid, value).committed_at(cts), newer),
+                }
+            });
         }
-        let mut index = stripe.index.write();
-        if let Some(node) = index.slots.get(key) {
-            return place(node, version);
+        // A chain mapped just now was never clean, so `mutate` queued
+        // nothing. A lone tombstone or a lock's empty chain is GC's from the
+        // install's commit timestamp on: until then it is what a copy that
+        // lands later finds mapped, and a copy pins the watermark below it.
+        if created && !chain.is_one_live_version() {
+            self.stripe_of(key).pending.lock().insert((cts, key));
         }
-        // Unmapped: the version is the chain (a lock maps an empty one).
-        let chain = version.map_or_else(VersionChain::default, VersionChain::with);
-        index.insert(key, chain);
-        Placement::UNMAPPED
+        placed
     }
 
     /// Streams every tuple of `range` that `self_xid` sees at `snapshot_ts`
@@ -913,6 +912,33 @@ mod tests {
             t.read(7, Timestamp(30), xid(9), &clog, T).unwrap(),
             Some(val("s"))
         );
+    }
+
+    /// An install that maps a key to a lone tombstone or to a lock's empty
+    /// chain queues it at its commit timestamp: not due before, so a copied
+    /// row that lands under it later is not lost to GC, and drained after.
+    #[test]
+    fn an_install_that_maps_a_key_to_no_live_version_queues_it() {
+        let (t, clog) = (VersionedTable::with_stripes(2), Clog::new());
+        let install = |key, kind, n: u64, ts| {
+            let x = committed(&clog, n, ts, |_| {});
+            t.install_committed(key, kind, val("v"), x, Timestamp(ts), &clog)
+        };
+        install(1, WriteKind::Delete, 1, 20);
+        install(2, WriteKind::Lock, 2, 30);
+        assert_eq!(pending_keys(&t), vec![1, 2]);
+        assert_eq!(t.gc_step(Timestamp(10), &clog, 8).scanned, 0, "not due");
+        // The copied rows land under both.
+        install(1, WriteKind::Insert, 3, 5);
+        install(2, WriteKind::Insert, 4, 5);
+        t.gc_step(Timestamp(40), &clog, 8);
+        let stats = t.stats();
+        assert_eq!(
+            (stats.keys, stats.versions),
+            (1, 1),
+            "key 1 deleted, key 2 live"
+        );
+        assert!(pending_keys(&t).is_empty());
     }
 
     #[test]

@@ -122,13 +122,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// What an install finds at a key nobody mapped.
-    pub(crate) const UNMAPPED: Placement = Placement {
-        mapped: false,
-        on_top: true,
-        base: None,
-    };
-
     /// Whether a history applied in commit order allows `kind` here: nothing
     /// committed above it, an insert over no live version, and any other
     /// write over a live one.
@@ -137,9 +130,15 @@ impl Placement {
     }
 }
 
-/// Where a version committed at `cts` goes in this mapped key's chain: see
-/// [`Placement`]. Read before the install edits the chain.
-pub(crate) fn placement(chain: &mut VersionChain, clog: &Clog, cts: Timestamp) -> Placement {
+/// Where a version committed at `cts` goes in this chain, which was
+/// `mapped` before the install: see [`Placement`]. Read before the install
+/// edits the chain.
+pub(crate) fn placement(
+    chain: &mut VersionChain,
+    clog: &Clog,
+    cts: Timestamp,
+    mapped: bool,
+) -> Placement {
     let mut on_top = true;
     let base = chain.iter_mut().find_map(|v| {
         let base = match v.status(clog) {
@@ -152,7 +151,7 @@ pub(crate) fn placement(chain: &mut VersionChain, clog: &Clog, cts: Timestamp) -
         base.then(|| !v.deleted())
     });
     Placement {
-        mapped: true,
+        mapped,
         on_top,
         base,
     }
