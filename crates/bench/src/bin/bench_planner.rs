@@ -356,7 +356,7 @@ fn run_skew_leg(leg: &Leg<bool>) -> LegOutcome {
         let pilot = start_pilot(cluster, policy);
         let deadline = Instant::now() + RS_REACT_TIMEOUT;
         let answered = || match replicate {
-            true => cluster.read_offload_enabled() && !cluster.replica_ids().is_empty(),
+            true => !cluster.certified_replica_ids().is_empty(),
             false => !cluster
                 .node(NodeId(0))
                 .data_shards()

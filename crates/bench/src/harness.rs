@@ -31,7 +31,7 @@ use remus_clock::{OracleKind, TimestampOracle};
 use remus_cluster::{Cluster, ClusterBuilder, Session, SessionTxn};
 use remus_common::metrics::Timeline;
 use remus_common::{ClientId, NodeId, ParallelismConfig, ShardId, SimConfig, TableId};
-use remus_core::trace::expected_phases;
+use remus_core::trace::check_traces;
 pub use remus_core::EngineKind;
 use remus_core::{MigrationController, MigrationPlan, MigrationReport, MigrationTask};
 use remus_shard::TableLayout;
@@ -193,12 +193,7 @@ impl Rig {
         let report = MigrationController::new(Arc::clone(&self.cluster), self.engine.engine())
             .run_plan_aggregate(&MigrationPlan { tasks })
             .unwrap_or_else(|e| panic!("{name} migration failed: {e:?}"));
-        let canonical = expected_phases(name).expect("every engine has a canonical sequence");
-        for trace in &report.traces {
-            let well_formed = trace.check_well_formed();
-            well_formed.unwrap_or_else(|e| panic!("malformed migration trace: {e}"));
-            assert_eq!(trace.root_phases(), canonical, "{name}: phase sequence");
-        }
+        check_traces(&report).unwrap_or_else(|e| panic!("malformed migration trace: {e}"));
         report
     }
 

@@ -48,8 +48,8 @@ use remus_common::{
 use remus_core::diversion::run_tm;
 use remus_core::recovery::{recover_migration, RecoveryDecision};
 use remus_core::snapshot::copy_task_snapshots;
-use remus_core::trace::expected_phases;
-use remus_core::{start_replica, MigrationReport, MigrationTask, ReplicaProcess};
+use remus_core::trace::check_traces;
+use remus_core::{start_replica, MigrationTask, ReplicaProcess};
 use remus_planner::{Action, ObservationCollector, Planner};
 use remus_shard::TableLayout;
 use remus_storage::Value;
@@ -524,7 +524,13 @@ impl<'a> Lab<'a> {
         let landed = row.node == task.dest;
         let committed = result.is_ok() || landed;
         match result {
-            Ok(report) => self.out.violations.extend(check_migration_traces(&report)),
+            Ok(report) => {
+                if let Err(detail) = check_traces(&report) {
+                    let engine = report.engine.to_string();
+                    let malformed = Violation::TraceMalformed { engine, detail };
+                    self.out.violations.push(malformed);
+                }
+            }
             Err(e) => self.out.violations.push(Violation::MigrationFailed {
                 detail: format!("{e:?}"),
             }),
@@ -690,9 +696,10 @@ impl<'a> Lab<'a> {
         let (alpha, mut planner) = (policy.ewma_alpha, Planner::new(policy));
         let mut collector = ObservationCollector::new();
         // The replica the harness provisioned, if one is live. The harness
-        // executes replica decisions itself and never enables the cluster's
-        // read-offload flag, so the measured batches stay primary-routed and
-        // the planner's input stays seed-pure even while a replica is attached.
+        // executes replica decisions itself, and its measured batches run on
+        // primary `Session`s, which never read from a replica (only a
+        // `ReadRouter` offloads), so the planner's input stays seed-pure even
+        // while a replica is attached.
         let mut replica: Option<(NodeId, ReplicaProcess)> = None;
         // Every replica sweep shares client 900, so the checker's per-client
         // rule (watermarks never run backwards) spans the whole scenario.
@@ -860,35 +867,6 @@ impl<'a> Lab<'a> {
             ..out
         }
     }
-}
-
-/// Post-hoc trace invariant: a migration that reported success must carry
-/// well-formed span trees whose root phases match the engine's canonical
-/// protocol order (copy before barrier before `T_m`; no unclosed spans).
-fn check_migration_traces(report: &MigrationReport) -> Vec<Violation> {
-    let malformed = |engine: &dyn std::fmt::Display, detail: String| Violation::TraceMalformed {
-        engine: engine.to_string(),
-        detail,
-    };
-    let mut violations = Vec::new();
-    if report.traces.is_empty() {
-        let detail = "successful migration recorded no trace".to_string();
-        violations.push(malformed(&report.engine, detail));
-    }
-    for trace in &report.traces {
-        if let Err(detail) = trace.check_well_formed() {
-            violations.push(malformed(&trace.engine, detail));
-            continue;
-        }
-        if let Some(expected) = expected_phases(trace.engine) {
-            let got = trace.root_phases();
-            if got != expected {
-                let detail = format!("phase sequence {got:?}, expected {expected:?}");
-                violations.push(malformed(&trace.engine, detail));
-            }
-        }
-    }
-    violations
 }
 
 #[cfg(test)]

@@ -295,9 +295,6 @@ pub struct Cluster {
     access_hook: parking_lot::RwLock<Option<Arc<dyn AccessHook>>>,
     fault_injector: parking_lot::RwLock<Option<Arc<dyn FaultInjector>>>,
     replicas: ReplicaRegistry,
-    /// When set, session reads may be served by certified replicas whose
-    /// watermark covers the transaction's snapshot.
-    read_offload: AtomicBool,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -428,7 +425,6 @@ impl ClusterBuilder {
             access_hook: parking_lot::RwLock::new(None),
             fault_injector: parking_lot::RwLock::new(None),
             replicas: ReplicaRegistry::default(),
-            read_offload: AtomicBool::new(false),
         })
     }
 }
@@ -546,7 +542,7 @@ impl Cluster {
         let node = self.node(id);
         // Keeping the map-replica table preserves its Arc identity, which
         // `Node::map_replica` shares.
-        node.storage.crash_reset(&[SHARD_MAP_SHARD])?;
+        let recovery = node.storage.crash_reset(&[SHARD_MAP_SHARD])?;
         let peer = self.nodes.iter().find(|n| n.id() != id);
         let tables = self.registered_tables.lock().clone();
         for layout in &tables {
@@ -562,7 +558,7 @@ impl Cluster {
                 }
             }
         }
-        replay_node_wal(&node.storage)
+        replay_node_wal(&node.storage, recovery)
     }
 
     // ---- active transaction accounting ----
@@ -748,26 +744,17 @@ impl Cluster {
         self.replicas.get(node)
     }
 
-    /// Enables or disables transparent watermark-safe read offload in
-    /// [`crate::Session`] transactions (set by the autopilot executor when
-    /// replicas are provisioned or torn down).
-    pub fn set_read_offload(&self, on: bool) {
-        self.read_offload.store(on, Ordering::Relaxed);
-    }
-
-    /// True when session reads may be served by certified replicas.
-    pub fn read_offload_enabled(&self) -> bool {
-        self.read_offload.load(Ordering::Relaxed)
-    }
-
-    /// True if `node` is registered as a replica.
-    pub fn is_replica(&self, node: NodeId) -> bool {
-        self.replicas.contains(node)
-    }
-
     /// Ids of all registered replicas, sorted.
     pub fn replica_ids(&self) -> Vec<NodeId> {
         self.replicas.ids()
+    }
+
+    /// Ids of the registered replicas that are certified, sorted: the ones
+    /// a [`crate::ReadRouter`] may send a read-only transaction to.
+    pub fn certified_replica_ids(&self) -> Vec<NodeId> {
+        let mut ids = self.replicas.ids();
+        ids.retain(|id| self.replicas.get(*id).is_some_and(|h| h.is_certified()));
+        ids
     }
 
     /// Ids of all nodes *not* registered as replicas, sorted — the nodes a
@@ -1702,6 +1689,53 @@ mod tests {
         // into ENOTEMPTY).
         drop(session);
         drop(session0);
+        drop(c);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A WAL truncation pass that lands between the reopen and replay finds
+    /// no active transaction and no slot on the restarted node; unless the
+    /// recovery tail's slot holds it off, it cuts the reopened log to its
+    /// flush LSN and replay reads nothing.
+    #[test]
+    fn a_truncation_pass_during_restart_loses_no_recovered_record() {
+        let (c, dir) = file_backed_cluster("restart-truncate");
+        let layout = c.create_table(TableId(1), 0, 4, |_| NodeId(0));
+        let session = crate::Session::connect(&c, NodeId(0));
+        let value = remus_storage::Value::copy_from_slice(b"v");
+        let mut last_cts = Timestamp(0);
+        for key in 0..400u64 {
+            let (_, cts) = session
+                .run(|t| t.insert(&layout, key, value.clone()))
+                .unwrap();
+            last_cts = last_cts.max(cts);
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let truncator = {
+            let (c, stop) = (Arc::clone(&c), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    c.wal_truncate_tick();
+                }
+            })
+        };
+        for restart in 0..20 {
+            let summary = c.restart_node(NodeId(0)).unwrap();
+            assert_eq!(summary.committed, 400, "restart {restart}: {summary:?}");
+        }
+        stop.store(true, Ordering::Relaxed);
+        truncator.join().unwrap();
+        let mut txn = session.begin_after(last_cts);
+        for key in 0..400u64 {
+            let read = txn.read(&layout, key).unwrap();
+            assert_eq!(
+                read.as_ref(),
+                Some(&value),
+                "key {key} lost across restarts"
+            );
+        }
+        txn.commit().unwrap();
+        drop(session);
         drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
     }

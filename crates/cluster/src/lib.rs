@@ -31,5 +31,5 @@ pub use load::{ShardLoad, ShardLoadCell, ShardLoadSnapshot, ShardLoadTracker};
 pub use node::Node;
 pub use pool::SessionPool;
 pub use replica::{ReplicaHandle, ReplicaSession, ReplicaTxn};
-pub use router::{ReadRouter, ReadTxn};
+pub use router::{Offloaded, ReadRouter, ReadTxn};
 pub use session::{Session, SessionTxn};

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use remus_common::{time, DbError, DbResult, NodeId, Timestamp, TxnId};
+use remus_common::{time, DbError, DbResult, NodeId, ShardId, Timestamp, TxnId};
 use remus_shard::TableLayout;
 use remus_storage::{Key, Value};
 
@@ -347,8 +347,13 @@ impl ReplicaTxn<'_> {
         )
     }
 
-    /// Scans every shard of `layout` visible at the watermark.
-    pub fn scan_table(&self, layout: &TableLayout) -> DbResult<Vec<(Key, Value)>> {
+    /// Scans every shard of `layout` visible at the watermark, telling
+    /// `served` how many rows each shard gave.
+    pub fn scan_table(
+        &self,
+        layout: &TableLayout,
+        mut served: impl FnMut(ShardId, u64),
+    ) -> DbResult<Vec<(Key, Value)>> {
         let storage = &self.session.node.storage;
         let mut out = Vec::new();
         for shard in layout.shard_ids() {
@@ -362,6 +367,7 @@ impl ReplicaTxn<'_> {
                 storage.config.lock_wait_timeout,
             )?;
             self.session.node.work.add(rows.len() as u64);
+            served(shard, rows.len() as u64);
             out.extend(rows);
         }
         Ok(out)
@@ -428,8 +434,6 @@ mod tests {
         assert!(ReplicaSession::connect(&c, NodeId(1)).is_err());
         c.register_replica(NodeId(1));
         assert!(ReplicaSession::connect(&c, NodeId(1)).is_ok());
-        assert!(c.is_replica(NodeId(1)));
-        assert!(!c.is_replica(NodeId(0)));
         assert_eq!(c.replica_ids(), vec![NodeId(1)]);
         assert_eq!(c.primary_ids(), vec![NodeId(0)]);
     }

@@ -1,26 +1,41 @@
 //! Read routing across primaries and replicas.
 //!
 //! A [`ReadRouter`] is the client-side half of the replicate-or-migrate
-//! autopilot: it sends whole read-only transactions to a certified replica
-//! when the cluster has read offload enabled, and falls back to an ordinary
-//! primary [`Session`] otherwise. Replica-side transactions snapshot at the
-//! apply watermark — watermark-safe by construction — and skip the shared
-//! timestamp oracle and primary-side storage entirely, which is where the
-//! read-scaling win comes from. Writes never route here: a writing client
-//! keeps its own primary [`Session`].
+//! autopilot and the one way a read reaches a replica on a primary
+//! client's behalf: it sends whole read-only transactions to a certified
+//! replica, and falls back to an ordinary primary [`Session`] otherwise.
+//! Replica-side transactions snapshot at the apply watermark —
+//! watermark-safe by construction — and skip the shared timestamp oracle
+//! and primary-side storage entirely, which is where the read-scaling win
+//! comes from. Writes never route here: a writing client keeps its own
+//! primary [`Session`].
+//!
+//! Two rules go with the offload:
+//!
+//! * **Safety.** Under [`IsolationLevel::Serializable`] or
+//!   [`CcMode::ShardLock`] every transaction stays on the primary: a
+//!   replica read takes no SIREAD lock and no shard lock, so a concurrent
+//!   writer would miss the rw-antidependency or the partition lock.
+//! * **Load accounting.** A transaction a replica served charges its reads
+//!   and scanned rows to each owning shard's offloaded demand
+//!   ([`ShardLoadCell::charge_offloaded`]) and to the
+//!   `replica.offloaded_reads` counter, once per shard when it ends — so
+//!   the planner still sees the demand that keeps a busy replica alive.
+//!
+//! [`ShardLoadCell::charge_offloaded`]: crate::ShardLoadCell::charge_offloaded
 
 use std::sync::Arc;
 
-use remus_common::{DbResult, NodeId, Timestamp};
+use remus_common::{DbResult, IsolationLevel, NodeId, ShardId, Timestamp};
 use remus_shard::TableLayout;
 use remus_storage::{Key, Value};
 
-use crate::cluster::Cluster;
+use crate::cluster::{CcMode, Cluster};
 use crate::replica::{ReplicaSession, ReplicaTxn};
 use crate::session::{Session, SessionTxn};
 
-/// Routes read-only transactions to a replica when one is live, certified,
-/// and offload is enabled; to the primary session otherwise.
+/// Routes read-only transactions to a certified replica when the rules
+/// allow it; to the primary session otherwise.
 pub struct ReadRouter {
     cluster: Arc<Cluster>,
     primary: Session,
@@ -49,17 +64,47 @@ impl std::fmt::Debug for ReadRouter {
 pub enum ReadTxn<'r> {
     /// Snapshot read on the primary (pays the oracle and owner routing).
     Primary(SessionTxn<'r>),
-    /// Snapshot read at a replica's apply watermark.
-    Replica(ReplicaTxn<'r>),
+    /// Snapshot read at a replica's apply watermark, with the reads it
+    /// served.
+    Replica(ReplicaTxn<'r>, Offloaded<'r>),
+}
+
+/// The reads a replica served for one [`ReadTxn`], per owning shard:
+/// charged to the shards' offloaded demand and to
+/// `replica.offloaded_reads` when the transaction ends.
+#[derive(Debug)]
+pub struct Offloaded<'r> {
+    cluster: &'r Cluster,
+    reads: Vec<(ShardId, u64)>,
+}
+
+impl Offloaded<'_> {
+    fn add(&mut self, shard: ShardId, reads: u64) {
+        match self.reads.iter_mut().find(|(s, _)| *s == shard) {
+            Some((_, n)) => *n += reads,
+            None => self.reads.push((shard, reads)),
+        }
+    }
+}
+
+impl Drop for Offloaded<'_> {
+    fn drop(&mut self) {
+        let mut total = 0;
+        for &(shard, reads) in &self.reads {
+            self.cluster.load.cell(shard).charge_offloaded(reads);
+            total += reads;
+        }
+        if total > 0 {
+            let counter = self.cluster.metrics.counter("replica.offloaded_reads");
+            counter.add(total);
+        }
+    }
 }
 
 impl ReadTxn<'_> {
     /// Reads `key` of `layout`'s table (sharded by the key itself).
     pub fn read(&mut self, layout: &TableLayout, key: Key) -> DbResult<Option<Value>> {
-        match self {
-            ReadTxn::Primary(txn) => txn.read(layout, key),
-            ReadTxn::Replica(txn) => txn.read(layout, key),
-        }
+        self.read_at(layout, key, key)
     }
 
     /// Reads `key`, routed by an explicit sharding key.
@@ -71,7 +116,10 @@ impl ReadTxn<'_> {
     ) -> DbResult<Option<Value>> {
         match self {
             ReadTxn::Primary(txn) => txn.read_at(layout, sharding_key, key),
-            ReadTxn::Replica(txn) => txn.read_at(layout, sharding_key, key),
+            ReadTxn::Replica(txn, served) => {
+                served.add(layout.shard_for(sharding_key), 1);
+                txn.read_at(layout, sharding_key, key)
+            }
         }
     }
 
@@ -79,7 +127,7 @@ impl ReadTxn<'_> {
     pub fn scan_table(&mut self, layout: &TableLayout) -> DbResult<Vec<(Key, Value)>> {
         match self {
             ReadTxn::Primary(txn) => txn.scan_table(layout),
-            ReadTxn::Replica(txn) => txn.scan_table(layout),
+            ReadTxn::Replica(txn, served) => txn.scan_table(layout, |s, n| served.add(s, n)),
         }
     }
 
@@ -87,21 +135,21 @@ impl ReadTxn<'_> {
     pub fn snap_ts(&self) -> Timestamp {
         match self {
             ReadTxn::Primary(txn) => txn.start_ts(),
-            ReadTxn::Replica(txn) => txn.snap_ts(),
+            ReadTxn::Replica(txn, _) => txn.snap_ts(),
         }
     }
 
     /// True when a replica serves this transaction.
     pub fn is_replica(&self) -> bool {
-        matches!(self, ReadTxn::Replica(_))
+        matches!(self, ReadTxn::Replica(..))
     }
 
     /// Ends the transaction (read-only commit on the primary; replica
-    /// transactions just release their snapshot pin).
+    /// transactions release their snapshot pin and charge their reads).
     pub fn finish(self) -> DbResult<()> {
         match self {
             ReadTxn::Primary(txn) => txn.commit().map(|_| ()),
-            ReadTxn::Replica(_) => Ok(()),
+            ReadTxn::Replica(..) => Ok(()),
         }
     }
 }
@@ -120,40 +168,32 @@ impl ReadRouter {
         }
     }
 
-    /// The primary fallback session (e.g. to thread its causal token into a
-    /// read-your-writes pairing).
-    pub fn primary(&self) -> &Session {
-        &self.primary
-    }
-
     /// The replica currently serving this router, if any.
     pub fn replica_node(&self) -> Option<NodeId> {
         self.replica.as_ref().map(|(id, _)| *id)
     }
 
     /// Re-validates the cached replica endpoint against the registry:
-    /// drops it if offload was disabled or the replica was decommissioned,
-    /// and connects to a certified replica when one became available.
+    /// drops it if the replica was decommissioned or lost its
+    /// certification, and connects to a certified replica when one became
+    /// available — unless the safety rule keeps every read on the primary.
     fn refresh(&mut self) {
-        if !self.cluster.read_offload_enabled() {
-            self.replica = None;
+        let cluster = &self.cluster;
+        if cluster.cc_mode == CcMode::ShardLock
+            || cluster.config.isolation == IsolationLevel::Serializable
+        {
             return;
         }
         if let Some((id, _)) = &self.replica {
-            if !self.cluster.replica(*id).is_some_and(|h| h.is_certified()) {
+            if !cluster.replica(*id).is_some_and(|h| h.is_certified()) {
                 self.replica = None;
             }
         }
         if self.replica.is_none() {
-            let certified: Vec<NodeId> = self
-                .cluster
-                .replica_ids()
-                .into_iter()
-                .filter(|id| self.cluster.replica(*id).is_some_and(|h| h.is_certified()))
-                .collect();
+            let certified = cluster.certified_replica_ids();
             if !certified.is_empty() {
                 let id = certified[self.salt % certified.len()];
-                if let Ok(session) = ReplicaSession::connect(&self.cluster, id) {
+                if let Ok(session) = ReplicaSession::connect(cluster, id) {
                     self.replica = Some((id, session));
                 }
             }
@@ -166,7 +206,11 @@ impl ReadRouter {
     pub fn begin(&mut self) -> DbResult<ReadTxn<'_>> {
         self.refresh();
         if let Some((_, session)) = &self.replica {
-            return Ok(ReadTxn::Replica(session.begin()?));
+            let served = Offloaded {
+                cluster: &self.cluster,
+                reads: Vec::new(),
+            };
+            return Ok(ReadTxn::Replica(session.begin()?, served));
         }
         Ok(ReadTxn::Primary(self.primary.begin()))
     }
@@ -177,6 +221,8 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterBuilder;
     use remus_common::TableId;
+    use remus_txn::redo_committed;
+    use remus_wal::{WriteKind, WriteOp};
 
     #[test]
     fn router_uses_primary_until_a_replica_is_certified() {
@@ -192,8 +238,7 @@ mod tests {
         assert!(!txn.is_replica());
         txn.finish().unwrap();
 
-        // Offload on but the replica is uncertified: still the primary.
-        cluster.set_read_offload(true);
+        // Registered but uncertified: still the primary.
         let handle = cluster.register_replica(NodeId(2));
         let txn = router.begin().unwrap();
         assert!(!txn.is_replica());
@@ -212,5 +257,84 @@ mod tests {
         let txn = router.begin().unwrap();
         assert!(!txn.is_replica());
         txn.finish().unwrap();
+    }
+
+    /// A cluster built by `build` with keys 0..8 in one table on nodes 0
+    /// and 1, and node 2 a certified replica that holds the same rows.
+    fn with_certified_replica(build: ClusterBuilder) -> (Arc<Cluster>, TableLayout) {
+        let cluster = build.build();
+        let layout = cluster.create_table(TableId(1), 0, 4, |i| NodeId(i % 2));
+        let session = Session::connect(&cluster, NodeId(0));
+        let value = Value::copy_from_slice(b"v");
+        let keys = 0..8;
+        let insert = |t: &mut SessionTxn<'_>| {
+            keys.clone()
+                .try_for_each(|k| t.insert(&layout, k, value.clone()))
+        };
+        let ((), cts) = session.run(insert).unwrap();
+        let writes: Vec<WriteOp> = keys
+            .map(|key| WriteOp {
+                shard: layout.shard_for(key),
+                key,
+                kind: WriteKind::Insert,
+                value: value.clone(),
+            })
+            .collect();
+        let replica = &cluster.node(NodeId(2)).storage;
+        redo_committed(replica, replica.alloc_xid(), cts, &writes, |_, _| {}).unwrap();
+        let handle = cluster.register_replica(NodeId(2));
+        handle.advance_watermark(&cluster, cts);
+        handle.mark_certified();
+        (cluster, layout)
+    }
+
+    #[test]
+    fn serializable_and_shard_lock_reads_stay_on_the_primary() {
+        let builds = [
+            ClusterBuilder::new(3).isolation(IsolationLevel::Serializable),
+            ClusterBuilder::new(3).cc_mode(CcMode::ShardLock),
+        ];
+        for build in builds {
+            let (cluster, layout) = with_certified_replica(build);
+            let mut router = ReadRouter::new(&cluster, NodeId(0), 0);
+            let mut txn = router.begin().unwrap();
+            let modes = (cluster.config.isolation, cluster.cc_mode);
+            assert!(!txn.is_replica(), "{modes:?}");
+            assert!(txn.read(&layout, 1).unwrap().is_some());
+            txn.finish().unwrap();
+            assert_eq!(router.replica_node(), None);
+        }
+    }
+
+    #[test]
+    fn replica_served_reads_charge_the_owning_shards_offloaded_demand() {
+        let (cluster, layout) = with_certified_replica(ClusterBuilder::new(3));
+        cluster.roll_load_window(1.0);
+        let mut router = ReadRouter::new(&cluster, NodeId(0), 0);
+        let mut txn = router.begin().unwrap();
+        assert!(txn.is_replica());
+        let (k1, k2) = (0, 1);
+        assert_ne!(layout.shard_for(k1), layout.shard_for(k2));
+        for key in [k1, k1, k1, k2] {
+            assert!(txn.read(&layout, key).unwrap().is_some());
+        }
+        txn.finish().unwrap();
+        let snap = cluster.roll_load_window(1.0);
+        assert_eq!(snap.load_of(layout.shard_for(k1)).offloaded, 3.0);
+        assert_eq!(snap.load_of(layout.shard_for(k2)).offloaded, 1.0);
+        // Owner load is untouched: the replica served these reads.
+        assert_eq!(snap.load_of(layout.shard_for(k1)).reads, 0.0);
+        let counter = cluster.metrics.counter("replica.offloaded_reads");
+        assert_eq!(counter.get(), 4);
+        // A scan charges each shard the rows it gave, also when the
+        // transaction is dropped instead of finished.
+        let mut txn = router.begin().unwrap();
+        let rows = txn.scan_table(&layout).unwrap().len() as f64;
+        assert_eq!(rows, 8.0);
+        drop(txn);
+        let snap = cluster.roll_load_window(1.0);
+        let offloaded: f64 = layout.shard_ids().map(|s| snap.load_of(s).offloaded).sum();
+        assert_eq!(offloaded, rows);
+        assert_eq!(counter.get(), 4 + rows as u64);
     }
 }

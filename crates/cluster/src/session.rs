@@ -10,6 +10,9 @@
 //! Under [`CcMode::ShardLock`] every statement additionally takes an
 //! H-store-style shard lock held until transaction end (the Squall
 //! regime).
+//!
+//! Every statement runs on a primary. A read-only transaction that a
+//! replica may serve begins through [`crate::ReadRouter`] instead.
 
 use std::sync::Arc;
 
@@ -154,16 +157,13 @@ impl Session {
 struct ShardUse {
     shard: ShardId,
     /// The sticky routing decision: once a shard is routed for this
-    /// transaction, every later statement goes to the same node. `None`
-    /// while only offloaded reads have touched the shard.
-    node: Option<NodeId>,
+    /// transaction, every later statement goes to the same node.
+    node: NodeId,
     /// Local tallies, flushed to the cluster's load tracker once at
     /// transaction end — the statement path stays free of shared-state
-    /// traffic. `offloaded` counts reads a certified replica served instead
-    /// of the shard's owner.
+    /// traffic.
     reads: u64,
     writes: u64,
-    offloaded: u64,
 }
 
 /// An open transaction on a session.
@@ -211,40 +211,29 @@ impl<'s> SessionTxn<'s> {
     /// shard-id order. The chaos harness records these to check that
     /// routing across a migration is monotone in snapshot order.
     pub fn routes(&self) -> Vec<(ShardId, NodeId)> {
-        let routed = self.touched.iter();
-        routed.filter_map(|u| Some((u.shard, u.node?))).collect()
-    }
-
-    /// Where `shard`'s entry is in `touched`, or where it would go.
-    fn find(&self, shard: ShardId) -> Result<usize, usize> {
-        self.touched.binary_search_by_key(&shard, |u| u.shard)
-    }
-
-    /// `shard`'s entry, made first if this is the first touch.
-    fn touch(&mut self, shard: ShardId) -> &mut ShardUse {
-        let at = self.find(shard).unwrap_or_else(|at| {
-            let fresh = ShardUse {
-                shard,
-                node: None,
-                reads: 0,
-                writes: 0,
-                offloaded: 0,
-            };
-            self.touched.insert(at, fresh);
-            at
-        });
-        &mut self.touched[at]
+        self.touched.iter().map(|u| (u.shard, u.node)).collect()
     }
 
     /// Routes `shard` for this transaction (sticky: the first decision,
-    /// made with the begin-time snapshot, is reused for later statements).
-    fn route_for(&mut self, shard: ShardId) -> DbResult<Arc<Node>> {
-        if let Some(node) = self.find(shard).ok().and_then(|at| self.touched[at].node) {
-            return Ok(Arc::clone(self.session.cluster.node(node)));
-        }
-        let node = self.session.route(shard, self.begin_ts)?;
-        self.touch(shard).node = Some(node.id());
-        Ok(node)
+    /// made with the begin-time snapshot, is reused for later statements)
+    /// and returns the node and where `shard`'s entry is in `touched`.
+    fn route_for(&mut self, shard: ShardId) -> DbResult<(Arc<Node>, usize)> {
+        let at = match self.touched.binary_search_by_key(&shard, |u| u.shard) {
+            Ok(at) => at,
+            Err(at) => {
+                let node = self.session.route(shard, self.begin_ts)?;
+                let fresh = ShardUse {
+                    shard,
+                    node: node.id(),
+                    reads: 0,
+                    writes: 0,
+                };
+                self.touched.insert(at, fresh);
+                return Ok((node, at));
+            }
+        };
+        let node = self.session.cluster.node(self.touched[at].node);
+        Ok((Arc::clone(node), at))
     }
 
     fn lock_shard(&mut self, shard: ShardId) -> DbResult<()> {
@@ -287,74 +276,13 @@ impl<'s> SessionTxn<'s> {
     ) -> DbResult<Option<Value>> {
         let shard = layout.shard_for(sharding_key);
         self.lock_shard(shard)?;
-        if let Some(replica) = self.offload_target(shard) {
-            // Watermark-safe replica offload: every commit at or below our
-            // snapshot is applied on the replica, and this transaction has
-            // no uncommitted writes on the shard, so the replica-local read
-            // equals the primary read at the same snapshot.
-            if let Some(table) = replica.storage.table(shard) {
-                if let Some(hook) = self.session.cluster.access_hook() {
-                    hook.before_access(replica.id(), shard, key, false, self.txn.xid)?;
-                }
-                replica.work.add(1);
-                self.touch(shard).offloaded += 1;
-                return table.read(
-                    key,
-                    self.txn.start_ts,
-                    TxnId::INVALID,
-                    &replica.storage.clog,
-                    replica.storage.config.lock_wait_timeout,
-                );
-            }
-        }
-        let node = self.route_for(shard)?;
+        let (node, at) = self.route_for(shard)?;
         if let Some(hook) = self.session.cluster.access_hook() {
             hook.before_access(node.id(), shard, key, false, self.txn.xid)?;
         }
         node.work.add(1);
-        self.touch(shard).reads += 1;
+        self.touched[at].reads += 1;
         self.txn.read(&node.storage, shard, key)
-    }
-
-    /// A replica node eligible to serve this transaction's reads of
-    /// `shard`, if offload is enabled. Soundness needs (a) a certified
-    /// replica whose apply watermark covers the transaction's snapshot —
-    /// every commit visible to the snapshot is already applied — and (b) no
-    /// writes by *this* transaction on the shard, because its uncommitted
-    /// versions exist only on the primary. Shard-lock mode refreshes the
-    /// snapshot per statement and serializes through partition locks, so
-    /// offload stays MVCC-only. Serializable mode never offloads: a
-    /// replica-served read takes no SIREAD lock, so a concurrent writer on
-    /// the primary would miss the rw-antidependency and a dangerous
-    /// structure could slip through.
-    fn offload_target(&self, shard: ShardId) -> Option<Arc<Node>> {
-        let cluster = &self.session.cluster;
-        if cluster.cc_mode != CcMode::Mvcc || !cluster.read_offload_enabled() {
-            return None;
-        }
-        if self.txn.ssi_handle().is_some() {
-            return None;
-        }
-        if self.find(shard).is_ok_and(|at| self.touched[at].writes > 0) {
-            return None;
-        }
-        let replicas = cluster.replica_ids();
-        if replicas.is_empty() {
-            return None;
-        }
-        // Rotate by shard id so shards spread across a replica pool; fall
-        // through the rotation until a watermark-safe replica turns up.
-        let salt = shard.0 as usize % replicas.len();
-        for i in 0..replicas.len() {
-            let id = replicas[(salt + i) % replicas.len()];
-            let Some(handle) = cluster.replica(id) else {
-                continue;
-            };
-            if handle.is_certified() && handle.watermark() >= self.txn.start_ts {
-                return Some(Arc::clone(cluster.node(id)));
-            }
-        }
-        None
     }
 
     /// Inserts `key -> value`.
@@ -416,12 +344,12 @@ impl<'s> SessionTxn<'s> {
     ) -> DbResult<()> {
         let shard = layout.shard_for(sharding_key);
         self.lock_shard(shard)?;
-        let node = self.route_for(shard)?;
+        let (node, at) = self.route_for(shard)?;
         if let Some(hook) = self.session.cluster.access_hook() {
             hook.before_access(node.id(), shard, key, true, self.txn.xid)?;
         }
         node.work.add(1);
-        self.touch(shard).writes += 1;
+        self.touched[at].writes += 1;
         op(&mut self.txn, &node.storage, shard)
     }
 
@@ -432,7 +360,7 @@ impl<'s> SessionTxn<'s> {
         let mut out = Vec::new();
         for shard in layout.shard_ids() {
             self.lock_shard(shard)?;
-            let node = self.route_for(shard)?;
+            let (node, at) = self.route_for(shard)?;
             if let Some(hook) = self.session.cluster.access_hook() {
                 hook.before_scan(node.id(), shard, self.txn.xid)?;
             }
@@ -455,7 +383,7 @@ impl<'s> SessionTxn<'s> {
             )?;
             let rows = (out.len() - before) as u64;
             node.work.add(rows);
-            self.touch(shard).reads += rows;
+            self.touched[at].reads += rows;
         }
         Ok(out)
     }
@@ -494,19 +422,9 @@ impl<'s> SessionTxn<'s> {
     fn finish(&mut self) {
         if !self.finished {
             self.release_locks();
-            let mut offloaded_total = 0;
             for used in &self.touched {
                 let cell = self.session.cluster.load.cell(used.shard);
                 cell.charge(used.reads, used.writes);
-                cell.charge_offloaded(used.offloaded);
-                offloaded_total += used.offloaded;
-            }
-            if offloaded_total > 0 {
-                self.session
-                    .cluster
-                    .metrics
-                    .counter("replica.offloaded_reads")
-                    .add(offloaded_total);
             }
             let coordinator = self.session.coordinator.id();
             self.session.cluster.end_txn(coordinator, self.begin_ts);
@@ -715,47 +633,6 @@ mod tests {
         let snap = c.roll_load_window(1.0);
         assert_eq!(snap.load_of(s1).reads, 1.0);
         assert_eq!(snap.load_of(s1).commits, 0.0);
-    }
-
-    #[test]
-    fn offload_falls_back_to_primary_when_replica_lacks_the_table() {
-        let (c, layout) = small_cluster();
-        let session = Session::connect(&c, NodeId(0));
-        session
-            .run(|t| t.insert(&layout, 3, val("primary")))
-            .unwrap();
-        // Register node 2 as a certified, fully caught-up replica — but
-        // never ship it any data. Reads must fall back to the owner.
-        let handle = c.register_replica(NodeId(2));
-        handle.advance_watermark(&c, Timestamp(u64::MAX / 2));
-        handle.mark_certified();
-        c.set_read_offload(true);
-        let (v, _) = session.run(|t| t.read(&layout, 3)).unwrap();
-        assert_eq!(v, Some(val("primary")));
-        let snap = c.roll_load_window(1.0);
-        let shard = layout.shard_for(3);
-        assert_eq!(snap.load_of(shard).offloaded, 0.0);
-        assert!(snap.load_of(shard).reads >= 1.0);
-        c.unregister_replica(NodeId(2));
-        assert!(c.primary_ids().contains(&NodeId(2)));
-    }
-
-    #[test]
-    fn stale_replica_watermark_never_serves_reads() {
-        let (c, layout) = small_cluster();
-        let session = Session::connect(&c, NodeId(0));
-        session.run(|t| t.insert(&layout, 11, val("x"))).unwrap();
-        let handle = c.register_replica(NodeId(2));
-        // Watermark pinned below any live snapshot: offload must not fire
-        // even though the replica is certified and offload is enabled.
-        handle.advance_watermark(&c, Timestamp(1));
-        handle.mark_certified();
-        c.set_read_offload(true);
-        let (v, _) = session.run(|t| t.read(&layout, 11)).unwrap();
-        assert_eq!(v, Some(val("x")));
-        let snap = c.roll_load_window(1.0);
-        assert_eq!(snap.load_of(layout.shard_for(11)).offloaded, 0.0);
-        let _ = handle;
     }
 
     #[test]

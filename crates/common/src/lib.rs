@@ -30,7 +30,5 @@ pub use error::{DbError, DbResult};
 pub use fault::{FaultAction, FaultInjector, InjectionPoint, NoFaults};
 pub use ids::{ClientId, NodeId, ShardId, TableId, TxnId};
 pub use json::Json;
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramWindow, MetricSample, MetricsDelta, MetricsRegistry,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramWindow, MetricSample, MetricsRegistry};
 pub use ts::Timestamp;

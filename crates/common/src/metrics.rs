@@ -11,8 +11,8 @@
 //! [`MetricsRegistry`] puts [`Counter`], [`Gauge`] and [`LatencyStat`]
 //! behind named, labeled series with per-node / per-migration scopes, so
 //! the bench pipeline can snapshot everything into one machine-readable
-//! report; [`MetricsDelta`] and [`HistogramWindow`] read those lifetime
-//! totals as per-window increments.
+//! report; [`HistogramWindow`] reads a histogram's lifetime bucket counts
+//! as per-window increments.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -604,70 +604,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Windowed delta reader over registry snapshots.
-///
-/// Counters and latency sample counts in a [`MetricsRegistry`] are lifetime
-/// totals; consumers that need *rates* (the planner's WAL-append and
-/// cross-shard signals) diff two snapshots. A `MetricsDelta` remembers the
-/// previous snapshot per series and returns, for each counter/latency
-/// series, the increment since the last call. Gauges are levels, not
-/// totals, so they pass through unchanged.
-///
-/// A series whose new value is *smaller* than the remembered one (the
-/// source was reset or replaced) reports the new value as the whole delta
-/// rather than a wrapped negative.
-#[derive(Debug, Default)]
-pub struct MetricsDelta {
-    last: HashMap<SeriesKey, u64>,
-}
-
-impl MetricsDelta {
-    /// A reader with an empty baseline: the first [`MetricsDelta::advance`]
-    /// reports every series' full lifetime value.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Diffs `samples` against the remembered baseline and advances it.
-    /// Counter and latency values become per-window increments; gauges keep
-    /// their level. Series absent from `samples` are dropped from the
-    /// baseline (a re-appearing series starts over from zero).
-    pub fn advance(&mut self, samples: &[MetricSample]) -> Vec<MetricSample> {
-        let mut next = HashMap::with_capacity(samples.len());
-        let out = samples
-            .iter()
-            .map(|s| {
-                let mut windowed = s.clone();
-                if s.kind != "gauge" {
-                    let key = (s.name.clone(), s.labels.clone());
-                    let prev = self.last.get(&key).copied().unwrap_or(0);
-                    // Reset/wraparound: a shrinking total means the source
-                    // restarted, so the new total is the window's delta.
-                    windowed.value = if s.value < prev {
-                        s.value
-                    } else {
-                        s.value - prev
-                    };
-                    next.insert(key, s.value);
-                }
-                windowed
-            })
-            .collect();
-        self.last = next;
-        out
-    }
-
-    /// Convenience: the windowed value of one series from an
-    /// already-diffed snapshot (`0` when the series is absent).
-    pub fn value_of(samples: &[MetricSample], name: &str, labels: &[(String, String)]) -> u64 {
-        samples
-            .iter()
-            .find(|s| s.name == name && s.labels == labels)
-            .map(|s| s.value)
-            .unwrap_or(0)
-    }
-}
-
 /// Windowed percentile reader over histogram bucket counts
 /// ([`Histogram::bucket_counts`] or [`LatencyStat::bucket_counts`]).
 ///
@@ -944,67 +880,6 @@ mod tests {
         assert_eq!(lat.kind, "latency");
         assert_eq!(lat.value, 1);
         assert!(lat.latency.is_some());
-    }
-
-    #[test]
-    fn metrics_delta_reports_per_window_increments() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("wal.appends");
-        let mut delta = MetricsDelta::new();
-
-        c.add(10);
-        let w1 = delta.advance(&reg.snapshot());
-        assert_eq!(MetricsDelta::value_of(&w1, "wal.appends", &[]), 10);
-
-        c.add(7);
-        let w2 = delta.advance(&reg.snapshot());
-        assert_eq!(MetricsDelta::value_of(&w2, "wal.appends", &[]), 7);
-    }
-
-    #[test]
-    fn metrics_delta_empty_window_is_zero_not_stale() {
-        let reg = MetricsRegistry::new();
-        reg.counter("txn.commits").add(5);
-        let mut delta = MetricsDelta::new();
-        delta.advance(&reg.snapshot());
-        // Nothing happened since: the window must read 0, not repeat 5.
-        let w = delta.advance(&reg.snapshot());
-        assert_eq!(MetricsDelta::value_of(&w, "txn.commits", &[]), 0);
-    }
-
-    #[test]
-    fn metrics_delta_handles_reset_as_fresh_total() {
-        // A shrinking total (source restarted) must not wrap negative: the
-        // new total is the whole window.
-        let mut delta = MetricsDelta::new();
-        let sample = |v: u64| MetricSample {
-            name: "x".to_string(),
-            labels: vec![],
-            kind: "counter",
-            value: v,
-            latency: None,
-        };
-        delta.advance(&[sample(100)]);
-        let w = delta.advance(&[sample(3)]);
-        assert_eq!(w[0].value, 3);
-    }
-
-    #[test]
-    fn metrics_delta_gauges_pass_through_as_levels() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("chain_len");
-        let mut delta = MetricsDelta::new();
-        g.set(40);
-        delta.advance(&reg.snapshot());
-        g.set(42);
-        let w = delta.advance(&reg.snapshot());
-        let s = w.iter().find(|s| s.name == "chain_len").unwrap();
-        assert_eq!(s.value, 42, "gauges are levels, not totals");
-    }
-
-    #[test]
-    fn metrics_delta_missing_value_is_zero() {
-        assert_eq!(MetricsDelta::value_of(&[], "absent", &[]), 0);
     }
 
     #[test]

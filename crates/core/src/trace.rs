@@ -7,12 +7,13 @@
 //! replay lag samples, `LSN_unsync`, ...). The finished
 //! [`MigrationTrace`] travels on the [`MigrationReport`] so benches can
 //! serialize it and tests (including the chaos harness) can assert the
-//! tree is well formed and the phases ran in protocol order.
-//!
-//! [`MigrationReport`]: crate::report::MigrationReport
+//! tree is well formed and the phases ran in protocol order
+//! ([`check_traces`]).
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use crate::report::MigrationReport;
 
 /// Identifier of a span inside one trace (its index in `spans`).
 pub type SpanId = u32;
@@ -235,6 +236,33 @@ pub fn expected_phases(engine: &str) -> Option<&'static [&'static str]> {
         "squall" => Some(&["chunk_map", "tm_2pc", "pulls", "cleanup"]),
         _ => None,
     }
+}
+
+/// The trace check of a migration that reported success: it carries at
+/// least one trace, each well-formed (no unclosed span), with the root
+/// phases of the engine's canonical protocol order where
+/// [`expected_phases`] defines one. The chaos harness files an `Err` as a
+/// violation; the bench rig panics on it.
+pub fn check_traces(report: &MigrationReport) -> Result<(), String> {
+    if report.traces.is_empty() {
+        return Err(format!(
+            "{}: successful migration recorded no trace",
+            report.engine
+        ));
+    }
+    for trace in &report.traces {
+        trace.check_well_formed()?;
+        if let Some(expected) = expected_phases(trace.engine) {
+            let got = trace.root_phases();
+            if got != expected {
+                return Err(format!(
+                    "{}: phase sequence {got:?}, expected {expected:?}",
+                    trace.engine
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The background executor: observe → plan → act, under backpressure.
 //!
 //! Migration decisions run through the [`MigrationController`]; replica
-//! decisions drive the PR 7 replication pipeline — `Replicate` bootstraps
-//! a WAL-shipped replica with [`remus_core::start_replica`], waits for
-//! certification, and enables watermark-safe read offload;
-//! `Decommission` stops the process and returns the node to the primary
-//! pool.
+//! decisions drive the replication pipeline — `Replicate` bootstraps a
+//! WAL-shipped replica with [`remus_core::start_replica`] and waits for
+//! certification, after which every [`remus_cluster::ReadRouter`] may send
+//! read-only transactions to it; `Decommission` stops the process and
+//! returns the node to the primary pool.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -157,8 +157,7 @@ fn run_loop(
     let stalls = cluster.metrics.counter("planner.throttle_stalls");
     let provisions = cluster.metrics.counter("planner.replicas_provisioned");
     let decommissions = cluster.metrics.counter("planner.replicas_decommissioned");
-    // Replica processes this loop provisioned and still owns. The loop is
-    // the sole writer of the cluster's offload flag while it runs.
+    // Replica processes this loop provisioned and still owns.
     let mut replicas: HashMap<NodeId, ReplicaProcess> = HashMap::new();
     let (stop, signal) = &*stop;
     let stopping = || stop.load(Ordering::SeqCst);
@@ -237,7 +236,6 @@ fn run_loop(
                 Action::Replicate { dst, .. } => match provision_replica(&cluster, *dst) {
                     Ok(proc) => {
                         replicas.insert(*dst, proc);
-                        cluster.set_read_offload(true);
                         report.replicas_provisioned += 1;
                         provisions.inc();
                     }
@@ -252,23 +250,17 @@ fn run_loop(
                         proc.stop();
                     }
                     cluster.unregister_replica(*replica);
-                    if replicas.is_empty() {
-                        cluster.set_read_offload(false);
-                    }
                     report.replicas_decommissioned += 1;
                     decommissions.inc();
                 }
             }
         }
     }
-    // The loop owns its replica processes: stop them, return their nodes
-    // to the primary pool, and leave the offload flag clean.
-    if !replicas.is_empty() {
-        cluster.set_read_offload(false);
-        for (node, proc) in replicas.drain() {
-            proc.stop();
-            cluster.unregister_replica(node);
-        }
+    // The loop owns its replica processes: stop them and return their
+    // nodes to the primary pool.
+    for (node, proc) in replicas {
+        proc.stop();
+        cluster.unregister_replica(node);
     }
     report
 }
@@ -388,8 +380,8 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
         // Pure read pressure until the pilot publishes a certified replica:
         // `replica_ids()` turns non-empty at registration, before
-        // certification, so the offload flag is the state to poll.
-        while !cluster.read_offload_enabled() {
+        // certification, so certification is the state to poll.
+        while cluster.certified_replica_ids().is_empty() {
             for k in 0..64u64 {
                 session.run(|t| t.read(&layout, k)).unwrap();
             }
@@ -411,7 +403,7 @@ mod tests {
         let report = pilot.stop();
         assert!(report.replicas_provisioned >= 1);
         assert!(report.replicas_decommissioned >= 1);
-        assert!(!cluster.read_offload_enabled());
+        assert!(cluster.certified_replica_ids().is_empty());
         assert_eq!(cluster.primary_ids().len(), 3);
         assert!(report
             .decisions

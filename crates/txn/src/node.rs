@@ -78,7 +78,8 @@ type Slots = Mutex<HashMap<u64, TailHandle>>;
 
 /// A reader of one node's WAL that owns its replication slot: the one way
 /// to tail a log that truncation must wait for (a migration's or a
-/// replica's stream). Asking for the next batch acknowledges the previous one
+/// replica's stream, or crash replay). Asking for the next batch
+/// acknowledges the previous one
 /// — which is the slot's position: records are `Arc`-shared, so whoever
 /// still holds one keeps it alive — and dropping the tail drops the slot, so
 /// a consumer that returns early or panics releases the log by construction.
@@ -344,11 +345,10 @@ impl NodeStorage {
 
     // ---- replication slots & WAL truncation ----
 
-    /// A [`WalTail`] reading after `from`, its slot registered under the
-    /// caller's lock on the slot table.
-    fn tail_at(&self, slots: &mut HashMap<u64, TailHandle>, from: Lsn) -> WalTail {
+    /// A [`WalTail`] over `reader`, its slot registered under the caller's
+    /// lock on the slot table.
+    fn tail_at(&self, slots: &mut HashMap<u64, TailHandle>, reader: WalReader) -> WalTail {
         let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        let reader = self.wal.reader_from(from);
         slots.insert(slot, reader.handle());
         WalTail {
             reader,
@@ -362,7 +362,7 @@ impl NodeStorage {
     /// hand; the system starts its tails at
     /// [`Self::create_slot_at_oldest_active`].
     pub fn create_slot(&self, from: Lsn) -> WalTail {
-        self.tail_at(&mut self.slots.lock(), from)
+        self.tail_at(&mut self.slots.lock(), self.wal.reader_from(from))
     }
 
     /// A tail whose slot is registered at the oldest active transaction's
@@ -374,7 +374,7 @@ impl NodeStorage {
     pub fn create_slot_at_oldest_active(&self) -> WalTail {
         let mut slots = self.slots.lock();
         let from = self.oldest_active_begin_lsn();
-        self.tail_at(&mut slots, from)
+        self.tail_at(&mut slots, self.wal.reader_from(from))
     }
 
     /// Number of live replication slots (each is a [`WalTail`] somewhere).
@@ -410,10 +410,18 @@ impl NodeStorage {
     /// by reference with the cluster node wrapper and must survive.
     ///
     /// This only rebuilds the empty skeleton; callers follow up with
-    /// [`crate::recovery::replay_node_wal`] (and re-seed frozen bootstrap
-    /// state that never hits the WAL) to restore contents.
-    pub fn crash_reset(&self, keep: &[ShardId]) -> DbResult<()> {
+    /// [`crate::recovery::replay_node_wal`] over the returned tail (and
+    /// re-seed frozen bootstrap state that never hits the WAL) to restore
+    /// contents. The tail owns a slot at the recovered head, registered
+    /// under the same slot-table lock as the reopen: a truncation pass in
+    /// between would find no active transaction and no slot, and cut the
+    /// recovered log before replay read it.
+    pub fn crash_reset(&self, keep: &[ShardId]) -> DbResult<WalTail> {
+        let mut slots = self.slots.lock();
         self.wal.crash_and_reopen()?;
+        slots.clear();
+        let recovery = self.tail_at(&mut slots, self.wal.reader_from_head());
+        drop(slots);
         self.clog.reset();
         {
             let mut tables = self.tables.write();
@@ -428,13 +436,12 @@ impl NodeStorage {
         }
         self.active.lock().clear();
         self.doomed.lock().clear();
-        self.slots.lock().clear();
         self.gate.reset();
         if let Some(ssi) = &self.ssi {
             ssi.clear();
         }
         self.uninstall_hook();
-        Ok(())
+        Ok(recovery)
     }
 
     /// Bumps the xid sequence allocator to at least `seq + 1`, so ids

@@ -3,7 +3,9 @@
 //! After [`crate::node::NodeStorage::crash_reset`] reopened the WAL from its
 //! durability backend, the node holds a recovered record sequence and empty
 //! MVCC tables. [`replay_node_wal`] rebuilds storage state in **one pass**
-//! over that sequence, from the retained head, read in runs as the streams
+//! over that sequence, from the retained head, through the [`WalTail`]
+//! `crash_reset` returned — its slot holds WAL truncation off the log
+//! until replay has read it — read in runs as the streams
 //! read it and through the same [`TxnAssembler`] the propagation process
 //! and the replica applier read a log with (its shard predicate here:
 //! every shard), using the classic redo contract:
@@ -51,7 +53,7 @@ use remus_wal::{
     LogOp, LogRecord, TailRead, TxnAssembler, TxnEvent, TxnOutcome, WriteKind, WriteOp,
 };
 
-use crate::node::NodeStorage;
+use crate::node::{NodeStorage, WalTail};
 
 /// Per-operation timeout during replay. Replay is single-threaded over a
 /// freshly reset node, so nothing should ever block; the timeout only
@@ -75,14 +77,15 @@ pub struct ReplaySummary {
     pub writes_applied: usize,
 }
 
-/// Rebuilds a node's storage state from its (already reopened) WAL.
+/// Rebuilds a node's storage state from its (already reopened) WAL, read
+/// through `reader`.
 ///
-/// Call after [`NodeStorage::crash_reset`]; the tables must be empty apart
-/// from frozen bootstrap rows the caller re-seeded (frozen installs are
-/// not WAL-logged; row-level redo installs above them).
-pub fn replay_node_wal(node: &NodeStorage) -> DbResult<ReplaySummary> {
+/// Call after [`NodeStorage::crash_reset`], with the tail it returned; the
+/// tables must be empty apart from frozen bootstrap rows the caller
+/// re-seeded (frozen installs are not WAL-logged; row-level redo installs
+/// above them).
+pub fn replay_node_wal(node: &NodeStorage, mut reader: WalTail) -> DbResult<ReplaySummary> {
     let mut summary = ReplaySummary::default();
-    let mut reader = node.wal.reader_from_head();
     let mut assembler = TxnAssembler::new(reader.consumed(), |_| true);
     let mut max_local_seq: Option<u64> = None;
     while let TailRead::Batch(run) = reader.next_batch(SEGMENT_RECORDS, Duration::ZERO) {
@@ -230,6 +233,7 @@ mod tests {
     use super::*;
     use remus_common::{NodeId, ShardId, SimConfig, WalConfig};
     use remus_storage::TxnStatus;
+    use remus_wal::Lsn;
 
     fn bytes(s: &str) -> remus_storage::Value {
         remus_storage::Value::from(s.as_bytes().to_vec())
@@ -292,7 +296,7 @@ mod tests {
         wal.append(LogRecord::new(aborted, LogOp::Begin(Timestamp(13))));
         wal.append(LogRecord::new(aborted, LogOp::Abort));
 
-        let summary = replay_node_wal(&node).unwrap();
+        let summary = replay_node_wal(&node, node.create_slot(Lsn::ZERO)).unwrap();
         assert_eq!(summary.committed, 1);
         assert_eq!(summary.prepared_in_doubt, 1);
         assert_eq!(summary.aborted, 1);
@@ -338,7 +342,7 @@ mod tests {
         ));
         wal.append(LogRecord::new(second, LogOp::Commit(Timestamp(11))));
 
-        replay_node_wal(&node).unwrap();
+        replay_node_wal(&node, node.create_slot(Lsn::ZERO)).unwrap();
         assert_eq!(
             read_at(&node, ShardId(2), 7, Timestamp(10)),
             Some(bytes("old"))
@@ -368,7 +372,7 @@ mod tests {
         wal.append(LogRecord::new(older, write(5, 7, WriteKind::Update, "old")));
         wal.append(LogRecord::new(older, LogOp::Commit(Timestamp(10))));
 
-        let summary = replay_node_wal(&node).unwrap();
+        let summary = replay_node_wal(&node, node.create_slot(Lsn::ZERO)).unwrap();
         assert_eq!((summary.committed, summary.writes_applied), (2, 2));
         assert_eq!(read_at(&node, ShardId(5), 7, Timestamp(9)), None);
         assert_eq!(
@@ -452,11 +456,11 @@ mod tests {
         wal.append(LogRecord::new(early, write(3, 1, WriteKind::Insert, "v0")));
         wal.append(LogRecord::new(early, LogOp::Commit(Timestamp(5))));
         // Truncate the insert away; only the update survives.
-        wal.truncate_until(remus_wal::Lsn(2));
+        wal.truncate_until(Lsn(2));
         wal.append(LogRecord::new(late, write(3, 1, WriteKind::Update, "v1")));
         wal.append(LogRecord::new(late, LogOp::Commit(Timestamp(9))));
 
-        let summary = replay_node_wal(&node).unwrap();
+        let summary = replay_node_wal(&node, node.create_slot(Lsn(2))).unwrap();
         assert_eq!(summary.committed, 1);
         assert_eq!(
             read_at(&node, ShardId(3), 1, Timestamp::MAX),
@@ -497,12 +501,12 @@ mod tests {
             .append_durable(LogRecord::new(xid, LogOp::Commit(Timestamp(3))))
             .unwrap();
 
-        node.crash_reset(&[kept]).unwrap();
+        let recovery = node.crash_reset(&[kept]).unwrap();
         // Kept table survives as the same allocation; the other is gone.
         assert!(Arc::ptr_eq(&kept_table, &node.table(kept).unwrap()));
         assert!(node.table(ShardId(9)).is_none());
 
-        let summary = replay_node_wal(&node).unwrap();
+        let summary = replay_node_wal(&node, recovery).unwrap();
         assert_eq!(summary.committed, 1);
         assert_eq!(
             read_at(&node, ShardId(9), 42, Timestamp(3)),
@@ -548,11 +552,11 @@ mod tests {
             redo_committed(&node, xid, Timestamp(cts), &[twin], |_, _| {}).unwrap();
         }
 
-        node.crash_reset(&[kept]).unwrap();
+        let recovery = node.crash_reset(&[kept]).unwrap();
         let idle = kept_table.gc_step(Timestamp::MAX, &node.clog, usize::MAX);
         assert_eq!(idle.scanned, 0, "a cleared table has nothing pending");
 
-        replay_node_wal(&node).unwrap();
+        replay_node_wal(&node, recovery).unwrap();
         let table = node.table(ShardId(9)).unwrap();
         let step = table.gc_step(Timestamp(100), &node.clog, usize::MAX);
         assert_eq!((step.scanned, step.pruned), (2, 4), "keys 1 and 2");
