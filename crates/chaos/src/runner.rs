@@ -5,21 +5,24 @@
 //!
 //! 1. **build** — oracle, per-node skewable clocks, seeded faulty network,
 //!    cluster (`Lab::build`);
-//! 2. **deploy** — the table, spread over the primaries; the optional GC
-//!    thread;
+//! 2. **deploy** — the table, spread over the primaries; with a GC cadence,
+//!    the cluster's own maintenance thread (version-chain GC and WAL
+//!    truncation);
 //! 3. **capture** — a `Recorder` that every transaction of the run goes
 //!    through, starting with the preload;
 //! 4. **execute** — the script of the drive: one of the four fixed-move
 //!    profiles (`Lab::fixed_move`) or the planner's measure → plan →
 //!    execute rounds (`Lab::planner_rounds`). Scripts differ in what is
 //!    actually different about them; clients, recorded transactions, the
-//!    migrate-and-note-what-landed step and replica scans are shared;
+//!    migrate-and-note-what-landed step and replica scans are shared, and
+//!    every planner decision is carried out by `remus_planner::Executor`;
 //! 5. **evaluate** — SI (and serializability) over the history with one
 //!    [`MigrationSpec`] per attempted migration, engine-side problems, and a
 //!    final scan from the last primary against the history's model
 //!    (`Lab::evaluate`);
 //! 6. **cleanup** — the injector is uninstalled by the script that installed
-//!    it, the GC thread joined, and the cluster dropped with the lab.
+//!    it, the maintenance thread stopped and joined, and the cluster dropped
+//!    with the lab.
 //!
 //! Determinism contract: the fault *schedule* (plans + network partitions),
 //! the planner's *decision list* and the *verdict* are reproducible from the
@@ -30,7 +33,7 @@
 //! accounting, and read tallies are charged at statement execution.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -50,7 +53,7 @@ use remus_core::recovery::{recover_migration, RecoveryDecision};
 use remus_core::snapshot::copy_task_snapshots;
 use remus_core::trace::check_traces;
 use remus_core::{start_replica, MigrationTask, ReplicaProcess};
-use remus_planner::{Action, ObservationCollector, Planner};
+use remus_planner::{Action, Executed, Executor, Moved, ObservationCollector, Planner};
 use remus_shard::TableLayout;
 use remus_storage::Value;
 
@@ -101,19 +104,14 @@ pub fn run_with_specs(scenario: &Scenario, specs: &[FaultSpec]) -> Outcome {
 
 fn run_lifecycle(scenario: &Scenario, specs: Option<&[FaultSpec]>) -> Outcome {
     let mut lab = Lab::build(scenario);
-    // The safe-ts watermark must make the racing GC invisible to the checker.
-    let gc_stop = Arc::new(AtomicBool::new(false));
-    let gc_thread = scenario.gc_interval.map(|interval| {
-        let (cluster, stop) = (Arc::clone(&lab.rig.cluster), Arc::clone(&gc_stop));
-        std::thread::spawn(move || {
-            let mut pruned = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                pruned += cluster.gc_tick(1024);
-                std::thread::sleep(interval);
-            }
-            pruned
-        })
-    });
+    // The product's maintenance thread, with the scenario's GC cadence (set
+    // by `Lab::build`) and no vacuum pass: version-chain GC and WAL
+    // truncation race the whole run. The safe-ts watermark must make them
+    // invisible to the checker.
+    let cluster = Arc::clone(&lab.rig.cluster);
+    let maintenance = scenario
+        .gc_interval
+        .map(|_| cluster.start_maintenance(Duration::from_secs(3600)));
     let preload = (0..KEYS).map(|key| Stmt::write(MutKind::Insert, key, format!("init-{key}")));
     lab.rig
         .record_txn(
@@ -129,8 +127,13 @@ fn run_lifecycle(scenario: &Scenario, specs: Option<&[FaultSpec]>) -> Outcome {
             lab.planner_rounds(replicas);
         }
     }
-    gc_stop.store(true, Ordering::SeqCst);
-    lab.out.gc_pruned = gc_thread.map(|h| h.join().expect("gc thread"));
+    if let Some(thread) = maintenance {
+        cluster.stop_maintenance();
+        thread.join().expect("maintenance thread");
+        let pruned = cluster.metrics_snapshot().into_iter();
+        let pruned = pruned.filter(|s| s.name == "storage.gc_pruned");
+        lab.out.gc_pruned = Some(pruned.map(|s| s.value).sum());
+    }
     lab.evaluate()
 }
 
@@ -419,17 +422,17 @@ fn planner_policy(seed: u64, replicas: bool) -> PlannerConfig {
         imbalance_ratio: 1.2,
         cooldown_ticks: u64::MAX,
         max_moves_per_tick: 2,
-        node_concurrency: 1,
         ewma_alpha: 1.0,
         cost_weight_versions: 0.0,
         cost_weight_wal: 0.0,
         colocation: false,
-        latency_budget: Duration::ZERO,
         max_retries: 0,
         seed,
         replication: replicas,
         replica_read_ratio: 0.75,
         cost_weight_ship: 0.0,
+        // One migration per node at a time, and no latency throttle.
+        ..PlannerConfig::balanced()
     }
 }
 
@@ -466,6 +469,7 @@ impl<'a> Lab<'a> {
         let mut sim = SimConfig::instant();
         sim.parallelism = scenario.parallelism;
         sim.isolation = scenario.isolation;
+        sim.hot_path.gc_interval = scenario.gc_interval.unwrap_or_default();
         if let Some(dir) = &scenario.wal_dir {
             sim.wal = WalConfig::file(dir.clone());
         }
@@ -508,22 +512,21 @@ impl<'a> Lab<'a> {
         }
     }
 
-    /// Runs `task` through the scenario's engine and notes what landed: a
-    /// failure or a malformed trace as a problem, and the routing spec the
-    /// checker holds the history to. An engine can fail after the ownership
-    /// transfer committed (post-`T_m` phases), so the owner row is the
-    /// ground truth for "committed", exactly as in the autopilot executor —
-    /// but a failure is a violation either way: every plan that reaches an
-    /// engine expects it to succeed. Returns whether the shard moved.
-    fn migrate(&mut self, task: &MigrationTask) -> bool {
-        let cluster = &self.rig.cluster;
-        let result = self.scenario.engine.engine().migrate(cluster, task);
-        let row = cluster
-            .current_owner(cluster.node(task.source), task.shards[0])
-            .expect("owner row");
-        let landed = row.node == task.dest;
-        let committed = result.is_ok() || landed;
-        match result {
+    /// The fixed move: runs `task` once through the scenario's engine, on the
+    /// executor the planner drive uses, and notes what landed.
+    fn migrate(&mut self, task: &MigrationTask) {
+        let exec = Executor::new(Arc::clone(&self.rig.cluster), self.scenario.engine.engine());
+        self.note_move(task, exec.migrate(task, 0));
+    }
+
+    /// Notes what a move landed: a failure or a malformed trace as a problem,
+    /// and the routing spec the checker holds the history to. "Committed" is
+    /// the executor's landed rule (the owner rows point at the destination,
+    /// even if a post-`T_m` phase failed) — but a failure is a violation
+    /// either way: every plan that reaches an engine expects it to succeed.
+    fn note_move(&mut self, task: &MigrationTask, moved: Moved) {
+        let committed = moved.committed();
+        match moved.result {
             Ok(report) => {
                 if let Err(detail) = check_traces(&report) {
                     let engine = report.engine.to_string();
@@ -531,16 +534,18 @@ impl<'a> Lab<'a> {
                     self.out.violations.push(malformed);
                 }
             }
-            Err(e) => self.out.violations.push(Violation::MigrationFailed {
-                detail: format!("{e:?}"),
-            }),
+            Err(e) => self.failed(&e),
         }
-        self.note_migration(
-            task,
-            committed,
-            (landed && row.cts.is_valid()).then_some(row.cts),
-        );
-        committed
+        self.note_migration(task, committed, moved.landed);
+    }
+
+    /// Files an engine error: every action the lab hands an engine or the
+    /// executor is expected to succeed.
+    fn failed(&mut self, e: &DbError) {
+        let detail = format!("{e:?}");
+        self.out
+            .violations
+            .push(Violation::MigrationFailed { detail });
     }
 
     fn note_migration(&mut self, task: &MigrationTask, committed: bool, tm_cts: Option<Timestamp>) {
@@ -680,8 +685,8 @@ impl<'a> Lab<'a> {
     }
 
     /// The planner drive: `ROUNDS` iterations of reset → measured batch →
-    /// one planner tick → execute each decision with a seeded fault plan
-    /// armed and seeded writers racing it.
+    /// one planner tick → each decision carried out by the product's
+    /// executor with a seeded fault plan armed and seeded writers racing it.
     ///
     /// With replica actions on the round script is fixed: rounds 0, 1 and 3
     /// measure a read-hot batch, round 2 a write-only one. Round 0 trips the
@@ -695,18 +700,17 @@ impl<'a> Lab<'a> {
         let policy = planner_policy(seed, replicas);
         let (alpha, mut planner) = (policy.ewma_alpha, Planner::new(policy));
         let mut collector = ObservationCollector::new();
-        // The replica the harness provisioned, if one is live. The harness
-        // executes replica decisions itself, and its measured batches run on
-        // primary `Session`s, which never read from a replica (only a
-        // `ReadRouter` offloads), so the planner's input stays seed-pure even
-        // while a replica is attached.
-        let mut replica: Option<(NodeId, ReplicaProcess)> = None;
+        // The executor owns the replica it provisions, always on the spare.
+        // The measured batches run on primary `Session`s, which never read
+        // from a replica (only a `ReadRouter` offloads), so the planner's
+        // input stays seed-pure even while a replica is attached.
+        let mut exec = Executor::new(Arc::clone(&rig.cluster), self.scenario.engine.engine());
         // Every replica sweep shares client 900, so the checker's per-client
         // rule (watermarks never run backwards) spans the whole scenario.
         let mut sweeps = 0u64;
-        let mut replica_sweep = |node| {
+        let mut replica_sweep = || {
             sweeps += 1;
-            rig.replica_scan(node, 900, 0x7000_0000 + sweeps);
+            rig.replica_scan(REPLICA_NODE, 900, 0x7000_0000 + sweeps);
         };
         let session = Session::connect(&rig.cluster, SOURCE);
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -753,78 +757,62 @@ impl<'a> Lab<'a> {
             // 3. One planner tick over the freshly rolled window.
             let tick = planner.decide(&collector.collect(&rig.cluster, alpha));
 
-            // 4. Execute each decision with faults and racing writers.
+            // 4. Carry out each decision with faults and racing writers. A
+            // migration runs under the tolerated profile on its endpoints; a
+            // provision under the canonical replica profile's ship-stream and
+            // applier faults (its optional crash-restart spec is read by the
+            // fixed-move script only and is inert here). A decommission arms
+            // nothing: the replica first serves a final staleness record.
             for decision in tick.decisions {
                 self.out.decisions.push(decision.to_string());
                 let plan_seed = seed
                     .wrapping_mul(0x5851_f42d_4c95_7f2d)
                     .wrapping_add(u64::from(round) + 1);
-                let writers =
-                    || rig.spawn_clients(WRITERS, round * 8 + 1, TXNS_PER_WRITER, Mix::WriteOnly);
-                match decision.action {
+                let armed = match &decision.action {
                     Action::Migrate(task) => {
-                        let profile = FaultProfile::Tolerated;
-                        let plan = FaultPlan::generate(plan_seed, profile, task.source, task.dest);
-                        self.arm(&plan, task.dest);
-                        let writers = writers();
-                        std::thread::sleep(Duration::from_millis(5));
-                        if !self.migrate(&task) {
-                            planner.note_failed(&task.shards);
-                        }
-                        join(writers);
-                        self.out.plans.push(plan);
+                        Some((FaultProfile::Tolerated, task.source, task.dest))
                     }
-                    Action::Replicate { src, dst, .. } => {
-                        // Ship-stream and applier faults from the canonical
-                        // replica profile, racing the bootstrap along with
-                        // the seeded writers. (The profile's optional
-                        // crash-restart spec is read by the fixed-move
-                        // script only and is inert here.)
-                        let other = NodeId((src.0 + 1) % PRIMARIES);
-                        let plan =
-                            FaultPlan::generate(plan_seed, FaultProfile::Replica, src, other);
-                        self.arm(&plan, other);
-                        let writers = writers();
-                        let proc = start_replica(&rig.cluster, dst).expect("replica bootstrap");
-                        let certified = proc.wait_certified(Duration::from_secs(30));
-                        join(writers);
-                        match certified {
-                            Ok(()) => replica = Some((dst, proc)),
-                            Err(e) => {
-                                proc.stop();
-                                rig.cluster.unregister_replica(dst);
-                                self.out.violations.push(Violation::MigrationFailed {
-                                    detail: format!("{e:?}"),
-                                });
-                                planner.note_replica_failed();
-                            }
-                        }
-                        self.out.plans.push(plan);
+                    Action::Replicate { src, .. } => {
+                        Some((FaultProfile::Replica, *src, NodeId((src.0 + 1) % PRIMARIES)))
                     }
-                    Action::Decommission { replica: node } => {
-                        // Final staleness record before teardown: the replica
-                        // must still serve a watermark-consistent snapshot.
-                        replica_sweep(node);
-                        if let Some((live, proc)) = replica.take() {
-                            debug_assert_eq!(live, node);
-                            self.out.replica = Some(progress_of(&proc));
-                            proc.stop();
-                        }
-                        rig.cluster.unregister_replica(node);
+                    Action::Decommission { replica } => {
+                        replica_sweep();
+                        let progress = exec.replica(*replica).map(progress_of);
+                        self.out.replica = progress.or(self.out.replica.take());
+                        None
                     }
+                };
+                let plan = armed.map(|(profile, source, dest)| {
+                    (FaultPlan::generate(plan_seed, profile, source, dest), dest)
+                });
+                let writers = plan.as_ref().map(|(plan, dest)| {
+                    self.arm(plan, *dest);
+                    rig.spawn_clients(WRITERS, round * 8 + 1, TXNS_PER_WRITER, Mix::WriteOnly)
+                });
+                if decision.migration().is_some() {
+                    std::thread::sleep(Duration::from_millis(5));
                 }
+                let executed = exec.execute(&mut planner, &decision);
+                join(writers.unwrap_or_default());
+                match executed {
+                    Executed::Migrated(moved) => {
+                        self.note_move(decision.migration().expect("a move"), moved)
+                    }
+                    Executed::Replicated(Err(e)) => self.failed(&e),
+                    _ => {}
+                }
+                self.out.plans.extend(plan.map(|(plan, _)| plan));
                 rig.cluster.uninstall_fault_injector();
             }
 
             // Staleness oracle feed: one recorded sweep per round while a
             // replica is live.
-            if let Some((node, _)) = &replica {
-                replica_sweep(*node);
+            if exec.replica(REPLICA_NODE).is_some() {
+                replica_sweep();
             }
         }
-        if let Some((_, proc)) = replica {
-            self.out.replica = Some(progress_of(&proc));
-        }
+        let progress = exec.replica(REPLICA_NODE).map(progress_of);
+        self.out.replica = progress.or(self.out.replica.take());
     }
 
     /// The verdict: SI (and serializability when selected) over the history,

@@ -1,6 +1,6 @@
 //! Counterexample minimization.
 //!
-//! Three independent shrinkers, all greedy delta-debugging loops:
+//! Three shrinkers; the first two run the one greedy delta-debugging loop:
 //!
 //! * [`shrink_history`] — given a failing history and the (pure) checker,
 //!   removes transaction records while the violation persists. The result
@@ -16,51 +16,11 @@ use crate::checker::Verdict;
 use crate::history::TxnRecord;
 use crate::plan::FaultSpec;
 
-/// Greedily removes records from a failing history while `check` still
-/// reports at least one violation. Returns the minimized history and its
-/// [`Verdict`] — which names the violated oracle(s), so the minimized
-/// counterexample says *what* broke, not just that something did. If the
-/// input does not fail, it is returned unchanged with a passing verdict.
-pub fn shrink_history<F>(history: &[TxnRecord], check: F) -> (Vec<TxnRecord>, Verdict)
-where
-    F: Fn(&[TxnRecord]) -> Verdict,
-{
-    let mut current: Vec<TxnRecord> = history.to_vec();
-    let mut violations = check(&current);
-    if violations.is_empty() {
-        return (current, violations);
-    }
-    // Repeatedly sweep, dropping any single record whose removal keeps the
-    // failure, until a full sweep removes nothing (a fixpoint).
-    loop {
-        let mut removed_any = false;
-        let mut i = 0;
-        while i < current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(i);
-            let v = check(&candidate);
-            if v.is_empty() {
-                i += 1;
-            } else {
-                current = candidate;
-                violations = v;
-                removed_any = true;
-            }
-        }
-        if !removed_any {
-            return (current, violations);
-        }
-    }
-}
-
-/// Greedily removes fault specs while `fails` still returns `true` for the
-/// remaining subset. `fails` should re-run the scenario with the candidate
-/// spec list (same seed) and report whether the checker still flags it.
-pub fn shrink_plan<F>(specs: &[FaultSpec], fails: F) -> Vec<FaultSpec>
-where
-    F: Fn(&[FaultSpec]) -> bool,
-{
-    let mut current: Vec<FaultSpec> = specs.to_vec();
+/// The one greedy delta-debugging loop: drops any single item whose removal
+/// keeps `fails` true, sweeping until a full sweep removes nothing (a
+/// fixpoint). An input that does not fail is returned unchanged.
+fn shrink<T: Clone>(items: &[T], fails: impl Fn(&[T]) -> bool) -> Vec<T> {
+    let mut current = items.to_vec();
     if !fails(&current) {
         return current;
     }
@@ -81,6 +41,30 @@ where
             return current;
         }
     }
+}
+
+/// Greedily removes records from a failing history while `check` still
+/// reports at least one violation. Returns the minimized history and its
+/// [`Verdict`] — which names the violated oracle(s), so the minimized
+/// counterexample says *what* broke, not just that something did. If the
+/// input does not fail, it is returned unchanged with a passing verdict.
+pub fn shrink_history<F>(history: &[TxnRecord], check: F) -> (Vec<TxnRecord>, Verdict)
+where
+    F: Fn(&[TxnRecord]) -> Verdict,
+{
+    let minimal = shrink(history, |h| !check(h).is_empty());
+    let verdict = check(&minimal);
+    (minimal, verdict)
+}
+
+/// Greedily removes fault specs while `fails` still returns `true` for the
+/// remaining subset. `fails` should re-run the scenario with the candidate
+/// spec list (same seed) and report whether the checker still flags it.
+pub fn shrink_plan<F>(specs: &[FaultSpec], fails: F) -> Vec<FaultSpec>
+where
+    F: Fn(&[FaultSpec]) -> bool,
+{
+    shrink(specs, fails)
 }
 
 /// Scans `candidates` in ascending order and returns the first seed for

@@ -228,9 +228,14 @@ impl RoutingGate {
         self.resumed.notify_all();
     }
 
+    /// Whether begins pass right now.
+    fn admits(&self) -> bool {
+        !self.armed.load(Ordering::SeqCst)
+    }
+
     /// Blocks while suspended.
     pub fn wait_admitted(&self) {
-        if !self.armed.load(Ordering::SeqCst) {
+        if self.admits() {
             return;
         }
         let mut suspended = self.suspended.lock();
@@ -580,13 +585,6 @@ impl Cluster {
 
     // ---- shard load accounting ----
 
-    /// The last published per-shard load window (smoothed loads plus the
-    /// window's cross-shard affinity pairs). Does not advance the window —
-    /// see [`Cluster::roll_load_window`].
-    pub fn shard_load_snapshot(&self) -> ShardLoadSnapshot {
-        self.load.snapshot()
-    }
-
     /// Closes the current load window: drains the raw per-shard counters
     /// into the EWMA with weight `alpha` and returns the new snapshot.
     /// The autopilot calls this once per tick.
@@ -800,9 +798,24 @@ impl Cluster {
     /// by `node`, counted in flight and without a guard:
     /// [`Cluster::end_txn`], called once from the transaction's one exit,
     /// releases it.
+    ///
+    /// Blocks while routing is suspended. The transaction registers first
+    /// and looks at the gate after: wait-and-remaster suspends and then
+    /// drains, so a begin is either counted by the drain or sees the
+    /// suspension, backs out and waits. A begin that looked first could
+    /// pass the gate just before the suspend and register just after the
+    /// drain found nothing in flight.
     pub(crate) fn begin_txn(&self, node: NodeId) -> Timestamp {
-        self.snapshots
-            .register(node.raw() as usize, true, || self.oracle.start_ts(node))
+        loop {
+            let start_ts = self
+                .snapshots
+                .register(node.raw() as usize, true, || self.oracle.start_ts(node));
+            if self.routing_gate.admits() {
+                return start_ts;
+            }
+            self.end_txn(node, start_ts);
+            self.routing_gate.wait_admitted();
+        }
     }
 
     /// Releases what [`Cluster::begin_txn`] registered for `node`.

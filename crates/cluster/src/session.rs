@@ -78,7 +78,6 @@ impl Session {
 
     /// Begins a transaction (blocks while routing is suspended).
     pub fn begin(&self) -> SessionTxn<'_> {
-        self.cluster.routing_gate.wait_admitted();
         let start_ts = self.cluster.begin_txn(self.coordinator.id());
         let txn = Txn::begin(&self.coordinator.storage, start_ts);
         SessionTxn {

@@ -119,11 +119,6 @@ impl Timeline {
         self.start.elapsed()
     }
 
-    /// The instant the timeline was anchored at.
-    pub fn start_instant(&self) -> Instant {
-        self.start
-    }
-
     /// Snapshot of the per-bucket counts.
     pub fn buckets(&self) -> Vec<u64> {
         let mut merged: Vec<u64> = Vec::new();

@@ -1,13 +1,12 @@
-//! The background executor: observe → plan → act, under backpressure.
+//! The background loop: observe → plan → act, under backpressure.
 //!
-//! Migration decisions run through the [`MigrationController`]; replica
-//! decisions drive the replication pipeline — `Replicate` bootstraps a
-//! WAL-shipped replica with [`remus_core::start_replica`] and waits for
-//! certification, after which every [`remus_cluster::ReadRouter`] may send
-//! read-only transactions to it; `Decommission` stops the process and
-//! returns the node to the primary pool.
+//! Each tick collects an observation, asks the planner for decisions and
+//! hands them, one at a time and each behind the latency throttle, to the
+//! [`Executor`] — which migrates, provisions a replica (after which every
+//! [`remus_cluster::ReadRouter`] may send read-only transactions to it) or
+//! decommissions one. The loop keeps the ticks, the throttle and the
+//! counters.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -16,28 +15,19 @@ use std::time::Duration;
 use remus_cluster::Cluster;
 use remus_common::metrics::LatencyStat;
 use remus_common::time::Signal;
-use remus_common::{DbResult, NodeId, PlannerConfig};
-use remus_core::{MigrationController, MigrationEngine, RemusEngine, ReplicaProcess};
+use remus_common::PlannerConfig;
+use remus_core::RemusEngine;
 
+use crate::executor::{Executed, Executor};
 use crate::observe::ObservationCollector;
-use crate::planner::{Action, Planner};
+use crate::planner::Planner;
 use crate::throttle::LatencyThrottle;
 
 /// How often a throttled loop looks at the latency budget again (a stop
 /// wakes it at once).
 const POLL: Duration = Duration::from_millis(2);
 
-/// First retry backoff; doubles per attempt up to [`BACKOFF_CAP`].
-const BACKOFF_BASE: Duration = Duration::from_millis(5);
-
-/// Retry backoff ceiling.
-const BACKOFF_CAP: Duration = Duration::from_millis(80);
-
-/// How long a `Replicate` decision waits for virtual-cut backfill and
-/// certification before the provision counts as failed.
-const PROVISION_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Runtime knobs that belong to the executor, not the policy.
+/// Runtime knobs that belong to the loop, not the policy.
 #[derive(Debug, Clone)]
 pub struct AutopilotOptions {
     /// Wall-clock interval between planner ticks.
@@ -46,15 +36,6 @@ pub struct AutopilotOptions {
     /// workload driver's commit-latency stat). `None` disables the
     /// throttle regardless of the configured budget.
     pub latency: Option<Arc<LatencyStat>>,
-}
-
-impl Default for AutopilotOptions {
-    fn default() -> Self {
-        AutopilotOptions {
-            tick_interval: Duration::from_millis(20),
-            latency: None,
-        }
-    }
 }
 
 /// What the autopilot did over its lifetime.
@@ -93,28 +74,18 @@ pub struct Autopilot {
 }
 
 impl Autopilot {
-    /// Starts the loop with the default engine (Remus).
+    /// Starts the loop, migrating with Remus.
     pub fn start(
         cluster: Arc<Cluster>,
         config: PlannerConfig,
         options: AutopilotOptions,
     ) -> Autopilot {
-        Self::start_with_engine(cluster, Arc::new(RemusEngine::new()), config, options)
-    }
-
-    /// Starts the loop with an explicit migration engine.
-    pub fn start_with_engine(
-        cluster: Arc<Cluster>,
-        engine: Arc<dyn MigrationEngine>,
-        config: PlannerConfig,
-        options: AutopilotOptions,
-    ) -> Autopilot {
-        let stop = Arc::default();
+        let executor = Executor::new(Arc::clone(&cluster), Arc::new(RemusEngine::new()));
+        let stop = Arc::clone(&executor.stop);
         let paused = Arc::new(AtomicBool::new(false));
         let handle = {
-            let stop = Arc::clone(&stop);
             let paused = Arc::clone(&paused);
-            std::thread::spawn(move || run_loop(cluster, engine, config, options, stop, paused))
+            std::thread::spawn(move || run_loop(cluster, executor, config, options, paused))
         };
         Autopilot {
             stop,
@@ -140,13 +111,11 @@ impl Autopilot {
 
 fn run_loop(
     cluster: Arc<Cluster>,
-    engine: Arc<dyn MigrationEngine>,
+    mut executor: Executor,
     config: PlannerConfig,
     options: AutopilotOptions,
-    stop: Arc<(AtomicBool, Signal)>,
     paused: Arc<AtomicBool>,
 ) -> AutopilotReport {
-    let controller = MigrationController::new(Arc::clone(&cluster), engine);
     let mut collector = ObservationCollector::new();
     let mut planner = Planner::new(config.clone());
     let mut throttle = LatencyThrottle::new(config.latency_budget);
@@ -157,8 +126,7 @@ fn run_loop(
     let stalls = cluster.metrics.counter("planner.throttle_stalls");
     let provisions = cluster.metrics.counter("planner.replicas_provisioned");
     let decommissions = cluster.metrics.counter("planner.replicas_decommissioned");
-    // Replica processes this loop provisioned and still owns.
-    let mut replicas: HashMap<NodeId, ReplicaProcess> = HashMap::new();
+    let stop = Arc::clone(&executor.stop);
     let (stop, signal) = &*stop;
     let stopping = || stop.load(Ordering::SeqCst);
     // Waits `d` out, or until a stop is asked for (`true`).
@@ -172,123 +140,37 @@ fn run_loop(
         for decision in tick.decisions {
             // Backpressure gate, re-checked before *each* task so a spike
             // that lands mid-plan pauses the remainder of the plan and a
-            // clean window resumes it.
-            if let Some(stat) = &options.latency {
-                let mut stalled = false;
-                while throttle.over_budget(stat) {
-                    if !stalled {
-                        stalled = true;
-                        report.throttle_stalls += 1;
-                        stalls.inc();
-                        paused.store(true, Ordering::SeqCst);
-                    }
-                    if stopped_within(POLL) {
-                        paused.store(false, Ordering::SeqCst);
-                        break 'ticks;
-                    }
-                }
+            // recovered budget resumes it.
+            if let Some(stat) = options.latency.as_ref().filter(|s| throttle.over_budget(s)) {
+                report.throttle_stalls += 1;
+                stalls.inc();
+                paused.store(true, Ordering::SeqCst);
+                while !stopped_within(POLL) && throttle.over_budget(stat) {}
                 paused.store(false, Ordering::SeqCst);
             }
             if stopping() {
                 break 'ticks;
             }
             report.decisions.push(decision.to_string());
-            match &decision.action {
-                Action::Migrate(task) => {
-                    let mut attempt = 0u32;
-                    loop {
-                        match controller.run_task(task) {
-                            Ok(_) => {
-                                report.moves += 1;
-                                moves.inc();
-                                break;
-                            }
-                            // An engine can fail *after* the ownership
-                            // transfer committed (T_m is phase 4 of 6 in
-                            // Remus; cleanup and the dual-execution drain
-                            // come after). If routing already points every
-                            // task shard at the destination, the change the
-                            // planner wanted is in effect and a retry from
-                            // the stale source can only fail — count the
-                            // move and continue.
-                            Err(_) if landed(&cluster, task) => {
-                                report.moves += 1;
-                                moves.inc();
-                                break;
-                            }
-                            Err(_) if attempt < config.max_retries && !stopping() => {
-                                attempt += 1;
-                                report.retries += 1;
-                                let backoff = BACKOFF_CAP.min(BACKOFF_BASE * 2u32.pow(attempt - 1));
-                                // A stop cuts the backoff short; the retry
-                                // still runs and settles the move.
-                                stopped_within(backoff);
-                            }
-                            Err(_) => {
-                                report.failed += 1;
-                                failed.inc();
-                                planner.note_failed(&task.shards);
-                                break;
-                            }
-                        }
+            let (count, done) = match executor.execute(&mut planner, &decision) {
+                Executed::Migrated(moved) => {
+                    report.retries += u64::from(moved.retries);
+                    match moved.committed() {
+                        true => (&mut report.moves, &moves),
+                        false => (&mut report.failed, &failed),
                     }
                 }
-                Action::Replicate { dst, .. } => match provision_replica(&cluster, *dst) {
-                    Ok(proc) => {
-                        replicas.insert(*dst, proc);
-                        report.replicas_provisioned += 1;
-                        provisions.inc();
-                    }
-                    Err(_) => {
-                        report.failed += 1;
-                        failed.inc();
-                        planner.note_replica_failed();
-                    }
-                },
-                Action::Decommission { replica } => {
-                    if let Some(proc) = replicas.remove(replica) {
-                        proc.stop();
-                    }
-                    cluster.unregister_replica(*replica);
-                    report.replicas_decommissioned += 1;
-                    decommissions.inc();
-                }
-            }
+                Executed::Replicated(Ok(())) => (&mut report.replicas_provisioned, &provisions),
+                Executed::Replicated(Err(_)) => (&mut report.failed, &failed),
+                Executed::Decommissioned => (&mut report.replicas_decommissioned, &decommissions),
+            };
+            *count += 1;
+            done.inc();
         }
     }
-    // The loop owns its replica processes: stop them and return their
-    // nodes to the primary pool.
-    for (node, proc) in replicas {
-        proc.stop();
-        cluster.unregister_replica(node);
-    }
+    // Dropping the executor stops the replicas it provisioned and returns
+    // their nodes to the primary pool.
     report
-}
-
-/// Bootstraps a replica on `node` and blocks until it certifies; on any
-/// failure the half-built process is torn down and the node returned to
-/// the primary pool.
-fn provision_replica(cluster: &Arc<Cluster>, node: NodeId) -> DbResult<ReplicaProcess> {
-    let proc = remus_core::start_replica(cluster, node)?;
-    if let Err(err) = proc.wait_certified(PROVISION_TIMEOUT) {
-        proc.stop();
-        cluster.unregister_replica(node);
-        return Err(err);
-    }
-    Ok(proc)
-}
-
-/// Whether routing already sends every shard of `task` to its
-/// destination — i.e. the migration took effect even if the engine
-/// reported an error from a post-transfer phase.
-fn landed(cluster: &Cluster, task: &remus_core::MigrationTask) -> bool {
-    let probe = cluster.node(task.dest);
-    task.shards.iter().all(|&shard| {
-        cluster
-            .current_owner(probe, shard)
-            .map(|row| row.node == task.dest)
-            .unwrap_or(false)
-    })
 }
 
 #[cfg(test)]

@@ -14,19 +14,23 @@
 //!   I/O, no shared state; the only nondeterminism is a seeded RNG used for
 //!   tie-breaking, so equal seeds + equal observations replay to identical
 //!   plans. The chaos harness drives this layer directly.
-//! * [`autopilot`] — the background executor thread: ticks the collector
-//!   and planner on a wall-clock cadence, runs the chosen tasks through a
-//!   [`MigrationController`](remus_core::MigrationController), pauses
-//!   between migrations while the foreground p99 exceeds the latency
-//!   budget ([`throttle`]), and retries failed migrations with capped
-//!   backoff.
+//! * [`executor`] — the one place a [`Decision`] is carried out: a
+//!   migration with capped-backoff retries and the landed rule, a replica
+//!   provision or a decommission. The chaos harness hands it its planner
+//!   drive's decisions too.
+//! * [`autopilot`] — the background thread: ticks the collector and
+//!   planner on a wall-clock cadence and hands each decision to the
+//!   executor, pausing between them while the foreground p99 exceeds the
+//!   latency budget ([`throttle`]).
 
 pub mod autopilot;
+pub mod executor;
 pub mod observe;
 pub mod planner;
 pub mod throttle;
 
 pub use autopilot::{Autopilot, AutopilotOptions, AutopilotReport};
+pub use executor::{Executed, Executor, Moved};
 pub use observe::{Observation, ObservationCollector, ShardStat};
 pub use planner::{Action, Decision, MoveReason, Planner, PlannerTick};
 pub use throttle::LatencyThrottle;

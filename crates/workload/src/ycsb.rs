@@ -10,7 +10,6 @@
 //! skewed load-balancing scenario (§4.5) and the hot-shard contention
 //! scenario (§4.8) both build on it.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -279,11 +278,6 @@ impl Workload for HotSpot {
         )?;
         Ok(())
     }
-}
-
-/// A `Range` helper for hot ranges.
-pub fn hot_range(range: Range<u64>) -> KeyDistribution {
-    KeyDistribution::HotRange(range.start, range.end)
 }
 
 /// One phase of the hotspot-shift scenario: a Zipfian-weighted hot key
