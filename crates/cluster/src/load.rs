@@ -1,9 +1,13 @@
 //! Per-shard load accounting for the elasticity autopilot.
 //!
 //! Sessions tally reads/writes per shard locally (plain integers, no shared
-//! state on the statement path) and flush once per transaction into striped
-//! [`ShardLoadCell`]s — one relaxed atomic add per touched shard per
-//! transaction. A planner tick calls [`ShardLoadTracker::roll_window`],
+//! state on the statement path) and flush once per transaction into
+//! [`ShardLoadCell`]s — relaxed atomic adds on each touched shard's cell, and
+//! nothing else. A session reaches the cells through its own `LoadCells`,
+//! which asks the tracker's striped map only the first time the session
+//! touches a shard, so a transaction's charge takes no lock; the tracker's
+//! affinity map is locked only by a commit that wrote several shards. A
+//! planner tick calls [`ShardLoadTracker::roll_window`],
 //! which drains the raw counters into an EWMA per shard and publishes the
 //! window's cross-shard affinity pairs; [`ShardLoadTracker::snapshot`]
 //! returns the last published state without advancing the window.
@@ -52,6 +56,15 @@ impl ShardLoadCell {
         }
     }
 
+    /// Adds a committed transaction that wrote this shard; `cross` when it
+    /// wrote other shards too.
+    pub fn charge_commit(&self, cross: bool) {
+        self.commits.fetch_add(1, Ordering::Relaxed);
+        if cross {
+            self.cross.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Adds reads that a replica served on the owner's behalf.
     pub fn charge_offloaded(&self, reads: u64) {
         if reads > 0 {
@@ -67,6 +80,28 @@ impl ShardLoadCell {
             self.cross.swap(0, Ordering::Relaxed),
             self.offloaded.swap(0, Ordering::Relaxed),
         )
+    }
+}
+
+/// A session's handles on the load cells of the shards it has touched,
+/// sorted by shard id. Cells are never removed from the tracker, so a handle
+/// stays the shard's cell for the session's life.
+#[derive(Debug, Default)]
+pub(crate) struct LoadCells {
+    cells: Vec<(ShardId, Arc<ShardLoadCell>)>,
+}
+
+impl LoadCells {
+    /// The cell of `shard`, looked up in `tracker` on the first call only.
+    pub(crate) fn cell(&mut self, tracker: &ShardLoadTracker, shard: ShardId) -> &ShardLoadCell {
+        let at = match self.cells.binary_search_by_key(&shard, |(s, _)| *s) {
+            Ok(at) => at,
+            Err(at) => {
+                self.cells.insert(at, (shard, tracker.cell(shard)));
+                at
+            }
+        };
+        &self.cells[at].1
     }
 }
 
@@ -174,28 +209,17 @@ impl ShardLoadTracker {
         Arc::clone(stripe.write().entry(shard).or_default())
     }
 
-    /// Records one committed transaction over `written` shards (deduped by
-    /// the caller): a commit per shard, and — when the write set spans
-    /// several shards — a cross-shard mark per shard plus an affinity
-    /// count per shard pair.
-    pub fn record_commit(&self, written: &[ShardId]) {
-        for &shard in written {
-            let cell = self.cell(shard);
-            cell.commits.fetch_add(1, Ordering::Relaxed);
-            if written.len() > 1 {
-                cell.cross.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if written.len() > 1 {
-            let mut affinity = self.affinity.lock();
-            for (i, &a) in written.iter().enumerate() {
-                for &b in &written[i + 1..] {
-                    let pair = if a < b { (a, b) } else { (b, a) };
-                    if let Some(n) = affinity.get_mut(&pair) {
-                        *n += 1;
-                    } else if affinity.len() < AFFINITY_CAP {
-                        affinity.insert(pair, 1);
-                    }
+    /// Counts one committed transaction that wrote every shard of `written`
+    /// (deduped by the caller, two or more) in the window's affinity pairs.
+    pub fn record_affinity(&self, written: &[ShardId]) {
+        let mut affinity = self.affinity.lock();
+        for (i, &a) in written.iter().enumerate() {
+            for &b in &written[i + 1..] {
+                let pair = if a < b { (a, b) } else { (b, a) };
+                if let Some(n) = affinity.get_mut(&pair) {
+                    *n += 1;
+                } else if affinity.len() < AFFINITY_CAP {
+                    affinity.insert(pair, 1);
                 }
             }
         }
@@ -340,9 +364,13 @@ mod tests {
     #[test]
     fn commits_and_affinity_pairs() {
         let t = ShardLoadTracker::new();
-        t.record_commit(&[ShardId(3)]);
-        t.record_commit(&[ShardId(1), ShardId(2)]);
-        t.record_commit(&[ShardId(2), ShardId(1)]);
+        t.cell(ShardId(3)).charge_commit(false);
+        for written in [[ShardId(1), ShardId(2)], [ShardId(2), ShardId(1)]] {
+            for shard in written {
+                t.cell(shard).charge_commit(true);
+            }
+            t.record_affinity(&written);
+        }
         let snap = t.roll_window(1.0);
         assert_eq!(snap.load_of(ShardId(3)).commits, 1.0);
         assert_eq!(snap.load_of(ShardId(3)).cross, 0.0);
@@ -354,7 +382,7 @@ mod tests {
     #[test]
     fn affinity_is_per_window_not_cumulative() {
         let t = ShardLoadTracker::new();
-        t.record_commit(&[ShardId(1), ShardId(2)]);
+        t.record_affinity(&[ShardId(1), ShardId(2)]);
         t.roll_window(1.0);
         let snap = t.roll_window(1.0);
         assert!(snap.affinity.is_empty());
@@ -364,7 +392,7 @@ mod tests {
     fn reset_clears_everything() {
         let t = ShardLoadTracker::new();
         t.cell(ShardId(1)).charge(10, 10);
-        t.record_commit(&[ShardId(1), ShardId(2)]);
+        t.record_affinity(&[ShardId(1), ShardId(2)]);
         t.roll_window(1.0);
         t.cell(ShardId(1)).charge(10, 10);
         t.reset();
@@ -385,6 +413,22 @@ mod tests {
         // ... but the shard's read demand includes the replica-served 6.
         assert_eq!(load.read_demand(), 8.0);
         assert!((load.read_fraction() - 8.0 / 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn load_cells_ask_the_tracker_once_per_shard() {
+        let t = ShardLoadTracker::new();
+        let mut cells = LoadCells::default();
+        for shard in [5, 2, 5, 9, 2] {
+            cells.cell(&t, ShardId(shard)).charge(1, 0);
+        }
+        assert_eq!(cells.cells.len(), 3);
+        let snap = t.roll_window(1.0);
+        assert_eq!(snap.load_of(ShardId(5)).reads, 2.0);
+        assert_eq!(snap.load_of(ShardId(9)).reads, 1.0);
+        // The session's handle is the tracker's cell.
+        cells.cell(&t, ShardId(2)).charge(0, 4);
+        assert_eq!(t.roll_window(1.0).load_of(ShardId(2)).writes, 4.0);
     }
 
     #[test]

@@ -22,8 +22,9 @@ pub struct Node {
     pub read_through: ReadThroughState,
     /// Work units standing in for OS CPU sampling (Figure 10's "CPU
     /// usage"): the node is charged for statement, replay, propagation and
-    /// snapshot-copy work, and the harness samples per-second deltas. Not
-    /// a registry series.
+    /// snapshot-copy work, and the harness samples per-second deltas. A
+    /// session transaction charges its statements here once per touched
+    /// shard, when it ends. Not a registry series.
     pub work: Counter,
 }
 

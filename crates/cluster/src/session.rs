@@ -7,6 +7,15 @@
 //! under cache-read-through or for transactions older than a cached entry
 //! — and drives commit/abort.
 //!
+//! A statement writes shared memory only for its row: the CLOG, the WAL,
+//! the oracle and the row's index stripe. Its route comes from the
+//! session's filled cache after two atomic loads, its node is borrowed from
+//! the cluster, its table is the one the transaction resolved for the shard
+//! (checked against the node's placement generation), and its doom check is
+//! a load. Load and work are tallied in the transaction's own books and
+//! charged once, in `SessionTxn::finish`, through the session's handles on
+//! the shards' load cells.
+//!
 //! Under [`CcMode::ShardLock`] every statement additionally takes an
 //! H-store-style shard lock held until transaction end (the Squall
 //! regime).
@@ -20,25 +29,36 @@ use parking_lot::Mutex;
 use remus_common::{DbResult, NodeId, ShardId, Timestamp, TxnId};
 use remus_shard::{CacheLookup, ShardMapCache, TableLayout};
 use remus_storage::{Key, Value};
-use remus_txn::{abort_txn, commit_txn, LockMode, Txn};
+use remus_txn::{abort_txn, commit_txn, LockMode, ShardTable, Txn};
+use remus_wal::WriteKind;
 
 use crate::cluster::{CcMode, Cluster};
+use crate::load::LoadCells;
 use crate::node::Node;
 
 /// A client connection bound to a coordinator node.
 pub struct Session {
     cluster: Arc<Cluster>,
-    coordinator: Arc<Node>,
-    cache: Mutex<ShardMapCache>,
+    coordinator: NodeId,
+    cache: Mutex<SessionCache>,
     /// Highest commit timestamp this session has produced — the causal
     /// token a paired read-your-writes replica session waits on.
     last_commit: Arc<std::sync::atomic::AtomicU64>,
 }
 
+/// What a session keeps across its transactions.
+#[derive(Default)]
+struct SessionCache {
+    /// The coordinator's private ordered shard map cache (§3.5.1).
+    routes: ShardMapCache,
+    /// The load cell of every shard the session has touched.
+    cells: LoadCells,
+}
+
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("coordinator", &self.coordinator.id())
+            .field("coordinator", &self.coordinator)
             .finish()
     }
 }
@@ -48,8 +68,8 @@ impl Session {
     pub fn connect(cluster: &Arc<Cluster>, coordinator: NodeId) -> Session {
         Session {
             cluster: Arc::clone(cluster),
-            coordinator: Arc::clone(cluster.node(coordinator)),
-            cache: Mutex::new(ShardMapCache::new()),
+            coordinator: cluster.node(coordinator).id(),
+            cache: Mutex::default(),
             last_commit: Arc::new(std::sync::atomic::AtomicU64::new(0)),
         }
     }
@@ -73,13 +93,13 @@ impl Session {
 
     /// The coordinator node.
     pub fn coordinator(&self) -> &Arc<Node> {
-        &self.coordinator
+        self.cluster.node(self.coordinator)
     }
 
     /// Begins a transaction (blocks while routing is suspended).
     pub fn begin(&self) -> SessionTxn<'_> {
-        let start_ts = self.cluster.begin_txn(self.coordinator.id());
-        let txn = Txn::begin(&self.coordinator.storage, start_ts);
+        let start_ts = self.cluster.begin_txn(self.coordinator);
+        let txn = Txn::begin(&self.coordinator().storage, start_ts);
         SessionTxn {
             session: self,
             txn,
@@ -97,7 +117,7 @@ impl Session {
     /// through restores cross-session read-your-writes, exactly like
     /// causal tokens in production systems.
     pub fn begin_after(&self, ts: Timestamp) -> SessionTxn<'_> {
-        self.cluster.oracle.observe(self.coordinator.id(), ts);
+        self.cluster.oracle.observe(self.coordinator, ts);
         self.begin()
     }
 
@@ -122,33 +142,45 @@ impl Session {
 
     /// Routes `shard` for a transaction with snapshot `start_ts`,
     /// implementing the cache / read-through / epoch protocol of §3.5.1.
-    fn route(&self, shard: ShardId, start_ts: Timestamp) -> DbResult<Arc<Node>> {
-        let coord = &self.coordinator;
+    fn route(&self, shard: ShardId, start_ts: Timestamp) -> DbResult<&Arc<Node>> {
+        let coord = self.coordinator();
         if coord.read_through.is_marked(shard) {
             // Vulnerable window around T_m: read the shard map table with
             // the transaction's snapshot and refresh the cache entry.
-            let row = self.cluster.owner_at(coord, shard, start_ts)?;
-            if row.cts.is_valid() {
-                self.cache.lock().upsert(shard, row.node, row.cts);
-            }
-            return Ok(Arc::clone(self.cluster.node(row.node)));
+            return self.read_through(coord, shard, start_ts);
         }
         let epoch = coord.read_through.epoch();
         let mut cache = self.cache.lock();
-        if cache.stale_for(epoch) {
+        if cache.routes.stale_for(epoch) {
             let rows = self.cluster.map_rows(coord)?;
-            cache.refresh(rows, epoch);
+            cache.routes.refresh(rows, epoch);
         }
-        match cache.lookup(shard, start_ts) {
-            CacheLookup::Hit(node) => Ok(Arc::clone(self.cluster.node(node))),
+        match cache.routes.lookup(shard, start_ts) {
+            CacheLookup::Hit(node) => Ok(self.cluster.node(node)),
             CacheLookup::ReadTable => {
-                // The transaction predates the cached version: its snapshot
-                // decides (e.g. T2 in Figure 5 still routes to the source).
+                // The transaction predates the cached version — its snapshot
+                // decides (e.g. T2 in Figure 5 still routes to the source) —
+                // or the shard's table was created after the refresh.
                 drop(cache);
-                let row = self.cluster.owner_at(coord, shard, start_ts)?;
-                Ok(Arc::clone(self.cluster.node(row.node)))
+                self.read_through(coord, shard, start_ts)
             }
         }
+    }
+
+    /// Routes `shard` by the shard map table at `start_ts`, and upserts the
+    /// row it read: a no-op under a newer cached entry, the entry of a shard
+    /// the cache did not have.
+    fn read_through(
+        &self,
+        coord: &Node,
+        shard: ShardId,
+        start_ts: Timestamp,
+    ) -> DbResult<&Arc<Node>> {
+        let row = self.cluster.owner_at(coord, shard, start_ts)?;
+        if row.cts.is_valid() {
+            self.cache.lock().routes.upsert(shard, row.node, row.cts);
+        }
+        Ok(self.cluster.node(row.node))
     }
 }
 
@@ -158,9 +190,11 @@ struct ShardUse {
     /// The sticky routing decision: once a shard is routed for this
     /// transaction, every later statement goes to the same node.
     node: NodeId,
-    /// Local tallies, flushed to the cluster's load tracker once at
-    /// transaction end — the statement path stays free of shared-state
-    /// traffic.
+    /// The shard's table on `node`, resolved by the first statement and
+    /// dropped with the transaction.
+    table: ShardTable,
+    /// Local tallies, charged to the shard's load cell and to the node's
+    /// work counter once, at transaction end.
     reads: u64,
     writes: u64,
 }
@@ -216,23 +250,23 @@ impl<'s> SessionTxn<'s> {
     /// Routes `shard` for this transaction (sticky: the first decision,
     /// made with the begin-time snapshot, is reused for later statements)
     /// and returns the node and where `shard`'s entry is in `touched`.
-    fn route_for(&mut self, shard: ShardId) -> DbResult<(Arc<Node>, usize)> {
-        let at = match self.touched.binary_search_by_key(&shard, |u| u.shard) {
-            Ok(at) => at,
+    fn route_for(&mut self, shard: ShardId) -> DbResult<(&'s Arc<Node>, usize)> {
+        let session = self.session;
+        match self.touched.binary_search_by_key(&shard, |u| u.shard) {
+            Ok(at) => Ok((session.cluster.node(self.touched[at].node), at)),
             Err(at) => {
-                let node = self.session.route(shard, self.begin_ts)?;
+                let node = session.route(shard, self.begin_ts)?;
                 let fresh = ShardUse {
                     shard,
                     node: node.id(),
+                    table: ShardTable::default(),
                     reads: 0,
                     writes: 0,
                 };
                 self.touched.insert(at, fresh);
-                return Ok((node, at));
+                Ok((node, at))
             }
-        };
-        let node = self.session.cluster.node(self.touched[at].node);
-        Ok((Arc::clone(node), at))
+        }
     }
 
     fn lock_shard(&mut self, shard: ShardId) -> DbResult<()> {
@@ -255,7 +289,7 @@ impl<'s> SessionTxn<'s> {
                 .session
                 .cluster
                 .oracle
-                .start_ts(self.session.coordinator.id());
+                .start_ts(self.session.coordinator);
         }
         Ok(())
     }
@@ -279,9 +313,9 @@ impl<'s> SessionTxn<'s> {
         if let Some(hook) = self.session.cluster.access_hook() {
             hook.before_access(node.id(), shard, key, false, self.txn.xid)?;
         }
-        node.work.add(1);
-        self.touched[at].reads += 1;
-        self.txn.read(&node.storage, shard, key)
+        let used = &mut self.touched[at];
+        used.reads += 1;
+        self.txn.read_in(&node.storage, shard, &mut used.table, key)
     }
 
     /// Inserts `key -> value`.
@@ -297,9 +331,7 @@ impl<'s> SessionTxn<'s> {
         key: Key,
         value: Value,
     ) -> DbResult<()> {
-        self.write_op(layout, sharding_key, key, |txn, node, shard| {
-            txn.insert(node, shard, key, value)
-        })
+        self.write_op(layout, sharding_key, key, WriteKind::Insert, value)
     }
 
     /// Updates `key -> value`.
@@ -315,23 +347,17 @@ impl<'s> SessionTxn<'s> {
         key: Key,
         value: Value,
     ) -> DbResult<()> {
-        self.write_op(layout, sharding_key, key, |txn, node, shard| {
-            txn.update(node, shard, key, value)
-        })
+        self.write_op(layout, sharding_key, key, WriteKind::Update, value)
     }
 
     /// Deletes `key`.
     pub fn delete(&mut self, layout: &TableLayout, key: Key) -> DbResult<()> {
-        self.write_op(layout, key, key, |txn, node, shard| {
-            txn.delete(node, shard, key)
-        })
+        self.write_op(layout, key, key, WriteKind::Delete, Value::new())
     }
 
     /// Explicitly locks `key` (`SELECT ... FOR UPDATE`).
     pub fn lock_row(&mut self, layout: &TableLayout, key: Key) -> DbResult<()> {
-        self.write_op(layout, key, key, |txn, node, shard| {
-            txn.lock_row(node, shard, key)
-        })
+        self.write_op(layout, key, key, WriteKind::Lock, Value::new())
     }
 
     fn write_op(
@@ -339,7 +365,8 @@ impl<'s> SessionTxn<'s> {
         layout: &TableLayout,
         sharding_key: Key,
         key: Key,
-        op: impl FnOnce(&mut Txn, &Arc<remus_txn::NodeStorage>, ShardId) -> DbResult<()>,
+        kind: WriteKind,
+        value: Value,
     ) -> DbResult<()> {
         let shard = layout.shard_for(sharding_key);
         self.lock_shard(shard)?;
@@ -347,9 +374,11 @@ impl<'s> SessionTxn<'s> {
         if let Some(hook) = self.session.cluster.access_hook() {
             hook.before_access(node.id(), shard, key, true, self.txn.xid)?;
         }
-        node.work.add(1);
-        self.touched[at].writes += 1;
-        op(&mut self.txn, &node.storage, shard)
+        let used = &mut self.touched[at];
+        used.writes += 1;
+        let table = &mut used.table;
+        self.txn
+            .write_in(&node.storage, shard, table, key, kind, value)
     }
 
     /// Scans the whole table at this transaction's snapshot, returning every
@@ -363,7 +392,8 @@ impl<'s> SessionTxn<'s> {
             if let Some(hook) = self.session.cluster.access_hook() {
                 hook.before_scan(node.id(), shard, self.txn.xid)?;
             }
-            let table = node.storage.table_or_err(shard)?;
+            let used = &mut self.touched[at];
+            let table = used.table.get(&node.storage, shard)?;
             // SSI: a scan predicates over the whole shard, so it takes a
             // shard-granularity SIREAD lock — any later write anywhere in
             // the shard raises an rw-edge against this transaction.
@@ -380,9 +410,7 @@ impl<'s> SessionTxn<'s> {
                 node.storage.config.lock_wait_timeout,
                 |key, value| out.push((key, value)),
             )?;
-            let rows = (out.len() - before) as u64;
-            node.work.add(rows);
-            self.touched[at].reads += rows;
+            used.reads += (out.len() - before) as u64;
         }
         Ok(out)
     }
@@ -404,31 +432,50 @@ impl<'s> SessionTxn<'s> {
             self.session
                 .last_commit
                 .fetch_max(cts.0, std::sync::atomic::Ordering::SeqCst);
-            let written = self.touched.iter().filter(|u| u.writes > 0);
-            let written: Vec<ShardId> = written.map(|u| u.shard).collect();
-            self.session.cluster.load.record_commit(&written);
         }
-        self.finish();
+        self.finish(result.is_ok());
         result
     }
 
     /// Aborts.
     pub fn abort(mut self) {
         abort_txn(&mut self.txn);
-        self.finish();
+        self.finish(false);
     }
 
-    fn finish(&mut self) {
-        if !self.finished {
-            self.release_locks();
-            for used in &self.touched {
-                let cell = self.session.cluster.load.cell(used.shard);
-                cell.charge(used.reads, used.writes);
-            }
-            let coordinator = self.session.coordinator.id();
-            self.session.cluster.end_txn(coordinator, self.begin_ts);
-            self.finished = true;
+    /// The one exit of commit, abort and drop: charges each touched shard's
+    /// load cell and node once — statements, and a commit (`cross` when the
+    /// transaction wrote several shards) — records a multi-shard write set's
+    /// affinity, drops the tables and releases the snapshot.
+    fn finish(&mut self, committed: bool) {
+        if self.finished {
+            return;
         }
+        self.release_locks();
+        let cluster = &self.session.cluster;
+        let written = self.touched.iter().filter(|u| u.writes > 0).count();
+        let cross = written > 1;
+        {
+            let mut cache = self.session.cache.lock();
+            for used in &self.touched {
+                cluster.node(used.node).work.add(used.reads + used.writes);
+                let cell = cache.cells.cell(&cluster.load, used.shard);
+                cell.charge(used.reads, used.writes);
+                if committed && used.writes > 0 {
+                    cell.charge_commit(cross);
+                }
+            }
+        }
+        if committed && cross {
+            let written = self.touched.iter().filter(|u| u.writes > 0);
+            let written: Vec<ShardId> = written.map(|u| u.shard).collect();
+            cluster.load.record_affinity(&written);
+        }
+        // The table handles go before the snapshot: a cleanup that waits
+        // for this transaction to drain then holds the last one.
+        self.touched.clear();
+        cluster.end_txn(self.session.coordinator, self.begin_ts);
+        self.finished = true;
     }
 }
 
@@ -436,7 +483,7 @@ impl Drop for SessionTxn<'_> {
     fn drop(&mut self) {
         if !self.finished {
             abort_txn(&mut self.txn);
-            self.finish();
+            self.finish(false);
         }
     }
 }
@@ -632,6 +679,57 @@ mod tests {
         let snap = c.roll_load_window(1.0);
         assert_eq!(snap.load_of(s1).reads, 1.0);
         assert_eq!(snap.load_of(s1).commits, 0.0);
+    }
+
+    fn cached_shards(session: &Session) -> usize {
+        session.cache.lock().routes.len()
+    }
+
+    #[test]
+    fn a_session_fills_its_route_cache_before_any_migration() {
+        let (c, layout) = small_cluster();
+        let other = c.create_table(TableId(2), 100, 4, |i| NodeId(i % 3));
+        let session = Session::connect(&c, NodeId(0));
+        assert_eq!(c.node(NodeId(0)).read_through.epoch(), 0, "never migrated");
+        session.run(|t| t.read(&layout, 1)).unwrap();
+        // Every registered shard, not only the one the transaction touched.
+        assert_eq!(cached_shards(&session), 6 + 4);
+        let lookup = session
+            .cache
+            .lock()
+            .routes
+            .lookup(ShardId(101), Timestamp::MAX);
+        assert_eq!(lookup, CacheLookup::Hit(NodeId(1)));
+        // Routing from the filled cache reads no row of the map table.
+        let (v, _) = session.run(|t| t.read(&other, 7)).unwrap();
+        assert_eq!(v, None);
+        assert_eq!(cached_shards(&session), 10);
+    }
+
+    #[test]
+    fn a_table_created_after_the_refresh_is_read_through_and_cached() {
+        let (c, layout) = small_cluster();
+        let session = Session::connect(&c, NodeId(0));
+        session.run(|t| t.insert(&layout, 1, val("a"))).unwrap();
+        assert_eq!(cached_shards(&session), 6);
+        // Shards 50..52, placed off the coordinator, after the refresh.
+        let late = c.create_table(TableId(2), 50, 2, |_| NodeId(2));
+        session.run(|t| t.insert(&late, 9, val("late"))).unwrap();
+        assert_eq!(cached_shards(&session), 7, "the routed shard is upserted");
+        let shard = late.shard_for(9);
+        let table = c.node(NodeId(2)).storage.table(shard).unwrap();
+        let on_owner = table.read(
+            9,
+            Timestamp::MAX,
+            TxnId::INVALID,
+            &c.node(NodeId(2)).storage.clog,
+            c.config.lock_wait_timeout,
+        );
+        assert_eq!(on_owner.unwrap(), Some(val("late")));
+        let other = Session::connect(&c, NodeId(1));
+        let (v, _) = other.run(|t| t.read(&late, 9)).unwrap();
+        assert_eq!(v, Some(val("late")));
+        assert_eq!(cached_shards(&other), 8, "a later refresh has both tables");
     }
 
     #[test]

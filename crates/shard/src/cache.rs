@@ -18,8 +18,16 @@
 //! cached entry (`entry.cts > start_ts`, e.g. T2 in Figure 5), the cache
 //! falls back to the MVCC read, which returns the version their snapshot
 //! must see.
+//!
+//! A new cache is stale at every epoch, so a coordinator fills it on its
+//! first route whether or not any shard has migrated; a shard the cache has
+//! no entry for (a table created after the refresh) is read through and
+//! upserted. While nothing is marked, the read-through check and the epoch
+//! are one atomic load each: a statement routed from a filled cache writes
+//! no shared cache line.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 use remus_common::{NodeId, ShardId, Timestamp};
@@ -38,8 +46,9 @@ struct CacheEntry {
 pub struct ShardMapCache {
     /// Sorted by shard id for binary search (the paper's ordered array).
     entries: Vec<CacheEntry>,
-    /// Map epoch this cache was refreshed at.
-    epoch: u64,
+    /// Map epoch this cache was refreshed at (`None` before the first
+    /// refresh).
+    epoch: Option<u64>,
 }
 
 /// What the cache says about routing one shard for one transaction.
@@ -54,19 +63,20 @@ pub enum CacheLookup {
 }
 
 impl ShardMapCache {
-    /// An empty cache (epoch 0 forces a refresh before first use).
+    /// An empty cache, stale at every epoch until its first refresh.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The epoch this cache was last refreshed at.
-    pub fn epoch(&self) -> u64 {
+    /// The epoch this cache was last refreshed at (`None` before the first
+    /// refresh).
+    pub fn epoch(&self) -> Option<u64> {
         self.epoch
     }
 
     /// True if the cache must be refreshed before trusting it.
     pub fn stale_for(&self, current_epoch: u64) -> bool {
-        self.epoch != current_epoch
+        self.epoch != Some(current_epoch)
     }
 
     /// Replaces the cache contents from `(shard, node, cts)` rows and
@@ -81,7 +91,7 @@ impl ShardMapCache {
             .map(|(shard, node, cts)| CacheEntry { shard, node, cts })
             .collect();
         self.entries.sort_unstable_by_key(|e| e.shard);
-        self.epoch = epoch;
+        self.epoch = Some(epoch);
     }
 
     /// Upserts one entry if `cts` is newer than what is cached (the
@@ -127,15 +137,18 @@ impl ShardMapCache {
 }
 
 /// Node-level cache-read-through state plus the map epoch.
+///
+/// The marked set sits behind a lock that only `mark`, `clear` and a lookup
+/// while some shard is marked take. `marked` mirrors the set's size and
+/// `epoch` the map epoch, both stored under the write lock; `clear` bumps
+/// the epoch before it stores the smaller count, so a router that loads a
+/// count of zero and then the epoch sees the bump of the `clear` that
+/// emptied the set.
 #[derive(Debug, Default)]
 pub struct ReadThroughState {
-    inner: RwLock<ReadThroughInner>,
-}
-
-#[derive(Debug, Default)]
-struct ReadThroughInner {
-    marked: HashSet<ShardId>,
-    epoch: u64,
+    marked: AtomicUsize,
+    epoch: AtomicU64,
+    shards: RwLock<HashSet<ShardId>>,
 }
 
 impl ReadThroughState {
@@ -146,28 +159,30 @@ impl ReadThroughState {
 
     /// Marks shards read-through (called before `T_m` executes).
     pub fn mark(&self, shards: &[ShardId]) {
-        let mut inner = self.inner.write();
-        inner.marked.extend(shards.iter().copied());
+        let mut marked = self.shards.write();
+        marked.extend(shards.iter().copied());
+        self.marked.store(marked.len(), Ordering::SeqCst);
     }
 
     /// Clears marks and bumps the epoch (called after `T_m` commits), so
     /// coordinators refresh their caches.
     pub fn clear(&self, shards: &[ShardId]) {
-        let mut inner = self.inner.write();
+        let mut marked = self.shards.write();
         for s in shards {
-            inner.marked.remove(s);
+            marked.remove(s);
         }
-        inner.epoch += 1;
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.marked.store(marked.len(), Ordering::SeqCst);
     }
 
     /// True while `shard` must be routed via the shard map table.
     pub fn is_marked(&self, shard: ShardId) -> bool {
-        self.inner.read().marked.contains(&shard)
+        self.marked.load(Ordering::SeqCst) != 0 && self.shards.read().contains(&shard)
     }
 
     /// The current map epoch.
     pub fn epoch(&self) -> u64 {
-        self.inner.read().epoch
+        self.epoch.load(Ordering::SeqCst)
     }
 }
 
@@ -236,7 +251,7 @@ mod tests {
             ],
             7,
         );
-        assert_eq!(cache.epoch(), 7);
+        assert_eq!(cache.epoch(), Some(7));
         assert_eq!(cache.len(), 3);
         assert_eq!(
             cache.lookup(ShardId(20), ts(5)),
@@ -247,6 +262,8 @@ mod tests {
     #[test]
     fn staleness_tracks_epoch() {
         let mut cache = ShardMapCache::new();
+        // A new cache is stale at the epoch a node starts at, too.
+        assert!(cache.stale_for(0));
         assert!(cache.stale_for(1));
         cache.refresh([], 1);
         assert!(!cache.stale_for(1));

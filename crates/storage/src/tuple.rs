@@ -184,9 +184,18 @@ impl VersionChain {
 
     /// Mutable access to the version committed at `cts`, wherever it
     /// stands: in one key's chain, a commit timestamp names one transaction.
+    /// Committed versions stand in commit order, so the walk ends at the
+    /// first one committed below `cts`: an install on top of a long chain
+    /// asks about the versions above its place, not about the whole chain.
     pub fn committed_at_mut(&mut self, cts: Timestamp, clog: &Clog) -> Option<&mut Version> {
-        self.iter_mut()
-            .find_map(|v| (v.status(clog) == TxnStatus::Committed(cts)).then_some(v))
+        for v in self.iter_mut() {
+            match v.status(clog) {
+                TxnStatus::Committed(c) if c == cts => return Some(v),
+                TxnStatus::Committed(c) if c < cts => return None,
+                _ => {}
+            }
+        }
+        None
     }
 
     /// Inserts `version` below the leading run of versions `newer` holds for.
@@ -311,6 +320,76 @@ mod tests {
         assert_eq!(chain.len(), 1);
         assert_eq!(chain.newest_mut().unwrap().xmin, xid(1));
         assert_eq!(chain.snapshot()[0].locker, None);
+    }
+
+    /// A chain of `n` versions committed at 10, 20, .., the newest on top,
+    /// none of them stamped yet.
+    fn unstamped_chain(n: u64, clog: &Clog) -> VersionChain {
+        let mut chain = VersionChain::default();
+        for i in 1..=n {
+            clog.begin(xid(i));
+            clog.set_committed(xid(i), Timestamp(10 * i)).unwrap();
+            chain.push(Version::data(xid(i), Bytes::from_static(b"v")));
+        }
+        chain
+    }
+
+    fn stamped(chain: &VersionChain) -> usize {
+        chain.iter().filter(|v| v.cts.is_valid()).count()
+    }
+
+    #[test]
+    fn a_top_install_on_a_long_chain_inspects_a_bounded_number_of_versions() {
+        // Each version the walk inspects asks the CLOG once and is stamped
+        // with its commit timestamp, so the stamps count the inspections.
+        const N: u64 = 10_000;
+        let clog = Clog::new();
+        let mut chain = unstamped_chain(N, &clog);
+        // A retransmit of the newest commit is found on top.
+        let own = chain.committed_at_mut(Timestamp(10 * N), &clog).unwrap();
+        assert_eq!(own.xmin, xid(N));
+        assert_eq!(stamped(&chain), 1);
+        // A commit above the newest is not in the chain: the walk ends at
+        // the newest version, committed below it.
+        assert!(chain
+            .committed_at_mut(Timestamp(10 * N + 5), &clog)
+            .is_none());
+        assert_eq!(stamped(&chain), 1);
+        // One a few places down is found, or missed, a few places down.
+        assert_eq!(
+            chain
+                .committed_at_mut(Timestamp(10 * (N - 3)), &clog)
+                .unwrap()
+                .xmin,
+            xid(N - 3)
+        );
+        assert!(chain
+            .committed_at_mut(Timestamp(10 * (N - 5) + 1), &clog)
+            .is_none());
+        assert_eq!(stamped(&chain), 6);
+    }
+
+    #[test]
+    fn the_walk_passes_unresolved_and_aborted_versions_above_its_place() {
+        let clog = Clog::new();
+        let mut chain = unstamped_chain(3, &clog);
+        // An aborted and a running writer above the committed ones.
+        for (i, abort) in [(8, true), (9, false)] {
+            clog.begin(xid(i));
+            if abort {
+                clog.set_aborted(xid(i));
+            }
+            chain.push(Version::data(xid(i), Bytes::from_static(b"x")));
+        }
+        assert_eq!(
+            chain.committed_at_mut(Timestamp(30), &clog).unwrap().xmin,
+            xid(3)
+        );
+        assert_eq!(
+            chain.committed_at_mut(Timestamp(20), &clog).unwrap().xmin,
+            xid(2)
+        );
+        assert!(chain.committed_at_mut(Timestamp(25), &clog).is_none());
     }
 
     #[test]

@@ -114,19 +114,28 @@ fn incremental_gc_races_writers_without_losing_visible_versions() {
         commit_write(&table, &clog, key, xid, &ts, true);
     }
 
+    // What GC has pruned so far. The writers run 200 rounds and then on
+    // until GC has pruned once (up to a deadline), so a GC thread the
+    // scheduler starts late still races them.
+    let pruned_so_far = Arc::new(AtomicU64::new(0));
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
     let writers: Vec<_> = (0..2u64)
         .map(|w| {
             let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
+            let pruned_so_far = Arc::clone(&pruned_so_far);
             std::thread::spawn(move || {
                 let mut seq = 1;
-                for round in 0..200u64 {
+                for round in 0u64.. {
                     for k in 0..KEYS / 2 {
                         let key = k * 2 + w;
                         let xid = TxnId::new(NodeId(w as u32), seq);
                         seq += 1;
                         commit_write(&table, &clog, key, xid, &ts, false);
                     }
-                    let _ = round;
+                    let raced = pruned_so_far.load(Ordering::SeqCst) > 0;
+                    if round >= 199 && (raced || std::time::Instant::now() >= deadline) {
+                        break;
+                    }
                 }
             })
         })
@@ -134,6 +143,7 @@ fn incremental_gc_races_writers_without_losing_visible_versions() {
     let gc = {
         let (table, clog, ts) = (Arc::clone(&table), Arc::clone(&clog), Arc::clone(&ts));
         let (stop, active) = (Arc::clone(&stop), Arc::clone(&active));
+        let pruned_so_far = Arc::clone(&pruned_so_far);
         std::thread::spawn(move || {
             let mut pruned = 0usize;
             while stop.load(Ordering::SeqCst) == 0 {
@@ -142,6 +152,7 @@ fn incremental_gc_races_writers_without_losing_visible_versions() {
                 let lagged = ts.load(Ordering::SeqCst).saturating_sub(512);
                 let watermark = Timestamp(lagged.min(active.load(Ordering::SeqCst)));
                 pruned += table.gc_step(watermark, &clog, 128).pruned;
+                pruned_so_far.store(pruned as u64, Ordering::SeqCst);
             }
             pruned
         })

@@ -14,6 +14,7 @@
 //! every shard.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -22,6 +23,9 @@ use remus_common::{time, DbError, DbResult, ShardId, TxnId};
 /// Per-shard write gates.
 #[derive(Debug, Default)]
 pub struct ShardGate {
+    /// `closed.len()`, stored under its lock: a writer that loads zero
+    /// passes without taking it.
+    closed_len: AtomicUsize,
     closed: Mutex<HashMap<ShardId, bool>>,
     opened: Condvar,
 }
@@ -34,12 +38,17 @@ impl ShardGate {
 
     /// Closes the gate: subsequent writers block in [`ShardGate::wait_open`].
     pub fn close(&self, shard: ShardId) {
-        self.closed.lock().insert(shard, true);
+        let mut closed = self.closed.lock();
+        closed.insert(shard, true);
+        self.closed_len.store(closed.len(), Ordering::SeqCst);
     }
 
     /// Reopens the gate and wakes blocked writers.
     pub fn open(&self, shard: ShardId) {
-        self.closed.lock().remove(&shard);
+        let mut closed = self.closed.lock();
+        closed.remove(&shard);
+        self.closed_len.store(closed.len(), Ordering::SeqCst);
+        drop(closed);
         self.opened.notify_all();
     }
 
@@ -52,7 +61,10 @@ impl ShardGate {
     /// gate closed by a migration that died with the process must not
     /// outlive it).
     pub fn reset(&self) {
-        self.closed.lock().clear();
+        let mut closed = self.closed.lock();
+        closed.clear();
+        self.closed_len.store(0, Ordering::SeqCst);
+        drop(closed);
         self.opened.notify_all();
     }
 
@@ -60,6 +72,9 @@ impl ShardGate {
     /// had to wait (the caller then re-validates shard placement — after an
     /// ownership transfer the shard is gone and the write must abort).
     pub fn wait_open(&self, shard: ShardId, timeout: Duration) -> DbResult<bool> {
+        if self.closed_len.load(Ordering::SeqCst) == 0 {
+            return Ok(false);
+        }
         let mut closed = self.closed.lock();
         let mut waited = false;
         time::wait(&self.opened, &mut closed, timeout, |closed| {
@@ -252,6 +267,22 @@ mod tests {
     fn open_gate_passes_without_waiting() {
         let gate = ShardGate::new();
         assert!(!gate.wait_open(ShardId(1), T).unwrap());
+    }
+
+    #[test]
+    fn the_closed_count_follows_every_gate() {
+        let gate = ShardGate::new();
+        gate.close(ShardId(1));
+        gate.close(ShardId(2));
+        gate.close(ShardId(2));
+        assert_eq!(gate.closed_len.load(Ordering::SeqCst), 2);
+        gate.open(ShardId(1));
+        assert!(!gate.wait_open(ShardId(1), T).unwrap());
+        let short = Duration::from_millis(5);
+        assert!(gate.wait_open(ShardId(2), short).is_err(), "still closed");
+        gate.reset();
+        assert_eq!(gate.closed_len.load(Ordering::SeqCst), 0);
+        assert!(!gate.wait_open(ShardId(2), T).unwrap());
     }
 
     #[test]

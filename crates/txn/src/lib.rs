@@ -45,7 +45,7 @@ pub use commit::{
 pub use gate::{LockMode, ShardGate, ShardLockTable};
 pub use hooks::{CommitMode, SyncCommitHook};
 pub use net::{DelayNetwork, Network, NoNetwork};
-pub use node::{NodeCounters, NodeStorage, WalTail};
+pub use node::{NodeCounters, NodeStorage, ShardTable, WalTail};
 pub use recovery::{log_and_redo_committed, redo_committed, replay_node_wal, ReplaySummary};
 pub use ssi::{SealOutcome, SsiNode, SsiPhase, SsiShardExport, SsiTxn};
 pub use txn::Txn;

@@ -5,9 +5,15 @@
 //! transactions currently active on the node (with their write sets, so
 //! migration engines can find and terminate victims), the doom list, the
 //! per-shard write gates, and the installed commit hook.
+//!
+//! Two words let a statement skip a lock it would almost always find
+//! empty: the placement generation, which every change to the hosted
+//! tables bumps (a [`ShardTable`] resolved under an unchanged generation is
+//! still the table the node hosts), and the doomed count, which is zero
+//! unless a migration has doomed a victim here.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -119,6 +125,28 @@ impl Drop for WalTail {
     }
 }
 
+/// One shard's table on one node, looked up once and trusted while the
+/// node's placement generation stands still: a transaction's statements on
+/// a shard cost one lookup in the node's table map, not one each. Keep it no
+/// longer than a transaction — a handle held past a drop would free the
+/// dropped table on whoever releases it last.
+#[derive(Debug, Default)]
+pub struct ShardTable {
+    resolved: Option<(u64, Arc<VersionedTable>)>,
+}
+
+impl ShardTable {
+    /// The table `node` hosts for `shard` now, or a `NotOwner` error.
+    pub fn get(&mut self, node: &NodeStorage, shard: ShardId) -> DbResult<&Arc<VersionedTable>> {
+        let placement = node.placement();
+        if !matches!(&self.resolved, Some((at, _)) if *at == placement) {
+            self.resolved = None;
+            self.resolved = Some((placement, node.table_or_err(shard)?));
+        }
+        Ok(&self.resolved.as_ref().expect("resolved just above").1)
+    }
+}
+
 /// One node's storage-side state.
 pub struct NodeStorage {
     /// This node's id.
@@ -140,9 +168,13 @@ pub struct NodeStorage {
     /// snapshot-isolation hot path untouched.
     pub ssi: Option<Arc<SsiNode>>,
     tables: RwLock<HashMap<ShardId, Arc<VersionedTable>>>,
+    /// Bumped under `tables`' write lock by every change to it.
+    placement: AtomicU64,
     next_seq: AtomicU64,
     active: Mutex<HashMap<TxnId, ActiveTxn>>,
     doomed: Mutex<HashMap<TxnId, &'static str>>,
+    /// `doomed.len()`, stored under its lock.
+    doomed_len: AtomicUsize,
     hook: RwLock<Option<Arc<dyn SyncCommitHook>>>,
     slots: Arc<Slots>,
     next_slot: AtomicU64,
@@ -184,9 +216,11 @@ impl NodeStorage {
             counters,
             ssi,
             tables: RwLock::new(HashMap::new()),
+            placement: AtomicU64::new(0),
             next_seq: AtomicU64::new(1),
             active: Mutex::new(HashMap::new()),
             doomed: Mutex::new(HashMap::new()),
+            doomed_len: AtomicUsize::new(0),
             hook: RwLock::new(None),
             slots: Arc::default(),
             next_slot: AtomicU64::new(1),
@@ -205,11 +239,11 @@ impl NodeStorage {
     pub fn create_shard(&self, shard: ShardId) -> Arc<VersionedTable> {
         let stripes = self.config.hot_path.index_stripes;
         let mut tables = self.tables.write();
-        Arc::clone(
-            tables
-                .entry(shard)
-                .or_insert_with(|| Arc::new(VersionedTable::with_stripes(stripes))),
-        )
+        let table = tables.entry(shard).or_insert_with(|| {
+            self.placement.fetch_add(1, Ordering::SeqCst);
+            Arc::new(VersionedTable::with_stripes(stripes))
+        });
+        Arc::clone(table)
     }
 
     /// The table for `shard`, if hosted here.
@@ -225,9 +259,21 @@ impl NodeStorage {
         })
     }
 
+    /// The placement generation: it moves whenever a table is created,
+    /// dropped or reset by a crash.
+    pub fn placement(&self) -> u64 {
+        self.placement.load(Ordering::SeqCst)
+    }
+
     /// Drops a shard's data (cleanup after it migrated away).
     pub fn drop_shard(&self, shard: ShardId) -> bool {
-        self.tables.write().remove(&shard).is_some()
+        let mut tables = self.tables.write();
+        let dropped = tables.remove(&shard);
+        if dropped.is_some() {
+            self.placement.fetch_add(1, Ordering::SeqCst);
+        }
+        drop(tables);
+        dropped.is_some()
     }
 
     /// True if this node hosts the shard.
@@ -321,11 +367,16 @@ impl NodeStorage {
     /// Marks a transaction for termination: its next operation or commit
     /// fails with a migration abort.
     pub fn doom(&self, xid: TxnId, reason: &'static str) {
-        self.doomed.lock().insert(xid, reason);
+        let mut doomed = self.doomed.lock();
+        doomed.insert(xid, reason);
+        self.doomed_len.store(doomed.len(), Ordering::SeqCst);
     }
 
-    /// Fails if the transaction has been doomed.
+    /// Fails if the transaction has been doomed. One load while nobody is.
     pub fn check_doom(&self, xid: TxnId) -> DbResult<()> {
+        if self.doomed_len.load(Ordering::SeqCst) == 0 {
+            return Ok(());
+        }
         if let Some(reason) = self.doomed.lock().get(&xid) {
             Err(DbError::MigrationAbort { txn: xid, reason })
         } else {
@@ -335,12 +386,14 @@ impl NodeStorage {
 
     /// Clears the doom entry (after the client observed the abort).
     pub fn clear_doom(&self, xid: TxnId) {
-        self.doomed.lock().remove(&xid);
+        let mut doomed = self.doomed.lock();
+        doomed.remove(&xid);
+        self.doomed_len.store(doomed.len(), Ordering::SeqCst);
     }
 
     /// Number of doomed transactions whose abort nobody has observed yet.
     pub fn doomed_count(&self) -> usize {
-        self.doomed.lock().len()
+        self.doomed_len.load(Ordering::SeqCst)
     }
 
     // ---- replication slots & WAL truncation ----
@@ -433,9 +486,11 @@ impl NodeStorage {
                     false
                 }
             });
+            self.placement.fetch_add(1, Ordering::SeqCst);
         }
         self.active.lock().clear();
         self.doomed.lock().clear();
+        self.doomed_len.store(0, Ordering::SeqCst);
         self.gate.reset();
         if let Some(ssi) = &self.ssi {
             ssi.clear();
@@ -531,6 +586,58 @@ mod tests {
         assert!(err.is_migration_induced());
         n.clear_doom(x);
         assert!(n.check_doom(x).is_ok());
+    }
+
+    #[test]
+    fn the_doomed_count_follows_the_doom_list() {
+        let n = node();
+        let (x, y) = (n.alloc_xid(), n.alloc_xid());
+        n.doom(x, "a");
+        n.doom(y, "b");
+        n.doom(y, "b again");
+        assert_eq!(n.doomed_count(), 2);
+        assert!(n.check_doom(y).is_err());
+        n.clear_doom(x);
+        assert_eq!(n.doomed_count(), 1);
+        assert!(n.check_doom(x).is_ok());
+        assert!(n.check_doom(y).is_err(), "the other doom stands");
+        n.crash_reset(&[]).unwrap();
+        assert_eq!(n.doomed_count(), 0);
+        assert!(n.check_doom(y).is_ok());
+    }
+
+    #[test]
+    fn the_placement_generation_moves_with_every_table_change() {
+        let n = node();
+        let at = n.placement();
+        n.create_shard(ShardId(7));
+        assert_eq!(n.placement(), at + 1);
+        n.create_shard(ShardId(7));
+        assert_eq!(n.placement(), at + 1, "an existing table is no change");
+        assert!(n.drop_shard(ShardId(7)));
+        assert!(!n.drop_shard(ShardId(7)));
+        assert_eq!(n.placement(), at + 2);
+        n.crash_reset(&[]).unwrap();
+        assert_eq!(n.placement(), at + 3);
+    }
+
+    #[test]
+    fn a_shard_table_is_looked_up_again_only_after_a_placement_change() {
+        let n = node();
+        let first = n.create_shard(ShardId(7));
+        let mut table = ShardTable::default();
+        assert!(Arc::ptr_eq(table.get(&n, ShardId(7)).unwrap(), &first));
+        n.drop_shard(ShardId(7));
+        assert!(matches!(
+            table.get(&n, ShardId(7)),
+            Err(DbError::NotOwner { .. })
+        ));
+        let second = n.create_shard(ShardId(7));
+        assert!(Arc::ptr_eq(table.get(&n, ShardId(7)).unwrap(), &second));
+        // Another shard's change moves the generation too: the handle looks
+        // its own table up again and finds it unchanged.
+        n.create_shard(ShardId(8));
+        assert!(Arc::ptr_eq(table.get(&n, ShardId(7)).unwrap(), &second));
     }
 
     #[test]

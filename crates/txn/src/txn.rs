@@ -10,6 +10,10 @@
 //! a WAL record, applies to the MVCC table, and records itself in the
 //! node's active registry (the write set used by abort purges and by
 //! migration engines hunting victims).
+//!
+//! [`Txn::read_in`] and [`Txn::write_in`] take the shard's table through a
+//! caller's [`ShardTable`], so a session resolves it once per transaction;
+//! the other operations resolve it per call.
 
 use std::sync::Arc;
 
@@ -19,7 +23,7 @@ use remus_common::{
 use remus_storage::{Key, Value};
 use remus_wal::{LogOp, LogRecord, WriteKind, WriteOp};
 
-use crate::node::NodeStorage;
+use crate::node::{NodeStorage, ShardTable};
 use crate::ssi::SsiTxn;
 
 /// Commit-protocol state of a transaction handle.
@@ -156,9 +160,20 @@ impl Txn {
         shard: ShardId,
         key: Key,
     ) -> DbResult<Option<Value>> {
+        self.read_in(node, shard, &mut ShardTable::default(), key)
+    }
+
+    /// SI point read of `shard`'s table through `table`.
+    pub fn read_in(
+        &self,
+        node: &Arc<NodeStorage>,
+        shard: ShardId,
+        table: &mut ShardTable,
+        key: Key,
+    ) -> DbResult<Option<Value>> {
         self.assert_active()?;
         node.check_doom(self.xid)?;
-        let table = node.table_or_err(shard)?;
+        let table = table.get(node, shard)?;
         let value = table.read(
             key,
             self.start_ts,
@@ -172,10 +187,12 @@ impl Txn {
         Ok(value)
     }
 
-    fn write_common(
+    /// Writes `key` of `shard`'s table through `table`.
+    pub fn write_in(
         &mut self,
         node: &Arc<NodeStorage>,
         shard: ShardId,
+        table: &mut ShardTable,
         key: Key,
         kind: WriteKind,
         value: Value,
@@ -183,9 +200,10 @@ impl Txn {
         self.assert_active()?;
         node.check_doom(self.xid)?;
         node.gate.wait_open(shard, node.config.lock_wait_timeout)?;
-        // `NotOwner` here also covers a gate that closed for an ownership
-        // transfer: the shard moved away while we were blocked.
-        let table = node.table_or_err(shard)?;
+        // Resolved after the gate: `NotOwner` here also covers a gate that
+        // closed for an ownership transfer — the shard moved away while we
+        // were blocked, and its table may be gone.
+        let table = table.get(node, shard)?;
         self.ensure_begun(node)?;
         // SSI: register the write and raise edges against concurrent
         // readers *before* the WAL/table apply — a dangerous structure
@@ -212,6 +230,18 @@ impl Txn {
         }
         node.record_write(self.xid, shard, key);
         Ok(())
+    }
+
+    /// [`Self::write_in`] with the table looked up for this write alone.
+    fn write_common(
+        &mut self,
+        node: &Arc<NodeStorage>,
+        shard: ShardId,
+        key: Key,
+        kind: WriteKind,
+        value: Value,
+    ) -> DbResult<()> {
+        self.write_in(node, shard, &mut ShardTable::default(), key, kind, value)
     }
 
     /// Inserts a tuple.
@@ -308,6 +338,47 @@ mod tests {
         let err = txn.insert(&node, ShardId(1), 1, val("a")).unwrap_err();
         assert!(err.is_migration_induced());
         assert!(txn.read(&node, ShardId(1), 1).is_err());
+    }
+
+    #[test]
+    fn a_writer_parked_on_the_gate_finds_the_shard_dropped_behind_it() {
+        // The writer resolved the table before the gate closed; the shard is
+        // dropped while it waits. It must not write into the dropped table.
+        let node = setup();
+        node.create_shard(ShardId(2));
+        let mut txn = Txn::begin(&node, Timestamp(10));
+        let mut table = ShardTable::default();
+        txn.read_in(&node, ShardId(1), &mut table, 1).unwrap();
+        txn.insert(&node, ShardId(2), 1, val("elsewhere")).unwrap();
+        node.gate.close(ShardId(1));
+        let dropped = node.table(ShardId(1)).unwrap();
+        let writer = {
+            let node = Arc::clone(&node);
+            std::thread::spawn(move || {
+                let kind = WriteKind::Insert;
+                let put = txn.write_in(&node, ShardId(1), &mut table, 1, kind, val("a"));
+                (put, txn)
+            })
+        };
+        // Give the writer time to park behind the closed gate.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        node.drop_shard(ShardId(1));
+        node.gate.open(ShardId(1));
+        let (put, _txn) = writer.join().unwrap();
+        assert!(matches!(put, Err(DbError::NotOwner { .. })), "{put:?}");
+        let reader = Txn::begin(&node, Timestamp(20));
+        let seen = dropped.read(
+            1,
+            Timestamp(20),
+            reader.xid,
+            &node.clog,
+            node.config.lock_wait_timeout,
+        );
+        assert_eq!(
+            seen.unwrap(),
+            None,
+            "nothing was written into the dropped table"
+        );
     }
 
     #[test]
